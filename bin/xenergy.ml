@@ -4,9 +4,8 @@
      xenergy list                    show all workloads
      xenergy profile NAME            per-block cycle/energy hotspot profile
                 [--top N] [--json]   (conservation-checked), flame-graph
-                [--folded FILE]      and annotated-disassembly output;
-                [--annotate]         --variables prints the legacy
-                [--per-opcode]       macro-model variable profile
+                [--folded FILE]      and annotated-disassembly output
+                [--annotate] [--per-opcode]
      xenergy reference NAME          reference-estimator energy breakdown
      xenergy characterize [-o FILE]  fit the macro-model (Table I / Fig 3)
                 [--trace FILE]       Chrome trace of the whole pipeline
@@ -38,10 +37,10 @@
    Every command honours XENERGY_LOG=FILE (JSON-lines structured log)
    and XENERGY_LOG_LEVEL=debug|info|warn|error.  The simulating
    commands (profile, characterize, estimate, explore, audit, serve)
-   take --backend interp|threaded|check (default from
-   XENERGY_BACKEND): interp is the reference interpreter, threaded the
-   pre-decoded native-speed backend (bit-identical), check runs both
-   and fails on any divergence.
+   take --backend threaded|interp|check (default from XENERGY_BACKEND,
+   else threaded): threaded is the pre-decoded backend every other
+   command simulates on too, interp the reference interpreter, check
+   runs both and fails on any divergence from the reference.
      xenergy cache stats DIR         inventory of an on-disk eval cache
      xenergy cache verify DIR        re-parse every entry, report corruption
      xenergy cache prune DIR [..]    LRU eviction (--max-entries/-bytes/-age)
@@ -71,11 +70,12 @@ let jobs_arg =
 
 let backend_arg =
   let doc =
-    "Simulation backend: $(b,interp) (the reference interpreter,
-     decode per retirement), $(b,threaded) (pre-decoded threaded code —
-     bit-identical results, several times faster) or $(b,check) (run
-     both and fail on any divergence).  Also the $(b,XENERGY_BACKEND)
-     environment variable; the flag wins."
+    "Simulation backend: $(b,threaded) (the default: pre-decoded
+     threaded code), $(b,interp) (the reference interpreter, decode per
+     retirement; bit-identical results, several times slower) or
+     $(b,check) (run both and fail on any divergence from the
+     reference).  Also the $(b,XENERGY_BACKEND) environment variable;
+     the flag wins."
   in
   Arg.(value & opt (some string) None
        & info [ "backend" ] ~docv:"NAME" ~doc)
@@ -227,51 +227,40 @@ let profile_cmd =
              ~doc:"Print the per-opcode histogram (counts, cycles, energy
                    by mnemonic).")
   in
-  let variables_arg =
-    Arg.(value & flag
-         & info [ "variables" ]
-             ~doc:"Print the legacy macro-model variable profile instead
-                   of the hotspot profile (needs no model).")
-  in
   let run model_path name top json folded folded_energy annotate per_opcode
-      variables backend log_file openmetrics jobs =
+      backend log_file openmetrics jobs =
     set_backend backend;
     let c = find_case name in
-    if variables then
-      Format.fprintf fmt "%a@." Core.Extract.pp_profile
-        (Core.Extract.profile c)
+    if top <= 0 then die "--top must be positive";
+    setup_obs ~log_file ~openmetrics;
+    let model = load_or_fit ?jobs model_path in
+    let r = Core.Profiler.run model c in
+    if json then print_string (Core.Profiler.to_json r ^ "\n")
     else begin
-      if top <= 0 then die "--top must be positive";
-      setup_obs ~log_file ~openmetrics;
-      let model = load_or_fit ?jobs model_path in
-      let r = Core.Profiler.run model c in
-      if json then print_string (Core.Profiler.to_json r ^ "\n")
-      else begin
-        Format.fprintf fmt "%a@." (Core.Profiler.pp_table ~top) r;
-        if per_opcode then
-          Format.fprintf fmt "@.%a@." Core.Profiler.pp_opcodes r;
-        if annotate then
-          Format.fprintf fmt "@.%a@." Core.Profiler.pp_annotate r
-      end;
-      let write_file what path text =
-        (try
-           Out_channel.with_open_text path (fun oc ->
-               Out_channel.output_string oc text)
-         with Sys_error msg -> die "cannot write %s: %s" what msg);
-        Format.eprintf "%s written to %s@." what path
-      in
-      Option.iter
-        (fun path ->
-          write_file "folded stacks" path (Core.Profiler.folded_lines r))
-        folded;
-      Option.iter
-        (fun path ->
-          write_file "energy folded stacks" path
-            (Core.Profiler.folded_lines ~energy:true r))
-        folded_energy;
-      save_openmetrics openmetrics;
-      report_checks ()
-    end
+      Format.fprintf fmt "%a@." (Core.Profiler.pp_table ~top) r;
+      if per_opcode then
+        Format.fprintf fmt "@.%a@." Core.Profiler.pp_opcodes r;
+      if annotate then
+        Format.fprintf fmt "@.%a@." Core.Profiler.pp_annotate r
+    end;
+    let write_file what path text =
+      (try
+         Out_channel.with_open_text path (fun oc ->
+             Out_channel.output_string oc text)
+       with Sys_error msg -> die "cannot write %s: %s" what msg);
+      Format.eprintf "%s written to %s@." what path
+    in
+    Option.iter
+      (fun path ->
+        write_file "folded stacks" path (Core.Profiler.folded_lines r))
+      folded;
+    Option.iter
+      (fun path ->
+        write_file "energy folded stacks" path
+          (Core.Profiler.folded_lines ~energy:true r))
+      folded_energy;
+    save_openmetrics openmetrics;
+    report_checks ()
   in
   Cmd.v
     (Cmd.info "profile"
@@ -280,9 +269,8 @@ let profile_cmd =
              (conservation-checked), plus flame-graph and
              annotated-disassembly output")
     Term.(const run $ model_arg $ name_arg $ top_arg $ json_arg $ folded_arg
-          $ folded_energy_arg $ annotate_arg $ per_opcode_arg
-          $ variables_arg $ backend_arg $ log_file_arg $ openmetrics_arg
-          $ jobs_arg)
+          $ folded_energy_arg $ annotate_arg $ per_opcode_arg $ backend_arg
+          $ log_file_arg $ openmetrics_arg $ jobs_arg)
 
 (* --- reference ----------------------------------------------------------- *)
 
@@ -496,7 +484,7 @@ let breakdown_cmd =
         Sim.Config.default
     in
     let cpu, _ =
-      Sim.Cpu.run_program ?extension:c.Core.Extract.extension
+      Sim.Backend.run_program ?extension:c.Core.Extract.extension
         ~observers:[ Power.Estimator.observer est ]
         c.Core.Extract.asm
     in
@@ -551,7 +539,7 @@ let trace_cmd =
       end
     in
     let cpu, _ =
-      Sim.Cpu.run_program ?extension:c.Core.Extract.extension
+      Sim.Backend.run_program ?extension:c.Core.Extract.extension
         ~observers:[ obs ] c.Core.Extract.asm
     in
     Format.fprintf fmt "... %d instructions total, %d cycles, %a@."
@@ -655,7 +643,7 @@ let cc_cmd =
     in
     let profile = Core.Extract.profile case in
     let cpu, _ =
-      Sim.Cpu.run_program ?extension compiled.Cc.Codegen.c_asm
+      Sim.Backend.run_program ?extension compiled.Cc.Codegen.c_asm
     in
     Format.fprintf fmt
       "main returned %d (%d instructions, %d cycles)@."

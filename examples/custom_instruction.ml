@@ -73,5 +73,9 @@ let () =
   Format.fprintf fmt "reference estimator: %.3f uJ (error %+.2f%%)@."
     (Power.Report.to_uj ref_pj)
     (100.0 *. (est.Core.Estimate.energy_pj -. ref_pj) /. ref_pj);
-  let result = Sim.Cpu.reg (fst (Sim.Cpu.run_program ~extension:ext case.Core.Extract.asm)) (Isa.Reg.a 4) in
+  let result =
+    Sim.Cpu.reg
+      (fst (Sim.Backend.run_program ~extension:ext case.Core.Extract.asm))
+      (Isa.Reg.a 4)
+  in
   Format.fprintf fmt "@.(functional check: saturated sum = 0x%x)@." result

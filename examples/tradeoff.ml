@@ -71,7 +71,7 @@ let () =
     let est = Core.Estimate.run model c in
     (* Functional check: both versions compute the same dot product. *)
     let cpu, _ =
-      Sim.Cpu.run_program ?extension:c.Core.Extract.extension
+      Sim.Backend.run_program ?extension:c.Core.Extract.extension
         c.Core.Extract.asm
     in
     let value = Sim.Cpu.reg cpu (Isa.Reg.a 4) in

@@ -18,7 +18,7 @@ let of_string s =
   | "check" -> Some Check
   | _ -> None
 
-let current_ref = ref Interp
+let current_ref = ref Threaded
 
 (* Scoped overrides live per scope key (default: the constant 0, one
    process-wide scope).  A threaded embedder (the serve daemon)
@@ -161,9 +161,9 @@ let execute_with b cpu =
   | Interp -> Cpu.run cpu
   | Threaded -> Cpu.run_threaded cpu
   | Check ->
-    (* The clone carries no observers, so the caller's observers see
-       exactly one event stream: the threaded one, which the digest
-       proves identical to the interpreter's. *)
+    (* The clone carries no observers and counts no metrics, so the
+       caller sees exactly one event stream: the threaded one, which the
+       digest proves identical to the interpreter's. *)
     let shadow = Cpu.clone cpu in
     let d_interp = Stream_digest.create () in
     Cpu.add_observer shadow (Stream_digest.observe d_interp);

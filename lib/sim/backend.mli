@@ -1,13 +1,13 @@
 (** Execution-backend selection for the simulator.
 
     Two substrates execute programs with identical semantics: the
-    reference interpreter ({!Cpu.run}, decode-per-retirement) and the
     threaded-code backend ({!Cpu.run_threaded}, pre-decoded operation
-    closures dispatched block-at-a-time).  [Check] is the equivalence
-    oracle: it runs both from identical initial state and raises
-    {!Mismatch} unless the outcome, the cycle and instruction counts,
-    and a digest over the complete retirement event streams all agree
-    bit-for-bit.
+    closures dispatched block-at-a-time; the default) and the reference
+    interpreter ({!Cpu.run}, decode-per-retirement).  [Check] is the
+    equivalence oracle: it runs both from identical initial state and
+    raises {!Mismatch} unless the outcome, the cycle and instruction
+    counts, and a digest over the complete retirement event streams all
+    agree bit-for-bit.
 
     Selection is a process-wide default ({!set_current}, seeded from the
     [XENERGY_BACKEND] environment variable by {!init_from_env}, exposed
@@ -19,9 +19,10 @@
 
 type t =
   | Interp    (** the reference interpreter, one decode per retirement *)
-  | Threaded  (** pre-decoded threaded code, interpreter fallback for
-                  uncovered instructions *)
-  | Check     (** run both; raise {!Mismatch} on any divergence *)
+  | Threaded  (** pre-decoded threaded code, interpreter adapter for
+                  uncovered instructions; the default *)
+  | Check     (** run both; raise {!Mismatch} on any divergence from
+                  the interpreter *)
 
 exception Mismatch of string
 (** The two substrates disagreed under [Check] — always a simulator
@@ -38,7 +39,7 @@ val of_string : string -> t option
 val current : unit -> t
 (** The current scope's backend: an active {!with_current} override if
     one is set, otherwise the process-wide default (initially
-    [Interp]). *)
+    [Threaded]). *)
 
 val set_current : t -> unit
 (** Replace the process-wide default. *)
@@ -80,8 +81,8 @@ val run_program :
   ?observers:Cpu.observer list ->
   Isa.Program.asm ->
   Cpu.t * Cpu.outcome
-(** Create, install observers, {!execute}.  Drop-in replacement for
-    {!Cpu.run_program} with the backend defaulting to {!current}. *)
+(** Create, install observers, {!execute} on [backend] (default
+    {!current}).  The one way to run a program from start to end. *)
 
 val checks_run : unit -> int
 (** Number of dual-run equivalence checks performed by this process

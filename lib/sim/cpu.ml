@@ -21,6 +21,11 @@ type t = {
   mutable cycle : int;
   mutable retired : int;
   mutable done_ : outcome option;
+  mutable custom_result : int;
+      (* last custom-instruction result, read back for its event *)
+  counted : bool;
+      (* retirements bump the [Retire_metrics] counters; false for the
+         shadow copy a [Backend.Check] run compares against *)
   observers : observer Queue.t;
 }
 
@@ -42,6 +47,8 @@ let create ?(config = Config.default) ?extension asm =
     cycle = 0;
     retired = 0;
     done_ = None;
+    custom_result = 0;
+    counted = true;
     observers = Queue.create () }
 
 (* O(1) per registration (the single-pass characterization engine adds
@@ -230,6 +237,16 @@ let data_access t ~write ~size ~addr ~value =
   { Event.maddr = addr; msize = size; mwrite = write; mhit = hit;
     muncached = uncached; mvalue = u32 value }
 
+let load_size = function
+  | Isa.Instr.L8ui -> 1
+  | Isa.Instr.L16si | Isa.Instr.L16ui -> 2
+  | Isa.Instr.L32i -> 4
+
+let store_size = function
+  | Isa.Instr.S8i -> 1
+  | Isa.Instr.S16i -> 2
+  | Isa.Instr.S32i -> 4
+
 let do_load t op base off =
   let open Isa.Instr in
   let addr = u32 (base + off) in
@@ -242,8 +259,7 @@ let do_load t op base off =
       | L32i -> Memory.load32 t.mem addr
     with Invalid_argument msg -> fail "load: %s" msg
   in
-  let size = match op with L8ui -> 1 | L16si | L16ui -> 2 | L32i -> 4 in
-  (u32 v, data_access t ~write:false ~size ~addr ~value:v)
+  (u32 v, data_access t ~write:false ~size:(load_size op) ~addr ~value:v)
 
 let do_store t op value base off =
   let open Isa.Instr in
@@ -254,8 +270,7 @@ let do_store t op value base off =
      | S16i -> Memory.store16 t.mem addr value
      | S32i -> Memory.store32 t.mem addr value
    with Invalid_argument msg -> fail "store: %s" msg);
-  let size = match op with S8i -> 1 | S16i -> 2 | S32i -> 4 in
-  data_access t ~write:true ~size ~addr ~value
+  data_access t ~write:true ~size:(store_size op) ~addr ~value
 
 (* Static half of custom-instruction execution: everything that depends
    only on the extension and the call site, not on register values.
@@ -290,29 +305,33 @@ let resolve_custom t call =
   in
   (ext, insn, dst, src_regs)
 
-let run_custom t ext insn dst src_regs imm =
-  let store = Option.get t.ext_state in
-  let srcs = List.map (reg t) src_regs in
-  let result = Tie.Compile.execute ext store insn ~srcs ~imm in
-  (match (dst, result) with
-   | Some d, Some v -> set_reg t d v
-   | Some _, None | None, Some _ | None, None -> ());
-  let cstates =
+(* Custom-state values after execution, in declaration order. *)
+let custom_states t =
+  match (t.ext, t.ext_state) with
+  | Some ext, Some store ->
     List.filter_map
       (fun s ->
         match Tie.Compile.state_value store s.Tie.Spec.sname with
         | v -> Some v
         | exception Not_found -> None)
       (Tie.Compile.spec ext).Tie.Spec.states
-  in
-  let info =
-    { Event.cinsn = insn; coperands = srcs; cresult = result; cstates }
-  in
-  (result, info, insn.Tie.Compile.latency)
+  | _ -> []
 
 let exec_custom t call =
   let ext, insn, dst, src_regs = resolve_custom t call in
-  run_custom t ext insn dst src_regs call.Isa.Instr.cimm
+  let store = Option.get t.ext_state in
+  let srcs = List.map (reg t) src_regs in
+  let result =
+    Tie.Compile.execute ext store insn ~srcs ~imm:call.Isa.Instr.cimm
+  in
+  (match (dst, result) with
+   | Some d, Some v -> set_reg t d v
+   | Some _, None | None, Some _ | None, None -> ());
+  let info =
+    { Event.cinsn = insn; coperands = srcs; cresult = result;
+      cstates = custom_states t }
+  in
+  (result, info, insn.Tie.Compile.latency)
 
 let default_exec fall_through =
   { next_pc = fall_through;
@@ -334,8 +353,11 @@ let execute t slot =
     set_reg t r v;
     Some (u32 v)
   in
-  let pen = t.cfg.Config.branch_taken_penalty in
-  ignore pen;
+  let branch taken =
+    { d0 with
+      next_pc = (if taken then target_of slot else fall);
+      taken = Some taken }
+  in
   match instr with
   | Binop (op, d, s, tt) ->
     let v = eval_binop op (reg t s) (reg t tt) in
@@ -367,10 +389,7 @@ let execute t slot =
   | Ssai n ->
     t.sar_reg <- n land 31;
     d0
-  | Ssl s ->
-    t.sar_reg <- reg t s land 31;
-    d0
-  | Ssr s ->
+  | Ssl s | Ssr s ->
     t.sar_reg <- reg t s land 31;
     d0
   | Load (op, d, base, off) ->
@@ -387,61 +406,30 @@ let execute t slot =
   | Store (op, v, base, off) ->
     let mi = do_store t op (reg t v) (reg t base) off in
     { d0 with mem_info = Some mi }
-  | Branch2 (c, s, tt, _) ->
-    let taken = bcond2_holds c (reg t s) (reg t tt) in
-    { d0 with
-      next_pc = (if taken then target_of slot else fall);
-      taken = Some taken }
-  | Branchi (c, s, n, _) ->
-    let taken = bcondi_holds c (reg t s) n in
-    { d0 with
-      next_pc = (if taken then target_of slot else fall);
-      taken = Some taken }
-  | Branchz (c, s, _) ->
-    let taken = bcondz_holds c (reg t s) in
-    { d0 with
-      next_pc = (if taken then target_of slot else fall);
-      taken = Some taken }
+  | Branch2 (c, s, tt, _) -> branch (bcond2_holds c (reg t s) (reg t tt))
+  | Branchi (c, s, n, _) -> branch (bcondi_holds c (reg t s) n)
+  | Branchz (c, s, _) -> branch (bcondz_holds c (reg t s))
   | Bbit (want_set, s, tt, _) ->
-    let bit = (u32 (reg t s) lsr (reg t tt land 31)) land 1 in
-    let taken = (bit = 1) = want_set in
-    { d0 with
-      next_pc = (if taken then target_of slot else fall);
-      taken = Some taken }
+    branch (((u32 (reg t s) lsr (reg t tt land 31)) land 1 = 1) = want_set)
   | Bbiti (want_set, s, n, _) ->
-    let bit = (u32 (reg t s) lsr (n land 31)) land 1 in
-    let taken = (bit = 1) = want_set in
-    { d0 with
-      next_pc = (if taken then target_of slot else fall);
-      taken = Some taken }
+    branch (((u32 (reg t s) lsr (n land 31)) land 1 = 1) = want_set)
   | J _ -> { d0 with next_pc = target_of slot; taken = Some true }
   | Jx s -> { d0 with next_pc = u32 (reg t s); taken = Some true }
   | Call0 _ ->
-    let ret = fall in
-    { d0 with
-      next_pc = target_of slot;
-      taken = Some true;
-      result = setr (Isa.Reg.a 0) ret }
+    { d0 with next_pc = target_of slot; taken = Some true;
+      result = setr (Isa.Reg.a 0) fall }
   | Callx0 s ->
     let dest = u32 (reg t s) in
-    let ret = fall in
-    { d0 with
-      next_pc = dest;
-      taken = Some true;
-      result = setr (Isa.Reg.a 0) ret }
+    { d0 with next_pc = dest; taken = Some true;
+      result = setr (Isa.Reg.a 0) fall }
   | Call8 _ ->
-    let ret = fall in
-    let result = setr (Isa.Reg.a 8) ret in
+    let result = setr (Isa.Reg.a 8) fall in
     let spilled = Regfile.push_window t.rf in
-    { d0 with
-      next_pc = target_of slot;
-      taken = Some true;
-      result;
+    { d0 with next_pc = target_of slot; taken = Some true; result;
       window_event = spilled }
   | Callx8 s ->
     let dest = u32 (reg t s) in
-    let ret = fall in
-    let result = setr (Isa.Reg.a 8) ret in
+    let result = setr (Isa.Reg.a 8) fall in
     let spilled = Regfile.push_window t.rf in
     { d0 with next_pc = dest; taken = Some true; result;
       window_event = spilled }
@@ -549,7 +537,7 @@ let step t =
       t.retired <- t.retired + 1;
       t.pc <- ex.next_pc;
       if ex.halt then t.done_ <- Some Halted;
-      if Obs.Metrics.enabled () then Retire_metrics.record event;
+      if t.counted && Obs.Metrics.enabled () then Retire_metrics.record event;
       Queue.iter (fun obs -> obs event) t.observers;
       `Step event
     end
@@ -568,19 +556,37 @@ let run t =
 (* The program is static, so everything [step] re-derives per retired  *)
 (* instruction — operand decode, uses/defs lists, branch targets,      *)
 (* immediates, latencies, custom-instruction lookup — is resolved once *)
-(* at load time into a flat array of operation records, one per slot.  *)
+(* at load time into a flat array of operation records, one per slot,  *)
+(* each carrying one closure for the instruction's effects.            *)
 (* [Decoder.analyze]'s basic-block partition (shared with the hotspot  *)
 (* profiler) delimits the straight-line runs the dispatcher exploits:  *)
 (* inside a run the successor is slot [i+1] by construction, so only   *)
 (* control instructions pay the pc-to-slot mapping.  Instructions the  *)
-(* compiler does not cover fall back to the interpreter's [execute],   *)
-(* so coverage is a performance property, never a semantic one.        *)
+(* compiler does not cover run the interpreter's [execute] through one *)
+(* adapter, so coverage is a performance property, never a semantic    *)
+(* one.                                                                *)
 (* ------------------------------------------------------------------ *)
 
 (* Shared [Some true]/[Some false] so retiring a branch allocates no
    option; events stay structurally identical to the interpreter's. *)
 let some_true = Some true
 let some_false = Some false
+
+(* An op's closure performs the instruction's architectural effects —
+   register, memory and TIE-state writes, cache accesses, window
+   rotation and, for control instructions, the pc update — and returns
+   a packed word: bits 0-15 hold the penalty cycles beyond fetch and
+   stall (data access + taken branch + window traffic; configs keep each
+   term far below the field's range), bits 16-20 the flags below, bits
+   21+ the producer's latency beyond one cycle. *)
+let pen_mask = 0xffff
+let halt_bit = 0x1_0000
+let taken_bit = 0x2_0000   (* control transfer taken *)
+let window_bit = 0x4_0000  (* window spill or reload *)
+let dhit_bit = 0x8_0000    (* cached data access hit *)
+let result_bit = 0x10_0000 (* a value was driven on the result bus *)
+let extra_shift = 21
+let fhit_bit = 0x1_0000    (* in the loop's fetch word: cached fetch hit *)
 
 type op = {
   o_slot : Isa.Program.slot;
@@ -589,30 +595,22 @@ type op = {
   o_uses_list : Isa.Reg.t list;  (* same registers, for [src_values] *)
   o_defs : int array;
   o_clazz : Isa.Instr.clazz;
-  o_control : bool;
+  o_control : bool;              (* the closure sets the pc; otherwise
+                                    the loop falls through *)
   o_funcached : bool;
   o_line_run : bool;
       (* reached by fall-through, this op's fetch repeats the previous
          op's icache line: a statically guaranteed hit (see
          [Cache.repeat_hit]) *)
-  o_exec : t -> exec;
-  o_fast : (t -> int) option;
-      (* event-free variant for runs nobody observes: performs the same
-         architectural effects as [o_exec] (including the pc update) but
-         allocates nothing, returning the packed penalty word below *)
-  o_compiled : bool;             (* false = interpreter fallback *)
+  o_custom : (Tie.Compile.compiled_insn * Isa.Reg.t list) option;
+      (* resolved custom instruction and its source registers *)
+  o_run : t -> int;
+  o_compiled : bool;             (* false = interpreter adapter *)
 }
-
-(* Packed return of an [o_fast] closure: bits 0-15 hold the penalty
-   cycles beyond fetch and stall (data access + taken branch + window
-   traffic; configs keep each term far below the field's range), bit 16
-   flags halt, bits 17+ hold the producer's extra latency. *)
-let fast_halt = 0x1_0000
-let fast_extra_shift = 17
 
 (* Register access with the [Regfile] representation inlined: the
    non-flambda compiler keeps cross-module calls out-of-line, and three
-   nested calls per operand would dominate the fast path. *)
+   nested calls per operand would dominate the hot loop. *)
 let rget t i =
   let rf = t.rf in
   Array.unsafe_get rf.Regfile.phys ((rf.Regfile.base + i) land 63)
@@ -623,235 +621,12 @@ let rset t i v =
     ((rf.Regfile.base + i) land 63)
     (v land 0xffff_ffff)
 
-let setr t r v =
-  set_reg t r v;
-  Some (u32 v)
-
-(* Compile one slot to a closure with the static work hoisted.  [None]
-   defers to the interpreter fallback — either the compiler does not
-   cover the instruction, or static resolution failed in a way the
-   interpreter only reports at execution time (unresolved targets,
-   unknown custom instructions), which must stay an execution-time
-   error. *)
-let compile_slot t (slot : Isa.Program.slot) : (t -> exec) option =
-  let open Isa.Instr in
-  let fall = slot.Isa.Program.addr + Isa.Encoding.bytes_per_instr in
-  let d0 = default_exec fall in
-  let target = slot.Isa.Program.target in
-  let branch cond =
-    match target with
-    | None -> None
-    | Some tgt ->
-      let ex_t = { d0 with next_pc = tgt; taken = some_true } in
-      let ex_f = { d0 with taken = some_false } in
-      Some (fun t -> if cond t then ex_t else ex_f)
-  in
-  match slot.Isa.Program.instr with
-  | Binop (op, d, s, tt) ->
-    let extra = match op with Mull -> 1 | _ -> 0 in
-    Some
-      (fun t ->
-        let v = eval_binop op (reg t s) (reg t tt) in
-        { d0 with result = setr t d v; extra_latency = extra })
-  | Unop (op, d, s) ->
-    Some (fun t -> { d0 with result = setr t d (eval_unop op (reg t s)) })
-  | Sext (d, s, b) ->
-    let m = (1 lsl (b + 1)) - 1 in
-    let sign = 1 lsl b in
-    Some
-      (fun t ->
-        let v = reg t s land m in
-        let v = if v land sign <> 0 then v lor lnot m else v in
-        { d0 with result = setr t d v })
-  | Cmov (op, d, s, tt) ->
-    Some
-      (fun t ->
-        if cmov_cond op (reg t tt) then { d0 with result = setr t d (reg t s) }
-        else d0)
-  | Addi (d, s, n) -> Some (fun t -> { d0 with result = setr t d (reg t s + n) })
-  | Addmi (d, s, n) ->
-    let n = n * 256 in
-    Some (fun t -> { d0 with result = setr t d (reg t s + n) })
-  | Movi (d, n) ->
-    let ex = { d0 with result = Some (u32 n) } in
-    Some
-      (fun t ->
-        set_reg t d n;
-        ex)
-  | Mov (d, s) -> Some (fun t -> { d0 with result = setr t d (reg t s) })
-  | Extui (d, s, sh, w) ->
-    let m = (1 lsl w) - 1 in
-    Some (fun t -> { d0 with result = setr t d ((u32 (reg t s) lsr sh) land m) })
-  | Slli (d, s, n) ->
-    let sh = n land 31 in
-    Some (fun t -> { d0 with result = setr t d (reg t s lsl sh) })
-  | Srli (d, s, n) ->
-    let sh = n land 31 in
-    Some (fun t -> { d0 with result = setr t d (u32 (reg t s) lsr sh) })
-  | Srai (d, s, n) ->
-    let sh = n land 31 in
-    Some (fun t -> { d0 with result = setr t d (s32 (reg t s) asr sh) })
-  | Sll (d, s) ->
-    Some (fun t -> { d0 with result = setr t d (reg t s lsl t.sar_reg) })
-  | Srl (d, s) ->
-    Some (fun t -> { d0 with result = setr t d (u32 (reg t s) lsr t.sar_reg) })
-  | Sra (d, s) ->
-    Some (fun t -> { d0 with result = setr t d (s32 (reg t s) asr t.sar_reg) })
-  | Src (d, s, tt) ->
-    Some
-      (fun t ->
-        let wide = (u32 (reg t s) lsl 32) lor u32 (reg t tt) in
-        { d0 with result = setr t d (wide lsr t.sar_reg) })
-  | Ssai n ->
-    let sar = n land 31 in
-    Some
-      (fun t ->
-        t.sar_reg <- sar;
-        d0)
-  | Ssl s ->
-    Some
-      (fun t ->
-        t.sar_reg <- reg t s land 31;
-        d0)
-  | Ssr s ->
-    Some
-      (fun t ->
-        t.sar_reg <- reg t s land 31;
-        d0)
-  | Load (op, d, base, off) ->
-    Some
-      (fun t ->
-        let v, mi = do_load t op (reg t base) off in
-        { d0 with result = setr t d v; mem_info = Some mi; extra_latency = 1 })
-  | L32r (d, _) ->
-    (match target with
-     | None -> None
-     | Some addr ->
-       Some
-         (fun t ->
-           let v =
-             try Memory.load32 t.mem addr
-             with Invalid_argument msg -> fail "l32r: %s" msg
-           in
-           let mi = data_access t ~write:false ~size:4 ~addr ~value:v in
-           { d0 with
-             result = setr t d v;
-             mem_info = Some mi;
-             extra_latency = 1 }))
-  | Store (op, v, base, off) ->
-    Some
-      (fun t ->
-        let mi = do_store t op (reg t v) (reg t base) off in
-        { d0 with mem_info = Some mi })
-  | Branch2 (c, s, tt, _) ->
-    branch (fun t -> bcond2_holds c (reg t s) (reg t tt))
-  | Branchi (c, s, n, _) -> branch (fun t -> bcondi_holds c (reg t s) n)
-  | Branchz (c, s, _) -> branch (fun t -> bcondz_holds c (reg t s))
-  | Bbit (want_set, s, tt, _) ->
-    branch
-      (fun t ->
-        ((u32 (reg t s) lsr (reg t tt land 31)) land 1 = 1) = want_set)
-  | Bbiti (want_set, s, n, _) ->
-    let sh = n land 31 in
-    branch (fun t -> ((u32 (reg t s) lsr sh) land 1 = 1) = want_set)
-  | J _ ->
-    (match target with
-     | None -> None
-     | Some tgt ->
-       let ex = { d0 with next_pc = tgt; taken = some_true } in
-       Some (fun _ -> ex))
-  | Jx s ->
-    Some (fun t -> { d0 with next_pc = u32 (reg t s); taken = some_true })
-  | Call0 _ ->
-    (match target with
-     | None -> None
-     | Some tgt ->
-       let a0 = Isa.Reg.a 0 in
-       let ex =
-         { d0 with next_pc = tgt; taken = some_true; result = Some (u32 fall) }
-       in
-       Some
-         (fun t ->
-           set_reg t a0 fall;
-           ex))
-  | Callx0 s ->
-    let a0 = Isa.Reg.a 0 in
-    Some
-      (fun t ->
-        let dest = u32 (reg t s) in
-        set_reg t a0 fall;
-        { d0 with next_pc = dest; taken = some_true; result = Some (u32 fall) })
-  | Call8 _ ->
-    (match target with
-     | None -> None
-     | Some tgt ->
-       let a8 = Isa.Reg.a 8 in
-       Some
-         (fun t ->
-           let result = setr t a8 fall in
-           let spilled = Regfile.push_window t.rf in
-           { d0 with
-             next_pc = tgt;
-             taken = some_true;
-             result;
-             window_event = spilled }))
-  | Callx8 s ->
-    let a8 = Isa.Reg.a 8 in
-    Some
-      (fun t ->
-        let dest = u32 (reg t s) in
-        let result = setr t a8 fall in
-        let spilled = Regfile.push_window t.rf in
-        { d0 with next_pc = dest; taken = some_true; result;
-          window_event = spilled })
-  | Ret ->
-    let a0 = Isa.Reg.a 0 in
-    Some (fun t -> { d0 with next_pc = u32 (reg t a0); taken = some_true })
-  | Retw ->
-    let a0 = Isa.Reg.a 0 in
-    Some
-      (fun t ->
-        let dest = u32 (reg t a0) in
-        let reloaded = Regfile.pop_window t.rf in
-        { d0 with next_pc = dest; taken = some_true; window_event = reloaded })
-  | Entry (sp, n) ->
-    Some (fun t -> { d0 with result = setr t sp (reg t sp - n) })
-  | Nop | Memw | Extw | Isync -> Some (fun _ -> d0)
-  | Break ->
-    let ex = { d0 with halt = true } in
-    Some (fun _ -> ex)
-  | Custom call ->
-    (match resolve_custom t call with
-     | exception Sim_error _ -> None
-     | (ext, insn, dst, src_regs) ->
-       let imm = call.Isa.Instr.cimm in
-       Some
-         (fun t ->
-           let result, info, latency =
-             run_custom t ext insn dst src_regs imm
-           in
-           { d0 with
-             result;
-             busy = latency;
-             custom = Some info;
-             extra_latency = latency - 1 }))
-
-(* Event-free compilation of one slot, for runs with no observers and
-   metrics off.  Each closure performs exactly the architectural effects
-   of the corresponding [compile_slot]/[execute] arm — register and
-   memory writes, cache accesses, window rotation, the pc update — in
-   the same order, but builds no [exec] record, no [Event.mem_info] and
-   no custom-instruction info, returning the packed penalty word
-   instead.  Equivalence with the interpreter therefore rests on this
-   function mirroring [execute] arm by arm; the randomized
-   backend-equivalence tests exercise both the observed (event-built)
-   and unobserved paths. *)
-(* Data-access penalty, with the same cache-state evolution as
-   [data_access].  The repeat-of-last-line hit is inlined (see
+(* Data-access penalty and hit flag, with the same cache-state evolution
+   as [data_access].  The repeat-of-last-line hit is inlined (see
    {!Cache.t}): [access] leaves its line resident and MRU, so a repeat
    is a counters-only hit and the cross-module call is skipped.  A
-   top-level function (fully applied at every call site) so building a
-   fast op allocates nothing for it. *)
+   top-level function (fully applied at every call site) so building an
+   op allocates nothing for it. *)
 let dpen ubase udp dmiss t addr =
   if addr >= ubase then udp
   else begin
@@ -859,9 +634,9 @@ let dpen ubase udp dmiss t addr =
     if addr lsr dc.Cache.line_shift = dc.Cache.last_line then begin
       dc.Cache.accesses <- dc.Cache.accesses + 1;
       dc.Cache.hits <- dc.Cache.hits + 1;
-      0
+      dhit_bit
     end
-    else if Cache.access dc addr = Cache.Hit then 0
+    else if Cache.access dc addr = Cache.Hit then dhit_bit
     else dmiss
   end
 
@@ -869,18 +644,26 @@ let make_branch target fall btp cond =
   match target with
   | None -> None
   | Some tgt ->
+    let taken = btp lor taken_bit in
     Some
       (fun t ->
         if cond t then begin
           t.pc <- tgt;
-          btp
+          taken
         end
         else begin
           t.pc <- fall;
           0
         end)
 
-let fast_slot t (slot : Isa.Program.slot) : (t -> int) option =
+(* Compile one slot to its closure, with the static work hoisted.
+   [None] defers to the interpreter adapter — either the compiler does
+   not cover the instruction, or static resolution failed in a way the
+   interpreter only reports at execution time (unresolved targets,
+   unknown custom instructions), which must stay an execution-time
+   error.  Each arm mirrors the corresponding [execute] arm: the same
+   effects in the same order, with no allocation. *)
+let compile_op t (slot : Isa.Program.slot) : (t -> int) option =
   let open Isa.Instr in
   let ri = Isa.Reg.index in
   let fall = slot.Isa.Program.addr + Isa.Encoding.bytes_per_instr in
@@ -891,22 +674,25 @@ let fast_slot t (slot : Isa.Program.slot) : (t -> int) option =
   let ubase = t.cfg.Config.uncached_base in
   let dmiss = Cache.miss_penalty t.dcache in
   let branch cond = make_branch target fall btp cond in
+  let jump = btp lor taken_bit in
+  let r = result_bit in
+  (* A windowed call or return's words: without and with a spilled or
+     reloaded frame. *)
+  let windowed flags = (jump lor flags, (jump + wp) lor window_bit lor flags) in
   match slot.Isa.Program.instr with
   | Binop (op, d, s, tt) ->
     let di = ri d and si = ri s and ti = ri tt in
-    let packed = (match op with Mull -> 1 | _ -> 0) lsl fast_extra_shift in
+    let packed = ((match op with Mull -> 1 | _ -> 0) lsl extra_shift) lor r in
     Some
       (fun t ->
         rset t di (eval_binop op (rget t si) (rget t ti));
-        t.pc <- fall;
         packed)
   | Unop (op, d, s) ->
     let di = ri d and si = ri s in
     Some
       (fun t ->
         rset t di (eval_unop op (rget t si));
-        t.pc <- fall;
-        0)
+        r)
   | Sext (d, s, b) ->
     let di = ri d and si = ri s in
     let m = (1 lsl (b + 1)) - 1 in
@@ -914,124 +700,110 @@ let fast_slot t (slot : Isa.Program.slot) : (t -> int) option =
     Some
       (fun t ->
         let v = rget t si land m in
-        let v = if v land sign <> 0 then v lor lnot m else v in
-        rset t di v;
-        t.pc <- fall;
-        0)
+        rset t di (if v land sign <> 0 then v lor lnot m else v);
+        r)
   | Cmov (op, d, s, tt) ->
     let di = ri d and si = ri s and ti = ri tt in
     Some
       (fun t ->
-        if cmov_cond op (rget t ti) then rset t di (rget t si);
-        t.pc <- fall;
-        0)
+        if cmov_cond op (rget t ti) then begin
+          rset t di (rget t si);
+          r
+        end
+        else 0)
   | Addi (d, s, n) ->
     let di = ri d and si = ri s in
     Some
       (fun t ->
         rset t di (rget t si + n);
-        t.pc <- fall;
-        0)
+        r)
   | Addmi (d, s, n) ->
     let di = ri d and si = ri s in
     let n = n * 256 in
     Some
       (fun t ->
         rset t di (rget t si + n);
-        t.pc <- fall;
-        0)
+        r)
   | Movi (d, n) ->
     let di = ri d in
     Some
       (fun t ->
         rset t di n;
-        t.pc <- fall;
-        0)
+        r)
   | Mov (d, s) ->
     let di = ri d and si = ri s in
     Some
       (fun t ->
         rset t di (rget t si);
-        t.pc <- fall;
-        0)
+        r)
   | Extui (d, s, sh, w) ->
     let di = ri d and si = ri s in
     let m = (1 lsl w) - 1 in
     Some
       (fun t ->
         rset t di ((u32 (rget t si) lsr sh) land m);
-        t.pc <- fall;
-        0)
+        r)
   | Slli (d, s, n) ->
     let di = ri d and si = ri s in
     let sh = n land 31 in
     Some
       (fun t ->
         rset t di (rget t si lsl sh);
-        t.pc <- fall;
-        0)
+        r)
   | Srli (d, s, n) ->
     let di = ri d and si = ri s in
     let sh = n land 31 in
     Some
       (fun t ->
         rset t di (u32 (rget t si) lsr sh);
-        t.pc <- fall;
-        0)
+        r)
   | Srai (d, s, n) ->
     let di = ri d and si = ri s in
     let sh = n land 31 in
     Some
       (fun t ->
         rset t di (s32 (rget t si) asr sh);
-        t.pc <- fall;
-        0)
+        r)
   | Sll (d, s) ->
     let di = ri d and si = ri s in
     Some
       (fun t ->
         rset t di (rget t si lsl t.sar_reg);
-        t.pc <- fall;
-        0)
+        r)
   | Srl (d, s) ->
     let di = ri d and si = ri s in
     Some
       (fun t ->
         rset t di (u32 (rget t si) lsr t.sar_reg);
-        t.pc <- fall;
-        0)
+        r)
   | Sra (d, s) ->
     let di = ri d and si = ri s in
     Some
       (fun t ->
         rset t di (s32 (rget t si) asr t.sar_reg);
-        t.pc <- fall;
-        0)
+        r)
   | Src (d, s, tt) ->
     let di = ri d and si = ri s and ti = ri tt in
     Some
       (fun t ->
         let wide = (u32 (rget t si) lsl 32) lor u32 (rget t ti) in
         rset t di (wide lsr t.sar_reg);
-        t.pc <- fall;
-        0)
+        r)
   | Ssai n ->
     let sar = n land 31 in
     Some
       (fun t ->
         t.sar_reg <- sar;
-        t.pc <- fall;
         0)
   | Ssl s | Ssr s ->
     let si = ri s in
     Some
       (fun t ->
         t.sar_reg <- rget t si land 31;
-        t.pc <- fall;
         0)
   | Load (op, d, base, off) ->
     let di = ri d and bi = ri base in
-    let extra1 = 1 lsl fast_extra_shift in
+    let packed = (1 lsl extra_shift) lor r in
     Some
       (fun t ->
         let addr = u32 (rget t bi + off) in
@@ -1045,14 +817,13 @@ let fast_slot t (slot : Isa.Program.slot) : (t -> int) option =
           with Invalid_argument msg -> fail "load: %s" msg
         in
         rset t di v;
-        t.pc <- fall;
-        dpen ubase udp dmiss t addr lor extra1)
+        dpen ubase udp dmiss t addr lor packed)
   | L32r (d, _) ->
     (match target with
      | None -> None
      | Some addr ->
        let di = ri d in
-       let extra1 = 1 lsl fast_extra_shift in
+       let packed = (1 lsl extra_shift) lor r in
        Some
          (fun t ->
            let v =
@@ -1060,8 +831,7 @@ let fast_slot t (slot : Isa.Program.slot) : (t -> int) option =
              with Invalid_argument msg -> fail "l32r: %s" msg
            in
            rset t di v;
-           t.pc <- fall;
-           dpen ubase udp dmiss t addr lor extra1))
+           dpen ubase udp dmiss t addr lor packed))
   | Store (op, v, base, off) ->
     let vi = ri v and bi = ri base in
     Some
@@ -1073,7 +843,6 @@ let fast_slot t (slot : Isa.Program.slot) : (t -> int) option =
            | S16i -> Memory.store16 t.mem addr (rget t vi)
            | S32i -> Memory.store32 t.mem addr (rget t vi)
          with Invalid_argument msg -> fail "store: %s" msg);
-        t.pc <- fall;
         dpen ubase udp dmiss t addr)
   | Branch2 (c, s, tt, _) ->
     let si = ri s and ti = ri tt in
@@ -1099,84 +868,80 @@ let fast_slot t (slot : Isa.Program.slot) : (t -> int) option =
        Some
          (fun t ->
            t.pc <- tgt;
-           btp))
+           jump))
   | Jx s ->
     let si = ri s in
     Some
       (fun t ->
         t.pc <- u32 (rget t si);
-        btp)
+        jump)
   | Call0 _ ->
     (match target with
      | None -> None
      | Some tgt ->
+       let packed = jump lor r in
        Some
          (fun t ->
            rset t 0 fall;
            t.pc <- tgt;
-           btp))
+           packed))
   | Callx0 s ->
     let si = ri s in
+    let packed = jump lor r in
     Some
       (fun t ->
         let dest = u32 (rget t si) in
         rset t 0 fall;
         t.pc <- dest;
-        btp)
+        packed)
   | Call8 _ ->
     (match target with
      | None -> None
      | Some tgt ->
+       let plain, spill = windowed r in
        Some
          (fun t ->
            rset t 8 fall;
            let spilled = Regfile.push_window t.rf in
            t.pc <- tgt;
-           if spilled then btp + wp else btp))
+           if spilled then spill else plain))
   | Callx8 s ->
     let si = ri s in
+    let plain, spill = windowed r in
     Some
       (fun t ->
         let dest = u32 (rget t si) in
         rset t 8 fall;
         let spilled = Regfile.push_window t.rf in
         t.pc <- dest;
-        if spilled then btp + wp else btp)
+        if spilled then spill else plain)
   | Ret ->
     Some
       (fun t ->
         t.pc <- u32 (rget t 0);
-        btp)
+        jump)
   | Retw ->
+    let plain, reload = windowed 0 in
     Some
       (fun t ->
         let dest = u32 (rget t 0) in
         let reloaded = Regfile.pop_window t.rf in
         t.pc <- dest;
-        if reloaded then btp + wp else btp)
+        if reloaded then reload else plain)
   | Entry (sp, n) ->
     let spi = ri sp in
     Some
       (fun t ->
         rset t spi (rget t spi - n);
-        t.pc <- fall;
-        0)
-  | Nop | Memw | Extw | Isync ->
-    Some
-      (fun t ->
-        t.pc <- fall;
-        0)
-  | Break ->
-    Some
-      (fun t ->
-        t.pc <- fall;
-        fast_halt)
+        r)
+  | Nop | Memw | Extw | Isync -> Some (fun _ -> 0)
+  | Break -> Some (fun _ -> halt_bit)
   | Custom call ->
     (match resolve_custom t call with
      | exception Sim_error _ -> None
      | (ext, insn, dst, src_regs) ->
        let imm = call.Isa.Instr.cimm in
-       let packed = (insn.Tie.Compile.latency - 1) lsl fast_extra_shift in
+       let packed = (insn.Tie.Compile.latency - 1) lsl extra_shift in
        let src_idx = Array.of_list (List.map Isa.Reg.index src_regs) in
        let nsrcs = Array.length src_idx in
        let srcs = Array.make nsrcs 0 in
@@ -1196,10 +961,126 @@ let fast_slot t (slot : Isa.Program.slot) : (t -> int) option =
                 Array.unsafe_set srcs k (rget t (Array.unsafe_get src_idx k))
               done;
               let result = exec srcs in
-              if di >= 0 && result <> Tie.Compile.no_result then
-                rset t di result;
-              t.pc <- fall;
-              packed)))
+              if result = Tie.Compile.no_result then packed
+              else begin
+                if di >= 0 then rset t di result;
+                t.custom_result <- result;
+                packed lor r
+              end)))
+
+(* The one adapter from an uncovered slot to the interpreter: run
+   [execute] and pack its record into the same word. *)
+let interpret t (slot : Isa.Program.slot) =
+  let cfg = t.cfg in
+  let dmiss = Cache.miss_penalty t.dcache in
+  fun t ->
+    let ex = execute t slot in
+    t.pc <- ex.next_pc;
+    let w = ex.extra_latency lsl extra_shift in
+    let w =
+      match ex.mem_info with
+      | None -> w
+      | Some mi when mi.Event.muncached -> w + cfg.Config.uncached_data_penalty
+      | Some mi when mi.Event.mhit -> w lor dhit_bit
+      | Some _ -> w + dmiss
+    in
+    let w =
+      match ex.taken with
+      | Some true -> (w + cfg.Config.branch_taken_penalty) lor taken_bit
+      | Some false | None -> w
+    in
+    let w =
+      if ex.window_event then (w + cfg.Config.window_penalty) lor window_bit
+      else w
+    in
+    let w =
+      match ex.result with
+      | Some v ->
+        t.custom_result <- v;
+        w lor result_bit
+      | None -> w
+    in
+    if ex.halt then w lor halt_bit else w
+
+(* What an event needs from before an op's closure runs, which may
+   overwrite a load's base register or rotate the window. *)
+type pre = { p_srcs : int list; p_addr : int; p_operands : int list }
+
+let no_pre = { p_srcs = []; p_addr = 0; p_operands = [] }
+
+let capture t (op : op) =
+  { p_srcs = List.map (reg t) op.o_uses_list;
+    p_addr =
+      (match op.o_slot.Isa.Program.instr with
+       | Isa.Instr.Load (_, _, b, off) | Isa.Instr.Store (_, _, b, off) ->
+         u32 (reg t b + off)
+       | _ -> 0);
+    p_operands =
+      (match op.o_custom with
+       | Some (_, regs) -> List.map (reg t) regs
+       | None -> []) }
+
+(* The event [step] publishes for this retirement, rebuilt from the
+   decoded op, the flags of its packed word and register reads around
+   its closure: [pre] before, the result and the loaded or stored value
+   after. *)
+let event_of t (op : op) pre ~index ~start ~fhit ~stall ~total packed =
+  let open Isa.Instr in
+  let slot = op.o_slot in
+  let instr = slot.Isa.Program.instr in
+  let flag b = packed land b <> 0 in
+  let access ~write ~size addr value =
+    Some
+      { Event.maddr = addr; msize = size; mwrite = write;
+        mhit = flag dhit_bit;
+        muncached = addr >= t.cfg.Config.uncached_base;
+        mvalue = value }
+  in
+  let result =
+    if not (flag result_bit) then None
+    else
+      Some
+        (match instr with
+         | Call0 _ | Callx0 _ | Call8 _ | Callx8 _ ->
+           slot.Isa.Program.addr + Isa.Encoding.bytes_per_instr
+         | Custom _ -> t.custom_result
+         | _ -> rget t op.o_defs.(0))
+  in
+  { Event.index;
+    start_cycle = start;
+    cycles = total;
+    instr;
+    clazz = op.o_clazz;
+    taken =
+      (if not op.o_control then None
+       else if flag taken_bit then some_true
+       else some_false);
+    interlock = stall > 0;
+    stall_cycles = stall;
+    window_event = flag window_bit;
+    fetch =
+      { Event.fpc = slot.Isa.Program.addr;
+        fword = slot.Isa.Program.word;
+        fhit;
+        funcached = op.o_funcached };
+    mem =
+      (match instr with
+       | Load (lop, d, _, _) ->
+         access ~write:false ~size:(load_size lop) pre.p_addr (reg t d)
+       | L32r (d, _) -> access ~write:false ~size:4 (target_of slot) (reg t d)
+       | Store (sop, v, _, _) ->
+         access ~write:true ~size:(store_size sop) pre.p_addr (reg t v)
+       | _ -> None);
+    src_values = pre.p_srcs;
+    result;
+    custom =
+      Option.map
+        (fun (insn, _) ->
+          { Event.cinsn = insn; coperands = pre.p_operands; cresult = result;
+            cstates = custom_states t })
+        op.o_custom;
+    busy_cycles =
+      (if op.o_clazz = Custom_class then 1 + (packed lsr extra_shift) else 1) }
 
 type decode_stats = {
   d_blocks : int;
@@ -1221,7 +1102,7 @@ let reg_indices l =
   | [ a; b; c ] -> [| Isa.Reg.index a; Isa.Reg.index b; Isa.Reg.index c |]
   | l -> Array.of_list (List.map Isa.Reg.index l)
 
-let decode ?(covered = fun _ -> true) ?(fast_only = false) t =
+let decode ?(covered = fun _ -> true) t =
   let code = t.asm.Isa.Program.code in
   let line_shift = t.icache.Cache.line_shift in
   let uncached_base = t.cfg.Config.uncached_base in
@@ -1229,21 +1110,7 @@ let decode ?(covered = fun _ -> true) ?(fast_only = false) t =
     (fun i (slot : Isa.Program.slot) ->
       let instr = slot.Isa.Program.instr in
       let uses = Isa.Instr.uses instr in
-      (* [fast_only] skips the event-publishing closure when the run
-         loop will never call it (no observers, metrics off): decode
-         cost is paid per static slot, and for large bodies executed a
-         handful of times it dominates the run.  Ops the fast path
-         cannot compile fall back to the interpreter, which is
-         bit-identical either way. *)
-      let o_exec, o_fast, o_compiled =
-        if fast_only then
-          let f = if covered instr then fast_slot t slot else None in
-          ((fun t -> execute t slot), f, f <> None)
-        else
-          match (if covered instr then compile_slot t slot else None) with
-          | Some f -> (f, fast_slot t slot, true)
-          | None -> ((fun t -> execute t slot), None, false)
-      in
+      let compiled = if covered instr then compile_op t slot else None in
       let addr = slot.Isa.Program.addr in
       let funcached = addr >= uncached_base in
       let line_run =
@@ -1260,14 +1127,20 @@ let decode ?(covered = fun _ -> true) ?(fast_only = false) t =
         o_control = Isa.Instr.is_control instr;
         o_funcached = funcached;
         o_line_run = line_run;
-        o_exec;
-        o_fast;
-        o_compiled })
+        o_custom =
+          (match instr with
+           | Isa.Instr.Custom call -> (
+             match resolve_custom t call with
+             | _, insn, _, src_regs -> Some (insn, src_regs)
+             | exception Sim_error _ -> None)
+           | _ -> None);
+        o_run = (match compiled with Some f -> f | None -> interpret t slot);
+        o_compiled = compiled <> None })
     code
 
-let decode_stats ?covered ?fast_only t =
+let decode_stats ?covered t =
   let dec = Decoder.analyze t.asm in
-  let ops = decode ?covered ?fast_only t in
+  let ops = decode ?covered t in
   { d_blocks = Array.length dec.Decoder.blocks;
     d_ops = Array.length ops;
     d_compiled =
@@ -1277,28 +1150,21 @@ let run_threaded ?covered t =
   match t.done_ with
   | Some o -> o
   | None ->
-    let publish0 =
-      not (Queue.is_empty t.observers) || Obs.Metrics.enabled ()
-    in
-    let ops = decode ?covered ~fast_only:(not publish0) t in
+    let ops = decode ?covered t in
     let n = Array.length ops in
     let base = t.asm.Isa.Program.code_base in
     let bpi = Isa.Encoding.bytes_per_instr in
     let max_cycles = t.cfg.Config.max_cycles in
     let ufp = t.cfg.Config.uncached_fetch_penalty in
-    let udp = t.cfg.Config.uncached_data_penalty in
-    let btp = t.cfg.Config.branch_taken_penalty in
-    let wp = t.cfg.Config.window_penalty in
-    let icache = t.icache and dcache = t.dcache in
+    let icache = t.icache in
     let rf = t.rf and ready = t.ready in
     let imiss_pen = Cache.miss_penalty icache in
-    let dmiss_pen = Cache.miss_penalty dcache in
     let observers = Array.of_seq (Queue.to_seq t.observers) in
     let nobs = Array.length observers in
+    let metrics = t.counted && Obs.Metrics.enabled () in
     (* Events cost an allocation per retirement, so they are built only
-       when someone is listening; when they are, the stream is
-       bit-identical to the interpreter's by construction. *)
-    let publish = publish0 in
+       when someone is listening. *)
+    let publish = nobs > 0 || metrics in
     (* pc-to-slot mapping as a table lookup: hardware division (for
        [mod]/[/] by the instruction size) costs tens of cycles and runs
        after every control transfer.  [-1] marks offsets inside an
@@ -1316,122 +1182,30 @@ let run_threaded ?covered t =
       in
       if i < 0 then fail "pc 0x%x outside the code section" pc else i
     in
+    (* Counter-only icache hits (static line runs, or repeats of the
+       line just fetched), counted locally and flushed to the cache in
+       one bulk update when the run leaves the loop (also on simulation
+       errors, so stats stay exact for the equivalence checker). *)
+    let line_hits = ref 0 in
     (* One retirement; mirrors [step] exactly (fetch, scoreboard stall,
-       execute, penalties, scoreboard update, clocks) and returns the
-       halt flag. *)
+       execute, penalties, scoreboard update, clocks, event) and
+       returns the halt flag. *)
     let retire (op : op) fall =
       let pc = t.pc in
-      let funcached = op.o_funcached in
-      let fhit =
-        if funcached then false
-        else if fall && op.o_line_run then begin
-          Cache.repeat_hit icache;
-          true
-        end
-        else Cache.access icache pc = Cache.Hit
-      in
-      let fetch_pen =
-        if funcached then ufp else if fhit then 0 else imiss_pen
-      in
-      let issue = t.cycle + fetch_pen in
-      let uses = op.o_uses in
-      let wbase = rf.Regfile.base in
-      let stall = ref 0 in
-      for k = 0 to Array.length uses - 1 do
-        let rdy = ready.((wbase + Array.unsafe_get uses k) land 63) in
-        if rdy - issue > !stall then stall := rdy - issue
-      done;
-      let stall = !stall in
-      let start = issue + stall in
-      (* Source values are read before execution: the window may rotate. *)
-      let src_values =
-        if publish then List.map (reg t) op.o_uses_list else []
-      in
-      let ex = op.o_exec t in
-      let mem_pen =
-        match ex.mem_info with
-        | None -> 0
-        | Some mi ->
-          if mi.Event.muncached then udp
-          else if mi.Event.mhit then 0
-          else dmiss_pen
-      in
-      let taken_pen =
-        match ex.taken with Some true -> btp | Some false | None -> 0
-      in
-      let window_pen = if ex.window_event then wp else 0 in
-      let defs = op.o_defs in
-      let rdy = start + 1 + ex.extra_latency in
-      (* Re-read the window base: the op may have rotated it. *)
-      let wbase = rf.Regfile.base in
-      for k = 0 to Array.length defs - 1 do
-        ready.((wbase + Array.unsafe_get defs k) land 63) <- rdy
-      done;
-      let total = 1 + fetch_pen + stall + mem_pen + taken_pen + window_pen in
-      if publish then begin
-        let event =
-          { Event.index = t.retired;
-            start_cycle = t.cycle;
-            cycles = total;
-            instr = op.o_slot.Isa.Program.instr;
-            clazz = op.o_clazz;
-            taken = ex.taken;
-            interlock = stall > 0;
-            stall_cycles = stall;
-            window_event = ex.window_event;
-            fetch =
-              { Event.fpc = pc;
-                fword = op.o_slot.Isa.Program.word;
-                fhit;
-                funcached };
-            mem = ex.mem_info;
-            src_values;
-            result = ex.result;
-            custom = ex.custom;
-            busy_cycles = ex.busy }
-        in
-        t.cycle <- t.cycle + total;
-        t.retired <- t.retired + 1;
-        t.pc <- ex.next_pc;
-        if ex.halt then t.done_ <- Some Halted;
-        if Obs.Metrics.enabled () then Retire_metrics.record event;
-        for k = 0 to nobs - 1 do
-          (Array.unsafe_get observers k) event
-        done
-      end
-      else begin
-        t.cycle <- t.cycle + total;
-        t.retired <- t.retired + 1;
-        t.pc <- ex.next_pc;
-        if ex.halt then t.done_ <- Some Halted
-      end;
-      ex.halt
-    in
-    (* Counter-only icache hits accumulated by [retire_fast]; flushed to
-       the cache in one bulk update when the run leaves the loop (also
-       on simulation errors, so stats stay exact for the equivalence
-       checker). *)
-    let line_hits = ref 0 in
-    (* Event-free retirement: same cycle accounting as [retire], with
-       the op's architectural effects (and the pc update) performed by
-       its [o_fast] closure.  Only reachable when [publish] is false, so
-       nothing downstream needs the event or the [exec] record. *)
-    let retire_fast (op : op) fall (f : t -> int) =
-      let pc = t.pc in
-      let fetch_pen =
+      (* The fetch penalty, with [fhit_bit] set on a cached hit. *)
+      let fetch =
         if op.o_funcached then ufp
         else if
           (fall && op.o_line_run)
           || pc lsr icache.Cache.line_shift = icache.Cache.last_line
         then begin
-          (* Counter-only hit (static line run, or a repeat of the line
-             just fetched); counted locally and flushed once per run. *)
           incr line_hits;
-          0
+          fhit_bit
         end
-        else if Cache.access icache pc = Cache.Hit then 0
+        else if Cache.access icache pc = Cache.Hit then fhit_bit
         else imiss_pen
       in
+      let fetch_pen = fetch land pen_mask in
       let issue = t.cycle + fetch_pen in
       let uses = op.o_uses in
       let wbase = rf.Regfile.base in
@@ -1441,21 +1215,34 @@ let run_threaded ?covered t =
         if rdy - issue > !stall then stall := rdy - issue
       done;
       let stall = !stall in
-      let packed = f t in
+      let pre = if publish then capture t op else no_pre in
+      let packed = op.o_run t in
       let defs = op.o_defs in
-      let rdy = issue + stall + 1 + (packed lsr fast_extra_shift) in
+      let rdy = issue + stall + 1 + (packed lsr extra_shift) in
+      (* Re-read the window base: the op may have rotated it. *)
       let wbase = rf.Regfile.base in
       for k = 0 to Array.length defs - 1 do
         ready.((wbase + Array.unsafe_get defs k) land 63) <- rdy
       done;
-      t.cycle <-
-        t.cycle + 1 + fetch_pen + stall + (packed land (fast_halt - 1));
+      let start = t.cycle in
+      let total = 1 + fetch_pen + stall + (packed land pen_mask) in
+      t.cycle <- start + total;
       t.retired <- t.retired + 1;
-      if packed land fast_halt <> 0 then begin
-        t.done_ <- Some Halted;
-        true
-      end
-      else false
+      if not op.o_control then t.pc <- pc + bpi;
+      let halted = packed land halt_bit <> 0 in
+      if halted then t.done_ <- Some Halted;
+      if publish then begin
+        let event =
+          event_of t op pre ~index:(t.retired - 1) ~start
+            ~fhit:(fetch land fhit_bit <> 0) ~stall ~total
+            packed
+        in
+        if metrics then Retire_metrics.record event;
+        for k = 0 to nobs - 1 do
+          (Array.unsafe_get observers k) event
+        done
+      end;
+      halted
     in
     (* [i >= 0] means slot [i] is known to hold [t.pc] (fall-through
        inside a straight-line run); [-1] re-derives it from the pc after
@@ -1469,14 +1256,7 @@ let run_threaded ?covered t =
         let fall = i >= 0 in
         let i = if fall then i else index_of t.pc in
         let op = Array.unsafe_get ops i in
-        let halted =
-          if publish then retire op fall
-          else
-            match op.o_fast with
-            | Some f -> retire_fast op fall f
-            | None -> retire op fall
-        in
-        if halted then Halted
+        if retire op fall then Halted
         else if op.o_control || i + 1 >= n then go (-1)
         else go (i + 1)
       end
@@ -1501,16 +1281,13 @@ let clone t =
     cycle = t.cycle;
     retired = t.retired;
     done_ = t.done_;
+    custom_result = t.custom_result;
+    counted = false;
     observers = Queue.create () }
-
-let run_program ?config ?extension ?(observers = []) asm =
-  let t = create ?config ?extension asm in
-  List.iter (add_observer t) observers;
-  let o = run t in
-  (t, o)
 
 let cycles t = t.cycle
 let instructions t = t.retired
+let regfile t = t.rf
 let memory t = t.mem
 let icache t = t.icache
 let dcache t = t.dcache

@@ -37,23 +37,24 @@ val step : t -> [ `Step of Event.t | `Done of outcome ]
     outcome. *)
 
 val run : t -> outcome
-(** Step until completion. *)
+(** Step until completion: the reference interpreter. *)
 
 val run_threaded : ?covered:(Isa.Instr.t -> bool) -> t -> outcome
-(** Run to completion on the threaded-code backend: the program is
-    pre-decoded once into per-slot operation closures (operands, branch
-    targets, immediates, latencies and custom-instruction lookups
-    resolved at load time, straight-line runs delimited by
-    {!Decoder.analyze}'s basic-block partition) and dispatched
-    block-at-a-time.  Semantics are those of repeated {!step}: same
-    cycles, same architectural state, and — when observers are
-    installed — a bit-identical event stream.  When no observer is
-    installed and metrics are off, events are not materialised at all;
-    this is the backend's hot loop.
+(** Run to completion on the threaded-code backend, the default one
+    (see {!Backend}): the program is pre-decoded once into one closure
+    per slot (operands, branch targets, immediates, latencies and
+    custom-instruction lookups resolved at load time, straight-line runs
+    delimited by {!Decoder.analyze}'s basic-block partition) and
+    dispatched block-at-a-time.  Semantics are those of repeated
+    {!step}, which stays the reference [Backend.Check] compares against:
+    same cycles, same architectural state, and — when observers are
+    installed — a bit-identical event stream.  Observed or not, the same
+    closures run; events are built around them only when an observer is
+    installed or metrics are on.
 
     [covered] restricts which instructions are compiled; anything it
     rejects (and anything whose static resolution fails) executes via
-    the interpreter fallback, so coverage is a performance property,
+    the interpreter adapter, so coverage is a performance property,
     never a semantic one.  Intended for tests. *)
 
 (** Static compilation counters for the threaded backend (see
@@ -62,10 +63,10 @@ type decode_stats = {
   d_blocks : int;    (** basic blocks in the {!Decoder} partition *)
   d_ops : int;       (** instruction slots decoded *)
   d_compiled : int;  (** slots compiled to specialised closures; the
-                         remainder run on the interpreter fallback *)
+                         remainder run on the interpreter adapter *)
 }
 
-val decode_stats : ?covered:(Isa.Instr.t -> bool) -> ?fast_only:bool -> t -> decode_stats
+val decode_stats : ?covered:(Isa.Instr.t -> bool) -> t -> decode_stats
 (** Compile the program as {!run_threaded} would and report coverage
     without executing anything. *)
 
@@ -73,15 +74,9 @@ val clone : t -> t
 (** Independent deep copy of the machine state (memory, caches,
     register file, scoreboard, TIE state, clocks) with an empty
     observer list; the backend equivalence checker uses it to run the
-    same program twice from identical state. *)
-
-val run_program :
-  ?config:Config.t ->
-  ?extension:Tie.Compile.compiled ->
-  ?observers:observer list ->
-  Isa.Program.asm ->
-  t * outcome
-(** Create, install observers, run. *)
+    same program twice from identical state.  The copy is a shadow: its
+    retirements are not counted in the [sim_*] metrics, so a checked
+    run counts each instruction once. *)
 
 val cycles : t -> int
 
@@ -92,6 +87,10 @@ val reg : t -> Isa.Reg.t -> int
 
 val set_reg : t -> Isa.Reg.t -> int -> unit
 (** Pre-load an argument register (before running). *)
+
+val regfile : t -> Regfile.t
+(** The physical register file (all 64 registers and the window
+    state), for comparing whole machine states. *)
 
 val memory : t -> Memory.t
 

@@ -65,7 +65,7 @@ let test_parser_errors () =
 let run ?extension src =
   let compiled = Cc.Codegen.compile_source src in
   let cpu, outcome =
-    Sim.Cpu.run_program ?extension compiled.Cc.Codegen.c_asm
+    Sim.Backend.run_program ?extension compiled.Cc.Codegen.c_asm
   in
   (match outcome with
    | Sim.Cpu.Halted -> ()
@@ -268,7 +268,7 @@ let qcheck_compiled_arith =
                 body = [ Cc.Ast.Return (Some e) ] } ] }
       in
       let compiled = Cc.Codegen.compile prog in
-      let cpu, outcome = Sim.Cpu.run_program compiled.Cc.Codegen.c_asm in
+      let cpu, outcome = Sim.Backend.run_program compiled.Cc.Codegen.c_asm in
       outcome = Sim.Cpu.Halted && result cpu = oracle_eval e)
 
 (* --- Interpreter + whole-program differential testing ----------------------- *)
@@ -392,7 +392,7 @@ let qcheck_compiled_program_matches_interpreter =
     (fun prog ->
       let expected = Cc.Interp.run prog in
       let compiled = Cc.Codegen.compile prog in
-      let cpu, outcome = Sim.Cpu.run_program compiled.Cc.Codegen.c_asm in
+      let cpu, outcome = Sim.Backend.run_program compiled.Cc.Codegen.c_asm in
       outcome = Sim.Cpu.Halted
       && result cpu = expected.Cc.Interp.r_return
       && List.for_all

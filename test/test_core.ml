@@ -51,7 +51,7 @@ let test_resource_counts_active_cycles () =
   in
   let res = Core.Resource.create c.Core.Extract.extension in
   let _ =
-    Sim.Cpu.run_program ?extension:c.Core.Extract.extension
+    Sim.Backend.run_program ?extension:c.Core.Extract.extension
       ~observers:[ Core.Resource.observer res ]
       c.Core.Extract.asm
   in
@@ -78,7 +78,7 @@ let test_resource_idle_weight () =
     let c = mk_case ~extension:ext build in
     let res = Core.Resource.create ~idle_weight:w c.Core.Extract.extension in
     let _ =
-      Sim.Cpu.run_program ?extension:c.Core.Extract.extension
+      Sim.Backend.run_program ?extension:c.Core.Extract.extension
         ~observers:[ Core.Resource.observer res ]
         c.Core.Extract.asm
     in
@@ -721,7 +721,7 @@ let test_observer_stream_consistency () =
       let events = ref [] in
       let collect e = events := e :: !events in
       let _ =
-        Sim.Cpu.run_program ~config ?extension:c.Core.Extract.extension
+        Sim.Backend.run_program ~config ?extension:c.Core.Extract.extension
           ~observers:[ Sim.Stats.observer live; collect ]
           c.Core.Extract.asm
       in
@@ -858,14 +858,14 @@ let test_cache_key_sensitivity () =
      another: backends are bit-identical by contract, but keying them
      apart means a cache hit can never mask a divergence. *)
   distinct "backend"
-    (Core.Eval_cache.key ~backend:"threaded" ~config:small_config case);
-  check Alcotest.string "explicit interp equals the process default" k
     (Core.Eval_cache.key ~backend:"interp" ~config:small_config case);
-  Sim.Backend.with_current Sim.Backend.Threaded (fun () ->
+  check Alcotest.string "explicit threaded equals the process default" k
+    (Core.Eval_cache.key ~backend:"threaded" ~config:small_config case);
+  Sim.Backend.with_current Sim.Backend.Interp (fun () ->
       distinct "process-default backend"
         (Core.Eval_cache.key ~config:small_config case);
       check Alcotest.string "explicit backend overrides the default" k
-        (Core.Eval_cache.key ~backend:"interp" ~config:small_config case))
+        (Core.Eval_cache.key ~backend:"threaded" ~config:small_config case))
 
 let gnarly_entry =
   { Core.Eval_cache.e_name = "gnarly \"name\"\twith\nescapes";

@@ -137,7 +137,7 @@ let test_breakdown_sums_to_total () =
   let asm = Isa.Program.assemble (Isa.Builder.seal b) in
   let est = Power.Estimator.create Sim.Config.default in
   let _ =
-    Sim.Cpu.run_program ~observers:[ Power.Estimator.observer est ] asm
+    Sim.Backend.run_program ~observers:[ Power.Estimator.observer est ] asm
   in
   let total = Power.Estimator.total_energy est in
   let sum =
@@ -217,7 +217,10 @@ let test_estimator_reset () =
   let asm = Isa.Program.assemble (Isa.Builder.seal b) in
   let est = Power.Estimator.create Sim.Config.default in
   let run () =
-    ignore (Sim.Cpu.run_program ~observers:[ Power.Estimator.observer est ] asm);
+    ignore
+      (Sim.Backend.run_program
+         ~observers:[ Power.Estimator.observer est ]
+         asm);
     Power.Estimator.total_energy est
   in
   let first = run () in

@@ -159,7 +159,9 @@ let run_asm ?config ?extension build =
   build b;
   Isa.Builder.halt b;
   let asm = Isa.Program.assemble (Isa.Builder.seal b) in
-  let cpu, outcome = Sim.Cpu.run_program ?config ?extension asm in
+  let cpu, outcome =
+    Sim.Backend.run_program ~backend:Sim.Backend.Interp ?config ?extension asm
+  in
   (match outcome with
    | Sim.Cpu.Halted -> ()
    | Sim.Cpu.Watchdog -> fail "program hit the watchdog");
@@ -324,7 +326,7 @@ let collect_events ?config ?extension build =
   let asm = Isa.Program.assemble (Isa.Builder.seal b) in
   let events = ref [] in
   let cpu, _ =
-    Sim.Cpu.run_program ?config ?extension
+    Sim.Backend.run_program ~backend:Sim.Backend.Interp ?config ?extension
       ~observers:[ (fun e -> events := e :: !events) ]
       asm
   in
@@ -404,7 +406,8 @@ let test_uncached_fetch () =
   in
   let stats = Sim.Stats.create Sim.Config.default in
   let _ =
-    Sim.Cpu.run_program ~observers:[ Sim.Stats.observer stats ] asm
+    Sim.Backend.run_program ~backend:Sim.Backend.Interp
+      ~observers:[ Sim.Stats.observer stats ] asm
   in
   check Alcotest.int "every fetch uncached" 2
     stats.Sim.Stats.uncached_fetches
@@ -450,7 +453,9 @@ let test_watchdog () =
   Isa.Builder.j b "main";
   let asm = Isa.Program.assemble (Isa.Builder.seal b) in
   let config = { Sim.Config.default with Sim.Config.max_cycles = 1000 } in
-  let _, outcome = Sim.Cpu.run_program ~config asm in
+  let _, outcome =
+    Sim.Backend.run_program ~backend:Sim.Backend.Interp ~config asm
+  in
   check Alcotest.bool "watchdog fires" true (outcome = Sim.Cpu.Watchdog)
 
 (* Differential test: random straight-line ALU programs executed by the
@@ -589,7 +594,11 @@ let qcheck_cpu_matches_int32_oracle =
       List.iter (emit_step b) steps;
       Isa.Builder.halt b;
       let asm = Isa.Program.assemble (Isa.Builder.seal b) in
-      let cpu, outcome = Sim.Cpu.run_program asm in
+      (* Check mode: the threaded result is compared with the oracle,
+         the interpreter's event stream with the threaded one. *)
+      let cpu, outcome =
+        Sim.Backend.run_program ~backend:Sim.Backend.Check asm
+      in
       if outcome <> Sim.Cpu.Halted then false
       else begin
         let regs = Array.map Int32.of_int inits in
@@ -616,7 +625,8 @@ let test_stats_totals () =
   let asm = Isa.Program.assemble (Isa.Builder.seal b) in
   let stats = Sim.Stats.create Sim.Config.default in
   let cpu, _ =
-    Sim.Cpu.run_program ~observers:[ Sim.Stats.observer stats ] asm
+    Sim.Backend.run_program ~backend:Sim.Backend.Interp
+      ~observers:[ Sim.Stats.observer stats ] asm
   in
   check Alcotest.int "instruction total" (Sim.Cpu.instructions cpu)
     stats.Sim.Stats.instructions;
@@ -720,14 +730,56 @@ let test_backend_names () =
   | None -> ()
   | Some _ -> fail "unknown backend name accepted"
 
+(* Paths the workloads leave cold: every conditional move both ways,
+   SAR shifts of a negative value, sub-word loads and stores, and
+   windowed recursion deep enough to spill and reload frames. *)
+let edge_ops () =
+  let open Isa.Builder in
+  let b = Isa.Builder.create "edge_ops" in
+  Isa.Builder.label b "main";
+  movi b a5 (-8);
+  movi b a6 0;
+  movi b a7 1;
+  moveqz b a8 a5 a6;
+  movnez b a9 a5 a6;
+  movltz b a10 a7 a5;
+  movgez b a11 a7 a5;
+  ssai b 3;
+  sra b a12 a5;
+  srl b a13 a5;
+  sll b a14 a5;
+  src b a15 a5 a7;
+  srai b a12 a5 2;
+  movi b a2 0x11000;
+  s16i b a5 a2 0;
+  l16si b a3 a2 0;
+  l16ui b a4 a2 0;
+  s8i b a5 a2 3;
+  l8ui b a3 a2 3;
+  movi b a10 12;
+  call8 b "rec";
+  j b "done";
+  label b "rec";
+  entry b a1 32;
+  beqz b a2 "leaf";
+  addi b a10 a2 (-1);
+  call8 b "rec";
+  label b "leaf";
+  retw b;
+  label b "done";
+  Isa.Builder.halt b;
+  Core.Extract.case "edge_ops" (Isa.Program.assemble (Isa.Builder.seal b))
+
 let test_backend_threaded_equivalence () =
   (* Branches, calls, memory traffic and cache pressure; all
      extension-free, so raw event lists are safely comparable (custom
      events carry compiled closures that defeat structural equality —
      those workloads are covered by the digest oracle below). *)
-  [ "gcd"; "call_tree"; "icache_thrash"; "dcache_thrash" ]
-  |> List.iter (fun name ->
-         let c = Workloads.Suite.find name in
+  edge_ops ()
+  :: List.map Workloads.Suite.find
+       [ "gcd"; "call_tree"; "icache_thrash"; "dcache_thrash" ]
+  |> List.iter (fun (c : Core.Extract.case) ->
+         let name = c.Core.Extract.case_name in
          check Alcotest.bool (name ^ " is extension-free") true
            (c.Core.Extract.extension = None);
          let o1, cy1, in1, ev1 = run_collect Sim.Cpu.run c in
@@ -741,24 +793,68 @@ let test_backend_threaded_equivalence () =
            (ev1 = ev2))
 
 let test_backend_unobserved_fast_path () =
-  (* With no observer installed the threaded backend skips event
-     materialisation entirely; the architectural results must not
-     notice. *)
-  let c = Workloads.Suite.find "custom_mix_gf" in
-  let observed =
-    Sim.Cpu.create ?extension:c.Core.Extract.extension c.Core.Extract.asm
-  in
-  Sim.Cpu.add_observer observed (fun _ -> ());
-  let o1 = Sim.Cpu.run_threaded observed in
-  let bare =
-    Sim.Cpu.create ?extension:c.Core.Extract.extension c.Core.Extract.asm
-  in
-  let o2 = Sim.Cpu.run_threaded bare in
-  check Alcotest.bool "outcome" true (o1 = o2);
-  check Alcotest.int "cycles" (Sim.Cpu.cycles observed) (Sim.Cpu.cycles bare);
-  check Alcotest.int "instructions"
-    (Sim.Cpu.instructions observed)
-    (Sim.Cpu.instructions bare)
+  (* With no observer installed the threaded backend builds no events;
+     the machine it leaves behind must match the interpreter's in every
+     piece of architectural state, over the characterization suite, the
+     ten applications and the cold paths of [edge_ops]. *)
+  (edge_ops () :: Workloads.Suite.characterization ())
+  @ Workloads.Suite.applications ()
+  |> List.iter (fun (c : Core.Extract.case) ->
+         let name = c.Core.Extract.case_name in
+         let mk () =
+           Sim.Cpu.create ?extension:c.Core.Extract.extension
+             c.Core.Extract.asm
+         in
+         (* The interpreter run records what the program wrote. *)
+         let written = ref [] in
+         let ref_cpu = mk () in
+         Sim.Cpu.add_observer ref_cpu (fun e ->
+             match e.Sim.Event.mem with
+             | Some mi when mi.Sim.Event.mwrite ->
+               written := (mi.Sim.Event.maddr, mi.Sim.Event.msize) :: !written
+             | Some _ | None -> ());
+         let o1 = Sim.Cpu.run ref_cpu in
+         let bare = mk () in
+         let o2 = Sim.Cpu.run_threaded bare in
+         let same what a b =
+           check Alcotest.bool (name ^ ": " ^ what) true (a = b)
+         in
+         same "outcome" o1 o2;
+         check Alcotest.int (name ^ ": cycles") (Sim.Cpu.cycles ref_cpu)
+           (Sim.Cpu.cycles bare);
+         check Alcotest.int (name ^ ": instructions")
+           (Sim.Cpu.instructions ref_cpu) (Sim.Cpu.instructions bare);
+         let rf1 = Sim.Cpu.regfile ref_cpu and rf2 = Sim.Cpu.regfile bare in
+         same "physical registers" rf1.Sim.Regfile.phys rf2.Sim.Regfile.phys;
+         same "window base" rf1.Sim.Regfile.base rf2.Sim.Regfile.base;
+         same "spilled frames" rf1.Sim.Regfile.saved rf2.Sim.Regfile.saved;
+         same "sar" (Sim.Cpu.sar ref_cpu) (Sim.Cpu.sar bare);
+         same "pc" (Sim.Cpu.pc ref_cpu) (Sim.Cpu.pc bare);
+         List.iter
+           (fun (addr, size) ->
+             for k = 0 to size - 1 do
+               same
+                 (Printf.sprintf "memory byte 0x%x" (addr + k))
+                 (Sim.Memory.load8 (Sim.Cpu.memory ref_cpu) (addr + k))
+                 (Sim.Memory.load8 (Sim.Cpu.memory bare) (addr + k))
+             done)
+           !written;
+         same "icache stats"
+           (Sim.Cache.stats (Sim.Cpu.icache ref_cpu))
+           (Sim.Cache.stats (Sim.Cpu.icache bare));
+         same "dcache stats"
+           (Sim.Cache.stats (Sim.Cpu.dcache ref_cpu))
+           (Sim.Cache.stats (Sim.Cpu.dcache bare));
+         match (c.Core.Extract.extension, Sim.Cpu.tie_state ref_cpu,
+                Sim.Cpu.tie_state bare) with
+         | Some ext, Some s1, Some s2 ->
+           List.iter
+             (fun st ->
+               let v s = Tie.Compile.state_value s st.Tie.Spec.sname in
+               same ("TIE state " ^ st.Tie.Spec.sname) (v s1) (v s2))
+             (Tie.Compile.spec ext).Tie.Spec.states
+         | None, None, None -> ()
+         | _ -> fail (name ^ ": TIE state present on one machine only"))
 
 let test_backend_forced_fallback () =
   (* covered = (fun _ -> false) sends every slot through the
@@ -791,12 +887,7 @@ let test_backend_decode_coverage () =
   check Alcotest.bool "compiles most slots" true
     (stats.Sim.Cpu.d_compiled > stats.Sim.Cpu.d_ops / 2);
   check Alcotest.bool "never more compiled than decoded" true
-    (stats.Sim.Cpu.d_compiled <= stats.Sim.Cpu.d_ops);
-  let fast = Sim.Cpu.decode_stats ~fast_only:true (mk ()) in
-  check Alcotest.int "same partition either way" stats.Sim.Cpu.d_blocks
-    fast.Sim.Cpu.d_blocks;
-  check Alcotest.int "same slot count either way" stats.Sim.Cpu.d_ops
-    fast.Sim.Cpu.d_ops
+    (stats.Sim.Cpu.d_compiled <= stats.Sim.Cpu.d_ops)
 
 let test_backend_check_oracle () =
   (* The digest oracle covers the custom-instruction workloads that
@@ -821,30 +912,48 @@ let test_backend_check_oracle () =
            (Sim.Cpu.instructions cpu) !events)
 
 let test_backend_selection () =
-  check Alcotest.bool "initial default is the interpreter" true
-    (Sim.Backend.current () = Sim.Backend.Interp);
+  check Alcotest.bool "initial default is the threaded backend" true
+    (Sim.Backend.current () = Sim.Backend.Threaded);
   (match
-     Sim.Backend.with_current Sim.Backend.Threaded (fun () ->
+     Sim.Backend.with_current Sim.Backend.Interp (fun () ->
          check Alcotest.bool "scoped override visible" true
-           (Sim.Backend.current () = Sim.Backend.Threaded);
+           (Sim.Backend.current () = Sim.Backend.Interp);
          failwith "boom")
    with
    | exception Failure _ -> ()
    | _ -> fail "exception swallowed by with_current");
   check Alcotest.bool "default restored after exception" true
-    (Sim.Backend.current () = Sim.Backend.Interp);
+    (Sim.Backend.current () = Sim.Backend.Threaded);
   (* Environment seeding: a valid value applies, an invalid one warns
      and keeps the current selection. *)
-  Unix.putenv Sim.Backend.env_var "threaded";
+  Unix.putenv Sim.Backend.env_var "interp";
   Sim.Backend.init_from_env ();
   check Alcotest.bool "env value applied" true
-    (Sim.Backend.current () = Sim.Backend.Threaded);
-  Sim.Backend.set_current Sim.Backend.Interp;
+    (Sim.Backend.current () = Sim.Backend.Interp);
+  Sim.Backend.set_current Sim.Backend.Threaded;
   Unix.putenv Sim.Backend.env_var "bogus";
   Sim.Backend.init_from_env ();
   check Alcotest.bool "bad env value keeps the default" true
-    (Sim.Backend.current () = Sim.Backend.Interp);
+    (Sim.Backend.current () = Sim.Backend.Threaded);
   Unix.putenv Sim.Backend.env_var ""
+
+let test_backend_check_metrics () =
+  (* A checked run simulates twice, but only the run whose events reach
+     the caller may count in the retirement metrics. *)
+  let c = Workloads.Suite.find "gcd" in
+  let counter = Obs.Metrics.counter "sim_instructions_total" in
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled false)
+    (fun () ->
+      let before = Obs.Metrics.counter_value counter in
+      let cpu, _ =
+        Sim.Backend.run_program ~backend:Sim.Backend.Check
+          ?extension:c.Core.Extract.extension c.Core.Extract.asm
+      in
+      check Alcotest.int "each retirement counted once"
+        (Sim.Cpu.instructions cpu)
+        (Obs.Metrics.counter_value counter - before))
 
 let () =
   Alcotest.run "sim"
@@ -898,6 +1007,8 @@ let () =
             test_backend_forced_fallback;
           Alcotest.test_case "decode coverage" `Quick
             test_backend_decode_coverage;
+          Alcotest.test_case "check counts metrics once" `Quick
+            test_backend_check_metrics;
           Alcotest.test_case "check oracle" `Quick test_backend_check_oracle;
           Alcotest.test_case "selection" `Quick test_backend_selection ] );
       ( "differential",

@@ -6,7 +6,7 @@ let fail = Alcotest.fail
 
 let run_case (c : Core.Extract.case) =
   let cpu, outcome =
-    Sim.Cpu.run_program ?extension:c.Core.Extract.extension
+    Sim.Backend.run_program ?extension:c.Core.Extract.extension
       c.Core.Extract.asm
   in
   (match outcome with
