@@ -179,20 +179,17 @@ let rec speedup () =
     geo;
   characterize_bench ()
 
-(* Characterization-engine comparison: legacy two-pass pipeline vs the
-   single-pass engine (serial and with the default worker pool).  Also
-   cross-checks that both engines fit identical coefficients, and records
-   everything in BENCH_characterize.json. *)
+(* Characterization engine: the single-pass collection serially and
+   with the default worker count.  Also cross-checks that both fit
+   identical coefficients, and records everything in
+   BENCH_characterize.json. *)
 and characterize_bench () =
-  banner "E5b: characterization engine (two-pass vs single-pass)";
+  banner "E5b: characterization engine (serial vs default jobs)";
   let cases = Workloads.Suite.characterization () in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
-  in
-  let two_samples, two_s =
-    time (fun () -> Core.Characterize.collect_two_pass cases)
   in
   let (serial_samples, serial_report), serial_s =
     time (fun () -> Core.Characterize.collect_with_report ~jobs:1 cases)
@@ -201,55 +198,44 @@ and characterize_bench () =
     time (fun () -> Core.Characterize.collect_with_report cases)
   in
   Format.fprintf fmt "%a@." Core.Run_report.pp par_report;
-  let fit_of s = (Core.Characterize.fit_samples s).Core.Characterize.model in
-  let coeffs (m : Core.Template.model) = m.Core.Template.coefficients in
-  let two_c = coeffs (fit_of two_samples) in
-  let one_c = coeffs (fit_of serial_samples) in
+  let coeffs s =
+    (Core.Characterize.fit_samples s).Core.Characterize.model
+      .Core.Template.coefficients
+  in
+  let one_c = coeffs serial_samples and par_c = coeffs par_samples in
   let max_rel_delta =
     let d = ref 0.0 in
     Array.iteri
       (fun i a ->
-        let b = one_c.(i) in
+        let b = par_c.(i) in
         let scale = Float.max (Float.abs a) (Float.abs b) in
         if scale > 0.0 then d := Float.max !d (Float.abs (a -. b) /. scale))
-      two_c;
+      one_c;
     !d
   in
-  ignore (fit_of par_samples);
-  (* Wall clock of the seed revision's two-pass serial `xenergy
-     characterize`, measured on this machine before this change; the
-     figure the engine rework is judged against. *)
-  let seed_two_pass_s = 4.59 in
-  let best = Float.min serial_s par_s in
+  let jobs = par_report.Core.Run_report.jobs in
   Format.fprintf fmt
-    "two-pass (this build)    %8.3f s@.\
-     single-pass, 1 worker    %8.3f s  (%.2fx vs two-pass)@.\
-     single-pass, %d worker%s  %8.3f s  (%.2fx vs two-pass)@.\
-     seed two-pass baseline   %8.3f s  (%.2fx vs this engine)@.\
-     max relative coefficient delta (two-pass vs single-pass): %.3g@."
-    two_s serial_s (two_s /. serial_s) par_report.Core.Run_report.jobs
-    (if par_report.Core.Run_report.jobs = 1 then " " else "s")
-    par_s (two_s /. par_s) seed_two_pass_s (seed_two_pass_s /. best)
-    max_rel_delta;
+    "single-pass, 1 worker    %8.3f s@.\
+     single-pass, %d worker%s  %8.3f s  (%.2fx vs 1 worker)@.\
+     max relative coefficient delta (1 vs %d workers): %.3g@."
+    serial_s jobs
+    (if jobs = 1 then " " else "s")
+    par_s (serial_s /. par_s) jobs max_rel_delta;
   let json =
     Printf.sprintf
       "{\n\
       \  \"benchmark\": \"characterization-engine\",\n\
       \  \"workloads\": %d,\n\
-      \  \"seed_two_pass_seconds\": %.3f,\n\
-      \  \"two_pass_seconds\": %.6f,\n\
       \  \"single_pass_serial_seconds\": %.6f,\n\
       \  \"single_pass_parallel_seconds\": %.6f,\n\
       \  \"parallel_jobs\": %d,\n\
-      \  \"speedup_vs_two_pass\": %.3f,\n\
-      \  \"speedup_vs_seed\": %.3f,\n\
+      \  \"speedup_vs_serial\": %.3f,\n\
       \  \"max_rel_coeff_delta\": %.6g,\n\
       \  \"total_simulations\": %d,\n\
       \  \"run_report\": %s\n\
        }"
-      (List.length cases) seed_two_pass_s two_s serial_s par_s
-      par_report.Core.Run_report.jobs (two_s /. best)
-      (seed_two_pass_s /. best) max_rel_delta
+      (List.length cases) serial_s par_s jobs (serial_s /. par_s)
+      max_rel_delta
       (Core.Run_report.total_simulations serial_report)
       (Core.Run_report.to_json par_report)
   in

@@ -19,7 +19,8 @@ type fit = {
    simulation as the variable extraction, so every test program is
    simulated exactly once.  The estimator observes an identical event
    stream either way, hence samples (and therefore fitted coefficients)
-   match the legacy two-pass pipeline bit for bit. *)
+   match a separate profiling run plus a separate reference run bit for
+   bit. *)
 let collect_one ~config ?params ?complexity (c : Extract.case) =
   let est =
     Power.Estimator.create ?params ?extension:c.Extract.extension config
@@ -58,16 +59,10 @@ let collect_with_report ?(config = Sim.Config.default) ?params ?complexity
           cases
       in
       let total_seconds = Unix.gettimeofday () -. t0 in
-      let jobs_used =
-        let j =
-          match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
-        in
-        max 1 (min j (List.length cases))
-      in
       ( List.map fst pairs,
         { Run_report.entries = List.map snd pairs;
           total_seconds;
-          jobs = jobs_used;
+          jobs = pstats.Parallel.jobs;
           sim_backend = Sim.Backend.name (Sim.Backend.current ());
           parallel =
             { Run_report.serial_fallbacks =
@@ -77,23 +72,6 @@ let collect_with_report ?(config = Sim.Config.default) ?params ?complexity
 
 let collect ?config ?params ?complexity ?jobs cases =
   fst (collect_with_report ?config ?params ?complexity ?jobs cases)
-
-(* Legacy two-pass pipeline (separate profile and reference-estimation
-   simulations, serial): kept as the oracle for the single-pass engine's
-   equivalence tests and for the bench harness's speedup comparison. *)
-let collect_two_pass ?(config = Sim.Config.default) ?params ?complexity cases =
-  List.map
-    (fun (c : Extract.case) ->
-      let prof = Extract.profile ~config ?complexity c in
-      let energy, _cpu =
-        Power.Estimator.estimate_program ?params ~config
-          ?extension:c.Extract.extension c.Extract.asm
-      in
-      { sname = c.Extract.case_name;
-        variables = prof.Extract.variables;
-        measured_pj = energy;
-        cycles = prof.Extract.cycles })
-    cases
 
 let fit_samples ?(nonnegative = true) samples =
   Obs.Trace.with_span ~cat:"characterize" "fit" @@ fun () ->

@@ -45,17 +45,6 @@ val collect_with_report :
 (** Like {!collect}, also returning the per-workload run report
     (wall time, cycles, cache misses, energy, simulation count). *)
 
-val collect_two_pass :
-  ?config:Sim.Config.t ->
-  ?params:Power.Blocks.params ->
-  ?complexity:(Tie.Component.t -> float) ->
-  Extract.case list ->
-  sample list
-(** Legacy pipeline: a profiling simulation plus a separate
-    reference-estimation simulation per test program, serially.  Kept as
-    the oracle for equivalence tests and speedup benchmarks; produces
-    bit-identical samples to {!collect}. *)
-
 val fit_samples : ?nonnegative:bool -> sample list -> fit
 (** Regression over collected samples.
     @raise Invalid_argument with fewer samples than variables that are

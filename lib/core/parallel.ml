@@ -1,42 +1,49 @@
 (* Unix.fork-based worker pool for the characterization engine and the
    serving daemon.
 
-   Two modes share one wire format (the marshalled [payload] below):
+   There is one path.  A pool is an array of lanes: forked children that
+   compute batches of indexed items and ship each batch's results back
+   as one marshalled [payload].  A batch is split round-robin over the
+   lanes, every lane's payload is joined in lane order (deadline-guarded
+   when [read_timeout_s] is set), and each slice whose lane failed —
+   send error, death, timeout, in-worker exception, unmarshalable result
+   — is recomputed in the parent, re-raising there if the computation
+   genuinely fails.  Results are reassembled in input order, so a batch
+   is observably [List.map] (marshalling round-trips floats bit-exactly).
 
-   - [map]: work items are partitioned round-robin over [jobs] forked
-     workers; each worker computes its (index, result) pairs and ships
-     them back over a pipe, then exits.  Results are reassembled in
-     input order, so [map] is observably identical to [List.map]
-     (marshalling round-trips floats bit-exactly).
+   - [create_pool]/[pool_map]: lanes are forked once and fed batches
+     over request pipes, so a long-lived process (the [xenergy serve]
+     daemon) pays the fork once.  Dead lanes are respawned before the
+     next batch.
+   - [map]: a pool that lives for one call.  Its lanes start empty, and
+     each is forked with its slice of indices already in memory: the
+     lane function is [fun i -> f arr.(i)], so only results cross a
+     pipe and items never need to be marshal-safe (an [Extract.case]'s
+     compiled extension is closures).  The parent never
+     writes to such a lane, so a CLI keeps its default SIGPIPE
+     disposition.  With one job or fewer than two items nothing forks.
 
-   - a persistent pool ([create_pool]/[pool_map]): workers are forked
-     once and fed batches over request pipes, so a long-lived process
-     (the [xenergy serve] daemon) pays the fork exactly once instead of
-     once per request.  Lanes that die are respawned on the next batch.
-
-   Both modes degrade gracefully: with one core, one job, one item or a
-   failed [fork] the map just runs serially, and any worker that dies,
-   raises or wedges past the read deadline has its slice recomputed
-   serially in the parent (re-raising there if the computation genuinely
-   fails).
+   Lanes are ended with SIGKILL and reaped: a lane is idle between
+   batches and has nothing to flush, and a kill cannot be held up by a
+   sibling (or a concurrent pool's lane) that inherited its pipes.
 
    Lifecycle hardening, load-bearing for the daemon:
 
    - every [waitpid] retries on [EINTR] ({!reap}) — a swallowed
      interrupt used to leak the child as a zombie;
-   - parent-side pipe reads are deadline-guarded ([read_timeout_s]):
-     [select] before every [read], and a worker that wedges is killed,
-     counted in [parallel_trace_dropped_lanes_total] and recomputed
-     instead of hanging the parent forever;
+   - payload reads are deadline-guarded ([read_timeout_s]): [select]
+     before every [read], and a lane that wedges is killed, counted in
+     [parallel_trace_dropped_lanes_total] and recomputed instead of
+     hanging the parent forever;
    - a rejected [XENERGY_JOBS] value is warned about through [Obs.Log]
      instead of being silently replaced.
 
    Observability: every degraded path is counted (metrics + [run_stats],
    surfaced in the characterization run report), and with tracing on
-   each worker records its own spans on lane [w + 1], shipping them back
-   inside the result payload so the parent's Chrome trace shows true
-   per-worker lanes; the parent frames each lane with a fork-to-join
-   span and times the marshalled reads. *)
+   each lane records its spans on trace lane [w + 1], shipping them back
+   inside the payload so the parent's Chrome trace shows true per-lane
+   spans; the parent frames each slice with a [worker:w] span from
+   hand-off to payload and times the marshalled read as [join:w]. *)
 
 let default_jobs () =
   match Sys.getenv_opt "XENERGY_JOBS" with
@@ -63,6 +70,7 @@ let rec reap pid =
   | exception Unix.Unix_error _ -> ()
 
 type run_stats = {
+  jobs : int;
   workers_spawned : int;
   failed_forks : int;
   serial_fallback : bool;
@@ -71,7 +79,8 @@ type run_stats = {
 }
 
 let no_stats =
-  { workers_spawned = 0;
+  { jobs = 1;
+    workers_spawned = 0;
     failed_forks = 0;
     serial_fallback = false;
     recomputed_slices = 0;
@@ -163,15 +172,12 @@ let read_payload ~deadline fd : _ read_outcome =
         | p -> Payload p
         | exception _ -> Eof)))
 
-(* --- One-shot map ------------------------------------------------------- *)
+(* --- Lanes --------------------------------------------------------------- *)
 
-let stride_indices ~n ~jobs w =
-  List.filter (fun i -> i mod jobs = w) (List.init n Fun.id)
-
-(* Compute a batch in a forked worker and marshal the payload out: trace
-   events recorded since the last [clear], metric increments on top of a
-   zeroed registry (the fork copied the parent's values; resetting
-   touches only the child's copy). *)
+(* Compute a batch in a lane and marshal the payload out: trace events
+   recorded since the last drain, metric increments on top of a zeroed
+   registry (the fork copied the parent's values; resetting touches only
+   the child's copy). *)
 let compute_payload f items =
   let metrics_on = Obs.Metrics.enabled () in
   if metrics_on then Obs.Metrics.reset ();
@@ -207,204 +213,27 @@ let ship_payload oc payload =
       flush oc
     with _ -> ())
 
-let spawn_worker arr f ~n ~jobs w =
-  match Unix.pipe ~cloexec:false () with
-  | exception Unix.Unix_error _ -> None
-  | rd, wr -> (
-    match Unix.fork () with
-    | exception Unix.Unix_error _ ->
-      Unix.close rd;
-      Unix.close wr;
-      None
-    | 0 ->
-      Unix.close rd;
-      (* Replace locks another thread may have held at fork time before
-         touching any guarded structure.  The requester's trace context
-         is inherited through memory (same thread, same scope key), so
-         one-shot worker spans keep the request's trace_id. *)
-      Obs.Metrics.after_fork ();
-      Obs.Trace.after_fork ();
-      Obs.Log.after_fork ();
-      let oc = Unix.out_channel_of_descr wr in
-      Obs.Trace.set_tid (w + 1);
-      Obs.Trace.clear ();
-      let idxs = stride_indices ~n ~jobs w in
-      ship_payload oc (compute_payload f (List.map (fun i -> (i, arr.(i))) idxs));
-      (* _exit: skip at_exit handlers and inherited buffer flushes. *)
-      Unix._exit 0
-    | pid ->
-      Unix.close wr;
-      Some (pid, rd, Obs.Trace.now_us (), stride_indices ~n ~jobs w))
-
-let map_with_stats ?jobs ?read_timeout_s f xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  let jobs =
-    let j = match jobs with Some j -> j | None -> default_jobs () in
-    max 1 (min j n)
-  in
-  if jobs <= 1 || n <= 1 then (List.map f xs, no_stats)
-  else begin
-    (* Children inherit the stdio buffers: flush so nothing is emitted
-       twice. *)
-    flush stdout;
-    flush stderr;
-    let attempts = List.init jobs Fun.id in
-    let workers =
-      List.filter_map
-        (fun w -> Option.map (fun s -> (w, s)) (spawn_worker arr f ~n ~jobs w))
-        attempts
-    in
-    let spawned = List.length workers in
-    let failed_forks = jobs - spawned in
-    Obs.Metrics.inc ~by:failed_forks (Lazy.force M.failed_forks);
-    Obs.Metrics.inc ~by:spawned (Lazy.force M.workers_spawned);
-    if failed_forks > 0 then
-      Obs.Log.event ~level:Obs.Log.Warn "parallel:fork-failed"
-        [ ("requested", Obs.Trace.I jobs);
-          ("spawned", Obs.Trace.I spawned) ];
-    if workers = [] then begin
-      (* Parallelism was requested but no worker could be forked: run the
-         whole map serially in the parent. *)
-      Obs.Metrics.inc (Lazy.force M.serial_fallbacks);
-      Obs.Log.event ~level:Obs.Log.Warn "parallel:serial-fallback"
-        [ ("items", Obs.Trace.I n) ];
-      ( List.map f xs,
-        { no_stats with failed_forks; serial_fallback = true } )
-    end
-    else begin
-      if Obs.Trace.enabled () then begin
-        Obs.Trace.thread_name ~tid:0 "main";
-        List.iter
-          (fun (w, _) ->
-            Obs.Trace.thread_name ~tid:(w + 1)
-              (Printf.sprintf "worker %d" (w + 1)))
-          workers
-      end;
-      let ctx = Obs.Trace.context () in
-      let results = Array.make n None in
-      let leftover = ref [] in
-      let recomputed_slices = ref 0 in
-      let covered = Array.make n false in
-      List.iter
-        (fun (_, (_, _, _, idxs)) ->
-          List.iter (fun i -> covered.(i) <- true) idxs)
-        workers;
-      Array.iteri (fun i c -> if not c then leftover := i :: !leftover) covered;
-      List.iter
-        (fun (w, (pid, rd, t_fork, idxs)) ->
-          let t_read = Obs.Trace.now_us () in
-          let deadline =
-            Option.map (fun s -> Unix.gettimeofday () +. s) read_timeout_s
-          in
-          let outcome = read_payload ~deadline rd in
-          Obs.Trace.complete ?ctx ~cat:"parallel" ~tid:0
-            ~name:(Printf.sprintf "join:%d" (w + 1))
-            ~ts:t_read
-            ~dur:(Obs.Trace.now_us () -. t_read)
-            ();
-          (* A timed-out worker is wedged: kill it so the reap below
-             cannot block on it forever. *)
-          (match outcome with
-           | Timeout ->
-             (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-           | Payload _ | Eof -> ());
-          (try Unix.close rd with Unix.Unix_error _ -> ());
-          reap pid;
-          let t_join = Obs.Trace.now_us () in
-          Obs.Trace.complete ?ctx ~cat:"parallel" ~tid:(w + 1)
-            ~name:(Printf.sprintf "worker:%d" (w + 1))
-            ~args:[ ("items", Obs.Trace.I (List.length idxs)) ]
-            ~ts:t_fork ~dur:(t_join -. t_fork) ();
-          Obs.Metrics.observe (Lazy.force M.slice_seconds)
-            ((t_join -. t_fork) /. 1e6);
-          match outcome with
-          | Payload { p_res = Ok pairs; p_events; p_metrics } ->
-            Obs.Trace.emit_all p_events;
-            Option.iter Obs.Metrics.merge p_metrics;
-            List.iter (fun (i, r) -> results.(i) <- Some r) pairs
-          | Payload { p_res = Error reason; p_events; p_metrics } ->
-            (* Failing worker: its computation (or the result marshal)
-               raised, but it still shipped its partial trace lane and
-               metric increments — keep them, then recompute the slice in
-               the parent so a genuine exception surfaces with its real
-               backtrace. *)
-            Obs.Trace.emit_all p_events;
-            Option.iter Obs.Metrics.merge p_metrics;
-            Obs.Log.event ~level:Obs.Log.Warn "parallel:worker-failed"
-              [ ("worker", Obs.Trace.I (w + 1));
-                ("items", Obs.Trace.I (List.length idxs));
-                ("reason", Obs.Trace.S reason) ];
-            incr recomputed_slices;
-            leftover := idxs @ !leftover
-          | Eof ->
-            (* Dead worker (killed, crashed, or its pipe broke before the
-               payload landed): its trace lane is gone.  Count the loss
-               instead of hiding it, then recompute the slice. *)
-            Obs.Metrics.inc (Lazy.force M.trace_dropped_lanes);
-            Obs.Trace.instant ~cat:"parallel" "parallel:lane-dropped"
-              ~args:[ ("worker", Obs.Trace.I (w + 1)) ];
-            Obs.Log.event ~level:Obs.Log.Warn "parallel:lane-dropped"
-              [ ("worker", Obs.Trace.I (w + 1));
-                ("items", Obs.Trace.I (List.length idxs)) ];
-            incr recomputed_slices;
-            leftover := idxs @ !leftover
-          | Timeout ->
-            (* Wedged worker, killed above: same accounting as a death,
-               with its own event name so hangs are distinguishable from
-               crashes in the log. *)
-            Obs.Metrics.inc (Lazy.force M.trace_dropped_lanes);
-            Obs.Trace.instant ~cat:"parallel" "parallel:worker-timeout"
-              ~args:[ ("worker", Obs.Trace.I (w + 1)) ];
-            Obs.Log.event ~level:Obs.Log.Warn "parallel:worker-timeout"
-              [ ("worker", Obs.Trace.I (w + 1));
-                ("items", Obs.Trace.I (List.length idxs));
-                ("timeout_s",
-                 Obs.Trace.F (Option.value ~default:0.0 read_timeout_s)) ];
-            incr recomputed_slices;
-            leftover := idxs @ !leftover)
-        workers;
-      Obs.Metrics.inc ~by:!recomputed_slices (Lazy.force M.recomputed_slices);
-      let recomputed_items = List.length !leftover in
-      Obs.Metrics.inc ~by:recomputed_items (Lazy.force M.recomputed_items);
-      List.iter (fun i -> results.(i) <- Some (f arr.(i))) !leftover;
-      ( Array.to_list (Array.map Option.get results),
-        { workers_spawned = spawned;
-          failed_forks;
-          serial_fallback = false;
-          recomputed_slices = !recomputed_slices;
-          recomputed_items } )
-    end
-  end
-
-let map ?jobs ?read_timeout_s f xs =
-  fst (map_with_stats ?jobs ?read_timeout_s f xs)
-
-(* --- Persistent pool ----------------------------------------------------- *)
-
-(* A batch carries the requesting thread's trace context: pool lanes are
-   forked once at startup, before any request exists, so unlike one-shot
-   workers they cannot inherit it through memory. *)
-type 'a pool_msg =
-  | P_batch of Obs.Trace.context option * (int * 'a) list
-  | P_quit
+(* A batch carries the requesting thread's trace context: a persistent
+   lane is forked before any request exists, so it cannot inherit the
+   context through memory. *)
+type 'a batch = Obs.Trace.context option * (int * 'a) list
 
 type lane = {
-  l_w : int;                    (* lane number; trace tid = l_w + 1 *)
   l_pid : int;
-  l_oc : out_channel;           (* parent -> child requests *)
+  l_oc : out_channel;           (* parent -> child batches *)
   l_from : Unix.file_descr;     (* child -> parent payloads *)
 }
 
 type ('a, 'b) pool = {
-  p_jobs : int;
   p_timeout : float option;
   p_f : 'a -> 'b;
-  p_lanes : lane option array;  (* None = dead, respawned on next batch *)
+  p_lanes : lane option array;  (* lane w, trace tid w + 1; None = no lane *)
   mutable p_closed : bool;
 }
 
-let lane_child ~w ~f rd_req wr_res =
+let lane_child ~f ~w ?first rd_req wr_res =
+  (* Replace locks another thread may have held at fork time before
+     touching any guarded structure. *)
   Obs.Metrics.after_fork ();
   Obs.Trace.after_fork ();
   Obs.Log.after_fork ();
@@ -412,226 +241,262 @@ let lane_child ~w ~f rd_req wr_res =
   Obs.Trace.clear ();
   let ic = Unix.in_channel_of_descr rd_req in
   let oc = Unix.out_channel_of_descr wr_res in
-  let rec loop () =
-    match (Marshal.from_channel ic : _ pool_msg) with
+  (* Adopt the requester's context for the batch so item spans and log
+     lines carry its trace_id, then drop it: the lane outlives the
+     request.  _exit skips at_exit handlers and inherited buffers. *)
+  let rec run (ctx, items) =
+    Obs.Trace.set_context ctx;
+    ship_payload oc (compute_payload f items);
+    Obs.Trace.set_context None;
+    next ()
+  and next () =
+    match (Marshal.from_channel ic : _ batch) with
     | exception _ -> Unix._exit 0
-    | P_quit -> Unix._exit 0
-    | P_batch (ctx, items) ->
-      (* Adopt the requester's context for the batch so item spans carry
-         its trace_id, then drop it: the lane outlives the request. *)
-      Obs.Trace.set_context ctx;
-      ship_payload oc (compute_payload f items);
-      Obs.Trace.set_context None;
-      loop ()
+    | b -> run b
   in
-  loop ()
+  match first with Some b -> run b | None -> next ()
 
-let spawn_lane f w =
-  match Unix.pipe ~cloexec:false () with
-  | exception Unix.Unix_error _ -> None
-  | req_rd, req_wr -> (
+let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Fork lane [w] into its (empty) slot.  A lane given [first] computes
+   that batch before reading any request, so the parent need not write
+   to it. *)
+let spawn_lane ?first pool w =
+  let lane =
     match Unix.pipe ~cloexec:false () with
-    | exception Unix.Unix_error _ ->
-      Unix.close req_rd;
-      Unix.close req_wr;
-      None
-    | res_rd, res_wr -> (
-      (* Children inherit the stdio buffers: flush so nothing is emitted
-         twice. *)
-      flush stdout;
-      flush stderr;
-      match Unix.fork () with
+    | exception Unix.Unix_error _ -> None
+    | req_rd, req_wr -> (
+      match Unix.pipe ~cloexec:false () with
       | exception Unix.Unix_error _ ->
-        List.iter Unix.close [ req_rd; req_wr; res_rd; res_wr ];
+        List.iter close_noerr [ req_rd; req_wr ];
         None
-      | 0 ->
-        Unix.close req_wr;
-        Unix.close res_rd;
-        lane_child ~w ~f req_rd res_wr
-      | pid ->
-        Unix.close req_rd;
-        Unix.close res_wr;
-        Some
-          { l_w = w;
-            l_pid = pid;
-            l_oc = Unix.out_channel_of_descr req_wr;
-            l_from = res_rd }))
+      | res_rd, res_wr -> (
+        (* Children inherit the stdio buffers: flush so nothing is
+           emitted twice. *)
+        flush stdout;
+        flush stderr;
+        match Unix.fork () with
+        | exception Unix.Unix_error _ ->
+          List.iter close_noerr [ req_rd; req_wr; res_rd; res_wr ];
+          None
+        | 0 ->
+          Unix.close req_wr;
+          Unix.close res_rd;
+          lane_child ~f:pool.p_f ~w ?first req_rd res_wr
+        | pid ->
+          Unix.close req_rd;
+          Unix.close res_wr;
+          Some
+            { l_pid = pid;
+              l_oc = Unix.out_channel_of_descr req_wr;
+              l_from = res_rd }))
+  in
+  (match lane with
+   | Some _ ->
+     Obs.Metrics.inc (Lazy.force M.workers_spawned);
+     if w = 0 then Obs.Trace.thread_name ~tid:0 "main";
+     Obs.Trace.thread_name ~tid:(w + 1) (Printf.sprintf "worker %d" (w + 1))
+   | None ->
+     Obs.Metrics.inc (Lazy.force M.failed_forks);
+     Obs.Log.event ~level:Obs.Log.Warn "parallel:fork-failed"
+       [ ("worker", Obs.Trace.I (w + 1)) ]);
+  pool.p_lanes.(w) <- lane;
+  lane
+
+let close_lane pool w =
+  Option.iter
+    (fun l ->
+      (try Unix.kill l.l_pid Sys.sigkill with Unix.Unix_error _ -> ());
+      close_out_noerr l.l_oc;
+      close_noerr l.l_from;
+      reap l.l_pid;
+      pool.p_lanes.(w) <- None)
+    pool.p_lanes.(w)
+
+let send_batch lane batch =
+  try
+    Marshal.to_channel lane.l_oc batch [];
+    flush lane.l_oc;
+    true
+  with Sys_error _ | Unix.Unix_error _ -> false
+
+(* --- One batch ------------------------------------------------------------ *)
+
+(* Split [xs] round-robin over the lane numbers in [slots] and hand each
+   slice out — over the lane's request pipe, or, into an empty slot, by
+   forking a lane born with it — before joining any, so lanes run
+   concurrently.  Then join in slot order and recompute every slice no
+   lane delivered. *)
+let run_batch pool slots xs =
+  let arr = Array.of_list xs in
+  let n = Array.length arr in
+  let k = Array.length slots in
+  let ctx = Obs.Trace.context () in
+  let slices = Array.make k [] in
+  if k > 0 then
+    for i = n - 1 downto 0 do
+      slices.(i mod k) <- (i, arr.(i)) :: slices.(i mod k)
+    done;
+  let handed =
+    Array.mapi
+      (fun j slice ->
+        let w = slots.(j) in
+        let t0 = Obs.Trace.now_us () in
+        match (slice, pool.p_lanes.(w)) with
+        | [], _ -> None
+        | _, Some l -> Some (w, l, t0, send_batch l (ctx, slice))
+        | _, None ->
+          Option.map (fun l -> (w, l, t0, true))
+            (spawn_lane ~first:(ctx, slice) pool w))
+      slices
+  in
+  let count p a = Array.fold_left (fun c x -> if p x then c + 1 else c) 0 a in
+  let spawned = count Option.is_some handed in
+  let failed_forks = count (fun s -> s <> []) slices - spawned in
+  let stats = { no_stats with jobs = k; failed_forks } in
+  if spawned = 0 then begin
+    (* Parallelism was requested but no lane exists: run the whole batch
+       serially in the parent. *)
+    Obs.Metrics.inc (Lazy.force M.serial_fallbacks);
+    Obs.Log.event ~level:Obs.Log.Warn "parallel:serial-fallback"
+      [ ("items", Obs.Trace.I n) ];
+    (List.map pool.p_f xs, { stats with serial_fallback = true })
+  end
+  else begin
+    let results = Array.make n None in
+    let leftover = ref [] in
+    let recomputed_slices = ref 0 in
+    let recompute slice = leftover := List.map fst slice @ !leftover in
+    Array.iteri
+      (fun j h ->
+        let slice = slices.(j) in
+        match h with
+        | None -> recompute slice (* no lane: a failed fork *)
+        | Some (w, lane, t0, sent) ->
+          let items = ("items", Obs.Trace.I (List.length slice)) in
+          let worker = ("worker", Obs.Trace.I (w + 1)) in
+          let t_read = Obs.Trace.now_us () in
+          let deadline =
+            Option.map (fun s -> Unix.gettimeofday () +. s) pool.p_timeout
+          in
+          (* A failed send means the lane is gone: a dead lane's Eof. *)
+          let outcome = if sent then read_payload ~deadline lane.l_from else Eof in
+          let t_done = Obs.Trace.now_us () in
+          Obs.Trace.complete ?ctx ~cat:"parallel" ~tid:0
+            ~name:(Printf.sprintf "join:%d" (w + 1))
+            ~ts:t_read ~dur:(t_done -. t_read) ();
+          Obs.Trace.complete ?ctx ~cat:"parallel" ~tid:(w + 1)
+            ~name:(Printf.sprintf "worker:%d" (w + 1))
+            ~args:[ items ] ~ts:t0 ~dur:(t_done -. t0) ();
+          Obs.Metrics.observe (Lazy.force M.slice_seconds)
+            ((t_done -. t0) /. 1e6);
+          let lost event fields =
+            (* Dead or wedged lane: its trace lane is gone.  Count the
+               loss instead of hiding it, end the lane (a dead slot is
+               respawned by the next batch) and recompute the slice. *)
+            Obs.Metrics.inc (Lazy.force M.trace_dropped_lanes);
+            Obs.Trace.instant ~cat:"parallel" event ~args:[ worker ];
+            Obs.Log.event ~level:Obs.Log.Warn event (worker :: items :: fields);
+            close_lane pool w;
+            incr recomputed_slices;
+            recompute slice
+          in
+          match outcome with
+          | Payload { p_res; p_events; p_metrics } -> (
+            Obs.Trace.emit_all p_events;
+            Option.iter Obs.Metrics.merge p_metrics;
+            match p_res with
+            | Ok pairs -> List.iter (fun (i, r) -> results.(i) <- Some r) pairs
+            | Error reason ->
+              (* The computation (or the result marshal) raised, but the
+                 lane shipped its partial trace and metrics and is still
+                 healthy: recompute the slice in the parent so a genuine
+                 exception surfaces with its real backtrace. *)
+              Obs.Log.event ~level:Obs.Log.Warn "parallel:worker-failed"
+                [ worker; items; ("reason", Obs.Trace.S reason) ];
+              incr recomputed_slices;
+              recompute slice)
+          | Eof -> lost "parallel:lane-dropped" []
+          | Timeout ->
+            lost "parallel:worker-timeout"
+              [ ("timeout_s",
+                 Obs.Trace.F (Option.value ~default:0.0 pool.p_timeout)) ])
+      handed;
+    Obs.Metrics.inc ~by:!recomputed_slices (Lazy.force M.recomputed_slices);
+    let recomputed_items = List.length !leftover in
+    Obs.Metrics.inc ~by:recomputed_items (Lazy.force M.recomputed_items);
+    List.iter (fun i -> results.(i) <- Some (pool.p_f arr.(i))) !leftover;
+    ( Array.to_list (Array.map Option.get results),
+      { stats with
+        workers_spawned = spawned;
+        recomputed_slices = !recomputed_slices;
+        recomputed_items } )
+  end
+
+(* --- Pools --------------------------------------------------------------- *)
+
+let empty_pool ~jobs ?read_timeout_s f =
+  { p_timeout = read_timeout_s;
+    p_f = f;
+    p_lanes = Array.make jobs None;
+    p_closed = false }
+
+let shutdown_pool pool =
+  if not pool.p_closed then begin
+    pool.p_closed <- true;
+    Array.iteri (fun w _ -> close_lane pool w) pool.p_lanes
+  end
+
+let map_with_stats ?jobs ?read_timeout_s f xs =
+  let arr = Array.of_list xs in
+  let n = Array.length arr in
+  let jobs =
+    max 1 (min (match jobs with Some j -> j | None -> default_jobs ()) n)
+  in
+  if jobs <= 1 || n <= 1 then (List.map f xs, no_stats)
+  else begin
+    let pool = empty_pool ~jobs ?read_timeout_s (fun i -> f arr.(i)) in
+    Fun.protect
+      ~finally:(fun () -> shutdown_pool pool)
+      (fun () -> run_batch pool (Array.init jobs Fun.id) (List.init n Fun.id))
+  end
+
+let map ?jobs ?read_timeout_s f xs =
+  fst (map_with_stats ?jobs ?read_timeout_s f xs)
 
 let create_pool ?jobs ?read_timeout_s f =
   (* Writing a batch to a lane that just died must surface as EPIPE (a
      respawnable event), not kill the whole daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let jobs =
-    max 1 (match jobs with Some j -> j | None -> default_jobs ())
-  in
-  let lanes = Array.init jobs (fun w -> spawn_lane f w) in
-  let spawned = Array.fold_left (fun n l -> if l = None then n else n + 1) 0 lanes in
-  Obs.Metrics.inc ~by:spawned (Lazy.force M.workers_spawned);
-  Obs.Metrics.inc ~by:(jobs - spawned) (Lazy.force M.failed_forks);
-  { p_jobs = jobs;
-    p_timeout = read_timeout_s;
-    p_f = f;
-    p_lanes = lanes;
-    p_closed = false }
+  let jobs = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
+  let pool = empty_pool ~jobs ?read_timeout_s f in
+  for w = 0 to jobs - 1 do
+    ignore (spawn_lane pool w)
+  done;
+  pool
 
-let close_lane ?(kill = false) lane =
-  if kill then
-    (try Unix.kill lane.l_pid Sys.sigkill with Unix.Unix_error _ -> ());
-  (try close_out lane.l_oc with Sys_error _ -> ());
-  (try Unix.close lane.l_from with Unix.Unix_error _ -> ());
-  reap lane.l_pid
+let live_slots pool =
+  List.filter
+    (fun w -> Option.is_some pool.p_lanes.(w))
+    (List.init (Array.length pool.p_lanes) Fun.id)
 
-let pool_live pool =
-  Array.fold_left (fun n l -> if l = None then n else n + 1) 0 pool.p_lanes
-
-(* Lanes that died (crash, kill, timeout) are replaced with a fresh fork
-   before the next batch, so one bad request does not permanently shrink
-   the pool. *)
-let respawn_dead pool =
-  Array.iteri
-    (fun w lane ->
-      if lane = None then
-        match spawn_lane pool.p_f w with
-        | None -> ()
-        | Some l ->
-          Obs.Metrics.inc (Lazy.force M.pool_respawns);
-          Obs.Metrics.inc (Lazy.force M.workers_spawned);
-          Obs.Log.event "parallel:pool-respawn"
-            [ ("lane", Obs.Trace.I (w + 1)); ("pid", Obs.Trace.I l.l_pid) ];
-          pool.p_lanes.(w) <- Some l)
-    pool.p_lanes
-
-let kill_lane pool w ~kill =
-  match pool.p_lanes.(w) with
-  | None -> ()
-  | Some lane ->
-    close_lane ~kill lane;
-    pool.p_lanes.(w) <- None
-
-let send_batch lane ctx items =
-  try
-    Marshal.to_channel lane.l_oc (P_batch (ctx, items)) [];
-    flush lane.l_oc;
-    true
-  with Sys_error _ | Unix.Unix_error _ -> false
+let pool_live pool = List.length (live_slots pool)
 
 let pool_map pool xs =
   if pool.p_closed then invalid_arg "Parallel.pool_map: pool is shut down";
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  if n = 0 then []
-  else begin
-    let ctx = Obs.Trace.context () in
-    respawn_dead pool;
-    let live =
-      Array.to_list pool.p_lanes |> List.filter_map Fun.id
-    in
-    if live = [] then begin
-      (* No lane could be (re)forked: serial fallback, same as map. *)
-      Obs.Metrics.inc (Lazy.force M.serial_fallbacks);
-      Obs.Log.event ~level:Obs.Log.Warn "parallel:serial-fallback"
-        [ ("items", Obs.Trace.I n) ];
-      List.map pool.p_f xs
-    end
-    else begin
-      let k = List.length live in
-      let lanes = Array.of_list live in
-      let slices = Array.make k [] in
-      for i = n - 1 downto 0 do
-        slices.(i mod k) <- (i, arr.(i)) :: slices.(i mod k)
-      done;
-      let results = Array.make n None in
-      let leftover = ref [] in
-      let recomputed_slices = ref 0 in
-      (* Send every slice first so lanes run concurrently, then join in
-         order. *)
-      let sent =
-        Array.mapi
-          (fun j lane ->
-            slices.(j) <> []
-            &&
-            (send_batch lane ctx slices.(j)
-             ||
-             (Obs.Log.event ~level:Obs.Log.Warn "parallel:lane-dropped"
-                [ ("worker", Obs.Trace.I (lane.l_w + 1));
-                  ("items", Obs.Trace.I (List.length slices.(j))) ];
-              Obs.Metrics.inc (Lazy.force M.trace_dropped_lanes);
-              kill_lane pool lane.l_w ~kill:false;
-              incr recomputed_slices;
-              leftover := List.map fst slices.(j) @ !leftover;
-              false)))
-          lanes
-      in
-      Array.iteri
-        (fun j lane ->
-          if sent.(j) then begin
-            let t_read = Obs.Trace.now_us () in
-            let deadline =
-              Option.map (fun s -> Unix.gettimeofday () +. s) pool.p_timeout
-            in
-            let outcome = read_payload ~deadline lane.l_from in
-            Obs.Trace.complete ?ctx ~cat:"parallel" ~tid:0
-              ~name:(Printf.sprintf "join:%d" (lane.l_w + 1))
-              ~ts:t_read
-              ~dur:(Obs.Trace.now_us () -. t_read)
-              ();
-            Obs.Metrics.observe (Lazy.force M.slice_seconds)
-              ((Obs.Trace.now_us () -. t_read) /. 1e6);
-            match outcome with
-            | Payload { p_res = Ok pairs; p_events; p_metrics } ->
-              Obs.Trace.emit_all p_events;
-              Option.iter Obs.Metrics.merge p_metrics;
-              List.iter (fun (i, r) -> results.(i) <- Some r) pairs
-            | Payload { p_res = Error reason; p_events; p_metrics } ->
-              Obs.Trace.emit_all p_events;
-              Option.iter Obs.Metrics.merge p_metrics;
-              Obs.Log.event ~level:Obs.Log.Warn "parallel:worker-failed"
-                [ ("worker", Obs.Trace.I (lane.l_w + 1));
-                  ("items", Obs.Trace.I (List.length slices.(j)));
-                  ("reason", Obs.Trace.S reason) ];
-              incr recomputed_slices;
-              leftover := List.map fst slices.(j) @ !leftover
-            | Eof ->
-              Obs.Metrics.inc (Lazy.force M.trace_dropped_lanes);
-              Obs.Log.event ~level:Obs.Log.Warn "parallel:lane-dropped"
-                [ ("worker", Obs.Trace.I (lane.l_w + 1));
-                  ("items", Obs.Trace.I (List.length slices.(j))) ];
-              kill_lane pool lane.l_w ~kill:false;
-              incr recomputed_slices;
-              leftover := List.map fst slices.(j) @ !leftover
-            | Timeout ->
-              Obs.Metrics.inc (Lazy.force M.trace_dropped_lanes);
-              Obs.Log.event ~level:Obs.Log.Warn "parallel:worker-timeout"
-                [ ("worker", Obs.Trace.I (lane.l_w + 1));
-                  ("items", Obs.Trace.I (List.length slices.(j)));
-                  ("timeout_s",
-                   Obs.Trace.F (Option.value ~default:0.0 pool.p_timeout)) ];
-              kill_lane pool lane.l_w ~kill:true;
-              incr recomputed_slices;
-              leftover := List.map fst slices.(j) @ !leftover
-          end)
-        lanes;
-      Obs.Metrics.inc ~by:!recomputed_slices (Lazy.force M.recomputed_slices);
-      Obs.Metrics.inc ~by:(List.length !leftover)
-        (Lazy.force M.recomputed_items);
-      List.iter (fun i -> results.(i) <- Some (pool.p_f arr.(i))) !leftover;
-      Array.to_list (Array.map Option.get results)
-    end
-  end
-
-let shutdown_pool pool =
-  if not pool.p_closed then begin
-    pool.p_closed <- true;
+  match xs with
+  | [] -> []
+  | _ ->
+    (* Lanes that died are replaced before the batch, so one bad request
+       does not permanently shrink the pool. *)
     Array.iteri
       (fun w lane ->
-        match lane with
-        | None -> ()
-        | Some l ->
-          (try
-             Marshal.to_channel l.l_oc P_quit [];
-             flush l.l_oc
-           with Sys_error _ | Unix.Unix_error _ -> ());
-          close_lane l;
-          pool.p_lanes.(w) <- None)
-      pool.p_lanes
-  end
+        if Option.is_none lane then
+          Option.iter
+            (fun l ->
+              Obs.Metrics.inc (Lazy.force M.pool_respawns);
+              Obs.Log.event "parallel:pool-respawn"
+                [ ("lane", Obs.Trace.I (w + 1)); ("pid", Obs.Trace.I l.l_pid) ])
+            (spawn_lane pool w))
+      pool.p_lanes;
+    fst (run_batch pool (Array.of_list (live_slots pool)) xs)

@@ -1,24 +1,31 @@
 (** Fork-based worker pool for per-workload fan-out.
 
-    [map f xs] is observably [List.map f xs], computed by up to [jobs]
-    forked workers with the results marshalled back over pipes and
-    reassembled in input order.  Serial fallback when [jobs <= 1] (e.g. a
-    single-core machine), when the list has fewer than two elements or
-    when [fork] fails; a worker that dies or raises has its slice
-    recomputed serially in the parent, so exceptions propagate with their
-    real backtrace.
+    One mechanism serves both uses: a pool of forked lanes.  A batch is
+    split round-robin over the lanes, each lane computes its slice and
+    marshals the results back over a pipe, and the parent reassembles
+    them in input order — observably [List.map f xs].  {!create_pool}
+    forks the lanes once and {!pool_map} feeds them many batches (the
+    [xenergy serve] daemon); {!map} is a pool that lives for one call:
+    it forks [min jobs n] lanes, each born with its slice of indices in
+    memory, joins them and kills them.  [map] runs serially, without a
+    fork, when [jobs <= 1] or the list has fewer than two elements.
 
-    The pool is hang-proof and leak-free by construction, which is what
-    lets it sit inside the long-lived [xenergy serve] daemon:
+    Every lane that fails — its batch could not be sent, it died, it
+    wedged past [read_timeout_s], its computation raised or its results
+    would not marshal — has its slice recomputed serially in the parent,
+    so exceptions propagate with their real backtrace.  The pool is
+    hang-proof and leak-free by construction, which is what lets it sit
+    inside a long-lived daemon:
 
     - every child is reaped with an [EINTR]-retrying [waitpid]
       ({!reap}) — a signal landing mid-join can no longer leak a zombie;
-    - parent-side pipe reads can carry a deadline ([read_timeout_s]):
-      each read is guarded by [select], and a worker that wedges past
-      the deadline is killed, counted in
+    - parent-side payload reads can carry a deadline ([read_timeout_s]):
+      each read is guarded by [select], and a lane that wedges past the
+      deadline is killed, counted in
       [parallel_trace_dropped_lanes_total], logged as a
       [parallel:worker-timeout] record and its slice recomputed — the
       parent never blocks forever on a dead-but-silent pipe;
+    - every pipe end is closed when its lane ends, on every path;
     - an invalid [XENERGY_JOBS] value is rejected with a
       [parallel:bad-jobs-env] {!Obs.Log} warning naming the value,
       instead of being silently replaced by the core count.
@@ -28,30 +35,21 @@
     [parallel_failed_forks_total], [parallel_recomputed_slices_total],
     [parallel_recomputed_items_total],
     [parallel_trace_dropped_lanes_total],
-    [parallel_pool_respawns_total]) and returned per call in
-    {!run_stats}.  With [Obs.Trace] enabled, each worker records its
-    spans on trace lane [w + 1] and ships them back with its results, so
-    the merged Chrome trace shows genuine per-worker lanes framed by
-    fork-to-join spans, with the parent's marshalled reads timed as
-    [join:w] spans.
+    [parallel_pool_respawns_total]) and, for {!map_with_stats}, returned
+    in {!run_stats}.  A lost lane also leaves a [parallel:lane-dropped]
+    or [parallel:worker-timeout] trace instant.  With [Obs.Trace]
+    enabled, lane [w] records its [item:i] spans on trace lane [w + 1]
+    and ships them back with its results; the parent frames each slice
+    with a [worker:w] span on that lane, from hand-off to payload, and
+    times the marshalled read as a [join:w] span on lane 0.  The
+    calling thread's trace context travels with every batch, so item
+    spans and lane log lines carry the requester's [trace_id].
 
-    A worker whose computation raises — or whose results cannot be
+    A lane whose computation raises — or whose results cannot be
     marshalled — still ships its partial trace lane and metric
     increments back (the parent keeps them before recomputing the
-    slice); only a worker that dies outright loses its lane, and that
-    loss is counted and logged instead of disappearing silently.
-
-    {2 Persistent pools}
-
-    [map] forks its workers per call — the right shape for a one-shot
-    CLI run, and pure waste for a daemon answering thousands of
-    requests.  {!create_pool} forks the workers once; {!pool_map} feeds
-    them batches over request pipes and reassembles results exactly like
-    [map], with the same degradation ladder (failed sends, deaths,
-    timeouts and in-worker exceptions all end in a parent-side
-    recompute).  Lanes that died are respawned on the next batch
-    (counted in [parallel_pool_respawns_total]), so a single poisonous
-    request does not permanently shrink the pool. *)
+    slice); only a lane that dies outright loses its trace lane, and
+    that loss is counted and logged instead of disappearing silently. *)
 
 val default_jobs : unit -> int
 (** The [XENERGY_JOBS] environment variable if set to a positive integer,
@@ -70,6 +68,7 @@ val reap : int -> unit
     (e.g. test harnesses spawning a daemon). *)
 
 type run_stats = {
+  jobs : int;                 (** planned workers: [min jobs n], 1 if serial *)
   workers_spawned : int;      (** forked workers that started *)
   failed_forks : int;         (** pipe/fork attempts that failed *)
   serial_fallback : bool;     (** parallelism requested, ran serially *)
@@ -78,13 +77,16 @@ type run_stats = {
 }
 
 val no_stats : run_stats
-(** All-zero statistics (the deliberate serial paths). *)
+(** The deliberate serial paths' statistics: one planned worker, all
+    counts zero. *)
 
 val map : ?jobs:int -> ?read_timeout_s:float -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?jobs f xs] — [jobs] defaults to {!default_jobs}.  [f] must not
     rely on mutating shared state visible to the caller: it runs in a
     forked child whose writes are not seen by the parent (only the
-    returned, marshalled value is).  [read_timeout_s] bounds how long
+    returned, marshalled value is).  The items themselves never cross a
+    pipe, so they need not be marshal-safe; the SIGPIPE disposition is
+    left alone.  [read_timeout_s] bounds how long
     the parent waits for any single worker's results (default: no
     bound); a worker that exceeds it is killed and its slice recomputed
     in the parent. *)
@@ -126,5 +128,5 @@ val pool_live : ('a, 'b) pool -> int
 (** Number of currently live lanes (between 0 and [jobs]). *)
 
 val shutdown_pool : ('a, 'b) pool -> unit
-(** Ask every lane to quit, close its pipes and reap it ({!reap} — no
-    zombies).  Idempotent; {!pool_map} afterwards raises. *)
+(** Kill every lane (idle between batches), close its pipes and reap it
+    ({!reap} — no zombies).  Idempotent; {!pool_map} afterwards raises. *)

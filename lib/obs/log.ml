@@ -153,6 +153,10 @@ let event ?(level = Info) name fields =
     (match correlation () with
     | Some id -> Printf.bprintf b ", \"corr\": \"%s\"" (json_escape id)
     | None -> ());
+    (match Trace.context () with
+    | Some c ->
+      Printf.bprintf b ", \"trace_id\": \"%s\"" (json_escape c.Trace.trace_id)
+    | None -> ());
     List.iter
       (fun (k, v) ->
         Printf.bprintf b ", \"%s\": %s" (json_escape k) (arg_json v))

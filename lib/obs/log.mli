@@ -13,6 +13,10 @@
     - [pid] — the writing process;
     - [event] — a [subsystem:verb] name (e.g. ["explore:heartbeat"],
       ["cache:evict"]);
+    - [trace_id] — when the calling scope has a trace context (set by
+      {!Trace.with_context}: a daemon request, or a pool lane computing
+      that request's batch), its trace id, so a log line joins the
+      request's spans;
     - the caller's fields, flattened into the object.
 
     Every line is written and flushed atomically-enough for the

@@ -814,13 +814,14 @@ let handle ?received ?parse_s t req =
   (match t.r_slow_s with
   | Some thr when total >= thr ->
     Obs.Metrics.inc (M.slow opl);
-    Obs.Log.event ~level:Obs.Log.Warn "serve:slow-request"
-      (( ("op", Obs.Trace.S op)
-       :: ("total_ms", Obs.Trace.F (total *. 1e3))
-       :: ("trace_id", Obs.Trace.S ctx.Obs.Trace.trace_id)
-       :: List.map
-            (fun (n, s) -> ("phase_" ^ n ^ "_ms", Obs.Trace.F (s *. 1e3)))
-            phases ))
+    (* Under the request's context, so the line carries its trace_id. *)
+    Obs.Trace.with_context ctx (fun () ->
+        Obs.Log.event ~level:Obs.Log.Warn "serve:slow-request"
+          (("op", Obs.Trace.S op)
+          :: ("total_ms", Obs.Trace.F (total *. 1e3))
+          :: List.map
+               (fun (n, s) -> ("phase_" ^ n ^ "_ms", Obs.Trace.F (s *. 1e3)))
+               phases))
   | _ -> ());
   let ok = match resp with J.Obj (("ok", J.Bool b) :: _) -> b | _ -> false in
   Obs.Log.event "serve:request"

@@ -302,12 +302,26 @@ let test_cross_validation_skips_underdetermined () =
    | None -> fail "determined fold reported as skipped")
 
 (* The single-pass engine (estimator observing the extraction run) must
-   reproduce the legacy two-pass pipeline exactly: same samples, and
-   fitted coefficients equal to within 1e-6 relative. *)
+   reproduce a separate profiling run plus a separate reference run
+   exactly: same samples, and fitted coefficients equal to within 1e-6
+   relative. *)
 let test_single_pass_matches_two_pass () =
   let suite = small_suite () in
   let one = Core.Characterize.collect ~jobs:1 suite in
-  let two = Core.Characterize.collect_two_pass suite in
+  let two =
+    List.map
+      (fun (c : Core.Extract.case) ->
+        let prof = Core.Extract.profile c in
+        let energy, _cpu =
+          Power.Estimator.estimate_program ?extension:c.Core.Extract.extension
+            c.Core.Extract.asm
+        in
+        { Core.Characterize.sname = c.Core.Extract.case_name;
+          variables = prof.Core.Extract.variables;
+          measured_pj = energy;
+          cycles = prof.Core.Extract.cycles })
+      suite
+  in
   List.iter2
     (fun (a : Core.Characterize.sample) (b : Core.Characterize.sample) ->
       check Alcotest.string "sample name" b.sname a.sname;
@@ -2034,6 +2048,129 @@ let test_map_trace_context () =
       | _ -> fail "item span lost the inherited context")
     items
 
+(* A log line written by a pool lane while it computes a request's
+   batch carries that request's trace_id: the lane adopts the context
+   shipped with the batch, and Obs.Log stamps the ambient context. *)
+let test_pool_log_trace_id () =
+  let log = Filename.temp_file "xenergy-pool" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Log.close ();
+      Sys.remove log)
+  @@ fun () ->
+  (* Open the sink first: lanes inherit it across the fork. *)
+  Obs.Log.open_file log;
+  let pool =
+    Core.Parallel.create_pool ~jobs:2 (fun i ->
+        Obs.Log.event "test:item" [ ("i", Obs.Trace.I i) ];
+        i + 1)
+  in
+  let ctx =
+    { Obs.Trace.trace_id = Obs.Trace.new_id ();
+      span_id = Obs.Trace.new_id ();
+      parent_id = None }
+  in
+  let r =
+    Fun.protect ~finally:(fun () -> Core.Parallel.shutdown_pool pool)
+      (fun () ->
+        Obs.Trace.with_context ctx (fun () ->
+            Core.Parallel.pool_map pool [ 1; 2; 3 ]))
+  in
+  check (Alcotest.list Alcotest.int) "batch computed" [ 2; 3; 4 ] r;
+  Obs.Log.close ();
+  let items =
+    In_channel.with_open_text log In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map Obs.Json.parse
+    |> List.filter (fun r ->
+           Obs.Json.member "event" r = Obs.Json.Str "test:item")
+  in
+  check Alcotest.int "one line per item" 3 (List.length items);
+  List.iter
+    (fun r ->
+      check Alcotest.bool "written by a lane" true
+        (Obs.Json.to_int (Obs.Json.member "pid" r) <> Unix.getpid ());
+      check Alcotest.string "line carries the request's trace_id"
+        ctx.Obs.Trace.trace_id
+        (Obs.Json.to_string (Obs.Json.member "trace_id" r)))
+    items
+
+(* Forked characterization over the whole suite equals the serial one bit
+   for bit.  The cover_x* cases carry compiled TIE extensions (closures),
+   so this also guards that map never marshals its items. *)
+let test_collect_forked_matches_serial () =
+  let suite = Workloads.Suite.characterization () in
+  let serial = Core.Characterize.collect ~jobs:1 suite in
+  let forked = Core.Characterize.collect ~jobs:2 suite in
+  check Alcotest.int "sample count" (List.length serial) (List.length forked);
+  let bits = Int64.bits_of_float in
+  List.iter2
+    (fun (a : Core.Characterize.sample) (b : Core.Characterize.sample) ->
+      check Alcotest.string "name" a.sname b.sname;
+      check Alcotest.int "cycles" a.cycles b.cycles;
+      check Alcotest.int64 (a.sname ^ " measured bits") (bits a.measured_pj)
+        (bits b.measured_pj);
+      check
+        (Alcotest.array Alcotest.int64)
+        (a.sname ^ " variable bits")
+        (Array.map bits a.variables)
+        (Array.map bits b.variables))
+    serial forked
+
+(* A one-shot map never writes to a lane, so it needs no SIGPIPE
+   protection and leaves the disposition alone: a CLI piped into
+   [head] still dies quietly.  Under the default disposition, lanes
+   that die before or after their batch must not take the caller down. *)
+let test_map_keeps_sigpipe_default () =
+  let prev = Sys.signal Sys.sigpipe Sys.Signal_default in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev)
+  @@ fun () ->
+  let parent = Unix.getpid () in
+  let xs = List.init 6 Fun.id in
+  check (Alcotest.list Alcotest.int) "dead lanes recomputed"
+    (List.map succ xs)
+    (Core.Parallel.map ~jobs:3
+       (fun i -> if Unix.getpid () <> parent then Unix._exit 1 else succ i)
+       xs);
+  check (Alcotest.list Alcotest.int) "happy path" (List.map succ xs)
+    (Core.Parallel.map ~jobs:3 succ xs);
+  check Alcotest.bool "SIGPIPE disposition untouched" true
+    (Sys.signal Sys.sigpipe Sys.Signal_default = Sys.Signal_default)
+
+(* Every pipe end a lane opened is closed again, whether the lane
+   shipped its payload, died, or wedged past the deadline, and after a
+   persistent pool is shut down. *)
+let test_parallel_no_fd_leak () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+    let parent = Unix.getpid () in
+    let in_child () = Unix.getpid () <> parent in
+    let xs = List.init 9 Fun.id in
+    let expect = List.map (fun i -> i * 2) xs in
+    List.iter
+      (fun (name, f) ->
+        let before = fds () in
+        let res, _ =
+          Core.Parallel.map_with_stats ~jobs:3 ~read_timeout_s:0.3 f xs
+        in
+        check (Alcotest.list Alcotest.int) (name ^ ": results") expect res;
+        check Alcotest.int (name ^ ": no fd leaked") before (fds ()))
+      [ ("happy path", fun i -> i * 2);
+        ( "dying worker",
+          fun i -> if i = 4 && in_child () then Unix._exit 1 else i * 2 );
+        ( "wedged worker",
+          fun i ->
+            if i = 4 && in_child () then Unix.sleep 30;
+            i * 2 ) ];
+    let before = fds () in
+    let pool = Core.Parallel.create_pool ~jobs:3 (fun i -> i * 2) in
+    check (Alcotest.list Alcotest.int) "pool results" expect
+      (Core.Parallel.pool_map pool xs);
+    Core.Parallel.shutdown_pool pool;
+    check Alcotest.int "pool: no fd leaked" before (fds ())
+  end
+
 let () =
   Alcotest.run "core"
     [ ( "variables",
@@ -2098,7 +2235,15 @@ let () =
           Alcotest.test_case "pool batches carry the trace context" `Quick
             test_pool_trace_context;
           Alcotest.test_case "one-shot map inherits the trace context"
-            `Quick test_map_trace_context ] );
+            `Quick test_map_trace_context;
+          Alcotest.test_case "pool lane log lines carry the trace id" `Quick
+            test_pool_log_trace_id;
+          Alcotest.test_case "forked collect matches serial bit for bit"
+            `Quick test_collect_forked_matches_serial;
+          Alcotest.test_case "no fd leaked" `Quick test_parallel_no_fd_leak;
+          Alcotest.test_case "map keeps SIGPIPE default" `Quick
+            test_map_keeps_sigpipe_default ]
+      );
       ( "space",
         [ Alcotest.test_case "combinators" `Quick test_space_combinators ] );
       ( "eval cache",
