@@ -123,20 +123,52 @@ let openmetrics_arg =
                  text exposition) format to $(docv); implies metrics
                  recording.")
 
-let setup_obs ~log_file ~openmetrics =
-  (match log_file with
-   | Some path -> (
-     try Obs.Log.open_file path
-     with Sys_error msg -> die "cannot open log file: %s" msg)
-   | None -> ());
-  if openmetrics <> None then Obs.Metrics.set_enabled true
+(* The flags profile, characterize, explore, audit and serve share, as
+   one term whose value wraps the command: select the backend and open
+   the log sink, run the command with the --jobs value, then save the
+   OpenMetrics exposition and report the dual runs. *)
+let common_term () =
+  let wrap backend log_file openmetrics jobs f =
+    set_backend backend;
+    (match log_file with
+     | Some path -> (
+       try Obs.Log.open_file path
+       with Sys_error msg -> die "cannot open log file: %s" msg)
+     | None -> ());
+    if openmetrics <> None then Obs.Metrics.set_enabled true;
+    let r = f jobs in
+    Option.iter
+      (fun path ->
+        (try Obs.Export.save path
+         with Sys_error msg ->
+           die "cannot write OpenMetrics exposition: %s" msg);
+        Format.eprintf "OpenMetrics exposition written to %s@." path)
+      openmetrics;
+    report_checks ();
+    r
+  in
+  Term.(const wrap $ backend_arg $ log_file_arg $ openmetrics_arg $ jobs_arg)
 
-let save_openmetrics = function
-  | Some path ->
-    (try Obs.Export.save path
-     with Sys_error msg -> die "cannot write OpenMetrics exposition: %s" msg);
-    Format.eprintf "OpenMetrics exposition written to %s@." path
-  | None -> ()
+(* --trace/--metrics of characterize and explore: record while the
+   command runs, then save each file and say so on [ppf]. *)
+let recording ppf ~trace ~metrics f =
+  if trace <> None then Obs.Trace.set_enabled true;
+  if metrics <> None then Obs.Metrics.set_enabled true;
+  let r = f () in
+  Option.iter
+    (fun path ->
+      (try Obs.Trace.save path
+       with Sys_error msg -> die "cannot write trace: %s" msg);
+      Format.fprintf ppf "trace written to %s (open in chrome://tracing \
+                          or https://ui.perfetto.dev)@." path)
+    trace;
+  Option.iter
+    (fun path ->
+      (try Obs.Metrics.save path
+       with Sys_error msg -> die "cannot write metrics: %s" msg);
+      Format.fprintf ppf "metrics written to %s@." path)
+    metrics;
+  r
 
 let characterize_model ?jobs () =
   Core.Characterize.run ?jobs (Workloads.Suite.characterization ())
@@ -228,11 +260,10 @@ let profile_cmd =
                    by mnemonic).")
   in
   let run model_path name top json folded folded_energy annotate per_opcode
-      backend log_file openmetrics jobs =
-    set_backend backend;
+      with_common =
+    with_common @@ fun jobs ->
     let c = find_case name in
     if top <= 0 then die "--top must be positive";
-    setup_obs ~log_file ~openmetrics;
     let model = load_or_fit ?jobs model_path in
     let r = Core.Profiler.run model c in
     if json then print_string (Core.Profiler.to_json r ^ "\n")
@@ -258,9 +289,7 @@ let profile_cmd =
       (fun path ->
         write_file "energy folded stacks" path
           (Core.Profiler.folded_lines ~energy:true r))
-      folded_energy;
-    save_openmetrics openmetrics;
-    report_checks ()
+      folded_energy
   in
   Cmd.v
     (Cmd.info "profile"
@@ -269,8 +298,7 @@ let profile_cmd =
              (conservation-checked), plus flame-graph and
              annotated-disassembly output")
     Term.(const run $ model_arg $ name_arg $ top_arg $ json_arg $ folded_arg
-          $ folded_energy_arg $ annotate_arg $ per_opcode_arg $ backend_arg
-          $ log_file_arg $ openmetrics_arg $ jobs_arg)
+          $ folded_energy_arg $ annotate_arg $ per_opcode_arg $ common_term ())
 
 (* --- reference ----------------------------------------------------------- *)
 
@@ -320,11 +348,9 @@ let characterize_cmd =
                    counters, NNLS iterations, worker-pool degradations)
                    and save it as JSON to $(docv).")
   in
-  let run out report trace metrics backend log_file openmetrics jobs =
-    set_backend backend;
-    if trace <> None then Obs.Trace.set_enabled true;
-    if metrics <> None then Obs.Metrics.set_enabled true;
-    setup_obs ~log_file ~openmetrics;
+  let run out report trace metrics with_common =
+    with_common @@ fun jobs ->
+    recording fmt ~trace ~metrics @@ fun () ->
     let samples, run_report =
       Core.Characterize.collect_with_report ?jobs
         (Workloads.Suite.characterization ())
@@ -355,28 +381,13 @@ let characterize_cmd =
        (try Core.Template.save path fit.Core.Characterize.model
         with Sys_error msg -> die "cannot write coefficients: %s" msg);
        Format.fprintf fmt "coefficients written to %s@." path
-     | None -> ());
-    (match trace with
-     | Some path ->
-       (try Obs.Trace.save path
-        with Sys_error msg -> die "cannot write trace: %s" msg);
-       Format.fprintf fmt "trace written to %s (open in chrome://tracing \
-                           or https://ui.perfetto.dev)@." path
-     | None -> ());
-    (match metrics with
-    | Some path ->
-      (try Obs.Metrics.save path
-       with Sys_error msg -> die "cannot write metrics: %s" msg);
-      Format.fprintf fmt "metrics written to %s@." path
-    | None -> ());
-    save_openmetrics openmetrics;
-    report_checks ()
+     | None -> ())
   in
   Cmd.v
     (Cmd.info "characterize"
        ~doc:"Fit the macro-model on the characterization suite")
     Term.(const run $ out_arg $ report_arg $ trace_arg $ metrics_arg
-          $ backend_arg $ log_file_arg $ openmetrics_arg $ jobs_arg)
+          $ common_term ())
 
 (* --- estimate ------------------------------------------------------------ *)
 
@@ -748,8 +759,8 @@ let explore_cmd =
                    to $(docv).")
   in
   let run space cache_dir cache_max_bytes progress explain pareto profile_top
-      json csv out trace metrics backend log_file openmetrics jobs =
-    set_backend backend;
+      json csv out trace metrics with_common =
+    with_common @@ fun jobs ->
     if json && csv then die "--json and --csv are mutually exclusive";
     if cache_max_bytes <> None && cache_dir = None then
       die "--cache-max-bytes requires --cache-dir";
@@ -766,9 +777,7 @@ let explore_cmd =
         die "unknown space %S; available: %s" space
           (String.concat ", " Workloads.Spaces.names)
     in
-    if trace <> None then Obs.Trace.set_enabled true;
-    if metrics <> None then Obs.Metrics.set_enabled true;
-    setup_obs ~log_file ~openmetrics;
+    recording Format.err_formatter ~trace ~metrics @@ fun () ->
     let cache =
       Core.Eval_cache.create ?dir:cache_dir ?max_bytes:cache_max_bytes ()
     in
@@ -808,21 +817,7 @@ let explore_cmd =
               Out_channel.output_string oc rendered)
         with Sys_error msg -> die "cannot write output: %s" msg);
        Format.eprintf "sweep written to %s@." path
-     | None -> ());
-    (match trace with
-     | Some path ->
-       (try Obs.Trace.save path
-        with Sys_error msg -> die "cannot write trace: %s" msg);
-       Format.eprintf "trace written to %s@." path
-     | None -> ());
-    (match metrics with
-    | Some path ->
-      (try Obs.Metrics.save path
-       with Sys_error msg -> die "cannot write metrics: %s" msg);
-      Format.eprintf "metrics written to %s@." path
-    | None -> ());
-    save_openmetrics openmetrics;
-    report_checks ()
+     | None -> ())
   in
   Cmd.v
     (Cmd.info "explore"
@@ -832,7 +827,7 @@ let explore_cmd =
     Term.(const run $ space_arg $ cache_dir_arg $ cache_max_bytes_arg
           $ progress_arg $ explain_arg $ pareto_arg $ profile_top_arg
           $ json_arg $ csv_arg $ out_arg $ trace_arg $ metrics_arg
-          $ backend_arg $ log_file_arg $ openmetrics_arg $ jobs_arg)
+          $ common_term ())
 
 (* --- cache: lifecycle management of an on-disk evaluation cache ----------- *)
 
@@ -1034,29 +1029,28 @@ let audit_cmd =
              ~doc:"Memoize the reference-observed simulations under
                    $(docv); a warm audit costs zero simulations.")
   in
-  let run model_path json out baseline tolerance cache_dir backend log_file
-      openmetrics jobs =
-    set_backend backend;
-    if tolerance <= 0.0 then die "--tolerance must be > 0";
-    setup_obs ~log_file ~openmetrics;
-    let model = load_or_fit ?jobs model_path in
-    let cache = Core.Eval_cache.create ?dir:cache_dir () in
+  let run model_path json out baseline tolerance cache_dir with_common =
     let report =
-      Core.Audit.run ?jobs ~cache model (Workloads.Suite.applications ())
+      with_common @@ fun jobs ->
+      if tolerance <= 0.0 then die "--tolerance must be > 0";
+      let model = load_or_fit ?jobs model_path in
+      let cache = Core.Eval_cache.create ?dir:cache_dir () in
+      let report =
+        Core.Audit.run ?jobs ~cache model (Workloads.Suite.applications ())
+      in
+      if json then print_string (Core.Audit.to_json report ^ "\n")
+      else Format.fprintf fmt "%a@." Core.Audit.pp report;
+      (match out with
+       | Some path ->
+         (try
+            Out_channel.with_open_text path (fun oc ->
+                Out_channel.output_string oc (Core.Audit.to_json report);
+                Out_channel.output_char oc '\n')
+          with Sys_error msg -> die "cannot write accuracy report: %s" msg);
+         Format.eprintf "accuracy report written to %s@." path
+       | None -> ());
+      report
     in
-    if json then print_string (Core.Audit.to_json report ^ "\n")
-    else Format.fprintf fmt "%a@." Core.Audit.pp report;
-    (match out with
-     | Some path ->
-       (try
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc (Core.Audit.to_json report);
-              Out_channel.output_char oc '\n')
-        with Sys_error msg -> die "cannot write accuracy report: %s" msg);
-       Format.eprintf "accuracy report written to %s@." path
-     | None -> ());
-    save_openmetrics openmetrics;
-    report_checks ();
     match baseline with
     | None -> ()
     | Some path ->
@@ -1078,8 +1072,7 @@ let audit_cmd =
              (per-application error table, JSON report, optional
              regression gate against a committed baseline)")
     Term.(const run $ model_arg $ json_arg $ out_arg $ baseline_arg
-          $ tolerance_arg $ cache_dir_arg $ backend_arg $ log_file_arg
-          $ openmetrics_arg $ jobs_arg)
+          $ tolerance_arg $ cache_dir_arg $ common_term ())
 
 (* --- serve ---------------------------------------------------------------- *)
 
@@ -1207,11 +1200,10 @@ let serve_cmd =
   in
   let run socket max_models cache_dir model_file io_timeout max_conns
       read_timeout slow_ms trace_file call scrape ping status stop wait
-      timeout backend log_file openmetrics jobs =
+      timeout with_common =
     (* Daemon mode: the process-wide default backend, overridable per
        request by the "backend" field.  Irrelevant in client mode. *)
-    set_backend backend;
-    setup_obs ~log_file ~openmetrics;
+    with_common @@ fun jobs ->
     let client_mode = call <> [] || scrape || ping || status || stop in
     if client_mode then begin
       if not (Serve.Client.wait_ready ~timeout_s:wait ~socket ()) then
@@ -1244,8 +1236,8 @@ let serve_cmd =
          (* The response — success or a structured error — is the
             result; print each verbatim and let the caller inspect
             "ok".  A batch of --call flags shares one connection, so
-            repeated calls amortize the connect and group under one
-            correlation id in the daemon's log. *)
+            repeated calls amortize the connect; each request still gets
+            its own trace id in the daemon's log. *)
          (try
             Serve.Client.with_session ~socket (fun session ->
                 List.iter
@@ -1325,8 +1317,7 @@ let serve_cmd =
          (try Obs.Trace.save path
           with Sys_error msg -> die "cannot write trace: %s" msg);
          Format.eprintf "trace written to %s@." path
-       | None -> ());
-      save_openmetrics openmetrics
+       | None -> ())
     end
   in
   Cmd.v
@@ -1339,8 +1330,7 @@ let serve_cmd =
           $ model_file_arg $ io_timeout_arg $ max_conns_arg
           $ read_timeout_arg $ slow_ms_arg $ trace_file_arg $ call_arg
           $ scrape_arg $ ping_arg $ status_arg $ stop_arg
-          $ wait_arg $ timeout_arg $ backend_arg $ log_file_arg
-          $ openmetrics_arg $ jobs_arg)
+          $ wait_arg $ timeout_arg $ common_term ())
 
 (* --- top ----------------------------------------------------------------- *)
 

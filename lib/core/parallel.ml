@@ -177,7 +177,9 @@ let read_payload ~deadline fd : _ read_outcome =
 (* Compute a batch in a lane and marshal the payload out: trace events
    recorded since the last drain, metric increments on top of a zeroed
    registry (the fork copied the parent's values; resetting touches only
-   the child's copy). *)
+   the child's copy).  Gauges stay home: a gauge is a level of the
+   process that sets it (the daemon's resident-model count), and the
+   lane's zeroed copy merged back would overwrite the parent's. *)
 let compute_payload f items =
   let metrics_on = Obs.Metrics.enabled () in
   if metrics_on then Obs.Metrics.reset ();
@@ -195,7 +197,13 @@ let compute_payload f items =
   in
   { p_res = res;
     p_events = Obs.Trace.drain ();
-    p_metrics = (if metrics_on then Some (Obs.Metrics.snapshot ()) else None)
+    p_metrics =
+      (if metrics_on then
+         Some
+           (List.filter
+              (function _, _, _, Obs.Metrics.S_gauge _ -> false | _ -> true)
+              (Obs.Metrics.snapshot ()))
+       else None)
   }
 
 let ship_payload oc payload =
@@ -213,10 +221,10 @@ let ship_payload oc payload =
       flush oc
     with _ -> ())
 
-(* A batch carries the requesting thread's trace context: a persistent
-   lane is forked before any request exists, so it cannot inherit the
-   context through memory. *)
-type 'a batch = Obs.Trace.context option * (int * 'a) list
+(* A batch carries the requesting thread's scope — its trace context and
+   its backend: a persistent lane is forked before any request exists,
+   so it cannot inherit either through memory. *)
+type 'a batch = Obs.Trace.context option * Sim.Backend.t * (int * 'a) list
 
 type lane = {
   l_pid : int;
@@ -241,12 +249,14 @@ let lane_child ~f ~w ?first rd_req wr_res =
   Obs.Trace.clear ();
   let ic = Unix.in_channel_of_descr rd_req in
   let oc = Unix.out_channel_of_descr wr_res in
-  (* Adopt the requester's context for the batch so item spans and log
-     lines carry its trace_id, then drop it: the lane outlives the
-     request.  _exit skips at_exit handlers and inherited buffers. *)
-  let rec run (ctx, items) =
+  (* Adopt the requester's scope for the batch, so item spans and log
+     lines carry its trace_id and items simulate on its backend, then
+     drop it: the lane outlives the request.  _exit skips at_exit
+     handlers and inherited buffers. *)
+  let rec run (ctx, backend, items) =
     Obs.Trace.set_context ctx;
-    ship_payload oc (compute_payload f items);
+    Sim.Backend.with_current backend (fun () ->
+        ship_payload oc (compute_payload f items));
     Obs.Trace.set_context None;
     next ()
   and next () =
@@ -332,6 +342,7 @@ let run_batch pool slots xs =
   let n = Array.length arr in
   let k = Array.length slots in
   let ctx = Obs.Trace.context () in
+  let backend = Sim.Backend.current () in
   let slices = Array.make k [] in
   if k > 0 then
     for i = n - 1 downto 0 do
@@ -344,10 +355,10 @@ let run_batch pool slots xs =
         let t0 = Obs.Trace.now_us () in
         match (slice, pool.p_lanes.(w)) with
         | [], _ -> None
-        | _, Some l -> Some (w, l, t0, send_batch l (ctx, slice))
+        | _, Some l -> Some (w, l, t0, send_batch l (ctx, backend, slice))
         | _, None ->
           Option.map (fun l -> (w, l, t0, true))
-            (spawn_lane ~first:(ctx, slice) pool w))
+            (spawn_lane ~first:(ctx, backend, slice) pool w))
       slices
   in
   let count p a = Array.fold_left (fun c x -> if p x then c + 1 else c) 0 a in

@@ -42,8 +42,10 @@
     and ships them back with its results; the parent frames each slice
     with a [worker:w] span on that lane, from hand-off to payload, and
     times the marshalled read as a [join:w] span on lane 0.  The
-    calling thread's trace context travels with every batch, so item
-    spans and lane log lines carry the requester's [trace_id].
+    calling thread's scope — its trace context and its
+    [Sim.Backend.current] backend — travels with every batch, so item
+    spans and lane log lines carry the requester's [trace_id] and items
+    simulate on the requester's backend.
 
     A lane whose computation raises — or whose results cannot be
     marshalled — still ships its partial trace lane and metric
@@ -118,10 +120,12 @@ val pool_map : ('a, 'b) pool -> 'a list -> 'b list
     parent.  With no live lane at all the whole batch runs serially
     (counted as a serial fallback).
 
-    The calling thread's [Obs.Trace] context (if any) is shipped with
-    each batch and adopted by the lane for its duration, so worker item
-    spans — which come back with the payload and are re-emitted by the
-    parent — carry the requesting connection's [trace_id].
+    The calling thread's [Obs.Trace] context (if any) and backend are
+    shipped with each batch and adopted by the lane for its duration, so
+    worker item spans — which come back with the payload and are
+    re-emitted by the parent — carry the requesting connection's
+    [trace_id], and items run on the requester's backend rather than
+    the process default the lane was forked with.
     @raise Invalid_argument if the pool has been shut down. *)
 
 val pool_live : ('a, 'b) pool -> int

@@ -40,33 +40,6 @@ let after_fork () = write_lock := Mutex.create ()
 let rotations_total =
   lazy (Metrics.counter ~help:"Log sinks rotated at the size cap" "log_rotations_total")
 
-(* Correlation ids are stored per scope key.  The default key is the
-   constant 0 (one process-wide id, the historical behaviour); a
-   threaded server installs [Thread.id (Thread.self ())] as the key so
-   each connection thread labels only its own records.  The store is an
-   immutable assoc list behind a single ref: readers never observe a
-   half-updated structure (unlike a resizing [Hashtbl]), and the ref
-   swap is atomic under the runtime lock.  A race between two scopes
-   updating simultaneously can at worst drop one scope's label from a
-   log line — never corrupt the store — and scopes are per-thread, so
-   each key has exactly one writer. *)
-let corr_key : (unit -> int) ref = ref (fun () -> 0)
-let corrs : (int * string) list ref = ref []
-
-let set_correlation_key f = corr_key := f
-
-let set_correlation id =
-  let k = !corr_key () in
-  let rest = List.filter (fun (k', _) -> k' <> k) !corrs in
-  corrs := (match id with Some s -> (k, s) :: rest | None -> rest)
-
-let correlation () = List.assoc_opt (!corr_key ()) !corrs
-
-let with_correlation id f =
-  let saved = correlation () in
-  set_correlation (Some id);
-  Fun.protect ~finally:(fun () -> set_correlation saved) f
-
 let set_level l = min_level := l
 
 let close () =
@@ -150,9 +123,6 @@ let event ?(level = Info) name fields =
        \"event\": \"%s\""
       (Trace.now_us ()) (level_to_string level) (Trace.tid ())
       (Unix.getpid ()) (json_escape name);
-    (match correlation () with
-    | Some id -> Printf.bprintf b ", \"corr\": \"%s\"" (json_escape id)
-    | None -> ());
     (match Trace.context () with
     | Some c ->
       Printf.bprintf b ", \"trace_id\": \"%s\"" (json_escape c.Trace.trace_id)

@@ -13,10 +13,11 @@
     - [pid] — the writing process;
     - [event] — a [subsystem:verb] name (e.g. ["explore:heartbeat"],
       ["cache:evict"]);
-    - [trace_id] — when the calling scope has a trace context (set by
+    - [trace_id] — when the calling thread has a trace context (set by
       {!Trace.with_context}: a daemon request, or a pool lane computing
-      that request's batch), its trace id, so a log line joins the
-      request's spans;
+      that request's batch), its trace id.  This is the log's only
+      correlation id: a log line, the request's spans and its response
+      join on it;
     - the caller's fields, flattened into the object.
 
     Every line is written and flushed atomically-enough for the
@@ -63,36 +64,6 @@ val close : unit -> unit
 
 val enabled : unit -> bool
 (** Is a sink open? *)
-
-val set_correlation : string option -> unit
-(** Set (or, with [None], clear) the current scope's correlation id.
-    While set, every record emitted from that scope carries a ["corr"]
-    field with the id, so all log lines emitted on behalf of one
-    request — including those from workers forked while it is set —
-    can be grepped back together from a shared sink.  Long-lived
-    servers set it per accepted connection; one-shot CLI runs never
-    need it.  The default scope is the whole process; see
-    {!set_correlation_key}. *)
-
-val set_correlation_key : (unit -> int) -> unit
-(** Install the function that names the current correlation scope.
-    The default is [fun () -> 0]: one process-wide id.  A server
-    handling connections on threads installs
-    [fun () -> Thread.id (Thread.self ())] once at startup, after
-    which {!set_correlation}/{!with_correlation}/{!correlation}
-    operate on the calling thread's own slot — concurrent connections
-    label their records independently instead of clobbering one
-    shared id.  Forked workers inherit the installed key and their
-    parent thread's slot, so a worker's records keep the request's id. *)
-
-val correlation : unit -> string option
-(** The current scope's correlation id, if any (e.g. to echo into a
-    response). *)
-
-val with_correlation : string -> (unit -> 'a) -> 'a
-(** [with_correlation id f] runs [f] with the current scope's
-    correlation id set to [id], restoring the previous id afterwards
-    (also on raise). *)
 
 val event : ?level:level -> string -> (string * Trace.arg) list -> unit
 (** [event name fields] — append one record ([level] defaults to

@@ -69,26 +69,13 @@ let new_id () =
   Printf.sprintf "%04x%04x%08x" (pid land 0xffff) (!id_n land 0xffff)
     (Random.State.bits !id_seed land 0x3fffffff)
 
-(* Thread-scoped context, same shape as [Log]'s correlation ids: an
-   immutable assoc list keyed by an installable scope key (0 in
-   single-threaded use; the server installs [Thread.id]).  Each key has a
-   single writer, and readers only ever see a consistent list. *)
-let ctx_key : (unit -> int) ref = ref (fun () -> 0)
-let set_context_key f = ctx_key := f
+(* The request context is one thread-scoped variable: a connection
+   thread's context is invisible to every other thread. *)
+let ctx : context Scope.var = Scope.create ()
 
-let ctxs : (int * context) list ref = ref []
-
-let set_context c =
-  let k = !ctx_key () in
-  let rest = List.filter (fun (k', _) -> k' <> k) !ctxs in
-  ctxs := (match c with Some c -> (k, c) :: rest | None -> rest)
-
-let context () = List.assoc_opt (!ctx_key ()) !ctxs
-
-let with_context c f =
-  let saved = context () in
-  set_context (Some c);
-  Fun.protect ~finally:(fun () -> set_context saved) f
+let set_context c = Scope.set ctx c
+let context () = Scope.get ctx
+let with_context c f = Scope.with_value ctx c f
 
 let ctx_args ctx args =
   ("trace_id", S ctx.trace_id)

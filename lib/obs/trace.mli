@@ -49,14 +49,16 @@ val now_us : unit -> float
 
     A context names one causal chain: a [trace_id] shared by every span
     of a request (client call, router phases, forked worker items) and a
-    [span_id]/[parent_id] pair forming the span tree.  Contexts are
-    thread-scoped the same way {!Log} correlation ids are: a scope-key
-    function (default: constant [0]) maps the calling thread to a slot,
-    and the server installs [Thread.id] so concurrent connections keep
-    independent contexts.  {!with_span} run under a context mints a
-    child span and stamps [trace_id]/[span_id]/[parent_id] args on the
-    emitted event; pool workers receive the requesting connection's
-    context with their batch (see [Core.Parallel.pool_map]). *)
+    [span_id]/[parent_id] pair forming the span tree.  The context is a
+    {!Scope} variable: each thread sees only the context it installed
+    itself, so concurrent connections (or client threads) keep
+    independent contexts, and a forked worker starts with its parent
+    thread's.  {!Log} stamps the context's [trace_id] on every record,
+    so one id joins spans and log lines.  {!with_span} run under a
+    context mints a child span and stamps [trace_id]/[span_id]/
+    [parent_id] args on the emitted event; pool workers receive the
+    requesting connection's context with their batch (see
+    [Core.Parallel.pool_map]). *)
 
 type context = {
   trace_id : string;   (** shared by every span of one request *)
@@ -68,19 +70,16 @@ val new_id : unit -> string
 (** Fresh 16-hex-digit id; embeds the pid so ids minted in forked
     workers never collide with the parent's. *)
 
-val set_context_key : (unit -> int) -> unit
-(** Install the scope-key function used to slot contexts per thread
-    (e.g. [fun () -> Thread.id (Thread.self ())]).  Default: constant 0. *)
-
 val set_context : context option -> unit
-(** Set ([Some]) or clear ([None]) the current scope's context. *)
+(** Set ([Some]) or clear ([None]) the calling thread's context (a pool
+    lane adopts each batch's context this way). *)
 
 val context : unit -> context option
-(** The current scope's context, if any. *)
+(** The calling thread's context, if any. *)
 
 val with_context : context -> (unit -> 'a) -> 'a
-(** Run the thunk with the given context installed in the current scope,
-    restoring the previous context afterwards (even on raise). *)
+(** Run the thunk with the given context installed for the calling
+    thread, restoring the previous context afterwards (even on raise). *)
 
 val with_span :
   ?cat:string -> ?args:(string * arg) list -> string -> (unit -> 'a) -> 'a

@@ -4,8 +4,8 @@
     A {!type-session} is one connected socket carrying many calls —
     the protocol answers every request frame with one response frame,
     so a batch of calls amortizes the connect over the whole
-    conversation and observably lands on one daemon connection (one
-    correlation id in the daemon's log).  {!val-call} is the one-shot
+    conversation and observably lands on one daemon connection (the
+    daemon counts every call).  {!val-call} is the one-shot
     convenience: connect, one call, close.
 
     Sessions are subject to the daemon's per-connection [io-timeout]:

@@ -26,8 +26,10 @@
     [serve_registry_models] gauge and characterization wall time in
     [serve_characterize_seconds]) — a [/metrics] scrape shows exactly
     how warm the registry is.  Characterizations and evictions also
-    emit [serve:characterize] / [serve:evict-model] {!Obs.Log} records,
-    correlation-stamped when the server set a request id. *)
+    emit [serve:characterize] / [serve:evict-model] {!Obs.Log} records
+    stamped with the requesting [trace_id].  A miss characterizes in the
+    requester's scope, so on its ["backend"]: the coefficients are
+    bit-identical on every backend (the [check] oracle holds them so). *)
 
 type t
 

@@ -48,7 +48,7 @@ type t = {
      those calls happens in forked workers, so the lock serializes
      bookkeeping, not compute. *)
   r_pool :
-    (string * string * Sim.Config.t, Core.Eval_cache.entry) Core.Parallel.pool;
+    (string * Sim.Config.t, Core.Eval_cache.entry) Core.Parallel.pool;
   r_pool_lock : Mutex.t;
   (* One batch at a time on the persistent pool: its request/response
      pipes are shared state, and the workers are the same processes
@@ -112,18 +112,10 @@ let merged_phases px =
   List.map (fun n -> (n, !(Hashtbl.find tbl n))) names
 
 (* The pool function is fixed at fork time, so it takes everything a
-   batch item needs — workload name, simulation backend and
-   configuration — as marshal-safe data and resolves the case inside
-   the worker.  The backend travels as its name: pool workers are
-   long-lived, so the parent's process-wide selection at fork time
-   says nothing about the request being served now. *)
-let profile_entry (name, backend, config) =
-  let b =
-    match Sim.Backend.of_string backend with
-    | Some b -> b
-    | None -> Sim.Backend.Interp
-  in
-  Sim.Backend.with_current b @@ fun () ->
+   batch item needs — workload name and configuration — as marshal-safe
+   data and resolves the case inside the worker.  The request's backend
+   rides with the batch itself (see [Core.Parallel.pool_map]). *)
+let profile_entry (name, config) =
   let case = Workloads.Suite.find name in
   let p = Core.Extract.profile ~config case in
   { Core.Eval_cache.e_name = name;
@@ -265,15 +257,20 @@ let request_config req =
   config_of_json (Option.value ~default:J.Null (member_opt "config" req))
 
 (* Optional "backend" field: which execution substrate simulates this
-   request (default: the daemon's process-wide selection). *)
+   request ([None]: the daemon's process-wide selection).  A bad value
+   is the request's error, raised once the request is in scope. *)
 let request_backend ~op req =
   match member_opt "backend" req with
-  | None -> Sim.Backend.current ()
+  | None -> Ok None
   | Some (J.Str s) -> (
     match Sim.Backend.of_string s with
-    | Some b -> b
-    | None -> failwith (Printf.sprintf "%s: unknown backend %S" op s))
-  | Some _ -> failwith (Printf.sprintf "%s: \"backend\" must be a string" op)
+    | Some b -> Ok (Some b)
+    | None -> Error (Printf.sprintf "%s: unknown backend %S" op s))
+  | Some _ -> Error (Printf.sprintf "%s: \"backend\" must be a string" op)
+
+(* The backend this request simulates on: [handle] has installed the
+   request's override, if any, on this thread. *)
+let backend_name () = Sim.Backend.name (Sim.Backend.current ())
 
 let error_resp msg = J.Obj [ ("ok", J.Bool false); ("error", J.Str msg) ]
 
@@ -287,8 +284,7 @@ let handle_estimate t px req =
     | None -> failwith "estimate needs a \"workloads\" array"
   in
   let config = request_config req in
-  let backend = request_backend ~op:"estimate" req in
-  let bname = Sim.Backend.name backend in
+  let bname = backend_name () in
   (* Resolve every name before simulating anything, so one typo fails
      the request instead of wasting a batch. *)
   List.iter (fun n -> ignore (find_case n)) names;
@@ -321,7 +317,7 @@ let handle_estimate t px req =
         (fun () ->
           phase px "simulate" (fun () ->
               Core.Parallel.pool_map t.r_pool
-                (List.map (fun (n, _) -> (n, bname, config)) missing)))
+                (List.map (fun (n, _) -> (n, config)) missing)))
     end
   in
   let fresh = Hashtbl.create 8 in
@@ -367,12 +363,10 @@ let handle_attribute t px req =
   in
   if bucket <= 0 then failwith "attribute: bucket_cycles must be positive";
   let config = request_config req in
-  let backend = request_backend ~op:"attribute" req in
   let case = find_case name in
   let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
   let b =
     phase px "simulate" @@ fun () ->
-    Sim.Backend.with_current backend @@ fun () ->
     Core.Attribution.run ~config ~bucket_cycles:bucket
       lookup.Registry.l_model case
   in
@@ -382,7 +376,7 @@ let handle_attribute t px req =
       ("op", J.Str "attribute");
       ("model_key", J.Str lookup.Registry.l_key);
       ("registry_hit", J.Bool lookup.Registry.l_hit);
-      ("backend", J.Str (Sim.Backend.name backend));
+      ("backend", J.Str (backend_name ()));
       ("attribution", J.parse (Core.Attribution.to_json b)) ]
 
 let handle_profile t px req =
@@ -397,12 +391,10 @@ let handle_profile t px req =
   | Some n when n <= 0 -> failwith "profile: top must be positive"
   | _ -> ());
   let config = request_config req in
-  let backend = request_backend ~op:"profile" req in
   let case = find_case name in
   let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
   let r =
     phase px "simulate" @@ fun () ->
-    Sim.Backend.with_current backend @@ fun () ->
     Core.Profiler.run ~config lookup.Registry.l_model case
   in
   phase px "serialize" @@ fun () ->
@@ -411,7 +403,7 @@ let handle_profile t px req =
       ("op", J.Str "profile");
       ("model_key", J.Str lookup.Registry.l_key);
       ("registry_hit", J.Bool lookup.Registry.l_hit);
-      ("backend", J.Str (Sim.Backend.name backend));
+      ("backend", J.Str (backend_name ()));
       ("profile", J.parse (Core.Profiler.to_json ?top r)) ]
 
 let handle_audit t px req =
@@ -422,20 +414,17 @@ let handle_audit t px req =
     | None -> Workloads.Suite.applications ()
   in
   let config = request_config req in
-  let backend = request_backend ~op:"audit" req in
   let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
   let report =
-    (* Audit forks its own short-lived workers inside this scope, so
-       they inherit the request's backend.  It also threads the shared
-       cache through itself, so the whole run holds the cache lock —
-       simulation still parallelizes in its forked workers.  The wait
-       for that lock is queueing; the run itself is simulation. *)
+    (* Audit threads the shared cache through itself, so the whole run
+       holds the cache lock — simulation still parallelizes in its
+       forked workers.  The wait for that lock is queueing; the run
+       itself is simulation. *)
     phase px "queue" (fun () -> Mutex.lock t.r_cache_lock);
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.r_cache_lock)
       (fun () ->
         phase px "simulate" @@ fun () ->
-        Sim.Backend.with_current backend @@ fun () ->
         Core.Audit.run ?jobs:t.r_jobs ~cache:t.r_cache ~config
           lookup.Registry.l_model cases)
   in
@@ -445,7 +434,7 @@ let handle_audit t px req =
       ("op", J.Str "audit");
       ("model_key", J.Str lookup.Registry.l_key);
       ("registry_hit", J.Bool lookup.Registry.l_hit);
-      ("backend", J.Str (Sim.Backend.name backend));
+      ("backend", J.Str (backend_name ()));
       ("audit", J.parse (Core.Audit.to_json report)) ]
 
 (* Sweep a named candidate space against the live registry: each
@@ -466,7 +455,6 @@ let handle_explore t px req =
         (Printf.sprintf "explore: unknown space %S (one of: %s)" space
            (String.concat ", " Workloads.Spaces.names))
   in
-  let backend = request_backend ~op:"explore" req in
   let candidates = gen () in
   let t0 = Unix.gettimeofday () in
   (* Group candidates by configuration hash, preserving first-seen
@@ -491,7 +479,6 @@ let handle_explore t px req =
         if lookup.Registry.l_hit then incr registry_hits;
         phase px "simulate" @@ fun () ->
         locked t.r_cache_lock @@ fun () ->
-        Sim.Backend.with_current backend @@ fun () ->
         Core.Explore.evaluate ?jobs:t.r_jobs ~cache:t.r_cache
           lookup.Registry.l_model cs)
       !groups
@@ -533,7 +520,7 @@ let handle_explore t px req =
     [ ("ok", J.Bool true);
       ("op", J.Str "explore");
       ("space", J.Str space);
-      ("backend", J.Str (Sim.Backend.name backend));
+      ("backend", J.Str (backend_name ()));
       ("candidates", J.Num (float_of_int (List.length candidates)));
       ("configs", J.Num (float_of_int (List.length !groups)));
       ("registry_hits", J.Num (float_of_int !registry_hits));
@@ -556,7 +543,7 @@ let handle_stats t =
       ("pid", num (Unix.getpid ()));
       ("uptime_s", J.Num (Unix.gettimeofday () -. t.r_started));
       ("requests", num t.r_requests);
-      ("backend", J.Str (Sim.Backend.name (Sim.Backend.current ())));
+      ("backend", J.Str (backend_name ()));
       ("registry_models", num rs.Registry.r_models);
       ("registry_hits", num rs.Registry.r_hits);
       ("registry_misses", num rs.Registry.r_misses);
@@ -661,7 +648,7 @@ let handle_status t =
       ("op", J.Str "status");
       ("pid", num (Unix.getpid ()));
       ("uptime_s", J.Num (now -. t.r_started));
-      ("backend", J.Str (Sim.Backend.name (Sim.Backend.current ())));
+      ("backend", J.Str (backend_name ()));
       ("requests", num requests);
       ("inflight", num inflight_total);
       ("window_s", J.Num t.r_window_s);
@@ -773,18 +760,33 @@ let handle ?received ?parse_s t req =
   (match parse_s with
   | Some s -> px.px_phases <- ("parse", s) :: px.px_phases
   | None -> ());
-  let ctx = request_context req in
   let want_timings =
     match member_opt "timings" req with Some (J.Bool b) -> b | _ -> false
   in
+  (* The request's scope, installed once for the whole handler: every
+     span, log line (dispatch, serve:error, serve:slow-request,
+     serve:request) and pool batch below carries its trace_id and
+     simulates on its backend. *)
+  let ctx = request_context req in
+  let backend = request_backend ~op req in
+  let with_backend f =
+    match backend with
+    | Ok (Some b) -> Sim.Backend.with_current b f
+    | Ok None | Error _ -> f ()
+  in
+  Obs.Trace.with_context ctx @@ fun () ->
+  with_backend @@ fun () ->
   let resp =
     Fun.protect ~finally:(fun () -> inflight_adjust t opl (-1)) @@ fun () ->
-    Obs.Trace.with_context ctx @@ fun () ->
     Obs.Trace.with_span ~cat:"serve"
       ~args:[ ("op", Obs.Trace.S opl) ]
       ("serve:" ^ opl)
     @@ fun () ->
-    match dispatch t px op req with
+    let run () =
+      Result.iter_error failwith backend;
+      dispatch t px op req
+    in
+    match run () with
     | resp -> resp
     | exception e ->
       (* A bad request — or a genuinely failing pipeline stage — must
@@ -814,14 +816,12 @@ let handle ?received ?parse_s t req =
   (match t.r_slow_s with
   | Some thr when total >= thr ->
     Obs.Metrics.inc (M.slow opl);
-    (* Under the request's context, so the line carries its trace_id. *)
-    Obs.Trace.with_context ctx (fun () ->
-        Obs.Log.event ~level:Obs.Log.Warn "serve:slow-request"
-          (("op", Obs.Trace.S op)
-          :: ("total_ms", Obs.Trace.F (total *. 1e3))
-          :: List.map
-               (fun (n, s) -> ("phase_" ^ n ^ "_ms", Obs.Trace.F (s *. 1e3)))
-               phases))
+    Obs.Log.event ~level:Obs.Log.Warn "serve:slow-request"
+      (("op", Obs.Trace.S op)
+      :: ("total_ms", Obs.Trace.F (total *. 1e3))
+      :: List.map
+           (fun (n, s) -> ("phase_" ^ n ^ "_ms", Obs.Trace.F (s *. 1e3)))
+           phases)
   | _ -> ());
   let ok = match resp with J.Obj (("ok", J.Bool b) :: _) -> b | _ -> false in
   Obs.Log.event "serve:request"

@@ -60,14 +60,20 @@
       sharpens the window to its own cadence.
     - [shutdown] — acknowledge, then flag the server loop to stop.
 
-    {b Tracing and timings.}  Every request runs under an
-    {!Obs.Trace.context}: the optional request fields ["trace_id"] and
-    ["parent_span_id"] adopt the client's ids (spans recorded here
-    become children of the client's call span); otherwise fresh ids are
-    minted.  The response always echoes ["trace_id"].  With tracing
-    enabled the router records a [serve:<op>] span plus [phase:*] child
-    spans, and the context rides into forked pool workers so item spans
-    share the request's trace_id.  A request carrying
+    {b One scope, one id.}  {!handle} resolves each request's scope
+    once — its {!Obs.Trace.context} and its ["backend"] — and runs the
+    whole handler under both: dispatch, pool batches, and the
+    [serve:error], [serve:slow-request] and [serve:request] log lines.
+    The optional request fields ["trace_id"] and ["parent_span_id"]
+    adopt the client's ids (spans recorded here become children of the
+    client's call span); otherwise fresh ids are minted.  The response
+    always echoes ["trace_id"], and it is the id on every log line and
+    span the request caused.
+
+    {b Tracing and timings.}  With tracing enabled the router records a
+    [serve:<op>] span plus [phase:*] child spans, and the context rides
+    into forked pool workers so item spans share the request's
+    trace_id.  A request carrying
     ["timings": true] gets a ["timings"] object back: [total_us] (wall
     time from frame receipt to response construction) and a [phases]
     object (queue/parse/registry/cache/simulate/serialize/other,
@@ -85,15 +91,16 @@
     errors, never crashes: any per-request failure is caught and
     answered as [{"ok": false, "error": ...}].
 
-    The simulating ops ([estimate], [attribute], [profile], [audit])
-    also accept an optional ["backend"] field naming the execution
-    substrate ({!Sim.Backend.of_string}: ["interp"], ["threaded"] or
-    ["check"]); it defaults to the daemon's process-wide selection
-    (the [--backend] flag / [XENERGY_BACKEND]), is applied per request
-    via {!Sim.Backend.with_current} — including inside pool workers,
-    which receive it with each batch item — and is echoed back in the
-    response.  Cache entries are keyed by backend, so answers always
-    record what the named substrate actually computed.
+    Any request may carry an optional ["backend"] field naming the
+    execution substrate ({!Sim.Backend.of_string}: ["interp"],
+    ["threaded"] or ["check"]); it defaults to the daemon's process-wide
+    selection (the [--backend] flag / [XENERGY_BACKEND]).  It is part of
+    the request's scope ({!Sim.Backend.with_current} on the handling
+    thread; pool workers receive it with each batch), so a cold
+    registry miss characterizes on it too, and the simulating ops echo
+    it back.  An unknown name is refused with an error naming the op.
+    Cache entries are keyed by backend, so answers always record what
+    the named substrate actually computed.
 
     The router is safe under the concurrent {!Server}: the registry
     locks itself (characterization single-flight per config hash), the

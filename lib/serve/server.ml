@@ -89,12 +89,6 @@ let run ?(io_timeout_s = 10.0) ?(backlog = 16) ?(max_conns = 8) ~socket router
      (try Unix.close listener with Unix.Unix_error _ -> ());
      raise e);
   Unix.listen listener backlog;
-  (* Per-thread scopes: each connection thread labels its own log
-     records, carries its own per-request backend override, and keeps
-     its own trace context. *)
-  Obs.Log.set_correlation_key (fun () -> Thread.id (Thread.self ()));
-  Sim.Backend.set_scope_key (fun () -> Thread.id (Thread.self ()));
-  Obs.Trace.set_context_key (fun () -> Thread.id (Thread.self ()));
   Obs.Log.event "serve:start"
     [ ("socket", Obs.Trace.S socket);
       ("io_timeout_s", Obs.Trace.F io_timeout_s);
@@ -118,16 +112,13 @@ let run ?(io_timeout_s = 10.0) ?(backlog = 16) ?(max_conns = 8) ~socket router
   let spawn conn =
     incr accepted;
     Obs.Metrics.inc (Lazy.force M.connections);
-    let corr = Printf.sprintf "req-%d-%d" (Unix.getpid ()) !accepted in
     adjust_active 1;
     let serve () =
       Fun.protect
         ~finally:(fun () ->
           (try Unix.close conn with Unix.Unix_error _ -> ());
           adjust_active (-1))
-        (fun () ->
-          Obs.Log.with_correlation corr (fun () ->
-              handle_conn router ~io_timeout_s conn))
+        (fun () -> handle_conn router ~io_timeout_s conn)
     in
     match Thread.create serve () with
     | (_ : Thread.t) -> ()

@@ -26,11 +26,9 @@
     idles, or stops reading its response is dropped instead of pinning
     a handler thread forever.  [SIGPIPE] is ignored: a client that
     hangs up mid-response surfaces as a per-connection [EPIPE] warning
-    ([serve:io-error]), never daemon death.  Each connection gets a
-    fresh correlation id ([req-<pid>-<n>], via
-    {!Obs.Log.with_correlation} on a per-thread scope), so the
-    daemon's log groups every record — including the worker pool's —
-    by the connection that caused it.
+    ([serve:io-error]), never daemon death.  Each request's records —
+    including the worker pool's — carry its [trace_id] (see {!Router}):
+    one id joins the daemon's log, its spans and the response.
 
     The accept loop itself is hardened: [EINTR] and [ECONNABORTED] are
     retried and descriptor exhaustion ([EMFILE]/[ENFILE]) backs off

@@ -20,40 +20,17 @@ let of_string s =
 
 let current_ref = ref Threaded
 
-(* Scoped overrides live per scope key (default: the constant 0, one
-   process-wide scope).  A threaded embedder (the serve daemon)
-   installs the thread id as the key so concurrent requests carrying
-   different per-request backends cannot clobber each other's
-   selection mid-simulation.  The store is an immutable assoc list
-   behind one ref — readers never see a half-updated structure, and
-   each key has exactly one writer (its own thread). *)
-let scope_key = ref (fun () -> 0)
-let set_scope_key f = scope_key := f
-
-let overrides : (int * t) list ref = ref []
+(* The per-request override is one thread-scoped variable: a daemon
+   request's backend is private to its connection thread.  Reading an
+   override nobody set skips the thread lookup. *)
+let override : t Obs.Scope.var = Obs.Scope.create ()
 
 let current () =
-  match !overrides with
-  | [] -> !current_ref (* the common, override-free fast path *)
-  | l -> (
-    match List.assoc_opt (!scope_key ()) l with
-    | Some b -> b
-    | None -> !current_ref)
+  match Obs.Scope.get override with Some b -> b | None -> !current_ref
 
 let set_current b = current_ref := b
 
-let with_current b f =
-  let k = !scope_key () in
-  let saved = List.assoc_opt k !overrides in
-  let without l = List.filter (fun (k', _) -> k' <> k) l in
-  overrides := (k, b) :: without !overrides;
-  Fun.protect
-    ~finally:(fun () ->
-      overrides :=
-        (match saved with
-         | Some prev -> (k, prev) :: without !overrides
-         | None -> without !overrides))
-    f
+let with_current b f = Obs.Scope.with_value override b f
 
 let env_var = "XENERGY_BACKEND"
 

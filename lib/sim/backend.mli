@@ -12,10 +12,10 @@
     Selection is a process-wide default ({!set_current}, seeded from the
     [XENERGY_BACKEND] environment variable by {!init_from_env}, exposed
     on the CLI as [--backend]) with per-call overrides on
-    {!run_program} and {!with_current}.  Worker pools fork, so the
-    parent's selection is inherited by children created afterwards;
-    long-lived pools (the serve daemon) must carry the backend in each
-    request instead. *)
+    {!run_program} and per-thread overrides by {!with_current} (an
+    {!Obs.Scope} variable).  Worker pools ship the requester's
+    {!current} backend with every batch, so a lane simulates on the
+    backend its requester would have used. *)
 
 type t =
   | Interp    (** the reference interpreter, one decode per retirement *)
@@ -37,27 +37,18 @@ val of_string : string -> t option
 (** Case-insensitive; accepts ["interpreter"] for [Interp]. *)
 
 val current : unit -> t
-(** The current scope's backend: an active {!with_current} override if
-    one is set, otherwise the process-wide default (initially
+(** The calling thread's backend: its {!with_current} override if one
+    is set, otherwise the process-wide default (initially
     [Threaded]). *)
 
 val set_current : t -> unit
 (** Replace the process-wide default. *)
 
 val with_current : t -> (unit -> 'a) -> 'a
-(** Run a thunk with the current scope's backend temporarily replaced
-    (restored on return or exception); the serve daemon uses it to
-    honour a per-request backend without disturbing the process
-    default. *)
-
-val set_scope_key : (unit -> int) -> unit
-(** Name the current override scope (default [fun () -> 0]: one
-    process-wide scope).  A server handling connections on threads
-    installs [fun () -> Thread.id (Thread.self ())] once at startup,
-    after which each connection thread's {!with_current} override is
-    private to it — two concurrent requests naming different backends
-    simulate on different substrates, as each asked.  Forked workers
-    inherit the key and the forking thread's override. *)
+(** Run a thunk with the calling thread's backend temporarily replaced
+    (restored on return or exception).  Other threads keep theirs: the
+    serve daemon runs each request under the request's backend without
+    disturbing concurrent requests or the process default. *)
 
 val env_var : string
 (** ["XENERGY_BACKEND"]. *)

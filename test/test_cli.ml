@@ -525,7 +525,16 @@ let test_serve_client_smoke () =
   List.iter
     (fun needle ->
       check Alcotest.bool ("log has " ^ needle) true (contains body needle))
-    [ "serve:start"; "serve:request"; "\"corr\": \"req-"; "serve:stop" ]
+    [ "serve:start"; "serve:request"; "serve:stop" ];
+  (* One id per request: every request line carries its trace id. *)
+  let requests =
+    List.filter
+      (fun line -> contains line "\"event\": \"serve:request\"")
+      (String.split_on_char '\n' body)
+  in
+  check Alcotest.bool "serve:request lines carry the trace id" true
+    (requests <> []
+    && List.for_all (fun line -> contains line "\"trace_id\": \"") requests)
 
 let () =
   if not (Sys.file_exists xenergy_exe) then

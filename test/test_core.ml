@@ -2048,6 +2048,41 @@ let test_map_trace_context () =
       | _ -> fail "item span lost the inherited context")
     items
 
+(* A lane ships its metric increments back; the parent's gauges are
+   levels of the parent and survive a forked batch untouched. *)
+let test_map_keeps_parent_gauges () =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) @@ fun () ->
+  let level = Obs.Metrics.gauge "test_parent_level" in
+  let items = Obs.Metrics.counter "test_lane_items_total" in
+  Obs.Metrics.set level 5.0;
+  let before = Obs.Metrics.counter_value items in
+  ignore
+    (Core.Parallel.map ~jobs:2 (fun i -> Obs.Metrics.inc items; i) [ 1; 2; 3 ]);
+  check Alcotest.int "lane increments merged" (before + 3)
+    (Obs.Metrics.counter_value items);
+  check (Alcotest.float 0.0) "parent gauge kept" 5.0
+    (Obs.Metrics.gauge_value level)
+
+(* Lanes are forked with the process default backend; a batch computes
+   on the requester's backend, shipped with it, and the next batch
+   without an override is back on the default. *)
+let test_pool_backend () =
+  let pool =
+    Core.Parallel.create_pool ~jobs:2 (fun _ ->
+        Sim.Backend.name (Sim.Backend.current ()))
+  in
+  Fun.protect ~finally:(fun () -> Core.Parallel.shutdown_pool pool)
+  @@ fun () ->
+  check (Alcotest.list Alcotest.string) "batch under the override"
+    [ "interp"; "interp"; "interp" ]
+    (Sim.Backend.with_current Sim.Backend.Interp (fun () ->
+         Core.Parallel.pool_map pool [ 1; 2; 3 ]));
+  check (Alcotest.list Alcotest.string) "next batch on the default"
+    [ "threaded"; "threaded"; "threaded" ]
+    (Core.Parallel.pool_map pool [ 1; 2; 3 ])
+
 (* A log line written by a pool lane while it computes a request's
    batch carries that request's trace_id: the lane adopts the context
    shipped with the batch, and Obs.Log stamps the ambient context. *)
@@ -2238,6 +2273,10 @@ let () =
             `Quick test_map_trace_context;
           Alcotest.test_case "pool lane log lines carry the trace id" `Quick
             test_pool_log_trace_id;
+          Alcotest.test_case "pool batches carry the backend" `Quick
+            test_pool_backend;
+          Alcotest.test_case "forked batches keep parent gauges" `Quick
+            test_map_keeps_parent_gauges;
           Alcotest.test_case "forked collect matches serial bit for bit"
             `Quick test_collect_forked_matches_serial;
           Alcotest.test_case "no fd leaked" `Quick test_parallel_no_fd_leak;

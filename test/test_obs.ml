@@ -576,38 +576,49 @@ let test_trace_context_spans () =
       check (Alcotest.option Alcotest.string) "instant shares the trace id"
         (Some root.Obs.Trace.trace_id) (sarg "trace_id" (find "mark")))
 
+(* Contexts are per thread with nothing installed: while thread A sits
+   inside [with_context], thread B sees no context at all, and A still
+   reads its own once B has looked.  A handshake orders the reads. *)
 let test_trace_context_scopes () =
-  (* Contexts are slotted by the installed scope key: two scopes hold
-     independent contexts, and clearing one leaves the other. *)
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Trace.set_context_key (fun () -> 0);
-      Obs.Trace.set_context None)
-  @@ fun () ->
-  let scope = ref 1 in
-  Obs.Trace.set_context_key (fun () -> !scope);
-  let ctx n =
-    { Obs.Trace.trace_id = n; span_id = n; parent_id = None }
+  let m = Mutex.create () and cv = Condition.create () in
+  let stage = ref 0 in
+  let advance n =
+    Mutex.lock m;
+    stage := n;
+    Condition.broadcast cv;
+    Mutex.unlock m
   in
-  scope := 1;
-  Obs.Trace.set_context (Some (ctx "one"));
-  scope := 2;
-  Obs.Trace.set_context (Some (ctx "two"));
-  check Alcotest.bool "scope 2 sees its own context" true
-    (match Obs.Trace.context () with
-     | Some c -> c.Obs.Trace.trace_id = "two"
-     | None -> false);
-  scope := 1;
-  check Alcotest.bool "scope 1 undisturbed" true
-    (match Obs.Trace.context () with
-     | Some c -> c.Obs.Trace.trace_id = "one"
-     | None -> false);
-  Obs.Trace.set_context None;
-  check Alcotest.bool "scope 1 cleared" true (Obs.Trace.context () = None);
-  scope := 2;
-  check Alcotest.bool "scope 2 still set" true
-    (Obs.Trace.context () <> None);
-  Obs.Trace.set_context None
+  let await n =
+    Mutex.lock m;
+    while !stage < n do Condition.wait cv m done;
+    Mutex.unlock m
+  in
+  let ctx = { Obs.Trace.trace_id = "a"; span_id = "a"; parent_id = None } in
+  let in_a = ref None and in_b = ref (Some ctx) in
+  let a =
+    Thread.create
+      (fun () ->
+        Obs.Trace.with_context ctx (fun () ->
+            advance 1;
+            await 2;
+            in_a := Obs.Trace.context ()))
+      ()
+  in
+  let b =
+    Thread.create
+      (fun () ->
+        await 1;
+        in_b := Obs.Trace.context ();
+        advance 2)
+      ()
+  in
+  Thread.join a;
+  Thread.join b;
+  check Alcotest.bool "thread B sees no context while A is inside one" true
+    (!in_b = None);
+  check Alcotest.bool "thread A keeps its own context" true (!in_a = Some ctx);
+  check Alcotest.bool "the main thread saw neither" true
+    (Obs.Trace.context () = None)
 
 (* --- Waveform ---------------------------------------------------------------- *)
 

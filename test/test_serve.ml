@@ -901,6 +901,74 @@ let test_server_trace_ids_per_session () =
     | _ -> Alcotest.fail "client:call span carries no trace_id")
   | None -> Alcotest.fail "no client:call span recorded"
 
+(* The per-request "backend" field.  Two concurrent sessions estimate
+   the same workloads, one on the interpreter and one under the check
+   oracle: each answer echoes its own backend, every figure is bit-equal
+   to a default request's, the eval cache (keyed by backend) makes the
+   first interp rows fresh simulations, and an unknown backend is a
+   refused request that names the op. *)
+let test_server_request_backend () =
+  with_server ~max_models:1 @@ fun socket ->
+  let on backend =
+    J.Obj
+      [ ("op", J.Str "estimate");
+        ("workloads", J.Arr [ J.Str "gcd"; J.Str "des" ]);
+        ("backend", J.Str backend) ]
+  in
+  let default = Serve.Client.call ~timeout_s:30.0 ~socket estimate_req in
+  let interp = ref J.Null and checked = ref J.Null in
+  Serve.Client.with_session ~socket (fun a ->
+      Serve.Client.with_session ~socket (fun b ->
+          let call s req out =
+            Thread.create
+              (fun () ->
+                out := Serve.Client.session_call ~timeout_s:30.0 s req)
+              ()
+          in
+          let ta = call a (on "interp") interp in
+          let tb = call b (on "check") checked in
+          Thread.join ta;
+          Thread.join tb));
+  let rows resp =
+    match member "results" resp with
+    | J.Arr rows -> rows
+    | _ -> Alcotest.fail "results is not an array"
+  in
+  let figures resp =
+    List.map
+      (fun r ->
+        ( member "name" r,
+          Int64.bits_of_float (as_float (member "energy_pj" r)),
+          as_int (member "cycles" r) ))
+      (rows resp)
+  in
+  List.iter
+    (fun (name, resp) ->
+      check Alcotest.bool (name ^ " request ok") true
+        (as_bool (member "ok" resp));
+      check Alcotest.bool (name ^ " figures bit-equal to the default") true
+        (figures resp = figures default))
+    [ ("interp", !interp); ("check", !checked) ];
+  check Alcotest.bool "interp echoed" true
+    (member "backend" !interp = J.Str "interp");
+  check Alcotest.bool "check echoed" true
+    (member "backend" !checked = J.Str "check");
+  check Alcotest.bool "default echoed" true
+    (member "backend" default = J.Str "threaded");
+  List.iter
+    (fun r ->
+      check Alcotest.bool "first interp rows simulated, not cached" false
+        (as_bool (member "cached" r)))
+    (rows !interp);
+  let bad = Serve.Client.call ~timeout_s:30.0 ~socket (on "nope") in
+  check Alcotest.bool "unknown backend refused" false
+    (as_bool (member "ok" bad));
+  match member "error" bad with
+  | J.Str msg ->
+    check Alcotest.bool "error names the op and the backend" true
+      (contains msg "estimate" && contains msg "nope")
+  | _ -> Alcotest.fail "error is not a string"
+
 let test_server_socket_steal_refused () =
   (* A second daemon pointed at a live daemon's socket must refuse to
      start — and must not unlink the live socket on its way out. *)
@@ -1048,6 +1116,8 @@ let () =
           Alcotest.test_case "session reuse" `Slow test_client_session_reuse;
           Alcotest.test_case "per-session trace ids" `Slow
             test_server_trace_ids_per_session;
+          Alcotest.test_case "per-request backend" `Slow
+            test_server_request_backend;
           Alcotest.test_case "socket steal refused" `Slow
             test_server_socket_steal_refused;
           Alcotest.test_case "stale socket replaced" `Quick

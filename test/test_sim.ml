@@ -911,6 +911,47 @@ let test_backend_check_oracle () =
          check Alcotest.int (name ^ ": observer saw exactly one stream")
            (Sim.Cpu.instructions cpu) !events)
 
+(* Overrides are per thread: while thread A runs under
+   [with_current Interp], thread B still sees the process default. *)
+let test_backend_thread_isolation () =
+  let m = Mutex.create () and cv = Condition.create () in
+  let stage = ref 0 in
+  let advance n =
+    Mutex.lock m;
+    stage := n;
+    Condition.broadcast cv;
+    Mutex.unlock m
+  in
+  let await n =
+    Mutex.lock m;
+    while !stage < n do Condition.wait cv m done;
+    Mutex.unlock m
+  in
+  let in_a = ref Sim.Backend.Threaded and in_b = ref Sim.Backend.Interp in
+  let a =
+    Thread.create
+      (fun () ->
+        Sim.Backend.with_current Sim.Backend.Interp (fun () ->
+            advance 1;
+            await 2;
+            in_a := Sim.Backend.current ()))
+      ()
+  in
+  let b =
+    Thread.create
+      (fun () ->
+        await 1;
+        in_b := Sim.Backend.current ();
+        advance 2)
+      ()
+  in
+  Thread.join a;
+  Thread.join b;
+  check Alcotest.string "thread B keeps the default while A overrides"
+    "threaded" (Sim.Backend.name !in_b);
+  check Alcotest.string "thread A sees its override" "interp"
+    (Sim.Backend.name !in_a)
+
 let test_backend_selection () =
   check Alcotest.bool "initial default is the threaded backend" true
     (Sim.Backend.current () = Sim.Backend.Threaded);
@@ -1010,6 +1051,8 @@ let () =
           Alcotest.test_case "check counts metrics once" `Quick
             test_backend_check_metrics;
           Alcotest.test_case "check oracle" `Quick test_backend_check_oracle;
-          Alcotest.test_case "selection" `Quick test_backend_selection ] );
+          Alcotest.test_case "selection" `Quick test_backend_selection;
+          Alcotest.test_case "override is per thread" `Quick
+            test_backend_thread_isolation ] );
       ( "differential",
         [ QCheck_alcotest.to_alcotest qcheck_cpu_matches_int32_oracle ] ) ]
