@@ -17,8 +17,7 @@ type breakdown = {
 
 type t = {
   model : Template.model;
-  stats : Sim.Stats.t;
-  res : Resource.t;
+  tally : Sim.Tally.t;
   waveform : Obs.Waveform.t;
   scratch : float array;   (** reused per event — never escapes observe *)
   prev_vars : float array; (** variable vector as of the previous event *)
@@ -28,24 +27,25 @@ type t = {
       mutable float field in a mixed record would box each store) *)
   diff_len : int;
   (** entries worth diffing per event: the category tail is frozen at
-      zero when the run has no extension ({!Resource.inert}) *)
+      zero when the run has no extension ({!Sim.Tally.inert}) *)
 }
 
 let create ?bucket_cycles ?complexity ?extension ~config model =
-  let res = Resource.create ?complexity extension in
+  let weights = Resource.weights ?complexity extension in
   { model;
-    stats = Sim.Stats.create config;
-    res;
+    tally = Sim.Tally.create ~weights config;
     waveform = Obs.Waveform.create ?bucket_cycles ();
     scratch = Array.make Variables.count 0.0;
     prev_vars = Array.make Variables.count 0.0;
     dcell = Array.make 2 0.0;
     diff_len =
-      (if Resource.inert res then Variables.base_count
+      (if Sim.Tally.inert weights then Variables.base_count
        else Variables.count) }
 
-(* Each event advances the two built-in accumulators; the marginal model
-   energy (new total minus old) is that instruction's bin contribution.
+let tally t = t.tally
+
+(* Each event has advanced the tally; the marginal model energy (new
+   total minus old) is that instruction's bin contribution.
    Telescoping guarantees the waveform sums to the final model energy,
    so both decompositions close over the same total.
 
@@ -58,9 +58,13 @@ let create ?bucket_cycles ?complexity ?extension ~config model =
    {!Template.energy} to rounding (well under the 1e-6 conservation
    tolerance), not bit-for-bit. *)
 let observe_marginal t (e : Sim.Event.t) =
-  Sim.Stats.observe t.stats e;
-  Resource.observe t.res e;
-  Extract.fill_variables t.stats t.res t.scratch;
+  (* A machine folds each retirement into its own tally before any
+     observer runs, so on a run installed with [t.tally] the tally is
+     already current through this event; on any other run the engine
+     folds the event itself. *)
+  if (Sim.Tally.stats t.tally).Sim.Stats.instructions <= e.Sim.Event.index
+  then Sim.Tally.observe t.tally e;
+  Extract.fill_variables t.tally t.scratch;
   let coeffs = t.model.Template.coefficients in
   t.dcell.(0) <- 0.0;
   for i = 0 to t.diff_len - 1 do
@@ -101,7 +105,7 @@ let decompose model vars =
   |> List.sort (fun a b -> Float.compare b.energy_pj a.energy_pj)
 
 let finish t ~name ~cycles ~instructions =
-  let vars = Extract.variables_of_stats t.stats t.res in
+  let vars = Extract.variables_of_tally t.tally in
   let total = Template.energy t.model vars in
   let rows = decompose t.model vars in
   { workload = name;
@@ -121,6 +125,7 @@ let run ?(config = Sim.Config.default) ?bucket_cycles ?complexity
   in
   let cpu, _outcome =
     Sim.Backend.run_program ~config ?extension:c.Extract.extension
+      ~tally:t.tally
       ~observers:(observer t :: observers)
       c.Extract.asm
   in

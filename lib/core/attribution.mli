@@ -5,11 +5,11 @@
     attribution is exact: each variable's contribution is its coefficient
     times its extracted count, and the contributions sum to the
     workload's total estimated energy to rounding error.  The engine is
-    an {!Sim.Event} observer (the same stream the estimators use): it
-    folds the statistics and resource observers incrementally and bins
-    each instruction's marginal model energy by retirement cycle, which
-    yields the power-over-time waveform per-component models cannot
-    provide on their own. *)
+    an {!Sim.Event} observer that reads the run's {!Sim.Tally} (the
+    simulator has folded each retirement into it before the observer
+    runs) and bins each instruction's marginal model energy by
+    retirement cycle, which yields the power-over-time waveform
+    per-component models cannot provide on their own. *)
 
 type row = {
   variable : Variables.id;
@@ -50,9 +50,16 @@ val create :
     the model's variables will be extracted with, or the decomposition
     will not match the estimate. *)
 
+val tally : t -> Sim.Tally.t
+(** The engine's tally.  Install it on the run being attributed
+    ([Sim.Backend.run_program ~tally]) so that one fold runs per
+    retirement: the engine then only reads it. *)
+
 val observer : t -> Sim.Cpu.observer
 (** The engine as a simulation observer; attach it to the run being
-    attributed. *)
+    attributed.  On a run installed with {!tally} it reads the tally the
+    simulator keeps current; on any other run it folds each event into
+    its tally itself, with the same result. *)
 
 val observe : t -> Sim.Event.t -> unit
 (** Fold one event directly (what {!observer} does per event). *)
@@ -81,9 +88,9 @@ val run :
   Template.model ->
   Extract.case ->
   breakdown
-(** Simulate the case once with the attribution engine (and any extra
-    [observers], e.g. the reference estimator for a side-by-side
-    comparison) attached. *)
+(** Simulate the case once with the attribution engine's {!tally}
+    installed and the engine (and any extra [observers], e.g. the
+    reference estimator for a side-by-side comparison) attached. *)
 
 val check_sum : breakdown -> float
 (** Relative gap |sum rows - total| / max(|total|, 1): the attribution

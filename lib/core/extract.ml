@@ -37,7 +37,7 @@ let category_slots =
           Tie.Component.category_index cat))
        Tie.Component.all_categories)
 
-let fill_variables (st : Sim.Stats.t) (res : Resource.t) v =
+let fill (st : Sim.Stats.t) ~inert (acc : float array) v =
   let f = float_of_int in
   v.(vi_arith) <- f st.Sim.Stats.arith_cycles;
   v.(vi_load) <- f st.Sim.Stats.load_cycles;
@@ -53,31 +53,40 @@ let fill_variables (st : Sim.Stats.t) (res : Resource.t) v =
   (* Without an extension the category accumulators never leave zero,
      and the vector slots already hold zero (fresh array or previous
      fill of the same inert run), so the loop can be skipped. *)
-  if not (Resource.inert res) then
-    Array.iter
-      (fun (vi, ci) -> v.(vi) <- Resource.total_at res ci)
-      category_slots
+  if not inert then
+    Array.iter (fun (vi, ci) -> v.(vi) <- acc.(ci)) category_slots
+
+let fill_variables tally v =
+  fill (Sim.Tally.stats tally)
+    ~inert:(Sim.Tally.inert (Sim.Tally.weights tally))
+    (Sim.Tally.acc tally) v
+
+let variables_of_tally tally =
+  let v = Array.make Variables.count 0.0 in
+  fill_variables tally v;
+  v
 
 let variables_of_stats (st : Sim.Stats.t) (res : Resource.t) =
   let v = Array.make Variables.count 0.0 in
-  fill_variables st res v;
+  fill st ~inert:false (Resource.totals res) v;
   v
 
 let profile ?(config = Sim.Config.default) ?complexity ?(observers = []) c =
   Obs.Trace.with_span ~cat:"extract" ("extract:" ^ c.case_name) (fun () ->
-      let stats = Sim.Stats.create config in
-      let res = Resource.create ?complexity c.extension in
+      let tally =
+        Sim.Tally.create
+          ~weights:(Resource.weights ?complexity c.extension)
+          config
+      in
       let cpu, outcome =
         Obs.Trace.with_span ~cat:"sim" ("simulate:" ^ c.case_name) (fun () ->
-            Sim.Backend.run_program ~config ?extension:c.extension
-              ~observers:
-                (Sim.Stats.observer stats :: Resource.observer res :: observers)
-              c.asm)
+            Sim.Backend.run_program ~config ?extension:c.extension ~tally
+              ~observers c.asm)
       in
-      { variables = variables_of_stats stats res;
+      { variables = variables_of_tally tally;
         cycles = Sim.Cpu.cycles cpu;
         instructions = Sim.Cpu.instructions cpu;
-        stall_cycles = stats.Sim.Stats.stall_cycles;
+        stall_cycles = (Sim.Tally.stats tally).Sim.Stats.stall_cycles;
         outcome })
 
 let variable p id = p.variables.(Variables.index id)

@@ -1,10 +1,11 @@
 (** Macro-model variable extraction.
 
-    Runs a program on the instruction-set simulator with the statistics
-    and resource-usage observers attached and assembles the 21-element
-    variable vector consumed by the macro-model.  This is the cheap path
-    of the paper's flow: no reference (RTL-level) power estimation is
-    involved. *)
+    Runs a program on the instruction-set simulator with a {!Sim.Tally}
+    installed and assembles the 21-element variable vector consumed by
+    the macro-model from it.  This is the cheap path of the paper's
+    flow: no reference (RTL-level) power estimation is involved, and on
+    the threaded backend no per-instruction event is built unless an
+    extra observer asks for one. *)
 
 (** A workload: a program plus the custom-instruction extension it
     needs (if any). *)
@@ -27,20 +28,21 @@ type profile = {
   outcome : Sim.Cpu.outcome;
 }
 
-val variables_of_stats : Sim.Stats.t -> Resource.t -> float array
-(** Assemble the macro-model variable vector from the two built-in
-    observers' accumulated state (also used incrementally by the energy
-    attribution engine). *)
+val variables_of_tally : Sim.Tally.t -> float array
+(** Assemble the macro-model variable vector from a tally's counters. *)
 
-val fill_variables : Sim.Stats.t -> Resource.t -> float array -> unit
-(** In-place variant of {!variables_of_stats}: overwrite a caller-owned
+val fill_variables : Sim.Tally.t -> float array -> unit
+(** In-place variant of {!variables_of_tally}: overwrite a caller-owned
     vector of length {!Variables.count} without allocating.  This is the
     per-event hot path of {!Attribution}'s telescoping fold, where a
     fresh array per retired instruction would dominate profiling cost.
-    The vector must start zeroed and stay paired with the same
-    [Resource.t]: when the analyzer is {!Resource.inert} the category
-    entries are left untouched (they are provably zero) rather than
-    rewritten. *)
+    The vector must start zeroed and stay paired with the same tally:
+    when its weights are {!Sim.Tally.inert} the category entries are
+    left untouched (they are provably zero) rather than rewritten. *)
+
+val variables_of_stats : Sim.Stats.t -> Resource.t -> float array
+(** The same vector from the two event-fold observers' state: the
+    oracle the fused vector is compared against. *)
 
 val profile :
   ?config:Sim.Config.t ->
@@ -48,12 +50,12 @@ val profile :
   ?observers:Sim.Cpu.observer list ->
   case ->
   profile
-(** Simulate once with the statistics and resource observers attached.
-    [observers] are additional observers notified (after the built-in
-    ones) on the same single simulation — this is how the
-    characterization engine attaches the reference power estimator so
-    that one run yields both the variable vector and the "measured"
-    energy.
+(** Simulate once with a tally weighted by {!Resource.weights}
+    installed, and read the vector from it.  No observer of its own is
+    attached: [observers] (none by default) are notified on the same
+    single simulation — this is how the characterization engine
+    attaches the reference power estimator so that one run yields both
+    the variable vector and the "measured" energy.
     @raise Sim.Cpu.Sim_error on simulator faults. *)
 
 val variable : profile -> Variables.id -> float

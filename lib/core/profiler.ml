@@ -284,6 +284,7 @@ let run ?(config = Sim.Config.default) ?bucket_cycles ?complexity ?max_depth
   let t = create ?bucket_cycles ?complexity ?max_depth ~config model c in
   let cpu, _outcome =
     Sim.Backend.run_program ~config ?extension:c.Extract.extension
+      ~tally:(Attribution.tally t.attr)
       ~observers:(observer t :: observers)
       c.Extract.asm
   in

@@ -99,9 +99,11 @@ val run :
   Template.model ->
   Extract.case ->
   report
-(** Simulate the case once with the profiling engine (and any extra
-    [observers]) attached, under a [profile:] trace span; bumps the
-    [profile_*] metrics family when metrics are enabled. *)
+(** Simulate the case once with the engine's attribution tally
+    installed (see {!Attribution.tally}: the simulator folds each
+    retirement, the engine only reads it) and the profiling engine (and
+    any extra [observers]) attached, under a [profile:] trace span;
+    bumps the [profile_*] metrics family when metrics are enabled. *)
 
 val check : report -> float * float
 (** [(cycle gap, energy gap)], both relative to the run totals: the

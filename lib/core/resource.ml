@@ -1,57 +1,37 @@
 type t = {
   acc : float array;
-  idle_weight : float;
-  complexity : Tie.Component.t -> float;
-  bus_facing : (int * float) list;
-  (** (category index, complexity) of each bus-facing component *)
-  inert : bool;
-  (** no extension: the accumulators can never move, so hot paths may
-      skip the category variables entirely *)
+  weights : Sim.Tally.weights;
 }
 
 let default_idle_weight = 0.17
 
-let create ?(idle_weight = default_idle_weight)
+let weights ?(idle_weight = default_idle_weight)
     ?(complexity = Tie.Component.complexity) ext =
-  let bus_facing =
-    match ext with
-    | None -> []
-    | Some e ->
-      List.map
-        (fun c ->
-          (Tie.Component.category_index c.Tie.Component.category,
-           complexity c))
-        (Tie.Compile.bus_facing_components e)
-  in
-  { acc = Array.make (List.length Tie.Component.all_categories) 0.0;
-    idle_weight;
-    complexity;
-    bus_facing;
-    inert = ext = None }
+  match ext with
+  | None -> Sim.Tally.no_weights
+  | Some e ->
+    let cat c = Tie.Component.category_index c.Tie.Component.category in
+    Sim.Tally.make_weights
+      ~custom:(fun insn ~busy ->
+        let cycles = float_of_int busy in
+        Sim.Tally.contribution
+          (List.map
+             (fun c -> (cat c, complexity c *. cycles))
+             insn.Tie.Compile.components))
+      ~reads:
+        (Sim.Tally.contribution
+           (List.map
+              (fun c -> (cat c, idle_weight *. complexity c))
+              (Tie.Compile.bus_facing_components e)))
 
-let observe t (e : Sim.Event.t) =
-  match e.Sim.Event.custom with
-  | Some info ->
-    let cycles = float_of_int e.Sim.Event.busy_cycles in
-    List.iter
-      (fun c ->
-        let i = Tie.Component.category_index c.Tie.Component.category in
-        t.acc.(i) <- t.acc.(i) +. (t.complexity c *. cycles))
-      info.Sim.Event.cinsn.Tie.Compile.components
-  | None ->
-    if e.Sim.Event.src_values <> [] then
-      List.iter
-        (fun (i, cx) -> t.acc.(i) <- t.acc.(i) +. (t.idle_weight *. cx))
-        t.bus_facing
+let create ?idle_weight ?complexity ext =
+  { acc = Array.make (List.length Tie.Component.all_categories) 0.0;
+    weights = weights ?idle_weight ?complexity ext }
+
+let observe t e = Sim.Tally.add t.acc (Sim.Tally.of_event t.weights e)
 
 let observer t : Sim.Cpu.observer = fun e -> observe t e
 
 let totals t = Array.copy t.acc
 
-let total_at t i = t.acc.(i)
-
-let inert t = t.inert
-
 let total_for t cat = t.acc.(Tie.Component.category_index cat)
-
-let reset t = Array.fill t.acc 0 (Array.length t.acc) 0.0

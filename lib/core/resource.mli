@@ -9,13 +9,29 @@
       for its full latency;
     - a base instruction that drives the shared operand buses activates
       the bus-facing custom components at a reduced, architecturally
-      fixed duty factor ([idle_weight]). *)
+      fixed duty factor ([idle_weight]).
+
+    The weighting is expressed once, as {!type:Sim.Tally.weights}: the
+    simulator folds it per retirement into the tally of an estimate run
+    (no events), and this module's observer folds the same weights from
+    an event stream. *)
 
 type t
 
 val default_idle_weight : float
 (** Duty factor of bus-facing custom hardware under base instructions;
     matches the bus-sharing activity of the reference architecture. *)
+
+val weights :
+  ?idle_weight:float ->
+  ?complexity:(Tie.Component.t -> float) ->
+  Tie.Compile.compiled option ->
+  Sim.Tally.weights
+(** The structural weights of an extension: a custom instruction adds
+    [complexity c *. float busy] to each of its components' categories,
+    a register-reading base instruction [idle_weight *. complexity c] to
+    each bus-facing component's.  {!Sim.Tally.no_weights} without an
+    extension. *)
 
 val create :
   ?idle_weight:float ->
@@ -26,7 +42,8 @@ val create :
     {!Tie.Component.complexity}); used by the ablation studies. *)
 
 val observe : t -> Sim.Event.t -> unit
-(** Fold one retirement event into the per-category accumulators. *)
+(** Add this event's weights ({!Sim.Tally.of_event}) into the
+    per-category accumulators. *)
 
 val observer : t -> Sim.Cpu.observer
 (** {!observe} packaged for {!Sim.Cpu}'s observer list. *)
@@ -37,17 +54,3 @@ val totals : t -> float array
 
 val total_for : t -> Tie.Component.category -> float
 (** One category's complexity-weighted active cycles. *)
-
-val total_at : t -> int -> float
-(** [total_at t i] reads the accumulator for the category whose
-    [Tie.Component.category_index] is [i], without copying.  Hot-path
-    variant of {!totals} for per-event folds (see
-    {!Extract.fill_variables}). *)
-
-val inert : t -> bool
-(** True when the analyzer was created without an extension: no event
-    can move the accumulators, so per-event folds may skip the category
-    variables altogether. *)
-
-val reset : t -> unit
-(** Zero the accumulators so the analyzer can observe another run. *)

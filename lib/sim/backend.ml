@@ -140,7 +140,9 @@ let execute_with b cpu =
   | Check ->
     (* The clone carries no observers and counts no metrics, so the
        caller sees exactly one event stream: the threaded one, which the
-       digest proves identical to the interpreter's. *)
+       digest proves identical to the interpreter's.  Its tally is a
+       copy with the same weights, fed from the interpreter's events, so
+       the threaded backend's event-free fold is compared too. *)
     let shadow = Cpu.clone cpu in
     let d_interp = Stream_digest.create () in
     Cpu.add_observer shadow (Stream_digest.observe d_interp);
@@ -174,14 +176,19 @@ let execute_with b cpu =
         "backend check: event streams diverged over %d retirements \
          (digest mismatch)"
         d_threaded.Stream_digest.events;
+    (match Tally.diff (Cpu.tally shadow) (Cpu.tally cpu) with
+     | None -> ()
+     | Some field ->
+       mismatch "backend check: tally diverged on %s (interp vs threaded)"
+         field);
     incr checks;
     o_threaded
 
 let execute cpu = execute_with (current ()) cpu
 
-let run_program ?backend ?config ?extension ?(observers = []) asm =
+let run_program ?backend ?config ?extension ?tally ?(observers = []) asm =
   let b = match backend with Some b -> b | None -> current () in
-  let cpu = Cpu.create ?config ?extension asm in
+  let cpu = Cpu.create ?config ?extension ?tally asm in
   List.iter (Cpu.add_observer cpu) observers;
   let o = execute_with b cpu in
   (cpu, o)

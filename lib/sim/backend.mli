@@ -6,8 +6,9 @@
     interpreter ({!Cpu.run}, decode-per-retirement).  [Check] is the
     equivalence oracle: it runs both from identical initial state and
     raises {!Mismatch} unless the outcome, the cycle and instruction
-    counts, and a digest over the complete retirement event streams all
-    agree bit-for-bit.
+    counts, a digest over the complete retirement event streams, and the
+    two machines' {!Tally} counters (integers exactly, accumulators by
+    [Int64.bits_of_float]) all agree.
 
     Selection is a process-wide default ({!set_current}, seeded from the
     [XENERGY_BACKEND] environment variable by {!init_from_env}, exposed
@@ -62,18 +63,24 @@ val execute : Cpu.t -> Cpu.outcome
     completion on {!current}.  Under [Check] the machine is cloned
     first: the clone runs the interpreter, the original runs the
     threaded backend (so the caller's observers see exactly one event
-    stream — the threaded one), and the two streams are compared.
+    stream — the threaded one), and the two streams are compared.  The
+    clone gets a copy of the machine's tally with the same weights and
+    folds the interpreter's events into it; the original's tally, folded
+    by the threaded loop without events, must then match it field for
+    field.
     @raise Mismatch under [Check] on any divergence. *)
 
 val run_program :
   ?backend:t ->
   ?config:Config.t ->
   ?extension:Tie.Compile.compiled ->
+  ?tally:Tally.t ->
   ?observers:Cpu.observer list ->
   Isa.Program.asm ->
   Cpu.t * Cpu.outcome
-(** Create, install observers, {!execute} on [backend] (default
-    {!current}).  The one way to run a program from start to end. *)
+(** Create (with [tally], see {!Cpu.create}), install observers,
+    {!execute} on [backend] (default {!current}).  The one way to run a
+    program from start to end. *)
 
 val checks_run : unit -> int
 (** Number of dual-run equivalence checks performed by this process

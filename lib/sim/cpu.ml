@@ -27,10 +27,21 @@ type t = {
       (* retirements bump the [Retire_metrics] counters; false for the
          shadow copy a [Backend.Check] run compares against *)
   observers : observer Queue.t;
+  tally : Tally.t;
+      (* folded on every retirement, before any observer runs *)
 }
 
-let create ?(config = Config.default) ?extension asm =
+let create ?(config = Config.default) ?extension ?tally asm =
   Config.validate config;
+  let tally =
+    match tally with
+    | None -> Tally.create config
+    | Some ta ->
+      if (Tally.stats ta).Stats.taken_penalty
+         <> config.Config.branch_taken_penalty
+      then invalid_arg "Cpu.create: tally built for another configuration";
+      ta
+  in
   let mem = Memory.create () in
   Memory.load_image mem asm.Isa.Program.image;
   { cfg = config;
@@ -49,7 +60,8 @@ let create ?(config = Config.default) ?extension asm =
     done_ = None;
     custom_result = 0;
     counted = true;
-    observers = Queue.create () }
+    observers = Queue.create ();
+    tally }
 
 (* O(1) per registration (the single-pass characterization engine adds
    observers on the hot path); notification keeps registration order.
@@ -537,6 +549,7 @@ let step t =
       t.retired <- t.retired + 1;
       t.pc <- ex.next_pc;
       if ex.halt then t.done_ <- Some Halted;
+      Tally.observe t.tally event;
       if t.counted && Obs.Metrics.enabled () then Retire_metrics.record event;
       Queue.iter (fun obs -> obs event) t.observers;
       `Step event
@@ -577,15 +590,18 @@ let some_false = Some false
    rotation and, for control instructions, the pc update — and returns
    a packed word: bits 0-15 hold the penalty cycles beyond fetch and
    stall (data access + taken branch + window traffic; configs keep each
-   term far below the field's range), bits 16-20 the flags below, bits
-   21+ the producer's latency beyond one cycle. *)
+   term far below the field's range), bits 16-21 the flags below, bits
+   22+ the producer's latency beyond one cycle. *)
 let pen_mask = 0xffff
 let halt_bit = 0x1_0000
-let taken_bit = 0x2_0000   (* control transfer taken *)
+let taken_shift = 17
+let taken_bit = 1 lsl taken_shift  (* control transfer taken *)
 let window_bit = 0x4_0000  (* window spill or reload *)
 let dhit_bit = 0x8_0000    (* cached data access hit *)
 let result_bit = 0x10_0000 (* a value was driven on the result bus *)
-let extra_shift = 21
+let dmiss_bit = 0x20_0000  (* cached data access missed; a data access
+                              with neither hit nor miss was uncached *)
+let extra_shift = 22
 let fhit_bit = 0x1_0000    (* in the loop's fetch word: cached fetch hit *)
 
 type op = {
@@ -602,9 +618,14 @@ type op = {
       (* reached by fall-through, this op's fetch repeats the previous
          op's icache line: a statically guaranteed hit (see
          [Cache.repeat_hit]) *)
+  o_weights : Tally.contribution; (* structural contribution per
+                                     retirement, resolved at decode *)
+  o_run : t -> int;
   o_custom : (Tie.Compile.compiled_insn * Isa.Reg.t list) option;
       (* resolved custom instruction and its source registers *)
-  o_run : t -> int;
+  o_busy : int;                  (* execute-stage cycles *)
+  o_regfile : bool;              (* custom instruction touching the
+                                    generic register file *)
   o_compiled : bool;             (* false = interpreter adapter *)
 }
 
@@ -672,7 +693,7 @@ let compile_op t (slot : Isa.Program.slot) : (t -> int) option =
   let udp = t.cfg.Config.uncached_data_penalty in
   let wp = t.cfg.Config.window_penalty in
   let ubase = t.cfg.Config.uncached_base in
-  let dmiss = Cache.miss_penalty t.dcache in
+  let dmiss = Cache.miss_penalty t.dcache lor dmiss_bit in
   let branch cond = make_branch target fall btp cond in
   let jump = btp lor taken_bit in
   let r = result_bit in
@@ -982,7 +1003,7 @@ let interpret t (slot : Isa.Program.slot) =
       | None -> w
       | Some mi when mi.Event.muncached -> w + cfg.Config.uncached_data_penalty
       | Some mi when mi.Event.mhit -> w lor dhit_bit
-      | Some _ -> w + dmiss
+      | Some _ -> (w + dmiss) lor dmiss_bit
     in
     let w =
       match ex.taken with
@@ -1033,7 +1054,7 @@ let event_of t (op : op) pre ~index ~start ~fhit ~stall ~total packed =
     Some
       { Event.maddr = addr; msize = size; mwrite = write;
         mhit = flag dhit_bit;
-        muncached = addr >= t.cfg.Config.uncached_base;
+        muncached = not (flag dhit_bit || flag dmiss_bit);
         mvalue = value }
   in
   let result =
@@ -1104,6 +1125,7 @@ let reg_indices l =
 
 let decode ?(covered = fun _ -> true) t =
   let code = t.asm.Isa.Program.code in
+  let weights = Tally.weights t.tally in
   let line_shift = t.icache.Cache.line_shift in
   let uncached_base = t.cfg.Config.uncached_base in
   Array.mapi
@@ -1119,6 +1141,17 @@ let decode ?(covered = fun _ -> true) t =
         && (let prev = code.(i - 1).Isa.Program.addr in
             prev < uncached_base && addr lsr line_shift = prev lsr line_shift)
       in
+      let custom =
+        match instr with
+        | Isa.Instr.Custom call -> (
+          match resolve_custom t call with
+          | _, insn, _, src_regs -> Some (insn, src_regs)
+          | exception Sim_error _ -> None)
+        | _ -> None
+      in
+      let busy =
+        match custom with Some (i, _) -> i.Tie.Compile.latency | None -> 1
+      in
       { o_slot = slot;
         o_uses = reg_indices uses;
         o_uses_list = uses;
@@ -1127,13 +1160,17 @@ let decode ?(covered = fun _ -> true) t =
         o_control = Isa.Instr.is_control instr;
         o_funcached = funcached;
         o_line_run = line_run;
-        o_custom =
-          (match instr with
-           | Isa.Instr.Custom call -> (
-             match resolve_custom t call with
-             | _, insn, _, src_regs -> Some (insn, src_regs)
-             | exception Sim_error _ -> None)
-           | _ -> None);
+        o_custom = custom;
+        o_busy = busy;
+        o_regfile =
+          (match custom with
+           | Some (i, _) -> Stats.touches_regfile i
+           | None -> false);
+        o_weights =
+          (match (custom, uses) with
+           | Some (i, _), _ -> Tally.custom weights i ~busy
+           | None, [] -> Tally.nothing
+           | None, _ :: _ -> Tally.reads weights);
         o_run = (match compiled with Some f -> f | None -> interpret t slot);
         o_compiled = compiled <> None })
     code
@@ -1158,12 +1195,29 @@ let run_threaded ?covered t =
     let ufp = t.cfg.Config.uncached_fetch_penalty in
     let icache = t.icache in
     let rf = t.rf and ready = t.ready in
+    let stats = Tally.stats t.tally and acc = Tally.acc t.tally in
+    (* Class cycles are settled from per-slot retirement counts
+       ({!Stats.add_class}): after every retirement when observers may
+       read the tally, once at the end otherwise.  Slot [i] counts its
+       not-taken retirements at [2i] and its taken ones at [2i + 1]. *)
+    let counts = Array.make (2 * n) 0 in
+    let settle i =
+      let untaken = Array.unsafe_get counts (2 * i)
+      and taken = Array.unsafe_get counts ((2 * i) + 1) in
+      if untaken + taken > 0 then begin
+        let op = Array.unsafe_get ops i in
+        Stats.add_class stats op.o_clazz ~count:(untaken + taken) ~taken
+          ~busy:op.o_busy ~regfile:op.o_regfile;
+        Array.unsafe_set counts (2 * i) 0;
+        Array.unsafe_set counts ((2 * i) + 1) 0
+      end
+    in
     let imiss_pen = Cache.miss_penalty icache in
     let observers = Array.of_seq (Queue.to_seq t.observers) in
     let nobs = Array.length observers in
     let metrics = t.counted && Obs.Metrics.enabled () in
     (* Events cost an allocation per retirement, so they are built only
-       when someone is listening. *)
+       when someone is listening; the tally is folded without one. *)
     let publish = nobs > 0 || metrics in
     (* pc-to-slot mapping as a table lookup: hardware division (for
        [mod]/[/] by the instruction size) costs tens of cycles and runs
@@ -1188,13 +1242,16 @@ let run_threaded ?covered t =
        errors, so stats stay exact for the equivalence checker). *)
     let line_hits = ref 0 in
     (* One retirement; mirrors [step] exactly (fetch, scoreboard stall,
-       execute, penalties, scoreboard update, clocks, event) and
-       returns the halt flag. *)
-    let retire (op : op) fall =
+       execute, penalties, scoreboard update, clocks, tally, event) and
+       returns the halt flag.  [i] is the op's slot. *)
+    let retire (op : op) i fall =
       let pc = t.pc in
       (* The fetch penalty, with [fhit_bit] set on a cached hit. *)
       let fetch =
-        if op.o_funcached then ufp
+        if op.o_funcached then begin
+          stats.Stats.uncached_fetches <- stats.Stats.uncached_fetches + 1;
+          ufp
+        end
         else if
           (fall && op.o_line_run)
           || pc lsr icache.Cache.line_shift = icache.Cache.last_line
@@ -1203,7 +1260,10 @@ let run_threaded ?covered t =
           fhit_bit
         end
         else if Cache.access icache pc = Cache.Hit then fhit_bit
-        else imiss_pen
+        else begin
+          stats.Stats.icache_misses <- stats.Stats.icache_misses + 1;
+          imiss_pen
+        end
       in
       let fetch_pen = fetch land pen_mask in
       let issue = t.cycle + fetch_pen in
@@ -1231,7 +1291,24 @@ let run_threaded ?covered t =
       if not op.o_control then t.pc <- pc + bpi;
       let halted = packed land halt_bit <> 0 in
       if halted then t.done_ <- Some Halted;
+      (* Tally: this retirement's effects, its slot's pending count and
+         its structural contribution (float adds stay per retirement,
+         in order). *)
+      let k = (2 * i) + ((packed lsr taken_shift) land 1) in
+      Array.unsafe_set counts k (Array.unsafe_get counts k + 1);
+      stats.Stats.total_cycles <- stats.Stats.total_cycles + total;
+      if stall > 0 then begin
+        stats.Stats.stall_cycles <- stats.Stats.stall_cycles + stall;
+        stats.Stats.interlocks <- stats.Stats.interlocks + 1
+      end
+      else if packed land window_bit <> 0 then
+        stats.Stats.interlocks <- stats.Stats.interlocks + 1;
+      if packed land dmiss_bit <> 0 then
+        stats.Stats.dcache_misses <- stats.Stats.dcache_misses + 1;
+      let w = op.o_weights in
+      if Array.length w.Tally.cats > 0 then Tally.add acc w;
       if publish then begin
+        settle i;
         let event =
           event_of t op pre ~index:(t.retired - 1) ~start
             ~fhit:(fetch land fhit_bit <> 0) ~stall ~total
@@ -1256,14 +1333,17 @@ let run_threaded ?covered t =
         let fall = i >= 0 in
         let i = if fall then i else index_of t.pc in
         let op = Array.unsafe_get ops i in
-        if retire op fall then Halted
+        if retire op i fall then Halted
         else if op.o_control || i + 1 >= n then go (-1)
         else go (i + 1)
       end
     in
     Fun.protect
       ~finally:(fun () ->
-        if !line_hits > 0 then Cache.repeat_hits icache !line_hits)
+        if !line_hits > 0 then Cache.repeat_hits icache !line_hits;
+        for i = 0 to n - 1 do
+          settle i
+        done)
       (fun () -> go (-1))
 
 let clone t =
@@ -1283,7 +1363,8 @@ let clone t =
     done_ = t.done_;
     custom_result = t.custom_result;
     counted = false;
-    observers = Queue.create () }
+    observers = Queue.create ();
+    tally = Tally.copy t.tally }
 
 let cycles t = t.cycle
 let instructions t = t.retired
@@ -1295,3 +1376,4 @@ let sar t = t.sar_reg
 let tie_state t = t.ext_state
 let config t = t.cfg
 let pc t = t.pc
+let tally t = t.tally

@@ -4,8 +4,10 @@
     instruction retires per step, with a register scoreboard for
     data-dependency interlocks, instruction/data caches, an uncached
     region, taken-branch penalties, windowed calls and multi-cycle custom
-    instructions.  Each retired instruction is published to the installed
-    observers as an {!Event.t}. *)
+    instructions.  Every retirement is folded into the machine's
+    {!Tally} (the macro-model's counters); when observers are installed
+    it is also published to them as an {!Event.t}, after the tally has
+    been updated. *)
 
 exception Sim_error of string
 
@@ -20,8 +22,18 @@ type t
 val create :
   ?config:Config.t ->
   ?extension:Tie.Compile.compiled ->
+  ?tally:Tally.t ->
   Isa.Program.asm ->
   t
+(** A machine at the program's entry.  [tally] (default: a fresh one
+    with {!Tally.no_weights}) receives every retirement, on either
+    backend, before any observer; its structural weights are resolved
+    per slot when {!run_threaded} decodes the program.
+    @raise Invalid_argument if [tally] was created for a configuration
+    with another taken-branch penalty. *)
+
+val tally : t -> Tally.t
+(** The tally this machine folds into. *)
 
 val add_observer : t -> observer -> unit
 (** Register an observer.  Ordering contract: observers must be
@@ -33,8 +45,9 @@ val add_observer : t -> observer -> unit
     @raise Sim_error if any instruction has already retired. *)
 
 val step : t -> [ `Step of Event.t | `Done of outcome ]
-(** Execute one instruction.  After [`Done] further calls return the same
-    outcome. *)
+(** Execute one instruction, fold its event into the tally
+    ({!Tally.observe}), then notify the observers.  After [`Done]
+    further calls return the same outcome. *)
 
 val run : t -> outcome
 (** Step until completion: the reference interpreter. *)
@@ -48,9 +61,11 @@ val run_threaded : ?covered:(Isa.Instr.t -> bool) -> t -> outcome
     dispatched block-at-a-time.  Semantics are those of repeated
     {!step}, which stays the reference [Backend.Check] compares against:
     same cycles, same architectural state, and — when observers are
-    installed — a bit-identical event stream.  Observed or not, the same
-    closures run; events are built around them only when an observer is
-    installed or metrics are on.
+    installed — a bit-identical event stream, and the same tally.
+    Observed or not, the same closures run and the tally is folded from
+    the decoded slot and its packed penalty word (see {!Tally}); events
+    are built around them only when an observer is installed or metrics
+    are on, so an estimate run allocates nothing per retirement.
 
     [covered] restricts which instructions are compiled; anything it
     rejects (and anything whose static resolution fails) executes via
@@ -72,8 +87,8 @@ val decode_stats : ?covered:(Isa.Instr.t -> bool) -> t -> decode_stats
 
 val clone : t -> t
 (** Independent deep copy of the machine state (memory, caches,
-    register file, scoreboard, TIE state, clocks) with an empty
-    observer list; the backend equivalence checker uses it to run the
+    register file, scoreboard, TIE state, clocks, and a copy of the
+    tally with the same weights) with an empty observer list; the backend equivalence checker uses it to run the
     same program twice from identical state.  The copy is a shadow: its
     retirements are not counted in the [sim_*] metrics, so a checked
     run counts each instruction once. *)

@@ -35,36 +35,46 @@ let create (cfg : Config.t) =
     total_cycles = 0;
     taken_penalty = cfg.Config.branch_taken_penalty }
 
+(* Class cycles of [count] retirements of one static instruction,
+   [taken] of them taken: the part of the fold both backends share.
+   The interpreter adds each retirement as it happens ({!observe}); the
+   threaded backend counts retirements per slot and settles them in
+   bulk, which is exact because every term is an integer. *)
+let add_class t clazz ~count ~taken ~busy ~regfile =
+  t.instructions <- t.instructions + count;
+  match clazz with
+  | Isa.Instr.Arith_class -> t.arith_cycles <- t.arith_cycles + count
+  | Isa.Instr.Load_class -> t.load_cycles <- t.load_cycles + count
+  | Isa.Instr.Store_class -> t.store_cycles <- t.store_cycles + count
+  | Isa.Instr.Jump_class ->
+    t.jump_cycles <- t.jump_cycles + (count * (1 + t.taken_penalty))
+  | Isa.Instr.Branch_class ->
+    t.branch_taken_cycles <-
+      t.branch_taken_cycles + (taken * (1 + t.taken_penalty));
+    t.branch_untaken_cycles <- t.branch_untaken_cycles + (count - taken)
+  | Isa.Instr.Custom_class ->
+    t.custom_cycles <- t.custom_cycles + (count * busy);
+    (* Custom instructions are fully pipelined, so a regfile-accessing
+       custom instruction occupies the base-core issue/decode/regfile
+       path for one cycle regardless of its execute latency. *)
+    if regfile then
+      t.custom_regfile_cycles <- t.custom_regfile_cycles + count
+
+let touches_regfile (i : Tie.Compile.compiled_insn) =
+  i.Tie.Compile.regfile_reads > 0 || i.Tie.Compile.writes_regfile
+
 let observe t (e : Event.t) =
-  t.instructions <- t.instructions + 1;
+  add_class t e.Event.clazz ~count:1
+    ~taken:(match e.Event.taken with Some true -> 1 | Some false | None -> 0)
+    ~busy:e.Event.busy_cycles
+    ~regfile:
+      (match e.Event.custom with
+       | Some info -> touches_regfile info.Event.cinsn
+       | None -> false);
   t.total_cycles <- t.total_cycles + e.Event.cycles;
-  (match e.Event.clazz with
-   | Isa.Instr.Arith_class -> t.arith_cycles <- t.arith_cycles + 1
-   | Isa.Instr.Load_class -> t.load_cycles <- t.load_cycles + 1
-   | Isa.Instr.Store_class -> t.store_cycles <- t.store_cycles + 1
-   | Isa.Instr.Jump_class ->
-     t.jump_cycles <- t.jump_cycles + 1 + t.taken_penalty
-   | Isa.Instr.Branch_class -> (
-     match e.Event.taken with
-     | Some true ->
-       t.branch_taken_cycles <- t.branch_taken_cycles + 1 + t.taken_penalty
-     | Some false | None ->
-       t.branch_untaken_cycles <- t.branch_untaken_cycles + 1)
-   | Isa.Instr.Custom_class -> (
-     t.custom_cycles <- t.custom_cycles + e.Event.busy_cycles;
-     (* Custom instructions are fully pipelined, so a regfile-accessing
-        custom instruction occupies the base-core issue/decode/regfile
-        path for one cycle regardless of its execute latency. *)
-     match e.Event.custom with
-     | Some info ->
-       let i = info.Event.cinsn in
-       if i.Tie.Compile.regfile_reads > 0 || i.Tie.Compile.writes_regfile
-       then t.custom_regfile_cycles <- t.custom_regfile_cycles + 1
-     | None -> ()));
-  if (not e.Event.fetch.Event.funcached) && not e.Event.fetch.Event.fhit then
-    t.icache_misses <- t.icache_misses + 1;
-  if e.Event.fetch.Event.funcached then
-    t.uncached_fetches <- t.uncached_fetches + 1;
+  let f = e.Event.fetch in
+  if f.Event.funcached then t.uncached_fetches <- t.uncached_fetches + 1
+  else if not f.Event.fhit then t.icache_misses <- t.icache_misses + 1;
   (match e.Event.mem with
    | Some mi when (not mi.Event.muncached) && not mi.Event.mhit ->
      t.dcache_misses <- t.dcache_misses + 1
@@ -73,7 +83,9 @@ let observe t (e : Event.t) =
     t.interlocks <- t.interlocks + 1;
   t.stall_cycles <- t.stall_cycles + e.Event.stall_cycles
 
-let observer t : Cpu.observer = fun e -> observe t e
+let observer t e = observe t e
+
+let copy t = { t with instructions = t.instructions }
 
 let reset t =
   t.arith_cycles <- 0;

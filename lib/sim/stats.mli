@@ -29,9 +29,38 @@ type t = {
 
 val create : Config.t -> t
 
-val observe : t -> Event.t -> unit
+val add_class :
+  t ->
+  Isa.Instr.clazz ->
+  count:int ->
+  taken:int ->
+  busy:int ->
+  regfile:bool ->
+  unit
+(** [add_class t clazz ~count ~taken ~busy ~regfile] adds the class
+    cycles (and instruction count) of [count] retirements of one static
+    instruction, [taken] of them taken branches; [busy] is its
+    execute-stage occupancy and [regfile] whether it is a custom
+    instruction touching the generic register file (see
+    {!touches_regfile}).  The class part of the fold, shared by both
+    backends: {!observe} adds one retirement at a time, the threaded
+    backend settles per-slot counts (see {!Tally}).  The remaining
+    counters (cycles, cache misses, uncached fetches, interlocks,
+    stalls) are per-retirement effects each backend reads off its own
+    representation. *)
 
-val observer : t -> Cpu.observer
+val touches_regfile : Tie.Compile.compiled_insn -> bool
+(** Does the custom instruction read or write the generic register file
+    (the [regfile] argument of {!add_class})? *)
+
+val observe : t -> Event.t -> unit
+(** Fold one retirement event. *)
+
+val observer : t -> Event.t -> unit
+(** {!observe} packaged for {!Cpu}'s observer list. *)
+
+val copy : t -> t
+(** An independent copy of the counters. *)
 
 val reset : t -> unit
 

@@ -439,6 +439,35 @@ let qcheck_backends_report_identically =
       report_on Sim.Backend.Interp case
       = report_on Sim.Backend.Threaded case)
 
+(* Fused-extraction property: on every backend, [Extract.profile]'s
+   event-free vector is bit-identical to the interpreter's event fold
+   through [Sim.Stats] and [Core.Resource]. *)
+let qcheck_fused_matches_event_fold =
+  QCheck.Test.make
+    ~name:"random Tiny-C programs: fused vector = event fold"
+    ~count:25 (QCheck.make gen_program)
+    (fun prog ->
+      let compiled = Cc.Codegen.compile prog in
+      let case = Core.Extract.case "qcheck" compiled.Cc.Codegen.c_asm in
+      let stats = Sim.Stats.create Sim.Config.default in
+      let res = Core.Resource.create None in
+      let _ =
+        Sim.Backend.run_program ~backend:Sim.Backend.Interp
+          ~observers:[ Sim.Stats.observer stats; Core.Resource.observer res ]
+          case.Core.Extract.asm
+      in
+      let bits v = Array.map Int64.bits_of_float v in
+      let oracle = bits (Core.Extract.variables_of_stats stats res) in
+      List.for_all
+        (fun backend ->
+          let p =
+            Sim.Backend.with_current backend (fun () ->
+                Core.Extract.profile case)
+          in
+          bits p.Core.Extract.variables = oracle
+          && p.Core.Extract.stall_cycles = stats.Sim.Stats.stall_cycles)
+        Sim.Backend.all)
+
 let () =
   Alcotest.run "cc"
     [ ( "lexer",
@@ -473,4 +502,5 @@ let () =
           QCheck_alcotest.to_alcotest
             qcheck_compiled_program_matches_interpreter ] );
       ( "backends",
-        [ QCheck_alcotest.to_alcotest qcheck_backends_report_identically ] ) ]
+        [ QCheck_alcotest.to_alcotest qcheck_backends_report_identically;
+          QCheck_alcotest.to_alcotest qcheck_fused_matches_event_fold ] ) ]

@@ -114,6 +114,108 @@ let test_profile_variables () =
   check Alcotest.bool "halted" true
     (p.Core.Extract.outcome = Sim.Cpu.Halted)
 
+(* --- Fused extraction ---------------------------------------------------- *)
+
+(* The oracle for the fused vector: an observer-only run on the
+   interpreter folding every event through [Sim.Stats.observe] and
+   [Core.Resource.observe].  (Check's stream digest already proves the
+   threaded backend publishes the same events.) *)
+let event_fold ?(config = Sim.Config.default) (c : Core.Extract.case) =
+  let stats = Sim.Stats.create config in
+  let res = Core.Resource.create c.Core.Extract.extension in
+  let cpu, outcome =
+    Sim.Backend.run_program ~backend:Sim.Backend.Interp ~config
+      ?extension:c.Core.Extract.extension
+      ~observers:[ Sim.Stats.observer stats; Core.Resource.observer res ]
+      c.Core.Extract.asm
+  in
+  (Core.Extract.variables_of_stats stats res, stats, cpu, outcome)
+
+(* [Extract.profile] on every backend against the event fold, bit for
+   bit; returns the profiles. *)
+let check_fused ?config (c : Core.Extract.case) =
+  let oracle, stats, cpu, outcome = event_fold ?config c in
+  List.map
+    (fun backend ->
+      let name what =
+        Printf.sprintf "%s on %s: %s" c.Core.Extract.case_name
+          (Sim.Backend.name backend) what
+      in
+      let p =
+        Sim.Backend.with_current backend (fun () ->
+            Core.Extract.profile ?config c)
+      in
+      Array.iteri
+        (fun i v ->
+          let fused = p.Core.Extract.variables.(i) in
+          if Int64.bits_of_float v <> Int64.bits_of_float fused then
+            fail
+              (name
+                 (Printf.sprintf "variable %s: event fold %h, fused %h"
+                    (Core.Variables.name (Core.Variables.of_index i))
+                    v fused)))
+        oracle;
+      check Alcotest.int (name "stall cycles") stats.Sim.Stats.stall_cycles
+        p.Core.Extract.stall_cycles;
+      check Alcotest.int (name "cycles") (Sim.Cpu.cycles cpu)
+        p.Core.Extract.cycles;
+      check Alcotest.int (name "instructions") (Sim.Cpu.instructions cpu)
+        p.Core.Extract.instructions;
+      check Alcotest.bool (name "outcome") true
+        (outcome = p.Core.Extract.outcome);
+      p)
+    Sim.Backend.all
+
+let test_fused_matches_event_fold () =
+  Workloads.Suite.all ()
+  @ List.map
+      (fun cat ->
+        Workloads.Synthetic.generate ~seed:11 ~category:cat
+          ("synthetic_" ^ Tie.Component.category_name cat))
+      Tie.Component.all_categories
+  |> List.iter (fun c -> ignore (check_fused c))
+
+let test_fused_watchdog () =
+  let config = { Sim.Config.default with Sim.Config.max_cycles = 700 } in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun p ->
+          check Alcotest.bool (name ^ ": watchdog fired") true
+            (p.Core.Extract.outcome = Sim.Cpu.Watchdog))
+        (check_fused ~config (Workloads.Suite.find name)))
+    [ "rs_gfmac"; "des" ]
+
+(* The event-free path allocates nothing per retirement: an estimate's
+   extraction stays within one minor word per retired instruction of a
+   bare unobserved run (building events costs ~50). *)
+let test_fused_allocation () =
+  let c = Workloads.Suite.find "rs_soft" in
+  Sim.Backend.with_current Sim.Backend.Threaded @@ fun () ->
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let run () =
+    Sim.Backend.run_program ?extension:c.Core.Extract.extension
+      c.Core.Extract.asm
+  in
+  let profile () = Core.Extract.profile c in
+  (* Warm up lazies and memo tables before measuring. *)
+  ignore (run ());
+  ignore (profile ());
+  let plain = words run in
+  let fused = words profile in
+  let instructions = (profile ()).Core.Extract.instructions in
+  let per_instr = (fused -. plain) /. float_of_int instructions in
+  if per_instr > 1.0 then
+    fail
+      (Printf.sprintf
+         "Extract.profile allocates %.2f minor words per instruction beyond \
+          an unobserved run (%.0f vs %.0f over %d instructions)"
+         per_instr fused plain instructions)
+
 (* --- Template -------------------------------------------------------------- *)
 
 let test_template_energy () =
@@ -537,6 +639,40 @@ let test_attribution_sums_to_total () =
       check Alcotest.int "21 rows" Core.Variables.count
         (List.length b.Core.Attribution.rows))
     [ List.hd suite; List.nth suite 4 ]
+
+(* [Attribution.run] installs the engine's tally, so the telescoping
+   fold reads counters the simulator keeps; an engine attached to a run
+   without its tally folds each event itself.  Both must see the same
+   vector at every event (identical JSON, waveform included), and the
+   installed run folds each retirement once. *)
+let test_attribution_reads_tally () =
+  let model = (Core.Characterize.run (small_suite ())).Core.Characterize.model in
+  List.iter
+    (fun name ->
+      let c = Workloads.Suite.find name in
+      let config = Sim.Config.default in
+      let installed = Core.Attribution.run ~config model c in
+      let eng =
+        Core.Attribution.create ~config ?extension:c.Core.Extract.extension
+          model
+      in
+      let cpu, _ =
+        Sim.Backend.run_program ~config ?extension:c.Core.Extract.extension
+          ~observers:[ Core.Attribution.observer eng ]
+          c.Core.Extract.asm
+      in
+      let folded =
+        Core.Attribution.finish eng ~name:c.Core.Extract.case_name
+          ~cycles:(Sim.Cpu.cycles cpu)
+          ~instructions:(Sim.Cpu.instructions cpu)
+      in
+      check Alcotest.string (name ^ ": same breakdown")
+        (Core.Attribution.to_json folded)
+        (Core.Attribution.to_json installed);
+      check Alcotest.int (name ^ ": one fold per retirement")
+        (Sim.Cpu.instructions cpu)
+        (Sim.Tally.stats (Core.Attribution.tally eng)).Sim.Stats.instructions)
+    [ "rs_gfmac"; "gcd" ]
 
 let test_attribution_shares () =
   let fit = Core.Characterize.run (small_suite ()) in
@@ -2219,7 +2355,13 @@ let () =
       );
       ( "extract",
         [ Alcotest.test_case "profile variables" `Quick
-            test_profile_variables ] );
+            test_profile_variables;
+          Alcotest.test_case "fused vector = event fold" `Slow
+            test_fused_matches_event_fold;
+          Alcotest.test_case "fused vector under the watchdog" `Quick
+            test_fused_watchdog;
+          Alcotest.test_case "fused path allocates no events" `Quick
+            test_fused_allocation ] );
       ( "template",
         [ Alcotest.test_case "energy" `Quick test_template_energy;
           Alcotest.test_case "save/load" `Quick test_template_save_load ] );
@@ -2329,7 +2471,9 @@ let () =
       ( "attribution",
         [ Alcotest.test_case "sums to total" `Quick
             test_attribution_sums_to_total;
-          Alcotest.test_case "shares" `Quick test_attribution_shares ] );
+          Alcotest.test_case "shares" `Quick test_attribution_shares;
+          Alcotest.test_case "reads the run's tally" `Quick
+            test_attribution_reads_tally ] );
       ( "profiler",
         [ Alcotest.test_case "conservation over the applications" `Slow
             test_profiler_conservation;

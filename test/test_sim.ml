@@ -911,6 +911,54 @@ let test_backend_check_oracle () =
          check Alcotest.int (name ^ ": observer saw exactly one stream")
            (Sim.Cpu.instructions cpu) !events)
 
+(* Check compares the threaded backend's event-free tally with the one
+   the interpreter's events fold into.  Observers run after the
+   machine's fold and only on the threaded side, so an observer that
+   nudges the caller's tally is a divergence only that comparison can
+   see: the event streams stay identical. *)
+let test_backend_check_tally () =
+  let c = Workloads.Suite.find "custom_mix_mac" in
+  let ext = c.Core.Extract.extension in
+  (* The nudge lands on the final retirement, so no later add can
+     round it away. *)
+  let run corrupt =
+    let tally =
+      Sim.Tally.create ~weights:(Core.Resource.weights ext)
+        Sim.Config.default
+    in
+    Sim.Backend.run_program ~backend:Sim.Backend.Check ?extension:ext ~tally
+      ~observers:
+        [ (fun e ->
+            if e.Sim.Event.instr = Isa.Instr.Break then corrupt tally) ]
+      c.Core.Extract.asm
+  in
+  let before = Sim.Backend.checks_run () in
+  ignore (run (fun _ -> ()));
+  check Alcotest.int "agreeing tallies pass" (before + 1)
+    (Sim.Backend.checks_run ());
+  let expect_mismatch what corrupt =
+    match run corrupt with
+    | _ -> Alcotest.fail (what ^ ": tally divergence not detected")
+    | exception Sim.Backend.Mismatch msg ->
+      check Alcotest.bool (what ^ ": names the tally") true
+        (String.length msg > 0
+        && List.exists
+             (fun w -> w = "tally")
+             (String.split_on_char ' ' msg))
+  in
+  expect_mismatch "integer counter" (fun ta ->
+      let st = Sim.Tally.stats ta in
+      st.Sim.Stats.interlocks <- st.Sim.Stats.interlocks + 1);
+  expect_mismatch "one ulp on an accumulator" (fun ta ->
+      let acc = Sim.Tally.acc ta in
+      let i = ref 0 in
+      Array.iteri (fun k v -> if v <> 0.0 then i := k) acc;
+      check Alcotest.bool "some category active" true
+        (acc.(!i) <> 0.0);
+      acc.(!i) <- Float.succ acc.(!i));
+  check Alcotest.int "failed checks are not counted" (before + 1)
+    (Sim.Backend.checks_run ())
+
 (* Overrides are per thread: while thread A runs under
    [with_current Interp], thread B still sees the process default. *)
 let test_backend_thread_isolation () =
@@ -1051,6 +1099,8 @@ let () =
           Alcotest.test_case "check counts metrics once" `Quick
             test_backend_check_metrics;
           Alcotest.test_case "check oracle" `Quick test_backend_check_oracle;
+          Alcotest.test_case "check compares tallies" `Quick
+            test_backend_check_tally;
           Alcotest.test_case "selection" `Quick test_backend_selection;
           Alcotest.test_case "override is per thread" `Quick
             test_backend_thread_isolation ] );
