@@ -659,6 +659,7 @@ let serve_overhead () =
     flush stderr;
     match Unix.fork () with
     | 0 ->
+      Obs.Trace.after_fork ();
       (try
          if traced then Obs.Trace.set_enabled true;
          let router =
@@ -685,77 +686,83 @@ let serve_overhead () =
   in
   let plain = spawn ~traced:false in
   let traced = spawn ~traced:true in
-  Fun.protect
-    ~finally:(fun () ->
-      stop plain;
-      stop traced)
-  @@ fun () ->
-  List.iter
-    (fun (socket, _) ->
-      if not (Serve.Client.wait_ready ~timeout_s:10.0 ~socket ()) then
-        failwith "serve-overhead: bench daemon did not come up")
-    [ plain; traced ];
-  (* Client-side recording on: the traced mode pays the full cost of
-     minting ids, stamping the request and recording the span. *)
-  Obs.Trace.set_enabled true;
-  let req =
-    Obs.Json.Obj
-      [ ("op", Obs.Json.Str "estimate");
-        ("workloads", Obs.Json.Arr [ Obs.Json.Str "gcd" ]) ]
-  in
-  Serve.Client.with_session ~socket:(fst plain) @@ fun s_plain ->
-  Serve.Client.with_session ~socket:(fst traced) @@ fun s_traced ->
-  let one s trace = ignore (Serve.Client.session_call ~timeout_s:30.0 ~trace s req) in
-  (* Warm the registry and the evaluation cache on both daemons. *)
-  for _ = 1 to 20 do
-    one s_plain false;
-    one s_traced true
-  done;
-  let batch_median s trace n =
-    let lat = Array.make n 0.0 in
-    for i = 0 to n - 1 do
-      let t0 = Unix.gettimeofday () in
-      one s trace;
-      lat.(i) <- Unix.gettimeofday () -. t0
+  (* The verdict is computed inside the protected region and acted on
+     outside it: [exit] does not unwind, so exiting in here would skip
+     [stop] and orphan both daemons and their pool lanes. *)
+  let within_budget =
+    Fun.protect
+      ~finally:(fun () ->
+        stop plain;
+        stop traced)
+    @@ fun () ->
+    List.iter
+      (fun (socket, _) ->
+        if not (Serve.Client.wait_ready ~timeout_s:10.0 ~socket ()) then
+          failwith "serve-overhead: bench daemon did not come up")
+      [ plain; traced ];
+    (* Client-side recording on: the traced mode pays the full cost of
+       minting ids, stamping the request and recording the span. *)
+    Obs.Trace.set_enabled true;
+    let req =
+      Obs.Json.Obj
+        [ ("op", Obs.Json.Str "estimate");
+          ("workloads", Obs.Json.Arr [ Obs.Json.Str "gcd" ]) ]
+    in
+    Serve.Client.with_session ~socket:(fst plain) @@ fun s_plain ->
+    Serve.Client.with_session ~socket:(fst traced) @@ fun s_traced ->
+    let one s trace = ignore (Serve.Client.session_call ~timeout_s:30.0 ~trace s req) in
+    (* Warm the registry and the evaluation cache on both daemons. *)
+    for _ = 1 to 20 do
+      one s_plain false;
+      one s_traced true
     done;
-    Array.sort compare lat;
-    lat.(n / 2) *. 1e6
+    let batch_median s trace n =
+      let lat = Array.make n 0.0 in
+      for i = 0 to n - 1 do
+        let t0 = Unix.gettimeofday () in
+        one s trace;
+        lat.(i) <- Unix.gettimeofday () -. t0
+      done;
+      Array.sort compare lat;
+      lat.(n / 2) *. 1e6
+    in
+    let reps = 7 and n = 200 in
+    let best_plain = ref infinity and best_traced = ref infinity in
+    for _ = 1 to reps do
+      let p = batch_median s_plain false n in
+      let t = batch_median s_traced true n in
+      if p < !best_plain then best_plain := p;
+      if t < !best_traced then best_traced := t
+    done;
+    Obs.Trace.set_enabled false;
+    let ratio = !best_traced /. !best_plain in
+    let budget = 1.05 in
+    Format.fprintf fmt
+      "warm estimate round trip: untraced %.1f us, traced %.1f us — ratio \
+       %.3fx (budget %.2fx: %s)@."
+      !best_plain !best_traced ratio budget
+      (if ratio <= budget then "ok" else "OVER");
+    let json =
+      Printf.sprintf
+        "{\n\
+        \  \"benchmark\": \"serve-overhead\",\n\
+        \  \"samples_per_batch\": %d,\n\
+        \  \"reps\": %d,\n\
+        \  \"untraced_us\": %.2f,\n\
+        \  \"traced_us\": %.2f,\n\
+        \  \"ratio\": %.4f,\n\
+        \  \"budget\": %.2f,\n\
+        \  \"within_budget\": %b\n\
+         }"
+        n reps !best_plain !best_traced ratio budget (ratio <= budget)
+    in
+    Out_channel.with_open_text "BENCH_serve.json" (fun oc ->
+        Out_channel.output_string oc json;
+        Out_channel.output_char oc '\n');
+    Format.fprintf fmt "(written to BENCH_serve.json)@.";
+    ratio <= budget
   in
-  let reps = 7 and n = 200 in
-  let best_plain = ref infinity and best_traced = ref infinity in
-  for _ = 1 to reps do
-    let p = batch_median s_plain false n in
-    let t = batch_median s_traced true n in
-    if p < !best_plain then best_plain := p;
-    if t < !best_traced then best_traced := t
-  done;
-  Obs.Trace.set_enabled false;
-  let ratio = !best_traced /. !best_plain in
-  let budget = 1.05 in
-  Format.fprintf fmt
-    "warm estimate round trip: untraced %.1f us, traced %.1f us — ratio \
-     %.3fx (budget %.2fx: %s)@."
-    !best_plain !best_traced ratio budget
-    (if ratio <= budget then "ok" else "OVER");
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"serve-overhead\",\n\
-      \  \"samples_per_batch\": %d,\n\
-      \  \"reps\": %d,\n\
-      \  \"untraced_us\": %.2f,\n\
-      \  \"traced_us\": %.2f,\n\
-      \  \"ratio\": %.4f,\n\
-      \  \"budget\": %.2f,\n\
-      \  \"within_budget\": %b\n\
-       }"
-      n reps !best_plain !best_traced ratio budget (ratio <= budget)
-  in
-  Out_channel.with_open_text "BENCH_serve.json" (fun oc ->
-      Out_channel.output_string oc json;
-      Out_channel.output_char oc '\n');
-  Format.fprintf fmt "(written to BENCH_serve.json)@.";
-  if ratio > budget then exit 1
+  if not within_budget then exit 1
 
 (* --- Ablations ---------------------------------------------------------------- *)
 

@@ -241,7 +241,8 @@ type ('a, 'b) pool = {
 
 let lane_child ~f ~w ?first rd_req wr_res =
   (* Replace locks another thread may have held at fork time before
-     touching any guarded structure. *)
+     touching any guarded structure, and give the lane its own trace-id
+     pid and seed. *)
   Obs.Metrics.after_fork ();
   Obs.Trace.after_fork ();
   Obs.Log.after_fork ();

@@ -16,20 +16,28 @@ let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
 
 let advance st = st.pos <- st.pos + 1
 
+(* Is the next character [c]?  The hot paths test characters this way
+   rather than through [peek], which allocates its option. *)
+let at st c = st.pos < String.length st.s && String.unsafe_get st.s st.pos = c
+
 let skip_ws st =
+  let n = String.length st.s in
   while
-    match peek st with
-    | Some (' ' | '\t' | '\n' | '\r') -> true
-    | Some _ | None -> false
+    st.pos < n
+    &&
+    match String.unsafe_get st.s st.pos with
+    | ' ' | '\t' | '\n' | '\r' -> true
+    | _ -> false
   do
     advance st
   done
 
 let expect st c =
-  match peek st with
-  | Some x when x = c -> advance st
-  | Some x -> fail "expected %c at offset %d, found %c" c st.pos x
-  | None -> fail "expected %c at offset %d, found end of input" c st.pos
+  if at st c then advance st
+  else
+    match peek st with
+    | Some x -> fail "expected %c at offset %d, found %c" c st.pos x
+    | None -> fail "expected %c at offset %d, found end of input" c st.pos
 
 let literal st word v =
   let n = String.length word in
@@ -39,8 +47,17 @@ let literal st word v =
   end
   else fail "bad literal at offset %d" st.pos
 
-let parse_string_body st =
-  expect st '"';
+(* First index at or after [i] holding a quote or a backslash, or the
+   string's length. *)
+let rec string_stop s i =
+  if i >= String.length s then i
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' -> i
+    | _ -> string_stop s (i + 1)
+
+(* The general string body, escapes and all, from the current offset. *)
+let parse_escaped_body st =
   let b = Buffer.create 16 in
   let rec go () =
     match peek st with
@@ -86,13 +103,25 @@ let parse_string_body st =
   in
   go ()
 
+let parse_string_body st =
+  expect st '"';
+  let start = st.pos in
+  let stop = string_stop st.s start in
+  if stop < String.length st.s && String.unsafe_get st.s stop = '"' then begin
+    (* No escapes: the body is a plain substring. *)
+    st.pos <- stop + 1;
+    String.sub st.s start (stop - start)
+  end
+  else parse_escaped_body st
+
 let parse_number st =
   let start = st.pos in
   let num_char = function
     | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
     | _ -> false
   in
-  while (match peek st with Some c -> num_char c | None -> false) do
+  let n = String.length st.s in
+  while st.pos < n && num_char (String.unsafe_get st.s st.pos) do
     advance st
   done;
   let s = String.sub st.s start (st.pos - start) in
@@ -102,13 +131,13 @@ let parse_number st =
 
 let rec parse_value st =
   skip_ws st;
-  match peek st with
-  | None -> fail "unexpected end of input"
-  | Some '"' -> Str (parse_string_body st)
-  | Some '{' ->
+  if st.pos >= String.length st.s then fail "unexpected end of input";
+  match String.unsafe_get st.s st.pos with
+  | '"' -> Str (parse_string_body st)
+  | '{' ->
     advance st;
     skip_ws st;
-    if peek st = Some '}' then (advance st; Obj [])
+    if at st '}' then (advance st; Obj [])
     else begin
       let rec members acc =
         skip_ws st;
@@ -117,33 +146,31 @@ let rec parse_value st =
         expect st ':';
         let v = parse_value st in
         skip_ws st;
-        match peek st with
-        | Some ',' -> advance st; members ((k, v) :: acc)
-        | Some '}' -> advance st; Obj (List.rev ((k, v) :: acc))
-        | _ -> fail "expected , or } at offset %d" st.pos
+        if at st ',' then (advance st; members ((k, v) :: acc))
+        else if at st '}' then (advance st; Obj (List.rev ((k, v) :: acc)))
+        else fail "expected , or } at offset %d" st.pos
       in
       members []
     end
-  | Some '[' ->
+  | '[' ->
     advance st;
     skip_ws st;
-    if peek st = Some ']' then (advance st; Arr [])
+    if at st ']' then (advance st; Arr [])
     else begin
       let rec elements acc =
         let v = parse_value st in
         skip_ws st;
-        match peek st with
-        | Some ',' -> advance st; elements (v :: acc)
-        | Some ']' -> advance st; Arr (List.rev (v :: acc))
-        | _ -> fail "expected , or ] at offset %d" st.pos
+        if at st ',' then (advance st; elements (v :: acc))
+        else if at st ']' then (advance st; Arr (List.rev (v :: acc)))
+        else fail "expected , or ] at offset %d" st.pos
       in
       elements []
     end
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> fail "unexpected %c at offset %d" c st.pos
+  | 't' -> literal st "true" (Bool true)
+  | 'f' -> literal st "false" (Bool false)
+  | 'n' -> literal st "null" Null
+  | '-' | '0' .. '9' -> parse_number st
+  | c -> fail "unexpected %c at offset %d" c st.pos
 
 let parse s =
   let st = { s; pos = 0 } in

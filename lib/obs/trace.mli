@@ -68,7 +68,9 @@ type context = {
 
 val new_id : unit -> string
 (** Fresh 16-hex-digit id; embeds the pid so ids minted in forked
-    workers never collide with the parent's. *)
+    workers never collide with the parent's.  The pid is cached and
+    refreshed by {!after_fork}, which a forked child that mints ids
+    must call first. *)
 
 val set_context : context option -> unit
 (** Set ([Some]) or clear ([None]) the calling thread's context (a pool
@@ -89,6 +91,18 @@ val with_span :
     thunk runs with the child context installed, and the event carries
     [trace_id]/[span_id]/[parent_id] args. *)
 
+val with_span_timed :
+  ?cat:string ->
+  ?args:(string * arg) list ->
+  elapsed:(float -> unit) ->
+  string ->
+  (unit -> 'a) ->
+  'a
+(** {!with_span} for a caller that times the thunk itself: [elapsed]
+    receives the thunk's wall time in seconds — when it raises too, and
+    when tracing is disabled — measured by the same two clock reads as
+    the span. *)
+
 val complete :
   ?cat:string ->
   ?args:(string * arg) list ->
@@ -105,8 +119,9 @@ val complete :
     ambient context. *)
 
 val after_fork : unit -> unit
-(** Re-initialise the buffer lock in a freshly forked child (a mutex
-    held by another thread at fork time would stay locked forever). *)
+(** Re-initialise a freshly forked child: its own pid and random seed
+    for {!new_id}, so ids minted in the child never repeat the
+    parent's. *)
 
 val instant : ?cat:string -> ?args:(string * arg) list -> string -> unit
 (** Record a zero-duration instant event (a point-in-time marker),

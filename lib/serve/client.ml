@@ -34,7 +34,10 @@ let session_call ?timeout_s ?trace s req =
   else begin
     (* Run the round trip as a client:call span and hand its ids to the
        daemon in the request, so the server's spans (and the pool
-       workers') chain under this one in the exported trace. *)
+       workers') chain under this one in the exported trace.  Nothing
+       in the round trip itself records a span or a log line, so the
+       context travels in the request only and is never installed on
+       this thread. *)
     let ctx =
       match Obs.Trace.context () with
       | Some p ->
@@ -60,7 +63,7 @@ let session_call ?timeout_s ?trace s req =
       Obs.Trace.complete ~cat:"serve" ~ctx ~name:"client:call" ~ts:t0
         ~dur:(Obs.Trace.now_us () -. t0) ()
     in
-    match Obs.Trace.with_context ctx (fun () -> raw_call ?timeout_s s req) with
+    match raw_call ?timeout_s s req with
     | v -> finish (); v
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in

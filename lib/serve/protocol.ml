@@ -97,17 +97,27 @@ let write_frame ?deadline fd payload =
 
 (* --- JSON printing -------------------------------------------------------- *)
 
+(* Does [s] from [i] on print verbatim (no quote, backslash or control
+   character)?  Most strings do, and then go out in one blit. *)
+let rec verbatim s i =
+  i >= String.length s
+  ||
+  let c = String.unsafe_get s i in
+  c <> '"' && c <> '\\' && Char.code c >= 0x20 && verbatim s (i + 1)
+
 let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+  if verbatim s 0 then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
 
 let add_num b f =
   if Float.is_nan f || Float.abs f = Float.infinity then

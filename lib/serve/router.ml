@@ -35,6 +35,23 @@ module M = struct
       ~labels:[ ("op", op) ]
       ~help:"requests slower than the slow-request threshold"
       "serve_slow_requests_total"
+
+  (* One op's instruments, resolved once: a registry lookup sorts and
+     joins the labels into a key and takes the registry lock. *)
+  type op = {
+    o_requests : Obs.Metrics.counter;
+    o_errors : Obs.Metrics.counter;
+    o_seconds : Obs.Metrics.histogram;
+    o_inflight : Obs.Metrics.gauge;
+    o_slow : Obs.Metrics.counter;
+  }
+
+  let op name =
+    { o_requests = requests name;
+      o_errors = errors name;
+      o_seconds = request_seconds name;
+      o_inflight = inflight name;
+      o_slow = slow name }
 end
 
 type t = {
@@ -60,6 +77,7 @@ type t = {
   r_slow_s : float option;       (* slow-request log threshold, seconds *)
   r_window_s : float;            (* status rolling-window width *)
   r_inflight : (string, int ref) Hashtbl.t;
+  r_metrics : (string, M.op) Hashtbl.t;  (* every known op; read-only *)
   mutable r_snaps : (float * Obs.Metrics.snapshot) list;
   (* Rolling window of metric snapshots, newest first, pruned to
      [r_window_s] on each [status] request: the window is poller-driven
@@ -85,12 +103,9 @@ let locked m f =
 type phases = { mutable px_phases : (string * float) list }
 
 let phase px name f =
-  let t0 = Unix.gettimeofday () in
-  Obs.Trace.with_span ~cat:"serve" ("phase:" ^ name) (fun () ->
-      Fun.protect
-        ~finally:(fun () ->
-          px.px_phases <- (name, Unix.gettimeofday () -. t0) :: px.px_phases)
-        f)
+  Obs.Trace.with_span_timed ~cat:"serve"
+    ~elapsed:(fun s -> px.px_phases <- (name, s) :: px.px_phases)
+    ("phase:" ^ name) f
 
 let phase_order = [ "queue"; "parse"; "registry"; "cache"; "simulate"; "serialize" ]
 
@@ -113,8 +128,9 @@ let merged_phases px =
 
 (* The pool function is fixed at fork time, so it takes everything a
    batch item needs — workload name and configuration — as marshal-safe
-   data and resolves the case inside the worker.  The request's backend
-   rides with the batch itself (see [Core.Parallel.pool_map]). *)
+   data and resolves the case inside the worker, from the name index the
+   lane inherited at fork ([create] builds it first).  The request's
+   backend rides with the batch itself (see [Core.Parallel.pool_map]). *)
 let profile_entry (name, config) =
   let case = Workloads.Suite.find name in
   let p = Core.Extract.profile ~config case in
@@ -137,16 +153,13 @@ let create ?max_models ?jobs ?read_timeout_s ?cache_dir ?characterize ?slow_ms
      connection threads.  Op labels are normalized to [known_ops]
      (arbitrary request strings count as "invalid"), so this set is
      exhaustive. *)
-  List.iter
-    (fun op ->
-      ignore (M.requests op);
-      ignore (M.errors op);
-      ignore (M.request_seconds op);
-      ignore (M.inflight op);
-      ignore (M.slow op))
-    known_ops;
+  let metrics = Hashtbl.create 16 in
+  List.iter (fun op -> Hashtbl.add metrics op (M.op op)) known_ops;
   let inflight = Hashtbl.create 16 in
   List.iter (fun op -> Hashtbl.add inflight op (ref 0)) known_ops;
+  (* Build the workload index before the pool forks, so every lane
+     inherits it and no request pays for the build. *)
+  ignore (Workloads.Suite.names ());
   { r_registry = Registry.create ?max_models ?jobs ?characterize ();
     r_cache = Core.Eval_cache.create ?dir:cache_dir ();
     r_cache_lock = Mutex.create ();
@@ -158,6 +171,7 @@ let create ?max_models ?jobs ?read_timeout_s ?cache_dir ?characterize ?slow_ms
     r_slow_s = Option.map (fun ms -> ms /. 1e3) slow_ms;
     r_window_s = window_s;
     r_inflight = inflight;
+    r_metrics = metrics;
     r_snaps = [];
     r_requests = 0;
     r_stop = false;
@@ -285,21 +299,19 @@ let handle_estimate t px req =
   in
   let config = request_config req in
   let bname = backend_name () in
-  (* Resolve every name before simulating anything, so one typo fails
-     the request instead of wasting a batch. *)
-  List.iter (fun n -> ignore (find_case n)) names;
+  (* Resolve every name once, before simulating anything, so one typo
+     fails the request instead of wasting a batch. *)
+  let cases = List.map (fun n -> (n, find_case n)) names in
   let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
   let model = lookup.Registry.l_model in
   let found =
     phase px "cache" @@ fun () ->
     locked t.r_cache_lock (fun () ->
         List.map
-          (fun n ->
-            let key =
-              Core.Eval_cache.key ~backend:bname ~config (find_case n)
-            in
+          (fun (n, case) ->
+            let key = Core.Eval_cache.key ~backend:bname ~config case in
             (n, key, Core.Eval_cache.find t.r_cache key))
-          names)
+          cases)
   in
   let missing =
     List.filter_map
@@ -724,7 +736,7 @@ let request_context req =
       span_id = Obs.Trace.new_id ();
       parent_id = None }
 
-let inflight_adjust t op d =
+let inflight_adjust t op gauge d =
   locked t.r_state_lock (fun () ->
       let cell =
         match Hashtbl.find_opt t.r_inflight op with
@@ -735,7 +747,7 @@ let inflight_adjust t op d =
           c
       in
       cell := !cell + d;
-      Obs.Metrics.set (M.inflight op) (float_of_int !cell))
+      Obs.Metrics.set gauge (float_of_int !cell))
 
 let handle ?received ?parse_s t req =
   locked t.r_state_lock (fun () -> t.r_requests <- t.r_requests + 1);
@@ -751,8 +763,9 @@ let handle ?received ?parse_s t req =
   (* Metric labels are normalized to the known-op set so a stream of
      garbage op names cannot grow label cardinality without bound. *)
   let opl = if List.mem op known_ops then op else "invalid" in
-  Obs.Metrics.inc (M.requests opl);
-  inflight_adjust t opl 1;
+  let m = Hashtbl.find t.r_metrics opl in
+  Obs.Metrics.inc m.M.o_requests;
+  inflight_adjust t opl m.M.o_inflight 1;
   let px = { px_phases = [] } in
   (match received with
   | Some r -> px.px_phases <- [ ("queue", Float.max 0.0 (t0 -. r -. Option.value parse_s ~default:0.0)) ]
@@ -777,7 +790,8 @@ let handle ?received ?parse_s t req =
   Obs.Trace.with_context ctx @@ fun () ->
   with_backend @@ fun () ->
   let resp =
-    Fun.protect ~finally:(fun () -> inflight_adjust t opl (-1)) @@ fun () ->
+    Fun.protect ~finally:(fun () -> inflight_adjust t opl m.M.o_inflight (-1))
+    @@ fun () ->
     Obs.Trace.with_span ~cat:"serve"
       ~args:[ ("op", Obs.Trace.S opl) ]
       ("serve:" ^ opl)
@@ -797,7 +811,7 @@ let handle ?received ?parse_s t req =
         | J.Parse_error msg -> "invalid JSON: " ^ msg
         | e -> Printexc.to_string e
       in
-      Obs.Metrics.inc (M.errors opl);
+      Obs.Metrics.inc m.M.o_errors;
       Obs.Log.event ~level:Obs.Log.Warn "serve:error"
         [ ("op", Obs.Trace.S op); ("error", Obs.Trace.S msg) ];
       error_resp msg
@@ -805,7 +819,7 @@ let handle ?received ?parse_s t req =
   let t_end = Unix.gettimeofday () in
   let dt = t_end -. t0 in
   let total = t_end -. t_start in
-  Obs.Metrics.observe (M.request_seconds opl) dt;
+  Obs.Metrics.observe m.M.o_seconds dt;
   (* The breakdown's phases sum to [total] exactly: whatever the named
      phases did not account for is reported honestly as "other". *)
   let phases =
@@ -815,13 +829,16 @@ let handle ?received ?parse_s t req =
   in
   (match t.r_slow_s with
   | Some thr when total >= thr ->
-    Obs.Metrics.inc (M.slow opl);
-    Obs.Log.event ~level:Obs.Log.Warn "serve:slow-request"
-      (("op", Obs.Trace.S op)
-      :: ("total_ms", Obs.Trace.F (total *. 1e3))
-      :: List.map
-           (fun (n, s) -> ("phase_" ^ n ^ "_ms", Obs.Trace.F (s *. 1e3)))
-           phases)
+    Obs.Metrics.inc m.M.o_slow;
+    (* The per-phase fields cost a string per phase: build them only
+       for a sink that will write them. *)
+    if Obs.Log.enabled () then
+      Obs.Log.event ~level:Obs.Log.Warn "serve:slow-request"
+        (("op", Obs.Trace.S op)
+        :: ("total_ms", Obs.Trace.F (total *. 1e3))
+        :: List.map
+             (fun (n, s) -> ("phase_" ^ n ^ "_ms", Obs.Trace.F (s *. 1e3)))
+             phases)
   | _ -> ());
   let ok = match resp with J.Obj (("ok", J.Bool b) :: _) -> b | _ -> false in
   Obs.Log.event "serve:request"
@@ -850,7 +867,7 @@ let handle_text ?received t payload =
     let parse_s = Unix.gettimeofday () -. tp in
     Protocol.json_to_string (handle ?received ~parse_s t req)
   | exception J.Parse_error msg ->
-    Obs.Metrics.inc (M.errors "invalid");
+    Obs.Metrics.inc (Hashtbl.find t.r_metrics "invalid").M.o_errors;
     Obs.Log.event ~level:Obs.Log.Warn "serve:error"
       [ ("op", Obs.Trace.S "parse"); ("error", Obs.Trace.S msg) ];
     Protocol.json_to_string (error_resp ("invalid JSON: " ^ msg))

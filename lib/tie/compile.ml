@@ -3,14 +3,17 @@ exception Tie_error of string
 let fail fmt = Format.kasprintf (fun s -> raise (Tie_error s)) fmt
 
 (* Execution plan, fully resolved at compile time: operand slots in
-   positional order, a reusable scratch array they are written into, and
-   the result/update expressions compiled to closures over (args,
-   states).  The simulator retires custom instructions on its hot path,
-   so nothing here may require a name lookup or width inference per
-   execution. *)
+   positional order and the result/update expressions compiled to
+   closures over (args, states).  The simulator retires custom
+   instructions on its hot path, so nothing here may require a name
+   lookup or width inference per execution.  The plan is immutable:
+   every evaluation runs over an args array its caller owns, [p_width]
+   slots long — the operands first, then each expression's hoisted
+   subexpressions at the base offset it was compiled with — so one
+   compiled extension serves any number of threads at once. *)
 type plan = {
   p_ops : Spec.operand array;          (* def.ins, in order *)
-  p_args : int array;                  (* scratch, one slot per operand *)
+  p_width : int;                       (* operand + scratch slots *)
   p_result : Expr.compiled_fn option;
   p_updates : (int * int * Expr.compiled_fn) array;
       (* (state index, state width, new-value expression) *)
@@ -153,16 +156,22 @@ let make_plan (spec : Spec.t) (def : Spec.insn_def) ctx =
     | Some t -> t.Spec.tdata
     | None -> fail "%s: unknown table %S" def.Spec.iname name
   in
-  let compile_expr e = Expr.compile ctx ~arg ~state ~table e in
-  { p_ops = Array.of_list def.Spec.ins;
-    p_args = Array.make (List.length def.Spec.ins) 0;
-    p_result = Option.map compile_expr def.Spec.result;
-    p_updates =
-      Array.of_list
-        (List.map
-           (fun (sname, e) ->
-             (state sname, ctx.Expr.state_width sname, compile_expr e))
-           def.Spec.updates) }
+  (* Each expression's scratch slots follow the previous one's. *)
+  let width = ref (List.length def.Spec.ins) in
+  let compile_expr e =
+    let f, slots = Expr.compile ctx ~arg ~state ~table ~base:!width e in
+    width := !width + slots;
+    f
+  in
+  let p_result = Option.map compile_expr def.Spec.result in
+  let p_updates =
+    Array.of_list
+      (List.map
+         (fun (sname, e) ->
+           (state sname, ctx.Expr.state_width sname, compile_expr e))
+         def.Spec.updates)
+  in
+  { p_ops = Array.of_list def.Spec.ins; p_width = !width; p_result; p_updates }
 
 let compile_insn (spec : Spec.t) (def : Spec.insn_def) =
   validate_insn spec def;
@@ -284,7 +293,7 @@ let mask_to w v = if w >= 63 then v else v land ((1 lsl w) - 1)
 let execute _c store insn ~srcs ~imm =
   let def = insn.def in
   let p = insn.plan in
-  let args = p.p_args in
+  let args = Array.make p.p_width 0 in
   let nops = Array.length p.p_ops in
   (* Bind operands positionally: register operands consume [srcs] in
      order, the immediate operand takes [imm]. *)
@@ -339,12 +348,12 @@ let no_result = -1
    which operand slot, the immediate's constant value, every operand
    mask) is resolved once, so the per-execution work is a masked copy
    loop plus the compiled expressions.  Uses a private args array —
-   immediate slots are filled here and never rewritten. *)
+   immediate slots are filled here and never rewritten, and the
+   expressions' scratch slots follow the operands. *)
 let bind _c store insn ~nsrcs ~imm =
   let def = insn.def in
   let p = insn.plan in
-  let nops = Array.length p.p_ops in
-  let args = Array.make nops 0 in
+  let args = Array.make p.p_width 0 in
   let pos = ref [] and msk = ref [] and nreg = ref 0 in
   Array.iteri
     (fun k (o : Spec.operand) ->
@@ -412,52 +421,3 @@ let bind _c store insn ~nsrcs ~imm =
         states.(i) <- staged.(k)
       done;
       r
-
-let execute_fast _c store insn ~srcs ~imm =
-  let def = insn.def in
-  let p = insn.plan in
-  let args = p.p_args in
-  let ops = p.p_ops in
-  let nops = Array.length ops in
-  let nsrcs = Array.length srcs in
-  let rec fill k s =
-    if k < nops then
-      let o = Array.unsafe_get ops k in
-      match o.Spec.okind with
-      | Spec.Imm ->
-        let v =
-          match imm with
-          | Some v -> v
-          | None -> fail "%s: missing immediate" def.Spec.iname
-        in
-        args.(k) <- mask_to o.Spec.owidth v;
-        fill (k + 1) s
-      | Spec.In_reg ->
-        if s >= nsrcs then
-          fail "%s: not enough register operands" def.Spec.iname;
-        args.(k) <- mask_to o.Spec.owidth (Array.unsafe_get srcs s);
-        fill (k + 1) (s + 1)
-  in
-  fill 0 0;
-  let states = store.s_values in
-  let result =
-    match p.p_result with
-    | Some f -> mask_to 32 (f args states)
-    | None -> no_result
-  in
-  (match Array.length p.p_updates with
-   | 0 -> ()
-   | 1 ->
-     let (i, sw, f) = p.p_updates.(0) in
-     states.(i) <- mask_to sw (f args states)
-   | n ->
-     let staged = Array.make n 0 in
-     for k = 0 to n - 1 do
-       let (_, sw, f) = p.p_updates.(k) in
-       staged.(k) <- mask_to sw (f args states)
-     done;
-     for k = 0 to n - 1 do
-       let (i, _, _) = p.p_updates.(k) in
-       states.(i) <- staged.(k)
-     done);
-  result

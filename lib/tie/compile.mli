@@ -17,7 +17,11 @@ exception Tie_error of string
 type plan
 (** Pre-resolved execution plan: operand slots, and the instruction's
     expressions compiled to closures ({!Expr.compile}) so {!execute}
-    performs no name lookups or width inference. *)
+    performs no name lookups or width inference.  A plan holds no
+    mutable state — every execution runs over an argument array its
+    caller owns — so a {!compiled} extension is immutable and may be
+    shared by any number of threads, each simulating on its own
+    {!state_store}. *)
 
 type compiled_insn = {
   def : Spec.insn_def;
@@ -75,12 +79,13 @@ val execute :
   int option
 (** Run one instruction: returns the destination-register value (if the
     instruction has a result) and commits state updates.  Register
-    operands are consumed positionally from [srcs].
+    operands are consumed positionally from [srcs].  This is the
+    reference path: it allocates a fresh argument array per call.
     @raise Tie_error if [srcs] does not supply every register operand. *)
 
 val no_result : int
-(** Sentinel returned by {!execute_fast} when the instruction writes no
-    register ([-1]; real results are masked to 32 bits, so never
+(** Sentinel returned by a {!bind} closure when the instruction writes
+    no register ([-1]; real results are masked to 32 bits, so never
     negative). *)
 
 val bind :
@@ -93,21 +98,11 @@ val bind :
 (** Pre-bind one call site of the instruction: the immediate value and
     the source-register-to-operand routing are resolved now, returning
     a closure that executes against the given state store with only a
-    masked operand copy per call.  Results, state updates, and masking
-    are bit-identical to {!execute_fast} fed the same sources.
+    masked operand copy per call.  The closure owns a private argument
+    array, so it belongs to whoever owns the state store.  It returns
+    the destination-register value, or {!no_result} if the instruction
+    has none; results, state updates, and masking are bit-identical to
+    {!execute} fed the same sources.
     @raise Tie_error now (rather than at execution) if the call site
     supplies fewer than the required register operands or omits a
     required immediate. *)
-
-val execute_fast :
-  compiled ->
-  state_store ->
-  compiled_insn ->
-  srcs:int array ->
-  imm:int option ->
-  int
-(** {!execute} without allocation, for the simulator's threaded
-    backend: register operands come from an array the caller reuses
-    across retirements, and the result is returned directly
-    ({!no_result} if the instruction has none).  State updates and
-    failure modes are identical to {!execute}. *)

@@ -176,15 +176,18 @@ let subexprs = function
   | Tie_csa (a, b, c) ->
     [ a; b; c ]
 
-let compile ctx ~arg ~state ~table e =
+let compile ctx ~arg ~state ~table ~base e =
   (* Specifications write expressions as trees, but let-bound
      intermediates (the datapath idiom) make them DAGs: the same
      subexpression object appears under several parents, and a plain
      tree walk re-evaluates it per appearance.  Expressions are pure and
      total, so any subexpression occurring at two or more evaluation
      sites is hoisted into a prelude that runs once per evaluation and
-     stores its (masked) value in a scratch slot; references compile to
-     a slot read.  This also means a hoisted node under a [Mux] branch
+     stores its (masked) value in a scratch slot of the caller's operand
+     array, at [base] onwards; references compile to a slot read.  The
+     closure itself holds no mutable state, so one compiled expression
+     may run on any number of threads at once, each over its own
+     array.  This also means a hoisted node under a [Mux] branch
      is evaluated even when the branch is not taken — harmless for the
      same reason (purity), and cheaper than re-evaluating it lazily at
      each of its sites. *)
@@ -220,7 +223,6 @@ let compile ctx ~arg ~state ~table e =
   in
   assign e;
   let nshared = Hashtbl.length slot_of in
-  let temps = Array.make (max nshared 1) 0 in
   (* Per-node closure calls are indirect and the compiler cannot fuse
      them, so the frequent leaf shapes — operands, operand bit-fields,
      and operators applied directly to them — are pattern-matched into
@@ -231,7 +233,9 @@ let compile ctx ~arg ~state ~table e =
      interchangeable bit for bit. *)
   let rec comp e : compiled_fn =
     match Hashtbl.find_opt slot_of e with
-    | Some id -> fun _ _ -> Array.unsafe_get temps id
+    | Some id ->
+      let k = base + id in
+      fun a _ -> Array.unsafe_get a k
     | None -> comp_node e
   and comp_node e : compiled_fn =
     let w = width ctx e in
@@ -514,18 +518,19 @@ let compile ctx ~arg ~state ~table e =
       let fx = comp x and fy = comp y and fz = comp z in
       fun a s -> (fx a s + fy a s + fz a s) land m
   in
-  if nshared = 0 then comp_node e
+  if nshared = 0 then (comp_node e, 0)
   else begin
     let prelude = Array.make nshared (fun _ _ -> 0) in
     List.iter
       (fun e -> prelude.(Hashtbl.find slot_of e) <- comp_node e)
       !shared;
     let froot = comp_node e in
-    fun a s ->
-      for i = 0 to nshared - 1 do
-        Array.unsafe_set temps i ((Array.unsafe_get prelude i) a s)
-      done;
-      froot a s
+    ( (fun a s ->
+        for i = 0 to nshared - 1 do
+          Array.unsafe_set a (base + i) ((Array.unsafe_get prelude i) a s)
+        done;
+        froot a s),
+      nshared )
   end
 
 let rec fold f acc e =

@@ -62,24 +62,35 @@ val eval : ctx -> env -> t -> int
     from the operand's width. *)
 
 type compiled_fn = int array -> int array -> int
-(** A compiled expression: applied to the positional operand values and
-    the state-value array, returns the expression value.  Behaves
-    bit-for-bit like {!eval} over the same bindings. *)
+(** A compiled expression: applied to the caller-owned argument array
+    (positional operand values, then scratch slots) and the state-value
+    array, returns the expression value.  Behaves bit-for-bit like
+    {!eval} over the same bindings. *)
 
 val compile :
   ctx ->
   arg:(string -> int) ->
   state:(string -> int) ->
   table:(string -> int array) ->
+  base:int ->
   t ->
-  compiled_fn
-(** Compile the expression once into a closure tree with all
-    value-independent work hoisted out of evaluation: widths and masks
-    become captured constants, [arg]/[state] resolve names to indices
-    into the two runtime arrays, and [table] resolves a table name to
-    its data.  Name resolution and width inference run eagerly, so the
-    errors {!eval} would raise per evaluation surface here instead.
-    [Mux] stays lazy: only the selected branch is evaluated.
+  compiled_fn * int
+(** [compile ctx ~arg ~state ~table ~base e] compiles the expression
+    once into a closure tree with all value-independent work hoisted out
+    of evaluation: widths and masks become captured constants,
+    [arg]/[state] resolve names to indices into the two runtime arrays,
+    and [table] resolves a table name to its data.  Name resolution and
+    width inference run eagerly, so the errors {!eval} would raise per
+    evaluation surface here instead.  [Mux] stays lazy: only the
+    selected branch is evaluated.
+
+    Subexpressions shared between several parents are evaluated once
+    per call into scratch slots of the argument array.  The second
+    component is their count [k]: the function reads and writes slots
+    [base .. base + k - 1], so every argument array it is applied to
+    must be at least [base + k] long, and [base] must lie past the
+    operand slots.  The function captures no mutable state: it may run
+    concurrently on several threads, each over its own argument array.
     @raise Width_error on width inference failures; the resolver
     callbacks may raise on unknown names. *)
 

@@ -21,11 +21,43 @@ let all () =
   characterization () @ applications () @ reed_solomon_choices ()
   @ c_applications ()
 
-let find name =
-  match
-    List.find_opt (fun c -> c.Core.Extract.case_name = name) (all ())
-  with
-  | Some c -> c
-  | None -> raise Not_found
+(* The name index: every case of [all ()], built once per process and
+   never mutated afterwards, so lookups from any thread share the same
+   cases.  The build runs under a mutex rather than inside a [lazy]: on
+   OCaml 5 a second thread forcing a lazy value mid-build raises
+   [Lazy.Undefined] instead of waiting for it.  Once published, readers
+   take the atomic fast path and never touch the lock. *)
+type index = {
+  by_name : (string, Core.Extract.case) Hashtbl.t;
+  order : string list;
+}
 
-let names () = List.map (fun c -> c.Core.Extract.case_name) (all ())
+let index_cell : index option Atomic.t = Atomic.make None
+let index_lock = Mutex.create ()
+
+let build_index () =
+  let cases = all () in
+  let by_name = Hashtbl.create 64 in
+  (* First match wins, as a front-to-back search of [all ()] would. *)
+  List.iter
+    (fun c ->
+      let n = c.Core.Extract.case_name in
+      if not (Hashtbl.mem by_name n) then Hashtbl.add by_name n c)
+    cases;
+  { by_name; order = List.map (fun c -> c.Core.Extract.case_name) cases }
+
+let index () =
+  match Atomic.get index_cell with
+  | Some i -> i
+  | None ->
+    Mutex.protect index_lock (fun () ->
+        match Atomic.get index_cell with
+        | Some i -> i
+        | None ->
+          let i = build_index () in
+          Atomic.set index_cell (Some i);
+          i)
+
+let find name = Hashtbl.find (index ()).by_name name
+
+let names () = (index ()).order

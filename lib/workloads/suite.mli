@@ -15,8 +15,19 @@ val c_applications : unit -> Core.Extract.case list
 (** Applications compiled from Tiny-C sources ({!C_apps}). *)
 
 val all : unit -> Core.Extract.case list
+(** Every workload, in suite order: characterization, applications,
+    Reed-Solomon choices, Tiny-C applications.  Like the lists above it
+    builds fresh cases on every call. *)
 
 val find : string -> Core.Extract.case
-(** Look up any workload by name.  @raise Not_found. *)
+(** Look up any workload by name (the first in {!all} order).  Lookups
+    read one name index, built from {!all} on the first call in the
+    process and shared from then on: every call for a name returns the
+    same case, physically, and a case is safe to simulate on several
+    threads at once (its compiled extension holds no mutable state).
+    Safe to call from any thread, including concurrently with the
+    first build.  @raise Not_found. *)
 
 val names : unit -> string list
+(** Every workload name, in {!all} order, read from the same index as
+    {!find}. *)

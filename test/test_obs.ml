@@ -532,6 +532,80 @@ let test_trace_context_ids () =
         id)
     ids
 
+(* A nested binding rewrites the thread's own cell in place; every exit
+   — normal, raised, or after the body cleared the variable — restores
+   exactly the enclosing value. *)
+let test_scope_nesting () =
+  let v : int Obs.Scope.var = Obs.Scope.create () in
+  let get () = Obs.Scope.get v in
+  let opt = Alcotest.(option int) in
+  check opt "unset" None (get ());
+  check opt "derive without a value changes nothing" None
+    (Obs.Scope.derive v
+       (fun x -> x + 1)
+       (fun y ->
+         check opt "no derived value" None y;
+         get ()));
+  Obs.Scope.with_value v 1 (fun () ->
+      Obs.Scope.with_value v 2 (fun () -> check opt "inner" (Some 2) (get ()));
+      check opt "restored after inner" (Some 1) (get ());
+      (try Obs.Scope.with_value v 3 (fun () -> failwith "boom")
+       with Failure _ -> ());
+      check opt "restored after raise" (Some 1) (get ());
+      Obs.Scope.with_value v 4 (fun () ->
+          Obs.Scope.set v None;
+          check opt "cleared inside" None (get ()));
+      check opt "restored after inner clear" (Some 1) (get ());
+      let seen =
+        Obs.Scope.derive v
+          (fun x -> x * 10)
+          (fun y ->
+            check opt "derived value passed" (Some 10) y;
+            get ())
+      in
+      check opt "derived value installed" (Some 10) seen;
+      check opt "restored after derive" (Some 1) (get ()));
+  check opt "unset again" None (get ())
+
+(* Ids embed the minting process's pid, which [after_fork] refreshes: a
+   forked child's ids carry its own pid and never repeat the parent's. *)
+let test_trace_ids_after_fork () =
+  let prefix pid = Printf.sprintf "%04x" (pid land 0xffff) in
+  let mint () = List.init 200 (fun _ -> Obs.Trace.new_id ()) in
+  let mine = mint () in
+  List.iter
+    (fun id ->
+      check Alcotest.string "parent id embeds the parent pid"
+        (prefix (Unix.getpid ())) (String.sub id 0 4))
+    mine;
+  let rd, wr = Unix.pipe () in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+    Unix.close rd;
+    Obs.Trace.after_fork ();
+    let oc = Unix.out_channel_of_descr wr in
+    output_string oc (String.concat "\n" (mint ()));
+    close_out oc;
+    Unix._exit 0
+  | pid ->
+    Unix.close wr;
+    let ic = Unix.in_channel_of_descr rd in
+    let theirs = String.split_on_char '\n' (In_channel.input_all ic) in
+    close_in ic;
+    ignore (Unix.waitpid [] pid);
+    let after = mint () in
+    check Alcotest.int "child minted its ids" 200 (List.length theirs);
+    List.iter
+      (fun id ->
+        check Alcotest.string "child id embeds the child pid" (prefix pid)
+          (String.sub id 0 4))
+      theirs;
+    let all = mine @ theirs @ after in
+    check Alcotest.int "no id repeats across the fork" (List.length all)
+      (List.length (List.sort_uniq compare all))
+
 let test_trace_context_spans () =
   with_obs (fun () ->
       check Alcotest.bool "no ambient context" true
@@ -783,6 +857,8 @@ let () =
           Alcotest.test_case "emit_all lanes" `Quick
             test_trace_emit_all_preserves_lanes;
           Alcotest.test_case "context ids" `Quick test_trace_context_ids;
+          Alcotest.test_case "ids after fork" `Quick test_trace_ids_after_fork;
+          Alcotest.test_case "scope nesting" `Quick test_scope_nesting;
           Alcotest.test_case "context spans" `Quick
             test_trace_context_spans;
           Alcotest.test_case "context scopes" `Quick

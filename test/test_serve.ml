@@ -258,6 +258,48 @@ let test_router_profile_op () =
   check Alcotest.bool "router still alive" true
     (as_bool (member "ok" (call (J.Obj [ ("op", J.Str "ping") ]))))
 
+(* Connection threads share the router's one case per workload: two
+   profile requests for a custom-instruction workload simulating at
+   once, one on the default backend and one on the interpreter, answer
+   exactly what a lone request does (ids aside). *)
+let test_router_concurrent_profiles () =
+  with_router @@ fun router ->
+  let req backend =
+    J.Obj
+      ([ ("op", J.Str "profile"); ("workload", J.Str "rs_gfmul4") ]
+      @ match backend with Some b -> [ ("backend", J.Str b) ] | None -> [])
+  in
+  let body resp =
+    match resp with
+    | J.Obj fields ->
+      Serve.Protocol.json_to_string
+        (J.Obj
+           (List.filter
+              (fun (k, _) -> k <> "trace_id" && k <> "backend")
+              fields))
+    | _ -> Alcotest.fail "response is not an object"
+  in
+  (* Warm the registry, so every answer below is a registry hit. *)
+  ignore (Serve.Router.handle router (req None));
+  let lone = body (Serve.Router.handle router (req None)) in
+  List.iter
+    (fun backends ->
+      let out = Array.make (List.length backends) "" in
+      let ts =
+        List.mapi
+          (fun i b ->
+            Thread.create
+              (fun () -> out.(i) <- body (Serve.Router.handle router (req b)))
+              ())
+          backends
+      in
+      List.iter Thread.join ts;
+      Array.iter
+        (fun b ->
+          check Alcotest.string "concurrent profile = lone profile" lone b)
+        out)
+    [ [ None; None ]; [ None; Some "interp" ] ]
+
 let test_router_explore_op () =
   with_router @@ fun router ->
   let call req = Serve.Router.handle router req in
@@ -596,6 +638,9 @@ let with_server ?(char_sleep = 0.3) ~max_models f =
   flush stderr;
   match Unix.fork () with
   | 0 ->
+    (* The daemon mints span ids of its own: give it its own pid and
+       seed, as every fork path that keeps tracing must. *)
+    Obs.Trace.after_fork ();
     (try
        let router =
          Serve.Router.create ~max_models ~jobs:2 ~read_timeout_s:30.0
@@ -1090,6 +1135,8 @@ let () =
             test_registry_hit_and_eviction ] );
       ( "router",
         [ Alcotest.test_case "profile op" `Quick test_router_profile_op;
+          Alcotest.test_case "concurrent profiles of one workload" `Quick
+            test_router_concurrent_profiles;
           Alcotest.test_case "explore op" `Slow test_router_explore_op;
           Alcotest.test_case "latency-shaped request buckets" `Quick
             test_request_seconds_buckets;

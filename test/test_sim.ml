@@ -1044,6 +1044,70 @@ let test_backend_check_metrics () =
         (Sim.Cpu.instructions cpu)
         (Obs.Metrics.counter_value counter - before))
 
+(* --- Shared cases ------------------------------------------------------------ *)
+
+(* A daemon's connection threads simulate the one cached case per name,
+   so a compiled extension must carry no scratch state: runs on the
+   shared case from four domains at once, on every backend, must be bit
+   for bit what one thread gets from a freshly built case. *)
+let shared_names = [ "rs_gfmul4"; "cover_xadd"; "accumulate"; "rs_gfmac" ]
+
+let shared_model =
+  Core.Template.make
+    (Array.init Core.Variables.count (fun i -> 1.0 +. (0.37 *. float_of_int i)))
+
+type shared_run = { s_vars : int64 array; s_cycles : int; s_pj : int64 }
+
+let shared_run backend c =
+  Sim.Backend.with_current backend (fun () ->
+      let p = Core.Extract.profile c in
+      let r = Core.Profiler.run shared_model c in
+      { s_vars = Array.map Int64.bits_of_float p.Core.Extract.variables;
+        s_cycles = p.Core.Extract.cycles;
+        s_pj = Int64.bits_of_float r.Core.Profiler.r_total_pj })
+
+let test_shared_case_concurrency () =
+  let domains = 4 and rounds = 2 in
+  List.iter
+    (fun backend ->
+      let expected =
+        List.map
+          (fun n ->
+            let fresh =
+              List.find
+                (fun c -> c.Core.Extract.case_name = n)
+                (Workloads.Suite.all ())
+            in
+            (n, shared_run backend fresh))
+          shared_names
+      in
+      let shared = List.map (fun n -> (n, Workloads.Suite.find n)) shared_names in
+      let go = Atomic.make false in
+      let worker () =
+        while not (Atomic.get go) do Domain.cpu_relax () done;
+        List.concat
+          (List.init rounds (fun _ ->
+               List.map (fun (n, c) -> (n, shared_run backend c)) shared))
+      in
+      let ds = List.init domains (fun _ -> Domain.spawn worker) in
+      Atomic.set go true;
+      List.iter
+        (fun d ->
+          List.iter
+            (fun (n, r) ->
+              let e = List.assoc n expected in
+              let what w =
+                Printf.sprintf "%s on %s: %s" n (Sim.Backend.name backend) w
+              in
+              check Alcotest.bool (what "variables bit-identical") true
+                (r.s_vars = e.s_vars);
+              check Alcotest.int (what "cycles") e.s_cycles r.s_cycles;
+              check Alcotest.bool (what "profiler energy bit-identical") true
+                (r.s_pj = e.s_pj))
+            (Domain.join d))
+        ds)
+    Sim.Backend.all
+
 let () =
   Alcotest.run "sim"
     [ ( "memory",
@@ -1104,5 +1168,8 @@ let () =
           Alcotest.test_case "selection" `Quick test_backend_selection;
           Alcotest.test_case "override is per thread" `Quick
             test_backend_thread_isolation ] );
-      ( "differential",
+( "shared cases",
+        [ Alcotest.test_case "concurrent runs on one case" `Quick
+            test_shared_case_concurrency ] );
+            ( "differential",
         [ QCheck_alcotest.to_alcotest qcheck_cpu_matches_int32_oracle ] ) ]

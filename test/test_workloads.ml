@@ -246,6 +246,50 @@ let test_find () =
   | exception Not_found -> ()
   | _ -> fail "bogus name accepted"
 
+(* --- Name index ---------------------------------------------------------------- *)
+
+(* Must run before anything in this executable resolves a name: two
+   domains released together race on the first [find], which builds the
+   process-wide index.  The loser waits for the build and gets the same
+   cases. *)
+let test_index_first_find_race () =
+  let names = [ "rs_gfmul4"; "gcd"; "c_crc32" ] in
+  let go = Atomic.make false in
+  let worker () =
+    while not (Atomic.get go) do Domain.cpu_relax () done;
+    List.map Workloads.Suite.find names
+  in
+  let ds = List.init 2 (fun _ -> Domain.spawn worker) in
+  Atomic.set go true;
+  let results = List.map Domain.join ds in
+  List.iter
+    (fun cases ->
+      List.iter2
+        (fun n c ->
+          check Alcotest.bool (n ^ ": racing lookups share the case") true
+            (c == Workloads.Suite.find n))
+        names cases)
+    results
+
+let test_index_shares_cases () =
+  let all = Workloads.Suite.all () in
+  check Alcotest.int "every workload" 44 (List.length all);
+  check
+    (Alcotest.list Alcotest.string)
+    "names () in suite order"
+    (List.map (fun c -> c.Core.Extract.case_name) all)
+    (Workloads.Suite.names ());
+  List.iter
+    (fun n ->
+      let c = Workloads.Suite.find n in
+      check Alcotest.bool (n ^ ": one case per name") true
+        (c == Workloads.Suite.find n);
+      check Alcotest.string (n ^ ": found by its name") n
+        c.Core.Extract.case_name)
+    (Workloads.Suite.names ());
+  check Alcotest.bool "list functions still build fresh cases" true
+    (List.hd all != List.hd (Workloads.Suite.all ()))
+
 (* --- Tiny-C applications ------------------------------------------------------ *)
 
 let test_c_apps_match_interpreter () =
@@ -328,7 +372,12 @@ let test_prng_determinism () =
 
 let () =
   Alcotest.run "workloads"
-    [ ( "sorting",
+    [ ( "index",
+        [ Alcotest.test_case "racing first find" `Quick
+            test_index_first_find_race;
+          Alcotest.test_case "one shared case per name" `Quick
+            test_index_shares_cases ] );
+      ( "sorting",
         [ Alcotest.test_case "ins_sort" `Quick
             (test_sort Workloads.Sorting.ins_sort);
           Alcotest.test_case "bubsort" `Quick
