@@ -563,7 +563,31 @@ let trace_cmd =
        ~doc:"Per-instruction execution/energy trace (WattWatcher style)")
     Term.(const run $ name_arg $ count_arg)
 
-(* --- run: external assembly files ------------------------------------------ *)
+(* --- run / cc: external programs -------------------------------------------- *)
+
+let extension_of_name = function
+  | None -> None
+  | Some n -> (
+    match Workloads.Tie_lib.by_name n with
+    | Some e -> Some e
+    | None ->
+      die "unknown extension %S; available: %s" n
+        (String.concat ", " Workloads.Tie_lib.extension_names))
+
+(* Profile the program, run it under the reference estimator, let
+   [header] print from the profile and the reference run's final CPU,
+   then print the reference energy and the macro-model estimate with its
+   error. *)
+let estimate_external ~model_path ?extension ~name ~header asm =
+  let profile = Core.Extract.profile (Core.Extract.case ?extension name asm) in
+  let ref_pj, cpu = Power.Estimator.estimate_program ?extension asm in
+  header profile cpu;
+  Format.fprintf fmt "reference energy: %a@." Power.Report.pp_energy ref_pj;
+  let model = load_or_fit model_path in
+  let est = Core.Estimate.of_profile model profile in
+  Format.fprintf fmt "macro-model estimate: %a (error %+.2f%%)@."
+    Power.Report.pp_energy est.Core.Estimate.energy_pj
+    (100.0 *. (est.Core.Estimate.energy_pj -. ref_pj) /. ref_pj)
 
 let run_cmd =
   let file_arg =
@@ -582,32 +606,14 @@ let run_cmd =
       with Isa.Asm_parser.Parse_error (line, msg) ->
         die "%s:%d: %s" file line msg
     in
-    let extension =
-      match ext_name with
-      | None -> None
-      | Some n -> (
-        match Workloads.Tie_lib.by_name n with
-        | Some e -> Some e
-        | None ->
-          die "unknown extension %S; available: %s" n
-            (String.concat ", " Workloads.Tie_lib.extension_names))
-    in
+    let extension = extension_of_name ext_name in
     let asm =
       try Isa.Program.assemble program
       with Isa.Program.Assembly_error msg -> die "%s: %s" file msg
     in
-    let case = Core.Extract.case ?extension "user" asm in
-    let profile = Core.Extract.profile case in
-    Format.fprintf fmt "%a@." Core.Extract.pp_profile profile;
-    let ref_pj, _ =
-      Power.Estimator.estimate_program ?extension asm
-    in
-    Format.fprintf fmt "reference energy: %a@." Power.Report.pp_energy ref_pj;
-    let model = load_or_fit model_path in
-    let est = Core.Estimate.of_profile model profile in
-    Format.fprintf fmt "macro-model estimate: %a (error %+.2f%%)@."
-      Power.Report.pp_energy est.Core.Estimate.energy_pj
-      (100.0 *. (est.Core.Estimate.energy_pj -. ref_pj) /. ref_pj)
+    estimate_external ~model_path ?extension ~name:"user" asm
+      ~header:(fun profile _ ->
+        Format.fprintf fmt "%a@." Core.Extract.pp_profile profile)
   in
   Cmd.v
     (Cmd.info "run"
@@ -639,36 +645,12 @@ let cc_cmd =
     if listing then
       Format.fprintf fmt "%a@." Isa.Program.pp_listing
         compiled.Cc.Codegen.c_asm;
-    let extension =
-      match ext_name with
-      | None -> None
-      | Some n -> (
-        match Workloads.Tie_lib.by_name n with
-        | Some e -> Some e
-        | None ->
-          die "unknown extension %S; available: %s" n
-            (String.concat ", " Workloads.Tie_lib.extension_names))
-    in
-    let case =
-      Core.Extract.case ?extension "c-program" compiled.Cc.Codegen.c_asm
-    in
-    let profile = Core.Extract.profile case in
-    let cpu, _ =
-      Sim.Backend.run_program ?extension compiled.Cc.Codegen.c_asm
-    in
-    Format.fprintf fmt
-      "main returned %d (%d instructions, %d cycles)@."
-      (Sim.Cpu.reg cpu (Isa.Reg.a 10))
-      profile.Core.Extract.instructions profile.Core.Extract.cycles;
-    let ref_pj, _ =
-      Power.Estimator.estimate_program ?extension compiled.Cc.Codegen.c_asm
-    in
-    Format.fprintf fmt "reference energy: %a@." Power.Report.pp_energy ref_pj;
-    let model = load_or_fit model_path in
-    let est = Core.Estimate.of_profile model profile in
-    Format.fprintf fmt "macro-model estimate: %a (error %+.2f%%)@."
-      Power.Report.pp_energy est.Core.Estimate.energy_pj
-      (100.0 *. (est.Core.Estimate.energy_pj -. ref_pj) /. ref_pj)
+    let extension = extension_of_name ext_name in
+    estimate_external ~model_path ?extension ~name:"c-program"
+      compiled.Cc.Codegen.c_asm ~header:(fun profile cpu ->
+        Format.fprintf fmt "main returned %d (%d instructions, %d cycles)@."
+          (Sim.Cpu.reg cpu (Isa.Reg.a 10))
+          profile.Core.Extract.instructions profile.Core.Extract.cycles)
   in
   Cmd.v
     (Cmd.info "cc"

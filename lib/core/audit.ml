@@ -35,21 +35,6 @@ module M = struct
     lazy (Obs.Metrics.gauge ~help:"programs audited" "audit_programs")
 end
 
-(* One simulation per program, the reference estimator riding it as an
-   observer — the characterization idiom, so the cache entry holds both
-   the variable vector and the measured energy. *)
-let compute ~config (c : Extract.case) : Eval_cache.entry =
-  let est = Power.Estimator.create ?extension:c.Extract.extension config in
-  let p =
-    Extract.profile ~config ~observers:[ Power.Estimator.observer est ] c
-  in
-  { Eval_cache.e_name = c.Extract.case_name;
-    e_variables = p.Extract.variables;
-    e_cycles = p.Extract.cycles;
-    e_instructions = p.Extract.instructions;
-    e_stall_cycles = p.Extract.stall_cycles;
-    e_measured_pj = Some (Power.Estimator.total_energy est) }
-
 let summarize ~t0 rows =
   let n = float_of_int (List.length rows) in
   let mean_abs =
@@ -83,35 +68,14 @@ let run ?jobs ?cache ?(config = Sim.Config.default) model cases =
   Obs.Trace.with_span ~cat:"audit" "audit" @@ fun () ->
   Obs.Log.event "audit:start"
     [ ("programs", Obs.Trace.I (List.length cases)) ];
-  let probed =
-    List.map
-      (fun (c : Extract.case) ->
-        let k = Eval_cache.key ~with_reference:true ~config c in
-        match Eval_cache.find cache k with
-        | Some e when Option.is_some e.Eval_cache.e_measured_pj -> (k, c, Some e)
-        | Some _ | None -> (k, c, None))
-      cases
-  in
-  let misses =
-    List.filter_map
-      (fun (k, c, hit) -> if hit = None then Some (k, c) else None)
-      probed
-  in
-  let computed =
-    Parallel.map ?jobs (fun (k, c) -> (k, compute ~config c)) misses
-  in
-  List.iter (fun (k, e) -> Eval_cache.store cache k e) computed;
+  (* One simulation per distinct program, the reference estimator
+     riding it, so each cache entry holds both the variable vector and
+     the measured energy. *)
+  let entries, _ = Explore.collect ?jobs ~cache ~with_ref:true ~config cases in
   Eval_cache.flush cache;
-  let ctbl = Hashtbl.create 16 in
-  List.iter (fun (k, e) -> Hashtbl.replace ctbl k e) computed;
   let rows =
-    List.map
-      (fun (k, (c : Extract.case), hit) ->
-        let e, cached =
-          match hit with
-          | Some e -> (e, true)
-          | None -> (Hashtbl.find ctbl k, false)
-        in
+    List.map2
+      (fun (c : Extract.case) ((e : Eval_cache.entry), cached) ->
         let est = Template.energy model e.Eval_cache.e_variables in
         let reference = Option.get e.Eval_cache.e_measured_pj in
         let err =
@@ -130,7 +94,7 @@ let run ?jobs ?cache ?(config = Sim.Config.default) model cases =
           a_error_percent = err;
           a_cycles = e.Eval_cache.e_cycles;
           a_cached = cached })
-      probed
+      cases entries
   in
   let r = summarize ~t0 rows in
   Obs.Log.event "audit:done"

@@ -43,10 +43,12 @@ val run :
   Template.model ->
   Extract.case list ->
   report
-(** Audit [model] over the cases: one reference-observed simulation per
-    cache miss (fanned out over {!Parallel}), zero for hits.  [cache]
-    defaults to a fresh memory-only cache; its index updates are
-    flushed before returning.
+(** Audit [model] over the cases through {!Explore.collect}: one
+    reference-observed simulation per distinct cache miss (fanned out
+    over {!Parallel}), zero for hits; a program listed twice simulates
+    once and its second row reads [a_cached].  [cache] defaults to a
+    fresh memory-only cache; its index updates are flushed before
+    returning.
     @raise Invalid_argument on an empty case list. *)
 
 val to_json : report -> string

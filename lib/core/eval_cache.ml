@@ -10,6 +10,11 @@ type entry = {
 type stats = { hits : int; misses : int; errors : int; stores : int }
 
 type t = {
+  c_lock : Mutex.t;
+  (* Held by every public operation on an instance (find, store, flush,
+     stats): connection threads of one daemon share a cache, and the
+     table, the counters and [c_touched] are not safe under concurrent
+     mutation.  Callers never lock around the cache themselves. *)
   c_dir : string option;
   c_mem : (string, entry) Hashtbl.t;
   mutable c_stats : stats;
@@ -38,7 +43,8 @@ module M = struct
 end
 
 let create ?dir ?max_bytes () =
-  { c_dir = dir; c_mem = Hashtbl.create 64;
+  { c_lock = Mutex.create ();
+    c_dir = dir; c_mem = Hashtbl.create 64;
     c_stats = { hits = 0; misses = 0; errors = 0; stores = 0 };
     c_touched = Hashtbl.create 16;
     c_max_bytes = max_bytes;
@@ -46,7 +52,9 @@ let create ?dir ?max_bytes () =
 
 let dir t = t.c_dir
 
-let stats t = t.c_stats
+let locked t f = Mutex.protect t.c_lock f
+
+let stats t = locked t (fun () -> t.c_stats)
 
 let diff a b =
   { hits = a.hits - b.hits;
@@ -194,6 +202,7 @@ let load_disk t k =
     end
 
 let find t k =
+  locked t @@ fun () ->
   let hit ~layer e =
     t.c_stats <- { t.c_stats with hits = t.c_stats.hits + 1 };
     Obs.Metrics.inc (Lazy.force M.hits);
@@ -264,7 +273,7 @@ let count_index_rebuild () =
   Obs.Metrics.inc (Lazy.force M.index_rebuilds);
   Obs.Trace.instant ~cat:"cache" "cache:index-rebuild"
 
-let flush t =
+let flush_index t =
   match t.c_dir with
   | None -> ()
   | Some d ->
@@ -374,7 +383,7 @@ let enforce_cap t =
     (* Publish this instance's pending last-used times first, so the
        LRU order sees the current sweep's entries as fresh and evicts
        genuinely cold ones. *)
-    flush t;
+    flush_index t;
     let r = prune ~policy:{ unlimited with max_bytes = Some mb } d in
     t.c_approx_bytes <- r.p_kept_bytes;
     Obs.Log.event "cache:cap-enforced"
@@ -384,7 +393,10 @@ let enforce_cap t =
         ("kept_bytes", Obs.Trace.I r.p_kept_bytes) ]
   | _ -> ()
 
+let flush t = locked t (fun () -> flush_index t)
+
 let store t k e =
+  locked t @@ fun () ->
   Hashtbl.replace t.c_mem k e;
   (match store_disk t k e with
   | None -> ()

@@ -52,7 +52,12 @@ type entry = {
 }
 
 type t
-(** A cache instance (in-memory table plus optional disk directory). *)
+(** A cache instance (in-memory table plus optional disk directory).
+    An instance is safe to share between threads: {!find}, {!store},
+    {!flush} and {!stats} each run under the instance's own mutex, so
+    callers never lock around it.  Distinct instances over one
+    directory (or distinct processes) stay safe through atomic file
+    publication; forked workers never touch the parent's instance. *)
 
 type stats = {
   hits : int;     (** lookups answered from memory or disk *)

@@ -44,8 +44,8 @@ type outcome = {
 (* --- Cached collection ---------------------------------------------------- *)
 
 (* One simulation yields everything a cache entry holds; with the
-   reference estimator attached (characterization) it stays single-pass,
-   exactly like Characterize.collect_one. *)
+   reference estimator attached (characterization, audit) it stays
+   single-pass, exactly like Characterize.collect_one. *)
 let compute ~config ~with_ref (c : Extract.case) : Eval_cache.entry =
   let prof, measured =
     if with_ref then begin
@@ -66,12 +66,17 @@ let compute ~config ~with_ref (c : Extract.case) : Eval_cache.entry =
     e_stall_cycles = prof.Extract.stall_cycles;
     e_measured_pj = measured }
 
-(* Resolve every case to an entry: probe the cache, compute the distinct
-   misses on the worker pool, publish them, and mark each row with
-   whether its vector was reused (cache or an earlier identical case in
-   this very sweep) or freshly simulated.  Returns rows in input order
-   plus the number of simulations actually run. *)
-let collect ?jobs ~cache ~with_ref ~config cases =
+type simulate =
+  config:Sim.Config.t -> with_ref:bool -> Extract.case list ->
+  Eval_cache.entry list
+
+(* Resolve every case to an entry: probe the cache, simulate the
+   distinct misses (on the worker pool unless the caller supplies its
+   own [simulate]), publish them, and mark each row with whether its
+   vector was reused (cache or an earlier identical case in this very
+   call) or freshly simulated.  Returns rows in input order plus the
+   number of simulations actually run. *)
+let collect ?jobs ?simulate ~cache ~with_ref ~config cases =
   let probed =
     List.map
       (fun (c : Extract.case) ->
@@ -91,36 +96,40 @@ let collect ?jobs ~cache ~with_ref ~config cases =
       cases
   in
   let seen = Hashtbl.create 16 in
-  let miss_list =
+  let misses =
     List.filter_map
       (fun (k, c, hit) ->
-        match hit with
-        | Some _ -> None
-        | None ->
-          if Hashtbl.mem seen k then None
-          else begin
-            Hashtbl.add seen k ();
-            Some (k, c)
-          end)
+        if hit <> None || Hashtbl.mem seen k then None
+        else begin
+          Hashtbl.add seen k ();
+          Some (k, c)
+        end)
       probed
   in
   let computed =
-    Parallel.map ?jobs
-      (fun (k, c) -> (k, compute ~config ~with_ref c))
-      miss_list
+    if misses = [] then []
+    else
+      let cs = List.map snd misses in
+      match simulate with
+      | Some f -> f ~config ~with_ref cs
+      | None -> Parallel.map ?jobs (compute ~config ~with_ref) cs
   in
-  List.iter (fun (k, e) -> Eval_cache.store cache k e) computed;
   let ctbl = Hashtbl.create 16 in
-  List.iter (fun (k, e) -> Hashtbl.replace ctbl k e) computed;
-  let used = Hashtbl.create 16 in
+  List.iter2
+    (fun (k, _) e ->
+      Eval_cache.store cache k e;
+      Hashtbl.replace ctbl k e)
+    misses computed;
   let rows =
     List.map
       (fun (k, _c, hit) ->
         match hit with
         | Some e -> (e, true)
         | None ->
-          let fresh = not (Hashtbl.mem used k) in
-          Hashtbl.add used k ();
+          (* The first row of a key owns the simulation; later copies
+             reuse it. *)
+          let fresh = Hashtbl.mem seen k in
+          Hashtbl.remove seen k;
           (Hashtbl.find ctbl k, not fresh))
       probed
   in
@@ -176,54 +185,73 @@ let chunk_list n xs =
   in
   go [] [] 0 xs
 
-let log_progress p =
-  Obs.Log.event "explore:heartbeat"
-    ([ ("phase", Obs.Trace.S p.pr_phase);
-       ("done", Obs.Trace.I p.pr_done);
-       ("total", Obs.Trace.I p.pr_total);
-       ("hits", Obs.Trace.I p.pr_hits);
-       ("misses", Obs.Trace.I p.pr_misses);
-       ("frontier", Obs.Trace.I p.pr_frontier);
-       ("elapsed_s", Obs.Trace.F p.pr_elapsed_s) ]
-    @ match p.pr_eta_s with
-      | None -> []
-      | Some e -> [ ("eta_s", Obs.Trace.F e) ])
+let distinct_configs candidates =
+  List.fold_left
+    (fun acc c ->
+      if List.exists (same_config c.config) acc then acc else acc @ [ c.config ])
+    [] candidates
 
-(* Shared tail of [run]/[evaluate]: evaluate every candidate with the
-   model chosen for its configuration, preserving input order.  The
-   candidates are fed to the pool in chunks so a heartbeat (progress
-   callback + [explore:heartbeat] log record) lands between chunks with
-   live hit/frontier/ETA figures, instead of one mute span per sweep. *)
-let sweep ?jobs ?(progress = fun _ -> ()) ?(explain = false) ?profile_top
-    ~cache ~configs ~model_for ~char_sims ~before candidates t0 =
+(* [run] and [evaluate] share everything but where each configuration's
+   model comes from: [models] receives the sweep's cache, its distinct
+   configurations and a heartbeat, and returns the model lookup plus the
+   simulations and characterizations it spent.  Candidates are then fed
+   to the pool in chunks, so a heartbeat (progress callback +
+   [explore:heartbeat] log record) lands between chunks with live
+   hit/frontier/ETA figures, instead of one mute span per sweep. *)
+let sweep ?jobs ?cache ?(progress = fun _ -> ()) ?(explain = false)
+    ?profile_top ~models candidates =
+  validate candidates;
   (match profile_top with
    | Some n when n <= 0 -> invalid_arg "Explore: profile_top must be positive"
    | _ -> ());
+  let cache =
+    match cache with Some c -> c | None -> Eval_cache.create ()
+  in
+  let before = Eval_cache.stats cache in
+  let t0 = Unix.gettimeofday () in
+  let heartbeat ~phase ~n_done ~total ~frontier =
+    let s = Eval_cache.diff (Eval_cache.stats cache) before in
+    let elapsed = Unix.gettimeofday () -. t0 in
+    let p =
+      { pr_phase = phase;
+        pr_done = n_done;
+        pr_total = total;
+        pr_hits = s.Eval_cache.hits;
+        pr_misses = s.Eval_cache.misses;
+        pr_frontier = frontier;
+        pr_elapsed_s = elapsed;
+        pr_eta_s =
+          (if phase = "evaluate" && n_done > 0 && n_done < total then
+             Some (elapsed /. float_of_int n_done
+                   *. float_of_int (total - n_done))
+           else None) }
+    in
+    Obs.Log.event "explore:heartbeat"
+      ([ ("phase", Obs.Trace.S p.pr_phase);
+         ("done", Obs.Trace.I p.pr_done);
+         ("total", Obs.Trace.I p.pr_total);
+         ("hits", Obs.Trace.I p.pr_hits);
+         ("misses", Obs.Trace.I p.pr_misses);
+         ("frontier", Obs.Trace.I p.pr_frontier);
+         ("elapsed_s", Obs.Trace.F p.pr_elapsed_s) ]
+      @ match p.pr_eta_s with
+        | None -> []
+        | Some e -> [ ("eta_s", Obs.Trace.F e) ]);
+    progress p
+  in
+  Obs.Trace.with_span ~cat:"explore" "explore" @@ fun () ->
+  let configs = distinct_configs candidates in
+  Obs.Log.event "explore:start"
+    [ ("candidates", Obs.Trace.I (List.length candidates));
+      ("configs", Obs.Trace.I (List.length configs)) ];
+  let model_for, char_sims, n_characterized =
+    models ~cache ~heartbeat configs
+  in
   let simulations = ref char_sims in
   let total = List.length candidates in
   let n_done = ref 0 in
   let acc = ref [] in
   let vars_of = Hashtbl.create 16 in
-  let heartbeat () =
-    let s = Eval_cache.diff (Eval_cache.stats cache) before in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    let p =
-      { pr_phase = "evaluate";
-        pr_done = !n_done;
-        pr_total = total;
-        pr_hits = s.Eval_cache.hits;
-        pr_misses = s.Eval_cache.misses;
-        pr_frontier = List.length (pareto (List.map snd !acc));
-        pr_elapsed_s = elapsed;
-        pr_eta_s =
-          (if !n_done > 0 && !n_done < total then
-             Some (elapsed /. float_of_int !n_done
-                   *. float_of_int (total - !n_done))
-           else None) }
-    in
-    log_progress p;
-    progress p
-  in
   let chunk_size =
     2 * max 1 (match jobs with Some j -> j | None -> Parallel.default_jobs ())
   in
@@ -264,7 +292,8 @@ let sweep ?jobs ?(progress = fun _ -> ()) ?(explain = false) ?profile_top
           in
           acc := pts @ !acc;
           n_done := !n_done + List.length pts;
-          heartbeat ())
+          heartbeat ~phase:"evaluate" ~n_done:!n_done ~total
+            ~frontier:(List.length (pareto (List.map snd !acc))))
         (chunk_list chunk_size group))
     configs;
   let points =
@@ -303,106 +332,59 @@ let sweep ?jobs ?(progress = fun _ -> ()) ?(explain = false) ?profile_top
   (* Publish the sweep's index updates (stores and warm hits with their
      last-used times) in one atomic rewrite. *)
   Eval_cache.flush cache;
-  { points;
-    frontier;
-    explained;
-    profiled;
-    profile_top = Option.value profile_top ~default:0;
-    configs_characterized = 0;  (* the callers overwrite this *)
-    simulations = !simulations;
-    cache_stats = Eval_cache.diff (Eval_cache.stats cache) before;
-    wall_seconds = Unix.gettimeofday () -. t0 }
-
-let distinct_configs candidates =
-  List.fold_left
-    (fun acc c ->
-      if List.exists (same_config c.config) acc then acc else acc @ [ c.config ])
-    [] candidates
-
-let log_done o =
+  let o =
+    { points;
+      frontier;
+      explained;
+      profiled;
+      profile_top = Option.value profile_top ~default:0;
+      configs_characterized = n_characterized;
+      simulations = !simulations;
+      cache_stats = Eval_cache.diff (Eval_cache.stats cache) before;
+      wall_seconds = Unix.gettimeofday () -. t0 }
+  in
   Obs.Log.event "explore:done"
     [ ("candidates", Obs.Trace.I (List.length o.points));
       ("frontier", Obs.Trace.I (List.length o.frontier));
       ("simulations", Obs.Trace.I o.simulations);
       ("hits", Obs.Trace.I o.cache_stats.Eval_cache.hits);
       ("misses", Obs.Trace.I o.cache_stats.Eval_cache.misses);
-      ("wall_s", Obs.Trace.F o.wall_seconds) ]
-
-let run ?jobs ?cache ?(nonnegative = true) ?(progress = fun _ -> ())
-    ?explain ?profile_top ~characterization candidates =
-  validate candidates;
-  let cache =
-    match cache with Some c -> c | None -> Eval_cache.create ()
-  in
-  let before = Eval_cache.stats cache in
-  let t0 = Unix.gettimeofday () in
-  Obs.Trace.with_span ~cat:"explore" "explore" @@ fun () ->
-  let configs = distinct_configs candidates in
-  Obs.Log.event "explore:start"
-    [ ("candidates", Obs.Trace.I (List.length candidates));
-      ("configs", Obs.Trace.I (List.length configs)) ];
-  let char_sims = ref 0 in
-  let n_configs = List.length configs in
-  let models =
-    List.mapi
-      (fun i cfg ->
-        Obs.Trace.with_span ~cat:"explore"
-          (Printf.sprintf "characterize:config%d" i)
-        @@ fun () ->
-        let rows, sims =
-          collect ?jobs ~cache ~with_ref:true ~config:cfg characterization
-        in
-        char_sims := !char_sims + sims;
-        let samples = List.map2 sample_of_entry characterization rows in
-        let fit = Characterize.fit_samples ~nonnegative samples in
-        let s = Eval_cache.diff (Eval_cache.stats cache) before in
-        let p =
-          { pr_phase = "characterize";
-            pr_done = i + 1;
-            pr_total = n_configs;
-            pr_hits = s.Eval_cache.hits;
-            pr_misses = s.Eval_cache.misses;
-            pr_frontier = 0;
-            pr_elapsed_s = Unix.gettimeofday () -. t0;
-            pr_eta_s = None }
-        in
-        log_progress p;
-        progress p;
-        (cfg, fit.Characterize.model))
-      configs
-  in
-  let model_for cfg =
-    snd (List.find (fun (c, _) -> same_config c cfg) models)
-  in
-  let o =
-    sweep ?jobs ~progress ?explain ?profile_top ~cache ~configs ~model_for
-      ~char_sims:!char_sims ~before candidates t0
-  in
-  let o = { o with configs_characterized = List.length configs } in
-  log_done o;
+      ("wall_s", Obs.Trace.F o.wall_seconds) ];
   o
 
-let evaluate ?jobs ?cache ?(progress = fun _ -> ()) ?explain ?profile_top
-    model candidates =
-  validate candidates;
-  let cache =
-    match cache with Some c -> c | None -> Eval_cache.create ()
+let evaluate ?jobs ?cache ?progress ?explain ?profile_top model_for
+    candidates =
+  sweep ?jobs ?cache ?progress ?explain ?profile_top candidates
+    ~models:(fun ~cache:_ ~heartbeat:_ _ -> (model_for, 0, 0))
+
+(* Fit each distinct configuration over the characterization suite
+   (through the cache), then evaluate. *)
+let run ?jobs ?cache ?(nonnegative = true) ?progress ?explain ?profile_top
+    ~characterization candidates =
+  let models ~cache ~heartbeat configs =
+    let sims = ref 0 in
+    let fitted =
+      List.mapi
+        (fun i cfg ->
+          Obs.Trace.with_span ~cat:"explore"
+            (Printf.sprintf "characterize:config%d" i)
+          @@ fun () ->
+          let rows, n =
+            collect ?jobs ~cache ~with_ref:true ~config:cfg characterization
+          in
+          sims := !sims + n;
+          let samples = List.map2 sample_of_entry characterization rows in
+          let fit = Characterize.fit_samples ~nonnegative samples in
+          heartbeat ~phase:"characterize" ~n_done:(i + 1)
+            ~total:(List.length configs) ~frontier:0;
+          (cfg, fit.Characterize.model))
+        configs
+    in
+    ( (fun cfg -> snd (List.find (fun (c, _) -> same_config c cfg) fitted)),
+      !sims,
+      List.length configs )
   in
-  let before = Eval_cache.stats cache in
-  let t0 = Unix.gettimeofday () in
-  Obs.Trace.with_span ~cat:"explore" "explore" @@ fun () ->
-  Obs.Log.event "explore:start"
-    [ ("candidates", Obs.Trace.I (List.length candidates));
-      ("configs", Obs.Trace.I 0) ];
-  let o =
-    sweep ?jobs ~progress ?explain ?profile_top ~cache
-      ~configs:(distinct_configs candidates)
-      ~model_for:(fun _ -> model)
-      ~char_sims:0 ~before candidates t0
-  in
-  let o = { o with configs_characterized = 0 } in
-  log_done o;
-  o
+  sweep ?jobs ?cache ?progress ?explain ?profile_top ~models candidates
 
 (* --- Rendering ------------------------------------------------------------ *)
 

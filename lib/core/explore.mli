@@ -111,12 +111,53 @@ val evaluate :
   ?progress:(progress -> unit) ->
   ?explain:bool ->
   ?profile_top:int ->
-  Template.model ->
+  (Sim.Config.t -> Template.model) ->
   candidate list ->
   outcome
-(** Like {!run} with a pre-fitted model applied to every candidate
-    (no re-characterization: the caller asserts the model matches the
-    candidates' configurations). *)
+(** Like {!run} with pre-fitted models: [evaluate model_for candidates]
+    applies [model_for c.config] to each candidate (no
+    re-characterization; the caller asserts each model matches its
+    configuration, and [model_for] is called once per distinct
+    configuration).  The sweep is the one {!run} performs after
+    fitting: points in input order, one frontier across every
+    configuration, memoized through [cache].  [configs_characterized]
+    is 0. *)
+
+(** {1 Memoized collection}
+
+    The one probe/simulate/store loop every memoized evaluation runs —
+    sweeps, {!Audit.run} and the daemon's [estimate]. *)
+
+val compute :
+  config:Sim.Config.t -> with_ref:bool -> Extract.case -> Eval_cache.entry
+(** Simulate a case once and build its cache entry; with [with_ref] the
+    reference estimator rides the same simulation and its energy fills
+    [e_measured_pj]. *)
+
+type simulate =
+  config:Sim.Config.t -> with_ref:bool -> Extract.case list ->
+  Eval_cache.entry list
+(** How a collection simulates its misses: one {!compute} per case, in
+    order. *)
+
+val collect :
+  ?jobs:int ->
+  ?simulate:simulate ->
+  cache:Eval_cache.t ->
+  with_ref:bool ->
+  config:Sim.Config.t ->
+  Extract.case list ->
+  (Eval_cache.entry * bool) list * int
+(** Resolve each case to an entry under [config]: probe [cache] (keyed
+    with [with_ref] and the current backend; with [with_ref] an entry
+    lacking the reference energy counts as a miss), simulate each
+    distinct missing key once, store the results, and return one
+    [(entry, cached)] row per case in input order plus the number of
+    simulations run.  [cached] is [false] only for the first row of a
+    freshly simulated key, so a case named twice simulates once.
+    [simulate] defaults to {!compute} fanned out over {!Parallel.map}
+    with [jobs]; it is not called when every case hits.  The cache's
+    index is not flushed. *)
 
 val to_json : outcome -> string
 (** Machine-readable sweep record: per-point rows, frontier membership,

@@ -188,8 +188,12 @@ let member k = function
 
 let to_float = function Num f -> f | _ -> fail "expected number"
 
+(* [int] spans [min_int, -min_int): both bounds are exact floats. *)
+let int_lo = Float.of_int min_int
+
 let to_int = function
-  | Num f when Float.is_integer f -> int_of_float f
+  | Num f when Float.is_integer f && f >= int_lo && f < -.int_lo ->
+    int_of_float f
   | _ -> fail "expected integer"
 
 let to_string = function Str s -> s | _ -> fail "expected string"

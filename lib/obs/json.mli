@@ -26,8 +26,8 @@ val to_float : t -> float
 (** Numeric value.  @raise Parse_error on a non-number. *)
 
 val to_int : t -> int
-(** Numeric value truncated to int.  @raise Parse_error on a
-    non-number. *)
+(** Integral numeric value.  @raise Parse_error on a non-number, a
+    fraction, or a value outside the [int] range. *)
 
 val to_string : t -> string
 (** String value.  @raise Parse_error on a non-string. *)

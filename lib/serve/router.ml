@@ -56,16 +56,9 @@ end
 
 type t = {
   r_registry : Registry.t;
-  r_cache : Core.Eval_cache.t;
-  r_cache_lock : Mutex.t;
-  (* The eval cache's in-memory table is not safe under concurrent
-     mutation; every parent-side find/store/flush — including whole
-     [Core.Audit.run]/[Core.Explore.evaluate] calls, which thread the
-     cache through themselves — holds this lock.  Simulation inside
-     those calls happens in forked workers, so the lock serializes
-     bookkeeping, not compute. *)
+  r_cache : Core.Eval_cache.t;  (* locks itself *)
   r_pool :
-    (string * Sim.Config.t, Core.Eval_cache.entry) Core.Parallel.pool;
+    (string * Sim.Config.t * bool, Core.Eval_cache.entry) Core.Parallel.pool;
   r_pool_lock : Mutex.t;
   (* One batch at a time on the persistent pool: its request/response
      pipes are shared state, and the workers are the same processes
@@ -99,12 +92,21 @@ let locked m f =
    as they pass through them; [handle] folds the remainder into an
    explicit "other" phase, so the breakdown always sums to the request
    total.  Phases are (name, seconds) in reverse recording order;
-   repeated names merge. *)
-type phases = { mutable px_phases : (string * float) list }
+   repeated names merge.  A phase opened inside another (the pool wait
+   and batch inside the cache lookup) is charged to itself only: each
+   phase records its self time, the outer one minus its nested ones. *)
+type phases = {
+  mutable px_phases : (string * float) list;
+  mutable px_nested : float;  (* time recorded by phases inside the open one *)
+}
 
 let phase px name f =
+  let outer = px.px_nested in
+  px.px_nested <- 0.0;
   Obs.Trace.with_span_timed ~cat:"serve"
-    ~elapsed:(fun s -> px.px_phases <- (name, s) :: px.px_phases)
+    ~elapsed:(fun s ->
+      px.px_phases <- (name, s -. px.px_nested) :: px.px_phases;
+      px.px_nested <- outer +. s)
     ("phase:" ^ name) f
 
 let phase_order = [ "queue"; "parse"; "registry"; "cache"; "simulate"; "serialize" ]
@@ -127,19 +129,13 @@ let merged_phases px =
   List.map (fun n -> (n, !(Hashtbl.find tbl n))) names
 
 (* The pool function is fixed at fork time, so it takes everything a
-   batch item needs — workload name and configuration — as marshal-safe
-   data and resolves the case inside the worker, from the name index the
-   lane inherited at fork ([create] builds it first).  The request's
-   backend rides with the batch itself (see [Core.Parallel.pool_map]). *)
-let profile_entry (name, config) =
-  let case = Workloads.Suite.find name in
-  let p = Core.Extract.profile ~config case in
-  { Core.Eval_cache.e_name = name;
-    e_variables = p.Core.Extract.variables;
-    e_cycles = p.Core.Extract.cycles;
-    e_instructions = p.Core.Extract.instructions;
-    e_stall_cycles = p.Core.Extract.stall_cycles;
-    e_measured_pj = None }
+   batch item needs — workload name, configuration, reference flag — as
+   marshal-safe data and resolves the case inside the worker, from the
+   name index the lane inherited at fork ([create] builds it first).
+   The request's backend rides with the batch itself (see
+   [Core.Parallel.pool_map]). *)
+let compute_entry (name, config, with_ref) =
+  Core.Explore.compute ~config ~with_ref (Workloads.Suite.find name)
 
 let known_ops =
   [ "ping"; "estimate"; "attribute"; "profile"; "audit"; "explore"; "metrics";
@@ -162,8 +158,7 @@ let create ?max_models ?jobs ?read_timeout_s ?cache_dir ?characterize ?slow_ms
   ignore (Workloads.Suite.names ());
   { r_registry = Registry.create ?max_models ?jobs ?characterize ();
     r_cache = Core.Eval_cache.create ?dir:cache_dir ();
-    r_cache_lock = Mutex.create ();
-    r_pool = Core.Parallel.create_pool ?jobs ?read_timeout_s profile_entry;
+    r_pool = Core.Parallel.create_pool ?jobs ?read_timeout_s compute_entry;
     r_pool_lock = Mutex.create ();
     r_state_lock = Mutex.create ();
     r_jobs = jobs;
@@ -188,7 +183,7 @@ let shutdown t =
         first)
   in
   if first then begin
-    locked t.r_cache_lock (fun () -> Core.Eval_cache.flush t.r_cache);
+    Core.Eval_cache.flush t.r_cache;
     locked t.r_pool_lock (fun () -> Core.Parallel.shutdown_pool t.r_pool)
   end
 
@@ -201,6 +196,15 @@ let str_field ~op k req =
   | Some (J.Str s) -> s
   | Some _ | None ->
     failwith (Printf.sprintf "%s needs a string %S field" op k)
+
+(* Integer request fields: integral JSON numbers in the [int] range
+   only, never truncated or wrapped. *)
+let int_value ~op k v =
+  try J.to_int v
+  with J.Parse_error _ ->
+    failwith (Printf.sprintf "%s: %S must be an integer" op k)
+
+let int_field ~op k req = Option.map (int_value ~op k) (member_opt k req)
 
 let find_case name =
   try Workloads.Suite.find name
@@ -221,13 +225,10 @@ let workload_list ~op req =
 
 module C = Sim.Config
 
-let config_of_json = function
+let config_of_json ~op = function
   | J.Null -> C.default
   | J.Obj fields ->
-    let int_of k = function
-      | J.Num f -> int_of_float f
-      | _ -> failwith (Printf.sprintf "config: %S must be a number" k)
-    in
+    let int_of k = int_value ~op ("config." ^ k) in
     let float_of k = function
       | J.Num f -> f
       | _ -> failwith (Printf.sprintf "config: %S must be a number" k)
@@ -267,8 +268,8 @@ let config_of_json = function
     c
   | _ -> failwith "\"config\" must be an object"
 
-let request_config req =
-  config_of_json (Option.value ~default:J.Null (member_opt "config" req))
+let request_config ~op req =
+  config_of_json ~op (Option.value ~default:J.Null (member_opt "config" req))
 
 (* Optional "backend" field: which execution substrate simulates this
    request ([None]: the daemon's process-wide selection).  A bad value
@@ -297,84 +298,56 @@ let handle_estimate t px req =
     | Some names -> names
     | None -> failwith "estimate needs a \"workloads\" array"
   in
-  let config = request_config req in
-  let bname = backend_name () in
+  let config = request_config ~op:"estimate" req in
   (* Resolve every name once, before simulating anything, so one typo
      fails the request instead of wasting a batch. *)
-  let cases = List.map (fun n -> (n, find_case n)) names in
+  let cases = List.map find_case names in
   let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
   let model = lookup.Registry.l_model in
-  let found =
+  (* Misses simulate on the persistent pool.  The wait for it is
+     queueing, not simulation: charge the lock and the batch
+     separately (both nest inside the cache phase). *)
+  let simulate ~config ~with_ref cs =
+    phase px "queue" (fun () -> Mutex.lock t.r_pool_lock);
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.r_pool_lock) @@ fun () ->
+    phase px "simulate" @@ fun () ->
+    Core.Parallel.pool_map t.r_pool
+      (List.map
+         (fun (c : Core.Extract.case) ->
+           (c.Core.Extract.case_name, config, with_ref))
+         cs)
+  in
+  let rows, _ =
     phase px "cache" @@ fun () ->
-    locked t.r_cache_lock (fun () ->
-        List.map
-          (fun (n, case) ->
-            let key = Core.Eval_cache.key ~backend:bname ~config case in
-            (n, key, Core.Eval_cache.find t.r_cache key))
-          cases)
+    Core.Explore.collect ~simulate ~cache:t.r_cache ~with_ref:false ~config
+      cases
   in
-  let missing =
-    List.filter_map
-      (function n, key, None -> Some (n, key) | _, _, Some _ -> None)
-      found
-  in
-  let computed =
-    if missing = [] then []
-    else begin
-      (* The wait for the shared pool is queueing, not simulation:
-         charge the lock acquisition and the batch separately. *)
-      phase px "queue" (fun () -> Mutex.lock t.r_pool_lock);
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.r_pool_lock)
-        (fun () ->
-          phase px "simulate" (fun () ->
-              Core.Parallel.pool_map t.r_pool
-                (List.map (fun (n, _) -> (n, config)) missing)))
-    end
-  in
-  let fresh = Hashtbl.create 8 in
-  phase px "cache" (fun () ->
-      locked t.r_cache_lock (fun () ->
-          List.iter2
-            (fun (n, key) entry ->
-              Core.Eval_cache.store t.r_cache key entry;
-              Hashtbl.replace fresh n entry)
-            missing computed));
   phase px "serialize" @@ fun () ->
-  let row (n, _, cached) =
-    let entry, was_cached =
-      match cached with
-      | Some e -> (e, true)
-      | None -> (Hashtbl.find fresh n, false)
-    in
-    let pj = Core.Template.energy model entry.Core.Eval_cache.e_variables in
+  let row n ((e : Core.Eval_cache.entry), cached) =
+    let pj = Core.Template.energy model e.Core.Eval_cache.e_variables in
     J.Obj
       [ ("name", J.Str n);
         ("energy_pj", J.Num pj);
         ("energy_uj", J.Num (pj *. 1e-6));
-        ("cycles", J.Num (float_of_int entry.Core.Eval_cache.e_cycles));
-        ( "instructions",
-          J.Num (float_of_int entry.Core.Eval_cache.e_instructions) );
-        ("cached", J.Bool was_cached) ]
+        ("cycles", J.Num (float_of_int e.Core.Eval_cache.e_cycles));
+        ("instructions", J.Num (float_of_int e.Core.Eval_cache.e_instructions));
+        ("cached", J.Bool cached) ]
   in
   J.Obj
     [ ("ok", J.Bool true);
       ("op", J.Str "estimate");
       ("model_key", J.Str lookup.Registry.l_key);
       ("registry_hit", J.Bool lookup.Registry.l_hit);
-      ("backend", J.Str bname);
-      ("results", J.Arr (List.map row found)) ]
+      ("backend", J.Str (backend_name ()));
+      ("results", J.Arr (List.map2 row names rows)) ]
 
 let handle_attribute t px req =
   let name = str_field ~op:"attribute" "workload" req in
   let bucket =
-    match member_opt "bucket_cycles" req with
-    | Some (J.Num f) -> int_of_float f
-    | None -> 64
-    | Some _ -> failwith "attribute: \"bucket_cycles\" must be a number"
+    Option.value ~default:64 (int_field ~op:"attribute" "bucket_cycles" req)
   in
   if bucket <= 0 then failwith "attribute: bucket_cycles must be positive";
-  let config = request_config req in
+  let config = request_config ~op:"attribute" req in
   let case = find_case name in
   let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
   let b =
@@ -393,16 +366,11 @@ let handle_attribute t px req =
 
 let handle_profile t px req =
   let name = str_field ~op:"profile" "workload" req in
-  let top =
-    match member_opt "top" req with
-    | Some (J.Num f) -> Some (int_of_float f)
-    | None -> None
-    | Some _ -> failwith "profile: \"top\" must be a number"
-  in
+  let top = int_field ~op:"profile" "top" req in
   (match top with
   | Some n when n <= 0 -> failwith "profile: top must be positive"
   | _ -> ());
-  let config = request_config req in
+  let config = request_config ~op:"profile" req in
   let case = find_case name in
   let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
   let r =
@@ -425,20 +393,12 @@ let handle_audit t px req =
     | Some names -> List.map find_case names
     | None -> Workloads.Suite.applications ()
   in
-  let config = request_config req in
+  let config = request_config ~op:"audit" req in
   let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
   let report =
-    (* Audit threads the shared cache through itself, so the whole run
-       holds the cache lock — simulation still parallelizes in its
-       forked workers.  The wait for that lock is queueing; the run
-       itself is simulation. *)
-    phase px "queue" (fun () -> Mutex.lock t.r_cache_lock);
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.r_cache_lock)
-      (fun () ->
-        phase px "simulate" @@ fun () ->
-        Core.Audit.run ?jobs:t.r_jobs ~cache:t.r_cache ~config
-          lookup.Registry.l_model cases)
+    phase px "simulate" @@ fun () ->
+    Core.Audit.run ?jobs:t.r_jobs ~cache:t.r_cache ~config
+      lookup.Registry.l_model cases
   in
   phase px "serialize" @@ fun () ->
   J.Obj
@@ -452,11 +412,10 @@ let handle_audit t px req =
 (* Sweep a named candidate space against the live registry: each
    distinct base-core configuration's model comes from {!Registry.get}
    (characterized at most once, single-flight, LRU-touched like any
-   other request), each candidate's variable vector from the shared
-   eval cache via {!Core.Explore.evaluate} — a warm sweep runs zero
-   simulations.  The Pareto frontier is computed over the union of all
-   configuration groups, exactly as [xenergy explore] would over the
-   same space. *)
+   other request), then one {!Core.Explore.evaluate} call runs the sweep
+   [xenergy explore] runs — points in space order, one frontier across
+   every configuration, each vector from the shared eval cache, so a
+   warm sweep runs zero simulations. *)
 let handle_explore t px req =
   let space = str_field ~op:"explore" "space" req in
   let gen =
@@ -468,52 +427,23 @@ let handle_explore t px req =
            (String.concat ", " Workloads.Spaces.names))
   in
   let candidates = gen () in
-  let t0 = Unix.gettimeofday () in
-  (* Group candidates by configuration hash, preserving first-seen
-     group order and in-group candidate order. *)
-  let groups = ref [] in
-  List.iter
-    (fun (c : Core.Explore.candidate) ->
-      let key = Registry.key_of_config c.Core.Explore.config in
-      match List.assoc_opt key !groups with
-      | Some cell -> cell := c :: !cell
-      | None -> groups := !groups @ [ (key, ref [ c ]) ])
-    candidates;
-  let registry_hits = ref 0 in
-  let outcomes =
-    List.map
-      (fun (_, cell) ->
-        let cs = List.rev !cell in
-        let config = (List.hd cs).Core.Explore.config in
-        let lookup =
-          phase px "registry" (fun () -> Registry.get t.r_registry config)
-        in
-        if lookup.Registry.l_hit then incr registry_hits;
-        phase px "simulate" @@ fun () ->
-        locked t.r_cache_lock @@ fun () ->
-        Core.Explore.evaluate ?jobs:t.r_jobs ~cache:t.r_cache
-          lookup.Registry.l_model cs)
-      !groups
+  let lookups =
+    phase px "registry" @@ fun () ->
+    List.fold_left
+      (fun acc (c : Core.Explore.candidate) ->
+        let key = Registry.key_of_config c.Core.Explore.config in
+        if List.mem_assoc key acc then acc
+        else acc @ [ (key, Registry.get t.r_registry c.Core.Explore.config) ])
+      [] candidates
+  in
+  let model_for config =
+    (List.assoc (Registry.key_of_config config) lookups).Registry.l_model
+  in
+  let o =
+    phase px "simulate" @@ fun () ->
+    Core.Explore.evaluate ?jobs:t.r_jobs ~cache:t.r_cache model_for candidates
   in
   phase px "serialize" @@ fun () ->
-  let points = List.concat_map (fun o -> o.Core.Explore.points) outcomes in
-  (* Back to the space's candidate order, then one frontier over the
-     whole space (per-group frontiers would miss cross-config
-     domination). *)
-  let points =
-    List.map
-      (fun (c : Core.Explore.candidate) ->
-        List.find
-          (fun (p : Core.Explore.point) ->
-            p.Core.Explore.pt_name = c.Core.Explore.cand_name)
-          points)
-      candidates
-  in
-  let frontier = Core.Explore.pareto points in
-  let on_frontier name =
-    List.exists (fun (p : Core.Explore.point) -> p.Core.Explore.pt_name = name)
-      frontier
-  in
   let row (p : Core.Explore.point) =
     J.Obj
       [ ("name", J.Str p.Core.Explore.pt_name);
@@ -523,27 +453,28 @@ let handle_explore t px req =
         ( "instructions",
           J.Num (float_of_int p.Core.Explore.pt_instructions) );
         ("cached", J.Bool p.Core.Explore.pt_cached);
-        ("frontier", J.Bool (on_frontier p.Core.Explore.pt_name)) ]
+        ("frontier", J.Bool (List.memq p o.Core.Explore.frontier)) ]
   in
-  let simulations =
-    List.fold_left (fun a o -> a + o.Core.Explore.simulations) 0 outcomes
-  in
+  let num n = J.Num (float_of_int n) in
   J.Obj
     [ ("ok", J.Bool true);
       ("op", J.Str "explore");
       ("space", J.Str space);
       ("backend", J.Str (backend_name ()));
-      ("candidates", J.Num (float_of_int (List.length candidates)));
-      ("configs", J.Num (float_of_int (List.length !groups)));
-      ("registry_hits", J.Num (float_of_int !registry_hits));
-      ("simulations", J.Num (float_of_int simulations));
-      ("wall_seconds", J.Num (Unix.gettimeofday () -. t0));
-      ("points", J.Arr (List.map row points));
+      ("candidates", num (List.length candidates));
+      ("configs", num (List.length lookups));
+      ( "registry_hits",
+        num
+          (List.length (List.filter (fun (_, l) -> l.Registry.l_hit) lookups))
+      );
+      ("simulations", num o.Core.Explore.simulations);
+      ("wall_seconds", J.Num o.Core.Explore.wall_seconds);
+      ("points", J.Arr (List.map row o.Core.Explore.points));
       ( "frontier",
         J.Arr
           (List.map
              (fun (p : Core.Explore.point) -> J.Str p.Core.Explore.pt_name)
-             frontier) ) ]
+             o.Core.Explore.frontier) ) ]
 
 let handle_stats t =
   let rs = Registry.stats t.r_registry in
@@ -766,7 +697,7 @@ let handle ?received ?parse_s t req =
   let m = Hashtbl.find t.r_metrics opl in
   Obs.Metrics.inc m.M.o_requests;
   inflight_adjust t opl m.M.o_inflight 1;
-  let px = { px_phases = [] } in
+  let px = { px_phases = []; px_nested = 0.0 } in
   (match received with
   | Some r -> px.px_phases <- [ ("queue", Float.max 0.0 (t0 -. r -. Option.value parse_s ~default:0.0)) ]
   | None -> ());

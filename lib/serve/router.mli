@@ -10,12 +10,13 @@
       workload under the (optionally overridden) processor
       configuration.  The model comes
       from the {!Registry} (characterize once per configuration), the
-      per-workload profiles from the shared {!Core.Eval_cache}
-      (simulate once per (workload, configuration)); cache misses are
-      fanned out over a persistent {!Core.Parallel} pool.  The response
-      marks each row ["cached"] and the whole request
-      ["registry_hit"], so a client can see that a warm request ran
-      zero simulations.
+      per-workload profiles from {!Core.Explore.collect} over the shared
+      {!Core.Eval_cache} (simulate once per (workload, configuration));
+      cache misses are fanned out over a persistent {!Core.Parallel}
+      pool.  The response marks each row ["cached"] and the whole
+      request ["registry_hit"], so a client can see that a warm request
+      ran zero simulations.  A workload named twice simulates once; its
+      second row reads ["cached": true].
     - [attribute] — [{"op": "attribute", "workload": NAME,
       "bucket_cycles": N?, "config": {...}?}]: the per-variable energy
       breakdown and power-over-time waveform
@@ -29,18 +30,21 @@
     - [audit] — [{"op": "audit", "workloads": [...]?, "config":
       {...}?}]: macro-model vs reference accuracy report
       ({!Core.Audit.to_json}) over the named workloads (default: the
-      Table II applications), memoized through the shared cache.
+      Table II applications), memoized through the shared cache — the
+      same {!Core.Audit.run} [xenergy audit] calls.
     - [explore] — [{"op": "explore", "space": NAME, "backend": NAME?}]:
       sweep a named candidate space ({!Workloads.Spaces.find}: ["rs"],
       ["rs-cache"], ["mac-widths"]) against the live registry.  Each
-      distinct base-core configuration's model comes from the
+      distinct base-core configuration's model is looked up once in the
       {!Registry} (characterized at most once, shared with every other
-      op), each candidate's variable vector from the shared
-      {!Core.Eval_cache} via {!Core.Explore.evaluate} — a warm sweep
-      answers without a single simulation.  The response carries one
-      row per candidate (energy, cycles, ["cached"], ["frontier"]
+      op); then one {!Core.Explore.evaluate} call runs the sweep
+      [xenergy explore] runs, each candidate's variable vector coming
+      from the shared {!Core.Eval_cache} — a warm sweep answers without
+      a single simulation.  The response carries one row per candidate
+      in space order (energy, cycles, ["cached"], ["frontier"]
       membership) plus the Pareto ["frontier"] names over the whole
-      space and the sweep counters.
+      space and the sweep counters ([configs], [registry_hits],
+      [simulations]).
     - [metrics] — the live registry as an OpenMetrics text exposition
       ({!Obs.Export.to_openmetrics}) in the ["exposition"] field; this
       is the daemon's [/metrics] endpoint.
@@ -78,7 +82,9 @@
     time from frame receipt to response construction) and a [phases]
     object (queue/parse/registry/cache/simulate/serialize/other,
     microseconds) that sums to [total_us] exactly — unattributed time
-    is reported as [other], never hidden.  Requests slower than
+    is reported as [other], never hidden, and a phase nested in another
+    (an estimate's pool wait and batch inside its cache lookup) is
+    charged only to itself.  Requests slower than
     [create]'s [slow_ms] threshold emit a [serve:slow-request] warn log
     line carrying the op, total, trace_id and the same per-phase
     breakdown, and count in [serve_slow_requests_total{op}].
@@ -89,7 +95,10 @@
     [dcache_]), [branch_taken_penalty], [window_penalty], [freq_mhz]
     and [max_cycles].  Unknown keys and invalid geometries are request
     errors, never crashes: any per-request failure is caught and
-    answered as [{"ok": false, "error": ...}].
+    answered as [{"ok": false, "error": ...}].  Integer fields
+    ([bucket_cycles], [top] and every [config] key but [freq_mhz]) must
+    be integral numbers in the [int] range; anything else is refused
+    with an error naming the op and the field.
 
     Any request may carry an optional ["backend"] field naming the
     execution substrate ({!Sim.Backend.of_string}: ["interp"],
@@ -103,11 +112,12 @@
     the named substrate actually computed.
 
     The router is safe under the concurrent {!Server}: the registry
-    locks itself (characterization single-flight per config hash), the
-    shared evaluation cache's parent-side bookkeeping and the
+    locks itself (characterization single-flight per config hash), so
+    does the shared evaluation cache (each find, store and flush), the
     persistent pool's batches are serialized internally, and the
-    per-request backend override is scoped to the handling thread.
-    Requests against different configurations — and any number of warm
+    per-request backend override is scoped to the handling thread.  No
+    request holds a lock across a whole audit or sweep: requests
+    against different configurations — and any number of warm
     requests — proceed in parallel. *)
 
 type t
@@ -123,7 +133,8 @@ val create :
   unit ->
   t
 (** [max_models], [jobs] and [characterize] configure the {!Registry};
-    [jobs] also sizes the persistent worker pool and the audit fan-out,
+    [jobs] also sizes the persistent worker pool and the audit and explore
+    fan-out,
     and [read_timeout_s] is the pool's hung-worker deadline.
     [cache_dir] backs the evaluation cache on disk so profiles survive
     daemon restarts.  [slow_ms] (default: off) is the slow-request log

@@ -63,6 +63,18 @@ let test_json_edge_cases () =
   check (Alcotest.float 1e-12) "e" 1000.0 Obs.Json.(to_float (member "a" j));
   check (Alcotest.float 1e-12) "E-" (-0.025) Obs.Json.(to_float (member "b" j));
   check (Alcotest.float 1e-12) "e+" 2.5 Obs.Json.(to_float (member "c" j));
+  (* to_int takes integral values in the int range only: never a
+     truncated fraction or a wrapped magnitude. *)
+  check Alcotest.int "integral exponent" 1000 Obs.Json.(to_int (member "a" j));
+  check Alcotest.int "int range low end" min_int
+    (Obs.Json.to_int (Obs.Json.Num (Float.of_int min_int)));
+  List.iter
+    (fun f ->
+      match Obs.Json.to_int (Obs.Json.Num f) with
+      | exception Obs.Json.Parse_error _ -> ()
+      | n -> fail (Printf.sprintf "to_int %h gave %d" f n))
+    [ 2.9; -0.5; 1e300; -1e300; -.Float.of_int min_int; Float.nan;
+      Float.infinity ];
   (* Empty containers parse; trailing garbage in every position rejects. *)
   check Alcotest.int "empty array" 0
     (List.length (Obs.Json.to_list (Obs.Json.parse "[]")));

@@ -440,35 +440,42 @@ let test_router_timings_and_trace () =
            ("workloads", J.Arr [ J.Str "gcd"; J.Str "des" ]) ]
        @ extra ))
   in
-  (* Warm the registry and the cache first: the acceptance criterion is
-     about the steady state. *)
-  check Alcotest.bool "warm-up ok" true
-    (as_bool (member "ok" (call (estimate []))));
-  let resp = call (estimate [ ("timings", J.Bool true) ]) in
-  check Alcotest.bool "timed request ok" true (as_bool (member "ok" resp));
-  let t = member "timings" resp in
-  let total = as_float (member "total_us" t) in
-  check Alcotest.bool "total wall time positive" true (total > 0.0);
-  let phases =
-    match member "phases" t with
-    | J.Obj kv -> kv
-    | _ -> Alcotest.fail "phases is not an object"
+  let timed_phases expect =
+    let resp = call (estimate [ ("timings", J.Bool true) ]) in
+    check Alcotest.bool "timed request ok" true (as_bool (member "ok" resp));
+    let t = member "timings" resp in
+    let total = as_float (member "total_us" t) in
+    check Alcotest.bool "total wall time positive" true (total > 0.0);
+    let phases =
+      match member "phases" t with
+      | J.Obj kv -> kv
+      | _ -> Alcotest.fail "phases is not an object"
+    in
+    List.iter
+      (fun n ->
+        check Alcotest.bool (n ^ " phase reported") true
+          (List.mem_assoc n phases))
+      expect;
+    (* Unattributed time lands in "other", and a phase nested in another
+       (the pool wait and batch inside the cache lookup) is charged only
+       its self time, so the breakdown accounts for the measured wall
+       time — well within the 5% acceptance bound. *)
+    let sum = List.fold_left (fun a (_, v) -> a +. as_float v) 0.0 phases in
+    check Alcotest.bool "phases sum to total within 5%" true
+      (Float.abs (sum -. total) <= 0.05 *. Float.max total 1.0);
+    List.iter
+      (fun (n, v) ->
+        check Alcotest.bool (n ^ " phase non-negative") true
+          (as_float v >= 0.0))
+      phases;
+    resp
   in
-  List.iter
-    (fun n ->
-      check Alcotest.bool (n ^ " phase reported") true
-        (List.mem_assoc n phases))
-    [ "registry"; "cache"; "serialize"; "other" ];
-  (* Unattributed time lands in "other", so the breakdown accounts for
-     the measured wall time — well within the 5% acceptance bound. *)
-  let sum = List.fold_left (fun a (_, v) -> a +. as_float v) 0.0 phases in
-  check Alcotest.bool "phases sum to total within 5%" true
-    (Float.abs (sum -. total) <= 0.05 *. Float.max total 1.0);
-  List.iter
-    (fun (n, v) ->
-      check Alcotest.bool (n ^ " phase non-negative") true
-        (as_float (J.Num (as_float v)) >= 0.0))
-    phases;
+  (* Cold: the misses queue for and simulate on the pool. *)
+  ignore
+    (timed_phases
+       [ "registry"; "cache"; "queue"; "simulate"; "serialize"; "other" ]);
+  (* Warm: the acceptance criterion is about the steady state. *)
+  let resp = timed_phases [ "registry"; "cache"; "serialize"; "other" ] in
   (* Every response echoes a trace id; fresh requests get fresh ones. *)
   let tid resp =
     match member "trace_id" resp with
@@ -495,6 +502,146 @@ let test_router_timings_and_trace () =
     check Alcotest.bool "no timings unless requested" true
       (List.assoc_opt "timings" fields = None)
   | _ -> Alcotest.fail "response is not an object"
+
+(* Integer request fields are decoded exactly: a fraction or a value
+   outside the int range is refused naming the op and the field, never
+   truncated (2.9 -> 2) or wrapped (1e300 -> 0). *)
+let test_router_integer_fields () =
+  with_router @@ fun router ->
+  List.iter
+    (fun (req, op, field) ->
+      let resp = Serve.Router.handle router (J.Obj req) in
+      check Alcotest.bool (op ^ " refused") false (as_bool (member "ok" resp));
+      match member "error" resp with
+      | J.Str msg ->
+        check Alcotest.bool (msg ^ " names the op") true (contains msg op);
+        check Alcotest.bool (msg ^ " names the field") true
+          (contains msg field)
+      | _ -> Alcotest.fail "error is not a string")
+    [ ( [ ("op", J.Str "profile"); ("workload", J.Str "gcd");
+          ("top", J.Num 2.9) ],
+        "profile", "top" );
+      ( [ ("op", J.Str "attribute"); ("workload", J.Str "gcd");
+          ("bucket_cycles", J.Num 1e300) ],
+        "attribute", "bucket_cycles" );
+      ( [ ("op", J.Str "estimate"); ("workloads", J.Arr [ J.Str "gcd" ]);
+          ("config", J.Obj [ ("icache_size_bytes", J.Num 4096.5) ]) ],
+        "estimate", "icache_size_bytes" ) ]
+
+(* A workload named twice in one request simulates once, through the
+   shared collector: the second row is served from the first. *)
+let test_router_duplicate_names () =
+  with_router @@ fun router ->
+  let call req = Serve.Router.handle router req in
+  let stores () =
+    as_int (member "cache_stores" (call (J.Obj [ ("op", J.Str "stats") ])))
+  in
+  let rows key resp =
+    match member key resp with
+    | J.Arr l -> l
+    | _ -> Alcotest.fail (key ^ " is not an array")
+  in
+  let cached r = as_bool (member "cached" r) in
+  let s0 = stores () in
+  let resp =
+    call
+      (J.Obj
+         [ ("op", J.Str "estimate");
+           ("workloads", J.Arr [ J.Str "gcd"; J.Str "gcd" ]) ])
+  in
+  check Alcotest.int "estimate simulates one copy" 1 (stores () - s0);
+  (match rows "results" resp with
+   | [ a; b ] ->
+     check Alcotest.bool "first estimate row simulated" false (cached a);
+     check Alcotest.bool "second estimate row reused" true (cached b);
+     check Alcotest.bool "both rows agree" true
+       (as_float (member "energy_pj" a) = as_float (member "energy_pj" b))
+   | _ -> Alcotest.fail "expected two estimate rows");
+  let s1 = stores () in
+  let resp =
+    call
+      (J.Obj
+         [ ("op", J.Str "audit");
+           ("workloads", J.Arr [ J.Str "des"; J.Str "des" ]) ])
+  in
+  check Alcotest.int "audit simulates one copy" 1 (stores () - s1);
+  match rows "programs" (member "audit" resp) with
+  | [ a; b ] ->
+    check Alcotest.bool "first audit row simulated" false (cached a);
+    check Alcotest.bool "second audit row reused" true (cached b)
+  | _ -> Alcotest.fail "expected two audit rows"
+
+(* The daemon's explore answers what an independent oracle computes:
+   one offline estimate per candidate under its own configuration, and
+   the Pareto frontier of those points across all configurations. *)
+let test_router_explore_oracle () =
+  let m =
+    Core.Template.make
+      (Array.init Core.Variables.count (fun i -> float_of_int (i + 1)))
+  in
+  let router =
+    Serve.Router.create ~jobs:2 ~characterize:(fun _ -> m) ()
+  in
+  Fun.protect ~finally:(fun () -> Serve.Router.shutdown router) @@ fun () ->
+  let candidates = (Option.get (Workloads.Spaces.find "rs-cache")) () in
+  let oracle =
+    List.map
+      (fun (c : Core.Explore.candidate) ->
+        let r =
+          Core.Estimate.run ~config:c.Core.Explore.config m c.Core.Explore.case
+        in
+        { Core.Explore.pt_name = c.Core.Explore.cand_name;
+          pt_energy_pj = r.Core.Estimate.energy_pj;
+          pt_energy_uj = r.Core.Estimate.energy_uj;
+          pt_cycles = r.Core.Estimate.cycles;
+          pt_instructions = r.Core.Estimate.instructions;
+          pt_cached = false })
+      candidates
+  in
+  let explore =
+    J.Obj [ ("op", J.Str "explore"); ("space", J.Str "rs-cache") ]
+  in
+  let resp = Serve.Router.handle router explore in
+  check Alcotest.bool "explore ok" true (as_bool (member "ok" resp));
+  check Alcotest.int "sixteen candidates" 16
+    (as_int (member "candidates" resp));
+  check Alcotest.int "four configurations" 4 (as_int (member "configs" resp));
+  let points =
+    match member "points" resp with
+    | J.Arr l -> l
+    | _ -> Alcotest.fail "points is not an array"
+  in
+  check Alcotest.int "one row per candidate" (List.length oracle)
+    (List.length points);
+  List.iter2
+    (fun (o : Core.Explore.point) p ->
+      let name = o.Core.Explore.pt_name in
+      check Alcotest.string "space order" name
+        (match member "name" p with J.Str s -> s | _ -> "");
+      check Alcotest.int64 (name ^ " energy bit-identical")
+        (Int64.bits_of_float o.Core.Explore.pt_energy_pj)
+        (Int64.bits_of_float (as_float (member "energy_pj" p)));
+      check Alcotest.int (name ^ " cycles") o.Core.Explore.pt_cycles
+        (as_int (member "cycles" p)))
+    oracle points;
+  let names resp =
+    match member "frontier" resp with
+    | J.Arr l ->
+      List.map (function J.Str s -> s | _ -> Alcotest.fail "bad name") l
+    | _ -> Alcotest.fail "frontier is not an array"
+  in
+  check
+    Alcotest.(list string)
+    "frontier = pareto of the oracle"
+    (List.map
+       (fun (p : Core.Explore.point) -> p.Core.Explore.pt_name)
+       (Core.Explore.pareto oracle))
+    (names resp);
+  let warm = Serve.Router.handle router explore in
+  check Alcotest.int "warm repeat runs zero simulations" 0
+    (as_int (member "simulations" warm));
+  check Alcotest.(list string) "warm frontier unchanged" (names resp)
+    (names warm)
 
 let test_router_status_op () =
   let was = Obs.Metrics.enabled () in
@@ -1138,6 +1285,12 @@ let () =
           Alcotest.test_case "concurrent profiles of one workload" `Quick
             test_router_concurrent_profiles;
           Alcotest.test_case "explore op" `Slow test_router_explore_op;
+          Alcotest.test_case "explore matches offline oracle" `Slow
+            test_router_explore_oracle;
+          Alcotest.test_case "integer fields decoded exactly" `Quick
+            test_router_integer_fields;
+          Alcotest.test_case "duplicate names simulate once" `Quick
+            test_router_duplicate_names;
           Alcotest.test_case "latency-shaped request buckets" `Quick
             test_request_seconds_buckets;
           Alcotest.test_case "timings + trace ids" `Quick
