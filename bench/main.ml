@@ -858,7 +858,7 @@ let ablation () =
       Tie.Component.complexity c
   in
   let fit_lin =
-    Core.Characterize.run ~complexity:linear_complexity
+    Core.Characterize.run ~complexity:("linear", linear_complexity)
       (Workloads.Suite.characterization ())
   in
   let apps =

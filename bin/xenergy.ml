@@ -461,13 +461,17 @@ let attribute_cmd =
 
 (* --- compare ------------------------------------------------------------- *)
 
+(* Shared by [compare] and [rs]: both estimators over a suite, one
+   simulation per program, printed as a Table II listing. *)
+let print_comparison suite model_path =
+  let model = load_or_fit model_path in
+  let table = Core.Evaluate.compare_cases model (suite ()) in
+  Format.fprintf fmt "%a@." Core.Evaluate.pp_table table;
+  table
+
 let compare_cmd =
   let run model_path =
-    let model = load_or_fit model_path in
-    let table =
-      Core.Evaluate.compare_cases model (Workloads.Suite.applications ())
-    in
-    Format.fprintf fmt "%a@." Core.Evaluate.pp_table table
+    ignore (print_comparison Workloads.Suite.applications model_path)
   in
   Cmd.v
     (Cmd.info "compare"
@@ -1167,13 +1171,17 @@ let serve_cmd =
                    itself (a cold estimate characterizes first — size
                    generously).")
   in
-  let client_call ~socket ~timeout req =
-    try Serve.Client.call ~timeout_s:timeout ~socket req
+  (* Transport failures of a client exchange end the command. *)
+  let or_die ~socket f =
+    try f ()
     with
     | Unix.Unix_error (e, _, _) ->
       die "cannot reach server at %s: %s" socket (Unix.error_message e)
     | Serve.Protocol.Frame_error msg -> die "%s" msg
     | Obs.Json.Parse_error msg -> die "malformed response: %s" msg
+  in
+  let client_call ~socket ~timeout req =
+    or_die ~socket (fun () -> Serve.Client.call ~timeout_s:timeout ~socket req)
   in
   let response_ok = function
     | Obs.Json.Obj fields ->
@@ -1220,20 +1228,15 @@ let serve_cmd =
             "ok".  A batch of --call flags shares one connection, so
             repeated calls amortize the connect; each request still gets
             its own trace id in the daemon's log. *)
-         (try
-            Serve.Client.with_session ~socket (fun session ->
-                List.iter
-                  (fun req ->
-                    print_endline
-                      (Serve.Protocol.json_to_string
-                         (Serve.Client.session_call ~timeout_s:timeout session
-                            req)))
-                  reqs)
-          with
-          | Unix.Unix_error (e, _, _) ->
-            die "cannot reach server at %s: %s" socket (Unix.error_message e)
-          | Serve.Protocol.Frame_error msg -> die "%s" msg
-          | Obs.Json.Parse_error msg -> die "malformed response: %s" msg));
+         or_die ~socket (fun () ->
+             Serve.Client.with_session ~socket (fun session ->
+                 List.iter
+                   (fun req ->
+                     print_endline
+                       (Serve.Protocol.json_to_string
+                          (Serve.Client.session_call ~timeout_s:timeout session
+                             req)))
+                   reqs)));
       if scrape then begin
         let resp =
           client_call ~socket ~timeout
@@ -1452,11 +1455,9 @@ let top_cmd =
 
 let rs_cmd =
   let run model_path =
-    let model = load_or_fit model_path in
     let table =
-      Core.Evaluate.compare_cases model (Workloads.Suite.reed_solomon_choices ())
+      print_comparison Workloads.Suite.reed_solomon_choices model_path
     in
-    Format.fprintf fmt "%a@." Core.Evaluate.pp_table table;
     Format.fprintf fmt "correlation %.4f, rank agreement %b@."
       (Core.Evaluate.correlation table)
       (Core.Evaluate.rank_agreement table)

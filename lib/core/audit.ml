@@ -61,9 +61,9 @@ let summarize ~t0 rows =
     a_rms = rms;
     a_wall_seconds = Unix.gettimeofday () -. t0 }
 
-let run ?jobs ?cache ?(config = Sim.Config.default) model cases =
+let run ?jobs ?(cache = Eval_cache.create ()) ?(config = Sim.Config.default)
+    model cases =
   if cases = [] then invalid_arg "Audit: no cases";
-  let cache = match cache with Some c -> c | None -> Eval_cache.create () in
   let t0 = Unix.gettimeofday () in
   Obs.Trace.with_span ~cat:"audit" "audit" @@ fun () ->
   Obs.Log.event "audit:start"
@@ -71,7 +71,7 @@ let run ?jobs ?cache ?(config = Sim.Config.default) model cases =
   (* One simulation per distinct program, the reference estimator
      riding it, so each cache entry holds both the variable vector and
      the measured energy. *)
-  let entries, _ = Explore.collect ?jobs ~cache ~with_ref:true ~config cases in
+  let entries, _ = Eval_cache.collect ?jobs cache ~with_ref:true ~config cases in
   Eval_cache.flush cache;
   let rows =
     List.map2

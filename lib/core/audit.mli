@@ -43,7 +43,7 @@ val run :
   Template.model ->
   Extract.case list ->
   report
-(** Audit [model] over the cases through {!Explore.collect}: one
+(** Audit [model] over the cases through {!Eval_cache.collect}: one
     reference-observed simulation per distinct cache miss (fanned out
     over {!Parallel}), zero for hits; a program listed twice simulates
     once and its second row reads [a_cached].  [cache] defaults to a

@@ -15,52 +15,55 @@ type fit = {
   r_squared : float;
 }
 
-(* Single-pass collection: the reference estimator rides the same
-   simulation as the variable extraction, so every test program is
-   simulated exactly once.  The estimator observes an identical event
-   stream either way, hence samples (and therefore fitted coefficients)
-   match a separate profiling run plus a separate reference run bit for
-   bit. *)
-let collect_one ~config ?params ?complexity (c : Extract.case) =
-  let est =
-    Power.Estimator.create ?params ?extension:c.Extract.extension config
-  in
-  let t0 = Unix.gettimeofday () in
-  let prof =
-    Extract.profile ~config ?complexity
-      ~observers:[ Power.Estimator.observer est ]
-      c
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let energy = Power.Estimator.total_energy est in
-  let misses id = int_of_float prof.Extract.variables.(Variables.index id) in
-  ( { sname = c.Extract.case_name;
-      variables = prof.Extract.variables;
-      measured_pj = energy;
-      cycles = prof.Extract.cycles },
-    { Run_report.ename = c.Extract.case_name;
-      wall_seconds = wall;
-      cycles = prof.Extract.cycles;
-      instructions = prof.Extract.instructions;
-      icache_misses = misses Variables.Icache_miss;
-      dcache_misses = misses Variables.Dcache_miss;
-      stall_cycles = prof.Extract.stall_cycles;
-      interlocks = misses Variables.Interlock;
-      energy_pj = energy;
-      simulations = 1 } )
-
-let collect_with_report ?(config = Sim.Config.default) ?params ?complexity
-    ?jobs cases =
+(* Single-pass collection through the read-through cache.  Misses are
+   simulated on [Parallel.map_with_stats], each timed, so the run report
+   keeps per-program wall time and the pool's degradation counters; a
+   program served from the cache reports zero simulations. *)
+let collect_with_report ?(config = Sim.Config.default) ?complexity ?jobs
+    ?(cache = Eval_cache.create ()) cases =
   Obs.Trace.with_span ~cat:"characterize" "collect" (fun () ->
       let t0 = Unix.gettimeofday () in
-      let pairs, pstats =
-        Parallel.map_with_stats ?jobs
-          (collect_one ~config ?params ?complexity)
+      let walls = ref [] and pstats = ref Parallel.no_stats in
+      let simulate ~config ~with_ref cs =
+        let timed, st =
+          Parallel.map_with_stats ?jobs
+            (fun c ->
+              let t0 = Unix.gettimeofday () in
+              let e = Eval_cache.compute ?complexity ~config ~with_ref c in
+              (e, Unix.gettimeofday () -. t0))
+            cs
+        in
+        walls := timed;
+        pstats := st;
+        List.map fst timed
+      in
+      let rows, _ =
+        Eval_cache.collect ~simulate ?complexity cache ~with_ref:true ~config
           cases
       in
       let total_seconds = Unix.gettimeofday () -. t0 in
-      ( List.map fst pairs,
-        { Run_report.entries = List.map snd pairs;
+      let row (c : Extract.case) ((e : Eval_cache.entry), cached) =
+        let measured_pj = Option.get e.e_measured_pj in
+        let count id = int_of_float e.e_variables.(Variables.index id) in
+        ( { sname = c.case_name;
+            variables = e.e_variables;
+            measured_pj;
+            cycles = e.e_cycles },
+          { Run_report.ename = c.case_name;
+            wall_seconds = (if cached then 0.0 else List.assq e !walls);
+            cycles = e.e_cycles;
+            instructions = e.e_instructions;
+            icache_misses = count Variables.Icache_miss;
+            dcache_misses = count Variables.Dcache_miss;
+            stall_cycles = e.e_stall_cycles;
+            interlocks = count Variables.Interlock;
+            energy_pj = measured_pj;
+            simulations = (if cached then 0 else 1) } )
+      in
+      let samples, entries = List.split (List.map2 row cases rows) in
+      let pstats = !pstats in
+      ( samples,
+        { Run_report.entries;
           total_seconds;
           jobs = pstats.Parallel.jobs;
           sim_backend = Sim.Backend.name (Sim.Backend.current ());
@@ -70,8 +73,8 @@ let collect_with_report ?(config = Sim.Config.default) ?params ?complexity
               failed_forks = pstats.Parallel.failed_forks;
               recomputed_slices = pstats.Parallel.recomputed_slices } } ))
 
-let collect ?config ?params ?complexity ?jobs cases =
-  fst (collect_with_report ?config ?params ?complexity ?jobs cases)
+let collect ?config ?complexity ?jobs ?cache cases =
+  fst (collect_with_report ?config ?complexity ?jobs ?cache cases)
 
 let fit_samples ?(nonnegative = true) samples =
   Obs.Trace.with_span ~cat:"characterize" "fit" @@ fun () ->
@@ -150,8 +153,8 @@ let cross_validate ?nonnegative ?jobs samples =
   Array.of_list
     (Parallel.map ?jobs fold (List.init (Array.length arr) Fun.id))
 
-let run ?config ?params ?complexity ?nonnegative ?jobs cases =
-  fit_samples ?nonnegative (collect ?config ?params ?complexity ?jobs cases)
+let run ?config ?complexity ?nonnegative ?jobs ?cache cases =
+  fit_samples ?nonnegative (collect ?config ?complexity ?jobs ?cache cases)
 
 let pp_fit ppf f =
   Format.fprintf ppf "@[<v>%-24s %14s %14s %8s@," "test program"

@@ -24,26 +24,28 @@ type fit = {
 
 val collect :
   ?config:Sim.Config.t ->
-  ?params:Power.Blocks.params ->
-  ?complexity:(Tie.Component.t -> float) ->
+  ?complexity:Eval_cache.complexity ->
   ?jobs:int ->
+  ?cache:Eval_cache.t ->
   Extract.case list ->
   sample list
-(** Single-pass collection: one simulation per test program, with the
-    reference estimator attached as an observer of the same event stream
-    that drives variable extraction.  Workloads are distributed over
-    [jobs] forked workers (default {!Parallel.default_jobs}; serial on a
-    single core). *)
+(** Single-pass collection through {!Eval_cache.collect}: each program
+    missing from [cache] (default: a fresh memory cache) is simulated
+    once, the reference estimator observing the same run that extracts
+    the variables; a cached program is not simulated at all.  Misses
+    are distributed over [jobs] forked workers (default
+    {!Parallel.default_jobs}; serial on a single core). *)
 
 val collect_with_report :
   ?config:Sim.Config.t ->
-  ?params:Power.Blocks.params ->
-  ?complexity:(Tie.Component.t -> float) ->
+  ?complexity:Eval_cache.complexity ->
   ?jobs:int ->
+  ?cache:Eval_cache.t ->
   Extract.case list ->
   sample list * Run_report.t
-(** Like {!collect}, also returning the per-workload run report
-    (wall time, cycles, cache misses, energy, simulation count). *)
+(** Like {!collect}, also returning the per-workload run report (wall
+    time, cycles, cache misses, energy, simulation count).  A program
+    served from [cache] reports [simulations = 0] and zero wall time. *)
 
 val fit_samples : ?nonnegative:bool -> sample list -> fit
 (** Regression over collected samples.
@@ -52,10 +54,10 @@ val fit_samples : ?nonnegative:bool -> sample list -> fit
 
 val run :
   ?config:Sim.Config.t ->
-  ?params:Power.Blocks.params ->
-  ?complexity:(Tie.Component.t -> float) ->
+  ?complexity:Eval_cache.complexity ->
   ?nonnegative:bool ->
   ?jobs:int ->
+  ?cache:Eval_cache.t ->
   Extract.case list ->
   fit
 (** [collect] followed by [fit_samples]. *)

@@ -420,6 +420,92 @@ let store t k e =
   t.c_stats <- { t.c_stats with stores = t.c_stats.stores + 1 };
   Obs.Metrics.inc (Lazy.force M.stores)
 
+(* --- Read-through collection ---------------------------------------------- *)
+
+type complexity = string * (Tie.Component.t -> float)
+
+(* One simulation yields everything an entry holds; with the reference
+   estimator attached (characterization, audit, Table II) it stays
+   single-pass. *)
+let compute ?complexity ~config ~with_ref (c : Extract.case) =
+  let complexity = Option.map snd complexity in
+  let prof, measured =
+    if with_ref then begin
+      let est = Power.Estimator.create ?extension:c.Extract.extension config in
+      let p =
+        Extract.profile ~config ?complexity
+          ~observers:[ Power.Estimator.observer est ]
+          c
+      in
+      (p, Some (Power.Estimator.total_energy est))
+    end
+    else (Extract.profile ~config ?complexity c, None)
+  in
+  { e_name = c.Extract.case_name;
+    e_variables = prof.Extract.variables;
+    e_cycles = prof.Extract.cycles;
+    e_instructions = prof.Extract.instructions;
+    e_stall_cycles = prof.Extract.stall_cycles;
+    e_measured_pj = measured }
+
+type simulate =
+  config:Sim.Config.t -> with_ref:bool -> Extract.case list -> entry list
+
+(* Resolve every case to an entry: probe the cache, simulate the
+   distinct misses (on the worker pool unless the caller supplies its
+   own [simulate]), publish them, and mark each row with whether its
+   vector was reused (cache or an earlier identical case in this very
+   call) or freshly simulated.  Returns rows in input order plus the
+   number of simulations actually run. *)
+let collect ?jobs ?simulate ?complexity t ~with_ref ~config cases =
+  let complexity_tag = Option.map fst complexity in
+  let probed =
+    List.map
+      (fun (c : Extract.case) ->
+        let k = key ?complexity_tag ~with_reference:with_ref ~config c in
+        match find t k with
+        | Some e when (not with_ref) || Option.is_some e.e_measured_pj ->
+          (k, c, Some e)
+        | Some _ | None ->
+          (* An entry without the reference energy cannot serve a
+             characterization lookup; recompute it. *)
+          (k, c, None))
+      cases
+  in
+  let misses =
+    List.fold_left
+      (fun acc (k, c, hit) ->
+        if hit <> None || List.mem_assoc k acc then acc else (k, c) :: acc)
+      [] probed
+    |> List.rev
+  in
+  let computed =
+    match (List.map snd misses, simulate) with
+    | [], _ -> []
+    | cs, Some f -> f ~config ~with_ref cs
+    | cs, None -> Parallel.map ?jobs (compute ?complexity ~config ~with_ref) cs
+  in
+  (* The first row of a fresh key owns its simulation; later copies of
+     the key read as reused. *)
+  let fresh = Hashtbl.create 16 in
+  List.iter2
+    (fun (k, _) e ->
+      store t k e;
+      Hashtbl.replace fresh k (e, false))
+    misses computed;
+  let rows =
+    List.map
+      (fun (k, _, hit) ->
+        match hit with
+        | Some e -> (e, true)
+        | None ->
+          let e, reused = Hashtbl.find fresh k in
+          Hashtbl.replace fresh k (e, true);
+          (e, reused))
+      probed
+  in
+  (rows, List.length computed)
+
 type verify_report = {
   v_ok : int;
   v_corrupt : (string * string) list;

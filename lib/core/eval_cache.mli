@@ -101,8 +101,8 @@ val key :
     {!Sim.Backend.current} — backends are bit-identical by contract,
     but keying them apart means a cached vector can never mask a
     divergence), and a [complexity_tag] naming the C(W) weighting in
-    effect (default ["default"]; callers overriding [complexity] must
-    supply their own tag). *)
+    effect (default ["default"]; {!collect} passes the tag of its
+    {!type-complexity} pair). *)
 
 val find : t -> string -> entry option
 (** Look a key up (memory first, then disk); counts a hit or miss.
@@ -145,6 +145,48 @@ val entry_of_json : expect_key:string -> string -> entry
     variable-vector length.
     @raise Obs.Json.Parse_error (or [Failure]) on any mismatch — {!find}
     converts that into an error-counted miss. *)
+
+(** {1 Read-through collection}
+
+    The one probe/simulate/store loop: characterization, audits, sweeps
+    and the daemon's [estimate] all collect through it. *)
+
+type complexity = string * (Tie.Component.t -> float)
+(** A C(W) weighting override and the {!key} tag that names it; they
+    travel together, so no lookup is served a vector computed under
+    another weighting. *)
+
+val compute :
+  ?complexity:complexity ->
+  config:Sim.Config.t -> with_ref:bool -> Extract.case -> entry
+(** Simulate a case once and build its entry; with [with_ref] the
+    reference estimator rides the same simulation and fills
+    [e_measured_pj]. *)
+
+type simulate =
+  config:Sim.Config.t -> with_ref:bool -> Extract.case list -> entry list
+(** How a collection simulates its misses: one {!compute} per case, in
+    order, under the collection's weighting. *)
+
+val collect :
+  ?jobs:int ->
+  ?simulate:simulate ->
+  ?complexity:complexity ->
+  t ->
+  with_ref:bool ->
+  config:Sim.Config.t ->
+  Extract.case list ->
+  (entry * bool) list * int
+(** [collect cache ~with_ref ~config cases] resolves each case to an
+    entry: probe [cache] (keyed with [with_ref], the current backend
+    and [complexity]'s tag; with [with_ref] an entry lacking the
+    reference energy counts as a miss), simulate each distinct missing
+    key once, store the results, and return one [(entry, cached)] row
+    per case in input order plus the number of simulations run.
+    [cached] is [false] only for the first row of a freshly simulated
+    key, so a case named twice simulates once.  [simulate] defaults to
+    {!compute} fanned out over {!Parallel.map} with [jobs]; it is not
+    called when every case hits.  The index is not flushed. *)
 
 (** {1 Lifecycle management}
 

@@ -11,24 +11,20 @@ type table = {
   max_abs_error : float;
 }
 
-let compare_cases ?(config = Sim.Config.default) ?params model cases =
+(* One simulation per program: the macro-model reads the entry's
+   variable vector, the reference its measured energy. *)
+let compare_cases ?(config = Sim.Config.default) model cases =
   let rows =
     List.map
       (fun (c : Extract.case) ->
-        let est = Estimate.run ~config model c in
-        let ref_pj, _ =
-          Power.Estimator.estimate_program ?params ~config
-            ?extension:c.Extract.extension c.Extract.asm
-        in
-        let reference_uj = Power.Report.to_uj ref_pj in
+        let e = Eval_cache.compute ~config ~with_ref:true c in
+        let estimate_uj = Power.Report.to_uj (Template.energy model e.e_variables)
+        and reference_uj = Power.Report.to_uj (Option.get e.e_measured_pj) in
         let error_percent =
           if Float.abs reference_uj < 1e-12 then 0.0
-          else 100.0 *. (est.Estimate.energy_uj -. reference_uj) /. reference_uj
+          else 100.0 *. (estimate_uj -. reference_uj) /. reference_uj
         in
-        { rname = c.Extract.case_name;
-          estimate_uj = est.Estimate.energy_uj;
-          reference_uj;
-          error_percent })
+        { rname = c.Extract.case_name; estimate_uj; reference_uj; error_percent })
       cases
   in
   let errs = Array.of_list (List.map (fun r -> r.error_percent) rows) in
@@ -66,11 +62,11 @@ let best_of repeats f =
   in
   go repeats infinity
 
-let time_case ?(config = Sim.Config.default) ?params ?(repeats = 3) model c =
+let time_case ?(config = Sim.Config.default) ?(repeats = 3) model c =
   let run_macro () = ignore (Estimate.run ~config model c) in
   let run_reference () =
     ignore
-      (Power.Estimator.estimate_program ?params ~config
+      (Power.Estimator.estimate_program ~config
          ?extension:c.Extract.extension c.Extract.asm)
   in
   let macro_seconds = best_of repeats run_macro in

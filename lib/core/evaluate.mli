@@ -18,14 +18,12 @@ type table = {
 }
 
 val compare_cases :
-  ?config:Sim.Config.t ->
-  ?params:Power.Blocks.params ->
-  Template.model ->
-  Extract.case list ->
-  table
-(** Estimate every case with both paths — the macro-model and the
-    reference estimator riding the same simulation — and tabulate the
-    signed errors (Table II). *)
+  ?config:Sim.Config.t -> Template.model -> Extract.case list -> table
+(** Estimate every case with both paths and tabulate the signed errors
+    (Table II).  Each program is simulated once
+    ({!Eval_cache.compute} with the reference attached): the
+    macro-model energy comes from the entry's variable vector, the
+    reference energy from the same run. *)
 
 val correlation : table -> float
 (** Pearson correlation between the two energy series (the Fig. 4
@@ -42,12 +40,13 @@ type timing = {
 
 val time_case :
   ?config:Sim.Config.t ->
-  ?params:Power.Blocks.params ->
   ?repeats:int ->
   Template.model ->
   Extract.case ->
   timing
-(** Wall-clock both estimation paths ([repeats] runs each, best time). *)
+(** Wall-clock both estimation paths ([repeats] runs each, best time).
+    Unlike {!compare_cases}, the reference runs in a simulation of its
+    own, so each path is timed separately. *)
 
 val pp_table : Format.formatter -> table -> unit
 (** Table II style listing: estimate, reference and error per row, then

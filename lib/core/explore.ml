@@ -41,106 +41,6 @@ type outcome = {
   wall_seconds : float;
 }
 
-(* --- Cached collection ---------------------------------------------------- *)
-
-(* One simulation yields everything a cache entry holds; with the
-   reference estimator attached (characterization, audit) it stays
-   single-pass, exactly like Characterize.collect_one. *)
-let compute ~config ~with_ref (c : Extract.case) : Eval_cache.entry =
-  let prof, measured =
-    if with_ref then begin
-      let est = Power.Estimator.create ?extension:c.Extract.extension config in
-      let p =
-        Extract.profile ~config
-          ~observers:[ Power.Estimator.observer est ]
-          c
-      in
-      (p, Some (Power.Estimator.total_energy est))
-    end
-    else (Extract.profile ~config c, None)
-  in
-  { Eval_cache.e_name = c.Extract.case_name;
-    e_variables = prof.Extract.variables;
-    e_cycles = prof.Extract.cycles;
-    e_instructions = prof.Extract.instructions;
-    e_stall_cycles = prof.Extract.stall_cycles;
-    e_measured_pj = measured }
-
-type simulate =
-  config:Sim.Config.t -> with_ref:bool -> Extract.case list ->
-  Eval_cache.entry list
-
-(* Resolve every case to an entry: probe the cache, simulate the
-   distinct misses (on the worker pool unless the caller supplies its
-   own [simulate]), publish them, and mark each row with whether its
-   vector was reused (cache or an earlier identical case in this very
-   call) or freshly simulated.  Returns rows in input order plus the
-   number of simulations actually run. *)
-let collect ?jobs ?simulate ~cache ~with_ref ~config cases =
-  let probed =
-    List.map
-      (fun (c : Extract.case) ->
-        let k = Eval_cache.key ~with_reference:with_ref ~config c in
-        let hit =
-          match Eval_cache.find cache k with
-          | Some e
-            when (not with_ref) || Option.is_some e.Eval_cache.e_measured_pj
-            ->
-            Some e
-          | Some _ | None ->
-            (* An entry without the reference energy cannot serve a
-               characterization lookup; recompute it. *)
-            None
-        in
-        (k, c, hit))
-      cases
-  in
-  let seen = Hashtbl.create 16 in
-  let misses =
-    List.filter_map
-      (fun (k, c, hit) ->
-        if hit <> None || Hashtbl.mem seen k then None
-        else begin
-          Hashtbl.add seen k ();
-          Some (k, c)
-        end)
-      probed
-  in
-  let computed =
-    if misses = [] then []
-    else
-      let cs = List.map snd misses in
-      match simulate with
-      | Some f -> f ~config ~with_ref cs
-      | None -> Parallel.map ?jobs (compute ~config ~with_ref) cs
-  in
-  let ctbl = Hashtbl.create 16 in
-  List.iter2
-    (fun (k, _) e ->
-      Eval_cache.store cache k e;
-      Hashtbl.replace ctbl k e)
-    misses computed;
-  let rows =
-    List.map
-      (fun (k, _c, hit) ->
-        match hit with
-        | Some e -> (e, true)
-        | None ->
-          (* The first row of a key owns the simulation; later copies
-             reuse it. *)
-          let fresh = Hashtbl.mem seen k in
-          Hashtbl.remove seen k;
-          (Hashtbl.find ctbl k, not fresh))
-      probed
-  in
-  (rows, List.length computed)
-
-let sample_of_entry (c : Extract.case) ((e : Eval_cache.entry), _cached) =
-  { Characterize.sname = c.Extract.case_name;
-    variables = e.Eval_cache.e_variables;
-    measured_pj = Option.get e.Eval_cache.e_measured_pj;
-    cycles = e.Eval_cache.e_cycles }
-
 (* --- Pareto frontier ------------------------------------------------------ *)
 
 let dominates a b =
@@ -198,15 +98,12 @@ let distinct_configs candidates =
    to the pool in chunks, so a heartbeat (progress callback +
    [explore:heartbeat] log record) lands between chunks with live
    hit/frontier/ETA figures, instead of one mute span per sweep. *)
-let sweep ?jobs ?cache ?(progress = fun _ -> ()) ?(explain = false)
-    ?profile_top ~models candidates =
+let sweep ?jobs ?(cache = Eval_cache.create ()) ?(progress = fun _ -> ())
+    ?(explain = false) ?profile_top ~models candidates =
   validate candidates;
   (match profile_top with
    | Some n when n <= 0 -> invalid_arg "Explore: profile_top must be positive"
    | _ -> ());
-  let cache =
-    match cache with Some c -> c | None -> Eval_cache.create ()
-  in
   let before = Eval_cache.stats cache in
   let t0 = Unix.gettimeofday () in
   let heartbeat ~phase ~n_done ~total ~frontier =
@@ -265,7 +162,7 @@ let sweep ?jobs ?cache ?(progress = fun _ -> ()) ?(explain = false)
       List.iter
         (fun chunk ->
           let rows, sims =
-            collect ?jobs ~cache ~with_ref:false ~config:cfg
+            Eval_cache.collect ?jobs cache ~with_ref:false ~config:cfg
               (List.map (fun (_, c) -> c.case) chunk)
           in
           simulations := !simulations + sims;
@@ -369,11 +266,11 @@ let run ?jobs ?cache ?(nonnegative = true) ?progress ?explain ?profile_top
           Obs.Trace.with_span ~cat:"explore"
             (Printf.sprintf "characterize:config%d" i)
           @@ fun () ->
-          let rows, n =
-            collect ?jobs ~cache ~with_ref:true ~config:cfg characterization
+          let samples, report =
+            Characterize.collect_with_report ?jobs ~cache ~config:cfg
+              characterization
           in
-          sims := !sims + n;
-          let samples = List.map2 sample_of_entry characterization rows in
+          sims := !sims + Run_report.total_simulations report;
           let fit = Characterize.fit_samples ~nonnegative samples in
           heartbeat ~phase:"characterize" ~n_done:(i + 1)
             ~total:(List.length configs) ~frontier:0;

@@ -9,13 +9,16 @@
     and extracts the energy/performance Pareto frontier.
 
     Cost model: each distinct processor configuration is characterized
-    once (the 25-program suite, simulated with the reference estimator
+    once ({!Characterize.collect_with_report} over the sweep's cache:
+    the 25-program suite, simulated with the reference estimator
     attached), then each candidate needs only one instruction-set
     simulation.  Both kinds of simulation are memoized through
-    {!Eval_cache}, so candidates sharing a base-core simulation reuse
-    its extracted variable vector, and a warm sweep over N candidates
-    costs far fewer than N simulations — typically zero.  Simulations
-    for cache misses are fanned out over the {!Parallel} worker pool. *)
+    {!Eval_cache.collect}, so candidates sharing a base-core simulation
+    reuse its extracted variable vector, and a warm sweep over N
+    candidates costs far fewer than N simulations — typically zero.
+    A directory a sweep filled also serves the daemon's
+    characterizations.  Simulations for cache misses are fanned out
+    over the {!Parallel} worker pool. *)
 
 type candidate = {
   cand_name : string;          (** unique within a sweep; names output rows *)
@@ -93,7 +96,8 @@ val run :
   candidate list ->
   outcome
 (** Full sweep: characterize each distinct [config] over the
-    [characterization] suite (through the cache), then evaluate every
+    [characterization] suite ({!Characterize.collect_with_report}
+    through the cache, then {!Characterize.fit_samples}), then evaluate every
     candidate with its configuration's model.  [jobs] bounds the worker
     pool (default {!Parallel.default_jobs}); [cache] defaults to a
     fresh memory-only cache; [nonnegative] is passed to the NNLS fit
@@ -122,42 +126,6 @@ val evaluate :
     fitting: points in input order, one frontier across every
     configuration, memoized through [cache].  [configs_characterized]
     is 0. *)
-
-(** {1 Memoized collection}
-
-    The one probe/simulate/store loop every memoized evaluation runs —
-    sweeps, {!Audit.run} and the daemon's [estimate]. *)
-
-val compute :
-  config:Sim.Config.t -> with_ref:bool -> Extract.case -> Eval_cache.entry
-(** Simulate a case once and build its cache entry; with [with_ref] the
-    reference estimator rides the same simulation and its energy fills
-    [e_measured_pj]. *)
-
-type simulate =
-  config:Sim.Config.t -> with_ref:bool -> Extract.case list ->
-  Eval_cache.entry list
-(** How a collection simulates its misses: one {!compute} per case, in
-    order. *)
-
-val collect :
-  ?jobs:int ->
-  ?simulate:simulate ->
-  cache:Eval_cache.t ->
-  with_ref:bool ->
-  config:Sim.Config.t ->
-  Extract.case list ->
-  (Eval_cache.entry * bool) list * int
-(** Resolve each case to an entry under [config]: probe [cache] (keyed
-    with [with_ref] and the current backend; with [with_ref] an entry
-    lacking the reference energy counts as a miss), simulate each
-    distinct missing key once, store the results, and return one
-    [(entry, cached)] row per case in input order plus the number of
-    simulations run.  [cached] is [false] only for the first row of a
-    freshly simulated key, so a case named twice simulates once.
-    [simulate] defaults to {!compute} fanned out over {!Parallel.map}
-    with [jobs]; it is not called when every case hits.  The cache's
-    index is not flushed. *)
 
 val to_json : outcome -> string
 (** Machine-readable sweep record: per-point rows, frontier membership,

@@ -60,17 +60,8 @@ let key_of_config config =
   Digest.to_hex
     (Digest.string (Marshal.to_string ("xenergy-serve-model", 1, config) []))
 
-let create ?(max_models = 4) ?jobs ?characterize () =
+let create ?(max_models = 4) ~characterize () =
   if max_models < 1 then invalid_arg "Registry.create: max_models must be >= 1";
-  let characterize =
-    match characterize with
-    | Some f -> f
-    | None ->
-      fun config ->
-        (Core.Characterize.run ?jobs ~config
-           (Workloads.Suite.characterization ()))
-          .Core.Characterize.model
-  in
   { max_models;
     characterize;
     table = Hashtbl.create 8;

@@ -52,15 +52,14 @@ val key_of_config : Sim.Config.t -> string
 
 val create :
   ?max_models:int ->
-  ?jobs:int ->
-  ?characterize:(Sim.Config.t -> Core.Template.model) ->
+  characterize:(Sim.Config.t -> Core.Template.model) ->
   unit ->
   t
-(** [max_models] (default 4) bounds the resident set; [jobs] is the
-    worker count for the default characterization.  [characterize]
-    replaces the default (fitting the full characterization suite under
-    the given configuration) — tests inject a stub to observe exactly
-    how many characterizations a traffic pattern causes.
+(** [max_models] (default 4) bounds the resident set.  [characterize]
+    fits a configuration's model on a miss: the {!Router} reads its
+    samples through the shared evaluation cache, so a refit after a
+    restart or an eviction only reruns the fit; tests inject a stub to
+    count characterizations.
     @raise Invalid_argument when [max_models < 1]. *)
 
 val get : t -> Sim.Config.t -> lookup

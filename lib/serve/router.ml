@@ -135,7 +135,7 @@ let merged_phases px =
    The request's backend rides with the batch itself (see
    [Core.Parallel.pool_map]). *)
 let compute_entry (name, config, with_ref) =
-  Core.Explore.compute ~config ~with_ref (Workloads.Suite.find name)
+  Core.Eval_cache.compute ~config ~with_ref (Workloads.Suite.find name)
 
 let known_ops =
   [ "ping"; "estimate"; "attribute"; "profile"; "audit"; "explore"; "metrics";
@@ -156,8 +156,16 @@ let create ?max_models ?jobs ?read_timeout_s ?cache_dir ?characterize ?slow_ms
   (* Build the workload index before the pool forks, so every lane
      inherits it and no request pays for the build. *)
   ignore (Workloads.Suite.names ());
-  { r_registry = Registry.create ?max_models ?jobs ?characterize ();
-    r_cache = Core.Eval_cache.create ?dir:cache_dir ();
+  let cache = Core.Eval_cache.create ?dir:cache_dir () in
+  (* Registry misses read their samples through the shared cache. *)
+  let characterize =
+    Option.value characterize ~default:(fun config ->
+        (Core.Characterize.run ?jobs ~cache ~config
+           (Workloads.Suite.characterization ()))
+          .Core.Characterize.model)
+  in
+  { r_registry = Registry.create ?max_models ~characterize ();
+    r_cache = cache;
     r_pool = Core.Parallel.create_pool ?jobs ?read_timeout_s compute_entry;
     r_pool_lock = Mutex.create ();
     r_state_lock = Mutex.create ();
@@ -319,8 +327,7 @@ let handle_estimate t px req =
   in
   let rows, _ =
     phase px "cache" @@ fun () ->
-    Core.Explore.collect ~simulate ~cache:t.r_cache ~with_ref:false ~config
-      cases
+    Core.Eval_cache.collect ~simulate t.r_cache ~with_ref:false ~config cases
   in
   phase px "serialize" @@ fun () ->
   let row n ((e : Core.Eval_cache.entry), cached) =

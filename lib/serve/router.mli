@@ -10,7 +10,7 @@
       workload under the (optionally overridden) processor
       configuration.  The model comes
       from the {!Registry} (characterize once per configuration), the
-      per-workload profiles from {!Core.Explore.collect} over the shared
+      per-workload profiles from {!Core.Eval_cache.collect} over the shared
       {!Core.Eval_cache} (simulate once per (workload, configuration));
       cache misses are fanned out over a persistent {!Core.Parallel}
       pool.  The response marks each row ["cached"] and the whole
@@ -132,11 +132,14 @@ val create :
   ?window_s:float ->
   unit ->
   t
-(** [max_models], [jobs] and [characterize] configure the {!Registry};
-    [jobs] also sizes the persistent worker pool and the audit and explore
-    fan-out,
-    and [read_timeout_s] is the pool's hung-worker deadline.
-    [cache_dir] backs the evaluation cache on disk so profiles survive
+(** [max_models] bounds the {!Registry}, whose misses run
+    [characterize] (default: {!Core.Characterize.run} over the router's
+    evaluation cache, so a refit after a restart, an eviction, or on a
+    directory [xenergy explore --cache-dir] filled simulates nothing).
+    [jobs] sizes that fan-out, the persistent worker pool and the audit
+    and explore fan-out; [read_timeout_s] is the pool's hung-worker
+    deadline.  [cache_dir] backs the evaluation cache on disk so
+    profiles and samples survive
     daemon restarts.  [slow_ms] (default: off) is the slow-request log
     threshold in milliseconds; [window_s] (default 60) the [status]
     op's rolling-window width. *)

@@ -1812,6 +1812,57 @@ let test_audit_report () =
   | exception Invalid_argument _ -> ()
   | _ -> fail "empty audit accepted"
 
+let bits = Array.map Int64.bits_of_float
+
+(* Characterization reads through a shared cache: a second collection
+   over it simulates nothing and returns the first one's samples bit for
+   bit, and a fit from cached samples equals a cache-less run's. *)
+let test_characterize_shared_cache () =
+  let suite = small_suite () in
+  let cache = Core.Eval_cache.create () in
+  let collect () = Core.Characterize.collect_with_report ~jobs:1 ~cache suite in
+  let cold, cold_report = collect () in
+  let warm, warm_report = collect () in
+  check Alcotest.int "cold run simulates every program" (List.length suite)
+    (Core.Run_report.total_simulations cold_report);
+  check Alcotest.int "warm run simulates nothing" 0
+    (Core.Run_report.total_simulations warm_report);
+  List.iter2
+    (fun (a : Core.Characterize.sample) (b : Core.Characterize.sample) ->
+      check Alcotest.string "sample order" a.sname b.sname;
+      check Alcotest.bool (a.sname ^ " sample bit-identical") true
+        (bits a.variables = bits b.variables
+        && Int64.bits_of_float a.measured_pj
+           = Int64.bits_of_float b.measured_pj
+        && a.cycles = b.cycles))
+    cold warm;
+  let coefficients f =
+    bits f.Core.Characterize.model.Core.Template.coefficients
+  in
+  check Alcotest.bool "cached fit = cache-less fit, bit for bit" true
+    (coefficients (Core.Characterize.run ~jobs:1 ~cache suite)
+    = coefficients (Core.Characterize.run ~jobs:1 suite))
+
+(* Table II simulates each application once: both of its energies equal
+   the audit's, which reads them from the same kind of entry. *)
+let test_compare_matches_audit () =
+  let model = audit_model () in
+  let apps = Workloads.Suite.applications () in
+  let table = Core.Evaluate.compare_cases model apps in
+  let audit = Core.Audit.run ~jobs:1 model apps in
+  let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+  List.iter2
+    (fun (row : Core.Evaluate.row) (a : Core.Audit.row) ->
+      check Alcotest.string "row order" a.Core.Audit.a_name
+        row.Core.Evaluate.rname;
+      check Alcotest.bool (row.Core.Evaluate.rname ^ " estimate") true
+        (same row.Core.Evaluate.estimate_uj
+           (Power.Report.to_uj a.Core.Audit.a_estimate_pj));
+      check Alcotest.bool (row.Core.Evaluate.rname ^ " reference") true
+        (same row.Core.Evaluate.reference_uj
+           (Power.Report.to_uj a.Core.Audit.a_reference_pj)))
+    table.Core.Evaluate.rows audit.Core.Audit.a_rows
+
 let test_audit_json_round_trip () =
   let model = audit_model () in
   let cases = List.filteri (fun i _ -> i < 2) (small_suite ()) in
@@ -2385,7 +2436,11 @@ let () =
           Alcotest.test_case "run report stall columns" `Quick
             test_run_report_stall_columns;
           Alcotest.test_case "timing" `Quick
-            test_timing_measures_both_paths ] );
+            test_timing_measures_both_paths;
+          Alcotest.test_case "shared cache" `Quick
+            test_characterize_shared_cache;
+          Alcotest.test_case "table II = audit" `Quick
+            test_compare_matches_audit ] );
       ( "parallel",
         [ Alcotest.test_case "map preserves order" `Quick
             test_parallel_map_order;

@@ -643,6 +643,63 @@ let test_router_explore_oracle () =
   check Alcotest.(list string) "warm frontier unchanged" (names resp)
     (names warm)
 
+(* A daemon pointed at a directory an offline sweep filled fits every
+   configuration from the stored characterization samples: its registry
+   misses, yet no cache lookup does, and its points equal the offline
+   sweep's bit for bit. *)
+let test_router_refits_from_explore_dir () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "xenergy-serve-explore.%d" (Unix.getpid ()))
+  in
+  let rm_rf () =
+    if Sys.file_exists dir then begin
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  rm_rf ();
+  Fun.protect ~finally:rm_rf @@ fun () ->
+  let candidates = (Option.get (Workloads.Spaces.find "rs-cache")) () in
+  let offline =
+    Core.Explore.run
+      ~cache:(Core.Eval_cache.create ~dir ())
+      ~characterization:(Workloads.Suite.characterization ())
+      candidates
+  in
+  let router = Serve.Router.create ~cache_dir:dir () in
+  Fun.protect ~finally:(fun () -> Serve.Router.shutdown router) @@ fun () ->
+  let call req = Serve.Router.handle router req in
+  let counter name =
+    as_int (member name (call (J.Obj [ ("op", J.Str "stats") ])))
+  in
+  let hits0 = counter "cache_hits" and misses0 = counter "cache_misses" in
+  let resp =
+    call (J.Obj [ ("op", J.Str "explore"); ("space", J.Str "rs-cache") ])
+  in
+  check Alcotest.bool "explore ok" true (as_bool (member "ok" resp));
+  check Alcotest.int "four configurations" 4 (as_int (member "configs" resp));
+  check Alcotest.int "every configuration fitted here" 0
+    (as_int (member "registry_hits" resp));
+  check Alcotest.int "no cache lookup missed" misses0 (counter "cache_misses");
+  let gained = counter "cache_hits" - hits0 in
+  if gained < 116 then
+    Alcotest.failf "%d cache hits, expected 4 x 25 samples + 16 points" gained;
+  let points =
+    match member "points" resp with
+    | J.Arr l -> l
+    | _ -> Alcotest.fail "points is not an array"
+  in
+  List.iter2
+    (fun (o : Core.Explore.point) p ->
+      check Alcotest.int64
+        (o.Core.Explore.pt_name ^ " energy bit-identical")
+        (Int64.bits_of_float o.Core.Explore.pt_energy_pj)
+        (Int64.bits_of_float (as_float (member "energy_pj" p))))
+    offline.Core.Explore.points points
+
 let test_router_status_op () =
   let was = Obs.Metrics.enabled () in
   Obs.Metrics.set_enabled true;
@@ -1287,6 +1344,8 @@ let () =
           Alcotest.test_case "explore op" `Slow test_router_explore_op;
           Alcotest.test_case "explore matches offline oracle" `Slow
             test_router_explore_oracle;
+          Alcotest.test_case "refits from an explore-filled directory" `Slow
+            test_router_refits_from_explore_dir;
           Alcotest.test_case "integer fields decoded exactly" `Quick
             test_router_integer_fields;
           Alcotest.test_case "duplicate names simulate once" `Quick
