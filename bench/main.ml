@@ -38,6 +38,44 @@ let paper_table2 =
 let banner title =
   Format.fprintf fmt "@.=== %s ===@." title
 
+(* --- Provenance ------------------------------------------------------------ *)
+
+(* The revision, read straight from [.git] in the working directory (no
+   subprocess); a plain source tree reports "unknown". *)
+let git_rev () =
+  let read path =
+    try Some (String.trim (In_channel.with_open_bin path In_channel.input_all))
+    with Sys_error _ -> None
+  in
+  match read ".git/HEAD" with
+  | None -> "unknown"
+  | Some head when not (String.starts_with ~prefix:"ref: " head) -> head
+  | Some head -> (
+    let r = String.sub head 5 (String.length head - 5) in
+    match read (Filename.concat ".git" r) with
+    | Some rev -> rev
+    | None ->
+      Option.bind (read ".git/packed-refs") (fun packed ->
+          List.find_map
+            (fun line ->
+              match String.split_on_char ' ' line with
+              | [ rev; name ] when name = r -> Some rev
+              | _ -> None)
+            (String.split_on_char '\n' packed))
+      |> Option.value ~default:"unknown")
+
+(* The provenance fields perfbench's results carry, as the first lines
+   of a BENCH_*.json object (two-space indent, each line ending in a
+   comma).  Readers of those files look fields up by name, so the extra
+   ones are ignored ([Core.Audit.of_json] for BENCH_accuracy.json). *)
+let provenance () =
+  Printf.sprintf
+    "  \"git_rev\": \"%s\",\n  \"ocaml\": \"%s\",\n  \"nproc\": %d,\n\
+    \  \"backend\": \"%s\",\n"
+    (String.escaped (git_rev ())) (String.escaped Sys.ocaml_version)
+    (Domain.recommended_domain_count ())
+    (Sim.Backend.name (Sim.Backend.current ()))
+
 (* Characterization is shared by every experiment.  Wall clock, not
    Sys.time: with forked workers the parent's CPU time says nothing. *)
 let fit =
@@ -506,6 +544,7 @@ let profile_bench () =
     Printf.sprintf
       "{\n\
       \  \"benchmark\": \"profiler-overhead\",\n\
+       %s\
       \  \"workload\": \"gcd\",\n\
       \  \"repeats\": %d,\n\
       \  \"detached_seconds\": %.6f,\n\
@@ -517,8 +556,9 @@ let profile_bench () =
       \  \"worst_cycle_gap\": %g,\n\
       \  \"worst_energy_gap_rel\": %.6g\n\
        }"
-      repeats detached_s attached_s overhead budget (overhead <= budget)
-      (List.length apps) !worst_cycle_gap !worst_energy_gap
+      (provenance ()) repeats detached_s attached_s overhead budget
+      (overhead <= budget) (List.length apps) !worst_cycle_gap
+      !worst_energy_gap
   in
   Out_channel.with_open_text "BENCH_profile.json" (fun oc ->
       Out_channel.output_string oc json;

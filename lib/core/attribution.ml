@@ -15,76 +15,200 @@ type breakdown = {
   instructions : int;
 }
 
+(* The four per-retirement effects the retire hook flags, each moving
+   its variable by one.  They are adjacent in variable order. *)
+let vi_imiss = Variables.index Variables.Icache_miss
+let vi_dmiss = Variables.index Variables.Dcache_miss
+let vi_ufetch = Variables.index Variables.Uncached_fetch
+let vi_ilk = Variables.index Variables.Interlock
+
+let () =
+  assert (vi_dmiss = vi_imiss + 1 && vi_ufetch = vi_dmiss + 1
+          && vi_ilk = vi_ufetch + 1)
+
+let flag_taken = Sim.Cpu.flag_taken
+let flag_imiss = Sim.Cpu.flag_icache_miss
+let flag_dmiss = Sim.Cpu.flag_dcache_miss
+let flag_ufetch = Sim.Cpu.flag_uncached_fetch
+let flag_ilk = Sim.Cpu.flag_interlock
+let flag_effects = flag_imiss lor flag_dmiss lor flag_ufetch lor flag_ilk
+
+(* Variable index of each category accumulator. *)
+let cat_var =
+  let v = Array.make (List.length Tie.Component.all_categories) 0 in
+  List.iter
+    (fun cat ->
+      v.(Tie.Component.category_index cat) <-
+        Variables.index (Variables.Category cat))
+    Tie.Component.all_categories;
+  v
+
+(* The marginal model energy of one retirement is the telescoping
+   increment [sum_i c_i *. (x_i' -. x_i)] over the variables it moved,
+   added in variable order.  Every variable but the structural ones
+   moves by an integer fixed by the slot and the hook's flags, and
+   integer differences of floats are exact, so each term is computed
+   from a per-slot plan instead of a refilled vector: bit for bit the
+   same sum.  A plan entry is indexed [2 * slot + taken].  A sum that
+   starts from [0.0] is never [-0.0], so adding a [0.0] term leaves it
+   bit for bit unchanged and an absent term can be stored as [0.0]. *)
 type t = {
   model : Template.model;
   tally : Sim.Tally.t;
   waveform : Obs.Waveform.t;
-  scratch : float array;   (** reused per event — never escapes observe *)
-  prev_vars : float array; (** variable vector as of the previous event *)
-  dcell : float array;
-  (** [0] = marginal scratch, [1] = running total; float-array storage
-      keeps the per-event fold free of boxed-float allocation (a
-      mutable float field in a mixed record would box each store) *)
-  diff_len : int;
-  (** entries worth diffing per event: the category tail is frozen at
-      zero when the run has no extension ({!Sim.Tally.inert}) *)
+  bucket : int;
+  coeffs : float array;
+  lo : float array;         (* 0 +. the terms below the flag variables *)
+  hi : float array;         (* the term above them (the side term) *)
+  fixed : float array;      (* [lo +. hi]: the marginal with no flag
+                               effect and no category *)
+  cats : int array array;   (* per slot: the category accumulators its
+                               contribution moves, in variable order *)
+  acc : float array;        (* the tally's live accumulators *)
+  prev : float array;       (* accumulators as of the last retirement *)
+  last : float array;       (* [0]: the last retirement's marginal *)
+  cell : float array;       (* [0]: energy of the current waveform bucket *)
+  mutable bucket_start : int;  (* -1 before the first retirement *)
+  mutable bucket_end : int;
 }
 
-let create ?bucket_cycles ?complexity ?extension ~config model =
-  let weights = Resource.weights ?complexity extension in
+(* The variables one retirement of a slot moves whatever its dynamic
+   effects, as (index, delta) pairs in variable order: one class
+   retirement folded into a fresh tally by {!Sim.Stats.add_class}, the
+   fold both backends use. *)
+let static_terms config (f : Sim.Cpu.slot_facts) ~taken =
+  let tally = Sim.Tally.create config in
+  Sim.Stats.add_class (Sim.Tally.stats tally) f.Sim.Cpu.f_clazz ~count:1
+    ~taken ~busy:f.Sim.Cpu.f_busy ~regfile:f.Sim.Cpu.f_regfile;
+  let v = Extract.variables_of_tally tally in
+  let terms = ref [] in
+  for i = Variables.count - 1 downto 0 do
+    if v.(i) <> 0.0 then terms := (i, v.(i)) :: !terms
+  done;
+  !terms
+
+let create ?bucket_cycles ?complexity ~config model (c : Extract.case) =
+  let weights = Resource.weights ?complexity c.Extract.extension in
+  let tally = Sim.Tally.create ~weights config in
+  let waveform = Obs.Waveform.create ?bucket_cycles () in
+  let coeffs = model.Template.coefficients in
+  let facts =
+    Sim.Cpu.slot_facts ?extension:c.Extract.extension weights c.Extract.asm
+  in
+  let n = Array.length facts in
+  let lo = Array.make (2 * n) 0.0 and hi = Array.make (2 * n) 0.0 in
+  let term (vi, d) = coeffs.(vi) *. d in
+  (* A program's slots share a handful of distinct facts: memoize by
+     them, and by the (shared) contribution for the categories. *)
+  let entries = ref [] and cat_lists = ref [] in
+  let entry (f : Sim.Cpu.slot_facts) taken =
+    let same ((g : Sim.Cpu.slot_facts), t, _) =
+      f.Sim.Cpu.f_clazz = g.Sim.Cpu.f_clazz
+      && f.Sim.Cpu.f_busy = g.Sim.Cpu.f_busy
+      && f.Sim.Cpu.f_regfile = g.Sim.Cpu.f_regfile
+      && taken = t
+    in
+    match List.find_opt same !entries with
+    | Some (_, _, e) -> e
+    | None ->
+      let terms = static_terms config f ~taken in
+      List.iter (fun (vi, _) -> assert (vi < vi_imiss || vi > vi_ilk)) terms;
+      let below, above = List.partition (fun (vi, _) -> vi < vi_imiss) terms in
+      let e =
+        ( List.fold_left (fun d x -> d +. term x) 0.0 below,
+          match above with
+          | [] -> 0.0
+          | [ x ] -> term x
+          | _ :: _ :: _ -> invalid_arg "Attribution: two side terms" )
+      in
+      entries := (f, taken, e) :: !entries;
+      e
+  in
+  let cats_of (w : Sim.Tally.contribution) =
+    match List.assq_opt w !cat_lists with
+    | Some c -> c
+    | None ->
+      let c =
+        Array.of_list
+          (List.sort_uniq
+             (fun a b -> compare cat_var.(a) cat_var.(b))
+             (Array.to_list w.Sim.Tally.cats))
+      in
+      cat_lists := (w, c) :: !cat_lists;
+      c
+  in
+  let cats =
+    Array.mapi
+      (fun i f ->
+        for taken = 0 to 1 do
+          let l, h = entry f taken in
+          lo.((2 * i) + taken) <- l;
+          hi.((2 * i) + taken) <- h
+        done;
+        cats_of f.Sim.Cpu.f_weights)
+      facts
+  in
   { model;
-    tally = Sim.Tally.create ~weights config;
-    waveform = Obs.Waveform.create ?bucket_cycles ();
-    scratch = Array.make Variables.count 0.0;
-    prev_vars = Array.make Variables.count 0.0;
-    dcell = Array.make 2 0.0;
-    diff_len =
-      (if Sim.Tally.inert weights then Variables.base_count
-       else Variables.count) }
+    tally;
+    waveform;
+    bucket = Obs.Waveform.bucket_cycles waveform;
+    coeffs;
+    lo;
+    hi;
+    fixed = Array.map2 ( +. ) lo hi;
+    cats;
+    acc = Sim.Tally.acc tally;
+    prev = Array.make (Array.length (Sim.Tally.acc tally)) 0.0;
+    last = [| 0.0 |];
+    cell = [| 0.0 |];
+    bucket_start = -1;
+    bucket_end = 0 }
 
 let tally t = t.tally
 
-(* Each event has advanced the tally; the marginal model energy (new
-   total minus old) is that instruction's bin contribution.
-   Telescoping guarantees the waveform sums to the final model energy,
-   so both decompositions close over the same total.
+let marginal t = t.last
 
-   The model is linear, so the marginal only involves the variables the
-   event moved (a handful of the vector): folding coefficient * delta
-   over changed entries gives the same telescoping sum at a fraction of
-   the per-event cost of the full dot product, which is what keeps an
-   attached profiler within its overhead budget.  Accumulation order
-   differs from a fresh dot product, so the closing total agrees with
-   {!Template.energy} to rounding (well under the 1e-6 conservation
-   tolerance), not bit-for-bit. *)
-let observe_marginal t (e : Sim.Event.t) =
-  (* A machine folds each retirement into its own tally before any
-     observer runs, so on a run installed with [t.tally] the tally is
-     already current through this event; on any other run the engine
-     folds the event itself. *)
-  if (Sim.Tally.stats t.tally).Sim.Stats.instructions <= e.Sim.Event.index
-  then Sim.Tally.observe t.tally e;
-  Extract.fill_variables t.tally t.scratch;
-  let coeffs = t.model.Template.coefficients in
-  t.dcell.(0) <- 0.0;
-  for i = 0 to t.diff_len - 1 do
-    let nv = t.scratch.(i) in
-    if nv <> t.prev_vars.(i) then begin
-      t.dcell.(0) <- t.dcell.(0) +. (coeffs.(i) *. (nv -. t.prev_vars.(i)));
-      t.prev_vars.(i) <- nv
+(* Close the current waveform bucket: its energy was accumulated in
+   retirement order in [cell], exactly as per-retirement adds into the
+   bucket would have. *)
+let flush t =
+  if t.bucket_start >= 0 then
+    Obs.Waveform.add t.waveform ~cycle:t.bucket_start ~energy_pj:t.cell.(0);
+  t.cell.(0) <- 0.0;
+  t.bucket_start <- -1
+
+let roll t start =
+  flush t;
+  t.bucket_start <- start / t.bucket * t.bucket;
+  t.bucket_end <- t.bucket_start + t.bucket
+
+let fold t i start flags =
+  let k = (2 * i) + Bool.to_int (flags land flag_taken <> 0) in
+  let c = t.coeffs in
+  let d =
+    if flags land flag_effects = 0 then Array.unsafe_get t.fixed k
+    else begin
+      let d = Array.unsafe_get t.lo k in
+      let d = if flags land flag_imiss <> 0 then d +. c.(vi_imiss) else d in
+      let d = if flags land flag_dmiss <> 0 then d +. c.(vi_dmiss) else d in
+      let d = if flags land flag_ufetch <> 0 then d +. c.(vi_ufetch) else d in
+      let d = if flags land flag_ilk <> 0 then d +. c.(vi_ilk) else d in
+      d +. Array.unsafe_get t.hi k
+    end
+  in
+  let last = t.last in
+  last.(0) <- d;
+  let cats = Array.unsafe_get t.cats i in
+  for j = 0 to Array.length cats - 1 do
+    let ci = Array.unsafe_get cats j in
+    let nv = t.acc.(ci) and pv = t.prev.(ci) in
+    if nv <> pv then begin
+      last.(0) <- last.(0) +. (c.(cat_var.(ci)) *. (nv -. pv));
+      t.prev.(ci) <- nv
     end
   done;
-  let delta = t.dcell.(0) in
-  Obs.Waveform.add t.waveform ~cycle:e.Sim.Event.start_cycle
-    ~energy_pj:delta;
-  t.dcell.(1) <- t.dcell.(1) +. delta;
-  delta
-
-let observe t e = ignore (observe_marginal t e : float)
-
-let observer t : Sim.Cpu.observer = fun e -> observe t e
-
-let energy_so_far t = t.dcell.(1)
+  if start >= t.bucket_end then roll t start;
+  t.cell.(0) <- t.cell.(0) +. last.(0)
 
 (* The model is linear, so the decomposition needs nothing beyond the
    variable vector — in particular no simulation: Explore uses this to
@@ -105,6 +229,7 @@ let decompose model vars =
   |> List.sort (fun a b -> Float.compare b.energy_pj a.energy_pj)
 
 let finish t ~name ~cycles ~instructions =
+  flush t;
   let vars = Extract.variables_of_tally t.tally in
   let total = Template.energy t.model vars in
   let rows = decompose t.model vars in
@@ -119,15 +244,12 @@ let run ?(config = Sim.Config.default) ?bucket_cycles ?complexity
     ?(observers = []) model (c : Extract.case) =
   Obs.Trace.with_span ~cat:"attribute" ("attribute:" ^ c.Extract.case_name)
   @@ fun () ->
-  let t =
-    create ?bucket_cycles ?complexity ?extension:c.Extract.extension ~config
-      model
-  in
+  let t = create ?bucket_cycles ?complexity ~config model c in
   let cpu, _outcome =
     Sim.Backend.run_program ~config ?extension:c.Extract.extension
       ~tally:t.tally
-      ~observers:(observer t :: observers)
-      c.Extract.asm
+      ~hook:(fun i start _ _ flags -> fold t i start flags)
+      ~observers c.Extract.asm
   in
   finish t ~name:c.Extract.case_name ~cycles:(Sim.Cpu.cycles cpu)
     ~instructions:(Sim.Cpu.instructions cpu)

@@ -5,11 +5,10 @@
     attribution is exact: each variable's contribution is its coefficient
     times its extracted count, and the contributions sum to the
     workload's total estimated energy to rounding error.  The engine is
-    an {!Sim.Event} observer that reads the run's {!Sim.Tally} (the
-    simulator has folded each retirement into it before the observer
-    runs) and bins each instruction's marginal model energy by
-    retirement cycle, which yields the power-over-time waveform
-    per-component models cannot provide on their own. *)
+    fed by the simulator's allocation-free retire hook on a run whose
+    {!Sim.Tally} it installed, and bins each instruction's marginal
+    model energy by retirement cycle, which yields the power-over-time
+    waveform per-component models cannot provide on their own. *)
 
 type row = {
   variable : Variables.id;
@@ -36,49 +35,45 @@ val decompose : Template.model -> float array -> row list
     simulation cost. *)
 
 type t
-(** An attribution engine usable as a simulation observer. *)
+(** An attribution engine for one workload, fed by the simulator's
+    retire hook ({!Sim.Cpu.hook}). *)
 
 val create :
   ?bucket_cycles:int ->
   ?complexity:(Tie.Component.t -> float) ->
-  ?extension:Tie.Compile.compiled ->
   config:Sim.Config.t ->
   Template.model ->
+  Extract.case ->
   t
-(** An engine for one workload.  [bucket_cycles] sets the waveform bin
-    width (default 64); [complexity] and [extension] must match the ones
-    the model's variables will be extracted with, or the decomposition
-    will not match the estimate. *)
+(** An engine for one workload, with its per-slot marginal plan
+    resolved from {!Sim.Cpu.slot_facts}.  [bucket_cycles] sets the
+    waveform bin width (default 64); [complexity] must match the one
+    the model's variables are extracted with, or the decomposition will
+    not match the estimate. *)
 
 val tally : t -> Sim.Tally.t
 (** The engine's tally.  Install it on the run being attributed
-    ([Sim.Backend.run_program ~tally]) so that one fold runs per
-    retirement: the engine then only reads it. *)
+    ([Sim.Backend.run_program ~tally]): the simulator folds each
+    retirement into it, and {!fold} reads its structural accumulators. *)
 
-val observer : t -> Sim.Cpu.observer
-(** The engine as a simulation observer; attach it to the run being
-    attributed.  On a run installed with {!tally} it reads the tally the
-    simulator keeps current; on any other run it folds each event into
-    its tally itself, with the same result. *)
+val fold : t -> int -> int -> int -> unit
+(** [fold t slot start flags] folds one retirement as the retire hook
+    reports it (slot index, start cycle, flag word) on a run with
+    {!tally} installed: computes its marginal model energy — the
+    telescoping increment of the macro-model over the variables it
+    moved, added in variable order, bit for bit what differencing the
+    variable vector before and after it gives — into {!marginal} and
+    bins it into the waveform.  Allocates nothing. *)
 
-val observe : t -> Sim.Event.t -> unit
-(** Fold one event directly (what {!observer} does per event). *)
-
-val observe_marginal : t -> Sim.Event.t -> float
-(** Like {!observe}, also returning the event's marginal model energy
-    (pJ) — the telescoping increment the waveform bins.  Saves hot-path
-    callers two {!energy_so_far} reads per event. *)
-
-val energy_so_far : t -> float
-(** Running model energy after the events observed so far.  The
-    difference across one {!observe} is that instruction's marginal
-    energy — the telescoping sum the waveform is built from, and what
-    {!Profiler} folds into per-block energy. *)
+val marginal : t -> float array
+(** A one-element array holding the marginal model energy (pJ) of the
+    retirement last folded.  A cell rather than a float result, so that
+    a caller reading it per retirement allocates nothing. *)
 
 val finish : t -> name:string -> cycles:int -> instructions:int -> breakdown
-(** Close the books after the observed simulation: compute the rows from
-    the folded state and return the breakdown.  [cycles] and
-    [instructions] come from the simulator outcome. *)
+(** Close the books after the simulation: close the last waveform
+    bucket, compute the rows from the tally and return the breakdown.
+    [cycles] and [instructions] come from the simulator outcome. *)
 
 val run :
   ?config:Sim.Config.t ->
@@ -88,9 +83,10 @@ val run :
   Template.model ->
   Extract.case ->
   breakdown
-(** Simulate the case once with the attribution engine's {!tally}
-    installed and the engine (and any extra [observers], e.g. the
-    reference estimator for a side-by-side comparison) attached. *)
+(** Simulate the case once with the engine's {!tally} installed and
+    {!fold} as the retire hook; any extra [observers] (e.g. the
+    reference estimator for a side-by-side comparison) see the same
+    run. *)
 
 val check_sum : breakdown -> float
 (** Relative gap |sum rows - total| / max(|total|, 1): the attribution

@@ -73,13 +73,8 @@ let diff a b =
    named backend actually computed.  Marshal gives a canonical byte
    string for these pure immutable values; MD5 of that is the content
    address. *)
-let key ?backend ?(complexity_tag = "default") ?(with_reference = false)
-    ~(config : Sim.Config.t) (c : Extract.case) =
-  let backend =
-    match backend with
-    | Some b -> b
-    | None -> Sim.Backend.name (Sim.Backend.current ())
-  in
+let compute_key ~backend ~complexity_tag ~with_reference ~config
+    (c : Extract.case) =
   let asm = c.Extract.asm in
   let code =
     Array.map
@@ -89,9 +84,52 @@ let key ?backend ?(complexity_tag = "default") ?(with_reference = false)
   let spec = Option.map Tie.Compile.spec c.Extract.extension in
   let payload =
     ( "xenergy-eval-cache", 2, backend, complexity_tag, with_reference, code,
-      asm.Isa.Program.entry, asm.Isa.Program.image, spec, config )
+      asm.Isa.Program.entry, asm.Isa.Program.image, spec,
+      (config : Sim.Config.t) )
   in
   Digest.to_hex (Digest.string (Marshal.to_string payload []))
+
+(* Computing a key marshals and digests the whole program image, most of
+   a warm daemon estimate, while the daemon keys the same few shared
+   cases ({!Workloads.Suite.find}) on every request.  The last keys are
+   memoized, matched by the case's physical identity and the other
+   inputs' values; the list is swapped whole, so threads need no lock
+   (a lost update only costs a recomputation). *)
+type memo = {
+  m_case : Extract.case;
+  m_backend : string;
+  m_tag : string;
+  m_ref : bool;
+  m_config : Sim.Config.t;
+  m_key : string;
+}
+
+let memo : memo list Atomic.t = Atomic.make []
+let memo_size = 64
+
+let key ?backend ?(complexity_tag = "default") ?(with_reference = false)
+    ~(config : Sim.Config.t) (c : Extract.case) =
+  let backend =
+    match backend with
+    | Some b -> b
+    | None -> Sim.Backend.name (Sim.Backend.current ())
+  in
+  let same m =
+    m.m_case == c && m.m_ref = with_reference
+    && String.equal m.m_backend backend
+    && String.equal m.m_tag complexity_tag
+    && m.m_config = config
+  in
+  let recent = Atomic.get memo in
+  match List.find_opt same recent with
+  | Some m -> m.m_key
+  | None ->
+    let k = compute_key ~backend ~complexity_tag ~with_reference ~config c in
+    Atomic.set memo
+      ({ m_case = c; m_backend = backend; m_tag = complexity_tag;
+         m_ref = with_reference; m_config = config; m_key = k }
+      :: List.filteri (fun i _ -> i < memo_size - 1) recent);
+    k
 
 (* --- On-disk format ------------------------------------------------------ *)
 

@@ -14,9 +14,6 @@ type profile = {
   outcome : Sim.Cpu.outcome;
 }
 
-(* Variable indices, resolved once: [fill_variables] runs per retired
-   instruction inside Attribution's telescoping fold, so the hot path
-   must be straight stores with no lookups or allocation. *)
 let vi_arith = Variables.index Variables.Arith
 let vi_load = Variables.index Variables.Load
 let vi_store = Variables.index Variables.Store
@@ -37,7 +34,8 @@ let category_slots =
           Tie.Component.category_index cat))
        Tie.Component.all_categories)
 
-let fill (st : Sim.Stats.t) ~inert (acc : float array) v =
+let vector (st : Sim.Stats.t) (acc : float array) =
+  let v = Array.make Variables.count 0.0 in
   let f = float_of_int in
   v.(vi_arith) <- f st.Sim.Stats.arith_cycles;
   v.(vi_load) <- f st.Sim.Stats.load_cycles;
@@ -50,26 +48,14 @@ let fill (st : Sim.Stats.t) ~inert (acc : float array) v =
   v.(vi_uncached_fetch) <- f st.Sim.Stats.uncached_fetches;
   v.(vi_interlock) <- f st.Sim.Stats.interlocks;
   v.(vi_custom_side) <- f st.Sim.Stats.custom_regfile_cycles;
-  (* Without an extension the category accumulators never leave zero,
-     and the vector slots already hold zero (fresh array or previous
-     fill of the same inert run), so the loop can be skipped. *)
-  if not inert then
-    Array.iter (fun (vi, ci) -> v.(vi) <- acc.(ci)) category_slots
-
-let fill_variables tally v =
-  fill (Sim.Tally.stats tally)
-    ~inert:(Sim.Tally.inert (Sim.Tally.weights tally))
-    (Sim.Tally.acc tally) v
+  Array.iter (fun (vi, ci) -> v.(vi) <- acc.(ci)) category_slots;
+  v
 
 let variables_of_tally tally =
-  let v = Array.make Variables.count 0.0 in
-  fill_variables tally v;
-  v
+  vector (Sim.Tally.stats tally) (Sim.Tally.acc tally)
 
 let variables_of_stats (st : Sim.Stats.t) (res : Resource.t) =
-  let v = Array.make Variables.count 0.0 in
-  fill st ~inert:false (Resource.totals res) v;
-  v
+  vector st (Resource.totals res)
 
 let profile ?(config = Sim.Config.default) ?complexity ?(observers = []) c =
   Obs.Trace.with_span ~cat:"extract" ("extract:" ^ c.case_name) (fun () ->

@@ -31,15 +31,6 @@ type profile = {
 val variables_of_tally : Sim.Tally.t -> float array
 (** Assemble the macro-model variable vector from a tally's counters. *)
 
-val fill_variables : Sim.Tally.t -> float array -> unit
-(** In-place variant of {!variables_of_tally}: overwrite a caller-owned
-    vector of length {!Variables.count} without allocating.  This is the
-    per-event hot path of {!Attribution}'s telescoping fold, where a
-    fresh array per retired instruction would dominate profiling cost.
-    The vector must start zeroed and stay paired with the same tally:
-    when its weights are {!Sim.Tally.inert} the category entries are
-    left untouched (they are provably zero) rather than rewritten. *)
-
 val variables_of_stats : Sim.Stats.t -> Resource.t -> float array
 (** The same vector from the two event-fold observers' state: the
     oracle the fused vector is compared against. *)

@@ -36,219 +36,250 @@ type report = {
   r_energy_gap : float;
 }
 
-(* Mutable per-opcode accumulator (keys are mnemonics). *)
-type op_acc = {
-  mutable oa_hits : int;
-  mutable oa_cycles : int;
-  mutable oa_energy : float;
-}
+(* Per-slot integer accumulators, [stride] ints per slot at these
+   offsets. *)
+let stride = 5
+let f_retired = 0
+let f_cycles = 1
+let f_stalls = 2
+let f_imiss = 3
+let f_dmiss = 4
+
+let bump a i by = Array.unsafe_set a i (Array.unsafe_get a i + by)
 
 type t = {
   case : Extract.case;
   attr : Attribution.t;
-  blocks : block array;
+  marginal : float array;             (* the attribution's marginal cell *)
+  dec : Sim.Decoder.t;
   block_of_slot : int array;
-  sym_at : (int, string) Hashtbl.t;   (* code address -> symbol name *)
-  per_slot : Obs.Profile.t;
-  slot_cache : Obs.Profile.slot option array;
-  (** interned per-slot accumulators, filled lazily on first retirement
-      so untouched slots never appear in [per_slot] *)
-  opcodes : (string, op_acc) Hashtbl.t;
-  op_of_slot : op_acc array;
-  (** the program is static, so each slot's mnemonic accumulator can be
-      resolved once at creation instead of per event *)
+  counts : int array;                 (* per slot, see [stride] *)
+  slot_energy : float array;
+  block_energy : float array;
+  op_names : string array;            (* mnemonics, first-seen order *)
+  op_of_slot : int array;
+  op_energy : float array;
+  control : int array;
+  (** per slot: 1 = call, 2 = return, 0 = other *)
   stacks : Obs.Profile.Stacks.stack;
-  mutable prev_kind : int;
-  (** control class of the previous retirement: 0 = other/none,
-      1 = call, 2 = return — an int so the per-event store does not
-      allocate the way [Some instr] would *)
-  mutable events : int;
+  mutable pending : int;
+  (** the previous retirement's [control]: the stack moves at the next
+      one, the callee's entry or the caller's return point *)
+  mutable position : int;             (* [Stacks.position] *)
+  leaf_at : int array;                (* per block: the position its
+                                         [leaf] was looked up at *)
+  leaf : int array;                   (* per block: its stack leaf *)
+  mutable leaf_cycles : int array;    (* per stack node *)
+  mutable leaf_energy : float array;
 }
-
-let bpi = Isa.Encoding.bytes_per_instr
-
-(* Basic-block discovery is delegated to {!Sim.Decoder}: the profiler
-   accounts over exactly the partition the threaded execution backend
-   dispatches, so the two agree on block identity by construction.
-   Each static block gets a mutable accumulator here. *)
-let blocks_of_decoder (d : Sim.Decoder.t) =
-  Array.map
-    (fun (b : Sim.Decoder.block) ->
-      { b_index = b.Sim.Decoder.blk_index;
-        b_addr = b.Sim.Decoder.blk_addr;
-        b_last = b.Sim.Decoder.blk_last;
-        b_label = b.Sim.Decoder.blk_label;
-        b_slots = b.Sim.Decoder.blk_slots;
-        b_entries = 0;
-        b_retired = 0;
-        b_cycles = 0;
-        b_stall_cycles = 0;
-        b_icache_misses = 0;
-        b_dcache_misses = 0;
-        b_energy_pj = 0.0 })
-    d.Sim.Decoder.blocks
 
 let create ?bucket_cycles ?complexity ?max_depth ~config model
     (c : Extract.case) =
+  let code = c.Extract.asm.Isa.Program.code in
+  let n = Array.length code in
   let d = Sim.Decoder.analyze c.Extract.asm in
-  let sym_at = d.Sim.Decoder.symbols in
-  let blocks = blocks_of_decoder d in
-  let block_of_slot = d.Sim.Decoder.block_of_slot in
   let opcodes = Hashtbl.create 64 in
+  let names = ref [] in
   let op_of_slot =
     Array.map
       (fun slot ->
         let m = Isa.Instr.mnemonic slot.Isa.Program.instr in
         match Hashtbl.find_opt opcodes m with
-        | Some oa -> oa
+        | Some k -> k
         | None ->
-          let oa = { oa_hits = 0; oa_cycles = 0; oa_energy = 0.0 } in
-          Hashtbl.add opcodes m oa;
-          oa)
-      c.Extract.asm.Isa.Program.code
+          let k = Hashtbl.length opcodes in
+          Hashtbl.add opcodes m k;
+          names := m :: !names;
+          k)
+      code
   in
+  let attr = Attribution.create ?bucket_cycles ?complexity ~config model c in
   { case = c;
-    attr =
-      Attribution.create ?bucket_cycles ?complexity
-        ?extension:c.Extract.extension ~config model;
-    blocks;
-    block_of_slot;
-    sym_at;
-    per_slot = Obs.Profile.create ();
-    slot_cache =
-      Array.make (max (Array.length c.Extract.asm.Isa.Program.code) 1) None;
-    opcodes;
+    attr;
+    marginal = Attribution.marginal attr;
+    dec = d;
+    block_of_slot = d.Sim.Decoder.block_of_slot;
+    counts = Array.make (stride * n) 0;
+    slot_energy = Array.make n 0.0;
+    block_energy = Array.make (Array.length d.Sim.Decoder.blocks) 0.0;
+    op_names = Array.of_list (List.rev !names);
     op_of_slot;
+    op_energy = Array.make (Hashtbl.length opcodes) 0.0;
+    control =
+      Array.map
+        (fun slot ->
+          match slot.Isa.Program.instr with
+          | Isa.Instr.Call0 _ | Isa.Instr.Callx0 _ | Isa.Instr.Call8 _
+          | Isa.Instr.Callx8 _ -> 1
+          | Isa.Instr.Ret | Isa.Instr.Retw -> 2
+          | _ -> 0)
+        code;
     stacks =
       Obs.Profile.Stacks.create ?max_depth ~root:c.Extract.case_name ();
-    prev_kind = 0;
-    events = 0 }
+    pending = 0;
+    position = 0;
+    leaf_at = Array.make (Array.length d.Sim.Decoder.blocks) min_int;
+    leaf = Array.make (Array.length d.Sim.Decoder.blocks) 0;
+    leaf_cycles = Array.make 64 0;
+    leaf_energy = Array.make 64 0.0 }
 
-let frame_name t addr =
-  match Hashtbl.find_opt t.sym_at addr with
-  | Some s -> s
-  | None -> Printf.sprintf "0x%x" addr
+(* Call/return tracking: the instruction after a call retires at the
+   callee's entry, the one after a return back in the caller. *)
+let move_stack t i =
+  (if t.pending = 1 then
+     let addr = t.case.Extract.asm.Isa.Program.code.(i).Isa.Program.addr in
+     Obs.Profile.Stacks.push t.stacks
+       (match Hashtbl.find_opt t.dec.Sim.Decoder.symbols addr with
+        | Some s -> s
+        | None -> Printf.sprintf "0x%x" addr)
+   else Obs.Profile.Stacks.pop t.stacks);
+  t.pending <- 0;
+  t.position <- Obs.Profile.Stacks.position t.stacks
 
-let observe t (e : Sim.Event.t) =
-  let energy_pj = Attribution.observe_marginal t.attr e in
-  let fpc = e.Sim.Event.fetch.Sim.Event.fpc in
-  let base = t.case.Extract.asm.Isa.Program.code_base in
-  let si = (fpc - base) / bpi in
-  let icache_miss =
-    (not e.Sim.Event.fetch.Sim.Event.funcached)
-    && not e.Sim.Event.fetch.Sim.Event.fhit
+(* Block [b]'s leaf on the current stack, memoized per block until the
+   stack moves away from the position it was looked up at. *)
+let relocate_leaf t b =
+  let id =
+    Obs.Profile.Stacks.leaf t.stacks
+      ~frame:t.dec.Sim.Decoder.blocks.(b).Sim.Decoder.blk_label
   in
-  let dcache_miss =
-    match e.Sim.Event.mem with
-    | Some mi -> (not mi.Sim.Event.muncached) && not mi.Sim.Event.mhit
-    | None -> false
-  in
-  let cycles = e.Sim.Event.cycles in
-  let stall_cycles = e.Sim.Event.stall_cycles in
-  (if si >= 0 && si < Array.length t.block_of_slot then begin
-     let b = t.blocks.(t.block_of_slot.(si)) in
-     if fpc = b.b_addr then b.b_entries <- b.b_entries + 1;
-     b.b_retired <- b.b_retired + 1;
-     b.b_cycles <- b.b_cycles + cycles;
-     b.b_stall_cycles <- b.b_stall_cycles + stall_cycles;
-     if icache_miss then b.b_icache_misses <- b.b_icache_misses + 1;
-     if dcache_miss then b.b_dcache_misses <- b.b_dcache_misses + 1;
-     b.b_energy_pj <- b.b_energy_pj +. energy_pj;
-     (* Call/return tracking lives entirely in the event stream: the
-        instruction after a call executes at the callee's entry, the
-        one after a return back in the caller. *)
-     (if t.prev_kind = 1 then
-        Obs.Profile.Stacks.push t.stacks (frame_name t fpc)
-      else if t.prev_kind = 2 then Obs.Profile.Stacks.pop t.stacks);
-     Obs.Profile.Stacks.record_leaf t.stacks ~frame:b.b_label ~cycles
-       ~energy_pj
-   end);
-  (if si >= 0 && si < Array.length t.op_of_slot then begin
-     let s =
-       match t.slot_cache.(si) with
-       | Some s -> s
-       | None ->
-         let s = Obs.Profile.slot_for t.per_slot si in
-         t.slot_cache.(si) <- Some s;
-         s
-     in
-     s.Obs.Profile.hits <- s.Obs.Profile.hits + 1;
-     s.Obs.Profile.cycles <- s.Obs.Profile.cycles + cycles;
-     s.Obs.Profile.stall_cycles <- s.Obs.Profile.stall_cycles + stall_cycles;
-     if icache_miss then
-       s.Obs.Profile.icache_misses <- s.Obs.Profile.icache_misses + 1;
-     if dcache_miss then
-       s.Obs.Profile.dcache_misses <- s.Obs.Profile.dcache_misses + 1;
-     s.Obs.Profile.energy_pj <- s.Obs.Profile.energy_pj +. energy_pj;
-     let oa = t.op_of_slot.(si) in
-     oa.oa_hits <- oa.oa_hits + 1;
-     oa.oa_cycles <- oa.oa_cycles + cycles;
-     oa.oa_energy <- oa.oa_energy +. energy_pj
-   end
-   else begin
-     (* Retirement outside the static code section (defensive; the
-        fetch path should make this unreachable): fall back to the
-        hashed accumulators so nothing is dropped. *)
-     Obs.Profile.record t.per_slot ~stall_cycles ~icache_miss ~dcache_miss
-       ~energy_pj ~cycles si;
-     let m = Isa.Instr.mnemonic e.Sim.Event.instr in
-     match Hashtbl.find_opt t.opcodes m with
-     | Some oa ->
-       oa.oa_hits <- oa.oa_hits + 1;
-       oa.oa_cycles <- oa.oa_cycles + cycles;
-       oa.oa_energy <- oa.oa_energy +. energy_pj
-     | None ->
-       Hashtbl.add t.opcodes m
-         { oa_hits = 1; oa_cycles = cycles; oa_energy = energy_pj }
-   end);
-  t.prev_kind <-
-    (match e.Sim.Event.instr with
-     | Isa.Instr.Call0 _ | Isa.Instr.Callx0 _ | Isa.Instr.Call8 _
-     | Isa.Instr.Callx8 _ -> 1
-     | Isa.Instr.Ret | Isa.Instr.Retw -> 2
-     | _ -> 0);
-  t.events <- t.events + 1
+  if id >= Array.length t.leaf_cycles then begin
+    let len = max (id + 1) (2 * Array.length t.leaf_cycles) in
+    let grow a zero =
+      let a' = Array.make len zero in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    in
+    t.leaf_cycles <- grow t.leaf_cycles 0;
+    t.leaf_energy <- grow t.leaf_energy 0.0
+  end;
+  t.leaf_at.(b) <- t.position;
+  t.leaf.(b) <- id;
+  id
 
-let observer t : Sim.Cpu.observer = fun e -> observe t e
+(* The retire hook: one retirement per call.  Integer effects go
+   to the slot and are resolved to blocks, lines and opcodes after the
+   run; each energy accumulator gets one float add, in retirement
+   order, so every sum is the one a per-event fold computes. *)
+let hook t : Sim.Cpu.hook =
+  (* Binding [attr] first makes the result a closure of the hook's own
+     arity rather than a partial application. *)
+  let attr = t.attr in
+  fun i start cycles stall flags ->
+    Attribution.fold attr i start flags;
+    let e = Array.unsafe_get t.marginal 0 in
+    let c = t.counts and o = stride * i in
+    bump c (o + f_retired) 1;
+    bump c (o + f_cycles) cycles;
+    bump c (o + f_stalls) stall;
+    bump c (o + f_imiss)
+      (Bool.to_int (flags land Sim.Cpu.flag_icache_miss <> 0));
+    bump c (o + f_dmiss)
+      (Bool.to_int (flags land Sim.Cpu.flag_dcache_miss <> 0));
+    let se = t.slot_energy in
+    Array.unsafe_set se i (Array.unsafe_get se i +. e);
+    let b = Array.unsafe_get t.block_of_slot i in
+    let be = t.block_energy in
+    Array.unsafe_set be b (Array.unsafe_get be b +. e);
+    let k = Array.unsafe_get t.op_of_slot i in
+    let oe = t.op_energy in
+    Array.unsafe_set oe k (Array.unsafe_get oe k +. e);
+    if t.pending <> 0 then move_stack t i;
+    let l =
+      if Array.unsafe_get t.leaf_at b = t.position then
+        Array.unsafe_get t.leaf b
+      else relocate_leaf t b
+    in
+    let lc = t.leaf_cycles and le = t.leaf_energy in
+    Array.unsafe_set lc l (Array.unsafe_get lc l + cycles);
+    Array.unsafe_set le l (Array.unsafe_get le l +. e);
+    t.pending <- Array.unsafe_get t.control i
 
 let finish t ~cycles ~instructions =
   let breakdown =
     Attribution.finish t.attr ~name:t.case.Extract.case_name ~cycles
       ~instructions
   in
-  let cycle_sum = Array.fold_left (fun a b -> a + b.b_cycles) 0 t.blocks in
+  let count i f = t.counts.((stride * i) + f) in
+  let blocks =
+    Array.map
+      (fun (b : Sim.Decoder.block) ->
+        let first = b.Sim.Decoder.blk_first in
+        let sum f =
+          let s = ref 0 in
+          for i = first to first + b.Sim.Decoder.blk_slots - 1 do
+            s := !s + count i f
+          done;
+          !s
+        in
+        { b_index = b.Sim.Decoder.blk_index;
+          b_addr = b.Sim.Decoder.blk_addr;
+          b_last = b.Sim.Decoder.blk_last;
+          b_label = b.Sim.Decoder.blk_label;
+          b_slots = b.Sim.Decoder.blk_slots;
+          b_entries = count first f_retired;
+          b_retired = sum f_retired;
+          b_cycles = sum f_cycles;
+          b_stall_cycles = sum f_stalls;
+          b_icache_misses = sum f_imiss;
+          b_dcache_misses = sum f_dmiss;
+          b_energy_pj = t.block_energy.(b.Sim.Decoder.blk_index) })
+      t.dec.Sim.Decoder.blocks
+  in
+  let per_slot = Obs.Profile.create () in
+  let op_hits = Array.make (Array.length t.op_names) 0 in
+  let op_cycles = Array.make (Array.length t.op_names) 0 in
+  Array.iteri
+    (fun i k ->
+      if count i f_retired > 0 then begin
+        let s = Obs.Profile.slot_for per_slot i in
+        s.Obs.Profile.hits <- count i f_retired;
+        s.Obs.Profile.cycles <- count i f_cycles;
+        s.Obs.Profile.stall_cycles <- count i f_stalls;
+        s.Obs.Profile.icache_misses <- count i f_imiss;
+        s.Obs.Profile.dcache_misses <- count i f_dmiss;
+        s.Obs.Profile.energy_pj <- t.slot_energy.(i);
+        op_hits.(k) <- op_hits.(k) + count i f_retired;
+        op_cycles.(k) <- op_cycles.(k) + count i f_cycles
+      end)
+    t.op_of_slot;
+  Array.iteri
+    (fun id cycles ->
+      let energy_pj = t.leaf_energy.(id) in
+      if cycles <> 0 || energy_pj <> 0.0 then
+        Obs.Profile.Stacks.record_at t.stacks id ~cycles ~energy_pj)
+    t.leaf_cycles;
+  let cycle_sum = Array.fold_left (fun a b -> a + b.b_cycles) 0 blocks in
   let energy_sum =
-    Array.fold_left (fun a b -> a +. b.b_energy_pj) 0.0 t.blocks
+    Array.fold_left (fun a b -> a +. b.b_energy_pj) 0.0 blocks
   in
   let total = breakdown.Attribution.total_pj in
   let hot =
     Array.of_list
       (List.sort
          (fun a b -> compare (b.b_cycles, b.b_index) (a.b_cycles, a.b_index))
-         (List.filter (fun b -> b.b_retired > 0)
-            (Array.to_list t.blocks)))
+         (List.filter (fun b -> b.b_retired > 0) (Array.to_list blocks)))
   in
   let opcodes =
-    (* Skip mnemonics interned at creation but never retired, so the
-       report only lists opcodes that actually executed. *)
-    Hashtbl.fold
-      (fun name oa acc ->
-        if oa.oa_hits = 0 then acc
+    (* Only opcodes that actually executed. *)
+    List.filter_map
+      (fun k ->
+        if op_hits.(k) = 0 then None
         else
-          { op_name = name;
-            op_hits = oa.oa_hits;
-            op_cycles = oa.oa_cycles;
-            op_energy_pj = oa.oa_energy }
-        :: acc)
-      t.opcodes []
+          Some
+            { op_name = t.op_names.(k);
+              op_hits = op_hits.(k);
+              op_cycles = op_cycles.(k);
+              op_energy_pj = t.op_energy.(k) })
+      (List.init (Array.length t.op_names) Fun.id)
     |> List.sort (fun a b ->
            compare (b.op_cycles, a.op_name) (a.op_cycles, b.op_name))
   in
   { r_workload = t.case.Extract.case_name;
     r_asm = t.case.Extract.asm;
-    r_blocks = t.blocks;
+    r_blocks = blocks;
     r_hot = hot;
-    r_slots = t.per_slot;
+    r_slots = per_slot;
     r_opcodes = opcodes;
     r_folded = Obs.Profile.Stacks.folded t.stacks;
     r_breakdown = breakdown;
@@ -266,7 +297,7 @@ let check r =
 module P_metrics = struct
   let runs = lazy (Obs.Metrics.counter ~help:"profiling runs" "profile_runs_total")
   let events =
-    lazy (Obs.Metrics.counter ~help:"events folded by the profiler"
+    lazy (Obs.Metrics.counter ~help:"retirements folded by the profiler"
             "profile_events_total")
   let blocks =
     lazy (Obs.Metrics.counter ~help:"basic blocks discovered"
@@ -285,7 +316,8 @@ let run ?(config = Sim.Config.default) ?bucket_cycles ?complexity ?max_depth
   let cpu, _outcome =
     Sim.Backend.run_program ~config ?extension:c.Extract.extension
       ~tally:(Attribution.tally t.attr)
-      ~observers:(observer t :: observers)
+      ~hook:(hook t)
+      ~observers
       c.Extract.asm
   in
   let r =
@@ -294,8 +326,9 @@ let run ?(config = Sim.Config.default) ?bucket_cycles ?complexity ?max_depth
   in
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.inc (Lazy.force P_metrics.runs);
-    Obs.Metrics.inc ~by:t.events (Lazy.force P_metrics.events);
-    Obs.Metrics.inc ~by:(Array.length t.blocks) (Lazy.force P_metrics.blocks);
+    Obs.Metrics.inc ~by:r.r_instructions (Lazy.force P_metrics.events);
+    Obs.Metrics.inc ~by:(Array.length r.r_blocks)
+      (Lazy.force P_metrics.blocks);
     Obs.Metrics.observe (Lazy.force P_metrics.seconds)
       (Unix.gettimeofday () -. t0)
   end;

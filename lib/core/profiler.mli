@@ -1,17 +1,19 @@
 (** Hotspot profiler: per-basic-block cycle and energy profiles of one
     simulated workload.
 
-    The profiler is a {!Sim.Cpu} observer — attached, it takes the
-    program's static basic-block partition from {!Sim.Decoder.analyze}
-    (the same partition the threaded execution backend dispatches, so
-    profiler and backend agree on block identity by construction;
-    leaders are the entry point, every control-flow target, every
-    fall-through past a control instruction, and every code symbol, so
-    indirect jump/call destinations start blocks too) and folds each
-    retired instruction into its block: retirement counts, cycles, stalls, cache misses and
-    the instruction's {e exact marginal model energy} from
-    {!Attribution}'s telescoping fold.  Detached, nothing in the
-    simulator changes — the observer stream is the only coupling.
+    The profiler takes the program's static basic-block partition from
+    {!Sim.Decoder.analyze} (the same partition the threaded execution
+    backend dispatches, so profiler and backend agree on block identity
+    by construction; leaders are the entry point, every control-flow
+    target, every fall-through past a control instruction, and every
+    code symbol, so indirect jump/call destinations start blocks too)
+    and is fed by the simulator's allocation-free retire hook
+    ({!Sim.Cpu.hook}), not by events.  Per retirement it adds the
+    instruction's cycles, stalls and cache misses to its slot's integer
+    counters, and its {e exact marginal model energy} from
+    {!Attribution.fold} to its block, slot, opcode and call-stack leaf;
+    slot counters are resolved to blocks, lines and opcodes after the
+    run.  Detached, nothing in the simulator changes.
 
     Conservation is the invariant throughout: per-block cycles sum to
     the simulator's cycle count exactly, and per-block energies sum to
@@ -19,9 +21,9 @@
     rounding error.  {!check} exposes both gaps for tests and CI.
 
     Beyond the block table the profiler derives a call-stack profile
-    (flame-graph "folded" lines via {!Obs.Profile.Stacks}, call/return
-    tracked from the event stream), a per-line profile for annotated
-    disassembly, and a per-opcode histogram. *)
+    (flame-graph "folded" lines via {!Obs.Profile.Stacks}, the stack
+    moved only after call and return slots), a per-line profile for
+    annotated disassembly, and a per-opcode histogram. *)
 
 (** One discovered basic block with its accumulated profile.  Blocks
     partition the code section in program order. *)
@@ -66,30 +68,6 @@ type report = {
   r_energy_gap : float;       (** relative gap of block energy sum *)
 }
 
-type t
-(** A profiling engine usable as a simulation observer. *)
-
-val create :
-  ?bucket_cycles:int ->
-  ?complexity:(Tie.Component.t -> float) ->
-  ?max_depth:int ->
-  config:Sim.Config.t ->
-  Template.model ->
-  Extract.case ->
-  t
-(** An engine for one workload.  [max_depth] caps the tracked call
-    stack (default 128); the other parameters mirror
-    {!Attribution.create}. *)
-
-val observer : t -> Sim.Cpu.observer
-(** The engine as a simulation observer; attach it to the run being
-    profiled (before the first step — see {!Sim.Cpu.add_observer}). *)
-
-val finish : t -> cycles:int -> instructions:int -> report
-(** Close the books after the observed simulation and check
-    conservation.  [cycles] and [instructions] come from the simulator
-    outcome. *)
-
 val run :
   ?config:Sim.Config.t ->
   ?bucket_cycles:int ->
@@ -99,11 +77,12 @@ val run :
   Template.model ->
   Extract.case ->
   report
-(** Simulate the case once with the engine's attribution tally
-    installed (see {!Attribution.tally}: the simulator folds each
-    retirement, the engine only reads it) and the profiling engine (and
-    any extra [observers]) attached, under a [profile:] trace span;
-    bumps the [profile_*] metrics family when metrics are enabled. *)
+(** Simulate the case once with an {!Attribution} engine's tally
+    installed and the profiler as the retire hook (any extra
+    [observers] see the same run), under a [profile:] trace span;
+    bumps the [profile_*] metrics family when metrics are enabled.
+    [max_depth] caps the tracked call stack (default 128);
+    [bucket_cycles] and [complexity] are {!Attribution.create}'s. *)
 
 val check : report -> float * float
 (** [(cycle gap, energy gap)], both relative to the run totals: the

@@ -71,18 +71,7 @@ module Stacks = struct
     mutable cur_depth : int;
     mutable overflow : int;      (* frames pushed beyond max_depth *)
     max_depth : int;
-    (* Leaf memo: events overwhelmingly hit one of the few (stack node,
-       leaf frame) pairs of the loop being run, so caching the last
-       [memo_size] interned leaves, matched by physical equality on the
-       frame, skips the tuple-keyed hash lookup on the per-event hot
-       path. *)
-    memo_parent : int array;     (* -1 = empty *)
-    memo_frame : string array;
-    memo_id : int array;
-    mutable memo_next : int;     (* round-robin replacement cursor *)
   }
-
-  let memo_size = 8
 
   let create ?(max_depth = 128) ~root () =
     if max_depth < 1 then invalid_arg "Stacks.create: max_depth < 1";
@@ -91,11 +80,7 @@ module Stacks = struct
     in
     let nodes = Array.make 64 root_node in
     { nodes; used = 1; children = Hashtbl.create 256; current = 0;
-      cur_depth = 0; overflow = 0; max_depth;
-      memo_parent = Array.make memo_size (-1);
-      memo_frame = Array.make memo_size "";
-      memo_id = Array.make memo_size 0;
-      memo_next = 0 }
+      cur_depth = 0; overflow = 0; max_depth }
 
   let intern t ~parent frame =
     match Hashtbl.find_opt t.children (parent, frame) with
@@ -137,30 +122,13 @@ module Stacks = struct
 
   let record t ~cycles ~energy_pj = record_at t t.current ~cycles ~energy_pj
 
-  let rec memo_find t parent frame k =
-    if k = memo_size then -1
-    else if
-      Array.unsafe_get t.memo_parent k = parent
-      && Array.unsafe_get t.memo_frame k == frame
-    then Array.unsafe_get t.memo_id k
-    else memo_find t parent frame (k + 1)
+  let leaf t ~frame =
+    if t.overflow > 0 then t.current else intern t ~parent:t.current frame
+
+  let position t = if t.overflow > 0 then lnot t.current else t.current
 
   let record_leaf t ~frame ~cycles ~energy_pj =
-    let id =
-      if t.overflow > 0 then t.current
-      else
-        match memo_find t t.current frame 0 with
-        | -1 ->
-          let id = intern t ~parent:t.current frame in
-          let k = t.memo_next in
-          t.memo_parent.(k) <- t.current;
-          t.memo_frame.(k) <- frame;
-          t.memo_id.(k) <- id;
-          t.memo_next <- (k + 1) mod memo_size;
-          id
-        | id -> id
-    in
-    record_at t id ~cycles ~energy_pj
+    record_at t (leaf t ~frame) ~cycles ~energy_pj
 
   let path t id =
     let rec go acc id =

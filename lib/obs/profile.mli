@@ -5,9 +5,9 @@
     (the simulator layer maps program counters to instruction slots or
     basic blocks) and stack frames are strings.  [Core.Profiler] builds
     the per-block/per-line profiles of a simulated program on top of
-    these accumulators; nothing here allocates per event beyond hashing,
-    so an attached profiler stays within the observer-cost budget and a
-    detached one costs nothing at all. *)
+    these accumulators.  A hot caller keeps its own counters and folds
+    them in once: it memoizes {!Stacks.leaf} per frame and
+    {!Stacks.position} and adds totals with {!Stacks.record_at}. *)
 
 type slot = {
   mutable hits : int;            (** events recorded against the key *)
@@ -85,6 +85,20 @@ module Stacks : sig
   (** Like {!record} but against a transient leaf [frame] (e.g. the
       basic block) below the current node, without changing the
       stack. *)
+
+  val leaf : stack -> frame:string -> int
+  (** The node {!record_leaf} would record into for [frame] on the
+      current stack (interned on first sight).  Node ids stay valid for
+      the life of the stack. *)
+
+  val position : stack -> int
+  (** Where leaves attach now: while it is unchanged, {!leaf} returns
+      the same node for the same frame, so a caller may memoize leaves
+      per frame and position and accumulate against them itself (see
+      {!record_at}). *)
+
+  val record_at : stack -> int -> cycles:int -> energy_pj:float -> unit
+  (** Fold totals into a node returned by {!leaf}. *)
 
   val folded : stack -> (string * int * float) list
   (** [(";"-joined stack, cycles, energy_pj)] rows for every touched

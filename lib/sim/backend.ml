@@ -138,9 +138,10 @@ let execute_with b cpu =
   | Interp -> Cpu.run cpu
   | Threaded -> Cpu.run_threaded cpu
   | Check ->
-    (* The clone carries no observers and counts no metrics, so the
-       caller sees exactly one event stream: the threaded one, which the
-       digest proves identical to the interpreter's.  Its tally is a
+    (* The clone carries no observers or hook and counts no metrics, so
+       the caller sees exactly one event stream and one series of hook
+       calls: the threaded ones, which the digest proves identical to
+       the interpreter's.  Its tally is a
        copy with the same weights, fed from the interpreter's events, so
        the threaded backend's event-free fold is compared too. *)
     let shadow = Cpu.clone cpu in
@@ -186,9 +187,11 @@ let execute_with b cpu =
 
 let execute cpu = execute_with (current ()) cpu
 
-let run_program ?backend ?config ?extension ?tally ?(observers = []) asm =
+let run_program ?backend ?config ?extension ?tally ?hook ?(observers = [])
+    asm =
   let b = match backend with Some b -> b | None -> current () in
   let cpu = Cpu.create ?config ?extension ?tally asm in
+  Option.iter (Cpu.set_hook cpu) hook;
   List.iter (Cpu.add_observer cpu) observers;
   let o = execute_with b cpu in
   (cpu, o)

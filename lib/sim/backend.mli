@@ -63,7 +63,8 @@ val execute : Cpu.t -> Cpu.outcome
     completion on {!current}.  Under [Check] the machine is cloned
     first: the clone runs the interpreter, the original runs the
     threaded backend (so the caller's observers see exactly one event
-    stream — the threaded one), and the two streams are compared.  The
+    stream and its hook one series of calls — the threaded ones), and
+    the two streams are compared.  The
     clone gets a copy of the machine's tally with the same weights and
     folds the interpreter's events into it; the original's tally, folded
     by the threaded loop without events, must then match it field for
@@ -75,10 +76,12 @@ val run_program :
   ?config:Config.t ->
   ?extension:Tie.Compile.compiled ->
   ?tally:Tally.t ->
+  ?hook:Cpu.hook ->
   ?observers:Cpu.observer list ->
   Isa.Program.asm ->
   Cpu.t * Cpu.outcome
-(** Create (with [tally], see {!Cpu.create}), install observers,
+(** Create (with [tally], see {!Cpu.create}), install the retire hook
+    ({!Cpu.set_hook}) and the observers,
     {!execute} on [backend] (default {!current}).  The one way to run a
     program from start to end. *)
 

@@ -6,6 +6,18 @@ type outcome = Halted | Watchdog
 
 type observer = Event.t -> unit
 
+type hook = int -> int -> int -> int -> int -> unit
+
+(* Retire-hook flag bits.  The taken, window and data-miss bits share
+   their positions with the threaded loop's packed word and the fetch
+   bits with its fetch word, so the loop assembles a flag word with two
+   masks. *)
+let flag_taken = 0x2_0000
+let flag_interlock = 0x4_0000
+let flag_icache_miss = 0x8_0000
+let flag_uncached_fetch = 0x10_0000
+let flag_dcache_miss = 0x20_0000
+
 type t = {
   cfg : Config.t;
   asm : Isa.Program.asm;
@@ -27,6 +39,8 @@ type t = {
       (* retirements bump the [Retire_metrics] counters; false for the
          shadow copy a [Backend.Check] run compares against *)
   observers : observer Queue.t;
+  mutable hook : hook option;
+      (* called after the tally update, before any observer *)
   tally : Tally.t;
       (* folded on every retirement, before any observer runs *)
 }
@@ -61,6 +75,7 @@ let create ?(config = Config.default) ?extension ?tally asm =
     custom_result = 0;
     counted = true;
     observers = Queue.create ();
+    hook = None;
     tally }
 
 (* O(1) per registration (the single-pass characterization engine adds
@@ -76,10 +91,20 @@ let add_observer t obs =
       t.retired;
   Queue.add obs t.observers
 
+(* Same contract as an observer: a late hook would miss retirements. *)
+let set_hook t h =
+  if t.retired > 0 || t.done_ <> None then
+    fail
+      "set_hook: %d instructions already retired; the retire hook must be \
+       installed before the first step"
+      t.retired;
+  t.hook <- Some h
+
 (* Retirement-loop metrics.  Handles are registered once (lazily, so a
    process that never enables metrics registers nothing) and bumped only
-   when metrics recording is on: the cost on the hot path is a single
-   flag check per retired instruction. *)
+   when metrics recording is on.  The interpreter records each event;
+   the threaded loop bumps them once per run, from its tally's delta and
+   per-class retirement counts, so metrics never force events. *)
 module Retire_metrics = struct
   let instructions = lazy (Obs.Metrics.counter "sim_instructions_total")
   let cycles = lazy (Obs.Metrics.counter "sim_cycles_total")
@@ -92,35 +117,49 @@ module Retire_metrics = struct
     lazy (Obs.Metrics.counter ~labels:[ ("class", name) ]
             "sim_class_instructions_total")
 
-  let arith = by_class "arith"
-  let load = by_class "load"
-  let store = by_class "store"
-  let jump = by_class "jump"
-  let branch = by_class "branch"
-  let custom = by_class "custom"
+  (* Indexed by [class_index]. *)
+  let classes =
+    [| by_class "arith"; by_class "load"; by_class "store"; by_class "jump";
+       by_class "branch"; by_class "custom" |]
+
+  let class_index = function
+    | Isa.Instr.Arith_class -> 0
+    | Isa.Instr.Load_class -> 1
+    | Isa.Instr.Store_class -> 2
+    | Isa.Instr.Jump_class -> 3
+    | Isa.Instr.Branch_class -> 4
+    | Isa.Instr.Custom_class -> 5
+
+  let inc ~by c = if by > 0 then Obs.Metrics.inc ~by (Lazy.force c)
 
   let record (e : Event.t) =
-    Obs.Metrics.inc (Lazy.force instructions);
-    Obs.Metrics.inc ~by:e.Event.cycles (Lazy.force cycles);
-    if e.Event.stall_cycles > 0 then
-      Obs.Metrics.inc ~by:e.Event.stall_cycles (Lazy.force stall_cycles);
-    if e.Event.interlock || e.Event.window_event then
-      Obs.Metrics.inc (Lazy.force interlocks);
+    inc ~by:1 instructions;
+    inc ~by:e.Event.cycles cycles;
+    inc ~by:e.Event.stall_cycles stall_cycles;
+    if e.Event.interlock || e.Event.window_event then inc ~by:1 interlocks;
     if (not e.Event.fetch.Event.funcached) && not e.Event.fetch.Event.fhit
-    then Obs.Metrics.inc (Lazy.force icache_misses);
+    then inc ~by:1 icache_misses;
     (match e.Event.mem with
      | Some mi when (not mi.Event.muncached) && not mi.Event.mhit ->
-       Obs.Metrics.inc (Lazy.force dcache_misses)
+       inc ~by:1 dcache_misses
      | Some _ | None -> ());
-    Obs.Metrics.inc
-      (Lazy.force
-         (match e.Event.clazz with
-          | Isa.Instr.Arith_class -> arith
-          | Isa.Instr.Load_class -> load
-          | Isa.Instr.Store_class -> store
-          | Isa.Instr.Jump_class -> jump
-          | Isa.Instr.Branch_class -> branch
-          | Isa.Instr.Custom_class -> custom))
+    inc ~by:1 classes.(class_index e.Event.clazz)
+
+  (* A whole run at once: the counters' movement from [before] (a copy
+     taken when the run started) to the settled [after], plus
+     retirements per [class_index]. *)
+  let record_run ~(before : Stats.t) (after : Stats.t) per_class =
+    inc ~by:(after.Stats.instructions - before.Stats.instructions)
+      instructions;
+    inc ~by:(after.Stats.total_cycles - before.Stats.total_cycles) cycles;
+    inc ~by:(after.Stats.stall_cycles - before.Stats.stall_cycles)
+      stall_cycles;
+    inc ~by:(after.Stats.interlocks - before.Stats.interlocks) interlocks;
+    inc ~by:(after.Stats.icache_misses - before.Stats.icache_misses)
+      icache_misses;
+    inc ~by:(after.Stats.dcache_misses - before.Stats.dcache_misses)
+      dcache_misses;
+    Array.iteri (fun k n -> inc ~by:n classes.(k)) per_class
 end
 
 let u32 v = v land 0xffff_ffff
@@ -290,9 +329,9 @@ let do_store t op value base off =
    threaded compiler must catch and defer to the fallback (a program
    carrying an unresolvable custom instruction that never executes must
    still run). *)
-let resolve_custom t call =
+let resolve_custom ext call =
   let ext =
-    match t.ext with
+    match ext with
     | Some e -> e
     | None -> fail "custom instruction %S but no extension installed"
                 call.Isa.Instr.cname
@@ -330,7 +369,7 @@ let custom_states t =
   | _ -> []
 
 let exec_custom t call =
-  let ext, insn, dst, src_regs = resolve_custom t call in
+  let ext, insn, dst, src_regs = resolve_custom t.ext call in
   let store = Option.get t.ext_state in
   let srcs = List.map (reg t) src_regs in
   let result =
@@ -461,6 +500,23 @@ let execute t slot =
       custom = Some info;
       extra_latency = latency - 1 }
 
+let slot_index t pc =
+  (pc - t.asm.Isa.Program.code_base) / Isa.Encoding.bytes_per_instr
+
+(* The retire hook's flag word for an interpreted retirement. *)
+let hook_flags (e : Event.t) =
+  let f = e.Event.fetch in
+  (match e.Event.taken with Some true -> flag_taken | Some false | None -> 0)
+  lor (if e.Event.interlock || e.Event.window_event then flag_interlock else 0)
+  lor (if f.Event.funcached then flag_uncached_fetch
+       else if f.Event.fhit then 0
+       else flag_icache_miss)
+  lor
+  match e.Event.mem with
+  | Some mi when (not mi.Event.muncached) && not mi.Event.mhit ->
+    flag_dcache_miss
+  | Some _ | None -> 0
+
 let step t =
   match t.done_ with
   | Some o -> `Done o
@@ -550,6 +606,11 @@ let step t =
       t.pc <- ex.next_pc;
       if ex.halt then t.done_ <- Some Halted;
       Tally.observe t.tally event;
+      (match t.hook with
+       | None -> ()
+       | Some h ->
+         h (slot_index t fetch.Event.fpc) event.Event.start_cycle total stall
+           (hook_flags event));
       if t.counted && Obs.Metrics.enabled () then Retire_metrics.record event;
       Queue.iter (fun obs -> obs event) t.observers;
       `Step event
@@ -595,14 +656,21 @@ let some_false = Some false
 let pen_mask = 0xffff
 let halt_bit = 0x1_0000
 let taken_shift = 17
-let taken_bit = 1 lsl taken_shift  (* control transfer taken *)
-let window_bit = 0x4_0000  (* window spill or reload *)
-let dhit_bit = 0x8_0000    (* cached data access hit *)
-let result_bit = 0x10_0000 (* a value was driven on the result bus *)
-let dmiss_bit = 0x20_0000  (* cached data access missed; a data access
-                              with neither hit nor miss was uncached *)
+let taken_bit = flag_taken          (* control transfer taken *)
+let window_bit = flag_interlock     (* window spill or reload *)
+let dhit_bit = 0x8_0000             (* cached data access hit *)
+let result_bit = 0x10_0000          (* a value was driven on the result bus *)
+let dmiss_bit = flag_dcache_miss    (* cached data access missed; a data
+                                       access with neither hit nor miss
+                                       was uncached *)
 let extra_shift = 22
-let fhit_bit = 0x1_0000    (* in the loop's fetch word: cached fetch hit *)
+let () = assert (taken_bit = 1 lsl taken_shift)
+
+(* The loop's fetch word: the fetch penalty in bits 0-15 and one of
+   these outcomes. *)
+let fhit_bit = 0x1_0000             (* cached fetch hit *)
+let imiss_bit = flag_icache_miss
+let ufetch_bit = flag_uncached_fetch
 
 type op = {
   o_slot : Isa.Program.slot;
@@ -958,7 +1026,7 @@ let compile_op t (slot : Isa.Program.slot) : (t -> int) option =
   | Nop | Memw | Extw | Isync -> Some (fun _ -> 0)
   | Break -> Some (fun _ -> halt_bit)
   | Custom call ->
-    (match resolve_custom t call with
+    (match resolve_custom t.ext call with
      | exception Sim_error _ -> None
      | (ext, insn, dst, src_regs) ->
        let imm = call.Isa.Instr.cimm in
@@ -1123,6 +1191,45 @@ let reg_indices l =
   | [ a; b; c ] -> [| Isa.Reg.index a; Isa.Reg.index b; Isa.Reg.index c |]
   | l -> Array.of_list (List.map Isa.Reg.index l)
 
+type slot_facts = {
+  f_clazz : Isa.Instr.clazz;
+  f_busy : int;
+  f_regfile : bool;
+  f_weights : Tally.contribution;
+}
+
+(* What a slot's retirement contributes to the tally, whatever its
+   operand values: the one place these facts are derived. *)
+let resolve_slot ext weights (slot : Isa.Program.slot) =
+  let instr = slot.Isa.Program.instr in
+  let custom =
+    match instr with
+    | Isa.Instr.Custom call -> (
+      match resolve_custom ext call with
+      | _, insn, _, src_regs -> Some (insn, src_regs)
+      | exception Sim_error _ -> None)
+    | _ -> None
+  in
+  let busy =
+    match custom with Some (i, _) -> i.Tie.Compile.latency | None -> 1
+  in
+  ( custom,
+    { f_clazz = Isa.Instr.class_of instr;
+      f_busy = busy;
+      f_regfile =
+        (match custom with
+         | Some (i, _) -> Stats.touches_regfile i
+         | None -> false);
+      f_weights =
+        (match (custom, Isa.Instr.uses instr) with
+         | Some (i, _), _ -> Tally.custom weights i ~busy
+         | None, [] -> Tally.nothing
+         | None, _ :: _ -> Tally.reads weights) } )
+
+let slot_facts ?extension weights (asm : Isa.Program.asm) =
+  Array.map (fun slot -> snd (resolve_slot extension weights slot))
+    asm.Isa.Program.code
+
 let decode ?(covered = fun _ -> true) t =
   let code = t.asm.Isa.Program.code in
   let weights = Tally.weights t.tally in
@@ -1141,36 +1248,19 @@ let decode ?(covered = fun _ -> true) t =
         && (let prev = code.(i - 1).Isa.Program.addr in
             prev < uncached_base && addr lsr line_shift = prev lsr line_shift)
       in
-      let custom =
-        match instr with
-        | Isa.Instr.Custom call -> (
-          match resolve_custom t call with
-          | _, insn, _, src_regs -> Some (insn, src_regs)
-          | exception Sim_error _ -> None)
-        | _ -> None
-      in
-      let busy =
-        match custom with Some (i, _) -> i.Tie.Compile.latency | None -> 1
-      in
+      let custom, f = resolve_slot t.ext weights slot in
       { o_slot = slot;
         o_uses = reg_indices uses;
         o_uses_list = uses;
         o_defs = reg_indices (Isa.Instr.defs instr);
-        o_clazz = Isa.Instr.class_of instr;
+        o_clazz = f.f_clazz;
         o_control = Isa.Instr.is_control instr;
         o_funcached = funcached;
         o_line_run = line_run;
         o_custom = custom;
-        o_busy = busy;
-        o_regfile =
-          (match custom with
-           | Some (i, _) -> Stats.touches_regfile i
-           | None -> false);
-        o_weights =
-          (match (custom, uses) with
-           | Some (i, _), _ -> Tally.custom weights i ~busy
-           | None, [] -> Tally.nothing
-           | None, _ :: _ -> Tally.reads weights);
+        o_busy = f.f_busy;
+        o_regfile = f.f_regfile;
+        o_weights = f.f_weights;
         o_run = (match compiled with Some f -> f | None -> interpret t slot);
         o_compiled = compiled <> None })
     code
@@ -1182,6 +1272,8 @@ let decode_stats ?covered t =
     d_ops = Array.length ops;
     d_compiled =
       Array.fold_left (fun n o -> if o.o_compiled then n + 1 else n) 0 ops }
+
+let no_hook : hook = fun _ _ _ _ _ -> ()
 
 let run_threaded ?covered t =
   match t.done_ with
@@ -1196,6 +1288,18 @@ let run_threaded ?covered t =
     let icache = t.icache in
     let rf = t.rf and ready = t.ready in
     let stats = Tally.stats t.tally and acc = Tally.acc t.tally in
+    let observers = Array.of_seq (Queue.to_seq t.observers) in
+    let nobs = Array.length observers in
+    (* Events cost an allocation per retirement, so they are built only
+       when an observer is listening; the tally, the hook and the
+       metrics are all fed without one. *)
+    let publish = nobs > 0 in
+    let hooked, hook =
+      match t.hook with Some h -> (true, h) | None -> (false, no_hook)
+    in
+    let metrics = t.counted && Obs.Metrics.enabled () in
+    let before = if metrics then Some (Stats.copy stats) else None in
+    let per_class = Array.make (Array.length Retire_metrics.classes) 0 in
     (* Class cycles are settled from per-slot retirement counts
        ({!Stats.add_class}): after every retirement when observers may
        read the tally, once at the end otherwise.  Slot [i] counts its
@@ -1208,17 +1312,15 @@ let run_threaded ?covered t =
         let op = Array.unsafe_get ops i in
         Stats.add_class stats op.o_clazz ~count:(untaken + taken) ~taken
           ~busy:op.o_busy ~regfile:op.o_regfile;
+        if metrics then begin
+          let k = Retire_metrics.class_index op.o_clazz in
+          per_class.(k) <- per_class.(k) + untaken + taken
+        end;
         Array.unsafe_set counts (2 * i) 0;
         Array.unsafe_set counts ((2 * i) + 1) 0
       end
     in
     let imiss_pen = Cache.miss_penalty icache in
-    let observers = Array.of_seq (Queue.to_seq t.observers) in
-    let nobs = Array.length observers in
-    let metrics = t.counted && Obs.Metrics.enabled () in
-    (* Events cost an allocation per retirement, so they are built only
-       when someone is listening; the tally is folded without one. *)
-    let publish = nobs > 0 || metrics in
     (* pc-to-slot mapping as a table lookup: hardware division (for
        [mod]/[/] by the instruction size) costs tens of cycles and runs
        after every control transfer.  [-1] marks offsets inside an
@@ -1242,15 +1344,15 @@ let run_threaded ?covered t =
        errors, so stats stay exact for the equivalence checker). *)
     let line_hits = ref 0 in
     (* One retirement; mirrors [step] exactly (fetch, scoreboard stall,
-       execute, penalties, scoreboard update, clocks, tally, event) and
-       returns the halt flag.  [i] is the op's slot. *)
+       execute, penalties, scoreboard update, clocks, tally, hook, event)
+       and returns the halt flag.  [i] is the op's slot. *)
     let retire (op : op) i fall =
       let pc = t.pc in
-      (* The fetch penalty, with [fhit_bit] set on a cached hit. *)
+      (* The fetch penalty and its outcome bit. *)
       let fetch =
         if op.o_funcached then begin
           stats.Stats.uncached_fetches <- stats.Stats.uncached_fetches + 1;
-          ufp
+          ufp lor ufetch_bit
         end
         else if
           (fall && op.o_line_run)
@@ -1262,7 +1364,7 @@ let run_threaded ?covered t =
         else if Cache.access icache pc = Cache.Hit then fhit_bit
         else begin
           stats.Stats.icache_misses <- stats.Stats.icache_misses + 1;
-          imiss_pen
+          imiss_pen lor imiss_bit
         end
       in
       let fetch_pen = fetch land pen_mask in
@@ -1307,6 +1409,11 @@ let run_threaded ?covered t =
         stats.Stats.dcache_misses <- stats.Stats.dcache_misses + 1;
       let w = op.o_weights in
       if Array.length w.Tally.cats > 0 then Tally.add acc w;
+      if hooked then
+        hook i start total stall
+          ((packed land (taken_bit lor window_bit lor dmiss_bit))
+           lor (fetch land (imiss_bit lor ufetch_bit))
+           lor (if stall > 0 then flag_interlock else 0));
       if publish then begin
         settle i;
         let event =
@@ -1314,7 +1421,6 @@ let run_threaded ?covered t =
             ~fhit:(fetch land fhit_bit <> 0) ~stall ~total
             packed
         in
-        if metrics then Retire_metrics.record event;
         for k = 0 to nobs - 1 do
           (Array.unsafe_get observers k) event
         done
@@ -1343,7 +1449,10 @@ let run_threaded ?covered t =
         if !line_hits > 0 then Cache.repeat_hits icache !line_hits;
         for i = 0 to n - 1 do
           settle i
-        done)
+        done;
+        match before with
+        | Some before -> Retire_metrics.record_run ~before stats per_class
+        | None -> ())
       (fun () -> go (-1))
 
 let clone t =
@@ -1364,6 +1473,7 @@ let clone t =
     custom_result = t.custom_result;
     counted = false;
     observers = Queue.create ();
+    hook = None;
     tally = Tally.copy t.tally }
 
 let cycles t = t.cycle

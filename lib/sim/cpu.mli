@@ -5,9 +5,11 @@
     data-dependency interlocks, instruction/data caches, an uncached
     region, taken-branch penalties, windowed calls and multi-cycle custom
     instructions.  Every retirement is folded into the machine's
-    {!Tally} (the macro-model's counters); when observers are installed
-    it is also published to them as an {!Event.t}, after the tally has
-    been updated. *)
+    {!Tally} (the macro-model's counters).  After the tally update it is
+    reported to the machine's retire {!type:hook}, if one is installed,
+    as plain integers, and then, when observers are installed, published
+    to them as an {!Event.t}.  The hook allocates nothing per retirement;
+    an event is a record per retirement. *)
 
 exception Sim_error of string
 
@@ -16,6 +18,29 @@ type outcome =
   | Watchdog      (** [Config.max_cycles] exceeded *)
 
 type observer = Event.t -> unit
+
+type hook = int -> int -> int -> int -> int -> unit
+(** [hook slot start cycles stall flags], called once per retirement
+    after the tally update: the retired instruction's slot index in
+    [asm.code], its start cycle, the cycles it consumed (stalls and
+    penalties included), its operand-dependency stall cycles, and a
+    word of the [flag_*] bits below. *)
+
+val flag_taken : int
+(** A control transfer was taken. *)
+
+val flag_icache_miss : int
+(** The cached fetch missed. *)
+
+val flag_uncached_fetch : int
+(** The fetch was from the uncached region. *)
+
+val flag_dcache_miss : int
+(** A cached data access missed. *)
+
+val flag_interlock : int
+(** An operand interlock stalled the instruction, or a window overflow
+    or underflow occurred: the macro-model's interlock event. *)
 
 type t
 
@@ -44,10 +69,38 @@ val add_observer : t -> observer -> unit
     so it raises {!Sim_error} instead.
     @raise Sim_error if any instruction has already retired. *)
 
+val set_hook : t -> hook -> unit
+(** Install the retire hook (replacing any previous one).  Same contract
+    as {!add_observer}: it sees every retirement from the first one, and
+    {!clone} does not carry it.
+    @raise Sim_error if any instruction has already retired. *)
+
+type slot_facts = {
+  f_clazz : Isa.Instr.clazz;
+  f_busy : int;                 (** execute-stage cycles *)
+  f_regfile : bool;             (** custom instruction touching the
+                                    generic register file *)
+  f_weights : Tally.contribution;
+      (** structural contribution per retirement *)
+}
+(** What one retirement of a slot adds to the tally besides its dynamic
+    effects (cycles, cache misses, interlocks): the arguments of
+    {!Stats.add_class} and the slot's {!Tally.contribution}. *)
+
+val slot_facts :
+  ?extension:Tie.Compile.compiled ->
+  Tally.weights ->
+  Isa.Program.asm ->
+  slot_facts array
+(** Per slot of [asm.code], the facts {!run_threaded}'s decode resolves
+    for a machine created with [extension] and a tally of these weights.
+    A custom instruction that does not resolve gets class cycles only,
+    as it faults when it executes. *)
+
 val step : t -> [ `Step of Event.t | `Done of outcome ]
 (** Execute one instruction, fold its event into the tally
-    ({!Tally.observe}), then notify the observers.  After [`Done]
-    further calls return the same outcome. *)
+    ({!Tally.observe}), call the hook, then notify the observers.  After
+    [`Done] further calls return the same outcome. *)
 
 val run : t -> outcome
 (** Step until completion: the reference interpreter. *)
@@ -61,11 +114,17 @@ val run_threaded : ?covered:(Isa.Instr.t -> bool) -> t -> outcome
     dispatched block-at-a-time.  Semantics are those of repeated
     {!step}, which stays the reference [Backend.Check] compares against:
     same cycles, same architectural state, and — when observers are
-    installed — a bit-identical event stream, and the same tally.
-    Observed or not, the same closures run and the tally is folded from
-    the decoded slot and its packed penalty word (see {!Tally}); events
-    are built around them only when an observer is installed or metrics
-    are on, so an estimate run allocates nothing per retirement.
+    installed — a bit-identical event stream, and the same tally and
+    hook calls.  Observed or not, the same closures run, and the tally
+    and the hook are fed from the decoded slot and its packed penalty
+    word (see {!Tally}).  Events are built around them only when an
+    observer is installed, so an estimate or a hooked run allocates
+    nothing per retirement.  The [sim_*] retirement metrics are bumped
+    once when the run ends (also on {!Sim_error}), from the tally's
+    movement, with the same totals the interpreter's per-event
+    recording gives.  (After a {!Sim_error}, the tally and so the
+    metrics also count the faulting instruction's fetch miss: the loop
+    counts fetches as they happen.)
 
     [covered] restricts which instructions are compiled; anything it
     rejects (and anything whose static resolution fails) executes via
@@ -88,8 +147,9 @@ val decode_stats : ?covered:(Isa.Instr.t -> bool) -> t -> decode_stats
 val clone : t -> t
 (** Independent deep copy of the machine state (memory, caches,
     register file, scoreboard, TIE state, clocks, and a copy of the
-    tally with the same weights) with an empty observer list; the backend equivalence checker uses it to run the
-    same program twice from identical state.  The copy is a shadow: its
+    tally with the same weights) with an empty observer list and no
+    hook; the backend equivalence checker uses it to run the same
+    program twice from identical state.  The copy is a shadow: its
     retirements are not counted in the [sim_*] metrics, so a checked
     run counts each instruction once. *)
 

@@ -9,7 +9,6 @@ let nothing = { cats = [||]; amounts = [||] }
 type weights = {
   custom : Tie.Compile.compiled_insn -> busy:int -> contribution;
   reads : contribution;
-  inert : bool;
 }
 
 (* Memoised by physical identity of the instruction: an event fold asks
@@ -29,12 +28,10 @@ let make_weights ~custom ~reads =
     in
     find !memo
   in
-  { custom; reads; inert = false }
+  { custom; reads }
 
 let no_weights =
-  { custom = (fun _ ~busy:_ -> nothing); reads = nothing; inert = true }
-
-let inert w = w.inert
+  { custom = (fun _ ~busy:_ -> nothing); reads = nothing }
 
 let custom w insn ~busy = w.custom insn ~busy
 

@@ -48,9 +48,6 @@ val make_weights :
 val no_weights : weights
 (** No extension: the structural accumulators never move. *)
 
-val inert : weights -> bool
-(** True for {!no_weights}. *)
-
 val custom :
   weights -> Tie.Compile.compiled_insn -> busy:int -> contribution
 (** A custom instruction's contribution when it occupies the execute

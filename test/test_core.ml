@@ -640,11 +640,268 @@ let test_attribution_sums_to_total () =
         (List.length b.Core.Attribution.rows))
     [ List.hd suite; List.nth suite 4 ]
 
-(* [Attribution.run] installs the engine's tally, so the telescoping
-   fold reads counters the simulator keeps; an engine attached to a run
-   without its tally folds each event itself.  Both must see the same
-   vector at every event (identical JSON, waveform included), and the
-   installed run folds each retirement once. *)
+(* --- Event-fold oracle --------------------------------------------------- *)
+
+(* The profiler and the attribution engine as event observers, the way
+   they were before the retire hook fed them: per retirement, refill the
+   variable vector from the run's tally and difference it against the
+   previous one (the telescoping fold), then add the marginal into
+   per-block, per-slot, per-opcode and call-stack accumulators as the
+   event arrives.  The hook-fed engines must reproduce every output of
+   it byte for byte. *)
+module Oracle = struct
+  type attr = {
+    model : Core.Template.model;
+    tally : Sim.Tally.t;
+    waveform : Obs.Waveform.t;
+    prev : float array;
+  }
+
+  let attribution ?bucket_cycles ~config model (c : Core.Extract.case) =
+    { model;
+      tally =
+        Sim.Tally.create
+          ~weights:(Core.Resource.weights c.Core.Extract.extension)
+          config;
+      waveform = Obs.Waveform.create ?bucket_cycles ();
+      prev = Array.make Core.Variables.count 0.0 }
+
+  (* The marginal model energy of the event the tally just folded. *)
+  let marginal a (e : Sim.Event.t) =
+    let v = Core.Extract.variables_of_tally a.tally in
+    let coeffs = a.model.Core.Template.coefficients in
+    let d = ref 0.0 in
+    Array.iteri
+      (fun i nv ->
+        if nv <> a.prev.(i) then begin
+          d := !d +. (coeffs.(i) *. (nv -. a.prev.(i)));
+          a.prev.(i) <- nv
+        end)
+      v;
+    Obs.Waveform.add a.waveform ~cycle:e.Sim.Event.start_cycle
+      ~energy_pj:!d;
+    !d
+
+  let breakdown a (c : Core.Extract.case) cpu =
+    let vars = Core.Extract.variables_of_tally a.tally in
+    { Core.Attribution.workload = c.Core.Extract.case_name;
+      total_pj = Core.Template.energy a.model vars;
+      rows = Core.Attribution.decompose a.model vars;
+      waveform = a.waveform;
+      cycles = Sim.Cpu.cycles cpu;
+      instructions = Sim.Cpu.instructions cpu }
+
+  let simulate ~config a (c : Core.Extract.case) observer =
+    fst
+      (Sim.Backend.run_program ~config ?extension:c.Core.Extract.extension
+         ~tally:a.tally ~observers:[ observer ] c.Core.Extract.asm)
+
+  let attribute ?bucket_cycles ~config model c =
+    let a = attribution ?bucket_cycles ~config model c in
+    breakdown a c (simulate ~config a c (fun e -> ignore (marginal a e)))
+
+  let profile ~config model (c : Core.Extract.case) =
+    let open Core.Profiler in
+    let a = attribution ~config model c in
+    let asm = c.Core.Extract.asm in
+    let d = Sim.Decoder.analyze asm in
+    let blocks =
+      Array.map
+        (fun (b : Sim.Decoder.block) ->
+          { b_index = b.Sim.Decoder.blk_index;
+            b_addr = b.Sim.Decoder.blk_addr;
+            b_last = b.Sim.Decoder.blk_last;
+            b_label = b.Sim.Decoder.blk_label;
+            b_slots = b.Sim.Decoder.blk_slots;
+            b_entries = 0;
+            b_retired = 0;
+            b_cycles = 0;
+            b_stall_cycles = 0;
+            b_icache_misses = 0;
+            b_dcache_misses = 0;
+            b_energy_pj = 0.0 })
+        d.Sim.Decoder.blocks
+    in
+    let per_slot = Obs.Profile.create () in
+    let opcodes = Hashtbl.create 64 in
+    let stacks = Obs.Profile.Stacks.create ~root:c.Core.Extract.case_name () in
+    let prev_kind = ref 0 in
+    let observe (e : Sim.Event.t) =
+      let energy_pj = marginal a e in
+      let fpc = e.Sim.Event.fetch.Sim.Event.fpc in
+      let si =
+        (fpc - asm.Isa.Program.code_base) / Isa.Encoding.bytes_per_instr
+      in
+      let icache_miss =
+        (not e.Sim.Event.fetch.Sim.Event.funcached)
+        && not e.Sim.Event.fetch.Sim.Event.fhit
+      in
+      let dcache_miss =
+        match e.Sim.Event.mem with
+        | Some mi -> (not mi.Sim.Event.muncached) && not mi.Sim.Event.mhit
+        | None -> false
+      in
+      let cycles = e.Sim.Event.cycles in
+      let stall_cycles = e.Sim.Event.stall_cycles in
+      let b = blocks.(d.Sim.Decoder.block_of_slot.(si)) in
+      if fpc = b.b_addr then b.b_entries <- b.b_entries + 1;
+      b.b_retired <- b.b_retired + 1;
+      b.b_cycles <- b.b_cycles + cycles;
+      b.b_stall_cycles <- b.b_stall_cycles + stall_cycles;
+      if icache_miss then b.b_icache_misses <- b.b_icache_misses + 1;
+      if dcache_miss then b.b_dcache_misses <- b.b_dcache_misses + 1;
+      b.b_energy_pj <- b.b_energy_pj +. energy_pj;
+      (if !prev_kind = 1 then
+         Obs.Profile.Stacks.push stacks
+           (match Hashtbl.find_opt d.Sim.Decoder.symbols fpc with
+            | Some s -> s
+            | None -> Printf.sprintf "0x%x" fpc)
+       else if !prev_kind = 2 then Obs.Profile.Stacks.pop stacks);
+      Obs.Profile.Stacks.record_leaf stacks ~frame:b.b_label ~cycles
+        ~energy_pj;
+      Obs.Profile.record per_slot ~stall_cycles ~icache_miss ~dcache_miss
+        ~energy_pj ~cycles si;
+      let m = Isa.Instr.mnemonic e.Sim.Event.instr in
+      let h, cy, en =
+        Option.value (Hashtbl.find_opt opcodes m) ~default:(0, 0, 0.0)
+      in
+      Hashtbl.replace opcodes m (h + 1, cy + cycles, en +. energy_pj);
+      prev_kind :=
+        match e.Sim.Event.instr with
+        | Isa.Instr.Call0 _ | Isa.Instr.Callx0 _ | Isa.Instr.Call8 _
+        | Isa.Instr.Callx8 _ -> 1
+        | Isa.Instr.Ret | Isa.Instr.Retw -> 2
+        | _ -> 0
+    in
+    let cpu = simulate ~config a c observe in
+    let breakdown = breakdown a c cpu in
+    let cycles = Sim.Cpu.cycles cpu in
+    let total = breakdown.Core.Attribution.total_pj in
+    let cycle_sum = Array.fold_left (fun s b -> s + b.b_cycles) 0 blocks in
+    let energy_sum =
+      Array.fold_left (fun s b -> s +. b.b_energy_pj) 0.0 blocks
+    in
+    { r_workload = c.Core.Extract.case_name;
+      r_asm = asm;
+      r_blocks = blocks;
+      r_hot =
+        Array.of_list
+          (List.sort
+             (fun a b ->
+               compare (b.b_cycles, b.b_index) (a.b_cycles, a.b_index))
+             (List.filter (fun b -> b.b_retired > 0) (Array.to_list blocks)));
+      r_slots = per_slot;
+      r_opcodes =
+        Hashtbl.fold
+          (fun op_name (op_hits, op_cycles, op_energy_pj) acc ->
+            { op_name; op_hits; op_cycles; op_energy_pj } :: acc)
+          opcodes []
+        |> List.sort (fun a b ->
+               compare (b.op_cycles, a.op_name) (a.op_cycles, b.op_name));
+      r_folded = Obs.Profile.Stacks.folded stacks;
+      r_breakdown = breakdown;
+      r_cycles = cycles;
+      r_instructions = Sim.Cpu.instructions cpu;
+      r_total_pj = total;
+      r_cycle_gap = abs (cycle_sum - cycles);
+      r_energy_gap =
+        Float.abs (energy_sum -. total) /. Float.max (Float.abs total) 1.0 }
+end
+
+(* Every rendering of a profile, for byte comparison. *)
+let profile_outputs r =
+  [ ("to_json", Core.Profiler.to_json r);
+    ("folded cycles", Core.Profiler.folded_lines r);
+    ("folded energy", Core.Profiler.folded_lines ~energy:true r);
+    ("annotate", Format.asprintf "%a" Core.Profiler.pp_annotate r);
+    ("breakdown", Core.Attribution.to_json r.Core.Profiler.r_breakdown) ]
+
+(* The 19 fixed programs (Table II applications, the Reed-Solomon
+   choices, the Tiny-C applications) on every backend: the hook-fed
+   profiler and attribution engine against the event-fold oracle on the
+   interpreter, byte for byte; so do the characterization programs and
+   a function called from two sites.  Three programs run again with
+   tiny caches and with everything uncached, so that every flag term of
+   the marginal shows up. *)
+let test_hook_matches_event_fold () =
+  let model =
+    (Core.Characterize.run (Workloads.Suite.characterization ()))
+      .Core.Characterize.model
+  in
+  let fixed =
+    Workloads.Suite.applications ()
+    @ Workloads.Suite.reed_solomon_choices ()
+    @ Workloads.Suite.c_applications ()
+  in
+  check Alcotest.int "19 programs" 19 (List.length fixed);
+  (* One function reached from two call sites, so its block's stack
+     leaf changes with the stack. *)
+  let two_callers =
+    let open Isa.Builder in
+    mk_case (fun b ->
+        loop_n b ~cnt:a2 20 (fun () ->
+            call0 b "leaf";
+            call0 b "mid");
+        j b "over";
+        label b "mid";
+        mov b a5 a0;
+        call0 b "leaf";
+        mov b a0 a5;
+        ret b;
+        label b "leaf";
+        addi b a4 a4 1;
+        ret b;
+        label b "over")
+  in
+  let tiny =
+    { Sim.Config.size_bytes = 128; ways = 2; line_bytes = 16;
+      miss_penalty = 9 }
+  in
+  let stressed =
+    List.map Workloads.Suite.find [ "des"; "rs_gfmac"; "gcd" ]
+  in
+  List.iter
+    (fun ((label, config), (c : Core.Extract.case)) ->
+      let on_interp f = Sim.Backend.with_current Sim.Backend.Interp f in
+      let want_profile =
+        profile_outputs (on_interp (fun () -> Oracle.profile ~config model c))
+      in
+      let want_attribution =
+        Core.Attribution.to_json
+          (on_interp (fun () ->
+               Oracle.attribute ~bucket_cycles:32 ~config model c))
+      in
+      List.iter
+        (fun backend ->
+          let name what =
+            Printf.sprintf "%s%s on %s: %s" c.Core.Extract.case_name label
+              (Sim.Backend.name backend) what
+          in
+          Sim.Backend.with_current backend @@ fun () ->
+          List.iter2
+            (fun (what, want) (_, got) ->
+              check Alcotest.string (name what) want got)
+            want_profile
+            (profile_outputs (Core.Profiler.run ~config model c));
+          check Alcotest.string (name "attribution") want_attribution
+            (Core.Attribution.to_json
+               (Core.Attribution.run ~config ~bucket_cycles:32 model c)))
+        Sim.Backend.all)
+    (List.map
+       (fun c -> (("", Sim.Config.default), c))
+       (fixed @ (two_callers :: Workloads.Suite.characterization ()))
+    @ List.concat_map
+        (fun config -> List.map (fun c -> (config, c)) stressed)
+        [ ( " (tiny caches)",
+            { Sim.Config.default with Sim.Config.icache = tiny; dcache = tiny }
+          );
+          ( " (uncached)",
+            { Sim.Config.default with Sim.Config.uncached_base = 0 } ) ])
+
+(* [Attribution.run] installs the engine's tally, so the simulator folds
+   each retirement once and the engine only reads it: the same
+   breakdown as the event fold over the same tally (waveform included),
+   with one tally fold per retirement. *)
 let test_attribution_reads_tally () =
   let model = (Core.Characterize.run (small_suite ())).Core.Characterize.model in
   List.iter
@@ -652,13 +909,12 @@ let test_attribution_reads_tally () =
       let c = Workloads.Suite.find name in
       let config = Sim.Config.default in
       let installed = Core.Attribution.run ~config model c in
-      let eng =
-        Core.Attribution.create ~config ?extension:c.Core.Extract.extension
-          model
-      in
+      let eng = Core.Attribution.create ~config model c in
       let cpu, _ =
         Sim.Backend.run_program ~config ?extension:c.Core.Extract.extension
-          ~observers:[ Core.Attribution.observer eng ]
+          ~tally:(Core.Attribution.tally eng)
+          ~hook:(fun i start _ _ flags ->
+            Core.Attribution.fold eng i start flags)
           c.Core.Extract.asm
       in
       let folded =
@@ -667,8 +923,11 @@ let test_attribution_reads_tally () =
           ~instructions:(Sim.Cpu.instructions cpu)
       in
       check Alcotest.string (name ^ ": same breakdown")
-        (Core.Attribution.to_json folded)
+        (Core.Attribution.to_json (Oracle.attribute ~config model c))
         (Core.Attribution.to_json installed);
+      check Alcotest.string (name ^ ": same breakdown by hand")
+        (Core.Attribution.to_json installed)
+        (Core.Attribution.to_json folded);
       check Alcotest.int (name ^ ": one fold per retirement")
         (Sim.Cpu.instructions cpu)
         (Sim.Tally.stats (Core.Attribution.tally eng)).Sim.Stats.instructions)
@@ -829,34 +1088,67 @@ let test_profiler_block_invariants () =
          check Alcotest.bool "folded rooted at the workload" true
            (String.length l > 8 && String.sub l 0 8 = "rs_gfmac"))
 
-(* A detached profiler is free: attaching one as an extra observer must
-   not perturb the extracted variables or the estimate bit-for-bit. *)
+(* Profiling changes nothing about the run: the profiled run's variable
+   vector, cycles and estimate are bit for bit those of a detached
+   [Extract.profile]. *)
 let test_profiler_detached_identity () =
   let fit = Core.Characterize.run (small_suite ()) in
   let model = fit.Core.Characterize.model in
   let c = Workloads.Suite.find "rs_soft" in
   let p0 = Core.Extract.profile c in
-  let eng =
-    Core.Profiler.create ~config:Sim.Config.default model c
-  in
-  let p1 =
-    Core.Extract.profile ~observers:[ Core.Profiler.observer eng ] c
-  in
+  let r = Core.Profiler.run model c in
   check Alcotest.int "cycles identical" p0.Core.Extract.cycles
-    p1.Core.Extract.cycles;
+    r.Core.Profiler.r_cycles;
   check Alcotest.int "instructions identical" p0.Core.Extract.instructions
-    p1.Core.Extract.instructions;
-  Array.iteri
-    (fun i v ->
+    r.Core.Profiler.r_instructions;
+  List.iter
+    (fun (row : Core.Attribution.row) ->
+      let i = Core.Variables.index row.Core.Attribution.variable in
       check Alcotest.bool (Printf.sprintf "variable %d bit-identical" i) true
-        (Int64.bits_of_float v
-        = Int64.bits_of_float p1.Core.Extract.variables.(i)))
-    p0.Core.Extract.variables;
+        (Int64.bits_of_float p0.Core.Extract.variables.(i)
+        = Int64.bits_of_float row.Core.Attribution.count))
+    r.Core.Profiler.r_breakdown.Core.Attribution.rows;
   let e0 = Core.Estimate.of_profile model p0 in
-  let e1 = Core.Estimate.of_profile model p1 in
   check Alcotest.bool "estimate bit-identical" true
     (Int64.bits_of_float e0.Core.Estimate.energy_pj
-    = Int64.bits_of_float e1.Core.Estimate.energy_pj)
+    = Int64.bits_of_float r.Core.Profiler.r_total_pj)
+
+(* The hook-fed engines allocate nothing per retirement: a profiled or
+   attributed run stays within one minor word per retired instruction of
+   an estimate's extraction (the event-fed ones cost ~50 more). *)
+let test_hook_allocation () =
+  let model = (Core.Characterize.run (small_suite ())).Core.Characterize.model in
+  let c = Workloads.Suite.find "rs_soft" in
+  Sim.Backend.with_current Sim.Backend.Threaded @@ fun () ->
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let extract () = Core.Extract.profile c in
+  let profile () = Core.Profiler.run model c in
+  let attribute () = Core.Attribution.run model c in
+  ignore (extract ());
+  ignore (profile ());
+  ignore (attribute ());
+  let base = words (fun () -> ignore (extract ())) in
+  let instructions = (extract ()).Core.Extract.instructions in
+  let over =
+    List.filter_map
+      (fun (what, f) ->
+        let per_instr = (words f -. base) /. float_of_int instructions in
+        if per_instr > 1.0 then
+          Some (Printf.sprintf "%s: %.2f" what per_instr)
+        else None)
+      [ ("Profiler.run", fun () -> ignore (profile ()));
+        ("Attribution.run", fun () -> ignore (attribute ())) ]
+  in
+  if over <> [] then
+    fail
+      (Printf.sprintf
+         "minor words per instruction beyond Extract.profile over %d \
+          instructions: %s"
+         instructions (String.concat ", " over))
 
 (* --- Observer-stream consistency --------------------------------------------- *)
 
@@ -1015,7 +1307,18 @@ let test_cache_key_sensitivity () =
       distinct "process-default backend"
         (Core.Eval_cache.key ~config:small_config case);
       check Alcotest.string "explicit backend overrides the default" k
-        (Core.Eval_cache.key ~backend:"threaded" ~config:small_config case))
+        (Core.Eval_cache.key ~backend:"threaded" ~config:small_config case));
+  (* Keys are memoized per physical case: a rebuilt copy of the same
+     program keys the same, and the memo never answers for other
+     inputs. *)
+  let copy = List.hd (small_suite ()) in
+  check Alcotest.bool "a distinct copy" true (copy != case);
+  check Alcotest.string "a copy keys the same" k
+    (Core.Eval_cache.key ~config:small_config copy);
+  distinct "configuration, after memoizing"
+    (Core.Eval_cache.key ~config:smaller_icache copy);
+  check Alcotest.string "the memo keeps both" k
+    (Core.Eval_cache.key ~config:small_config copy)
 
 let gnarly_entry =
   { Core.Eval_cache.e_name = "gnarly \"name\"\twith\nescapes";
@@ -1892,6 +2195,25 @@ let test_audit_json_round_trip () =
   | exception _ -> ()
   | _ -> fail "garbage accepted"
 
+(* A baseline carrying the bench harness's provenance header (or any
+   other field the reader does not know) parses to the same report. *)
+let test_audit_baseline_extra_fields () =
+  let model = audit_model () in
+  let cases = List.filteri (fun i _ -> i < 2) (small_suite ()) in
+  let json = Core.Audit.to_json (Core.Audit.run ~jobs:1 model cases) in
+  check Alcotest.bool "an object" true (json.[0] = '{');
+  let with_header =
+    "{\n  \"git_rev\": \"0123abc\",\n  \"ocaml\": \"5.1.1\",\n  \
+     \"nproc\": 2,\n  \"backend\": \"threaded\",\n  \"spread\": {\"x\": 1},"
+    ^ String.sub json 1 (String.length json - 1)
+  in
+  let plain = Core.Audit.of_json json in
+  let extended = Core.Audit.of_json with_header in
+  check Alcotest.string "same report" (Core.Audit.to_json plain)
+    (Core.Audit.to_json extended);
+  check Alcotest.bool "the gate passes against it" true
+    (Core.Audit.gate ~baseline:extended plain).Core.Audit.g_pass
+
 let test_audit_gate () =
   let model = audit_model () in
   let cases = List.filteri (fun i _ -> i < 2) (small_suite ()) in
@@ -2522,7 +2844,9 @@ let () =
         [ Alcotest.test_case "report" `Quick test_audit_report;
           Alcotest.test_case "json round trip" `Quick
             test_audit_json_round_trip;
-          Alcotest.test_case "gate" `Quick test_audit_gate ] );
+          Alcotest.test_case "gate" `Quick test_audit_gate;
+          Alcotest.test_case "baseline with provenance fields" `Quick
+            test_audit_baseline_extra_fields ] );
       ( "attribution",
         [ Alcotest.test_case "sums to total" `Quick
             test_attribution_sums_to_total;
@@ -2535,7 +2859,11 @@ let () =
           Alcotest.test_case "block invariants + renderers" `Quick
             test_profiler_block_invariants;
           Alcotest.test_case "detached bit-identity" `Quick
-            test_profiler_detached_identity ] );
+            test_profiler_detached_identity;
+          Alcotest.test_case "hook-fed = event-fold oracle" `Slow
+            test_hook_matches_event_fold;
+          Alcotest.test_case "hook path allocates no events" `Quick
+            test_hook_allocation ] );
       ( "observer stream",
         [ Alcotest.test_case "stats equal event fold" `Quick
             test_observer_stream_consistency ] ) ]

@@ -1044,6 +1044,176 @@ let test_backend_check_metrics () =
         (Sim.Cpu.instructions cpu)
         (Obs.Metrics.counter_value counter - before))
 
+(* --- Retire hook -------------------------------------------------------------- *)
+
+(* Every hook call of a run, in order, with its backend's machine. *)
+let hook_calls ?(observers = []) backend (c : Core.Extract.case) =
+  let calls = ref [] in
+  let cpu, _ =
+    Sim.Backend.run_program ~backend ?extension:c.Core.Extract.extension
+      ~hook:(fun i start cycles stall flags ->
+        calls := (i, start, cycles, stall, flags) :: !calls)
+      ~observers c.Core.Extract.asm
+  in
+  (List.rev !calls, cpu)
+
+(* Both backends report the same retirements to the hook, once each (a
+   checked run notifies from its threaded half only), and the reports
+   add up to the run. *)
+let test_hook_stream () =
+  List.iter
+    (fun name ->
+      let c = Workloads.Suite.find name in
+      let want, cpu = hook_calls Sim.Backend.Interp c in
+      check Alcotest.int (name ^ ": one call per retirement")
+        (Sim.Cpu.instructions cpu) (List.length want);
+      check Alcotest.int (name ^ ": cycles add up") (Sim.Cpu.cycles cpu)
+        (List.fold_left (fun a (_, _, cy, _, _) -> a + cy) 0 want);
+      check Alcotest.int (name ^ ": stalls add up")
+        (Sim.Tally.stats (Sim.Cpu.tally cpu)).Sim.Stats.stall_cycles
+        (List.fold_left (fun a (_, _, _, st, _) -> a + st) 0 want);
+      List.iter
+        (fun (backend, observers) ->
+          let got, _ = hook_calls ~observers backend c in
+          check Alcotest.bool
+            (Printf.sprintf "%s: %s%s calls = interpreter's" name
+               (Sim.Backend.name backend)
+               (if observers = [] then "" else " (observed)"))
+            true (got = want))
+        [ (Sim.Backend.Threaded, []);
+          (Sim.Backend.Threaded, [ (fun _ -> ()) ]);
+          (Sim.Backend.Check, []) ])
+    [ "gcd"; "des"; "rs_gfmac"; "custom_mix_mac"; "drawline" ]
+
+let hook_program () =
+  let open Isa.Builder in
+  let b = Isa.Builder.create "t" in
+  Isa.Builder.label b "main";
+  movi b a2 2;
+  addi b a2 a2 1;
+  Isa.Builder.halt b;
+  Isa.Program.assemble (Isa.Builder.seal b)
+
+(* The hook follows the observer contract: installed before the first
+   retirement or refused, and not carried by a clone. *)
+let test_hook_contract () =
+  let cpu = Sim.Cpu.create (hook_program ()) in
+  let calls = ref 0 in
+  Sim.Cpu.set_hook cpu (fun _ _ _ _ _ -> incr calls);
+  let shadow = Sim.Cpu.clone cpu in
+  ignore (Sim.Cpu.run_threaded shadow);
+  check Alcotest.int "a clone does not notify" 0 !calls;
+  (match Sim.Cpu.step cpu with
+   | `Step _ -> ()
+   | `Done _ -> fail "program ended before the first instruction");
+  check Alcotest.int "a step notifies" 1 !calls;
+  (match Sim.Cpu.set_hook cpu (fun _ _ _ _ _ -> ()) with
+   | exception Sim.Cpu.Sim_error _ -> ()
+   | () -> fail "late hook accepted");
+  ignore (Sim.Cpu.run cpu);
+  check Alcotest.int "the original hook keeps notifying"
+    (Sim.Cpu.instructions cpu) !calls;
+  match Sim.Cpu.set_hook cpu (fun _ _ _ _ _ -> ()) with
+  | exception Sim.Cpu.Sim_error _ -> ()
+  | () -> fail "hook accepted after the run finished"
+
+exception Hook_fault
+
+(* A hook that raises mid-run stops the threaded loop with the machine
+   exactly where the interpreter is after as many steps: the tally
+   settled through the faulting retirement (class cycles included), the
+   icache's counter-only hits flushed, and the retirement metrics
+   counted. *)
+let test_hook_fault () =
+  let c = Workloads.Suite.find "rs_gfmac" in
+  let ext = c.Core.Extract.extension in
+  let weights = Core.Resource.weights ext in
+  let n = 777 in
+  let counter = Obs.Metrics.counter "sim_instructions_total" in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) @@ fun () ->
+  let before = Obs.Metrics.counter_value counter in
+  let cpu =
+    Sim.Cpu.create ?extension:ext
+      ~tally:(Sim.Tally.create ~weights Sim.Config.default)
+      c.Core.Extract.asm
+  in
+  let calls = ref 0 in
+  Sim.Cpu.set_hook cpu (fun _ _ _ _ _ ->
+      incr calls;
+      if !calls = n then raise Hook_fault);
+  (match Sim.Cpu.run_threaded cpu with
+   | exception Hook_fault -> ()
+   | _ -> fail "the hook's exception was swallowed");
+  check Alcotest.int "metrics count the retired prefix" n
+    (Obs.Metrics.counter_value counter - before);
+  let reference =
+    Sim.Cpu.create ?extension:ext
+      ~tally:(Sim.Tally.create ~weights Sim.Config.default)
+      c.Core.Extract.asm
+  in
+  for _ = 1 to n do
+    ignore (Sim.Cpu.step reference)
+  done;
+  check Alcotest.int "retired" n (Sim.Cpu.instructions cpu);
+  check Alcotest.int "cycles" (Sim.Cpu.cycles reference) (Sim.Cpu.cycles cpu);
+  check Alcotest.(option string) "tally settled" None
+    (Sim.Tally.diff (Sim.Cpu.tally reference) (Sim.Cpu.tally cpu));
+  let ic m = Sim.Cache.stats (Sim.Cpu.icache m) in
+  check Alcotest.int "icache accesses flushed"
+    (ic reference).Sim.Cache.accesses (ic cpu).Sim.Cache.accesses;
+  check Alcotest.int "icache hits flushed" (ic reference).Sim.Cache.hits
+    (ic cpu).Sim.Cache.hits
+
+(* Metrics never force events: the [sim_*] counters a run adds are the
+   same with no observer (counted once at the end), with a no-op
+   observer (the event path) and on the interpreter (per event). *)
+let test_metrics_without_events () =
+  let names =
+    [ "sim_instructions_total"; "sim_cycles_total"; "sim_stall_cycles_total";
+      "sim_interlocks_total"; "sim_icache_misses_total";
+      "sim_dcache_misses_total" ]
+  in
+  let counters =
+    List.map (fun n -> (n, Obs.Metrics.counter n)) names
+    @ List.map
+        (fun cl ->
+          ( "class " ^ cl,
+            Obs.Metrics.counter ~labels:[ ("class", cl) ]
+              "sim_class_instructions_total" ))
+        [ "arith"; "load"; "store"; "jump"; "branch"; "custom" ]
+  in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) @@ fun () ->
+  List.iter
+    (fun name ->
+      let c = Workloads.Suite.find name in
+      let delta backend observers =
+        let before =
+          List.map (fun (_, k) -> Obs.Metrics.counter_value k) counters
+        in
+        ignore
+          (Sim.Backend.run_program ~backend ?extension:c.Core.Extract.extension
+             ~observers c.Core.Extract.asm);
+        List.map2
+          (fun (n, k) b -> (n, Obs.Metrics.counter_value k - b))
+          counters before
+      in
+      let events = delta Sim.Backend.Threaded [ (fun _ -> ()) ] in
+      check Alcotest.bool (name ^ ": something counted") true
+        (List.assoc "sim_instructions_total" events > 0);
+      List.iter
+        (fun (what, got) ->
+          List.iter2
+            (fun (n, want) (_, v) ->
+              check Alcotest.int
+                (Printf.sprintf "%s %s: %s" name what n)
+                want v)
+            events got)
+        [ ("unobserved", delta Sim.Backend.Threaded []);
+          ("interpreted", delta Sim.Backend.Interp []) ])
+    [ "gcd"; "des"; "rs_gfmac"; "custom_mix_mac" ]
+
 (* --- Shared cases ------------------------------------------------------------ *)
 
 (* A daemon's connection threads simulate the one cached case per name,
@@ -1168,6 +1338,14 @@ let () =
           Alcotest.test_case "selection" `Quick test_backend_selection;
           Alcotest.test_case "override is per thread" `Quick
             test_backend_thread_isolation ] );
+      ( "retire hook",
+        [ Alcotest.test_case "same calls on every backend" `Quick
+            test_hook_stream;
+          Alcotest.test_case "contract" `Quick test_hook_contract;
+          Alcotest.test_case "a raising hook leaves the machine settled"
+            `Quick test_hook_fault;
+          Alcotest.test_case "metrics without events" `Quick
+            test_metrics_without_events ] );
 ( "shared cases",
         [ Alcotest.test_case "concurrent runs on one case" `Quick
             test_shared_case_concurrency ] );
