@@ -275,7 +275,7 @@ and characterize_bench () =
       (List.length cases) serial_s par_s jobs (serial_s /. par_s)
       max_rel_delta
       (Core.Run_report.total_simulations serial_report)
-      (Core.Run_report.to_json par_report)
+      (Obs.Json.print (Core.Run_report.to_json par_report))
   in
   Out_channel.with_open_text "BENCH_characterize.json" (fun oc ->
       Out_channel.output_string oc json;
@@ -495,7 +495,7 @@ let accuracy_bench () =
   in
   Format.fprintf fmt "%a@." Core.Audit.pp report;
   Out_channel.with_open_text "BENCH_accuracy.json" (fun oc ->
-      Out_channel.output_string oc (Core.Audit.to_json report);
+      Out_channel.output_string oc (Obs.Json.print (Core.Audit.to_json report));
       Out_channel.output_char oc '\n');
   Format.fprintf fmt "(written to BENCH_accuracy.json)@."
 

@@ -50,6 +50,8 @@ open Cmdliner
 
 let fmt = Format.std_formatter
 
+let print_json j = print_endline (Obs.Json.print j)
+
 (* Diagnostics go to stderr and exit with Cmdliner's conventional
    some_error code, keeping stdout clean for pipeline consumers. *)
 let die f =
@@ -266,7 +268,7 @@ let profile_cmd =
     if top <= 0 then die "--top must be positive";
     let model = load_or_fit ?jobs model_path in
     let r = Core.Profiler.run model c in
-    if json then print_string (Core.Profiler.to_json r ^ "\n")
+    if json then print_json (Core.Profiler.to_json r)
     else begin
       Format.fprintf fmt "%a@." (Core.Profiler.pp_table ~top) r;
       if per_opcode then
@@ -438,12 +440,11 @@ let attribute_cmd =
     in
     let ref_pj = Power.Estimator.total_energy est in
     if json then
-      Format.fprintf fmt
-        "{\"attribution\": %s,@ \"reference_energy_pj\": %.6f,@ \
-         \"reference_waveform\": %s}@."
-        (Core.Attribution.to_json b)
-        ref_pj
-        (Obs.Waveform.to_json ref_wf)
+      print_json
+        (Obs.Json.Obj
+           [ ("attribution", Core.Attribution.to_json b);
+             ("reference_energy_pj", Obs.Json.Num ref_pj);
+             ("reference_waveform", Obs.Waveform.to_json ref_wf) ])
     else begin
       Format.fprintf fmt "%a@." Core.Attribution.pp b;
       Format.fprintf fmt
@@ -788,7 +789,7 @@ let explore_cmd =
         (build_space ())
     in
     let rendered =
-      if json then Core.Explore.to_json outcome ^ "\n"
+      if json then Obs.Json.print (Core.Explore.to_json outcome) ^ "\n"
       else if csv then Core.Explore.to_csv ~pareto_only:pareto outcome
       else
         Format.asprintf "%a@."
@@ -846,17 +847,18 @@ let cache_cmd =
       let s = Core.Eval_cache.disk_stats dir in
       let now = Unix.gettimeofday () in
       if json then
-        Format.fprintf fmt
-          "{\"entries\": %d, \"bytes\": %d, \"oldest_age_seconds\": %s, \
-           \"newest_age_seconds\": %s, \"index_rebuilt\": %b}@."
-          s.Core.Eval_cache.d_entries s.Core.Eval_cache.d_bytes
-          (match s.Core.Eval_cache.d_oldest with
-           | None -> "null"
-           | Some t -> Printf.sprintf "%.1f" (Float.max 0.0 (now -. t)))
-          (match s.Core.Eval_cache.d_newest with
-           | None -> "null"
-           | Some t -> Printf.sprintf "%.1f" (Float.max 0.0 (now -. t)))
-          s.Core.Eval_cache.d_index_rebuilt
+        let age_s = function
+          | None -> Obs.Json.Null
+          | Some t -> Obs.Json.Num (Float.max 0.0 (now -. t))
+        in
+        print_json
+          (Obs.Json.Obj
+             [ ("entries", Obs.Json.int s.Core.Eval_cache.d_entries);
+               ("bytes", Obs.Json.int s.Core.Eval_cache.d_bytes);
+               ("oldest_age_seconds", age_s s.Core.Eval_cache.d_oldest);
+               ("newest_age_seconds", age_s s.Core.Eval_cache.d_newest);
+               ( "index_rebuilt",
+                 Obs.Json.Bool s.Core.Eval_cache.d_index_rebuilt ) ])
       else
         Format.fprintf fmt
           "%s: %d entr%s, %s@.least recently used: %s@.most recently \
@@ -1024,13 +1026,14 @@ let audit_cmd =
       let report =
         Core.Audit.run ?jobs ~cache model (Workloads.Suite.applications ())
       in
-      if json then print_string (Core.Audit.to_json report ^ "\n")
+      if json then print_json (Core.Audit.to_json report)
       else Format.fprintf fmt "%a@." Core.Audit.pp report;
       (match out with
        | Some path ->
          (try
             Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc (Core.Audit.to_json report);
+                Out_channel.output_string oc
+                  (Obs.Json.print (Core.Audit.to_json report));
                 Out_channel.output_char oc '\n')
           with Sys_error msg -> die "cannot write accuracy report: %s" msg);
          Format.eprintf "accuracy report written to %s@." path
@@ -1203,7 +1206,7 @@ let serve_cmd =
           client_call ~socket ~timeout (Obs.Json.Obj [ ("op", Obs.Json.Str "ping") ])
         in
         if not (response_ok resp) then die "ping refused";
-        print_endline (Serve.Protocol.json_to_string resp)
+        print_endline (Obs.Json.print resp)
       end;
       if status then begin
         let resp =
@@ -1211,7 +1214,7 @@ let serve_cmd =
             (Obs.Json.Obj [ ("op", Obs.Json.Str "status") ])
         in
         if not (response_ok resp) then die "status refused";
-        print_endline (Serve.Protocol.json_to_string resp)
+        print_endline (Obs.Json.print resp)
       end;
       (match call with
        | [] -> ()
@@ -1233,7 +1236,7 @@ let serve_cmd =
                  List.iter
                    (fun req ->
                      print_endline
-                       (Serve.Protocol.json_to_string
+                       (Obs.Json.print
                           (Serve.Client.session_call ~timeout_s:timeout session
                              req)))
                    reqs)));

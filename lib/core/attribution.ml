@@ -278,34 +278,22 @@ let pp ppf b =
     (Obs.Waveform.bucket_cycles b.waveform)
     Obs.Waveform.pp b.waveform
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json b =
-  let row_json r =
-    Printf.sprintf
-      "{\"variable\": \"%s\", \"description\": \"%s\", \"count\": %.6f, \
-       \"coefficient_pj\": %.6f, \"energy_pj\": %.6f, \"share\": %.6f}"
-      (json_escape (Variables.name r.variable))
-      (json_escape (Variables.describe r.variable))
-      r.count r.coefficient_pj r.energy_pj r.share
+  let module J = Obs.Json in
+  let row r =
+    J.Obj
+      [ ("variable", J.Str (Variables.name r.variable));
+        ("description", J.Str (Variables.describe r.variable));
+        ("count", J.Num r.count);
+        ("coefficient_pj", J.Num r.coefficient_pj);
+        ("energy_pj", J.Num r.energy_pj);
+        ("share", J.Num r.share) ]
   in
-  Printf.sprintf
-    "{\n  \"workload\": \"%s\",\n  \"units\": {\"energy_pj\": \
-     \"picojoules\"},\n  \"total_energy_pj\": %.6f,\n  \"cycles\": %d,\n  \
-     \"instructions\": %d,\n  \"variables\": [\n    %s\n  ],\n  \
-     \"waveform\": %s\n}"
-    (json_escape b.workload) b.total_pj b.cycles b.instructions
-    (String.concat ",\n    " (List.map row_json b.rows))
-    (Obs.Waveform.to_json b.waveform)
+  J.Obj
+    [ ("workload", J.Str b.workload);
+      ("units", J.Obj [ ("energy_pj", J.Str "picojoules") ]);
+      ("total_energy_pj", J.Num b.total_pj);
+      ("cycles", J.int b.cycles);
+      ("instructions", J.int b.instructions);
+      ("variables", J.Arr (List.map row b.rows));
+      ("waveform", Obs.Waveform.to_json b.waveform) ]

@@ -95,5 +95,5 @@ val check_sum : breakdown -> float
 val pp : Format.formatter -> breakdown -> unit
 (** Per-variable table (uJ alongside pJ) followed by the waveform. *)
 
-val to_json : breakdown -> string
+val to_json : breakdown -> Obs.Json.t
 (** Units are explicit: all energies are picojoules. *)

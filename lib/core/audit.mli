@@ -51,13 +51,13 @@ val run :
     returning.
     @raise Invalid_argument on an empty case list. *)
 
-val to_json : report -> string
+val to_json : report -> Obs.Json.t
 (** Stable machine-readable document (format ["xenergy-accuracy"],
     version 1, units stated): summary statistics plus one row per
     program.  This is what [BENCH_accuracy.json] holds. *)
 
 val of_json : string -> report
-(** Parse {!to_json} output (e.g. a committed baseline).
+(** Parse a printed {!to_json} document (e.g. a committed baseline).
     @raise Obs.Json.Parse_error or [Failure] on malformed input. *)
 
 type gate_result = {

@@ -46,36 +46,19 @@ let entries t =
 
 (* --- On-disk document ----------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"format\": \"xenergy-cache-index\",\n";
-  Buffer.add_string b "  \"version\": 1,\n";
-  Buffer.add_string b "  \"entries\": [";
-  List.iteri
-    (fun i m ->
-      Printf.bprintf b "%s\n    {\"key\": \"%s\", \"name\": \"%s\", \
-                        \"size\": %d, \"last_used\": %.6f}"
-        (if i = 0 then "" else ",")
-        m.m_key (json_escape m.m_name) m.m_size m.m_last_used)
-    (entries t);
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let module J = Obs.Json in
+  let entry m =
+    J.Obj
+      [ ("key", J.Str m.m_key);
+        ("name", J.Str m.m_name);
+        ("size", J.int m.m_size);
+        ("last_used", J.Num m.m_last_used) ]
+  in
+  J.Obj
+    [ ("format", J.Str "xenergy-cache-index");
+      ("version", J.int 1);
+      ("entries", J.Arr (List.map entry (entries t))) ]
 
 let load dir =
   match
@@ -166,7 +149,7 @@ let reconcile dir t =
   (!added, !dropped)
 
 let save dir t =
-  let doc = to_json t in
+  let doc = Obs.Json.print (to_json t) ^ "\n" in
   let tmp = Filename.temp_file ~temp_dir:dir "index" ".tmp" in
   try
     Out_channel.with_open_text tmp (fun oc ->

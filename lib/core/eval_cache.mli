@@ -132,17 +132,17 @@ val diff : stats -> stats -> stats
 (** [diff later earlier] — per-field subtraction, for reporting the
     delta of one sweep. *)
 
-val entry_to_json : key:string -> entry -> string
-(** The on-disk document.  Floats are printed with ["%.17g"], so a
-    load returns bit-identical values — warm sweeps reproduce cold
-    sweeps exactly.
+val entry_to_json : key:string -> entry -> Obs.Json.t
+(** The on-disk document, stored as {!Obs.Json.print} prints it: a load
+    returns bit-identical values — warm sweeps reproduce cold sweeps
+    exactly.
     @raise Failure when the entry holds a non-finite float (no JSON
     encoding; {!store} converts that into an error-counted skipped
     disk write). *)
 
 val entry_of_json : expect_key:string -> string -> entry
-(** Parse {!entry_to_json} output, validating format, version, key and
-    variable-vector length.
+(** Parse a printed {!entry_to_json} document, validating format,
+    version, key and variable-vector length.
     @raise Obs.Json.Parse_error (or [Failure]) on any mismatch — {!find}
     converts that into an error-counted miss. *)
 

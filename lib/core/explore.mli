@@ -127,7 +127,7 @@ val evaluate :
     configuration, memoized through [cache].  [configs_characterized]
     is 0. *)
 
-val to_json : outcome -> string
+val to_json : outcome -> Obs.Json.t
 (** Machine-readable sweep record: per-point rows, frontier membership,
     simulation/cache counters, and (with [profile_top]) each frontier
     point's truncated hotspot profile under ["profiles"]; energies are

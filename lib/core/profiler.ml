@@ -416,50 +416,43 @@ let folded_lines ?(energy = false) r =
     r.r_folded;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ?top r =
+  let module J = Obs.Json in
   let hot =
     match top with
     | None -> Array.to_list r.r_hot
     | Some n -> Array.to_list (Array.sub r.r_hot 0 (min n (Array.length r.r_hot)))
   in
-  let block_json b =
-    Printf.sprintf
-      "{\"label\": \"%s\", \"addr\": %d, \"last_addr\": %d, \
-       \"instructions\": %d, \"entries\": %d, \"retired\": %d, \
-       \"cycles\": %d, \"stall_cycles\": %d, \"icache_misses\": %d, \
-       \"dcache_misses\": %d, \"energy_pj\": %.6f}"
-      (json_escape b.b_label) b.b_addr b.b_last b.b_slots b.b_entries
-      b.b_retired b.b_cycles b.b_stall_cycles b.b_icache_misses
-      b.b_dcache_misses b.b_energy_pj
+  let block b =
+    J.Obj
+      [ ("label", J.Str b.b_label);
+        ("addr", J.int b.b_addr);
+        ("last_addr", J.int b.b_last);
+        ("instructions", J.int b.b_slots);
+        ("entries", J.int b.b_entries);
+        ("retired", J.int b.b_retired);
+        ("cycles", J.int b.b_cycles);
+        ("stall_cycles", J.int b.b_stall_cycles);
+        ("icache_misses", J.int b.b_icache_misses);
+        ("dcache_misses", J.int b.b_dcache_misses);
+        ("energy_pj", J.Num b.b_energy_pj) ]
   in
-  let op_json o =
-    Printf.sprintf
-      "{\"opcode\": \"%s\", \"count\": %d, \"cycles\": %d, \"energy_pj\": %.6f}"
-      (json_escape o.op_name) o.op_hits o.op_cycles o.op_energy_pj
+  let opcode o =
+    J.Obj
+      [ ("opcode", J.Str o.op_name);
+        ("count", J.int o.op_hits);
+        ("cycles", J.int o.op_cycles);
+        ("energy_pj", J.Num o.op_energy_pj) ]
   in
-  Printf.sprintf
-    "{\n  \"workload\": \"%s\",\n  \"units\": {\"energy_pj\": \
-     \"picojoules\"},\n  \"cycles\": %d,\n  \"instructions\": %d,\n  \
-     \"total_energy_pj\": %.6f,\n  \"blocks_total\": %d,\n  \
-     \"blocks_executed\": %d,\n  \"cycle_gap\": %d,\n  \
-     \"energy_gap_rel\": %.3e,\n  \"blocks\": [\n    %s\n  ],\n  \
-     \"opcodes\": [\n    %s\n  ]\n}"
-    (json_escape r.r_workload) r.r_cycles r.r_instructions r.r_total_pj
-    (Array.length r.r_blocks) (Array.length r.r_hot) r.r_cycle_gap
-    r.r_energy_gap
-    (String.concat ",\n    " (List.map block_json hot))
-    (String.concat ",\n    " (List.map op_json r.r_opcodes))
+  J.Obj
+    [ ("workload", J.Str r.r_workload);
+      ("units", J.Obj [ ("energy_pj", J.Str "picojoules") ]);
+      ("cycles", J.int r.r_cycles);
+      ("instructions", J.int r.r_instructions);
+      ("total_energy_pj", J.Num r.r_total_pj);
+      ("blocks_total", J.int (Array.length r.r_blocks));
+      ("blocks_executed", J.int (Array.length r.r_hot));
+      ("cycle_gap", J.int r.r_cycle_gap);
+      ("energy_gap_rel", J.Num r.r_energy_gap);
+      ("blocks", J.Arr (List.map block hot));
+      ("opcodes", J.Arr (List.map opcode r.r_opcodes)) ]

@@ -105,7 +105,7 @@ val folded_lines : ?energy:bool -> report -> string
     counts are cycles, or rounded picojoules with [~energy:true].
     Feed to a flame-graph renderer. *)
 
-val to_json : ?top:int -> report -> string
+val to_json : ?top:int -> report -> Obs.Json.t
 (** Full report as JSON (all executed blocks unless [top] is given —
     conservation checks need the complete set); energies in picojoules,
     conservation gaps included. *)

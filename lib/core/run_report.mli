@@ -55,13 +55,13 @@ val total_energy_pj : t -> float
 val pp : Format.formatter -> t -> unit
 (** Human-readable table (energies in uJ). *)
 
-val to_json : t -> string
+val to_json : t -> Obs.Json.t
 (** The report as a JSON document (an explicit ["units"] object states
     the energy and time units). *)
 
 val of_json : string -> t
-(** Parse a document produced by {!to_json} (round-trip safe up to the
-    emitter's 1e-6 float formatting).
+(** Parse a printed {!to_json} document (round-trip exact: numbers
+    print with enough digits to recover every double).
     @raise Obs.Json.Parse_error on malformed input. *)
 
 val save : string -> t -> unit

@@ -198,3 +198,73 @@ let to_int = function
 
 let to_string = function Str s -> s | _ -> fail "expected string"
 let to_list = function Arr l -> l | _ -> fail "expected array"
+
+let int n = Num (float_of_int n)
+
+(* --- Printing ------------------------------------------------------------- *)
+
+(* Does [s] from [i] on print verbatim (no quote, backslash or control
+   character)?  Most strings do, and then go out without a copy. *)
+let rec verbatim s i =
+  i >= String.length s
+  ||
+  let c = String.unsafe_get s i in
+  c <> '"' && c <> '\\' && Char.code c >= 0x20 && verbatim s (i + 1)
+
+let escape s =
+  if verbatim s 0 then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  end
+
+let add_num b f =
+  if Float.is_nan f || Float.abs f = Float.infinity then
+    Buffer.add_string b "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
+    Printf.bprintf b "%.0f" f
+  else Printf.bprintf b "%.17g" f
+
+let add_str b s =
+  Buffer.add_char b '"';
+  Buffer.add_string b (escape s);
+  Buffer.add_char b '"'
+
+let print j =
+  let b = Buffer.create 256 in
+  let rec go = function
+    | Null -> Buffer.add_string b "null"
+    | Bool v -> Buffer.add_string b (if v then "true" else "false")
+    | Num f -> add_num b f
+    | Str s -> add_str b s
+    | Arr l ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string b ", ";
+          go v)
+        l;
+      Buffer.add_char b ']'
+    | Obj fields ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_string b ", ";
+          add_str b k;
+          Buffer.add_string b ": ";
+          go v)
+        fields;
+      Buffer.add_char b '}'
+  in
+  go j;
+  Buffer.contents b

@@ -1,10 +1,12 @@
-(** Minimal JSON parser.
+(** The repository's one JSON codec: a value type, a strict parser and
+    one printer.
 
-    Just enough to read back the documents this repository emits (run
-    reports, metrics dumps, Chrome traces) for round-trip tests and
-    tooling — no dependency is worth it for that.  Parsing is strict
-    RFC-8259 apart from accepting any IEEE float syntax OCaml's
-    [float_of_string] does. *)
+    Every JSON document the repository writes — CLI [--json] output,
+    report files, eval-cache entries, daemon responses — is built as a
+    {!t} and printed by {!print}; the streaming writers in {!Log},
+    {!Trace} and {!Metrics} share {!escape}.  Parsing is strict RFC-8259
+    apart from accepting any IEEE float syntax OCaml's [float_of_string]
+    does.  No dependency is worth it for that. *)
 
 type t =
   | Null
@@ -34,3 +36,20 @@ val to_string : t -> string
 
 val to_list : t -> t list
 (** Array elements.  @raise Parse_error on a non-array. *)
+
+val int : int -> t
+(** [Num] of an integer: exact below 2{^53} in magnitude. *)
+
+val escape : string -> string
+(** The body of a JSON string literal for [s] (without the quotes):
+    quote, backslash and control characters escaped, newline as [\n]
+    and the others as [\u00XX].  Returns [s] itself when nothing needs
+    escaping. *)
+
+val print : t -> string
+(** Print a value compactly, keys in construction order.  The one
+    number rule: non-finite floats print as [null] (they have no JSON
+    encoding), integral values below 1e15 in magnitude as [%.0f], and
+    everything else as [%.17g], enough digits for {!parse} to recover
+    the exact double.  So [parse (print v) = v] for every finite [v],
+    bit for bit. *)

@@ -90,22 +90,8 @@ let init_from_env () =
 
 let enabled () = !sink <> None
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let arg_json = function
-  | Trace.S s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Trace.S s -> Printf.sprintf "\"%s\"" (Json.escape s)
   | Trace.I i -> string_of_int i
   | Trace.F f ->
     (* JSON numbers must be finite. *)
@@ -122,14 +108,14 @@ let event ?(level = Info) name fields =
       "{\"ts_us\": %.3f, \"level\": \"%s\", \"tid\": %d, \"pid\": %d, \
        \"event\": \"%s\""
       (Trace.now_us ()) (level_to_string level) (Trace.tid ())
-      (Unix.getpid ()) (json_escape name);
+      (Unix.getpid ()) (Json.escape name);
     (match Trace.context () with
     | Some c ->
-      Printf.bprintf b ", \"trace_id\": \"%s\"" (json_escape c.Trace.trace_id)
+      Printf.bprintf b ", \"trace_id\": \"%s\"" (Json.escape c.Trace.trace_id)
     | None -> ());
     List.iter
       (fun (k, v) ->
-        Printf.bprintf b ", \"%s\": %s" (json_escape k) (arg_json v))
+        Printf.bprintf b ", \"%s\": %s" (Json.escape k) (arg_json v))
       fields;
     Buffer.add_string b "}\n";
     let line = Buffer.contents b in

@@ -217,20 +217,6 @@ let reset () =
 
 (* --- output -------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* JSON numbers must be finite. *)
 let json_float x =
   if Float.is_integer x && Float.abs x < 1e15 then
@@ -242,14 +228,14 @@ let labels_json labels =
   String.concat ", "
     (List.map
        (fun (k, v) ->
-         Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v))
+         Printf.sprintf "\"%s\": \"%s\"" (Json.escape k) (Json.escape v))
        labels)
 
 let instrument_json i =
   let head name labels help typ =
     Printf.sprintf
       "\"name\": \"%s\", \"type\": \"%s\", \"help\": \"%s\", \"labels\": {%s}"
-      (json_escape name) typ (json_escape help) (labels_json labels)
+      (Json.escape name) typ (Json.escape help) (labels_json labels)
   in
   match i with
   | Counter c ->

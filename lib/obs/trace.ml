@@ -227,22 +227,8 @@ let drain () = List.rev_map event_of (Atomic.exchange buf [])
 
 (* --- Chrome trace-event JSON --------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let arg_json = function
-  | S s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | S s -> Printf.sprintf "\"%s\"" (Json.escape s)
   | I i -> string_of_int i
   | F f ->
     if Float.is_nan f || Float.abs f = Float.infinity then "0"
@@ -258,7 +244,7 @@ let event_json e =
         (String.concat ", "
            (List.map
               (fun (k, v) ->
-                Printf.sprintf "\"%s\": %s" (json_escape k) (arg_json v))
+                Printf.sprintf "\"%s\": %s" (Json.escape k) (arg_json v))
               args))
   in
   let dur =
@@ -269,8 +255,8 @@ let event_json e =
   Printf.sprintf
     "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", \"ts\": %.3f%s, \
      \"pid\": 1, \"tid\": %d%s%s}"
-    (json_escape e.ev_name)
-    (json_escape (if e.ev_cat = "" then "xenergy" else e.ev_cat))
+    (Json.escape e.ev_name)
+    (Json.escape (if e.ev_cat = "" then "xenergy" else e.ev_cat))
     e.ev_ph e.ev_ts dur e.ev_tid scope args
 
 let to_json es =

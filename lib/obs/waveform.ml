@@ -35,16 +35,16 @@ let reset t =
   t.used <- 0
 
 let to_json t =
-  let bs =
-    Array.to_list
-      (Array.map
-         (fun (c, e) ->
-           Printf.sprintf "{\"cycle\": %d, \"energy_pj\": %.6f}" c e)
-         (buckets t))
-  in
-  Printf.sprintf
-    "{\"bucket_cycles\": %d, \"unit\": \"pJ\", \"buckets\": [%s]}"
-    t.bucket_cycles (String.concat ", " bs)
+  Json.Obj
+    [ ("bucket_cycles", Json.int t.bucket_cycles);
+      ("unit", Json.Str "pJ");
+      ( "buckets",
+        Json.Arr
+          (Array.to_list
+             (Array.map
+                (fun (c, e) ->
+                  Json.Obj [ ("cycle", Json.int c); ("energy_pj", Json.Num e) ])
+                (buckets t))) ) ]
 
 let pp ppf t =
   let bs = buckets t in

@@ -28,7 +28,7 @@ val total_pj : t -> float
 val reset : t -> unit
 (** Zero all buckets, keeping the bin width. *)
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** [{"bucket_cycles": n, "unit": "pJ", "buckets": [{"cycle": c,
     "energy_pj": e}, ...]}]. *)
 

@@ -19,7 +19,7 @@ let close s =
   end
 
 let raw_call ?timeout_s s req =
-  Protocol.write_frame s.s_fd (Protocol.json_to_string req);
+  Protocol.write_frame s.s_fd (Obs.Json.print req);
   let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) timeout_s in
   match Protocol.read_frame ?deadline s.s_fd with
   | Some payload -> Obs.Json.parse payload

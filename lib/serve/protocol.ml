@@ -95,66 +95,4 @@ let write_frame ?deadline fd payload =
   Bytes.blit_string payload 0 b 4 n;
   write_all ~deadline fd b 0 (4 + n)
 
-(* --- JSON printing -------------------------------------------------------- *)
-
-(* Does [s] from [i] on print verbatim (no quote, backslash or control
-   character)?  Most strings do, and then go out in one blit. *)
-let rec verbatim s i =
-  i >= String.length s
-  ||
-  let c = String.unsafe_get s i in
-  c <> '"' && c <> '\\' && Char.code c >= 0x20 && verbatim s (i + 1)
-
-let escape b s =
-  if verbatim s 0 then Buffer.add_string b s
-  else
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s
-
-let add_num b f =
-  if Float.is_nan f || Float.abs f = Float.infinity then
-    Buffer.add_string b "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.bprintf b "%.0f" f
-  else Printf.bprintf b "%.17g" f
-
-let json_to_string j =
-  let b = Buffer.create 256 in
-  let rec go = function
-    | Obs.Json.Null -> Buffer.add_string b "null"
-    | Obs.Json.Bool v -> Buffer.add_string b (if v then "true" else "false")
-    | Obs.Json.Num f -> add_num b f
-    | Obs.Json.Str s ->
-      Buffer.add_char b '"';
-      escape b s;
-      Buffer.add_char b '"'
-    | Obs.Json.Arr l ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_string b ", ";
-          go v)
-        l;
-      Buffer.add_char b ']'
-    | Obs.Json.Obj fields ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string b ", ";
-          Buffer.add_char b '"';
-          escape b k;
-          Buffer.add_string b "\": ";
-          go v)
-        fields;
-      Buffer.add_char b '}'
-  in
-  go j;
-  Buffer.contents b
+let json_to_string = Obs.Json.print

@@ -42,8 +42,4 @@ val read_frame : ?deadline:float -> Unix.file_descr -> string option
     deadline passes mid-frame. *)
 
 val json_to_string : Obs.Json.t -> string
-(** Print a JSON value in the repository's house style: compact, keys
-    in construction order, non-finite floats as [null] (they have no
-    JSON encoding), integral floats without a fractional part and
-    everything else with enough digits to round-trip through
-    {!Obs.Json.parse} bit-exactly. *)
+(** {!Obs.Json.print}, kept under this name for existing callers. *)

@@ -297,6 +297,16 @@ let backend_name () = Sim.Backend.name (Sim.Backend.current ())
 
 let error_resp msg = J.Obj [ ("ok", J.Bool false); ("error", J.Str msg) ]
 
+(* The answer of an op served under one registry model. *)
+let model_resp op (lookup : Registry.lookup) fields =
+  J.Obj
+    ([ ("ok", J.Bool true);
+       ("op", J.Str op);
+       ("model_key", J.Str lookup.Registry.l_key);
+       ("registry_hit", J.Bool lookup.Registry.l_hit);
+       ("backend", J.Str (backend_name ())) ]
+    @ fields)
+
 (* --- Ops ------------------------------------------------------------------ *)
 
 let handle_estimate t px req =
@@ -336,17 +346,12 @@ let handle_estimate t px req =
       [ ("name", J.Str n);
         ("energy_pj", J.Num pj);
         ("energy_uj", J.Num (pj *. 1e-6));
-        ("cycles", J.Num (float_of_int e.Core.Eval_cache.e_cycles));
-        ("instructions", J.Num (float_of_int e.Core.Eval_cache.e_instructions));
+        ("cycles", J.int e.Core.Eval_cache.e_cycles);
+        ("instructions", J.int e.Core.Eval_cache.e_instructions);
         ("cached", J.Bool cached) ]
   in
-  J.Obj
-    [ ("ok", J.Bool true);
-      ("op", J.Str "estimate");
-      ("model_key", J.Str lookup.Registry.l_key);
-      ("registry_hit", J.Bool lookup.Registry.l_hit);
-      ("backend", J.Str (backend_name ()));
-      ("results", J.Arr (List.map2 row names rows)) ]
+  model_resp "estimate" lookup
+    [ ("results", J.Arr (List.map2 row names rows)) ]
 
 let handle_attribute t px req =
   let name = str_field ~op:"attribute" "workload" req in
@@ -363,13 +368,8 @@ let handle_attribute t px req =
       lookup.Registry.l_model case
   in
   phase px "serialize" @@ fun () ->
-  J.Obj
-    [ ("ok", J.Bool true);
-      ("op", J.Str "attribute");
-      ("model_key", J.Str lookup.Registry.l_key);
-      ("registry_hit", J.Bool lookup.Registry.l_hit);
-      ("backend", J.Str (backend_name ()));
-      ("attribution", J.parse (Core.Attribution.to_json b)) ]
+  model_resp "attribute" lookup
+    [ ("attribution", Core.Attribution.to_json b) ]
 
 let handle_profile t px req =
   let name = str_field ~op:"profile" "workload" req in
@@ -385,13 +385,7 @@ let handle_profile t px req =
     Core.Profiler.run ~config lookup.Registry.l_model case
   in
   phase px "serialize" @@ fun () ->
-  J.Obj
-    [ ("ok", J.Bool true);
-      ("op", J.Str "profile");
-      ("model_key", J.Str lookup.Registry.l_key);
-      ("registry_hit", J.Bool lookup.Registry.l_hit);
-      ("backend", J.Str (backend_name ()));
-      ("profile", J.parse (Core.Profiler.to_json ?top r)) ]
+  model_resp "profile" lookup [ ("profile", Core.Profiler.to_json ?top r) ]
 
 let handle_audit t px req =
   let cases =
@@ -408,13 +402,7 @@ let handle_audit t px req =
       lookup.Registry.l_model cases
   in
   phase px "serialize" @@ fun () ->
-  J.Obj
-    [ ("ok", J.Bool true);
-      ("op", J.Str "audit");
-      ("model_key", J.Str lookup.Registry.l_key);
-      ("registry_hit", J.Bool lookup.Registry.l_hit);
-      ("backend", J.Str (backend_name ()));
-      ("audit", J.parse (Core.Audit.to_json report)) ]
+  model_resp "audit" lookup [ ("audit", Core.Audit.to_json report) ]
 
 (* Sweep a named candidate space against the live registry: each
    distinct base-core configuration's model comes from {!Registry.get}
@@ -456,25 +444,23 @@ let handle_explore t px req =
       [ ("name", J.Str p.Core.Explore.pt_name);
         ("energy_pj", J.Num p.Core.Explore.pt_energy_pj);
         ("energy_uj", J.Num p.Core.Explore.pt_energy_uj);
-        ("cycles", J.Num (float_of_int p.Core.Explore.pt_cycles));
-        ( "instructions",
-          J.Num (float_of_int p.Core.Explore.pt_instructions) );
+        ("cycles", J.int p.Core.Explore.pt_cycles);
+        ("instructions", J.int p.Core.Explore.pt_instructions);
         ("cached", J.Bool p.Core.Explore.pt_cached);
         ("frontier", J.Bool (List.memq p o.Core.Explore.frontier)) ]
   in
-  let num n = J.Num (float_of_int n) in
   J.Obj
     [ ("ok", J.Bool true);
       ("op", J.Str "explore");
       ("space", J.Str space);
       ("backend", J.Str (backend_name ()));
-      ("candidates", num (List.length candidates));
-      ("configs", num (List.length lookups));
+      ("candidates", J.int (List.length candidates));
+      ("configs", J.int (List.length lookups));
       ( "registry_hits",
-        num
+        J.int
           (List.length (List.filter (fun (_, l) -> l.Registry.l_hit) lookups))
       );
-      ("simulations", num o.Core.Explore.simulations);
+      ("simulations", J.int o.Core.Explore.simulations);
       ("wall_seconds", J.Num o.Core.Explore.wall_seconds);
       ("points", J.Arr (List.map row o.Core.Explore.points));
       ( "frontier",
@@ -486,23 +472,22 @@ let handle_explore t px req =
 let handle_stats t =
   let rs = Registry.stats t.r_registry in
   let cs = Core.Eval_cache.stats t.r_cache in
-  let num n = J.Num (float_of_int n) in
   J.Obj
     [ ("ok", J.Bool true);
       ("op", J.Str "stats");
-      ("pid", num (Unix.getpid ()));
+      ("pid", J.int (Unix.getpid ()));
       ("uptime_s", J.Num (Unix.gettimeofday () -. t.r_started));
-      ("requests", num t.r_requests);
+      ("requests", J.int t.r_requests);
       ("backend", J.Str (backend_name ()));
-      ("registry_models", num rs.Registry.r_models);
-      ("registry_hits", num rs.Registry.r_hits);
-      ("registry_misses", num rs.Registry.r_misses);
-      ("registry_evictions", num rs.Registry.r_evictions);
-      ("cache_hits", num cs.Core.Eval_cache.hits);
-      ("cache_misses", num cs.Core.Eval_cache.misses);
-      ("cache_errors", num cs.Core.Eval_cache.errors);
-      ("cache_stores", num cs.Core.Eval_cache.stores);
-      ("pool_live", num (Core.Parallel.pool_live t.r_pool)) ]
+      ("registry_models", J.int rs.Registry.r_models);
+      ("registry_hits", J.int rs.Registry.r_hits);
+      ("registry_misses", J.int rs.Registry.r_misses);
+      ("registry_evictions", J.int rs.Registry.r_evictions);
+      ("cache_hits", J.int cs.Core.Eval_cache.hits);
+      ("cache_misses", J.int cs.Core.Eval_cache.misses);
+      ("cache_errors", J.int cs.Core.Eval_cache.errors);
+      ("cache_stores", J.int cs.Core.Eval_cache.stores);
+      ("pool_live", J.int (Core.Parallel.pool_live t.r_pool)) ]
 
 (* --- status: rolling-window RED stats ------------------------------------- *)
 
@@ -545,7 +530,6 @@ let handle_status t =
     | None -> (now -. t.r_started, snap)
   in
   let window_dt = Float.max window_dt 1e-9 in
-  let num n = J.Num (float_of_int n) in
   let ms = function Some s -> J.Num (s *. 1e3) | None -> J.Null in
   let quant s ~labels p =
     Obs.Export.snapshot_quantile s ~name:"serve_request_seconds" ~labels p
@@ -566,14 +550,14 @@ let handle_status t =
       Some
         (J.Obj
            [ ("op", J.Str op);
-             ("requests", num cum_req);
-             ("errors", num (snap_counter snap "serve_errors_total" l));
-             ("slow", num (snap_counter snap "serve_slow_requests_total" l));
-             ("inflight", num inflight);
+             ("requests", J.int cum_req);
+             ("errors", J.int (snap_counter snap "serve_errors_total" l));
+             ("slow", J.int (snap_counter snap "serve_slow_requests_total" l));
+             ("inflight", J.int inflight);
              ( "window",
                J.Obj
-                 [ ("requests", num w_req);
-                   ("errors", num w_err);
+                 [ ("requests", J.int w_req);
+                   ("errors", J.int w_err);
                    ("rate_hz", J.Num (float_of_int w_req /. window_dt));
                    ( "error_rate_hz",
                      J.Num (float_of_int w_err /. window_dt) );
@@ -596,39 +580,39 @@ let handle_status t =
   J.Obj
     [ ("ok", J.Bool true);
       ("op", J.Str "status");
-      ("pid", num (Unix.getpid ()));
+      ("pid", J.int (Unix.getpid ()));
       ("uptime_s", J.Num (now -. t.r_started));
       ("backend", J.Str (backend_name ()));
-      ("requests", num requests);
-      ("inflight", num inflight_total);
+      ("requests", J.int requests);
+      ("inflight", J.int inflight_total);
       ("window_s", J.Num t.r_window_s);
       ("window_dt_s", J.Num window_dt);
       ("ops", J.Arr (List.filter_map op_row known_ops));
       ( "registry",
         J.Obj
-          [ ("models", num rs.Registry.r_models);
-            ("hits", num rs.Registry.r_hits);
-            ("misses", num rs.Registry.r_misses);
-            ("evictions", num rs.Registry.r_evictions) ] );
+          [ ("models", J.int rs.Registry.r_models);
+            ("hits", J.int rs.Registry.r_hits);
+            ("misses", J.int rs.Registry.r_misses);
+            ("evictions", J.int rs.Registry.r_evictions) ] );
       ( "cache",
         J.Obj
-          [ ("hits", num cs.Core.Eval_cache.hits);
-            ("misses", num cs.Core.Eval_cache.misses);
-            ("errors", num cs.Core.Eval_cache.errors);
-            ("stores", num cs.Core.Eval_cache.stores) ] );
+          [ ("hits", J.int cs.Core.Eval_cache.hits);
+            ("misses", J.int cs.Core.Eval_cache.misses);
+            ("errors", J.int cs.Core.Eval_cache.errors);
+            ("stores", J.int cs.Core.Eval_cache.stores) ] );
       ( "pool",
         J.Obj
-          [ ("live", num (Core.Parallel.pool_live t.r_pool));
+          [ ("live", J.int (Core.Parallel.pool_live t.r_pool));
             ( "lanes",
-              num
+              J.int
                 (match t.r_jobs with
                 | Some j -> max 1 j
                 | None -> Core.Parallel.default_jobs ()) ) ] );
       ( "connections",
         J.Obj
           [ ("active", J.Num (snap_gauge snap "serve_active_connections" []));
-            ( "total",
-              num (snap_counter snap "serve_connections_total" []) ) ] ) ]
+            ("total", J.int (snap_counter snap "serve_connections_total" []))
+          ] ) ]
 
 let dispatch t px op req =
   match op with
@@ -636,7 +620,7 @@ let dispatch t px op req =
     J.Obj
       [ ("ok", J.Bool true);
         ("op", J.Str "ping");
-        ("pid", J.Num (float_of_int (Unix.getpid ()))) ]
+        ("pid", J.int (Unix.getpid ())) ]
   | "estimate" -> handle_estimate t px req
   | "attribute" -> handle_attribute t px req
   | "profile" -> handle_profile t px req
@@ -803,9 +787,17 @@ let handle_text ?received t payload =
   match J.parse payload with
   | req ->
     let parse_s = Unix.gettimeofday () -. tp in
-    Protocol.json_to_string (handle ?received ~parse_s t req)
+    J.print (handle ?received ~parse_s t req)
   | exception J.Parse_error msg ->
+    (* No request to adopt ids from: mint a trace id, so this reply
+       joins its log line like every other. *)
+    let tid = Obs.Trace.new_id () in
     Obs.Metrics.inc (Hashtbl.find t.r_metrics "invalid").M.o_errors;
     Obs.Log.event ~level:Obs.Log.Warn "serve:error"
-      [ ("op", Obs.Trace.S "parse"); ("error", Obs.Trace.S msg) ];
-    Protocol.json_to_string (error_resp ("invalid JSON: " ^ msg))
+      [ ("op", Obs.Trace.S "parse"); ("error", Obs.Trace.S msg);
+        ("trace_id", Obs.Trace.S tid) ];
+    J.print
+      (J.Obj
+         [ ("ok", J.Bool false);
+           ("error", J.Str ("invalid JSON: " ^ msg));
+           ("trace_id", J.Str tid) ])

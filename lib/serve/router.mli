@@ -19,19 +19,22 @@
       second row reads ["cached": true].
     - [attribute] — [{"op": "attribute", "workload": NAME,
       "bucket_cycles": N?, "config": {...}?}]: the per-variable energy
-      breakdown and power-over-time waveform
-      ({!Core.Attribution.to_json}).
+      breakdown and power-over-time waveform under ["attribution"]:
+      the {!Core.Attribution.to_json} value itself, the document
+      [xenergy attribute --json] prints under the same key.
     - [profile] — [{"op": "profile", "workload": NAME, "top": N?,
-      "config": {...}?}]: per-basic-block hotspot profile
-      ({!Core.Profiler.to_json}) against the warm registry model —
+      "config": {...}?}]: per-basic-block hotspot profile under
+      ["profile"] — the {!Core.Profiler.to_json} value itself, what
+      [xenergy profile --json] prints — against the warm registry model:
       block table, per-opcode histogram, folded flame-graph stacks and
       the conservation gaps.  [top] truncates the block list; omit it
       to get every executed block (what conservation checks need).
     - [audit] — [{"op": "audit", "workloads": [...]?, "config":
-      {...}?}]: macro-model vs reference accuracy report
-      ({!Core.Audit.to_json}) over the named workloads (default: the
-      Table II applications), memoized through the shared cache — the
-      same {!Core.Audit.run} [xenergy audit] calls.
+      {...}?}]: macro-model vs reference accuracy report under
+      ["audit"] (the {!Core.Audit.to_json} value) over the named
+      workloads (default: the Table II applications), memoized through
+      the shared cache — the same {!Core.Audit.run} [xenergy audit]
+      calls.
     - [explore] — [{"op": "explore", "space": NAME, "backend": NAME?}]:
       sweep a named candidate space ({!Workloads.Spaces.find}: ["rs"],
       ["rs-cache"], ["mac-widths"]) against the live registry.  Each
@@ -156,8 +159,10 @@ val handle : ?received:float -> ?parse_s:float -> t -> Obs.Json.t -> Obs.Json.t
     (tests, embedding) starts the clock at dispatch. *)
 
 val handle_text : ?received:float -> t -> string -> string
-(** Parse, dispatch and print: what the server calls per frame.  A JSON
-    parse failure is answered as an error response. *)
+(** Parse, dispatch and print: what the server calls per frame.  It
+    never raises: every reply is an object with a boolean ["ok"] and a
+    string ["trace_id"], and a JSON parse failure is answered as an
+    error response under a freshly minted trace id. *)
 
 val stopped : t -> bool
 (** Has a [shutdown] request been handled? *)

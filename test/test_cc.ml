@@ -427,7 +427,7 @@ let report_on backend case =
             { e with Core.Run_report.wall_seconds = 0.0 })
           report.Core.Run_report.entries }
   in
-  Core.Run_report.of_json (Core.Run_report.to_json pinned)
+  Core.Run_report.of_json (Obs.Json.print (Core.Run_report.to_json pinned))
 
 let qcheck_backends_report_identically =
   QCheck.Test.make

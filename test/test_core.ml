@@ -472,23 +472,14 @@ let test_run_report_single_pass () =
         e.Core.Run_report.energy_pj;
       check Alcotest.int "single pass" 1 e.Core.Run_report.simulations)
     samples report.Core.Run_report.entries;
-  (* JSON serialization stays parseable in spirit: it mentions every
-     workload and the simulation count. *)
+  (* The JSON document counts every simulation. *)
   let json = Core.Run_report.to_json report in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i =
-      i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-    in
-    go 0
-  in
-  check Alcotest.bool "json lists total_simulations" true
-    (contains json
-       (Printf.sprintf "\"total_simulations\": %d" (List.length suite)))
+  check Alcotest.int "json lists total_simulations" (List.length suite)
+    Obs.Json.(to_int (member "total_simulations" json))
 
-(* The JSON emitter formats floats with six decimals, so a parse of its
-   own output must reproduce the report to that precision — including
-   the degraded-path counters and the new stall/interlock columns. *)
+(* The printer's numbers recover every double, so a parse of the
+   printed report reproduces it exactly — including the degraded-path
+   counters and the stall/interlock columns. *)
 let test_run_report_json_round_trip () =
   let _, report =
     Core.Characterize.collect_with_report ~jobs:1 (small_suite ())
@@ -500,14 +491,16 @@ let test_run_report_json_round_trip () =
           failed_forks = 2;
           recomputed_slices = 3 } }
   in
-  let back = Core.Run_report.of_json (Core.Run_report.to_json report) in
+  let back =
+    Core.Run_report.of_json (Obs.Json.print (Core.Run_report.to_json report))
+  in
   check Alcotest.int "jobs" report.Core.Run_report.jobs
     back.Core.Run_report.jobs;
-  check (Alcotest.float 1e-5) "total_seconds"
+  check (Alcotest.float 0.0) "total_seconds"
     report.Core.Run_report.total_seconds back.Core.Run_report.total_seconds;
   check Alcotest.bool "degraded counters" true
     (back.Core.Run_report.parallel = report.Core.Run_report.parallel);
-  check (Alcotest.float 1e-5) "total energy"
+  check (Alcotest.float 0.0) "total energy"
     (Core.Run_report.total_energy_pj report)
     (Core.Run_report.total_energy_pj back);
   check Alcotest.int "entry count"
@@ -516,7 +509,7 @@ let test_run_report_json_round_trip () =
   List.iter2
     (fun (a : Core.Run_report.entry) (b : Core.Run_report.entry) ->
       check Alcotest.string "name" a.ename b.ename;
-      check (Alcotest.float 1e-5) (a.ename ^ " wall") a.wall_seconds
+      check (Alcotest.float 0.0) (a.ename ^ " wall") a.wall_seconds
         b.wall_seconds;
       check Alcotest.int (a.ename ^ " cycles") a.cycles b.cycles;
       check Alcotest.int (a.ename ^ " instructions") a.instructions
@@ -525,7 +518,7 @@ let test_run_report_json_round_trip () =
       check Alcotest.int (a.ename ^ " dcache") a.dcache_misses b.dcache_misses;
       check Alcotest.int (a.ename ^ " stalls") a.stall_cycles b.stall_cycles;
       check Alcotest.int (a.ename ^ " interlocks") a.interlocks b.interlocks;
-      check (Alcotest.float 1e-5) (a.ename ^ " energy") a.energy_pj
+      check (Alcotest.float 0.0) (a.ename ^ " energy") a.energy_pj
         b.energy_pj;
       check Alcotest.int (a.ename ^ " sims") a.simulations b.simulations)
     report.Core.Run_report.entries back.Core.Run_report.entries
@@ -808,13 +801,15 @@ module Oracle = struct
         Float.abs (energy_sum -. total) /. Float.max (Float.abs total) 1.0 }
 end
 
+let attribution_text b = Obs.Json.print (Core.Attribution.to_json b)
+
 (* Every rendering of a profile, for byte comparison. *)
 let profile_outputs r =
-  [ ("to_json", Core.Profiler.to_json r);
+  [ ("to_json", Obs.Json.print (Core.Profiler.to_json r));
     ("folded cycles", Core.Profiler.folded_lines r);
     ("folded energy", Core.Profiler.folded_lines ~energy:true r);
     ("annotate", Format.asprintf "%a" Core.Profiler.pp_annotate r);
-    ("breakdown", Core.Attribution.to_json r.Core.Profiler.r_breakdown) ]
+    ("breakdown", attribution_text r.Core.Profiler.r_breakdown) ]
 
 (* The 19 fixed programs (Table II applications, the Reed-Solomon
    choices, the Tiny-C applications) on every backend: the hook-fed
@@ -867,7 +862,7 @@ let test_hook_matches_event_fold () =
         profile_outputs (on_interp (fun () -> Oracle.profile ~config model c))
       in
       let want_attribution =
-        Core.Attribution.to_json
+        attribution_text
           (on_interp (fun () ->
                Oracle.attribute ~bucket_cycles:32 ~config model c))
       in
@@ -884,7 +879,7 @@ let test_hook_matches_event_fold () =
             want_profile
             (profile_outputs (Core.Profiler.run ~config model c));
           check Alcotest.string (name "attribution") want_attribution
-            (Core.Attribution.to_json
+            (attribution_text
                (Core.Attribution.run ~config ~bucket_cycles:32 model c)))
         Sim.Backend.all)
     (List.map
@@ -923,11 +918,11 @@ let test_attribution_reads_tally () =
           ~instructions:(Sim.Cpu.instructions cpu)
       in
       check Alcotest.string (name ^ ": same breakdown")
-        (Core.Attribution.to_json (Oracle.attribute ~config model c))
-        (Core.Attribution.to_json installed);
+        (attribution_text (Oracle.attribute ~config model c))
+        (attribution_text installed);
       check Alcotest.string (name ^ ": same breakdown by hand")
-        (Core.Attribution.to_json installed)
-        (Core.Attribution.to_json folded);
+        (attribution_text installed)
+        (attribution_text folded);
       check Alcotest.int (name ^ ": one fold per retirement")
         (Sim.Cpu.instructions cpu)
         (Sim.Tally.stats (Core.Attribution.tally eng)).Sim.Stats.instructions)
@@ -1066,7 +1061,7 @@ let test_profiler_block_invariants () =
   check Alcotest.bool "annotation mentions main" true (contains ann "main:");
   let ops = Format.asprintf "%a" Core.Profiler.pp_opcodes r in
   check Alcotest.bool "opcode table rendered" true (contains ops "opcode");
-  let json = Obs.Json.parse (Core.Profiler.to_json r) in
+  let json = Core.Profiler.to_json r in
   check Alcotest.int "json cycles" r.Core.Profiler.r_cycles
     Obs.Json.(to_int (member "cycles" json));
   let bsum =
@@ -1365,6 +1360,79 @@ let test_cache_disk_round_trip () =
   | Some _ -> fail "phantom entry");
   check Alcotest.int "one miss" 1
     (Core.Eval_cache.stats c2).Core.Eval_cache.misses
+
+(* Caches written before documents were built as [Obs.Json] values:
+   one entry file and its index in that pretty-printed layout, the name
+   carrying the "\t" escape the old cache writer used for tabs.  Both
+   must still load, and a warm [find] must serve the entry. *)
+let legacy_key = "82d1397fd3f35d307a60e999f0847d07"
+
+let legacy_entry =
+  {|{
+  "format": "xenergy-eval-cache",
+  "version": 1,
+  "key": "82d1397fd3f35d307a60e999f0847d07",
+  "name": "rs\tgfmac",
+  "cycles": 22128,
+  "instructions": 14864,
+  "stall_cycles": 3190,
+  "measured_pj": null,
+  "variables": [7544, 1920, 420, 0, 5517, 101, 8, 14, 0, 3190, 2960, 0, 1620, 6605.5999999952073, 0, 2440, 0, 0, 0, 0, 26521.599999987047]
+}
+|}
+
+let legacy_index =
+  {|{
+  "format": "xenergy-cache-index",
+  "version": 1,
+  "entries": [
+    {"key": "82d1397fd3f35d307a60e999f0847d07", "name": "rs\tgfmac", "size": 352, "last_used": 1792248880.810534}
+  ]
+}
+|}
+
+let test_cache_reads_legacy_layout () =
+  let e = Core.Eval_cache.entry_of_json ~expect_key:legacy_key legacy_entry in
+  check Alcotest.string "escaped name" "rs\tgfmac" e.Core.Eval_cache.e_name;
+  check Alcotest.int "cycles" 22128 e.Core.Eval_cache.e_cycles;
+  check Alcotest.bool "no measured energy" true
+    (e.Core.Eval_cache.e_measured_pj = None);
+  check Alcotest.bool "fractional variables bit-exact" true
+    (Int64.bits_of_float e.Core.Eval_cache.e_variables.(13)
+     = Int64.bits_of_float 6605.5999999952073
+    && Int64.bits_of_float e.Core.Eval_cache.e_variables.(20)
+       = Int64.bits_of_float 26521.599999987047);
+  (* Printed in today's layout, the entry reads back identically. *)
+  check Alcotest.bool "today's layout reads back the same entry" true
+    (Core.Eval_cache.entry_of_json ~expect_key:legacy_key
+       (Obs.Json.print (Core.Eval_cache.entry_to_json ~key:legacy_key e))
+    = e);
+  let dir = fresh_cache_dir () in
+  Unix.mkdir dir 0o755;
+  let write name text =
+    Out_channel.with_open_text (Filename.concat dir name) (fun oc ->
+        Out_channel.output_string oc text)
+  in
+  write (legacy_key ^ ".json") legacy_entry;
+  write "index.json" legacy_index;
+  (match Core.Cache_index.load dir with
+  | None -> fail "legacy index rejected"
+  | Some idx -> (
+    match Core.Cache_index.find idx legacy_key with
+    | None -> fail "legacy index lost its entry"
+    | Some m ->
+      check Alcotest.string "index name" "rs\tgfmac" m.Core.Cache_index.m_name;
+      check Alcotest.int "index size" 352 m.Core.Cache_index.m_size;
+      check (Alcotest.float 0.0) "index last use" 1792248880.810534
+        m.Core.Cache_index.m_last_used));
+  let c = Core.Eval_cache.create ~dir () in
+  (match Core.Eval_cache.find c legacy_key with
+  | Some warm ->
+    check Alcotest.bool "warm find serves the entry" true (warm = e)
+  | None -> fail "legacy entry missed");
+  let s = Core.Eval_cache.stats c in
+  check Alcotest.int "one hit" 1 s.Core.Eval_cache.hits;
+  check Alcotest.int "no errors" 0 s.Core.Eval_cache.errors
 
 let test_cache_corruption_fallback () =
   let dir = fresh_cache_dir () in
@@ -2024,10 +2092,7 @@ let test_explore_profile_top () =
       check Alcotest.bool "frontier profile conserves energy" true
         (en_gap < 1e-6))
     o.Core.Explore.frontier o.Core.Explore.profiled;
-  let doc = Core.Explore.to_json o in
-  check Alcotest.bool "sweep JSON carries the profiles" true
-    (contains doc "\"profiles\"");
-  (match Obs.Json.parse doc with
+  (match Core.Explore.to_json o with
    | Obs.Json.Obj fields ->
      (match List.assoc_opt "profiles" fields with
       | Some (Obs.Json.Obj profiles) ->
@@ -2035,7 +2100,7 @@ let test_explore_profile_top () =
           (List.length o.Core.Explore.profiled)
           (List.length profiles)
       | _ -> fail "profiles is not an object")
-   | _ -> fail "sweep JSON does not parse");
+   | _ -> fail "sweep JSON is not an object");
   match
     Core.Explore.run ~cache ~characterization ~profile_top:0 candidates
   with
@@ -2043,6 +2108,47 @@ let test_explore_profile_top () =
   | _ -> fail "non-positive profile_top accepted"
 
 (* --- Audit ------------------------------------------------------------------ *)
+
+(* Candidate names are free text: quotes, backslashes and control
+   characters must survive the sweep document wherever a name appears —
+   point rows, the frontier, and the keys of "profiles" and
+   "explained". *)
+let test_explore_json_escapes_names () =
+  let model = Core.Template.make (Array.make Core.Variables.count 1.0) in
+  let case = List.hd (small_suite ()) in
+  let names = [ "quote\"d"; "back\\slash"; "tab\tand\001ctl" ] in
+  let candidates =
+    List.mapi
+      (fun i name ->
+        Core.Explore.candidate ~name
+          ~config:(if i = 1 then smaller_icache else Sim.Config.default)
+          case)
+      names
+  in
+  let o =
+    Core.Explore.evaluate ~jobs:1 ~explain:true ~profile_top:1
+      (fun _ -> model)
+      candidates
+  in
+  let doc = Obs.Json.parse (Obs.Json.print (Core.Explore.to_json o)) in
+  let strings k =
+    List.map Obs.Json.to_string Obs.Json.(to_list (member k doc))
+  in
+  let keys k =
+    match Obs.Json.member k doc with
+    | Obs.Json.Obj fields -> List.map fst fields
+    | _ -> fail (k ^ " is not an object")
+  in
+  let frontier =
+    List.map (fun p -> p.Core.Explore.pt_name) o.Core.Explore.frontier
+  in
+  check Alcotest.(list string) "point names" names
+    (List.map
+       (fun p -> Obs.Json.(to_string (member "name" p)))
+       Obs.Json.(to_list (member "points" doc)));
+  check Alcotest.(list string) "frontier names" frontier (strings "pareto");
+  check Alcotest.(list string) "profile keys" frontier (keys "profiles");
+  check Alcotest.(list string) "explained keys" frontier (keys "explained")
 
 (* A model deliberately scaled away from the fit, so the audited error
    is deterministic and non-zero. *)
@@ -2170,18 +2276,18 @@ let test_audit_json_round_trip () =
   let model = audit_model () in
   let cases = List.filteri (fun i _ -> i < 2) (small_suite ()) in
   let r = Core.Audit.run ~jobs:1 model cases in
-  let r2 = Core.Audit.of_json (Core.Audit.to_json r) in
+  let r2 = Core.Audit.of_json (Obs.Json.print (Core.Audit.to_json r)) in
   check Alcotest.int "rows survive" (List.length r.Core.Audit.a_rows)
     (List.length r2.Core.Audit.a_rows);
-  check (Alcotest.float 1e-5) "mean survives" r.Core.Audit.a_mean_abs
+  check (Alcotest.float 0.0) "mean survives" r.Core.Audit.a_mean_abs
     r2.Core.Audit.a_mean_abs;
-  check (Alcotest.float 1e-5) "max survives" r.Core.Audit.a_max_abs
+  check (Alcotest.float 0.0) "max survives" r.Core.Audit.a_max_abs
     r2.Core.Audit.a_max_abs;
   List.iter2
     (fun (a : Core.Audit.row) (b : Core.Audit.row) ->
       check Alcotest.string "name survives" a.Core.Audit.a_name
         b.Core.Audit.a_name;
-      check (Alcotest.float 1e-5) "error survives"
+      check (Alcotest.float 0.0) "error survives"
         a.Core.Audit.a_error_percent b.Core.Audit.a_error_percent;
       check Alcotest.int "cycles survive" a.Core.Audit.a_cycles
         b.Core.Audit.a_cycles;
@@ -2200,7 +2306,9 @@ let test_audit_json_round_trip () =
 let test_audit_baseline_extra_fields () =
   let model = audit_model () in
   let cases = List.filteri (fun i _ -> i < 2) (small_suite ()) in
-  let json = Core.Audit.to_json (Core.Audit.run ~jobs:1 model cases) in
+  let json =
+    Obs.Json.print (Core.Audit.to_json (Core.Audit.run ~jobs:1 model cases))
+  in
   check Alcotest.bool "an object" true (json.[0] = '{');
   let with_header =
     "{\n  \"git_rev\": \"0123abc\",\n  \"ocaml\": \"5.1.1\",\n  \
@@ -2209,8 +2317,8 @@ let test_audit_baseline_extra_fields () =
   in
   let plain = Core.Audit.of_json json in
   let extended = Core.Audit.of_json with_header in
-  check Alcotest.string "same report" (Core.Audit.to_json plain)
-    (Core.Audit.to_json extended);
+  check Alcotest.bool "same report" true
+    (Core.Audit.to_json plain = Core.Audit.to_json extended);
   check Alcotest.bool "the gate passes against it" true
     (Core.Audit.gate ~baseline:extended plain).Core.Audit.g_pass
 
@@ -2809,6 +2917,8 @@ let () =
             test_cache_key_sensitivity;
           Alcotest.test_case "disk round trip" `Quick
             test_cache_disk_round_trip;
+          Alcotest.test_case "reads the legacy layout" `Quick
+            test_cache_reads_legacy_layout;
           Alcotest.test_case "corruption fallback" `Quick
             test_cache_corruption_fallback;
           Alcotest.test_case "unwritable directory" `Quick
@@ -2839,7 +2949,9 @@ let () =
           Alcotest.test_case "progress + explain" `Quick
             test_explore_progress_and_explain;
           Alcotest.test_case "profile_top frontier hotspots" `Quick
-            test_explore_profile_top ] );
+            test_explore_profile_top;
+          Alcotest.test_case "json escapes candidate names" `Quick
+            test_explore_json_escapes_names ] );
       ( "audit",
         [ Alcotest.test_case "report" `Quick test_audit_report;
           Alcotest.test_case "json round trip" `Quick

@@ -1,6 +1,6 @@
 (* Tests for the observability substrate: metrics registry, trace
    recorder (Chrome trace-event export), waveform accumulator and the
-   minimal JSON parser used for round-trips.  Metrics and Trace are
+   JSON codec every document is printed with.  Metrics and Trace are
    process-global, so every test restores the disabled default. *)
 
 let check = Alcotest.check
@@ -88,6 +88,119 @@ let test_json_edge_cases () =
       | _ -> fail (Printf.sprintf "accepted malformed %S" s))
     [ "[] []"; "1 2"; "{\"a\": 1}x"; "\"s\" \"t\""; "[1,]"; "{\"a\" 1}";
       "nul"; "01x" ]
+
+module J = Obs.Json
+
+let test_json_print_roundtrip () =
+  let doc =
+    J.Obj
+      [ ("s", J.Str "quote \" backslash \\ newline \n control \x01 done");
+        ("i", J.Num 42.0);
+        ("f", J.Num 4234263.3599835774);
+        ("neg", J.Num (-0.5));
+        ("t", J.Bool true);
+        ("n", J.Null);
+        ("a", J.Arr [ J.Num 1.0; J.Str "x"; J.Obj [ ("k", J.Bool false) ] ]) ]
+  in
+  check Alcotest.bool "printer output re-parses to the same document" true
+    (J.parse (J.print doc) = doc);
+  (* Non-finite floats have no JSON encoding: printed as null. *)
+  check Alcotest.string "nan prints as null" "null"
+    (J.print (J.Num Float.nan));
+  check Alcotest.string "inf prints as null" "null"
+    (J.print (J.Num Float.infinity));
+  (* Negative and exponent-heavy floats survive print -> parse
+     bit-for-bit: %.17g is enough decimal digits to pin down any
+     double, normal or subnormal. *)
+  List.iter
+    (fun f ->
+      match J.parse (J.print (J.Num f)) with
+      | J.Num g ->
+        check Alcotest.bool
+          (Printf.sprintf "%h round-trips bit-for-bit" f)
+          true
+          (Int64.bits_of_float f = Int64.bits_of_float g)
+      | _ -> Alcotest.fail "number did not parse back to a number")
+    [ -0.5; -1.25e-7; 6.02214076e23; -6.02214076e23; 1e300; -1e300;
+      3.0e-321; epsilon_float; min_float; -.max_float;
+      4234263.3599835774; -0.1 ]
+
+(* Printer round trip over random documents.  Strings mix quotes,
+   backslashes, every control character and multibyte UTF-8; numbers
+   mix random doubles with the printer's edge cases (-0.0, subnormals,
+   huge magnitudes, integers around the 1e15 switch to %.17g).  Floats
+   compare bit for bit, a non-finite number must come back as null,
+   and the text holds no raw control character. *)
+let gen_json =
+  let open QCheck.Gen in
+  let chunk =
+    oneof
+      [ map (String.make 1) (map Char.chr (int_range 0 0x1f));
+        oneofl [ "\""; "\\"; "\x7f"; "/"; "\xc3\xa9"; "\xe2\x82\xac";
+                 "\xf0\x9d\x84\x9e"; "\\u0041" ];
+        string_size ~gen:printable (int_range 0 4) ]
+  in
+  let str = map (String.concat "") (list_size (int_range 0 6) chunk) in
+  let num =
+    oneof
+      [ float;
+        map float_of_int int;
+        oneofl
+          [ -0.0; 0.0; 4.9e-324; -4.9e-324; 2.2250738585072009e-308;
+            1e300; -1e300; Float.max_float; Float.min_float;
+            999999999999999.0; -999999999999999.0; 1e15; -1e15;
+            1000000000000001.0; 999999999999999.5; 9007199254740993.0;
+            0.1; Float.nan; Float.infinity; Float.neg_infinity ] ]
+  in
+  fix
+    (fun self depth ->
+      let leaf =
+        frequency
+          [ (1, return J.Null);
+            (1, map (fun b -> J.Bool b) bool);
+            (3, map (fun f -> J.Num f) num);
+            (3, map (fun s -> J.Str s) str) ]
+      in
+      if depth = 0 then leaf
+      else
+        frequency
+          [ (2, leaf);
+            ( 1,
+              map (fun l -> J.Arr l) (list_size (int_range 0 4) (self (depth - 1)))
+            );
+            ( 1,
+              map
+                (fun l -> J.Obj l)
+                (list_size (int_range 0 4) (pair str (self (depth - 1)))) ) ])
+    3
+
+(* What the printer promises to give back: the same value, with every
+   non-finite number as null. *)
+let rec printed_as = function
+  | J.Num f when not (Float.is_finite f) -> J.Null
+  | J.Arr l -> J.Arr (List.map printed_as l)
+  | J.Obj l -> J.Obj (List.map (fun (k, v) -> (k, printed_as v)) l)
+  | v -> v
+
+let rec bit_equal a b =
+  match (a, b) with
+  | J.Num x, J.Num y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | J.Arr l, J.Arr m ->
+    List.length l = List.length m && List.for_all2 bit_equal l m
+  | J.Obj l, J.Obj m ->
+    List.length l = List.length m
+    && List.for_all2 (fun (k, v) (k', v') -> k = k' && bit_equal v v') l m
+  | a, b -> a = b
+
+let qcheck_json_print_roundtrip =
+  QCheck.Test.make ~name:"print then parse is the identity" ~count:500
+    (QCheck.make gen_json ~print:J.print)
+    (fun v ->
+      let text = J.print v in
+      (* RFC 8259 forbids raw control characters; the parser would
+         accept them, so check the text itself. *)
+      String.for_all (fun c -> Char.code c >= 0x20) text
+      && bit_equal (J.parse text) (printed_as v))
 
 (* --- Metrics ---------------------------------------------------------------- *)
 
@@ -721,7 +834,7 @@ let test_waveform_buckets () =
   check (Alcotest.float 1e-9) "bucket 1" 4.0 (snd bs.(1));
   check (Alcotest.float 1e-9) "bucket 99" 8.0 (snd bs.(99));
   check Alcotest.int "bucket start cycle" 990 (fst bs.(99));
-  let j = Obs.Json.parse (Obs.Waveform.to_json w) in
+  let j = Obs.Waveform.to_json w in
   check Alcotest.int "json bucket width" 10
     Obs.Json.(to_int (member "bucket_cycles" j));
   check Alcotest.string "unit stated" "pJ"
@@ -753,7 +866,7 @@ let test_waveform_zero_cycles () =
   let w = Obs.Waveform.create () in
   check Alcotest.int "no buckets" 0 (Array.length (Obs.Waveform.buckets w));
   check (Alcotest.float 0.0) "zero total" 0.0 (Obs.Waveform.total_pj w);
-  let j = Obs.Json.parse (Obs.Waveform.to_json w) in
+  let j = Obs.Waveform.to_json w in
   check Alcotest.int "json: empty bucket list" 0
     (List.length Obs.Json.(to_list (member "buckets" j)));
   check Alcotest.bool "empty waveform named" true
@@ -837,7 +950,10 @@ let () =
   Alcotest.run "obs"
     [ ( "json",
         [ Alcotest.test_case "parse" `Quick test_json_parse;
-          Alcotest.test_case "edge cases" `Quick test_json_edge_cases ] );
+          Alcotest.test_case "edge cases" `Quick test_json_edge_cases;
+          Alcotest.test_case "print round-trip" `Quick
+            test_json_print_roundtrip;
+          QCheck_alcotest.to_alcotest qcheck_json_print_roundtrip ] );
       ( "metrics",
         [ Alcotest.test_case "disabled no-op" `Quick
             test_metrics_disabled_is_noop;

@@ -91,40 +91,6 @@ let test_frame_write_deadline () =
   Unix.close a;
   Unix.close b
 
-let test_json_print_roundtrip () =
-  let doc =
-    J.Obj
-      [ ("s", J.Str "quote \" backslash \\ newline \n control \x01 done");
-        ("i", J.Num 42.0);
-        ("f", J.Num 4234263.3599835774);
-        ("neg", J.Num (-0.5));
-        ("t", J.Bool true);
-        ("n", J.Null);
-        ("a", J.Arr [ J.Num 1.0; J.Str "x"; J.Obj [ ("k", J.Bool false) ] ]) ]
-  in
-  check Alcotest.bool "printer output re-parses to the same document" true
-    (J.parse (Serve.Protocol.json_to_string doc) = doc);
-  (* Non-finite floats have no JSON encoding: printed as null. *)
-  check Alcotest.string "nan prints as null" "null"
-    (Serve.Protocol.json_to_string (J.Num Float.nan));
-  check Alcotest.string "inf prints as null" "null"
-    (Serve.Protocol.json_to_string (J.Num Float.infinity));
-  (* Negative and exponent-heavy floats survive print -> parse
-     bit-for-bit: %.17g is enough decimal digits to pin down any
-     double, normal or subnormal. *)
-  List.iter
-    (fun f ->
-      match J.parse (Serve.Protocol.json_to_string (J.Num f)) with
-      | J.Num g ->
-        check Alcotest.bool
-          (Printf.sprintf "%h round-trips bit-for-bit" f)
-          true
-          (Int64.bits_of_float f = Int64.bits_of_float g)
-      | _ -> Alcotest.fail "number did not parse back to a number")
-    [ -0.5; -1.25e-7; 6.02214076e23; -6.02214076e23; 1e300; -1e300;
-      3.0e-321; epsilon_float; min_float; -.max_float;
-      4234263.3599835774; -0.1 ]
-
 (* --- Registry ------------------------------------------------------------- *)
 
 let stub_model = Core.Template.make (Array.make Core.Variables.count 1.0)
@@ -258,6 +224,91 @@ let test_router_profile_op () =
   check Alcotest.bool "router still alive" true
     (as_bool (member "ok" (call (J.Obj [ ("op", J.Str "ping") ]))))
 
+(* Fault injection at the router's front door: random byte payloads
+   and random request shapes — every known op but shutdown, fields of
+   random JSON types — never raise, and every reply is an object with a
+   boolean "ok" and a string "trace_id".  The ops that simulate always
+   carry an invalid "config" (explore an unknown space), so each one
+   fails validation before it reaches the registry or the pool. *)
+let gen_router_payload =
+  let open QCheck.Gen in
+  let str =
+    oneof
+      [ string_size ~gen:printable (int_range 0 8);
+        oneofl [ ""; "gcd"; "des"; "rs"; "interp"; "threaded"; "nosuch" ] ]
+  in
+  let value =
+    fix
+      (fun self depth ->
+        let leaf =
+          oneof
+            [ return J.Null;
+              map (fun b -> J.Bool b) bool;
+              map
+                (fun f -> J.Num f)
+                (oneof [ float; map float_of_int small_signed_int ]);
+              map (fun s -> J.Str s) str ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [ (3, leaf);
+              ( 1,
+                map
+                  (fun l -> J.Arr l)
+                  (list_size (int_range 0 3) (self (depth - 1))) );
+              ( 1,
+                map
+                  (fun l -> J.Obj l)
+                  (list_size (int_range 0 3) (pair str (self (depth - 1)))) ) ])
+      2
+  in
+  let field_name =
+    oneof
+      [ oneofl
+          [ "workloads"; "workload"; "config"; "backend"; "top";
+            "bucket_cycles"; "space"; "timings"; "trace_id";
+            "parent_span_id" ];
+        str ]
+  in
+  let ops =
+    [ "ping"; "estimate"; "attribute"; "profile"; "audit"; "explore";
+      "metrics"; "stats"; "status"; "invalid" ]
+  in
+  let simulating = [ "estimate"; "attribute"; "profile"; "audit"; "explore" ] in
+  let request =
+    map2
+      (fun op fields ->
+        let fields = List.filter (fun (k, _) -> k <> "op") fields in
+        let fields =
+          if not (List.mem op simulating) then fields
+          else
+            ("config", J.Str "invalid")
+            :: ("space", J.Str "no such space")
+            :: List.filter (fun (k, _) -> k <> "config" && k <> "space") fields
+        in
+        J.print (J.Obj (("op", J.Str op) :: fields)))
+      (oneof [ oneofl ops; str ])
+      (list_size (int_range 0 5) (pair field_name value))
+  in
+  let bytes = string_size ~gen:char (int_range 0 48) in
+  frequency [ (4, request); (1, bytes); (1, map J.print value) ]
+
+let test_router_fuzz () =
+  with_router @@ fun router ->
+  let prop payload =
+    match J.parse (Serve.Router.handle_text router payload) with
+    | J.Obj fields -> (
+      match (List.assoc_opt "ok" fields, List.assoc_opt "trace_id" fields) with
+      | Some (J.Bool _), Some (J.Str _) -> true
+      | _ -> false)
+    | _ -> false
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"router replies are well formed" ~count:300
+       (QCheck.make gen_router_payload ~print:(Printf.sprintf "%S"))
+       prop)
+
 (* Connection threads share the router's one case per workload: two
    profile requests for a custom-instruction workload simulating at
    once, one on the default backend and one on the interpreter, answer
@@ -272,7 +323,7 @@ let test_router_concurrent_profiles () =
   let body resp =
     match resp with
     | J.Obj fields ->
-      Serve.Protocol.json_to_string
+      Obs.Json.print
         (J.Obj
            (List.filter
               (fun (k, _) -> k <> "trace_id" && k <> "backend")
@@ -1056,7 +1107,7 @@ let test_server_hangup_mid_response () =
   for _ = 1 to 3 do
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_UNIX socket);
-    Serve.Protocol.write_frame fd (Serve.Protocol.json_to_string estimate_req);
+    Serve.Protocol.write_frame fd (Obs.Json.print estimate_req);
     Unix.close fd
   done;
   Unix.sleepf 0.2;
@@ -1070,7 +1121,7 @@ let test_server_half_close () =
   with_server ~max_models:1 @@ fun socket ->
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
-  Serve.Protocol.write_frame fd (Serve.Protocol.json_to_string ping_req);
+  Serve.Protocol.write_frame fd (Obs.Json.print ping_req);
   Unix.shutdown fd Unix.SHUTDOWN_SEND;
   (match Serve.Protocol.read_frame ~deadline:(Unix.gettimeofday () +. 5.0) fd with
    | Some payload ->
@@ -1331,14 +1382,14 @@ let () =
           Alcotest.test_case "truncation + oversize" `Quick
             test_frame_truncation_and_oversize;
           Alcotest.test_case "read deadline" `Quick test_frame_read_deadline;
-          Alcotest.test_case "write deadline" `Quick test_frame_write_deadline;
-          Alcotest.test_case "json print round-trip" `Quick
-            test_json_print_roundtrip ] );
+          Alcotest.test_case "write deadline" `Quick test_frame_write_deadline
+        ] );
       ( "registry",
         [ Alcotest.test_case "hit + LRU eviction" `Quick
             test_registry_hit_and_eviction ] );
       ( "router",
         [ Alcotest.test_case "profile op" `Quick test_router_profile_op;
+          Alcotest.test_case "fuzzed payloads" `Quick test_router_fuzz;
           Alcotest.test_case "concurrent profiles of one workload" `Quick
             test_router_concurrent_profiles;
           Alcotest.test_case "explore op" `Slow test_router_explore_op;
