@@ -64,17 +64,20 @@ let git_rev () =
             (String.split_on_char '\n' packed))
       |> Option.value ~default:"unknown")
 
-(* The provenance fields perfbench's results carry, as the first lines
-   of a BENCH_*.json object (two-space indent, each line ending in a
-   comma).  Readers of those files look fields up by name, so the extra
-   ones are ignored ([Core.Audit.of_json] for BENCH_accuracy.json). *)
-let provenance () =
-  Printf.sprintf
-    "  \"git_rev\": \"%s\",\n  \"ocaml\": \"%s\",\n  \"nproc\": %d,\n\
-    \  \"backend\": \"%s\",\n"
-    (String.escaped (git_rev ())) (String.escaped Sys.ocaml_version)
-    (Domain.recommended_domain_count ())
-    (Sim.Backend.name (Sim.Backend.current ()))
+(* Write one BENCH_*.json object: the provenance fields perfbench's
+   results carry, then the object's own.  Readers of those files look fields up
+   by name, so the extra ones are ignored ([Core.Audit.of_json] for
+   BENCH_accuracy.json). *)
+let write_bench file doc =
+  let open Obs.Json in
+  let provenance =
+    [ ("git_rev", Str (git_rev ()));
+      ("ocaml", Str Sys.ocaml_version);
+      ("nproc", int (Domain.recommended_domain_count ()));
+      ("backend", Str (Sim.Backend.name (Sim.Backend.current ()))) ]
+  in
+  save file (match doc with Obj fields -> Obj (provenance @ fields) | j -> j);
+  Format.fprintf fmt "(written to %s)@." file
 
 (* Characterization is shared by every experiment.  Wall clock, not
    Sys.time: with forked workers the parent's CPU time says nothing. *)
@@ -140,32 +143,31 @@ let fig3 () =
 
 let table2 () =
   banner "E3 / Table II: application energy estimates, accuracy";
-  let table =
-    Core.Evaluate.compare_cases (model ()) (Workloads.Suite.applications ())
-  in
+  let report = Core.Audit.run (model ()) (Workloads.Suite.applications ()) in
   Format.fprintf fmt
     "%-18s %27s | %25s@." ""
     "--- this reproduction ---" "------- paper -------";
   Format.fprintf fmt "%-18s %8s %9s %7s | %9s %9s %6s@." "application"
     "est uJ" "ref uJ" "err %" "est uJ" "WW uJ" "err %";
   List.iter
-    (fun (r : Core.Evaluate.row) ->
+    (fun (r : Core.Audit.row) ->
       let p_est, p_ww, p_err =
         match
-          List.find_opt (fun (n, _, _, _) -> n = r.Core.Evaluate.rname)
+          List.find_opt (fun (n, _, _, _) -> n = r.Core.Audit.a_name)
             paper_table2
         with
         | Some (_, a, b, c) -> (a, b, c)
         | None -> (nan, nan, nan)
       in
       Format.fprintf fmt "%-18s %8.3f %9.3f %+7.2f | %9.1f %9.1f %+6.1f@."
-        r.Core.Evaluate.rname r.Core.Evaluate.estimate_uj
-        r.Core.Evaluate.reference_uj r.Core.Evaluate.error_percent p_est p_ww
-        p_err)
-    table.Core.Evaluate.rows;
+        r.Core.Audit.a_name
+        (Power.Report.to_uj r.Core.Audit.a_estimate_pj)
+        (Power.Report.to_uj r.Core.Audit.a_reference_pj)
+        r.Core.Audit.a_error_percent p_est p_ww p_err)
+    report.Core.Audit.a_rows;
   Format.fprintf fmt
     "@.measured: mean |err| %.2f%%, max |err| %.2f%%   (paper: 3.3%%, 8.5%%)@."
-    table.Core.Evaluate.mean_abs_error table.Core.Evaluate.max_abs_error;
+    report.Core.Audit.a_mean_abs report.Core.Audit.a_max_abs;
   Format.fprintf fmt
     "(absolute uJ differ: the paper's inputs/trip counts are not published;@.\
      \ the comparison criterion is the error distribution.)@."
@@ -174,15 +176,14 @@ let table2 () =
 
 let fig4 () =
   banner "E4 / Fig. 4: Reed-Solomon with four custom-instruction choices";
-  let table =
-    Core.Evaluate.compare_cases (model ())
-      (Workloads.Suite.reed_solomon_choices ())
+  let report =
+    Core.Audit.run (model ()) (Workloads.Suite.reed_solomon_choices ())
   in
-  Format.fprintf fmt "%a@." Core.Evaluate.pp_table table;
+  Format.fprintf fmt "%a@." Core.Evaluate.pp_table report;
   Format.fprintf fmt
     "correlation of the two profiles: %.4f; identical ranking: %b@."
-    (Core.Evaluate.correlation table)
-    (Core.Evaluate.rank_agreement table);
+    (Core.Evaluate.correlation report)
+    (Core.Evaluate.rank_agreement report);
   Format.fprintf fmt
     "(paper: the two profiles track one another across the four choices)@."
 
@@ -259,28 +260,19 @@ and characterize_bench () =
     serial_s jobs
     (if jobs = 1 then " " else "s")
     par_s (serial_s /. par_s) jobs max_rel_delta;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"characterization-engine\",\n\
-      \  \"workloads\": %d,\n\
-      \  \"single_pass_serial_seconds\": %.6f,\n\
-      \  \"single_pass_parallel_seconds\": %.6f,\n\
-      \  \"parallel_jobs\": %d,\n\
-      \  \"speedup_vs_serial\": %.3f,\n\
-      \  \"max_rel_coeff_delta\": %.6g,\n\
-      \  \"total_simulations\": %d,\n\
-      \  \"run_report\": %s\n\
-       }"
-      (List.length cases) serial_s par_s jobs (serial_s /. par_s)
-      max_rel_delta
-      (Core.Run_report.total_simulations serial_report)
-      (Obs.Json.print (Core.Run_report.to_json par_report))
-  in
-  Out_channel.with_open_text "BENCH_characterize.json" (fun oc ->
-      Out_channel.output_string oc json;
-      Out_channel.output_char oc '\n');
-  Format.fprintf fmt "(written to BENCH_characterize.json)@."
+  write_bench "BENCH_characterize.json"
+    Obs.Json.(
+      Obj
+        [ ("benchmark", Str "characterization-engine");
+          ("workloads", int (List.length cases));
+          ("single_pass_serial_seconds", Num serial_s);
+          ("single_pass_parallel_seconds", Num par_s);
+          ("parallel_jobs", int jobs);
+          ("speedup_vs_serial", Num (serial_s /. par_s));
+          ("max_rel_coeff_delta", Num max_rel_delta);
+          ( "total_simulations",
+            int (Core.Run_report.total_simulations serial_report) );
+          ("run_report", Core.Run_report.to_json par_report) ])
 
 (* Design-space exploration: sweep the flagship rs-cache space twice over
    the same on-disk memo cache — cold (every simulation runs) and warm
@@ -332,37 +324,30 @@ let explore_bench () =
     warm.Core.Explore.cache_stats.Core.Eval_cache.hits
     speedup agree
     (String.concat " -> " (names cold.Core.Explore.frontier));
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"explore-memoized-sweep\",\n\
-      \  \"space\": \"rs-cache\",\n\
-      \  \"candidates\": %d,\n\
-      \  \"configs_characterized\": %d,\n\
-      \  \"cold_seconds\": %.6f,\n\
-      \  \"warm_seconds\": %.6f,\n\
-      \  \"warm_speedup\": %.3f,\n\
-      \  \"cold_simulations\": %d,\n\
-      \  \"warm_simulations\": %d,\n\
-      \  \"warm_cache_hits\": %d,\n\
-      \  \"cache_errors\": %d,\n\
-      \  \"bit_identical\": %b,\n\
-      \  \"pareto\": [%s]\n\
-       }"
-      (List.length candidates) cold.Core.Explore.configs_characterized
-      cold_s warm_s speedup cold.Core.Explore.simulations
-      warm.Core.Explore.simulations
-      warm.Core.Explore.cache_stats.Core.Eval_cache.hits
-      (cold.Core.Explore.cache_stats.Core.Eval_cache.errors
-       + warm.Core.Explore.cache_stats.Core.Eval_cache.errors)
-      agree
-      (String.concat ", "
-         (List.map (Printf.sprintf "%S") (names cold.Core.Explore.frontier)))
-  in
-  Out_channel.with_open_text "BENCH_explore.json" (fun oc ->
-      Out_channel.output_string oc json;
-      Out_channel.output_char oc '\n');
-  Format.fprintf fmt "(written to BENCH_explore.json)@.";
+  write_bench "BENCH_explore.json"
+    Obs.Json.(
+      Obj
+        [ ("benchmark", Str "explore-memoized-sweep");
+          ("space", Str "rs-cache");
+          ("candidates", int (List.length candidates));
+          ( "configs_characterized",
+            int cold.Core.Explore.configs_characterized );
+          ("cold_seconds", Num cold_s);
+          ("warm_seconds", Num warm_s);
+          ("warm_speedup", Num speedup);
+          ("cold_simulations", int cold.Core.Explore.simulations);
+          ("warm_simulations", int warm.Core.Explore.simulations);
+          ( "warm_cache_hits",
+            int warm.Core.Explore.cache_stats.Core.Eval_cache.hits );
+          ( "cache_errors",
+            int
+              (cold.Core.Explore.cache_stats.Core.Eval_cache.errors
+              + warm.Core.Explore.cache_stats.Core.Eval_cache.errors) );
+          ("bit_identical", Bool agree);
+          ( "pareto",
+            Arr
+              (List.map (fun n -> Str n) (names cold.Core.Explore.frontier)) )
+        ]);
   (* Best-effort cleanup of the scratch cache. *)
   (try
      Array.iter
@@ -443,41 +428,28 @@ let cache_bench () =
     (List.length verify_r.Core.Eval_cache.v_corrupt)
     prune_s prune_r.Core.Eval_cache.p_kept prune_r.Core.Eval_cache.p_evicted
     rewarm_s rewarm.Core.Explore.simulations rewarm_identical;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"cache-lifecycle\",\n\
-      \  \"space\": \"rs-cache\",\n\
-      \  \"entries\": %d,\n\
-      \  \"bytes\": %d,\n\
-      \  \"cold_seconds\": %.6f,\n\
-      \  \"warm_seconds\": %.6f,\n\
-      \  \"warm_simulations\": %d,\n\
-      \  \"warm_identical\": %b,\n\
-      \  \"gc_tmp_removed\": %d,\n\
-      \  \"gc_foreign_removed\": %d,\n\
-      \  \"verify_ok\": %d,\n\
-      \  \"verify_corrupt\": %d,\n\
-      \  \"prune_seconds\": %.6f,\n\
-      \  \"prune_kept\": %d,\n\
-      \  \"prune_evicted\": %d,\n\
-      \  \"rewarm_seconds\": %.6f,\n\
-      \  \"rewarm_simulations\": %d,\n\
-      \  \"rewarm_identical\": %b\n\
-       }"
-      populated.Core.Eval_cache.d_entries populated.Core.Eval_cache.d_bytes
-      cold_s warm_s warm.Core.Explore.simulations warm_identical
-      gc_r.Core.Eval_cache.g_tmp_removed
-      gc_r.Core.Eval_cache.g_foreign_removed
-      verify_r.Core.Eval_cache.v_ok
-      (List.length verify_r.Core.Eval_cache.v_corrupt)
-      prune_s prune_r.Core.Eval_cache.p_kept prune_r.Core.Eval_cache.p_evicted
-      rewarm_s rewarm.Core.Explore.simulations rewarm_identical
-  in
-  Out_channel.with_open_text "BENCH_cache.json" (fun oc ->
-      Out_channel.output_string oc json;
-      Out_channel.output_char oc '\n');
-  Format.fprintf fmt "(written to BENCH_cache.json)@.";
+  write_bench "BENCH_cache.json"
+    Obs.Json.(
+      Obj
+        [ ("benchmark", Str "cache-lifecycle");
+          ("space", Str "rs-cache");
+          ("entries", int populated.Core.Eval_cache.d_entries);
+          ("bytes", int populated.Core.Eval_cache.d_bytes);
+          ("cold_seconds", Num cold_s);
+          ("warm_seconds", Num warm_s);
+          ("warm_simulations", int warm.Core.Explore.simulations);
+          ("warm_identical", Bool warm_identical);
+          ("gc_tmp_removed", int gc_r.Core.Eval_cache.g_tmp_removed);
+          ("gc_foreign_removed", int gc_r.Core.Eval_cache.g_foreign_removed);
+          ("verify_ok", int verify_r.Core.Eval_cache.v_ok);
+          ( "verify_corrupt",
+            int (List.length verify_r.Core.Eval_cache.v_corrupt) );
+          ("prune_seconds", Num prune_s);
+          ("prune_kept", int prune_r.Core.Eval_cache.p_kept);
+          ("prune_evicted", int prune_r.Core.Eval_cache.p_evicted);
+          ("rewarm_seconds", Num rewarm_s);
+          ("rewarm_simulations", int rewarm.Core.Explore.simulations);
+          ("rewarm_identical", Bool rewarm_identical) ]);
   (try
      Array.iter
        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
@@ -494,10 +466,7 @@ let accuracy_bench () =
     Core.Audit.run (model ()) (Workloads.Suite.applications ())
   in
   Format.fprintf fmt "%a@." Core.Audit.pp report;
-  Out_channel.with_open_text "BENCH_accuracy.json" (fun oc ->
-      Out_channel.output_string oc (Obs.Json.print (Core.Audit.to_json report));
-      Out_channel.output_char oc '\n');
-  Format.fprintf fmt "(written to BENCH_accuracy.json)@."
+  write_bench "BENCH_accuracy.json" (Core.Audit.to_json report)
 
 (* Hotspot profiler: conservation of the per-block decomposition over
    every application, then attached-vs-detached simulation wall time on
@@ -540,30 +509,20 @@ let profile_bench () =
      (budget %.1fx: %s)@."
     repeats detached_s attached_s overhead budget
     (if overhead <= budget then "ok" else "EXCEEDED");
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"profiler-overhead\",\n\
-       %s\
-      \  \"workload\": \"gcd\",\n\
-      \  \"repeats\": %d,\n\
-      \  \"detached_seconds\": %.6f,\n\
-      \  \"attached_seconds\": %.6f,\n\
-      \  \"overhead_ratio\": %.4f,\n\
-      \  \"overhead_budget\": %.1f,\n\
-      \  \"within_budget\": %b,\n\
-      \  \"applications_checked\": %d,\n\
-      \  \"worst_cycle_gap\": %g,\n\
-      \  \"worst_energy_gap_rel\": %.6g\n\
-       }"
-      (provenance ()) repeats detached_s attached_s overhead budget
-      (overhead <= budget) (List.length apps) !worst_cycle_gap
-      !worst_energy_gap
-  in
-  Out_channel.with_open_text "BENCH_profile.json" (fun oc ->
-      Out_channel.output_string oc json;
-      Out_channel.output_char oc '\n');
-  Format.fprintf fmt "(written to BENCH_profile.json)@."
+  write_bench "BENCH_profile.json"
+    Obs.Json.(
+      Obj
+        [ ("benchmark", Str "profiler-overhead");
+          ("workload", Str "gcd");
+          ("repeats", int repeats);
+          ("detached_seconds", Num detached_s);
+          ("attached_seconds", Num attached_s);
+          ("overhead_ratio", Num overhead);
+          ("overhead_budget", Num budget);
+          ("within_budget", Bool (overhead <= budget));
+          ("applications_checked", int (List.length apps));
+          ("worst_cycle_gap", Num !worst_cycle_gap);
+          ("worst_energy_gap_rel", Num !worst_energy_gap) ])
 
 (* Threaded-code execution backend: first the bit-identity oracle (the
    --backend check dual run) over every application, then interp vs
@@ -649,33 +608,26 @@ let sim_bench () =
     stretch
     (if geomean >= stretch then "ok" else "not reached");
   let row_json (name, ins, ni, nt, s) =
-    Printf.sprintf
-      "{\"name\": \"%s\", \"instructions\": %d, \
-       \"interp_ns_per_instr\": %.2f, \"threaded_ns_per_instr\": %.2f, \
-       \"speedup\": %.4f}"
-      name ins ni nt s
+    Obs.Json.(
+      Obj
+        [ ("name", Str name);
+          ("instructions", int ins);
+          ("interp_ns_per_instr", Num ni);
+          ("threaded_ns_per_instr", Num nt);
+          ("speedup", Num s) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"sim-backend\",\n\
-      \  \"equivalence_checks\": %d,\n\
-      \  \"applications_checked\": %d,\n\
-      \  \"programs\": %d,\n\
-      \  \"geomean_speedup\": %.4f,\n\
-      \  \"gate_speedup\": %.1f,\n\
-      \  \"stretch_speedup\": %.1f,\n\
-      \  \"gate_pass\": %b,\n\
-      \  \"rows\": [\n    %s\n  ]\n\
-       }"
-      checks (List.length apps) (List.length rows) geomean gate stretch
-      (geomean >= gate)
-      (String.concat ",\n    " (List.map row_json rows))
-  in
-  Out_channel.with_open_text "BENCH_sim.json" (fun oc ->
-      Out_channel.output_string oc json;
-      Out_channel.output_char oc '\n');
-  Format.fprintf fmt "(written to BENCH_sim.json)@.";
+  write_bench "BENCH_sim.json"
+    Obs.Json.(
+      Obj
+        [ ("benchmark", Str "sim-backend");
+          ("equivalence_checks", int checks);
+          ("applications_checked", int (List.length apps));
+          ("programs", int (List.length rows));
+          ("geomean_speedup", Num geomean);
+          ("gate_speedup", Num gate);
+          ("stretch_speedup", Num stretch);
+          ("gate_pass", Bool (geomean >= gate));
+          ("rows", Arr (List.map row_json rows)) ]);
   if geomean < gate then exit 1
 
 (* Serve observability overhead: two stub-characterized daemons side by
@@ -782,24 +734,17 @@ let serve_overhead () =
        %.3fx (budget %.2fx: %s)@."
       !best_plain !best_traced ratio budget
       (if ratio <= budget then "ok" else "OVER");
-    let json =
-      Printf.sprintf
-        "{\n\
-        \  \"benchmark\": \"serve-overhead\",\n\
-        \  \"samples_per_batch\": %d,\n\
-        \  \"reps\": %d,\n\
-        \  \"untraced_us\": %.2f,\n\
-        \  \"traced_us\": %.2f,\n\
-        \  \"ratio\": %.4f,\n\
-        \  \"budget\": %.2f,\n\
-        \  \"within_budget\": %b\n\
-         }"
-        n reps !best_plain !best_traced ratio budget (ratio <= budget)
-    in
-    Out_channel.with_open_text "BENCH_serve.json" (fun oc ->
-        Out_channel.output_string oc json;
-        Out_channel.output_char oc '\n');
-    Format.fprintf fmt "(written to BENCH_serve.json)@.";
+    write_bench "BENCH_serve.json"
+      Obs.Json.(
+        Obj
+          [ ("benchmark", Str "serve-overhead");
+            ("samples_per_batch", int n);
+            ("reps", int reps);
+            ("untraced_us", Num !best_plain);
+            ("traced_us", Num !best_traced);
+            ("ratio", Num ratio);
+            ("budget", Num budget);
+            ("within_budget", Bool (ratio <= budget)) ]);
     ratio <= budget
   in
   if not within_budget then exit 1
@@ -942,10 +887,8 @@ let ablation () =
    patterns). *)
 let capps () =
   banner "Extension: accuracy on compiled Tiny-C applications";
-  let table =
-    Core.Evaluate.compare_cases (model ()) (Workloads.Suite.c_applications ())
-  in
-  Format.fprintf fmt "%a@." Core.Evaluate.pp_table table;
+  let report = Core.Audit.run (model ()) (Workloads.Suite.c_applications ()) in
+  Format.fprintf fmt "%a@." Core.Evaluate.pp_table report;
   Format.fprintf fmt
     "(compiler-generated code needs no special treatment in the flow)@."
 
@@ -962,14 +905,14 @@ let arbitrary () =
     "fit rms%" "apps mean err%" "apps max err%";
   let eval_with label cases =
     let f = Core.Characterize.run cases in
-    let table =
-      Core.Evaluate.compare_cases f.Core.Characterize.model
+    let report =
+      Core.Audit.run f.Core.Characterize.model
         (Workloads.Suite.applications ()
          @ Workloads.Suite.reed_solomon_choices ())
     in
     Format.fprintf fmt "%-26s %10.2f %14.2f %14.2f@." label
-      f.Core.Characterize.rms_percent table.Core.Evaluate.mean_abs_error
-      table.Core.Evaluate.max_abs_error
+      f.Core.Characterize.rms_percent report.Core.Audit.a_mean_abs
+      report.Core.Audit.a_max_abs
   in
   eval_with "hand-written (25)" (Workloads.Suite.characterization ());
   List.iter

@@ -62,6 +62,17 @@ let die f =
     Format.err_formatter
     ("xenergy: " ^^ f)
 
+(* Write one output file with [save], dying with "cannot write [what]"
+   on an I/O error, then say "[said] written to PATH[note]" on [ppf]. *)
+let write_file ppf ~what ?(said = what) ?(note = "") save = function
+  | None -> ()
+  | Some path ->
+    (try save path with Sys_error msg -> die "cannot write %s: %s" what msg);
+    Format.fprintf ppf "%s written to %s%s@." said path note
+
+let save_text path text =
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text)
+
 let jobs_arg =
   let doc =
     "Number of worker processes for characterization (also the
@@ -139,13 +150,8 @@ let common_term () =
      | None -> ());
     if openmetrics <> None then Obs.Metrics.set_enabled true;
     let r = f jobs in
-    Option.iter
-      (fun path ->
-        (try Obs.Export.save path
-         with Sys_error msg ->
-           die "cannot write OpenMetrics exposition: %s" msg);
-        Format.eprintf "OpenMetrics exposition written to %s@." path)
-      openmetrics;
+    write_file Format.err_formatter ~what:"OpenMetrics exposition"
+      Obs.Export.save openmetrics;
     report_checks ();
     r
   in
@@ -157,19 +163,10 @@ let recording ppf ~trace ~metrics f =
   if trace <> None then Obs.Trace.set_enabled true;
   if metrics <> None then Obs.Metrics.set_enabled true;
   let r = f () in
-  Option.iter
-    (fun path ->
-      (try Obs.Trace.save path
-       with Sys_error msg -> die "cannot write trace: %s" msg);
-      Format.fprintf ppf "trace written to %s (open in chrome://tracing \
-                          or https://ui.perfetto.dev)@." path)
-    trace;
-  Option.iter
-    (fun path ->
-      (try Obs.Metrics.save path
-       with Sys_error msg -> die "cannot write metrics: %s" msg);
-      Format.fprintf ppf "metrics written to %s@." path)
-    metrics;
+  write_file ppf ~what:"trace"
+    ~note:" (open in chrome://tracing or https://ui.perfetto.dev)"
+    Obs.Trace.save trace;
+  write_file ppf ~what:"metrics" Obs.Metrics.save metrics;
   r
 
 let characterize_model ?jobs () =
@@ -276,22 +273,12 @@ let profile_cmd =
       if annotate then
         Format.fprintf fmt "@.%a@." Core.Profiler.pp_annotate r
     end;
-    let write_file what path text =
-      (try
-         Out_channel.with_open_text path (fun oc ->
-             Out_channel.output_string oc text)
-       with Sys_error msg -> die "cannot write %s: %s" what msg);
-      Format.eprintf "%s written to %s@." what path
+    let write_folded what ?energy =
+      write_file Format.err_formatter ~what (fun path ->
+          save_text path (Core.Profiler.folded_lines ?energy r))
     in
-    Option.iter
-      (fun path ->
-        write_file "folded stacks" path (Core.Profiler.folded_lines r))
-      folded;
-    Option.iter
-      (fun path ->
-        write_file "energy folded stacks" path
-          (Core.Profiler.folded_lines ~energy:true r))
-      folded_energy
+    write_folded "folded stacks" folded;
+    write_folded "energy folded stacks" ~energy:true folded_energy
   in
   Cmd.v
     (Cmd.info "profile"
@@ -371,19 +358,14 @@ let characterize_cmd =
     Format.fprintf fmt "%a@."
       (Core.Template.pp_table1 ~paper:Core.Template.paper_reference)
       fit.Core.Characterize.model;
-    (match report with
-     | Some path ->
-       Format.fprintf fmt "@.%a@." Core.Run_report.pp run_report;
-       (try Core.Run_report.save path run_report
-        with Sys_error msg -> die "cannot write run report: %s" msg);
-       Format.fprintf fmt "run report written to %s@." path
-     | None -> ());
-    (match out with
-     | Some path ->
-       (try Core.Template.save path fit.Core.Characterize.model
-        with Sys_error msg -> die "cannot write coefficients: %s" msg);
-       Format.fprintf fmt "coefficients written to %s@." path
-     | None -> ())
+    if report <> None then
+      Format.fprintf fmt "@.%a@." Core.Run_report.pp run_report;
+    write_file fmt ~what:"run report"
+      (fun path -> Core.Run_report.save path run_report)
+      report;
+    write_file fmt ~what:"coefficients"
+      (fun path -> Core.Template.save path fit.Core.Characterize.model)
+      out
   in
   Cmd.v
     (Cmd.info "characterize"
@@ -462,13 +444,13 @@ let attribute_cmd =
 
 (* --- compare ------------------------------------------------------------- *)
 
-(* Shared by [compare] and [rs]: both estimators over a suite, one
-   simulation per program, printed as a Table II listing. *)
+(* Shared by [compare] and [rs]: an audit of a suite, one simulation
+   per program, printed as a Table II listing. *)
 let print_comparison suite model_path =
   let model = load_or_fit model_path in
-  let table = Core.Evaluate.compare_cases model (suite ()) in
-  Format.fprintf fmt "%a@." Core.Evaluate.pp_table table;
-  table
+  let report = Core.Audit.run model (suite ()) in
+  Format.fprintf fmt "%a@." Core.Evaluate.pp_table report;
+  report
 
 let compare_cmd =
   let run model_path =
@@ -797,14 +779,9 @@ let explore_cmd =
           outcome
     in
     print_string rendered;
-    (match out with
-     | Some path ->
-       (try
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc rendered)
-        with Sys_error msg -> die "cannot write output: %s" msg);
-       Format.eprintf "sweep written to %s@." path
-     | None -> ())
+    write_file Format.err_formatter ~what:"output" ~said:"sweep"
+      (fun path -> save_text path rendered)
+      out
   in
   Cmd.v
     (Cmd.info "explore"
@@ -1028,16 +1005,9 @@ let audit_cmd =
       in
       if json then print_json (Core.Audit.to_json report)
       else Format.fprintf fmt "%a@." Core.Audit.pp report;
-      (match out with
-       | Some path ->
-         (try
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc
-                  (Obs.Json.print (Core.Audit.to_json report));
-                Out_channel.output_char oc '\n')
-          with Sys_error msg -> die "cannot write accuracy report: %s" msg);
-         Format.eprintf "accuracy report written to %s@." path
-       | None -> ());
+      write_file Format.err_formatter ~what:"accuracy report"
+        (fun path -> Obs.Json.save path (Core.Audit.to_json report))
+        out;
       report
     in
     match baseline with
@@ -1064,6 +1034,30 @@ let audit_cmd =
           $ tolerance_arg $ cache_dir_arg $ common_term ())
 
 (* --- serve ---------------------------------------------------------------- *)
+
+(* Client mode of serve and top: wait for the daemon, or end the command. *)
+let await_daemon ~socket wait =
+  if not (Serve.Client.wait_ready ~timeout_s:wait ~socket ()) then
+    die "server at %s not answering after %.1f s" socket wait
+
+(* Transport failures of a client exchange end the command; [lost]
+   words the message for an unreachable daemon. *)
+let or_die ?(lost = "cannot reach server at") ~socket f =
+  try f ()
+  with
+  | Unix.Unix_error (e, _, _) ->
+    die "%s %s: %s" lost socket (Unix.error_message e)
+  | Serve.Protocol.Frame_error msg -> die "%s" msg
+  | Obs.Json.Parse_error msg -> die "malformed response: %s" msg
+
+(* One exchange with the daemon: a transport failure or a refusal (no
+   ["ok": true]) ends the command, the latter with [refused]. *)
+let request ?lost ~socket ~refused send =
+  match or_die ?lost ~socket send with
+  | Obs.Json.Obj fields as resp
+    when List.assoc_opt "ok" fields = Some (Obs.Json.Bool true) ->
+    resp
+  | _ -> die "%s" refused
 
 let serve_cmd =
   let socket_arg =
@@ -1174,22 +1168,11 @@ let serve_cmd =
                    itself (a cold estimate characterizes first — size
                    generously).")
   in
-  (* Transport failures of a client exchange end the command. *)
-  let or_die ~socket f =
-    try f ()
-    with
-    | Unix.Unix_error (e, _, _) ->
-      die "cannot reach server at %s: %s" socket (Unix.error_message e)
-    | Serve.Protocol.Frame_error msg -> die "%s" msg
-    | Obs.Json.Parse_error msg -> die "malformed response: %s" msg
-  in
-  let client_call ~socket ~timeout req =
-    or_die ~socket (fun () -> Serve.Client.call ~timeout_s:timeout ~socket req)
-  in
-  let response_ok = function
-    | Obs.Json.Obj fields ->
-      List.assoc_opt "ok" fields = Some (Obs.Json.Bool true)
-    | _ -> false
+  (* A one-op request on its own connection; a refusal names the op. *)
+  let call_op ~socket ~timeout ~refused op =
+    request ~socket ~refused:(refused ^ " refused") (fun () ->
+        Serve.Client.call ~timeout_s:timeout ~socket
+          (Obs.Json.Obj [ ("op", Obs.Json.Str op) ]))
   in
   let run socket max_models cache_dir model_file io_timeout max_conns
       read_timeout slow_ms trace_file call scrape ping status stop wait
@@ -1199,23 +1182,11 @@ let serve_cmd =
     with_common @@ fun jobs ->
     let client_mode = call <> [] || scrape || ping || status || stop in
     if client_mode then begin
-      if not (Serve.Client.wait_ready ~timeout_s:wait ~socket ()) then
-        die "server at %s not answering after %.1f s" socket wait;
-      if ping then begin
-        let resp =
-          client_call ~socket ~timeout (Obs.Json.Obj [ ("op", Obs.Json.Str "ping") ])
-        in
-        if not (response_ok resp) then die "ping refused";
-        print_endline (Obs.Json.print resp)
-      end;
-      if status then begin
-        let resp =
-          client_call ~socket ~timeout
-            (Obs.Json.Obj [ ("op", Obs.Json.Str "status") ])
-        in
-        if not (response_ok resp) then die "status refused";
-        print_endline (Obs.Json.print resp)
-      end;
+      await_daemon ~socket wait;
+      if ping then
+        print_json (call_op ~socket ~timeout ~refused:"ping" "ping");
+      if status then
+        print_json (call_op ~socket ~timeout ~refused:"status" "status");
       (match call with
        | [] -> ()
        | texts ->
@@ -1241,25 +1212,15 @@ let serve_cmd =
                              req)))
                    reqs)));
       if scrape then begin
-        let resp =
-          client_call ~socket ~timeout
-            (Obs.Json.Obj [ ("op", Obs.Json.Str "metrics") ])
-        in
-        if not (response_ok resp) then die "metrics scrape refused";
-        match resp with
+        match call_op ~socket ~timeout ~refused:"metrics scrape" "metrics" with
         | Obs.Json.Obj fields -> (
           match List.assoc_opt "exposition" fields with
           | Some (Obs.Json.Str text) -> print_string text
           | _ -> die "malformed metrics response")
         | _ -> die "malformed metrics response"
       end;
-      if stop then begin
-        let resp =
-          client_call ~socket ~timeout
-            (Obs.Json.Obj [ ("op", Obs.Json.Str "shutdown") ])
-        in
-        if not (response_ok resp) then die "shutdown refused"
-      end
+      if stop then
+        ignore (call_op ~socket ~timeout ~refused:"shutdown" "shutdown")
     end
     else begin
       if max_models < 1 then die "--max-models must be >= 1";
@@ -1300,12 +1261,7 @@ let serve_cmd =
               pick another socket)" socket
        | Unix.Unix_error (e, _, _) ->
          die "cannot serve on %s: %s" socket (Unix.error_message e));
-      (match trace_file with
-       | Some path ->
-         (try Obs.Trace.save path
-          with Sys_error msg -> die "cannot write trace: %s" msg);
-         Format.eprintf "trace written to %s@." path
-       | None -> ())
+      write_file Format.err_formatter ~what:"trace" Obs.Trace.save trace_file
     end
   in
   Cmd.v
@@ -1401,50 +1357,37 @@ let top_cmd =
   let run socket interval iterations wait =
     if interval <= 0.0 then die "--interval must be > 0";
     if iterations < 0 then die "--iterations must be >= 0";
-    if not (Serve.Client.wait_ready ~timeout_s:wait ~socket ()) then
-      die "server at %s not answering after %.1f s" socket wait;
+    await_daemon ~socket wait;
     (* Refresh in place only on an interactive terminal; piped output
        (scripts, CI smoke) gets plain concatenated frames. *)
     let clear = Unix.isatty Unix.stdout in
     let req = J.Obj [ ("op", J.Str "status") ] in
-    let connect () =
-      try Serve.Client.connect ~socket
-      with Unix.Unix_error (e, _, _) ->
-        die "cannot reach server at %s: %s" socket (Unix.error_message e)
+    let connect () = or_die ~socket (fun () -> Serve.Client.connect ~socket) in
+    let session = ref (connect ()) in
+    let poll () =
+      request ~lost:"lost the daemon at" ~socket
+        ~refused:(Printf.sprintf "status refused by the daemon at %s" socket)
+        (fun () ->
+          (* The daemon's io-timeout drops sessions idle longer than it,
+             so a leisurely --interval needs a quiet reconnect. *)
+          try Serve.Client.session_call ~timeout_s:10.0 !session req
+          with Serve.Protocol.Frame_error _ | Unix.Unix_error _ ->
+            Serve.Client.close !session;
+            session := connect ();
+            Serve.Client.session_call ~timeout_s:10.0 !session req)
     in
-    let poll session =
-      try Serve.Client.session_call ~timeout_s:10.0 session req
-      with
-      | Unix.Unix_error (e, _, _) ->
-        die "lost the daemon at %s: %s" socket (Unix.error_message e)
-      | Serve.Protocol.Frame_error msg -> die "%s" msg
-      | Obs.Json.Parse_error msg -> die "malformed response: %s" msg
-    in
-    let rec loop session n =
-      (* The daemon's io-timeout drops sessions idle longer than it, so
-         a leisurely --interval needs a quiet reconnect between polls. *)
-      let status, session =
-        match Serve.Client.session_call ~timeout_s:10.0 session req with
-        | resp -> (resp, session)
-        | exception (Serve.Protocol.Frame_error _ | Unix.Unix_error _) ->
-          Serve.Client.close session;
-          let session = connect () in
-          (poll session, session)
-      in
-      (match status with
-       | J.Obj fields when List.assoc_opt "ok" fields = Some (J.Bool true) ->
-         ()
-       | _ -> die "status refused by the daemon at %s" socket);
+    let rec loop n =
+      let status = poll () in
       if clear then print_string "\027[2J\027[H";
       print_string (render status);
       flush stdout;
       if iterations = 0 || n < iterations then begin
         Unix.sleepf interval;
-        loop session (n + 1)
+        loop (n + 1)
       end
-      else Serve.Client.close session
+      else Serve.Client.close !session
     in
-    loop (connect ()) 1
+    loop 1
   in
   Cmd.v
     (Cmd.info "top"
@@ -1458,12 +1401,12 @@ let top_cmd =
 
 let rs_cmd =
   let run model_path =
-    let table =
+    let report =
       print_comparison Workloads.Suite.reed_solomon_choices model_path
     in
     Format.fprintf fmt "correlation %.4f, rank agreement %b@."
-      (Core.Evaluate.correlation table)
-      (Core.Evaluate.rank_agreement table)
+      (Core.Evaluate.correlation report)
+      (Core.Evaluate.rank_agreement report)
   in
   Cmd.v
     (Cmd.info "rs" ~doc:"Fig 4: Reed-Solomon custom-instruction choices")

@@ -2,11 +2,12 @@
     against the reference structural estimator, as a first-class,
     regression-gateable artifact.
 
-    Where {!Evaluate.compare_cases} reproduces the paper's Table II
-    (two simulations per program), an audit runs each program {e once}
-    with the reference estimator riding the simulation — the same
-    single-pass idiom as characterization — and memoizes through
-    {!Eval_cache}, so a warm audit costs zero simulations.  The result
+    An audit runs each program {e once} with the reference estimator
+    riding the simulation — the same single-pass idiom as
+    characterization — and memoizes through {!Eval_cache}, so a warm
+    audit costs zero simulations.  It is the one accuracy path: the
+    paper's Table II and Fig. 4 are rendered from its report by
+    {!Evaluate}.  The result
     carries the full signed-error distribution (per-program rows,
     mean/max absolute and RMS error in percent), serializes to a stable
     JSON document ([xenergy-accuracy], committed as a baseline), and

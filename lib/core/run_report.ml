@@ -135,7 +135,4 @@ let of_json s =
         failed_forks = Obs.Json.to_int (mem "failed_forks" p);
         recomputed_slices = Obs.Json.to_int (mem "recomputed_slices" p) } }
 
-let save path t =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (Obs.Json.print (to_json t));
-      Out_channel.output_char oc '\n')
+let save path t = Obs.Json.save path (to_json t)

@@ -268,3 +268,8 @@ let print j =
   in
   go j;
   Buffer.contents b
+
+let save path j =
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (print j);
+      Out_channel.output_char oc '\n')

@@ -2,9 +2,9 @@
     one printer.
 
     Every JSON document the repository writes — CLI [--json] output,
-    report files, eval-cache entries, daemon responses — is built as a
-    {!t} and printed by {!print}; the streaming writers in {!Log},
-    {!Trace} and {!Metrics} share {!escape}.  Parsing is strict RFC-8259
+    report files, eval-cache entries, daemon responses, trace files,
+    log lines, metric dumps and bench results — is built as a {!t} and
+    printed by {!print}.  Parsing is strict RFC-8259
     apart from accepting any IEEE float syntax OCaml's [float_of_string]
     does.  No dependency is worth it for that. *)
 
@@ -53,3 +53,7 @@ val print : t -> string
     everything else as [%.17g], enough digits for {!parse} to recover
     the exact double.  So [parse (print v) = v] for every finite [v],
     bit for bit. *)
+
+val save : string -> t -> unit
+(** [save path j] writes {!print} [j] plus a newline to [path].
+    @raise Sys_error when the file cannot be written. *)

@@ -90,35 +90,26 @@ let init_from_env () =
 
 let enabled () = !sink <> None
 
-let arg_json = function
-  | Trace.S s -> Printf.sprintf "\"%s\"" (Json.escape s)
-  | Trace.I i -> string_of_int i
-  | Trace.F f ->
-    (* JSON numbers must be finite. *)
-    if Float.is_nan f || Float.abs f = Float.infinity then "null"
-    else Printf.sprintf "%.6g" f
-  | Trace.B b -> if b then "true" else "false"
-
 let event ?(level = Info) name fields =
   match !sink with
   | None -> ()
   | Some _ when severity level >= severity !min_level ->
-    let b = Buffer.create 160 in
-    Printf.bprintf b
-      "{\"ts_us\": %.3f, \"level\": \"%s\", \"tid\": %d, \"pid\": %d, \
-       \"event\": \"%s\""
-      (Trace.now_us ()) (level_to_string level) (Trace.tid ())
-      (Unix.getpid ()) (Json.escape name);
-    (match Trace.context () with
-    | Some c ->
-      Printf.bprintf b ", \"trace_id\": \"%s\"" (Json.escape c.Trace.trace_id)
-    | None -> ());
-    List.iter
-      (fun (k, v) ->
-        Printf.bprintf b ", \"%s\": %s" (Json.escape k) (arg_json v))
-      fields;
-    Buffer.add_string b "}\n";
-    let line = Buffer.contents b in
+    let trace_id =
+      match Trace.context () with
+      | Some c -> [ ("trace_id", Json.Str c.Trace.trace_id) ]
+      | None -> []
+    in
+    let record =
+      Json.Obj
+        ([ ("ts_us", Json.Num (Trace.now_us ()));
+           ("level", Json.Str (level_to_string level));
+           ("tid", Json.int (Trace.tid ()));
+           ("pid", Json.int (Unix.getpid ()));
+           ("event", Json.Str name) ]
+        @ trace_id
+        @ List.map (fun (k, v) -> (k, Trace.arg_to_json v)) fields)
+    in
+    let line = Json.print record ^ "\n" in
     let m = !write_lock in
     Mutex.lock m;
     Fun.protect

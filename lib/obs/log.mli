@@ -20,6 +20,9 @@
       join on it;
     - the caller's fields, flattened into the object.
 
+    Each record is one {!Json.t} printed by {!Json.print} on one line:
+    float fields as exact doubles, non-finite ones as [null].
+
     Every line is written and flushed atomically-enough for the
     fork-based worker pool: the sink is opened in append mode and each
     record is a single buffered write followed by a flush, so lines from

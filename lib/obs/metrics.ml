@@ -217,79 +217,34 @@ let reset () =
 
 (* --- output -------------------------------------------------------------- *)
 
-(* JSON numbers must be finite. *)
-let json_float x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.1f" x
-  else if Float.is_nan x || Float.abs x = Float.infinity then "0"
-  else Printf.sprintf "%.9g" x
-
-let labels_json labels =
-  String.concat ", "
-    (List.map
-       (fun (k, v) ->
-         Printf.sprintf "\"%s\": \"%s\"" (Json.escape k) (Json.escape v))
-       labels)
-
 let instrument_json i =
-  let head name labels help typ =
-    Printf.sprintf
-      "\"name\": \"%s\", \"type\": \"%s\", \"help\": \"%s\", \"labels\": {%s}"
-      (Json.escape name) typ (Json.escape help) (labels_json labels)
+  let open Json in
+  let obj name labels help typ fields =
+    Obj
+      ([ ("name", Str name);
+         ("type", Str typ);
+         ("help", Str help);
+         ("labels", Obj (List.map (fun (k, v) -> (k, Str v)) labels)) ]
+      @ fields)
   in
   match i with
   | Counter c ->
-    Printf.sprintf "{%s, \"value\": %d}"
-      (head c.c_name c.c_labels c.c_help "counter")
-      c.c_value
+    obj c.c_name c.c_labels c.c_help "counter" [ ("value", int c.c_value) ]
   | Gauge g ->
-    Printf.sprintf "{%s, \"value\": %s}"
-      (head g.g_name g.g_labels g.g_help "gauge")
-      (json_float g.g_value)
+    obj g.g_name g.g_labels g.g_help "gauge" [ ("value", Num g.g_value) ]
   | Histogram h ->
+    let bucket le n = Obj [ ("le", le); ("count", int n) ] in
+    let n = Array.length h.h_bounds in
     let buckets =
-      String.concat ", "
-        (List.concat
-           [ Array.to_list
-               (Array.mapi
-                  (fun i le ->
-                    Printf.sprintf "{\"le\": %s, \"count\": %d}"
-                      (json_float le) h.h_counts.(i))
-                  h.h_bounds);
-             [ Printf.sprintf "{\"le\": \"+inf\", \"count\": %d}"
-                 h.h_counts.(Array.length h.h_bounds) ] ])
+      List.init n (fun i -> bucket (Num h.h_bounds.(i)) h.h_counts.(i))
+      @ [ bucket (Str "+inf") h.h_counts.(n) ]
     in
-    Printf.sprintf "{%s, \"sum\": %s, \"count\": %d, \"buckets\": [%s]}"
-      (head h.h_name h.h_labels h.h_help "histogram")
-      (json_float h.h_sum) h.h_count buckets
+    obj h.h_name h.h_labels h.h_help "histogram"
+      [ ("sum", Num h.h_sum);
+        ("count", int h.h_count);
+        ("buckets", Arr buckets) ]
 
 let to_json () =
-  Printf.sprintf "{\n  \"metrics\": [\n    %s\n  ]\n}"
-    (String.concat ",\n    " (List.map instrument_json (instruments ())))
+  Json.Obj [ ("metrics", Json.Arr (List.map instrument_json (instruments ()))) ]
 
-let save path =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_json ());
-      Out_channel.output_char oc '\n')
-
-let pp ppf () =
-  let label_str labels =
-    if labels = [] then ""
-    else
-      Printf.sprintf "{%s}"
-        (String.concat ","
-           (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) labels))
-  in
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun i ->
-      match i with
-      | Counter c ->
-        Format.fprintf ppf "%s%s %d@," c.c_name (label_str c.c_labels) c.c_value
-      | Gauge g ->
-        Format.fprintf ppf "%s%s %g@," g.g_name (label_str g.g_labels) g.g_value
-      | Histogram h ->
-        Format.fprintf ppf "%s%s count %d sum %g@," h.h_name
-          (label_str h.h_labels) h.h_count h.h_sum)
-    (instruments ());
-  Format.fprintf ppf "@]"
+let save path = Json.save path (to_json ())

@@ -98,12 +98,12 @@ val snapshot_diff : snapshot -> snapshot -> snapshot
     diff against an empty first capture.  Rows present only in
     [earlier] are dropped ([later] is the universe). *)
 
-val to_json : unit -> string
+val to_json : unit -> Json.t
 (** The whole registry as a JSON document, units carried in the metric
-    names (..._seconds, ..._pj, ..._total). *)
+    names (..._seconds, ..._pj, ..._total), printed by {!Json.print}:
+    gauge values, histogram bounds and sums as exact doubles, non-finite
+    values as [null] (the overflow bucket's bound is the string
+    ["+inf"]). *)
 
 val save : string -> unit
 (** Write {!to_json} plus a trailing newline to a file. *)
-
-val pp : Format.formatter -> unit -> unit
-(** Human-readable listing of every registered instrument. *)

@@ -227,44 +227,33 @@ let drain () = List.rev_map event_of (Atomic.exchange buf [])
 
 (* --- Chrome trace-event JSON --------------------------------------------- *)
 
-let arg_json = function
-  | S s -> Printf.sprintf "\"%s\"" (Json.escape s)
-  | I i -> string_of_int i
-  | F f ->
-    if Float.is_nan f || Float.abs f = Float.infinity then "0"
-    else Printf.sprintf "%.6g" f
-  | B b -> if b then "true" else "false"
+let arg_to_json = function
+  | S s -> Json.Str s
+  | I i -> Json.int i
+  | F f -> Json.Num f
+  | B b -> Json.Bool b
 
-let event_json e =
+let event_to_json e =
+  let open Json in
   let args =
     match e.ev_args with
-    | [] -> ""
+    | [] -> []
     | args ->
-      Printf.sprintf ", \"args\": {%s}"
-        (String.concat ", "
-           (List.map
-              (fun (k, v) ->
-                Printf.sprintf "\"%s\": %s" (Json.escape k) (arg_json v))
-              args))
+      [ ("args", Obj (List.map (fun (k, a) -> (k, arg_to_json a)) args)) ]
   in
-  let dur =
-    if e.ev_ph = 'X' then Printf.sprintf ", \"dur\": %.3f" e.ev_dur else ""
-  in
+  let dur = if e.ev_ph = 'X' then [ ("dur", Num e.ev_dur) ] else [] in
   (* Instant events need a scope; thread scope matches the lane model. *)
-  let scope = if e.ev_ph = 'i' then ", \"s\": \"t\"" else "" in
-  Printf.sprintf
-    "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", \"ts\": %.3f%s, \
-     \"pid\": 1, \"tid\": %d%s%s}"
-    (Json.escape e.ev_name)
-    (Json.escape (if e.ev_cat = "" then "xenergy" else e.ev_cat))
-    e.ev_ph e.ev_ts dur e.ev_tid scope args
+  let scope = if e.ev_ph = 'i' then [ ("s", Str "t") ] else [] in
+  Obj
+    ([ ("name", Str e.ev_name);
+       ("cat", Str (if e.ev_cat = "" then "xenergy" else e.ev_cat));
+       ("ph", Str (String.make 1 e.ev_ph));
+       ("ts", Num e.ev_ts) ]
+    @ dur @ [ ("pid", int 1); ("tid", int e.ev_tid) ] @ scope @ args)
 
 let to_json es =
-  Printf.sprintf
-    "{\n\"traceEvents\": [\n%s\n],\n\"displayTimeUnit\": \"ms\"\n}"
-    (String.concat ",\n" (List.map event_json es))
+  Json.Obj
+    [ ("traceEvents", Json.Arr (List.map event_to_json es));
+      ("displayTimeUnit", Json.Str "ms") ]
 
-let save path =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_json (events ()));
-      Out_channel.output_char oc '\n')
+let save path = Json.save path (to_json (events ()))

@@ -142,8 +142,13 @@ val clear : unit -> unit
 val drain : unit -> event list
 (** {!events} then {!clear}. *)
 
-val to_json : event list -> string
-(** A Chrome trace-event document: [{"traceEvents": [...], ...}]. *)
+val arg_to_json : arg -> Json.t
+(** An arg as a JSON value (also {!Log}'s field encoding). *)
+
+val to_json : event list -> Json.t
+(** A Chrome trace-event document: [{"traceEvents": [...], ...}],
+    printed by {!Json.print}: timestamps, durations and float args as
+    exact doubles, non-finite values as [null]. *)
 
 val save : string -> unit
-(** Write the current buffer as trace JSON plus a trailing newline. *)
+(** Write the current buffer's {!to_json} plus a trailing newline. *)

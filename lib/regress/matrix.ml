@@ -72,8 +72,6 @@ let mul_vec m v =
 
 let row m i = Array.init m.ncols (fun j -> get m i j)
 
-let col m j = Array.init m.nrows (fun i -> get m i j)
-
 let map f m = { m with data = Array.map f m.data }
 
 let pp ppf m =

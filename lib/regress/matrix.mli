@@ -29,8 +29,6 @@ val mul_vec : t -> float array -> float array
 
 val row : t -> int -> float array
 
-val col : t -> int -> float array
-
 val map : (float -> float) -> t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -45,8 +45,6 @@ let label_of symbols base addr =
     in
     back addr
 
-let label_at t addr = label_of t.symbols t.asm.Isa.Program.code_base addr
-
 (* Leader discovery: the leader set partitions the code section.  [l32r]
    also carries a resolved target (its literal) but is not control flow,
    so gating on [is_control] matters. *)

@@ -41,7 +41,3 @@ val analyze : Isa.Program.asm -> t
 (** Discover the basic-block partition of [asm]'s code section.  Pure
     (no simulation state involved); cost is linear in the code size. *)
 
-val label_at : t -> int -> string
-(** [label_at d addr] renders a code address against the symbol table:
-    the symbol itself, [sym+0xoff] for the nearest symbol before it,
-    or [0xaddr] when none precedes it. *)

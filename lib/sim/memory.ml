@@ -72,8 +72,6 @@ let load_image t image =
       Array.iteri (fun i b -> store8 t (base + i) b) bytes)
     image
 
-let bytes_touched t = Hashtbl.length t.pages * page_size
-
 let copy (t : t) : t =
   let pages = Hashtbl.create (max 64 (Hashtbl.length t.pages)) in
   Hashtbl.iter (fun k p -> Hashtbl.replace pages k (Bytes.copy p)) t.pages;

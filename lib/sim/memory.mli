@@ -22,9 +22,6 @@ val store32 : t -> int -> int -> unit
 val load_image : t -> (int * int array) list -> unit
 (** Install initialised byte blocks (from [Program.asm.image]). *)
 
-val bytes_touched : t -> int
-(** Number of resident pages times the page size (footprint metric). *)
-
 val copy : t -> t
 (** Deep copy (independent pages); used by the backend equivalence
     checker to run the same program twice from identical state. *)

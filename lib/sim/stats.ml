@@ -103,15 +103,3 @@ let reset t =
   t.custom_cycles <- 0;
   t.instructions <- 0;
   t.total_cycles <- 0
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>instructions %d, cycles %d@,\
-     class cycles: arith %d, load %d, store %d, jump %d, btaken %d, \
-     buntaken %d@,\
-     events: icm %d, dcm %d, unc %d, ilk %d (stall %d)@,\
-     custom: busy %d, regfile-side %d@]"
-    t.instructions t.total_cycles t.arith_cycles t.load_cycles t.store_cycles
-    t.jump_cycles t.branch_taken_cycles t.branch_untaken_cycles
-    t.icache_misses t.dcache_misses t.uncached_fetches t.interlocks
-    t.stall_cycles t.custom_cycles t.custom_regfile_cycles

@@ -63,5 +63,3 @@ val copy : t -> t
 (** An independent copy of the counters. *)
 
 val reset : t -> unit
-
-val pp : Format.formatter -> t -> unit

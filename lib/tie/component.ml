@@ -23,11 +23,6 @@ let make ?(entries = 1) category width =
   let entries = match category with Table -> entries | _ -> 1 in
   { category; width; entries }
 
-let is_quadratic = function
-  | Multiplier | Tie_mult | Tie_mac -> true
-  | Adder | Logic | Shifter | Custom_register | Tie_add | Tie_csa | Table ->
-    false
-
 let complexity c =
   let w = float_of_int c.width in
   match c.category with

@@ -39,8 +39,6 @@ val complexity : t -> float
     Quadratic in width for [Multiplier], [Tie_mult] and [Tie_mac]; linear
     otherwise; [entries * width] for tables. *)
 
-val is_quadratic : category -> bool
-
 val category_name : category -> string
 
 val all_categories : category list

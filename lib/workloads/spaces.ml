@@ -96,23 +96,8 @@ let mac_widths () =
     (fun (label, case) -> Core.Explore.candidate ~name:label case)
     labelled
 
-let table =
-  [ ( "rs",
-      ( rs,
-        "the four Reed-Solomon custom-instruction choices (Fig. 4), \
-         default configuration" ) );
-    ( "rs-cache",
-      ( rs_cache,
-        "Reed-Solomon choices crossed with 4/8/16/32 KB instruction \
-         caches (16 candidates, 4 configurations)" ) );
-    ( "mac-widths",
-      ( mac_widths,
-        "dot product vs MAC accumulator widths 16..48 bits, plus the \
-         software baseline" ) ) ]
+let table = [ ("rs", rs); ("rs-cache", rs_cache); ("mac-widths", mac_widths) ]
 
 let names = List.map fst table
 
-let find name = Option.map fst (List.assoc_opt name table)
-
-let describe name =
-  match List.assoc_opt name table with Some (_, d) -> d | None -> ""
+let find name = List.assoc_opt name table

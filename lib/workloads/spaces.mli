@@ -27,6 +27,3 @@ val names : string list
 
 val find : string -> (unit -> Core.Explore.candidate list) option
 (** Look a space up by name: ["rs"], ["rs-cache"] or ["mac-widths"]. *)
-
-val describe : string -> string
-(** One-line description of a named space (empty for unknown names). *)

@@ -354,14 +354,14 @@ let test_estimate_consistency () =
 
 let test_evaluate_table () =
   let fit = Core.Characterize.run (small_suite ()) in
-  let table =
-    Core.Evaluate.compare_cases fit.Core.Characterize.model (small_suite ())
+  let report =
+    Core.Audit.run ~jobs:1 fit.Core.Characterize.model (small_suite ())
   in
-  check Alcotest.int "row per case" 11 (List.length table.Core.Evaluate.rows);
+  check Alcotest.int "row per case" 11 (List.length report.Core.Audit.a_rows);
   check Alcotest.bool "self-evaluation errors small" true
-    (table.Core.Evaluate.max_abs_error < 15.0);
+    (report.Core.Audit.a_max_abs < 15.0);
   check Alcotest.bool "correlation strong" true
-    (Core.Evaluate.correlation table > 0.99)
+    (Core.Evaluate.correlation report > 0.99)
 
 let test_cross_validation () =
   let samples = Core.Characterize.collect (small_suite ()) in
@@ -2252,26 +2252,6 @@ let test_characterize_shared_cache () =
     (coefficients (Core.Characterize.run ~jobs:1 ~cache suite)
     = coefficients (Core.Characterize.run ~jobs:1 suite))
 
-(* Table II simulates each application once: both of its energies equal
-   the audit's, which reads them from the same kind of entry. *)
-let test_compare_matches_audit () =
-  let model = audit_model () in
-  let apps = Workloads.Suite.applications () in
-  let table = Core.Evaluate.compare_cases model apps in
-  let audit = Core.Audit.run ~jobs:1 model apps in
-  let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
-  List.iter2
-    (fun (row : Core.Evaluate.row) (a : Core.Audit.row) ->
-      check Alcotest.string "row order" a.Core.Audit.a_name
-        row.Core.Evaluate.rname;
-      check Alcotest.bool (row.Core.Evaluate.rname ^ " estimate") true
-        (same row.Core.Evaluate.estimate_uj
-           (Power.Report.to_uj a.Core.Audit.a_estimate_pj));
-      check Alcotest.bool (row.Core.Evaluate.rname ^ " reference") true
-        (same row.Core.Evaluate.reference_uj
-           (Power.Report.to_uj a.Core.Audit.a_reference_pj)))
-    table.Core.Evaluate.rows audit.Core.Audit.a_rows
-
 let test_audit_json_round_trip () =
   let model = audit_model () in
   let cases = List.filteri (fun i _ -> i < 2) (small_suite ()) in
@@ -2868,9 +2848,7 @@ let () =
           Alcotest.test_case "timing" `Quick
             test_timing_measures_both_paths;
           Alcotest.test_case "shared cache" `Quick
-            test_characterize_shared_cache;
-          Alcotest.test_case "table II = audit" `Quick
-            test_compare_matches_audit ] );
+            test_characterize_shared_cache ] );
       ( "parallel",
         [ Alcotest.test_case "map preserves order" `Quick
             test_parallel_map_order;

@@ -57,42 +57,41 @@ let test_structural_coefficients_near_paper () =
     Core.Template.paper_reference
 
 let test_table2_accuracy () =
-  let table =
-    Core.Evaluate.compare_cases (model ()) (Workloads.Suite.applications ())
+  let report =
+    Core.Audit.run ~jobs:1 (model ()) (Workloads.Suite.applications ())
   in
   check Alcotest.int "ten applications" 10
-    (List.length table.Core.Evaluate.rows);
-  if table.Core.Evaluate.mean_abs_error > 6.0 then
+    (List.length report.Core.Audit.a_rows);
+  if report.Core.Audit.a_mean_abs > 6.0 then
     fail
       (Printf.sprintf "mean application error %.2f%% exceeds 6%%"
-         table.Core.Evaluate.mean_abs_error);
-  if table.Core.Evaluate.max_abs_error > 12.0 then
+         report.Core.Audit.a_mean_abs);
+  if report.Core.Audit.a_max_abs > 12.0 then
     fail
       (Printf.sprintf "max application error %.2f%% exceeds 12%%"
-         table.Core.Evaluate.max_abs_error);
+         report.Core.Audit.a_max_abs);
   (* The paper's Table II has errors of both signs. *)
   let signs =
-    List.map (fun r -> r.Core.Evaluate.error_percent > 0.0)
-      table.Core.Evaluate.rows
+    List.map (fun r -> r.Core.Audit.a_error_percent > 0.0)
+      report.Core.Audit.a_rows
   in
   check Alcotest.bool "errors are mixed-sign" true
     (List.mem true signs && List.mem false signs)
 
 let test_fig4_relative_accuracy () =
-  let table =
-    Core.Evaluate.compare_cases (model ())
+  let report =
+    Core.Audit.run ~jobs:1 (model ())
       (Workloads.Suite.reed_solomon_choices ())
   in
   check Alcotest.bool "profiles track (correlation > 0.999)" true
-    (Core.Evaluate.correlation table > 0.999);
+    (Core.Evaluate.correlation report > 0.999);
   (* The macro-model must rank the clearly-separated designs correctly:
      software is the most energy-hungry, any hardware choice wins. *)
   let uj name =
     let row =
-      List.find (fun r -> r.Core.Evaluate.rname = name)
-        table.Core.Evaluate.rows
+      List.find (fun r -> r.Core.Audit.a_name = name) report.Core.Audit.a_rows
     in
-    row.Core.Evaluate.estimate_uj
+    Power.Report.to_uj row.Core.Audit.a_estimate_pj
   in
   check Alcotest.bool "software variant costs the most" true
     (uj "rs_soft" > uj "rs_gfmul"

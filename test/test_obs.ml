@@ -131,7 +131,7 @@ let test_json_print_roundtrip () =
    huge magnitudes, integers around the 1e15 switch to %.17g).  Floats
    compare bit for bit, a non-finite number must come back as null,
    and the text holds no raw control character. *)
-let gen_json =
+let gen_str =
   let open QCheck.Gen in
   let chunk =
     oneof
@@ -140,18 +140,23 @@ let gen_json =
                  "\xf0\x9d\x84\x9e"; "\\u0041" ];
         string_size ~gen:printable (int_range 0 4) ]
   in
-  let str = map (String.concat "") (list_size (int_range 0 6) chunk) in
-  let num =
-    oneof
-      [ float;
-        map float_of_int int;
-        oneofl
-          [ -0.0; 0.0; 4.9e-324; -4.9e-324; 2.2250738585072009e-308;
-            1e300; -1e300; Float.max_float; Float.min_float;
-            999999999999999.0; -999999999999999.0; 1e15; -1e15;
-            1000000000000001.0; 999999999999999.5; 9007199254740993.0;
-            0.1; Float.nan; Float.infinity; Float.neg_infinity ] ]
-  in
+  map (String.concat "") (list_size (int_range 0 6) chunk)
+
+let gen_num =
+  let open QCheck.Gen in
+  oneof
+    [ float;
+      map float_of_int int;
+      oneofl
+        [ -0.0; 0.0; 4.9e-324; -4.9e-324; 2.2250738585072009e-308;
+          1e300; -1e300; Float.max_float; Float.min_float;
+          999999999999999.0; -999999999999999.0; 1e15; -1e15;
+          1000000000000001.0; 999999999999999.5; 9007199254740993.0;
+          0.1; Float.nan; Float.infinity; Float.neg_infinity ] ]
+
+let gen_json =
+  let open QCheck.Gen in
+  let str = gen_str and num = gen_num in
   fix
     (fun self depth ->
       let leaf =
@@ -237,7 +242,7 @@ let test_metrics_histogram () =
       check Alcotest.int "count" 4 (Obs.Metrics.histogram_count h);
       check (Alcotest.float 1e-9) "sum" 107.5 (Obs.Metrics.histogram_sum h);
       (* The registry JSON parses and carries the bucket counts. *)
-      let j = Obs.Json.parse (Obs.Metrics.to_json ()) in
+      let j = Obs.Json.parse (Obs.Json.print (Obs.Metrics.to_json ())) in
       let metrics = Obs.Json.(to_list (member "metrics" j)) in
       let hj =
         List.find
@@ -605,7 +610,9 @@ let test_trace_spans_and_json () =
       (match Obs.Trace.with_span "raiser" (fun () -> failwith "x") with
        | exception Failure _ -> ()
        | _ -> fail "exception swallowed");
-      let j = Obs.Json.parse (Obs.Trace.to_json (Obs.Trace.events ())) in
+      let j =
+        Obs.Json.(parse (print (Obs.Trace.to_json (Obs.Trace.events ()))))
+      in
       let evs = Obs.Json.(to_list (member "traceEvents" j)) in
       let name e = Obs.Json.(to_string (member "name" e)) in
       let names = List.map name evs in
@@ -946,6 +953,139 @@ let test_profile_stacks () =
     (let paths = List.map (fun (p, _, _) -> p) folded in
      paths = List.sort String.compare paths)
 
+(* --- Printed outputs ---------------------------------------------------------- *)
+
+(* A trace file, a log line read back from its sink and a metrics dump
+   all go through the one printer: random names, labels and string
+   fields (quotes, backslashes, control bytes, UTF-8) come back intact,
+   every finite float bit for bit, every non-finite one as null.  Ints
+   are drawn below 2^53, where a JSON number is exact. *)
+type outputs = {
+  o_events : Obs.Trace.event list;
+  o_name : string;
+  o_fields : (string * Obs.Trace.arg) list;
+  o_label : string;
+  o_count : int;
+  o_gauge : float;
+  o_bounds : float list;
+  o_observed : float list;
+}
+
+let gen_outputs =
+  let open QCheck.Gen in
+  let int53 = map (fun i -> i asr 10) int in
+  let arg =
+    oneof
+      [ map (fun s -> Obs.Trace.S s) gen_str;
+        map (fun i -> Obs.Trace.I i) int53;
+        map (fun f -> Obs.Trace.F f) gen_num;
+        map (fun b -> Obs.Trace.B b) bool ]
+  in
+  let args = list_size (int_range 0 4) (pair gen_str arg) in
+  let event =
+    map
+      (fun ((name, span), (ts, dur), args) ->
+        { Obs.Trace.ev_name = name;
+          ev_cat = "qc";
+          ev_ph = (if span then 'X' else 'i');
+          ev_ts = ts;
+          ev_dur = (if span then dur else 0.0);
+          ev_tid = 0;
+          ev_args = args })
+      (triple (pair gen_str bool) (pair gen_num gen_num) args)
+  in
+  let nums = list_size (int_range 0 4) gen_num in
+  map
+    (fun ((o_events, o_name, o_fields), (o_label, o_count, o_gauge),
+          (o_bounds, o_observed)) ->
+      { o_events; o_name; o_fields; o_label; o_count; o_gauge; o_bounds;
+        o_observed })
+    (triple
+       (triple (list_size (int_range 0 4) event) gen_str args)
+       (triple gen_str int53 gen_num)
+       (pair nums nums))
+
+(* The value a number prints as. *)
+let num f = printed_as (J.Num f)
+
+let arg_printed = function
+  | Obs.Trace.S s -> J.Str s
+  | Obs.Trace.I i -> J.Num (float_of_int i)
+  | Obs.Trace.F f -> num f
+  | Obs.Trace.B b -> J.Bool b
+
+let fields_printed l = J.Obj (List.map (fun (k, v) -> (k, arg_printed v)) l)
+
+let trace_round_trips events =
+  let doc = J.parse (J.print (Obs.Trace.to_json events)) in
+  let printed = J.to_list (J.member "traceEvents" doc) in
+  List.length printed = List.length events
+  && List.for_all2
+       (fun (e : Obs.Trace.event) p ->
+         J.member "name" p = J.Str e.Obs.Trace.ev_name
+         && bit_equal (J.member "ts" p) (num e.Obs.Trace.ev_ts)
+         && (e.Obs.Trace.ev_ph <> 'X'
+            || bit_equal (J.member "dur" p) (num e.Obs.Trace.ev_dur))
+         && (e.Obs.Trace.ev_args = []
+            || bit_equal (J.member "args" p)
+                 (fields_printed e.Obs.Trace.ev_args)))
+       events printed
+
+let log_round_trips name fields =
+  with_log_file (fun path ->
+      Obs.Log.open_file path;
+      Obs.Log.event name fields;
+      Obs.Log.close ();
+      match read_records path with
+      | [ J.Obj
+            (("ts_us", J.Num _) :: ("level", _) :: ("tid", _) :: ("pid", _)
+            :: ("event", event) :: rest) ] ->
+        event = J.Str name && bit_equal (J.Obj rest) (fields_printed fields)
+      | _ -> false)
+
+let metrics_id = ref 0
+
+let metrics_round_trip o =
+  incr metrics_id;
+  let name kind = Printf.sprintf "qc_%s_%d" kind !metrics_id in
+  let labels = [ ("k", o.o_label) ] in
+  with_obs (fun () ->
+      Obs.Metrics.inc ~by:o.o_count
+        (Obs.Metrics.counter ~labels (name "total"));
+      Obs.Metrics.set (Obs.Metrics.gauge ~labels (name "gauge")) o.o_gauge;
+      let h =
+        Obs.Metrics.histogram ~labels ~buckets:(Array.of_list o.o_bounds)
+          (name "seconds")
+      in
+      List.iter (Obs.Metrics.observe h) o.o_observed;
+      let doc = J.parse (J.print (Obs.Metrics.to_json ())) in
+      let find n =
+        List.find
+          (fun m -> J.member "name" m = J.Str n)
+          (J.to_list (J.member "metrics" doc))
+      in
+      let c = find (name "total")
+      and g = find (name "gauge")
+      and hj = find (name "seconds") in
+      List.for_all
+        (fun m -> J.member "labels" m = J.Obj [ ("k", J.Str o.o_label) ])
+        [ c; g; hj ]
+      && bit_equal (J.member "value" c) (J.Num (float_of_int o.o_count))
+      && bit_equal (J.member "value" g) (num o.o_gauge)
+      && bit_equal (J.member "sum" hj) (num (Obs.Metrics.histogram_sum h))
+      && bit_equal
+           (J.Arr
+              (List.map (J.member "le") (J.to_list (J.member "buckets" hj))))
+           (J.Arr (List.map num o.o_bounds @ [ J.Str "+inf" ])))
+
+let qcheck_printed_outputs =
+  QCheck.Test.make ~name:"printed outputs round-trip" ~count:200
+    (QCheck.make gen_outputs)
+    (fun o ->
+      trace_round_trips o.o_events
+      && log_round_trips o.o_name o.o_fields
+      && metrics_round_trip o)
+
 let () =
   Alcotest.run "obs"
     [ ( "json",
@@ -1000,4 +1140,8 @@ let () =
       ( "profile",
         [ Alcotest.test_case "per-slot accumulator" `Quick test_profile_slots;
           Alcotest.test_case "call stacks + folded" `Quick
-            test_profile_stacks ] ) ]
+            test_profile_stacks ] );
+      (* Last: the property registers instruments with random labels
+         that would show in the other tests' expositions. *)
+      ( "outputs",
+        [ QCheck_alcotest.to_alcotest qcheck_printed_outputs ] ) ]
