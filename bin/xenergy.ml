@@ -450,6 +450,7 @@ let print_comparison suite model_path =
   let model = load_or_fit model_path in
   let report = Core.Audit.run model (suite ()) in
   Format.fprintf fmt "%a@." Core.Evaluate.pp_table report;
+  report_checks ();
   report
 
 let compare_cmd =

@@ -444,17 +444,24 @@ type complexity = string * (Tie.Component.t -> float)
 
 (* One simulation yields everything an entry holds; with the reference
    estimator attached (characterization, audit, Table II) it stays
-   single-pass. *)
+   single-pass.  Under [Check] the event-by-event oracle observes the
+   same stream and must agree with the compiled estimator to the bit. *)
 let compute ?complexity ~config ~with_ref (c : Extract.case) =
   let complexity = Option.map snd complexity in
   let prof, measured =
     if with_ref then begin
-      let est = Power.Estimator.create ?extension:c.Extract.extension config in
-      let p =
-        Extract.profile ~config ?complexity
-          ~observers:[ Power.Estimator.observer est ]
-          c
+      let extension = c.Extract.extension in
+      let est = Power.Estimator.create ?extension config in
+      let observer, finish =
+        if Sim.Backend.current () = Sim.Backend.Check then begin
+          let oracle = Power.Oracle.create ?extension config in
+          ( Power.Estimator.observer_checked est oracle,
+            fun () -> Power.Estimator.check est oracle )
+        end
+        else (Power.Estimator.observer est, ignore)
       in
+      let p = Extract.profile ~config ?complexity ~observers:[ observer ] c in
+      finish ();
       (p, Some (Power.Estimator.total_energy est))
     end
     else (Extract.profile ~config ?complexity c, None)

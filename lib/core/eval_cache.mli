@@ -161,7 +161,10 @@ val compute :
   config:Sim.Config.t -> with_ref:bool -> Extract.case -> entry
 (** Simulate a case once and build its entry; with [with_ref] the
     reference estimator rides the same simulation and fills
-    [e_measured_pj]. *)
+    [e_measured_pj].  Under [Sim.Backend.Check] the event-by-event
+    {!Power.Oracle} rides it too.
+    @raise Sim.Backend.Mismatch if the two reference estimators differ in
+    any energy bit, breakdown entry or evaluation count. *)
 
 type simulate =
   config:Sim.Config.t -> with_ref:bool -> Extract.case list -> entry list

@@ -16,6 +16,7 @@ let rank_agreement (r : Audit.report) =
 type timing = {
   macro_seconds : float;
   reference_seconds : float;
+  compiled_reference_seconds : float;
   speedup : float;
 }
 
@@ -32,16 +33,21 @@ let best_of repeats f =
   go repeats infinity
 
 let time_case ?(config = Sim.Config.default) ?(repeats = 3) model c =
-  let run_macro () = ignore (Estimate.run ~config model c) in
-  let run_reference () =
-    ignore
-      (Power.Estimator.estimate_program ~config
-         ?extension:c.Extract.extension c.Extract.asm)
+  let extension = c.Extract.extension and asm = c.Extract.asm in
+  let macro_seconds =
+    best_of repeats (fun () -> ignore (Estimate.run ~config model c))
   in
-  let macro_seconds = best_of repeats run_macro in
-  let reference_seconds = best_of repeats run_reference in
+  let reference_seconds =
+    best_of repeats (fun () ->
+        ignore (Power.Oracle.estimate_program ~config ?extension asm))
+  in
+  let compiled_reference_seconds =
+    best_of repeats (fun () ->
+        ignore (Power.Estimator.estimate_program ~config ?extension asm))
+  in
   { macro_seconds;
     reference_seconds;
+    compiled_reference_seconds;
     speedup =
       (if macro_seconds > 0.0 then reference_seconds /. macro_seconds
        else infinity) }

@@ -14,8 +14,13 @@ val rank_agreement : Audit.report -> bool
 
 type timing = {
   macro_seconds : float;     (** ISS + counters + dot product *)
-  reference_seconds : float; (** ISS + structural power simulation *)
-  speedup : float;
+  reference_seconds : float;
+  (** ISS + the event-by-event structural power simulation
+      ({!Power.Oracle}, the WattWatcher stand-in) *)
+  compiled_reference_seconds : float;
+  (** ISS + the compiled reference ({!Power.Estimator}), which
+      characterization and audits run: the same energies, bit for bit *)
+  speedup : float;           (** [reference_seconds / macro_seconds] *)
 }
 
 val time_case :
@@ -24,9 +29,9 @@ val time_case :
   Template.model ->
   Extract.case ->
   timing
-(** Wall-clock both estimation paths ([repeats] runs each, best time).
-    Unlike {!Audit.run}, the reference runs in a simulation of its own,
-    so each path is timed separately. *)
+(** Wall-clock the three estimation paths ([repeats] runs each, best
+    time).  Unlike {!Audit.run}, each reference runs in a simulation of
+    its own, so each path is timed separately. *)
 
 val pp_table : Format.formatter -> Audit.report -> unit
 (** Table II style listing: estimate and reference in uJ and the signed

@@ -140,3 +140,32 @@ let table_eval st index value =
   st.t_wordline <- 1 lsl (index land 30);
   st.t_value <- value land Activity.mask st.t_width;
   t
+
+type component =
+  | C_adder of adder_state
+  | C_mult of mult_state
+  | C_shifter of shifter_state
+  | C_logic of logic_state
+  | C_table of table_state
+
+let component_create (c : Tie.Component.t) =
+  let w = c.Tie.Component.width in
+  match c.Tie.Component.category with
+  | Tie.Component.Multiplier | Tie.Component.Tie_mult
+  | Tie.Component.Tie_mac ->
+    C_mult (mult_create w)
+  | Tie.Component.Adder | Tie.Component.Tie_add | Tie.Component.Tie_csa ->
+    C_adder (adder_create w)
+  | Tie.Component.Shifter -> C_shifter (shifter_create w)
+  | Tie.Component.Logic | Tie.Component.Custom_register ->
+    C_logic (logic_create w)
+  | Tie.Component.Table ->
+    C_table (table_create ~entries:c.Tie.Component.entries ~width:w)
+
+let component_eval u a b =
+  match u with
+  | C_adder st -> adder_eval st a b
+  | C_mult st -> mult_eval st a b
+  | C_shifter st -> shifter_eval st a (b land 63)
+  | C_logic st -> logic_eval st (a lxor b)
+  | C_table st -> table_eval st a b

@@ -46,3 +46,14 @@ val table_create : entries:int -> width:int -> table_state
 
 val table_eval : table_state -> int -> int -> int
 (** [table_eval st index value] *)
+
+type component
+(** The gate-level model of one custom-hardware component instance: the
+    unit its category synthesizes to, at its width. *)
+
+val component_create : Tie.Component.t -> component
+
+val component_eval : component -> int -> int -> int
+(** [component_eval u a b] evaluates the unit on two operands and returns
+    its net toggles (shifters take [b land 63] as the amount, logic
+    planes [a lxor b]). *)

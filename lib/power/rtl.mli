@@ -17,7 +17,22 @@
     Hamming distances, one-hot decoders are represented by their selected
     index), which is bit-exact with a one-net-per-byte evaluation — the
     toggle counts and the {!evaluations} cost metric are unchanged — but
-    keeps the per-cycle work to a handful of word operations. *)
+    keeps the per-cycle work to a handful of word operations.
+
+    This module is the model {!Oracle} walks, cycle by cycle (~6 400
+    evaluations per cycle).  {!Estimator} evaluates the same nets
+    compiled and charges bit-identical energies.  It resolves once per
+    static instruction the opcode and register-port decoder wordlines
+    and the PC-incrementer carry.  It still evaluates per event the
+    stage-0 pipeline fields, the PC bus and the cache nets.  Hold cycles
+    follow in closed form from the distances between adjacent stages.
+    An access to the line the previous access hit leaves the set decoder
+    and comparators as they were.  The array latches toggle by the
+    change of the line pattern.  {!Estimator.evaluations} still counts
+    every evaluation this module would make.
+    In perfbench's replay of the 25 characterization programs (2-core
+    shared host) that takes the reference from ~1.4–2.1 µs to
+    ~0.16–0.30 µs per event. *)
 
 type t
 

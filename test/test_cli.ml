@@ -11,11 +11,12 @@ let xenergy_exe =
      binary next to this test's directory. *)
   Filename.concat (Filename.concat ".." "bin") "xenergy.exe"
 
-let run_xenergy args =
+let run_xenergy ?(env = []) args =
   let out = Filename.temp_file "xenergy_out" ".txt" in
   let err = Filename.temp_file "xenergy_err" ".txt" in
   let cmd =
-    Printf.sprintf "%s %s > %s 2> %s"
+    Printf.sprintf "%s%s %s > %s 2> %s"
+      (String.concat "" (List.map (fun (k, v) -> k ^ "=" ^ Filename.quote v ^ " ") env))
       (Filename.quote xenergy_exe)
       (String.concat " " (List.map Filename.quote args))
       (Filename.quote out) (Filename.quote err)
@@ -67,6 +68,17 @@ let test_backend_check_smoke () =
   let code, out, err = run_xenergy [ "estimate"; "gcd"; "--backend"; "check" ] in
   check Alcotest.int "exit code" 0 code;
   check Alcotest.bool "estimate lands on stdout" true (String.length out > 0);
+  check Alcotest.bool "stderr reports the dual runs" true
+    (contains err "backend check:")
+
+(* [compare] takes its backend from the environment; under check mode
+   it must say what it checked, like every other simulating command. *)
+let test_compare_reports_checks () =
+  let code, out, err =
+    run_xenergy ~env:[ ("XENERGY_BACKEND", "check") ] [ "compare" ]
+  in
+  check Alcotest.int "exit code" 0 code;
+  check Alcotest.bool "Table II lands on stdout" true (contains out "mean |error|");
   check Alcotest.bool "stderr reports the dual runs" true
     (contains err "backend check:")
 
@@ -553,7 +565,9 @@ let () =
               test_backend_bad_name ] );
         ( "backend",
           [ Alcotest.test_case "check-mode estimate" `Slow
-              test_backend_check_smoke ] );
+              test_backend_check_smoke;
+            Alcotest.test_case "check-mode compare" `Slow
+              test_compare_reports_checks ] );
         ( "observability",
           [ Alcotest.test_case "trace + metrics + attribute" `Slow
               test_characterize_trace_metrics_attribute ] );

@@ -1274,6 +1274,25 @@ let smaller_icache =
     Sim.Config.icache =
       { Sim.Config.default_cache with Sim.Config.size_bytes = 2048 } }
 
+(* Under check mode the event-by-event oracle rides every reference
+   simulation beside the compiled estimator; they agree, so the entry
+   is the one a threaded run computes. *)
+let test_compute_checks_reference () =
+  List.iter
+    (fun name ->
+      let c = Workloads.Suite.find name in
+      let measured backend =
+        Sim.Backend.with_current backend (fun () ->
+            (Core.Eval_cache.compute ~config:Sim.Config.default ~with_ref:true c)
+              .Core.Eval_cache.e_measured_pj)
+      in
+      check
+        Alcotest.(option int64)
+        (name ^ ": same reference energy")
+        (Option.map Int64.bits_of_float (measured Sim.Backend.Threaded))
+        (Option.map Int64.bits_of_float (measured Sim.Backend.Check)))
+    [ "gcd"; "load_stream"; "rs_gfmul4" ]
+
 let test_cache_key_sensitivity () =
   let case = List.hd (small_suite ()) in
   let other = List.nth (small_suite ()) 1 in
@@ -2893,6 +2912,8 @@ let () =
       ( "eval cache",
         [ Alcotest.test_case "key sensitivity" `Quick
             test_cache_key_sensitivity;
+          Alcotest.test_case "check mode checks the reference" `Quick
+            test_compute_checks_reference;
           Alcotest.test_case "disk round trip" `Quick
             test_cache_disk_round_trip;
           Alcotest.test_case "reads the legacy layout" `Quick

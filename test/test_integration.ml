@@ -99,9 +99,10 @@ let test_fig4_relative_accuracy () =
      && uj "rs_soft" > uj "rs_gfmul4")
 
 let test_speedup () =
-  (* The word-packed reference estimator narrowed this gap from ~80x to
-     under 10x: the bound guards the macro model's advantage, not the
-     (now much faster) reference's absolute cost. *)
+  (* Timed against the event-by-event reference ([Power.Oracle]), whose
+     word-packed nets narrowed the gap from ~80x to under 10x: the bound
+     guards the macro model's advantage, not the reference's absolute
+     cost. *)
   let t =
     Core.Evaluate.time_case ~repeats:2 (model ())
       (Workloads.Suite.find "bubsort")

@@ -228,6 +228,169 @@ let test_estimator_reset () =
   let second = run () in
   check (Alcotest.float 1e-9) "reset restores the initial state" first second
 
+(* --- Compiled estimator = oracle ------------------------------------------ *)
+
+let bits = Int64.bits_of_float
+
+(* Both estimators on one event stream. *)
+let both ?(config = Sim.Config.default) ?extension asm =
+  let est = Power.Estimator.create ?extension config
+  and oracle = Power.Oracle.create ?extension config in
+  ignore
+    (Sim.Backend.run_program ~config ?extension
+       ~observers:[ Power.Estimator.observer est; Power.Oracle.observer oracle ]
+       asm);
+  (est, oracle)
+
+let entries = List.map (fun (k, v) -> (k, bits v))
+
+let same_estimates name est oracle =
+  check Alcotest.int64 (name ^ ": total energy bits")
+    (bits (Power.Oracle.total_energy oracle))
+    (bits (Power.Estimator.total_energy est));
+  check
+    Alcotest.(list (pair string int64))
+    (name ^ ": breakdown")
+    (entries (Power.Oracle.breakdown oracle))
+    (entries (Power.Estimator.breakdown est));
+  check Alcotest.int (name ^ ": evaluations")
+    (Power.Oracle.evaluations oracle)
+    (Power.Estimator.evaluations est)
+
+let program build =
+  let b = Isa.Builder.create "p" in
+  Isa.Builder.label b "main";
+  build b;
+  Isa.Builder.halt b;
+  Isa.Program.assemble (Isa.Builder.seal b)
+
+(* A fetch from the line just filled by a miss sees the new tag in its
+   comparators: it must not take the repeated-hit shortcut.  Every
+   program starts this way; the far jump lands on a cold line and falls
+   through within it. *)
+let test_fetch_after_icache_miss () =
+  let asm =
+    program (fun b ->
+        let open Isa.Builder in
+        nop b;
+        nop b;
+        j b "far";
+        for _ = 1 to 40 do
+          nop b
+        done;
+        label b "far";
+        movi b a2 1;
+        addi b a2 a2 2;
+        addi b a2 a2 3)
+  in
+  let est, oracle = both asm in
+  same_estimates "fetch after miss" est oracle
+
+(* A data-cache miss stalls far beyond the five pipeline stages while
+   its load writes a register; a tiny miss penalty keeps the stall
+   inside them. *)
+let test_long_stall_with_write () =
+  let asm =
+    program (fun b ->
+        let open Isa.Builder in
+        movi b a2 0x11000;
+        l32i b a3 a2 0;
+        l32i b a5 a2 64;
+        add b a6 a3 a5;
+        s32i b a6 a2 128;
+        mull b a7 a6 a3;
+        l32i b a8 a2 128)
+  in
+  let est, oracle = both asm in
+  same_estimates "18-cycle miss penalty" est oracle;
+  let short =
+    { Sim.Config.default with
+      Sim.Config.dcache = { Sim.Config.default_cache with Sim.Config.miss_penalty = 2 } }
+  in
+  let est, oracle = both ~config:short asm in
+  same_estimates "2-cycle miss penalty" est oracle
+
+(* [reset] in the middle of a stream: both estimators drop their state
+   and agree with a fresh oracle on the rest of the stream. *)
+let test_reset_mid_stream () =
+  let c = Workloads.Suite.find "rs_gfmul4" in
+  let extension = c.Core.Extract.extension in
+  let events = ref [] in
+  ignore
+    (Sim.Backend.run_program ?extension
+       ~observers:[ (fun e -> events := e :: !events) ]
+       c.Core.Extract.asm);
+  let events = Array.of_list (List.rev !events) in
+  let half = Array.length events / 2 in
+  let cfg = Sim.Config.default in
+  let est = Power.Estimator.create ?extension cfg
+  and oracle = Power.Oracle.create ?extension cfg
+  and fresh = Power.Oracle.create ?extension cfg in
+  Array.iteri
+    (fun i e ->
+      if i = half then begin
+        same_estimates "first half" est oracle;
+        Power.Estimator.reset est;
+        Power.Oracle.reset oracle
+      end;
+      Power.Estimator.observe est e;
+      Power.Oracle.observe oracle e;
+      if i >= half then Power.Oracle.observe fresh e)
+    events;
+  same_estimates "after reset" est oracle;
+  same_estimates "reset = fresh" est fresh
+
+let test_suite_agrees () =
+  List.iter
+    (fun (c : Core.Extract.case) ->
+      let est, oracle =
+        both ?extension:c.Core.Extract.extension c.Core.Extract.asm
+      in
+      same_estimates c.Core.Extract.case_name est oracle)
+    (Workloads.Suite.characterization () @ Workloads.Suite.applications ())
+
+(* Random programs on random tiny cache geometries, with a TIE extension
+   or without: the compiled estimator charges every block the oracle's
+   energy to the last bit. *)
+let qcheck_compiled_matches_oracle =
+  let cats = Array.of_list Tie.Component.all_categories in
+  let gen =
+    QCheck.Gen.(
+      let cache =
+        map3
+          (fun ways line (sets, penalty) ->
+            { Sim.Config.size_bytes = ways * line * sets; ways; line_bytes = line;
+              miss_penalty = penalty })
+          (oneofl [ 1; 2; 4; 8 ]) (oneofl [ 8; 16; 32; 64 ])
+          (pair (oneofl [ 1; 2; 4; 8; 16 ]) (int_bound 24))
+      in
+      quad (int_bound 1_000_000) (int_bound (Array.length cats)) cache cache)
+  in
+  let print (seed, cat, (i : Sim.Config.cache_config), (d : Sim.Config.cache_config)) =
+    let geom (c : Sim.Config.cache_config) =
+      Printf.sprintf "%dB/%d-way/%dB lines/penalty %d" c.Sim.Config.size_bytes
+        c.Sim.Config.ways c.Sim.Config.line_bytes c.Sim.Config.miss_penalty
+    in
+    Printf.sprintf "seed %d, extension %s, icache %s, dcache %s" seed
+      (if cat < Array.length cats then Tie.Component.category_name cats.(cat)
+       else "none")
+      (geom i) (geom d)
+  in
+  QCheck.Test.make ~name:"compiled estimator = oracle, per block" ~count:25
+    (QCheck.make ~print gen)
+    (fun (seed, cat, icache, dcache) ->
+      let category = if cat < Array.length cats then Some cats.(cat) else None in
+      let c = Workloads.Synthetic.generate ~seed ?category "q" in
+      let config = { Sim.Config.default with Sim.Config.icache; dcache } in
+      let est, oracle =
+        both ~config ?extension:c.Core.Extract.extension c.Core.Extract.asm
+      in
+      bits (Power.Estimator.total_energy est)
+      = bits (Power.Oracle.total_energy oracle)
+      && entries (Power.Estimator.breakdown est)
+         = entries (Power.Oracle.breakdown oracle)
+      && Power.Estimator.evaluations est = Power.Oracle.evaluations oracle)
+
 let test_paper_table1_reference () =
   check Alcotest.int "ten structural reference coefficients" 10
     (List.length Power.Blocks.paper_table1_custom);
@@ -278,4 +441,12 @@ let () =
           Alcotest.test_case "reset" `Quick test_estimator_reset;
           Alcotest.test_case "paper reference" `Quick
             test_paper_table1_reference;
-          Alcotest.test_case "report units" `Quick test_report_units ] ) ]
+          Alcotest.test_case "report units" `Quick test_report_units ] );
+      ( "compiled",
+        [ Alcotest.test_case "fetch after icache miss" `Quick
+            test_fetch_after_icache_miss;
+          Alcotest.test_case "long stall with register write" `Quick
+            test_long_stall_with_write;
+          Alcotest.test_case "reset mid-stream" `Quick test_reset_mid_stream;
+          Alcotest.test_case "suite agrees" `Quick test_suite_agrees;
+          QCheck_alcotest.to_alcotest qcheck_compiled_matches_oracle ] ) ]
