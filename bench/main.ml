@@ -40,29 +40,21 @@ let banner title =
 
 (* --- Provenance ------------------------------------------------------------ *)
 
-(* The revision, read straight from [.git] in the working directory (no
-   subprocess); a plain source tree reports "unknown". *)
+(* The checked-out revision as [git describe --always --dirty
+   --abbrev=40] names it, so a tree with uncommitted changes carries a
+   "-dirty" suffix; "unknown" when git fails (no git, or not a
+   checkout). *)
 let git_rev () =
-  let read path =
-    try Some (String.trim (In_channel.with_open_bin path In_channel.input_all))
-    with Sys_error _ -> None
-  in
-  match read ".git/HEAD" with
-  | None -> "unknown"
-  | Some head when not (String.starts_with ~prefix:"ref: " head) -> head
-  | Some head -> (
-    let r = String.sub head 5 (String.length head - 5) in
-    match read (Filename.concat ".git" r) with
-    | Some rev -> rev
-    | None ->
-      Option.bind (read ".git/packed-refs") (fun packed ->
-          List.find_map
-            (fun line ->
-              match String.split_on_char ' ' line with
-              | [ rev; name ] when name = r -> Some rev
-              | _ -> None)
-            (String.split_on_char '\n' packed))
-      |> Option.value ~default:"unknown")
+  let args = [| "git"; "describe"; "--always"; "--dirty"; "--abbrev=40" |] in
+  match Unix.open_process_args_full "git" args (Unix.environment ()) with
+  | exception (Unix.Unix_error _ | Sys_error _) -> "unknown"
+  | (out, inp, err) as p -> (
+    close_out inp;
+    let rev = String.trim (In_channel.input_all out) in
+    ignore (In_channel.input_all err);
+    match Unix.close_process_full p with
+    | Unix.WEXITED 0 when rev <> "" -> rev
+    | _ -> "unknown")
 
 (* Write one BENCH_*.json object: the provenance fields perfbench's
    results carry, then the object's own.  Readers of those files look fields up

@@ -409,7 +409,7 @@ let attribute_cmd =
     let c = find_case name in
     let model = load_or_fit ?jobs model_path in
     (* One simulation feeds both decompositions: the attribution engine
-       and the reference estimator observe the same event stream. *)
+       and the reference estimator share its retire hook. *)
     let est =
       Power.Estimator.create ?extension:c.Core.Extract.extension
         Sim.Config.default
@@ -417,7 +417,8 @@ let attribute_cmd =
     let ref_wf = Obs.Waveform.create ~bucket_cycles:bucket () in
     let b =
       Core.Attribution.run ~bucket_cycles:bucket
-        ~observers:[ Power.Estimator.observer_with_waveform est ref_wf ]
+        ~hook:
+          (Power.Estimator.hook ~waveform:ref_wf est c.Core.Extract.asm)
         model c
     in
     let ref_pj = Power.Estimator.total_energy est in
@@ -484,7 +485,7 @@ let breakdown_cmd =
     in
     let cpu, _ =
       Sim.Backend.run_program ?extension:c.Core.Extract.extension
-        ~observers:[ Power.Estimator.observer est ]
+        ~hook:(Power.Estimator.hook est c.Core.Extract.asm)
         c.Core.Extract.asm
     in
     Format.fprintf fmt "%s: %d instructions, %d cycles@." name

@@ -241,15 +241,16 @@ let finish t ~name ~cycles ~instructions =
     instructions }
 
 let run ?(config = Sim.Config.default) ?bucket_cycles ?complexity
-    ?(observers = []) model (c : Extract.case) =
+    ?hook model (c : Extract.case) =
   Obs.Trace.with_span ~cat:"attribute" ("attribute:" ^ c.Extract.case_name)
   @@ fun () ->
   let t = create ?bucket_cycles ?complexity ~config model c in
   let cpu, _outcome =
     Sim.Backend.run_program ~config ?extension:c.Extract.extension
       ~tally:t.tally
-      ~hook:(fun i start _ _ flags -> fold t i start flags)
-      ~observers c.Extract.asm
+      ~hook:
+        (Sim.Cpu.chain (fun i start _ _ flags _ -> fold t i start flags) hook)
+      c.Extract.asm
   in
   finish t ~name:c.Extract.case_name ~cycles:(Sim.Cpu.cycles cpu)
     ~instructions:(Sim.Cpu.instructions cpu)

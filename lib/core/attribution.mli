@@ -79,14 +79,13 @@ val run :
   ?config:Sim.Config.t ->
   ?bucket_cycles:int ->
   ?complexity:(Tie.Component.t -> float) ->
-  ?observers:Sim.Cpu.observer list ->
+  ?hook:Sim.Cpu.hook ->
   Template.model ->
   Extract.case ->
   breakdown
 (** Simulate the case once with the engine's {!tally} installed and
-    {!fold} as the retire hook; any extra [observers] (e.g. the
-    reference estimator for a side-by-side comparison) see the same
-    run. *)
+    {!fold} as the retire hook, followed by [hook] if given (e.g. the
+    reference estimator for a side-by-side comparison). *)
 
 val check_sum : breakdown -> float
 (** Relative gap |sum rows - total| / max(|total|, 1): the attribution

@@ -443,25 +443,29 @@ let store t k e =
 type complexity = string * (Tie.Component.t -> float)
 
 (* One simulation yields everything an entry holds; with the reference
-   estimator attached (characterization, audit, Table II) it stays
-   single-pass.  Under [Check] the event-by-event oracle observes the
-   same stream and must agree with the compiled estimator to the bit. *)
+   estimator attached to the retire hook (characterization, audit,
+   Table II) it stays single-pass.  Under [Check] the event-by-event
+   oracle folds an interpreter run's events and must agree with the
+   compiled estimator, fed by the checked run's threaded half, to the
+   bit. *)
 let compute ?complexity ~config ~with_ref (c : Extract.case) =
   let complexity = Option.map snd complexity in
   let prof, measured =
     if with_ref then begin
       let extension = c.Extract.extension in
       let est = Power.Estimator.create ?extension config in
-      let observer, finish =
-        if Sim.Backend.current () = Sim.Backend.Check then begin
-          let oracle = Power.Oracle.create ?extension config in
-          ( Power.Estimator.observer_checked est oracle,
-            fun () -> Power.Estimator.check est oracle )
-        end
-        else (Power.Estimator.observer est, ignore)
+      let p =
+        Extract.profile ~config ?complexity
+          ~hook:(Power.Estimator.hook est c.Extract.asm) c
       in
-      let p = Extract.profile ~config ?complexity ~observers:[ observer ] c in
-      finish ();
+      if Sim.Backend.current () = Sim.Backend.Check then begin
+        let oracle = Power.Oracle.create ?extension config in
+        ignore
+          (Sim.Backend.run_program ~backend:Sim.Backend.Interp ~config
+             ?extension ~observers:[ Power.Oracle.observer oracle ]
+             c.Extract.asm);
+        Power.Estimator.check est oracle
+      end;
       (p, Some (Power.Estimator.total_energy est))
     end
     else (Extract.profile ~config ?complexity c, None)

@@ -160,9 +160,10 @@ val compute :
   ?complexity:complexity ->
   config:Sim.Config.t -> with_ref:bool -> Extract.case -> entry
 (** Simulate a case once and build its entry; with [with_ref] the
-    reference estimator rides the same simulation and fills
-    [e_measured_pj].  Under [Sim.Backend.Check] the event-by-event
-    {!Power.Oracle} rides it too.
+    reference estimator rides the same simulation as its retire hook and
+    fills [e_measured_pj].  Under [Sim.Backend.Check] the event-by-event
+    {!Power.Oracle} folds an interpreter run of the case, and the
+    compiled estimator the checked run's threaded half.
     @raise Sim.Backend.Mismatch if the two reference estimators differ in
     any energy bit, breakdown entry or evaluation count. *)
 

@@ -57,7 +57,7 @@ let variables_of_tally tally =
 let variables_of_stats (st : Sim.Stats.t) (res : Resource.t) =
   vector st (Resource.totals res)
 
-let profile ?(config = Sim.Config.default) ?complexity ?(observers = []) c =
+let profile ?(config = Sim.Config.default) ?complexity ?hook c =
   Obs.Trace.with_span ~cat:"extract" ("extract:" ^ c.case_name) (fun () ->
       let tally =
         Sim.Tally.create
@@ -67,7 +67,7 @@ let profile ?(config = Sim.Config.default) ?complexity ?(observers = []) c =
       let cpu, outcome =
         Obs.Trace.with_span ~cat:"sim" ("simulate:" ^ c.case_name) (fun () ->
             Sim.Backend.run_program ~config ?extension:c.extension ~tally
-              ~observers c.asm)
+              ?hook c.asm)
       in
       { variables = variables_of_tally tally;
         cycles = Sim.Cpu.cycles cpu;

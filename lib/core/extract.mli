@@ -38,12 +38,12 @@ val variables_of_stats : Sim.Stats.t -> Resource.t -> float array
 val profile :
   ?config:Sim.Config.t ->
   ?complexity:(Tie.Component.t -> float) ->
-  ?observers:Sim.Cpu.observer list ->
+  ?hook:Sim.Cpu.hook ->
   case ->
   profile
 (** Simulate once with a tally weighted by {!Resource.weights}
-    installed, and read the vector from it.  No observer of its own is
-    attached: [observers] (none by default) are notified on the same
+    installed, and read the vector from it.  No hook or observer of its
+    own is attached: [hook] (none by default) is called on the same
     single simulation — this is how the characterization engine
     attaches the reference power estimator so that one run yields both
     the variable vector and the "measured" energy.

@@ -161,11 +161,11 @@ let relocate_leaf t b =
    to the slot and are resolved to blocks, lines and opcodes after the
    run; each energy accumulator gets one float add, in retirement
    order, so every sum is the one a per-event fold computes. *)
-let hook t : Sim.Cpu.hook =
+let profile_hook t : Sim.Cpu.hook =
   (* Binding [attr] first makes the result a closure of the hook's own
      arity rather than a partial application. *)
   let attr = t.attr in
-  fun i start cycles stall flags ->
+  fun i start cycles stall flags _ ->
     Attribution.fold attr i start flags;
     let e = Array.unsafe_get t.marginal 0 in
     let c = t.counts and o = stride * i in
@@ -308,7 +308,7 @@ module P_metrics = struct
 end
 
 let run ?(config = Sim.Config.default) ?bucket_cycles ?complexity ?max_depth
-    ?(observers = []) model (c : Extract.case) =
+    ?hook model (c : Extract.case) =
   Obs.Trace.with_span ~cat:"profile" ("profile:" ^ c.Extract.case_name)
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
@@ -316,8 +316,7 @@ let run ?(config = Sim.Config.default) ?bucket_cycles ?complexity ?max_depth
   let cpu, _outcome =
     Sim.Backend.run_program ~config ?extension:c.Extract.extension
       ~tally:(Attribution.tally t.attr)
-      ~hook:(hook t)
-      ~observers
+      ~hook:(Sim.Cpu.chain (profile_hook t) hook)
       c.Extract.asm
   in
   let r =

@@ -73,13 +73,13 @@ val run :
   ?bucket_cycles:int ->
   ?complexity:(Tie.Component.t -> float) ->
   ?max_depth:int ->
-  ?observers:Sim.Cpu.observer list ->
+  ?hook:Sim.Cpu.hook ->
   Template.model ->
   Extract.case ->
   report
 (** Simulate the case once with an {!Attribution} engine's tally
-    installed and the profiler as the retire hook (any extra
-    [observers] see the same run), under a [profile:] trace span;
+    installed and the profiler as the retire hook (followed by [hook] if
+    given), under a [profile:] trace span;
     bumps the [profile_*] metrics family when metrics are enabled.
     [max_depth] caps the tracked call stack (default 128);
     [bucket_cycles] and [complexity] are {!Attribution.create}'s. *)

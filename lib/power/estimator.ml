@@ -345,7 +345,7 @@ let bank_eval ~swing bank a b cycles =
 
 (* --- Plans --------------------------------------------------------------------- *)
 
-type exec = Alu | Shifter | Mult | No_unit
+type exec = Alu | Shifter | Mult | No_unit (* custom instructions *)
 
 type plan = {
   pc : int;
@@ -358,12 +358,14 @@ type plan = {
   wr : int;                      (* write-port wordline *)
   nreads : int;
   exec : exec;
+  control : bool;                (* drives the branch unit *)
   units : bank;                  (* a custom instruction's components *)
 }
 
 let no_plan =
   { pc = -1; word = -1; instr = Isa.Instr.Nop; opcode = -1; carry = 0;
-    rd0 = -1; rd1 = -1; wr = -1; nreads = 0; exec = No_unit; units = empty_bank }
+    rd0 = -1; rd1 = -1; wr = -1; nreads = 0; exec = No_unit; control = false;
+    units = empty_bank }
 
 let plan_slots = 4096
 
@@ -416,6 +418,7 @@ type t = {
   mutable prev_bus1 : int;
   mutable prev_bus2 : int;
   mutable prev_result : int;
+  scratch : Sim.Cpu.channel;     (* an event unpacked for [observe] *)
 }
 
 let create ?(params = Blocks.default) ?extension cfg =
@@ -462,7 +465,8 @@ let create ?(params = Blocks.default) ?extension cfg =
     prev_word = 0;
     prev_bus1 = 0;
     prev_bus2 = 0;
-    prev_result = 0 }
+    prev_result = 0;
+    scratch = Sim.Cpu.new_channel () }
 
 let register t b =
   t.seen <- t.seen lor (1 lsl b);
@@ -476,43 +480,41 @@ let[@inline] charge t b e =
     Array.unsafe_set t.energy b e
   end
 
-let plan_of t (e : Sim.Event.t) =
-  let f = e.fetch in
+let plan_of t pc word instr =
   let port r = Isa.Reg.index r land 63 in
+  let uses = Isa.Instr.uses instr in
   let rd0, rd1 =
-    match Isa.Instr.uses e.instr with
+    match uses with
     | [] -> (-1, -1)
     | [ r ] -> (port r, -1)
     | r1 :: r2 :: _ -> (port r1, port r2)
   in
-  let pc32 = f.fpc land m32 in
-  { pc = f.fpc;
-    word = f.fword;
-    instr = e.instr;
-    opcode = (f.fword lsr 17) land 0x7f;
+  let pc32 = pc land m32 in
+  { pc;
+    word;
+    instr;
+    opcode = (word lsr 17) land 0x7f;
     carry = (lnot pc32 land (pc32 + 1)) - 1;
     rd0;
     rd1;
-    wr = (match Isa.Instr.defs e.instr with r :: _ -> port r | [] -> -1);
-    nreads = List.length e.src_values;
-    exec = exec_of e.instr;
+    wr = (match Isa.Instr.defs instr with r :: _ -> port r | [] -> -1);
+    nreads = List.length uses;
+    exec = exec_of instr;
+    control = Isa.Instr.is_control instr;
     units =
-      (match e.custom with
-       | Some info -> (
-         match
-           Hashtbl.find_opt t.insn_units info.cinsn.Tie.Compile.def.Tie.Spec.iname
-         with
+      (match instr with
+       | Isa.Instr.Custom call -> (
+         match Hashtbl.find_opt t.insn_units call.Isa.Instr.cname with
          | Some u -> u
          | None -> empty_bank)
-       | None -> empty_bank) }
+       | _ -> empty_bank) }
 
-let[@inline] plan t (e : Sim.Event.t) =
-  let f = e.fetch in
-  let i = f.fpc land (plan_slots - 1) in
+let[@inline] plan t pc word instr =
+  let i = pc land (plan_slots - 1) in
   let pl = Array.unsafe_get t.plans i in
-  if pl.pc = f.fpc && pl.word = f.fword && pl.instr == e.instr then pl
+  if pl.pc = pc && pl.word = word && pl.instr == instr then pl
   else begin
-    let pl = plan_of t e in
+    let pl = plan_of t pc word instr in
     Array.unsafe_set t.plans i pl;
     pl
   end
@@ -546,50 +548,32 @@ let pipeline_toggles t ~word ~pc ~op1 ~op2 ~result cycles =
    | _ -> t.d0 <- 0; t.d1 <- 0; t.d2 <- 0; t.d3 <- 0);
   toggles
 
-(* The [i]th (0 or 1) input of a custom instruction's components: its
-   register operands, then its result, then its states; 0 past the end. *)
-let custom_input (info : Sim.Event.custom_info) i =
-  let rec nth l i =
-    match l with [] -> 0 | x :: r -> if i = 0 then x else nth r (i - 1)
-  in
-  let rec operands l i =
-    match l with
-    | x :: r -> if i = 0 then x else operands r (i - 1)
-    | [] -> (
-      match info.cresult with
-      | Some v -> if i = 0 then v else nth info.cstates (i - 1)
-      | None -> nth info.cstates i)
-  in
-  operands info.coperands i
-
 let cache_energy p n =
   (p.Blocks.cache_decode_per_toggle *. float_of_int n.dec)
   +. (p.Blocks.cache_tag_per_toggle *. float_of_int n.tag)
   +. (p.Blocks.cache_array_per_toggle *. float_of_int n.arr)
 
-let observe t (e : Sim.Event.t) =
+(* One retirement of [pl]'s instruction: the hook's integers and
+   channel, whichever backend or event they came from. *)
+let core t pl cycles stall flags (ch : Sim.Cpu.channel) =
   let p = t.params in
-  let pl = plan t e in
-  let f = e.fetch in
-  let cycles = e.cycles in
   let fcycles = float_of_int cycles in
   charge t b_clock (p.Blocks.clock_tree *. fcycles);
-  let word = f.fword in
-  let bus1 = match e.src_values with x :: _ -> x | [] -> t.prev_bus1 in
-  let bus2 = match e.src_values with _ :: y :: _ -> y | _ -> t.prev_bus2 in
-  let result_value =
-    match e.result with Some r -> r | None -> t.prev_result
-  in
+  let word = pl.word in
+  let bus1 = if pl.nreads > 0 then ch.Sim.Cpu.bus1 else t.prev_bus1 in
+  let bus2 = if pl.nreads > 1 then ch.Sim.Cpu.bus2 else t.prev_bus2 in
+  let has_result = flags land Sim.Cpu.flag_result <> 0 in
+  let result_value = if has_result then ch.Sim.Cpu.result else t.prev_result in
   (* Pipeline registers, PC incrementer and opcode decoder, which only
      the issue edge can move. *)
   let latch_toggles =
-    pipeline_toggles t ~word ~pc:f.fpc ~op1:bus1 ~op2:bus2 ~result:result_value
+    pipeline_toggles t ~word ~pc:pl.pc ~op1:bus1 ~op2:bus2 ~result:result_value
       cycles
-    + pop ((t.pc_value lxor f.fpc) land m32)
+    + pop ((t.pc_value lxor pl.pc) land m32)
     + pop ((t.pc_carry lxor pl.carry) land m32)
     + onehot t.opcode pl.opcode
   in
-  t.pc_value <- f.fpc;
+  t.pc_value <- pl.pc;
   t.pc_carry <- pl.carry;
   t.opcode <- pl.opcode;
   t.evals <- t.evals + (cycles * cycle_evals) + port_evals;
@@ -603,13 +587,15 @@ let observe t (e : Sim.Event.t) =
     (p.Blocks.fetch_decode
      +. (p.Blocks.fetch_bus_per_toggle *. float_of_int (toggles t.prev_word word)));
   t.prev_word <- word;
-  if f.funcached then charge t b_uncached p.Blocks.uncached_access
+  if flags land Sim.Cpu.flag_uncached_fetch <> 0 then
+    charge t b_uncached p.Blocks.uncached_access
   else begin
     let n = t.inets in
     t.evals <- t.evals + n.access_evals;
-    cache_access n f.fpc 0;
+    cache_access n pl.pc 0;
     charge t b_icache (p.Blocks.icache_access +. cache_energy p n);
-    if not f.fhit then charge t b_icache p.Blocks.icache_miss
+    if flags land Sim.Cpu.flag_icache_miss <> 0 then
+      charge t b_icache p.Blocks.icache_miss
   end;
   (* Register file ports and port decoders. *)
   let dec_toggles =
@@ -621,20 +607,18 @@ let observe t (e : Sim.Event.t) =
   charge t b_regfile
     ((p.Blocks.regfile_read *. float_of_int pl.nreads)
      +. (p.Blocks.regfile_decoder_per_toggle *. float_of_int dec_toggles));
-  (match e.result with
-   | Some _ -> charge t b_regfile p.Blocks.regfile_write
-   | None -> ());
+  if has_result then charge t b_regfile p.Blocks.regfile_write;
   charge t b_buses
     (p.Blocks.operand_bus_per_toggle
      *. float_of_int (toggles t.prev_bus1 bus1 + toggles t.prev_bus2 bus2));
   t.prev_bus1 <- bus1;
   t.prev_bus2 <- bus2;
-  (match e.result with
-   | Some r ->
-     charge t b_buses
-       (p.Blocks.result_bus_per_toggle *. float_of_int (toggles t.prev_result r));
-     t.prev_result <- r
-   | None -> ());
+  if has_result then begin
+    charge t b_buses
+      (p.Blocks.result_bus_per_toggle
+       *. float_of_int (toggles t.prev_result result_value));
+    t.prev_result <- result_value
+  end;
   (* Execution units. *)
   (match pl.exec with
    | Mult ->
@@ -648,64 +632,79 @@ let observe t (e : Sim.Event.t) =
      let togs = adder_eval t.alu bus1 bus2 in
      charge t b_alu (p.Blocks.alu_per_toggle *. float_of_int togs));
   (* Memory data path. *)
-  (match e.mem with
-   | Some mi ->
-     if mi.muncached then charge t b_uncached p.Blocks.uncached_access
-     else begin
-       let n = t.dnets in
-       t.evals <- t.evals + n.access_evals;
-       cache_access n mi.maddr mi.mvalue;
-       charge t b_dcache (p.Blocks.dcache_access +. cache_energy p n);
-       if not mi.mhit then charge t b_dcache p.Blocks.dcache_miss
-     end
-   | None -> ());
+  if flags land Sim.Cpu.flag_uncached_data <> 0 then
+    charge t b_uncached p.Blocks.uncached_access
+  else if flags land (Sim.Cpu.flag_dcache_hit lor Sim.Cpu.flag_dcache_miss) <> 0
+  then begin
+    let n = t.dnets in
+    t.evals <- t.evals + n.access_evals;
+    cache_access n ch.Sim.Cpu.addr ch.Sim.Cpu.data;
+    charge t b_dcache (p.Blocks.dcache_access +. cache_energy p n);
+    if flags land Sim.Cpu.flag_dcache_miss <> 0 then
+      charge t b_dcache p.Blocks.dcache_miss
+  end;
   (* Control. *)
-  (match e.taken with
-   | Some taken ->
-     charge t b_branch p.Blocks.branch_unit;
-     if taken then charge t b_branch p.Blocks.taken_flush
-   | None -> ());
-  if e.interlock then
-    charge t b_interlock
-      (p.Blocks.interlock_cycle *. float_of_int e.stall_cycles);
-  if e.window_event then charge t b_window p.Blocks.window_op;
+  if pl.control then begin
+    charge t b_branch p.Blocks.branch_unit;
+    if flags land Sim.Cpu.flag_taken <> 0 then
+      charge t b_branch p.Blocks.taken_flush
+  end;
+  if stall > 0 then
+    charge t b_interlock (p.Blocks.interlock_cycle *. float_of_int stall);
+  if flags land Sim.Cpu.flag_window <> 0 then
+    charge t b_window p.Blocks.window_op;
   (* Custom hardware. *)
-  match e.custom with
-  | Some info ->
+  if pl.exec = No_unit then begin
     let bank = pl.units in
     if Array.length bank.seq > 0 then begin
-      bank_eval ~swing:p.Blocks.custom_data_swing bank (custom_input info 0)
-        (custom_input info 1) e.busy_cycles;
+      bank_eval ~swing:p.Blocks.custom_data_swing bank ch.Sim.Cpu.cin1
+        ch.Sim.Cpu.cin2 ch.Sim.Cpu.busy;
       for i = 0 to Array.length bank.seq - 1 do
         charge t b_custom_active bank.energy.(bank.seq.(i))
       done
     end
-  | None ->
+  end
+  else if pl.nreads > 0 then begin
     (* Side effect: base instructions driving the operand buses toggle
        the bus-facing custom hardware. *)
-    if e.src_values <> [] then begin
-      let bank = t.bus_units in
-      bank_eval ~swing:p.Blocks.custom_data_swing bank bus1 bus2 1;
-      for i = 0 to Array.length bank.seq - 1 do
-        charge t b_custom_idle
-          (p.Blocks.custom_idle_fraction *. bank.energy.(bank.seq.(i)))
-      done
-    end
+    let bank = t.bus_units in
+    bank_eval ~swing:p.Blocks.custom_data_swing bank bus1 bus2 1;
+    for i = 0 to Array.length bank.seq - 1 do
+      charge t b_custom_idle
+        (p.Blocks.custom_idle_fraction *. bank.energy.(bank.seq.(i)))
+    done
+  end
+
+let observe t (e : Sim.Event.t) =
+  let f = e.Sim.Event.fetch in
+  let flags = Sim.Cpu.load_channel t.scratch e in
+  core t
+    (plan t f.Sim.Event.fpc f.Sim.Event.fword e.Sim.Event.instr)
+    e.Sim.Event.cycles e.Sim.Event.stall_cycles flags t.scratch
 
 let observer t : Sim.Cpu.observer = fun e -> observe t e
 
 let total_energy t =
   Hashtbl.fold (fun _ b acc -> acc +. t.energy.(b)) t.order 0.0
 
-(* Cycle-resolved power: bin each event's incremental reference energy
-   by retirement cycle, reproducing in software the power-over-time
-   waveforms of hardware-accelerated power estimation. *)
-let observer_with_waveform t wf : Sim.Cpu.observer =
- fun e ->
-  let before = total_energy t in
-  observe t e;
-  Obs.Waveform.add wf ~cycle:e.Sim.Event.start_cycle
-    ~energy_pj:(total_energy t -. before)
+let hook ?waveform t (asm : Isa.Program.asm) : Sim.Cpu.hook =
+  let code = asm.Isa.Program.code in
+  let retire i cycles stall flags ch =
+    let s = code.(i) in
+    core t
+      (plan t s.Isa.Program.addr s.Isa.Program.word s.Isa.Program.instr)
+      cycles stall flags ch
+  in
+  match waveform with
+  | None -> fun i _ cycles stall flags ch -> retire i cycles stall flags ch
+  | Some wf ->
+    (* Cycle-resolved power: bin each retirement's incremental reference
+       energy by start cycle, reproducing in software the power-over-time
+       waveforms of hardware-accelerated power estimation. *)
+    fun i start cycles stall flags ch ->
+      let before = total_energy t in
+      retire i cycles stall flags ch;
+      Obs.Waveform.add wf ~cycle:start ~energy_pj:(total_energy t -. before)
 
 let breakdown t =
   Hashtbl.fold (fun k b acc -> (k, t.energy.(b)) :: acc) t.order []
@@ -751,15 +750,6 @@ let reset t =
 
 let mismatch fmt = Printf.ksprintf (fun s -> raise (Sim.Backend.Mismatch s)) fmt
 
-let observer_checked t oracle : Sim.Cpu.observer =
- fun e ->
-  observe t e;
-  Oracle.observe oracle e;
-  let c = total_energy t and o = Oracle.total_energy oracle in
-  if Int64.bits_of_float c <> Int64.bits_of_float o then
-    mismatch "reference estimator: event %d (pc 0x%x) total %h pJ, oracle %h pJ"
-      e.Sim.Event.index e.Sim.Event.fetch.Sim.Event.fpc c o
-
 let check t oracle =
   let entry (k, v) = (k, Int64.bits_of_float v) in
   let mine = List.map entry (breakdown t)
@@ -777,6 +767,6 @@ let estimate_program ?params ?config ?extension asm =
   let est = create ?params ?extension cfg in
   let cpu, _outcome =
     Sim.Backend.run_program ~config:cfg ?extension
-      ~observers:[ observer est ] asm
+      ~hook:(hook est asm) asm
   in
   (total_energy est, cpu)

@@ -14,7 +14,13 @@
     each instruction are resolved once into a plan, nets whose inputs
     repeat are skipped, and the data nets are evaluated in closed form,
     while every energy, breakdown entry and {!evaluations} count stays
-    bit-identical to the event-by-event {!Oracle}. *)
+    bit-identical to the event-by-event {!Oracle}.
+
+    One core charges one retirement from the simulator's retire-hook
+    integers and {!Sim.Cpu.channel}.  It has two callers: {!hook}, which
+    the simulator calls directly on either backend without building an
+    event, and {!observe}, which unpacks a recorded {!Sim.Event.t} with
+    {!Sim.Cpu.load_channel}. *)
 
 type t
 
@@ -24,15 +30,16 @@ val create :
   Sim.Config.t ->
   t
 
+val hook : ?waveform:Obs.Waveform.t -> t -> Isa.Program.asm -> Sim.Cpu.hook
+(** The retire hook for a run of [asm].  With [waveform], each
+    retirement's incremental energy is also binned by start cycle — a
+    software reproduction of cycle-resolved power estimation. *)
+
 val observe : t -> Sim.Event.t -> unit
-(** Process one event (exposed for instrumentation). *)
+(** Process one event: the hook's charge for the same retirement
+    (exposed for instrumentation and replay). *)
 
 val observer : t -> Sim.Cpu.observer
-
-val observer_with_waveform : t -> Obs.Waveform.t -> Sim.Cpu.observer
-(** Like {!observer}, additionally binning each event's incremental
-    energy into the waveform by retirement cycle — a software
-    reproduction of cycle-resolved power estimation. *)
 
 val total_energy : t -> float
 (** Accumulated energy in pJ. *)
@@ -48,11 +55,6 @@ val reset : t -> unit
 (** Clear all accumulated energy and internal net state (including the
     shadow caches), so the estimator can observe a fresh simulation. *)
 
-val observer_checked : t -> Oracle.t -> Sim.Cpu.observer
-(** Feed each event to both estimators.
-    @raise Sim.Backend.Mismatch at the first event after which their
-    total energies differ in any bit. *)
-
 val check : t -> Oracle.t -> unit
 (** @raise Sim.Backend.Mismatch unless the two breakdowns (names, order
     and energy bits) and evaluation counts agree. *)
@@ -63,5 +65,6 @@ val estimate_program :
   ?extension:Tie.Compile.compiled ->
   Isa.Program.asm ->
   float * Sim.Cpu.t
-(** Run a program under the reference estimator and return total energy
-    (pJ) plus the finished simulator (for cycle counts). *)
+(** Run a program with the reference estimator as its retire hook and
+    return total energy (pJ) plus the finished simulator (for cycle
+    counts). *)

@@ -48,150 +48,91 @@ let init_from_env () =
       Obs.Log.event ~level:Obs.Log.Warn "backend:bad-env"
         [ ("value", Obs.Trace.S s); ("fallback", Obs.Trace.S (name !current_ref)) ])
 
-(* Streaming digest over retirement events.  Events are serialised field
-   by field into a buffer that is folded into a running [Digest] chain
-   (bounded memory for arbitrarily long runs).  Hand-rolled rather than
-   [Marshal]: [custom_info.cinsn] reaches into the compiled extension,
-   which is not marshallable, and a textual encoding keeps a mismatch
-   reproducible byte-for-byte. *)
-module Stream_digest = struct
-  type t = { buf : Buffer.t; mutable acc : string; mutable events : int }
+(* A running 63-bit hash over a run's hook calls and channel contents:
+   allocation-free, so a checked run costs the two simulations and one
+   multiply per word. *)
+module Hook_digest = struct
+  type t = { mutable h : int; mutable calls : int }
 
-  let create () = { buf = Buffer.create 65536; acc = ""; events = 0 }
+  let create () = { h = 0; calls = 0 }
 
-  let fold d =
-    if Buffer.length d.buf > 0 then begin
-      d.acc <- Digest.string (d.acc ^ Buffer.contents d.buf);
-      Buffer.clear d.buf
-    end
+  let[@inline] mix h v =
+    let h = (h lxor v) * 0x2545_f491_4f6c_dd1d in
+    h lxor (h lsr 29)
 
-  let int b i =
-    Buffer.add_string b (string_of_int i);
-    Buffer.add_char b ' '
-
-  let bool b v = Buffer.add_char b (if v then '1' else '0')
-
-  let clazz_code = function
-    | Isa.Instr.Arith_class -> 0
-    | Isa.Instr.Load_class -> 1
-    | Isa.Instr.Store_class -> 2
-    | Isa.Instr.Jump_class -> 3
-    | Isa.Instr.Branch_class -> 4
-    | Isa.Instr.Custom_class -> 5
-
-  let observe d (e : Event.t) =
-    d.events <- d.events + 1;
-    let b = d.buf in
-    int b e.Event.index;
-    int b e.Event.start_cycle;
-    int b e.Event.cycles;
-    int b (clazz_code e.Event.clazz);
-    (match e.Event.taken with
-     | None -> Buffer.add_char b '-'
-     | Some v -> bool b v);
-    bool b e.Event.interlock;
-    int b e.Event.stall_cycles;
-    bool b e.Event.window_event;
-    int b e.Event.fetch.Event.fpc;
-    int b e.Event.fetch.Event.fword;
-    bool b e.Event.fetch.Event.fhit;
-    bool b e.Event.fetch.Event.funcached;
-    (match e.Event.mem with
-     | None -> Buffer.add_char b 'n'
-     | Some mi ->
-       int b mi.Event.maddr;
-       int b mi.Event.msize;
-       bool b mi.Event.mwrite;
-       bool b mi.Event.mhit;
-       bool b mi.Event.muncached;
-       int b mi.Event.mvalue);
-    List.iter (int b) e.Event.src_values;
-    Buffer.add_char b '/';
-    (match e.Event.result with
-     | None -> Buffer.add_char b 'n'
-     | Some v -> int b v);
-    (match e.Event.custom with
-     | None -> Buffer.add_char b 'n'
-     | Some ci ->
-       Buffer.add_string b
-         ci.Event.cinsn.Tie.Compile.def.Tie.Spec.iname;
-       Buffer.add_char b ':';
-       List.iter (int b) ci.Event.coperands;
-       (match ci.Event.cresult with
-        | None -> Buffer.add_char b 'n'
-        | Some v -> int b v);
-       List.iter (int b) ci.Event.cstates);
-    int b e.Event.busy_cycles;
-    Buffer.add_char b '\n';
-    if Buffer.length b >= 65536 then fold d
-
-  let finish d =
-    fold d;
-    d.acc
+  let hook d : Cpu.hook =
+   fun slot start cycles stall flags ch ->
+    let h = mix (mix (mix (mix (mix d.h slot) start) cycles) stall) flags in
+    let h = mix (mix (mix h ch.Cpu.bus1) ch.Cpu.bus2) ch.Cpu.result in
+    let h = mix (mix (mix h ch.Cpu.addr) ch.Cpu.data) ch.Cpu.cin1 in
+    d.h <- mix (mix h ch.Cpu.cin2) ch.Cpu.busy;
+    d.calls <- d.calls + 1
 end
 
 let checks = ref 0
 let checks_run () = !checks
 
-let execute_with b cpu =
-  match b with
-  | Interp -> Cpu.run cpu
-  | Threaded -> Cpu.run_threaded cpu
-  | Check ->
-    (* The clone carries no observers or hook and counts no metrics, so
-       the caller sees exactly one event stream and one series of hook
-       calls: the threaded ones, which the digest proves identical to
-       the interpreter's.  Its tally is a
-       copy with the same weights, fed from the interpreter's events, so
-       the threaded backend's event-free fold is compared too. *)
-    let shadow = Cpu.clone cpu in
-    let d_interp = Stream_digest.create () in
-    Cpu.add_observer shadow (Stream_digest.observe d_interp);
-    let o_interp = Cpu.run shadow in
-    let d_threaded = Stream_digest.create () in
-    Cpu.add_observer cpu (Stream_digest.observe d_threaded);
-    let o_threaded = Cpu.run_threaded cpu in
-    if o_interp <> o_threaded then
-      mismatch "backend check: outcome diverged (interp %s, threaded %s)"
-        (match o_interp with Cpu.Halted -> "halted" | Cpu.Watchdog -> "watchdog")
-        (match o_threaded with
-         | Cpu.Halted -> "halted"
-         | Cpu.Watchdog -> "watchdog");
-    if Cpu.cycles shadow <> Cpu.cycles cpu then
-      mismatch "backend check: cycle count diverged (interp %d, threaded %d)"
-        (Cpu.cycles shadow) (Cpu.cycles cpu);
-    if Cpu.instructions shadow <> Cpu.instructions cpu then
-      mismatch
-        "backend check: instruction count diverged (interp %d, threaded %d)"
-        (Cpu.instructions shadow) (Cpu.instructions cpu);
-    if d_interp.Stream_digest.events <> d_threaded.Stream_digest.events then
-      mismatch "backend check: event count diverged (interp %d, threaded %d)"
-        d_interp.Stream_digest.events d_threaded.Stream_digest.events;
-    if
-      not
-        (String.equal
-           (Stream_digest.finish d_interp)
-           (Stream_digest.finish d_threaded))
-    then
-      mismatch
-        "backend check: event streams diverged over %d retirements \
-         (digest mismatch)"
-        d_threaded.Stream_digest.events;
-    (match Tally.diff (Cpu.tally shadow) (Cpu.tally cpu) with
-     | None -> ()
-     | Some field ->
-       mismatch "backend check: tally diverged on %s (interp vs threaded)"
-         field);
-    incr checks;
-    o_threaded
+let outcome_name = function Cpu.Halted -> "halted" | Cpu.Watchdog -> "watchdog"
 
-let execute cpu = execute_with (current ()) cpu
+(* The dual run: the interpreter on a clone (which carries the caller's
+   observers and counts no metrics) and the threaded loop on the caller's
+   machine (which carries the caller's hook), each with a digest hook in
+   front. *)
+let check ?hook observers cpu =
+  let shadow = Cpu.clone cpu in
+  let d_interp = Hook_digest.create () and d_threaded = Hook_digest.create () in
+  Cpu.set_hook shadow (Hook_digest.hook d_interp);
+  List.iter (Cpu.add_observer shadow) observers;
+  let o_interp = Cpu.run shadow in
+  Cpu.set_hook cpu (Cpu.chain (Hook_digest.hook d_threaded) hook);
+  let o_threaded = Cpu.run_threaded cpu in
+  if o_interp <> o_threaded then
+    mismatch "backend check: outcome diverged (interp %s, threaded %s)"
+      (outcome_name o_interp) (outcome_name o_threaded);
+  let ints what a b =
+    if a <> b then
+      mismatch "backend check: %s diverged (interp %d, threaded %d)" what a b
+  in
+  ints "cycle count" (Cpu.cycles shadow) (Cpu.cycles cpu);
+  ints "instruction count" (Cpu.instructions shadow) (Cpu.instructions cpu);
+  ints "hook call count" d_interp.Hook_digest.calls
+    d_threaded.Hook_digest.calls;
+  if d_interp.Hook_digest.h <> d_threaded.Hook_digest.h then
+    mismatch
+      "backend check: hook and channel streams diverged over %d \
+       retirements (digest mismatch)"
+      d_threaded.Hook_digest.calls;
+  (match Tally.diff (Cpu.tally shadow) (Cpu.tally cpu) with
+   | None -> ()
+   | Some field ->
+     mismatch "backend check: tally diverged on %s (interp vs threaded)" field);
+  let state what same =
+    if not same then
+      mismatch "backend check: final %s diverged (interp vs threaded)" what
+  in
+  state "registers" (Cpu.regfile shadow = Cpu.regfile cpu);
+  state "memory" (Memory.equal (Cpu.memory shadow) (Cpu.memory cpu));
+  state "TIE state"
+    (let values m = Option.map Tie.Compile.state_values (Cpu.tie_state m) in
+     values shadow = values cpu);
+  state "SAR" (Cpu.sar shadow = Cpu.sar cpu);
+  state "pc" (Cpu.pc shadow = Cpu.pc cpu);
+  incr checks;
+  o_threaded
 
 let run_program ?backend ?config ?extension ?tally ?hook ?(observers = [])
     asm =
   let b = match backend with Some b -> b | None -> current () in
   let cpu = Cpu.create ?config ?extension ?tally asm in
-  Option.iter (Cpu.set_hook cpu) hook;
-  List.iter (Cpu.add_observer cpu) observers;
-  let o = execute_with b cpu in
+  let o =
+    match b with
+    | Check -> check ?hook observers cpu
+    | Threaded when List.is_empty observers ->
+      Option.iter (Cpu.set_hook cpu) hook;
+      Cpu.run_threaded cpu
+    | Interp | Threaded ->
+      Option.iter (Cpu.set_hook cpu) hook;
+      List.iter (Cpu.add_observer cpu) observers;
+      Cpu.run cpu
+  in
   (cpu, o)

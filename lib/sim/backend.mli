@@ -3,12 +3,15 @@
     Two substrates execute programs with identical semantics: the
     threaded-code backend ({!Cpu.run_threaded}, pre-decoded operation
     closures dispatched block-at-a-time; the default) and the reference
-    interpreter ({!Cpu.run}, decode-per-retirement).  [Check] is the
-    equivalence oracle: it runs both from identical initial state and
-    raises {!Mismatch} unless the outcome, the cycle and instruction
-    counts, a digest over the complete retirement event streams, and the
+    interpreter ({!Cpu.run}, decode-per-retirement).  Only the
+    interpreter builds {!Event.t}s, so a run with observers executes on
+    the interpreter whatever the backend.  [Check] is the equivalence
+    oracle: it runs both from identical initial state and raises
+    {!Mismatch} unless the outcome, the cycle and instruction counts, a
+    digest over every retire-hook call with its channel contents, the
     two machines' {!Tally} counters (integers exactly, accumulators by
-    [Int64.bits_of_float]) all agree.
+    [Int64.bits_of_float]) and the final machine state (registers and
+    window, memory, TIE state, SAR and pc) all agree.
 
     Selection is a process-wide default ({!set_current}, seeded from the
     [XENERGY_BACKEND] environment variable by {!init_from_env}, exposed
@@ -58,19 +61,6 @@ val init_from_env : unit -> unit
 (** Apply {!env_var} if set; unknown values warn (stderr and
     [Obs.Log]) and leave the default unchanged. *)
 
-val execute : Cpu.t -> Cpu.outcome
-(** Run a prepared machine (observers installed, nothing retired) to
-    completion on {!current}.  Under [Check] the machine is cloned
-    first: the clone runs the interpreter, the original runs the
-    threaded backend (so the caller's observers see exactly one event
-    stream and its hook one series of calls — the threaded ones), and
-    the two streams are compared.  The
-    clone gets a copy of the machine's tally with the same weights and
-    folds the interpreter's events into it; the original's tally, folded
-    by the threaded loop without events, must then match it field for
-    field.
-    @raise Mismatch under [Check] on any divergence. *)
-
 val run_program :
   ?backend:t ->
   ?config:Config.t ->
@@ -81,9 +71,19 @@ val run_program :
   Isa.Program.asm ->
   Cpu.t * Cpu.outcome
 (** Create (with [tally], see {!Cpu.create}), install the retire hook
-    ({!Cpu.set_hook}) and the observers,
-    {!execute} on [backend] (default {!current}).  The one way to run a
-    program from start to end. *)
+    ({!Cpu.set_hook}) and the observers, and run on [backend] (default
+    {!current}).  The one way to run a program from start to end.
+    - [Interp] runs {!Cpu.run}.
+    - [Threaded] runs {!Cpu.run_threaded}, or {!Cpu.run} when there are
+      observers.
+    - [Check] clones the fresh machine.  The clone runs the interpreter
+      and carries the observers; the returned machine runs the threaded
+      loop and carries the hook and [tally].  So the observers see one
+      event stream, the interpreter's, the hook one series of calls, the
+      threaded ones, and neither sees the other half.  The clone counts
+      no [sim_*] metrics, so a checked run counts each retirement once.
+
+    @raise Mismatch under [Check] on any divergence. *)
 
 val checks_run : unit -> int
 (** Number of dual-run equivalence checks performed by this process

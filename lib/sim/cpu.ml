@@ -6,17 +6,36 @@ type outcome = Halted | Watchdog
 
 type observer = Event.t -> unit
 
-type hook = int -> int -> int -> int -> int -> unit
+type channel = {
+  mutable bus1 : int;
+  mutable bus2 : int;
+  mutable result : int;
+  mutable addr : int;
+  mutable data : int;
+  mutable cin1 : int;
+  mutable cin2 : int;
+  mutable busy : int;
+}
 
-(* Retire-hook flag bits.  The taken, window and data-miss bits share
+let new_channel () =
+  { bus1 = 0; bus2 = 0; result = 0; addr = 0; data = 0; cin1 = 0; cin2 = 0;
+    busy = 0 }
+
+type hook = int -> int -> int -> int -> int -> channel -> unit
+
+(* Retire-hook flag bits.  The bits up to [flag_uncached_data] share
    their positions with the threaded loop's packed word and the fetch
    bits with its fetch word, so the loop assembles a flag word with two
    masks. *)
 let flag_taken = 0x2_0000
-let flag_interlock = 0x4_0000
-let flag_icache_miss = 0x8_0000
-let flag_uncached_fetch = 0x10_0000
+let flag_window = 0x4_0000
+let flag_dcache_hit = 0x8_0000
+let flag_result = 0x10_0000
 let flag_dcache_miss = 0x20_0000
+let flag_uncached_data = 0x40_0000
+let flag_icache_miss = 0x80_0000
+let flag_uncached_fetch = 0x100_0000
+let flag_interlock = 0x200_0000
 
 type t = {
   cfg : Config.t;
@@ -34,13 +53,14 @@ type t = {
   mutable retired : int;
   mutable done_ : outcome option;
   mutable custom_result : int;
-      (* last custom-instruction result, read back for its event *)
+      (* last custom-instruction result, read back for the channel *)
   counted : bool;
-      (* retirements bump the [Retire_metrics] counters; false for the
-         shadow copy a [Backend.Check] run compares against *)
-  observers : observer Queue.t;
+      (* runs bump the [sim_*] metrics; false for the shadow copy a
+         [Backend.Check] run compares against *)
+  observers : observer Queue.t;      (* interpreter only *)
   mutable hook : hook option;
       (* called after the tally update, before any observer *)
+  chan : channel;                    (* filled for the hook *)
   tally : Tally.t;
       (* folded on every retirement, before any observer runs *)
 }
@@ -76,13 +96,13 @@ let create ?(config = Config.default) ?extension ?tally asm =
     counted = true;
     observers = Queue.create ();
     hook = None;
+    chan = new_channel ();
     tally }
 
-(* O(1) per registration (the single-pass characterization engine adds
-   observers on the hot path); notification keeps registration order.
-   Registration is only sound before the first step: a late observer
-   would silently miss the events already published (including the
-   initial fetches), so it is refused loudly instead. *)
+(* Notification keeps registration order.  Registration is only sound
+   before the first step: a late observer would silently miss the events
+   already published (including the initial fetches), so it is refused
+   loudly instead. *)
 let add_observer t obs =
   if t.retired > 0 || t.done_ <> None then
     fail
@@ -100,67 +120,23 @@ let set_hook t h =
       t.retired;
   t.hook <- Some h
 
-(* Retirement-loop metrics.  Handles are registered once (lazily, so a
-   process that never enables metrics registers nothing) and bumped only
-   when metrics recording is on.  The interpreter records each event;
-   the threaded loop bumps them once per run, from its tally's delta and
-   per-class retirement counts, so metrics never force events. *)
-module Retire_metrics = struct
-  let instructions = lazy (Obs.Metrics.counter "sim_instructions_total")
-  let cycles = lazy (Obs.Metrics.counter "sim_cycles_total")
-  let stall_cycles = lazy (Obs.Metrics.counter "sim_stall_cycles_total")
-  let interlocks = lazy (Obs.Metrics.counter "sim_interlocks_total")
-  let icache_misses = lazy (Obs.Metrics.counter "sim_icache_misses_total")
-  let dcache_misses = lazy (Obs.Metrics.counter "sim_dcache_misses_total")
+let chain h = function
+  | None -> h
+  | Some next ->
+    fun i start cycles stall flags ch ->
+      h i start cycles stall flags ch;
+      next i start cycles stall flags ch
 
-  let by_class name =
-    lazy (Obs.Metrics.counter ~labels:[ ("class", name) ]
-            "sim_class_instructions_total")
-
-  (* Indexed by [class_index]. *)
-  let classes =
-    [| by_class "arith"; by_class "load"; by_class "store"; by_class "jump";
-       by_class "branch"; by_class "custom" |]
-
-  let class_index = function
-    | Isa.Instr.Arith_class -> 0
-    | Isa.Instr.Load_class -> 1
-    | Isa.Instr.Store_class -> 2
-    | Isa.Instr.Jump_class -> 3
-    | Isa.Instr.Branch_class -> 4
-    | Isa.Instr.Custom_class -> 5
-
-  let inc ~by c = if by > 0 then Obs.Metrics.inc ~by (Lazy.force c)
-
-  let record (e : Event.t) =
-    inc ~by:1 instructions;
-    inc ~by:e.Event.cycles cycles;
-    inc ~by:e.Event.stall_cycles stall_cycles;
-    if e.Event.interlock || e.Event.window_event then inc ~by:1 interlocks;
-    if (not e.Event.fetch.Event.funcached) && not e.Event.fetch.Event.fhit
-    then inc ~by:1 icache_misses;
-    (match e.Event.mem with
-     | Some mi when (not mi.Event.muncached) && not mi.Event.mhit ->
-       inc ~by:1 dcache_misses
-     | Some _ | None -> ());
-    inc ~by:1 classes.(class_index e.Event.clazz)
-
-  (* A whole run at once: the counters' movement from [before] (a copy
-     taken when the run started) to the settled [after], plus
-     retirements per [class_index]. *)
-  let record_run ~(before : Stats.t) (after : Stats.t) per_class =
-    inc ~by:(after.Stats.instructions - before.Stats.instructions)
-      instructions;
-    inc ~by:(after.Stats.total_cycles - before.Stats.total_cycles) cycles;
-    inc ~by:(after.Stats.stall_cycles - before.Stats.stall_cycles)
-      stall_cycles;
-    inc ~by:(after.Stats.interlocks - before.Stats.interlocks) interlocks;
-    inc ~by:(after.Stats.icache_misses - before.Stats.icache_misses)
-      icache_misses;
-    inc ~by:(after.Stats.dcache_misses - before.Stats.dcache_misses)
-      dcache_misses;
-    Array.iteri (fun k n -> inc ~by:n classes.(k)) per_class
-end
+(* Run [f], bumping the [sim_*] metrics once by what it retired (also
+   when it raises), so that metrics never force events.  The shadow of a
+   [Backend.Check] run is not counted. *)
+let with_metrics t f =
+  if t.counted && Obs.Metrics.enabled () then begin
+    let before = Stats.copy (Tally.stats t.tally) in
+    Fun.protect f ~finally:(fun () ->
+        Stats.record_metrics ~before (Tally.stats t.tally))
+  end
+  else f ()
 
 let u32 v = v land 0xffff_ffff
 
@@ -356,18 +332,6 @@ let resolve_custom ext call =
   in
   (ext, insn, dst, src_regs)
 
-(* Custom-state values after execution, in declaration order. *)
-let custom_states t =
-  match (t.ext, t.ext_state) with
-  | Some ext, Some store ->
-    List.filter_map
-      (fun s ->
-        match Tie.Compile.state_value store s.Tie.Spec.sname with
-        | v -> Some v
-        | exception Not_found -> None)
-      (Tie.Compile.spec ext).Tie.Spec.states
-  | _ -> []
-
 let exec_custom t call =
   let ext, insn, dst, src_regs = resolve_custom t.ext call in
   let store = Option.get t.ext_state in
@@ -380,7 +344,7 @@ let exec_custom t call =
    | Some _, None | None, Some _ | None, None -> ());
   let info =
     { Event.cinsn = insn; coperands = srcs; cresult = result;
-      cstates = custom_states t }
+      cstates = Tie.Compile.state_values store }
   in
   (result, info, insn.Tie.Compile.latency)
 
@@ -503,19 +467,37 @@ let execute t slot =
 let slot_index t pc =
   (pc - t.asm.Isa.Program.code_base) / Isa.Encoding.bytes_per_instr
 
-(* The retire hook's flag word for an interpreted retirement. *)
-let hook_flags (e : Event.t) =
+(* What the interpreter passes its hook: the channel filled from the
+   event, absent values as 0, and the flag word. *)
+let load_channel (ch : channel) (e : Event.t) =
+  let srcs = e.Event.src_values and mem = e.Event.mem in
+  ch.bus1 <- (match srcs with a :: _ -> a | [] -> 0);
+  ch.bus2 <- (match srcs with _ :: b :: _ -> b | _ -> 0);
+  ch.result <- (match e.Event.result with Some r -> r | None -> 0);
+  ch.addr <- (match mem with Some mi -> mi.Event.maddr | None -> 0);
+  ch.data <- (match mem with Some mi -> mi.Event.mvalue | None -> 0);
+  (match e.Event.custom with
+   | Some ci ->
+     ch.cin1 <- Event.custom_input ci 0;
+     ch.cin2 <- Event.custom_input ci 1
+   | None ->
+     ch.cin1 <- 0;
+     ch.cin2 <- 0);
+  ch.busy <- e.Event.busy_cycles;
   let f = e.Event.fetch in
   (match e.Event.taken with Some true -> flag_taken | Some false | None -> 0)
-  lor (if e.Event.interlock || e.Event.window_event then flag_interlock else 0)
+  lor (if e.Event.window_event then flag_window lor flag_interlock else 0)
+  lor (if e.Event.interlock then flag_interlock else 0)
+  lor (match e.Event.result with Some _ -> flag_result | None -> 0)
   lor (if f.Event.funcached then flag_uncached_fetch
        else if f.Event.fhit then 0
        else flag_icache_miss)
   lor
   match e.Event.mem with
-  | Some mi when (not mi.Event.muncached) && not mi.Event.mhit ->
-    flag_dcache_miss
-  | Some _ | None -> 0
+  | None -> 0
+  | Some mi when mi.Event.muncached -> flag_uncached_data
+  | Some mi when mi.Event.mhit -> flag_dcache_hit
+  | Some _ -> flag_dcache_miss
 
 let step t =
   match t.done_ with
@@ -609,9 +591,9 @@ let step t =
       (match t.hook with
        | None -> ()
        | Some h ->
+         let flags = load_channel t.chan event in
          h (slot_index t fetch.Event.fpc) event.Event.start_cycle total stall
-           (hook_flags event));
-      if t.counted && Obs.Metrics.enabled () then Retire_metrics.record event;
+           flags t.chan);
       Queue.iter (fun obs -> obs event) t.observers;
       `Step event
     end
@@ -622,7 +604,7 @@ let run t =
     | `Step _ -> go ()
     | `Done o -> o
   in
-  go ()
+  with_metrics t go
 
 (* ------------------------------------------------------------------ *)
 (* Threaded-code backend: pre-decoded, block-at-a-time execution.      *)
@@ -641,42 +623,33 @@ let run t =
 (* one.                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared [Some true]/[Some false] so retiring a branch allocates no
-   option; events stay structurally identical to the interpreter's. *)
-let some_true = Some true
-let some_false = Some false
-
 (* An op's closure performs the instruction's architectural effects —
    register, memory and TIE-state writes, cache accesses, window
    rotation and, for control instructions, the pc update — and returns
    a packed word: bits 0-15 hold the penalty cycles beyond fetch and
    stall (data access + taken branch + window traffic; configs keep each
-   term far below the field's range), bits 16-21 the flags below, bits
-   22+ the producer's latency beyond one cycle. *)
+   term far below the field's range), bit 16 the halt flag, bits 17-22
+   the hook's [flag_taken] to [flag_uncached_data], bits 23+ the
+   producer's latency beyond one cycle.  The loop's fetch word holds
+   the fetch penalty in bits 0-15 and [fhit_bit], [flag_icache_miss] or
+   [flag_uncached_fetch]. *)
 let pen_mask = 0xffff
 let halt_bit = 0x1_0000
+let fhit_bit = 0x1_0000
 let taken_shift = 17
-let taken_bit = flag_taken          (* control transfer taken *)
-let window_bit = flag_interlock     (* window spill or reload *)
-let dhit_bit = 0x8_0000             (* cached data access hit *)
-let result_bit = 0x10_0000          (* a value was driven on the result bus *)
-let dmiss_bit = flag_dcache_miss    (* cached data access missed; a data
-                                       access with neither hit nor miss
-                                       was uncached *)
-let extra_shift = 22
-let () = assert (taken_bit = 1 lsl taken_shift)
+let extra_shift = 23
+let () = assert (flag_taken = 1 lsl taken_shift)
 
-(* The loop's fetch word: the fetch penalty in bits 0-15 and one of
-   these outcomes. *)
-let fhit_bit = 0x1_0000             (* cached fetch hit *)
-let imiss_bit = flag_icache_miss
-let ufetch_bit = flag_uncached_fetch
+(* The packed word's and the fetch word's bits that the hook sees. *)
+let word_flags =
+  flag_taken lor flag_window lor flag_dcache_hit lor flag_result
+  lor flag_dcache_miss lor flag_uncached_data
+let fetch_flags = flag_icache_miss lor flag_uncached_fetch
 
 type op = {
   o_slot : Isa.Program.slot;
   o_uses : int array;            (* scoreboard sources, as window-relative
                                     register indices (decode-resolved) *)
-  o_uses_list : Isa.Reg.t list;  (* same registers, for [src_values] *)
   o_defs : int array;
   o_clazz : Isa.Instr.clazz;
   o_control : bool;              (* the closure sets the pc; otherwise
@@ -689,8 +662,12 @@ type op = {
   o_weights : Tally.contribution; (* structural contribution per
                                      retirement, resolved at decode *)
   o_run : t -> int;
-  o_custom : (Tie.Compile.compiled_insn * Isa.Reg.t list) option;
-      (* resolved custom instruction and its source registers *)
+  o_cins : int array;            (* a custom instruction's source
+                                    registers *)
+  o_addr_reg : int;              (* a load's or store's base register *)
+  o_addr : int;                  (* its offset, or an [l32r]'s address *)
+  o_data_reg : int;              (* the register loaded or stored *)
+  o_link : int;                  (* a call's return address *)
   o_busy : int;                  (* execute-stage cycles *)
   o_regfile : bool;              (* custom instruction touching the
                                     generic register file *)
@@ -723,9 +700,9 @@ let dpen ubase udp dmiss t addr =
     if addr lsr dc.Cache.line_shift = dc.Cache.last_line then begin
       dc.Cache.accesses <- dc.Cache.accesses + 1;
       dc.Cache.hits <- dc.Cache.hits + 1;
-      dhit_bit
+      flag_dcache_hit
     end
-    else if Cache.access dc addr = Cache.Hit then dhit_bit
+    else if Cache.access dc addr = Cache.Hit then flag_dcache_hit
     else dmiss
   end
 
@@ -733,7 +710,7 @@ let make_branch target fall btp cond =
   match target with
   | None -> None
   | Some tgt ->
-    let taken = btp lor taken_bit in
+    let taken = btp lor flag_taken in
     Some
       (fun t ->
         if cond t then begin
@@ -758,16 +735,31 @@ let compile_op t (slot : Isa.Program.slot) : (t -> int) option =
   let fall = slot.Isa.Program.addr + Isa.Encoding.bytes_per_instr in
   let target = slot.Isa.Program.target in
   let btp = t.cfg.Config.branch_taken_penalty in
-  let udp = t.cfg.Config.uncached_data_penalty in
+  let udp = t.cfg.Config.uncached_data_penalty lor flag_uncached_data in
   let wp = t.cfg.Config.window_penalty in
   let ubase = t.cfg.Config.uncached_base in
-  let dmiss = Cache.miss_penalty t.dcache lor dmiss_bit in
+  let dmiss = Cache.miss_penalty t.dcache lor flag_dcache_miss in
   let branch cond = make_branch target fall btp cond in
-  let jump = btp lor taken_bit in
-  let r = result_bit in
+  let jump = btp lor flag_taken in
+  let r = flag_result in
   (* A windowed call or return's words: without and with a spilled or
      reloaded frame. *)
-  let windowed flags = (jump lor flags, (jump + wp) lor window_bit lor flags) in
+  let windowed flags =
+    (jump lor flags, (jump + wp) lor flag_window lor flags)
+  in
+  let add_imm d s n =
+    let di = ri d and si = ri s in
+    Some
+      (fun t ->
+        rset t di (rget t si + n);
+        r)
+  in
+  let jump_reg si =
+    Some
+      (fun t ->
+        t.pc <- u32 (rget t si);
+        jump)
+  in
   match slot.Isa.Program.instr with
   | Binop (op, d, s, tt) ->
     let di = ri d and si = ri s and ti = ri tt in
@@ -800,31 +792,15 @@ let compile_op t (slot : Isa.Program.slot) : (t -> int) option =
           r
         end
         else 0)
-  | Addi (d, s, n) ->
-    let di = ri d and si = ri s in
-    Some
-      (fun t ->
-        rset t di (rget t si + n);
-        r)
-  | Addmi (d, s, n) ->
-    let di = ri d and si = ri s in
-    let n = n * 256 in
-    Some
-      (fun t ->
-        rset t di (rget t si + n);
-        r)
+  | Addi (d, s, n) -> add_imm d s n
+  | Addmi (d, s, n) -> add_imm d s (n * 256)
   | Movi (d, n) ->
     let di = ri d in
     Some
       (fun t ->
         rset t di n;
         r)
-  | Mov (d, s) ->
-    let di = ri d and si = ri s in
-    Some
-      (fun t ->
-        rset t di (rget t si);
-        r)
+  | Mov (d, s) -> add_imm d s 0
   | Extui (d, s, sh, w) ->
     let di = ri d and si = ri s in
     let m = (1 lsl w) - 1 in
@@ -958,12 +934,7 @@ let compile_op t (slot : Isa.Program.slot) : (t -> int) option =
          (fun t ->
            t.pc <- tgt;
            jump))
-  | Jx s ->
-    let si = ri s in
-    Some
-      (fun t ->
-        t.pc <- u32 (rget t si);
-        jump)
+  | Jx s -> jump_reg (ri s)
   | Call0 _ ->
     (match target with
      | None -> None
@@ -1004,11 +975,7 @@ let compile_op t (slot : Isa.Program.slot) : (t -> int) option =
         let spilled = Regfile.push_window t.rf in
         t.pc <- dest;
         if spilled then spill else plain)
-  | Ret ->
-    Some
-      (fun t ->
-        t.pc <- u32 (rget t 0);
-        jump)
+  | Ret -> jump_reg 0
   | Retw ->
     let plain, reload = windowed 0 in
     Some
@@ -1069,107 +1036,70 @@ let interpret t (slot : Isa.Program.slot) =
     let w =
       match ex.mem_info with
       | None -> w
-      | Some mi when mi.Event.muncached -> w + cfg.Config.uncached_data_penalty
-      | Some mi when mi.Event.mhit -> w lor dhit_bit
-      | Some _ -> (w + dmiss) lor dmiss_bit
+      | Some mi when mi.Event.muncached ->
+        (w + cfg.Config.uncached_data_penalty) lor flag_uncached_data
+      | Some mi when mi.Event.mhit -> w lor flag_dcache_hit
+      | Some _ -> (w + dmiss) lor flag_dcache_miss
     in
     let w =
       match ex.taken with
-      | Some true -> (w + cfg.Config.branch_taken_penalty) lor taken_bit
+      | Some true -> (w + cfg.Config.branch_taken_penalty) lor flag_taken
       | Some false | None -> w
     in
     let w =
-      if ex.window_event then (w + cfg.Config.window_penalty) lor window_bit
+      if ex.window_event then (w + cfg.Config.window_penalty) lor flag_window
       else w
     in
     let w =
       match ex.result with
       | Some v ->
         t.custom_result <- v;
-        w lor result_bit
+        w lor flag_result
       | None -> w
     in
     if ex.halt then w lor halt_bit else w
 
-(* What an event needs from before an op's closure runs, which may
-   overwrite a load's base register or rotate the window. *)
-type pre = { p_srcs : int list; p_addr : int; p_operands : int list }
+(* The channel's operand half, read before the op's closure runs (which
+   may overwrite a load's base register or rotate the window).  A field
+   the op does not have is -1 (registers, link) or 0. *)
+let[@inline] fill_operands t (ch : channel) (op : op) =
+  let u = op.o_uses and c = op.o_cins in
+  let n = Array.length u and m = Array.length c in
+  ch.bus1 <- (if n > 0 then rget t (Array.unsafe_get u 0) else 0);
+  ch.bus2 <- (if n > 1 then rget t (Array.unsafe_get u 1) else 0);
+  ch.addr <-
+    (if op.o_addr_reg < 0 then op.o_addr
+     else u32 (rget t op.o_addr_reg + op.o_addr));
+  ch.cin1 <- (if m > 0 then rget t (Array.unsafe_get c 0) else 0);
+  ch.cin2 <- (if m > 1 then rget t (Array.unsafe_get c 1) else 0)
 
-let no_pre = { p_srcs = []; p_addr = 0; p_operands = [] }
+(* Input [k] of a custom instruction's components past its register
+   operands: its result, if one was driven, then its states. *)
+let custom_tail t packed k =
+  let k = if packed land flag_result <> 0 then k - 1 else k in
+  if k < 0 then t.custom_result
+  else match t.ext_state with Some s -> Tie.Compile.state_at s k | None -> 0
 
-let capture t (op : op) =
-  { p_srcs = List.map (reg t) op.o_uses_list;
-    p_addr =
-      (match op.o_slot.Isa.Program.instr with
-       | Isa.Instr.Load (_, _, b, off) | Isa.Instr.Store (_, _, b, off) ->
-         u32 (reg t b + off)
-       | _ -> 0);
-    p_operands =
-      (match op.o_custom with
-       | Some (_, regs) -> List.map (reg t) regs
-       | None -> []) }
-
-(* The event [step] publishes for this retirement, rebuilt from the
-   decoded op, the flags of its packed word and register reads around
-   its closure: [pre] before, the result and the loaded or stored value
-   after. *)
-let event_of t (op : op) pre ~index ~start ~fhit ~stall ~total packed =
-  let open Isa.Instr in
-  let slot = op.o_slot in
-  let instr = slot.Isa.Program.instr in
-  let flag b = packed land b <> 0 in
-  let access ~write ~size addr value =
-    Some
-      { Event.maddr = addr; msize = size; mwrite = write;
-        mhit = flag dhit_bit;
-        muncached = not (flag dhit_bit || flag dmiss_bit);
-        mvalue = value }
+(* ... and its result half, after: the values [load_channel] takes from
+   the interpreter's event for the same retirement. *)
+let[@inline] fill_results t (ch : channel) (op : op) packed =
+  let custom =
+    match op.o_clazz with Isa.Instr.Custom_class -> true | _ -> false
   in
-  let result =
-    if not (flag result_bit) then None
-    else
-      Some
-        (match instr with
-         | Call0 _ | Callx0 _ | Call8 _ | Callx8 _ ->
-           slot.Isa.Program.addr + Isa.Encoding.bytes_per_instr
-         | Custom _ -> t.custom_result
-         | _ -> rget t op.o_defs.(0))
-  in
-  { Event.index;
-    start_cycle = start;
-    cycles = total;
-    instr;
-    clazz = op.o_clazz;
-    taken =
-      (if not op.o_control then None
-       else if flag taken_bit then some_true
-       else some_false);
-    interlock = stall > 0;
-    stall_cycles = stall;
-    window_event = flag window_bit;
-    fetch =
-      { Event.fpc = slot.Isa.Program.addr;
-        fword = slot.Isa.Program.word;
-        fhit;
-        funcached = op.o_funcached };
-    mem =
-      (match instr with
-       | Load (lop, d, _, _) ->
-         access ~write:false ~size:(load_size lop) pre.p_addr (reg t d)
-       | L32r (d, _) -> access ~write:false ~size:4 (target_of slot) (reg t d)
-       | Store (sop, v, _, _) ->
-         access ~write:true ~size:(store_size sop) pre.p_addr (reg t v)
-       | _ -> None);
-    src_values = pre.p_srcs;
-    result;
-    custom =
-      Option.map
-        (fun (insn, _) ->
-          { Event.cinsn = insn; coperands = pre.p_operands; cresult = result;
-            cstates = custom_states t })
-        op.o_custom;
-    busy_cycles =
-      (if op.o_clazz = Custom_class then 1 + (packed lsr extra_shift) else 1) }
+  ch.result <-
+    (if packed land flag_result = 0 then 0
+     else if op.o_link >= 0 then op.o_link
+     else if custom then t.custom_result
+     else rget t (Array.unsafe_get op.o_defs 0));
+  ch.data <- (if op.o_data_reg < 0 then 0 else rget t op.o_data_reg);
+  ch.busy <- op.o_busy;
+  if custom then
+    match Array.length op.o_cins with
+    | 0 ->
+      ch.cin1 <- custom_tail t packed 0;
+      ch.cin2 <- custom_tail t packed 1
+    | 1 -> ch.cin2 <- custom_tail t packed 0
+    | _ -> ()
 
 type decode_stats = {
   d_blocks : int;
@@ -1249,15 +1179,35 @@ let decode ?(covered = fun _ -> true) t =
             prev < uncached_base && addr lsr line_shift = prev lsr line_shift)
       in
       let custom, f = resolve_slot t.ext weights slot in
+      let ri = Isa.Reg.index in
+      let addr_reg, addr_off, data_reg =
+        match instr with
+        | Isa.Instr.Load (_, d, b, off) | Isa.Instr.Store (_, d, b, off) ->
+          (ri b, off, ri d)
+        | Isa.Instr.L32r (d, _) ->
+          (-1, Option.value slot.Isa.Program.target ~default:0, ri d)
+        | _ -> (-1, 0, -1)
+      in
       { o_slot = slot;
         o_uses = reg_indices uses;
-        o_uses_list = uses;
         o_defs = reg_indices (Isa.Instr.defs instr);
         o_clazz = f.f_clazz;
         o_control = Isa.Instr.is_control instr;
         o_funcached = funcached;
         o_line_run = line_run;
-        o_custom = custom;
+        o_cins =
+          (match custom with
+           | Some (_, regs) -> reg_indices regs
+           | None -> no_regs);
+        o_addr_reg = addr_reg;
+        o_addr = addr_off;
+        o_data_reg = data_reg;
+        o_link =
+          (match instr with
+           | Isa.Instr.Call0 _ | Isa.Instr.Callx0 _ | Isa.Instr.Call8 _
+           | Isa.Instr.Callx8 _ ->
+             addr + Isa.Encoding.bytes_per_instr
+           | _ -> -1);
         o_busy = f.f_busy;
         o_regfile = f.f_regfile;
         o_weights = f.f_weights;
@@ -1273,9 +1223,13 @@ let decode_stats ?covered t =
     d_compiled =
       Array.fold_left (fun n o -> if o.o_compiled then n + 1 else n) 0 ops }
 
-let no_hook : hook = fun _ _ _ _ _ -> ()
+let no_hook : hook = fun _ _ _ _ _ _ -> ()
 
 let run_threaded ?covered t =
+  if not (Queue.is_empty t.observers) then
+    fail
+      "run_threaded: observers are interpreter-only; run an observed \
+       machine with run or step";
   match t.done_ with
   | Some o -> o
   | None ->
@@ -1288,22 +1242,15 @@ let run_threaded ?covered t =
     let icache = t.icache in
     let rf = t.rf and ready = t.ready in
     let stats = Tally.stats t.tally and acc = Tally.acc t.tally in
-    let observers = Array.of_seq (Queue.to_seq t.observers) in
-    let nobs = Array.length observers in
-    (* Events cost an allocation per retirement, so they are built only
-       when an observer is listening; the tally, the hook and the
-       metrics are all fed without one. *)
-    let publish = nobs > 0 in
+    (* The channel is filled only for a hook. *)
     let hooked, hook =
       match t.hook with Some h -> (true, h) | None -> (false, no_hook)
     in
-    let metrics = t.counted && Obs.Metrics.enabled () in
-    let before = if metrics then Some (Stats.copy stats) else None in
-    let per_class = Array.make (Array.length Retire_metrics.classes) 0 in
+    let ch = t.chan in
     (* Class cycles are settled from per-slot retirement counts
-       ({!Stats.add_class}): after every retirement when observers may
-       read the tally, once at the end otherwise.  Slot [i] counts its
-       not-taken retirements at [2i] and its taken ones at [2i + 1]. *)
+       ({!Stats.add_class}) once, when the run leaves the loop.  Slot [i]
+       counts its not-taken retirements at [2i] and its taken ones at
+       [2i + 1]. *)
     let counts = Array.make (2 * n) 0 in
     let settle i =
       let untaken = Array.unsafe_get counts (2 * i)
@@ -1312,10 +1259,6 @@ let run_threaded ?covered t =
         let op = Array.unsafe_get ops i in
         Stats.add_class stats op.o_clazz ~count:(untaken + taken) ~taken
           ~busy:op.o_busy ~regfile:op.o_regfile;
-        if metrics then begin
-          let k = Retire_metrics.class_index op.o_clazz in
-          per_class.(k) <- per_class.(k) + untaken + taken
-        end;
         Array.unsafe_set counts (2 * i) 0;
         Array.unsafe_set counts ((2 * i) + 1) 0
       end
@@ -1344,15 +1287,15 @@ let run_threaded ?covered t =
        errors, so stats stay exact for the equivalence checker). *)
     let line_hits = ref 0 in
     (* One retirement; mirrors [step] exactly (fetch, scoreboard stall,
-       execute, penalties, scoreboard update, clocks, tally, hook, event)
-       and returns the halt flag.  [i] is the op's slot. *)
+       execute, penalties, scoreboard update, clocks, tally, hook) and
+       returns the halt flag.  [i] is the op's slot. *)
     let retire (op : op) i fall =
       let pc = t.pc in
       (* The fetch penalty and its outcome bit. *)
       let fetch =
         if op.o_funcached then begin
           stats.Stats.uncached_fetches <- stats.Stats.uncached_fetches + 1;
-          ufp lor ufetch_bit
+          ufp lor flag_uncached_fetch
         end
         else if
           (fall && op.o_line_run)
@@ -1364,7 +1307,7 @@ let run_threaded ?covered t =
         else if Cache.access icache pc = Cache.Hit then fhit_bit
         else begin
           stats.Stats.icache_misses <- stats.Stats.icache_misses + 1;
-          imiss_pen lor imiss_bit
+          imiss_pen lor flag_icache_miss
         end
       in
       let fetch_pen = fetch land pen_mask in
@@ -1377,7 +1320,7 @@ let run_threaded ?covered t =
         if rdy - issue > !stall then stall := rdy - issue
       done;
       let stall = !stall in
-      let pre = if publish then capture t op else no_pre in
+      if hooked then fill_operands t ch op;
       let packed = op.o_run t in
       let defs = op.o_defs in
       let rdy = issue + stall + 1 + (packed lsr extra_shift) in
@@ -1403,27 +1346,20 @@ let run_threaded ?covered t =
         stats.Stats.stall_cycles <- stats.Stats.stall_cycles + stall;
         stats.Stats.interlocks <- stats.Stats.interlocks + 1
       end
-      else if packed land window_bit <> 0 then
+      else if packed land flag_window <> 0 then
         stats.Stats.interlocks <- stats.Stats.interlocks + 1;
-      if packed land dmiss_bit <> 0 then
+      if packed land flag_dcache_miss <> 0 then
         stats.Stats.dcache_misses <- stats.Stats.dcache_misses + 1;
       let w = op.o_weights in
       if Array.length w.Tally.cats > 0 then Tally.add acc w;
-      if hooked then
+      if hooked then begin
+        fill_results t ch op packed;
         hook i start total stall
-          ((packed land (taken_bit lor window_bit lor dmiss_bit))
-           lor (fetch land (imiss_bit lor ufetch_bit))
-           lor (if stall > 0 then flag_interlock else 0));
-      if publish then begin
-        settle i;
-        let event =
-          event_of t op pre ~index:(t.retired - 1) ~start
-            ~fhit:(fetch land fhit_bit <> 0) ~stall ~total
-            packed
-        in
-        for k = 0 to nobs - 1 do
-          (Array.unsafe_get observers k) event
-        done
+          ((packed land word_flags) lor (fetch land fetch_flags)
+           lor
+           if stall > 0 || packed land flag_window <> 0 then flag_interlock
+           else 0)
+          ch
       end;
       halted
     in
@@ -1444,36 +1380,27 @@ let run_threaded ?covered t =
         else go (i + 1)
       end
     in
+    with_metrics t @@ fun () ->
     Fun.protect
       ~finally:(fun () ->
         if !line_hits > 0 then Cache.repeat_hits icache !line_hits;
         for i = 0 to n - 1 do
           settle i
-        done;
-        match before with
-        | Some before -> Retire_metrics.record_run ~before stats per_class
-        | None -> ())
+        done)
       (fun () -> go (-1))
 
 let clone t =
-  { cfg = t.cfg;
-    asm = t.asm;
+  { t with
     mem = Memory.copy t.mem;
     icache = Cache.copy t.icache;
     dcache = Cache.copy t.dcache;
     rf = Regfile.copy t.rf;
-    ext = t.ext;
     ext_state = Option.map Tie.Compile.copy_state t.ext_state;
     ready = Array.copy t.ready;
-    pc = t.pc;
-    sar_reg = t.sar_reg;
-    cycle = t.cycle;
-    retired = t.retired;
-    done_ = t.done_;
-    custom_result = t.custom_result;
     counted = false;
     observers = Queue.create ();
     hook = None;
+    chan = new_channel ();
     tally = Tally.copy t.tally }
 
 let cycles t = t.cycle

@@ -7,9 +7,11 @@
     instructions.  Every retirement is folded into the machine's
     {!Tally} (the macro-model's counters).  After the tally update it is
     reported to the machine's retire {!type:hook}, if one is installed,
-    as plain integers, and then, when observers are installed, published
-    to them as an {!Event.t}.  The hook allocates nothing per retirement;
-    an event is a record per retirement. *)
+    as plain integers and the machine's {!type:channel}; the hook path
+    allocates nothing per retirement on either backend.  The interpreter
+    ({!step}, {!run}) also publishes an {!Event.t} per retirement to its
+    observers: observers are interpreter-only, and {!run_threaded}
+    refuses a machine that has any. *)
 
 exception Sim_error of string
 
@@ -19,28 +21,64 @@ type outcome =
 
 type observer = Event.t -> unit
 
-type hook = int -> int -> int -> int -> int -> unit
-(** [hook slot start cycles stall flags], called once per retirement
-    after the tally update: the retired instruction's slot index in
-    [asm.code], its start cycle, the cycles it consumed (stalls and
-    penalties included), its operand-dependency stall cycles, and a
-    word of the [flag_*] bits below. *)
+type channel = {
+  mutable bus1 : int;    (** first operand-bus value *)
+  mutable bus2 : int;    (** second operand-bus value *)
+  mutable result : int;  (** value driven on the result bus *)
+  mutable addr : int;    (** data address *)
+  mutable data : int;    (** value loaded or stored *)
+  mutable cin1 : int;    (** a custom instruction's first component input *)
+  mutable cin2 : int;    (** ... and its second *)
+  mutable busy : int;    (** execute-stage cycles *)
+}
+(** The retire hook's data: one record per machine, overwritten before
+    every hook call and valid only during it.  A value the retirement
+    does not have reads 0: the operand buses past the instruction's
+    register sources, [result] without {!flag_result}, [addr] and [data]
+    without a data access, [cin1]/[cin2] outside custom instructions.  A
+    custom instruction's component inputs are its register operands,
+    then its result, then its custom states in declaration order (0 past
+    the end), as {!Event.custom_info} lists them. *)
+
+val new_channel : unit -> channel
+(** A zeroed channel, for a caller that fills one with {!load_channel}. *)
+
+type hook = int -> int -> int -> int -> int -> channel -> unit
+(** [hook slot start cycles stall flags channel], called once per
+    retirement after the tally update: the retired instruction's slot
+    index in [asm.code], its start cycle, the cycles it consumed (stalls
+    and penalties included), its operand-dependency stall cycles, a word
+    of flag bits and the machine's channel.  The flags say that:
+    - {!flag_taken}: a control transfer was taken;
+    - {!flag_window}: a window overflow or underflow occurred;
+    - {!flag_result}: a value was driven on the result bus;
+    - {!flag_icache_miss}, {!flag_uncached_fetch}: the cached fetch
+      missed, or the fetch was from the uncached region;
+    - {!flag_dcache_hit}, {!flag_dcache_miss}, {!flag_uncached_data}: a
+      data access hit or missed the cache, or went to the uncached region;
+    - {!flag_interlock}: an operand interlock stalled the instruction or
+      a window overflow or underflow occurred (the macro-model's
+      interlock event).
+
+    The threaded loop fills the channel only while a hook is installed;
+    the interpreter fills it from its event ({!load_channel}). *)
 
 val flag_taken : int
-(** A control transfer was taken. *)
-
+val flag_window : int
+val flag_result : int
 val flag_icache_miss : int
-(** The cached fetch missed. *)
-
 val flag_uncached_fetch : int
-(** The fetch was from the uncached region. *)
-
+val flag_dcache_hit : int
 val flag_dcache_miss : int
-(** A cached data access missed. *)
-
+val flag_uncached_data : int
 val flag_interlock : int
-(** An operand interlock stalled the instruction, or a window overflow
-    or underflow occurred: the macro-model's interlock event. *)
+
+val chain : hook -> hook option -> hook
+(** [chain h next] calls [h], then [next] if there is one. *)
+
+val load_channel : channel -> Event.t -> int
+(** Fill the channel from an interpreter event and return its flag word:
+    exactly what the interpreter passes its hook for that retirement. *)
 
 type t
 
@@ -61,12 +99,13 @@ val tally : t -> Tally.t
 (** The tally this machine folds into. *)
 
 val add_observer : t -> observer -> unit
-(** Register an observer.  Ordering contract: observers must be
-    registered before the first {!step} — every observer sees the full
-    event stream from the first retired instruction, in registration
-    order.  Registering after execution has begun (any instruction
-    retired, or the run already finished) would silently miss events,
-    so it raises {!Sim_error} instead.
+(** Register an observer, which {!step} and {!run} notify after the hook.
+    Ordering contract: observers must be registered before the first
+    {!step} — every observer sees the full event stream from the first
+    retired instruction, in registration order.  Registering after
+    execution has begun (any instruction retired, or the run already
+    finished) would silently miss events, so it raises {!Sim_error}
+    instead.
     @raise Sim_error if any instruction has already retired. *)
 
 val set_hook : t -> hook -> unit
@@ -113,23 +152,22 @@ val run_threaded : ?covered:(Isa.Instr.t -> bool) -> t -> outcome
     delimited by {!Decoder.analyze}'s basic-block partition) and
     dispatched block-at-a-time.  Semantics are those of repeated
     {!step}, which stays the reference [Backend.Check] compares against:
-    same cycles, same architectural state, and — when observers are
-    installed — a bit-identical event stream, and the same tally and
-    hook calls.  Observed or not, the same closures run, and the tally
-    and the hook are fed from the decoded slot and its packed penalty
-    word (see {!Tally}).  Events are built around them only when an
-    observer is installed, so an estimate or a hooked run allocates
-    nothing per retirement.  The [sim_*] retirement metrics are bumped
-    once when the run ends (also on {!Sim_error}), from the tally's
-    movement, with the same totals the interpreter's per-event
-    recording gives.  (After a {!Sim_error}, the tally and so the
-    metrics also count the faulting instruction's fetch miss: the loop
-    counts fetches as they happen.)
+    same cycles, same architectural state, the same tally, and the same
+    hook calls with the same channel contents.  The tally and the hook
+    are fed from the decoded slot, its packed penalty word and register
+    reads around its closure (see {!Tally}); nothing is allocated per
+    retirement.  The [sim_*] retirement metrics are bumped once when the
+    run ends (also on {!Sim_error}), from the tally's movement, with the
+    same totals the interpreter's per-event recording gives.  (After a
+    {!Sim_error}, the tally and so the metrics also count the faulting
+    instruction's fetch miss: the loop counts fetches as they happen.)
 
     [covered] restricts which instructions are compiled; anything it
     rejects (and anything whose static resolution fails) executes via
     the interpreter adapter, so coverage is a performance property,
-    never a semantic one.  Intended for tests. *)
+    never a semantic one.  Intended for tests.
+    @raise Sim_error if an observer is installed: observed machines run
+    on the interpreter ({!Backend.run_program} routes them there). *)
 
 (** Static compilation counters for the threaded backend (see
     {!decode_stats}). *)
@@ -147,8 +185,8 @@ val decode_stats : ?covered:(Isa.Instr.t -> bool) -> t -> decode_stats
 val clone : t -> t
 (** Independent deep copy of the machine state (memory, caches,
     register file, scoreboard, TIE state, clocks, and a copy of the
-    tally with the same weights) with an empty observer list and no
-    hook; the backend equivalence checker uses it to run the same
+    tally with the same weights) with no observer, no hook and a fresh
+    channel; the backend equivalence checker uses it to run the same
     program twice from identical state.  The copy is a shadow: its
     retirements are not counted in the [sim_*] metrics, so a checked
     run counts each instruction once. *)

@@ -45,3 +45,14 @@ type t = {
   custom : custom_info option;
   busy_cycles : int;     (** execute-stage occupancy (custom latency) *)
 }
+
+let rec nth l k =
+  match l with [] -> 0 | x :: r -> if k = 0 then x else nth r (k - 1)
+
+let custom_input info i =
+  let n = List.length info.coperands in
+  if i < n then nth info.coperands i
+  else
+    match info.cresult with
+    | Some v -> if i = n then v else nth info.cstates (i - n - 1)
+    | None -> nth info.cstates (i - n)

@@ -1,6 +1,7 @@
 (** Per-retired-instruction trace events.
 
-    The simulator publishes one event per instruction to its observers.
+    The interpreter ({!Cpu.step}) publishes one event per instruction to
+    its observers; the threaded backend builds none.
     Observers implement the two consumers of the paper's flow: cheap
     statistics counting (macro-model variables) and the detailed
     reference energy estimator. *)
@@ -45,3 +46,7 @@ type t = {
   custom : custom_info option;
   busy_cycles : int;     (** execute-stage occupancy (custom latency) *)
 }
+
+val custom_input : custom_info -> int -> int
+(** Input [i] of the custom instruction's components: its register
+    operands, then its result, then its states; 0 past the end. *)

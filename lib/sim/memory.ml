@@ -76,3 +76,18 @@ let copy (t : t) : t =
   let pages = Hashtbl.create (max 64 (Hashtbl.length t.pages)) in
   Hashtbl.iter (fun k p -> Hashtbl.replace pages k (Bytes.copy p)) t.pages;
   { pages; last_key = -1; last_page = Bytes.empty }
+
+(* Pages a run only read are all zero, so a page missing on one side
+   equals a zero page on the other. *)
+let equal (a : t) (b : t) =
+  let within x y =
+    Hashtbl.fold
+      (fun k p ok ->
+        ok
+        &&
+        match Hashtbl.find_opt y.pages k with
+        | Some q -> Bytes.equal p q
+        | None -> Bytes.for_all (fun c -> c = '\000') p)
+      x.pages true
+  in
+  within a b && within b a

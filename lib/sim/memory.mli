@@ -25,3 +25,6 @@ val load_image : t -> (int * int array) list -> unit
 val copy : t -> t
 (** Deep copy (independent pages); used by the backend equivalence
     checker to run the same program twice from identical state. *)
+
+val equal : t -> t -> bool
+(** Same contents at every address (uninitialised bytes read as zero). *)

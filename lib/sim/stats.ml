@@ -103,3 +103,39 @@ let reset t =
   t.custom_cycles <- 0;
   t.instructions <- 0;
   t.total_cycles <- 0
+
+(* The [sim_*] retirement counters, each registered on its first bump. *)
+let metrics =
+  List.map
+    (fun name -> lazy (Obs.Metrics.counter name))
+    [ "sim_instructions_total"; "sim_cycles_total"; "sim_stall_cycles_total";
+      "sim_interlocks_total"; "sim_icache_misses_total";
+      "sim_dcache_misses_total" ]
+  @ List.map
+      (fun cls ->
+        lazy
+          (Obs.Metrics.counter ~labels:[ ("class", cls) ]
+             "sim_class_instructions_total"))
+      [ "arith"; "load"; "store"; "jump"; "branch"; "custom" ]
+
+(* Retirements per class follow from the class cycles (a jump and a
+   taken branch add [1 + taken_penalty] each), custom ones from the
+   remainder. *)
+let record_metrics ~before after =
+  let d f = f after - f before and p = 1 + after.taken_penalty in
+  let n = d (fun s -> s.instructions)
+  and ar = d (fun s -> s.arith_cycles)
+  and ld = d (fun s -> s.load_cycles)
+  and st = d (fun s -> s.store_cycles)
+  and jp = d (fun s -> s.jump_cycles) / p
+  and br =
+    (d (fun s -> s.branch_taken_cycles) / p)
+    + d (fun s -> s.branch_untaken_cycles)
+  in
+  List.iter2
+    (fun c by -> if by > 0 then Obs.Metrics.inc ~by (Lazy.force c))
+    metrics
+    [ n; d (fun s -> s.total_cycles); d (fun s -> s.stall_cycles);
+      d (fun s -> s.interlocks); d (fun s -> s.icache_misses);
+      d (fun s -> s.dcache_misses); ar; ld; st; jp; br;
+      n - ar - ld - st - jp - br ]

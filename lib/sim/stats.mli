@@ -63,3 +63,9 @@ val copy : t -> t
 (** An independent copy of the counters. *)
 
 val reset : t -> unit
+
+val record_metrics : before:t -> t -> unit
+(** Bump the [sim_*] retirement metrics (instructions, cycles, stall
+    cycles, interlocks, cache misses and [sim_class_instructions_total]
+    per class) by the counters' movement from [before] to the settled
+    [after].  The simulator calls it once per run. *)

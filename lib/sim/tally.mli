@@ -4,14 +4,15 @@
     A tally holds a {!Stats.t} and one float accumulator per
     custom-hardware component category ([Tie.Component.category_index]
     order).  The machine it is installed on ({!Cpu.create}) folds every
-    retirement into it before any observer sees the retirement, on both
-    backends.  The interpreter folds its event with {!observe}.  The
-    threaded backend builds no event: it resolves each slot's
-    structural {!type:contribution} at decode, adds it per retirement
-    with {!add}, reads cache misses, interlocks and stalls off its
-    packed penalty word, and settles per-slot retirement counts into
-    class cycles with {!Stats.add_class} (after every retirement when
-    observers are installed, so they always see a current tally).
+    retirement into it before its hook or any observer sees the
+    retirement, on both backends.  The interpreter folds its event with
+    {!observe}.  The threaded backend builds no event: it resolves each
+    slot's structural {!type:contribution} at decode, adds it per
+    retirement with {!add}, reads cache misses, interlocks and stalls
+    off its packed penalty word, and settles per-slot retirement counts
+    into class cycles with {!Stats.add_class} when the run ends (so a
+    hook reading the tally sees current structural accumulators but not
+    class cycles).
     [Backend.Check] compares the two folds field for field ({!diff}).
 
     Structural float adds happen once per retirement, in retirement

@@ -283,6 +283,11 @@ let state_value store name =
   | Some i -> store.s_values.(i)
   | None -> raise Not_found
 
+let state_at store k =
+  if k < Array.length store.s_values then store.s_values.(k) else 0
+
+let state_values store = Array.to_list store.s_values
+
 let reset_state c store =
   List.iteri
     (fun i s -> store.s_values.(i) <- s.Spec.sinit)

@@ -64,6 +64,13 @@ val create_state : compiled -> state_store
 val state_value : state_store -> string -> int
 (** @raise Not_found for undeclared states. *)
 
+val state_at : state_store -> int -> int
+(** The [k]th state's value in declaration order, 0 past the last: an
+    allocation-free read for the simulator's retire channel. *)
+
+val state_values : state_store -> int list
+(** Every state's value, in declaration order. *)
+
 val copy_state : state_store -> state_store
 (** Independent snapshot of every state value; used by the simulator's
     backend equivalence checker. *)

@@ -908,7 +908,7 @@ let test_attribution_reads_tally () =
       let cpu, _ =
         Sim.Backend.run_program ~config ?extension:c.Core.Extract.extension
           ~tally:(Core.Attribution.tally eng)
-          ~hook:(fun i start _ _ flags ->
+          ~hook:(fun i start _ _ flags _ ->
             Core.Attribution.fold eng i start flags)
           c.Core.Extract.asm
       in

@@ -136,9 +136,7 @@ let test_breakdown_sums_to_total () =
   Isa.Builder.halt b;
   let asm = Isa.Program.assemble (Isa.Builder.seal b) in
   let est = Power.Estimator.create Sim.Config.default in
-  let _ =
-    Sim.Backend.run_program ~observers:[ Power.Estimator.observer est ] asm
-  in
+  let _ = Sim.Backend.run_program ~hook:(Power.Estimator.hook est asm) asm in
   let total = Power.Estimator.total_energy est in
   let sum =
     List.fold_left (fun acc (_, e) -> acc +. e)
@@ -217,10 +215,7 @@ let test_estimator_reset () =
   let asm = Isa.Program.assemble (Isa.Builder.seal b) in
   let est = Power.Estimator.create Sim.Config.default in
   let run () =
-    ignore
-      (Sim.Backend.run_program
-         ~observers:[ Power.Estimator.observer est ]
-         asm);
+    ignore (Sim.Backend.run_program ~hook:(Power.Estimator.hook est asm) asm);
     Power.Estimator.total_energy est
   in
   let first = run () in
@@ -232,14 +227,25 @@ let test_estimator_reset () =
 
 let bits = Int64.bits_of_float
 
-(* Both estimators on one event stream. *)
-let both ?(config = Sim.Config.default) ?extension asm =
+(* The compiled estimator fed by the threaded loop's retire hook, and
+   the oracle and an event-fed compiled estimator on an interpreter
+   run's events. *)
+let estimates ?(config = Sim.Config.default) ?extension asm =
   let est = Power.Estimator.create ?extension config
+  and replay = Power.Estimator.create ?extension config
   and oracle = Power.Oracle.create ?extension config in
   ignore
-    (Sim.Backend.run_program ~config ?extension
-       ~observers:[ Power.Estimator.observer est; Power.Oracle.observer oracle ]
+    (Sim.Backend.run_program ~backend:Sim.Backend.Threaded ~config ?extension
+       ~hook:(Power.Estimator.hook est asm) asm);
+  ignore
+    (Sim.Backend.run_program ~backend:Sim.Backend.Interp ~config ?extension
+       ~observers:
+         [ Power.Oracle.observer oracle; Power.Estimator.observer replay ]
        asm);
+  (est, replay, oracle)
+
+let both ?config ?extension asm =
+  let est, _, oracle = estimates ?config ?extension asm in
   (est, oracle)
 
 let entries = List.map (fun (k, v) -> (k, bits v))
@@ -343,10 +349,11 @@ let test_reset_mid_stream () =
 let test_suite_agrees () =
   List.iter
     (fun (c : Core.Extract.case) ->
-      let est, oracle =
-        both ?extension:c.Core.Extract.extension c.Core.Extract.asm
+      let est, replay, oracle =
+        estimates ?extension:c.Core.Extract.extension c.Core.Extract.asm
       in
-      same_estimates c.Core.Extract.case_name est oracle)
+      same_estimates c.Core.Extract.case_name est oracle;
+      same_estimates (c.Core.Extract.case_name ^ " (events)") replay oracle)
     (Workloads.Suite.characterization () @ Workloads.Suite.applications ())
 
 (* Random programs on random tiny cache geometries, with a TIE extension

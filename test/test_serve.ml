@@ -91,6 +91,69 @@ let test_frame_write_deadline () =
   Unix.close a;
   Unix.close b
 
+(* Fault injection at the frame reader: random well-formed, truncated
+   and garbage byte streams, written to a socketpair whose writing end
+   is then closed.  Every read ends under its deadline with what the
+   frame format says: the payload of a complete frame (trailing bytes
+   ignored), [None] for an empty stream, or [Frame_error] — never a
+   timeout or another exception.  Garbage either starts with two zero
+   bytes (a length prefix below 64 KiB) or with a byte of 2 or more
+   (a prefix beyond the 16 MiB bound), so no case allocates much. *)
+let gen_frame_stream =
+  let open QCheck.Gen in
+  let bytes n = string_size ~gen:char (int_range 0 n) in
+  let frame payload =
+    let n = String.length payload in
+    String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+    ^ payload
+  in
+  frequency
+    [ (3, map2 (fun p tail -> frame p ^ tail) (bytes 64) (bytes 8));
+      ( 3,
+        map2
+          (fun p cut ->
+            let f = frame p in
+            String.sub f 0 (1 + (cut mod (String.length f - 1))))
+          (bytes 64) nat );
+      (1, return "");
+      (2, map (fun b -> "\000\000" ^ b) (bytes 48));
+      ( 2,
+        map2
+          (fun c b -> String.make 1 (Char.chr c) ^ b)
+          (int_range 2 255) (bytes 48) ) ]
+
+(* What [read_frame] must make of a whole stream. *)
+let frame_model stream =
+  let n = String.length stream in
+  if n = 0 then `None
+  else if n < 4 then `Error
+  else
+    let len = Int32.to_int (String.get_int32_be stream 0) land 0xffff_ffff in
+    if len > Serve.Protocol.max_frame_bytes || 4 + len > n then `Error
+    else `Some (String.sub stream 4 len)
+
+let test_frame_fuzz () =
+  let prop stream =
+    let a, b = socketpair () in
+    Fun.protect ~finally:(fun () -> Unix.close b) @@ fun () ->
+    ignore (Unix.write_substring a stream 0 (String.length stream));
+    Unix.close a;
+    let got =
+      match
+        Serve.Protocol.read_frame ~deadline:(Unix.gettimeofday () +. 2.0) b
+      with
+      | Some p -> `Some p
+      | None -> `None
+      | exception Serve.Protocol.Frame_error msg ->
+        if contains msg "timed out" then `Timeout else `Error
+    in
+    got = frame_model stream
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"read_frame on random byte streams" ~count:300
+       (QCheck.make gen_frame_stream ~print:(Printf.sprintf "%S"))
+       prop)
+
 (* --- Registry ------------------------------------------------------------- *)
 
 let stub_model = Core.Template.make (Array.make Core.Variables.count 1.0)
@@ -1382,8 +1445,8 @@ let () =
           Alcotest.test_case "truncation + oversize" `Quick
             test_frame_truncation_and_oversize;
           Alcotest.test_case "read deadline" `Quick test_frame_read_deadline;
-          Alcotest.test_case "write deadline" `Quick test_frame_write_deadline
-        ] );
+          Alcotest.test_case "write deadline" `Quick test_frame_write_deadline;
+          Alcotest.test_case "fuzzed byte streams" `Quick test_frame_fuzz ] );
       ( "registry",
         [ Alcotest.test_case "hit + LRU eviction" `Quick
             test_registry_hit_and_eviction ] );

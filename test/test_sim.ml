@@ -704,14 +704,58 @@ let test_late_observer_registration_fails () =
 
 (* --- Execution backends --------------------------------------------------- *)
 
-let run_collect runner (c : Core.Extract.case) =
+(* One retire-hook call with a copy of the channel's contents. *)
+type call = {
+  slot : int; start : int; cycles : int; stall : int; flags : int;
+  bus1 : int; bus2 : int; result : int; addr : int; data : int;
+  cin1 : int; cin2 : int; busy : int;
+}
+
+let record_hook calls : Sim.Cpu.hook =
+ fun slot start cycles stall flags (ch : Sim.Cpu.channel) ->
+  calls :=
+    { slot; start; cycles; stall; flags;
+      bus1 = ch.Sim.Cpu.bus1; bus2 = ch.Sim.Cpu.bus2;
+      result = ch.Sim.Cpu.result; addr = ch.Sim.Cpu.addr;
+      data = ch.Sim.Cpu.data; cin1 = ch.Sim.Cpu.cin1;
+      cin2 = ch.Sim.Cpu.cin2; busy = ch.Sim.Cpu.busy }
+    :: !calls
+
+(* A run's outcome, clocks, hook-and-channel stream and machine. *)
+let run_hooked runner (c : Core.Extract.case) =
   let cpu =
     Sim.Cpu.create ?extension:c.Core.Extract.extension c.Core.Extract.asm
   in
-  let events = ref [] in
-  Sim.Cpu.add_observer cpu (fun e -> events := e :: !events);
+  let calls = ref [] in
+  Sim.Cpu.set_hook cpu (record_hook calls);
   let outcome = runner cpu in
-  (outcome, Sim.Cpu.cycles cpu, Sim.Cpu.instructions cpu, List.rev !events)
+  (outcome, Sim.Cpu.cycles cpu, Sim.Cpu.instructions cpu, List.rev !calls, cpu)
+
+(* The architectural state two machines finish in, part by part. *)
+let same_final_state name m1 m2 =
+  let same what a b = check Alcotest.bool (name ^ ": " ^ what) true (a = b) in
+  same "registers and window" (Sim.Cpu.regfile m1) (Sim.Cpu.regfile m2);
+  check Alcotest.bool (name ^ ": memory") true
+    (Sim.Memory.equal (Sim.Cpu.memory m1) (Sim.Cpu.memory m2));
+  same "sar" (Sim.Cpu.sar m1) (Sim.Cpu.sar m2);
+  same "pc" (Sim.Cpu.pc m1) (Sim.Cpu.pc m2);
+  let tie m = Option.map Tie.Compile.state_values (Sim.Cpu.tie_state m) in
+  same "TIE state" (tie m1) (tie m2)
+
+(* The interpreter and [runner] agree on the outcome, the clocks, every
+   hook call with its channel contents, and the final state. *)
+let same_as_interpreter runner (c : Core.Extract.case) =
+  let name = c.Core.Extract.case_name in
+  let o1, cy1, in1, calls1, m1 = run_hooked Sim.Cpu.run c in
+  let o2, cy2, in2, calls2, m2 = run_hooked runner c in
+  check Alcotest.bool (name ^ ": outcome") true (o1 = o2);
+  check Alcotest.int (name ^ ": cycles") cy1 cy2;
+  check Alcotest.int (name ^ ": instructions") in1 in2;
+  check Alcotest.int (name ^ ": one hook call per retirement") in1
+    (List.length calls2);
+  check Alcotest.bool (name ^ ": identical hook and channel stream") true
+    (calls1 = calls2);
+  same_final_state name m1 m2
 
 let test_backend_names () =
   List.iter
@@ -770,33 +814,27 @@ let edge_ops () =
   Isa.Builder.halt b;
   Core.Extract.case "edge_ops" (Isa.Program.assemble (Isa.Builder.seal b))
 
-let test_backend_threaded_equivalence () =
-  (* Branches, calls, memory traffic and cache pressure; all
-     extension-free, so raw event lists are safely comparable (custom
-     events carry compiled closures that defeat structural equality —
-     those workloads are covered by the digest oracle below). *)
+(* Programs whose hook streams the threaded loop must reproduce: the
+   cold paths of [edge_ops], branches, calls, memory traffic and cache
+   pressure, and custom instructions with zero to three register
+   operands, with and without results, over custom state. *)
+let stream_cases () =
   edge_ops ()
   :: List.map Workloads.Suite.find
-       [ "gcd"; "call_tree"; "icache_thrash"; "dcache_thrash" ]
-  |> List.iter (fun (c : Core.Extract.case) ->
-         let name = c.Core.Extract.case_name in
-         check Alcotest.bool (name ^ " is extension-free") true
-           (c.Core.Extract.extension = None);
-         let o1, cy1, in1, ev1 = run_collect Sim.Cpu.run c in
-         let o2, cy2, in2, ev2 =
-           run_collect (fun m -> Sim.Cpu.run_threaded m) c
-         in
-         check Alcotest.bool (name ^ ": outcome") true (o1 = o2);
-         check Alcotest.int (name ^ ": cycles") cy1 cy2;
-         check Alcotest.int (name ^ ": instructions") in1 in2;
-         check Alcotest.bool (name ^ ": bit-identical event stream") true
-           (ev1 = ev2))
+       [ "gcd"; "call_tree"; "icache_thrash"; "dcache_thrash"; "uncached_code";
+         "custom_mix_gf"; "custom_mix_mac"; "cover_xtmac"; "cover_xregw";
+         "rs_gfmul4" ]
+
+let test_backend_threaded_equivalence () =
+  List.iter
+    (same_as_interpreter (fun m -> Sim.Cpu.run_threaded m))
+    (stream_cases ())
 
 let test_backend_unobserved_fast_path () =
-  (* With no observer installed the threaded backend builds no events;
-     the machine it leaves behind must match the interpreter's in every
-     piece of architectural state, over the characterization suite, the
-     ten applications and the cold paths of [edge_ops]. *)
+  (* The threaded backend builds no events; the machine it leaves
+     behind must match the interpreter's in every piece of architectural
+     state, over the characterization suite, the ten applications and
+     the cold paths of [edge_ops]. *)
   (edge_ops () :: Workloads.Suite.characterization ())
   @ Workloads.Suite.applications ()
   |> List.iter (fun (c : Core.Extract.case) ->
@@ -868,14 +906,9 @@ let test_backend_forced_fallback () =
   in
   check Alcotest.int "nothing compiled" 0 stats.Sim.Cpu.d_compiled;
   check Alcotest.bool "slots still decoded" true (stats.Sim.Cpu.d_ops > 0);
-  let o1, cy1, in1, ev1 = run_collect Sim.Cpu.run c in
-  let o2, cy2, in2, ev2 =
-    run_collect (fun m -> Sim.Cpu.run_threaded ~covered:(fun _ -> false) m) c
-  in
-  check Alcotest.bool "outcome" true (o1 = o2);
-  check Alcotest.int "cycles" cy1 cy2;
-  check Alcotest.int "instructions" in1 in2;
-  check Alcotest.bool "bit-identical event stream" true (ev1 = ev2)
+  List.iter
+    (same_as_interpreter (Sim.Cpu.run_threaded ~covered:(fun _ -> false)))
+    (c :: stream_cases ())
 
 let test_backend_decode_coverage () =
   let c = Workloads.Suite.find "des" in
@@ -890,9 +923,9 @@ let test_backend_decode_coverage () =
     (stats.Sim.Cpu.d_compiled <= stats.Sim.Cpu.d_ops)
 
 let test_backend_check_oracle () =
-  (* The digest oracle covers the custom-instruction workloads that
-     structural event equality cannot (closures in the payload).  The
-     caller's observers must see exactly one stream. *)
+  (* A checked run of the custom-instruction workloads with an
+     observer: the observer rides the interpreter half and must see
+     exactly one stream. *)
   [ "custom_mix_gf"; "custom_mix_mac"; "cover_xtmac" ]
   |> List.iter (fun name ->
          let c = Workloads.Suite.find name in
@@ -911,14 +944,15 @@ let test_backend_check_oracle () =
          check Alcotest.int (name ^ ": observer saw exactly one stream")
            (Sim.Cpu.instructions cpu) !events)
 
-(* Check compares the threaded backend's event-free tally with the one
-   the interpreter's events fold into.  Observers run after the
-   machine's fold and only on the threaded side, so an observer that
-   nudges the caller's tally is a divergence only that comparison can
-   see: the event streams stay identical. *)
+(* Check compares the threaded backend's tally with the one the
+   interpreter's events fold into.  The hook runs after the machine's
+   fold and only on the threaded side, so a hook that nudges the
+   caller's tally is a divergence only that comparison can see: the
+   hook streams stay identical. *)
 let test_backend_check_tally () =
   let c = Workloads.Suite.find "custom_mix_mac" in
   let ext = c.Core.Extract.extension in
+  let code = c.Core.Extract.asm.Isa.Program.code in
   (* The nudge lands on the final retirement, so no later add can
      round it away. *)
   let run corrupt =
@@ -927,9 +961,8 @@ let test_backend_check_tally () =
         Sim.Config.default
     in
     Sim.Backend.run_program ~backend:Sim.Backend.Check ?extension:ext ~tally
-      ~observers:
-        [ (fun e ->
-            if e.Sim.Event.instr = Isa.Instr.Break then corrupt tally) ]
+      ~hook:(fun slot _ _ _ _ _ ->
+        if code.(slot).Isa.Program.instr = Isa.Instr.Break then corrupt tally)
       c.Core.Extract.asm
   in
   let before = Sim.Backend.checks_run () in
@@ -1051,15 +1084,14 @@ let hook_calls ?(observers = []) backend (c : Core.Extract.case) =
   let calls = ref [] in
   let cpu, _ =
     Sim.Backend.run_program ~backend ?extension:c.Core.Extract.extension
-      ~hook:(fun i start cycles stall flags ->
-        calls := (i, start, cycles, stall, flags) :: !calls)
-      ~observers c.Core.Extract.asm
+      ~hook:(record_hook calls) ~observers c.Core.Extract.asm
   in
   (List.rev !calls, cpu)
 
-(* Both backends report the same retirements to the hook, once each (a
-   checked run notifies from its threaded half only), and the reports
-   add up to the run. *)
+(* Both backends report the same retirements to the hook, with the same
+   channel contents, once each (a checked run notifies from its threaded
+   half only; an observed run executes on the interpreter), and the
+   reports add up to the run. *)
 let test_hook_stream () =
   List.iter
     (fun name ->
@@ -1068,10 +1100,10 @@ let test_hook_stream () =
       check Alcotest.int (name ^ ": one call per retirement")
         (Sim.Cpu.instructions cpu) (List.length want);
       check Alcotest.int (name ^ ": cycles add up") (Sim.Cpu.cycles cpu)
-        (List.fold_left (fun a (_, _, cy, _, _) -> a + cy) 0 want);
+        (List.fold_left (fun a k -> a + k.cycles) 0 want);
       check Alcotest.int (name ^ ": stalls add up")
         (Sim.Tally.stats (Sim.Cpu.tally cpu)).Sim.Stats.stall_cycles
-        (List.fold_left (fun a (_, _, _, st, _) -> a + st) 0 want);
+        (List.fold_left (fun a k -> a + k.stall) 0 want);
       List.iter
         (fun (backend, observers) ->
           let got, _ = hook_calls ~observers backend c in
@@ -1099,7 +1131,7 @@ let hook_program () =
 let test_hook_contract () =
   let cpu = Sim.Cpu.create (hook_program ()) in
   let calls = ref 0 in
-  Sim.Cpu.set_hook cpu (fun _ _ _ _ _ -> incr calls);
+  Sim.Cpu.set_hook cpu (fun _ _ _ _ _ _ -> incr calls);
   let shadow = Sim.Cpu.clone cpu in
   ignore (Sim.Cpu.run_threaded shadow);
   check Alcotest.int "a clone does not notify" 0 !calls;
@@ -1107,13 +1139,13 @@ let test_hook_contract () =
    | `Step _ -> ()
    | `Done _ -> fail "program ended before the first instruction");
   check Alcotest.int "a step notifies" 1 !calls;
-  (match Sim.Cpu.set_hook cpu (fun _ _ _ _ _ -> ()) with
+  (match Sim.Cpu.set_hook cpu (fun _ _ _ _ _ _ -> ()) with
    | exception Sim.Cpu.Sim_error _ -> ()
    | () -> fail "late hook accepted");
   ignore (Sim.Cpu.run cpu);
   check Alcotest.int "the original hook keeps notifying"
     (Sim.Cpu.instructions cpu) !calls;
-  match Sim.Cpu.set_hook cpu (fun _ _ _ _ _ -> ()) with
+  match Sim.Cpu.set_hook cpu (fun _ _ _ _ _ _ -> ()) with
   | exception Sim.Cpu.Sim_error _ -> ()
   | () -> fail "hook accepted after the run finished"
 
@@ -1139,7 +1171,7 @@ let test_hook_fault () =
       c.Core.Extract.asm
   in
   let calls = ref 0 in
-  Sim.Cpu.set_hook cpu (fun _ _ _ _ _ ->
+  Sim.Cpu.set_hook cpu (fun _ _ _ _ _ _ ->
       incr calls;
       if !calls = n then raise Hook_fault);
   (match Sim.Cpu.run_threaded cpu with
@@ -1166,8 +1198,9 @@ let test_hook_fault () =
     (ic cpu).Sim.Cache.hits
 
 (* Metrics never force events: the [sim_*] counters a run adds are the
-   same with no observer (counted once at the end), with a no-op
-   observer (the event path) and on the interpreter (per event). *)
+   same on the threaded backend (counted once at the end) as with a
+   no-op observer (which runs on the interpreter) and on the interpreter
+   unobserved (per event). *)
 let test_metrics_without_events () =
   let names =
     [ "sim_instructions_total"; "sim_cycles_total"; "sim_stall_cycles_total";
@@ -1213,6 +1246,54 @@ let test_metrics_without_events () =
         [ ("unobserved", delta Sim.Backend.Threaded []);
           ("interpreted", delta Sim.Backend.Interp []) ])
     [ "gcd"; "des"; "rs_gfmac"; "custom_mix_mac" ]
+
+(* --- Observers ------------------------------------------------------------- *)
+
+(* An event with its custom payload's compiled instruction replaced by
+   its name, so that streams compare structurally. *)
+let event_key (e : Sim.Event.t) =
+  ( { e with Sim.Event.custom = None },
+    Option.map
+      (fun (ci : Sim.Event.custom_info) ->
+        ( ci.Sim.Event.cinsn.Tie.Compile.def.Tie.Spec.iname,
+          ci.Sim.Event.coperands,
+          ci.Sim.Event.cresult,
+          ci.Sim.Event.cstates ))
+      e.Sim.Event.custom )
+
+(* Only the interpreter builds events: the threaded loop refuses an
+   observed machine, and an observed [run_program] hands its observers
+   the interpreter's exact stream on every backend. *)
+let test_observers_interpreter_only () =
+  let c = Workloads.Suite.find "gcd" in
+  let cpu = Sim.Cpu.create c.Core.Extract.asm in
+  Sim.Cpu.add_observer cpu (fun _ -> ());
+  (match Sim.Cpu.run_threaded cpu with
+   | exception Sim.Cpu.Sim_error _ -> ()
+   | _ -> fail "run_threaded accepted an observed machine");
+  check Alcotest.int "nothing retired" 0 (Sim.Cpu.instructions cpu);
+  List.iter
+    (fun (c : Core.Extract.case) ->
+      let name = c.Core.Extract.case_name in
+      let extension = c.Core.Extract.extension in
+      let reference = Sim.Cpu.create ?extension c.Core.Extract.asm in
+      let want = ref [] in
+      Sim.Cpu.add_observer reference (fun e -> want := event_key e :: !want);
+      ignore (Sim.Cpu.run reference);
+      List.iter
+        (fun backend ->
+          let got = ref [] in
+          let cpu, _ =
+            Sim.Backend.run_program ~backend ?extension
+              ~observers:[ (fun e -> got := event_key e :: !got) ]
+              c.Core.Extract.asm
+          in
+          let name = name ^ " on " ^ Sim.Backend.name backend in
+          check Alcotest.bool (name ^ ": the interpreter's event stream") true
+            (!got = !want);
+          same_final_state name reference cpu)
+        Sim.Backend.all)
+    (stream_cases ())
 
 (* --- Shared cases ------------------------------------------------------------ *)
 
@@ -1344,6 +1425,8 @@ let () =
           Alcotest.test_case "contract" `Quick test_hook_contract;
           Alcotest.test_case "a raising hook leaves the machine settled"
             `Quick test_hook_fault;
+          Alcotest.test_case "observers are interpreter-only" `Quick
+            test_observers_interpreter_only;
           Alcotest.test_case "metrics without events" `Quick
             test_metrics_without_events ] );
 ( "shared cases",
