@@ -1,50 +1,8 @@
 (* xenergy: command-line driver for the extensible-processor energy
-   estimation flow.
-
-     xenergy list                    show all workloads
-     xenergy profile NAME            per-block cycle/energy hotspot profile
-                [--top N] [--json]   (conservation-checked), flame-graph
-                [--folded FILE]      and annotated-disassembly output
-                [--annotate] [--per-opcode]
-     xenergy reference NAME          reference-estimator energy breakdown
-     xenergy characterize [-o FILE]  fit the macro-model (Table I / Fig 3)
-                [--trace FILE]       Chrome trace of the whole pipeline
-                [--metrics FILE]     metrics registry dump (JSON)
-     xenergy estimate NAME [-m FILE] macro-model energy of one workload
-     xenergy attribute NAME [-m FILE] per-variable energy breakdown +
-                                      power-over-time waveform
-     xenergy compare [-m FILE]       Table II accuracy comparison
-     xenergy rs [-m FILE]            Fig 4 design-space study
-     xenergy disasm NAME             disassembly listing
-     xenergy breakdown NAME          per-block reference-energy breakdown
-     xenergy trace NAME [-n N]       per-instruction execution/energy trace
-     xenergy run FILE.s [-e EXT]     assemble/simulate/estimate a .s file
-     xenergy cc FILE.c [-e EXT]      compile/simulate/estimate a Tiny-C file
-     xenergy explore [--progress]    sweep a candidate space (heartbeats,
-                [--explain]          frontier attribution, --cache-max-bytes
-                [--openmetrics F]    inline cap, OpenMetrics exposition)
-     xenergy audit [-o FILE]         macro-model vs reference error audit
-                [--baseline FILE]    regression gate vs a committed baseline
-     xenergy serve --socket PATH     long-lived estimation daemon (model
-                [--max-models N]     registry, batch estimate/attribute/
-                [--max-conns N]      audit/explore over length-prefixed
-                [--cache-dir DIR]    JSON, concurrent connections,
-                [--model FILE]       OpenMetrics scrape); with --call/
-                [--call JSON ... | --scrape | --ping | --stop] acts as a
-                client against a running daemon instead (repeated
-                --call batches over one connection)
-
-   Every command honours XENERGY_LOG=FILE (JSON-lines structured log)
-   and XENERGY_LOG_LEVEL=debug|info|warn|error.  The simulating
-   commands (profile, characterize, estimate, explore, audit, serve)
-   take --backend threaded|interp|check (default from XENERGY_BACKEND,
-   else threaded): threaded is the pre-decoded backend every other
-   command simulates on too, interp the reference interpreter, check
-   runs both and fails on any divergence from the reference.
-     xenergy cache stats DIR         inventory of an on-disk eval cache
-     xenergy cache verify DIR        re-parse every entry, report corruption
-     xenergy cache prune DIR [..]    LRU eviction (--max-entries/-bytes/-age)
-     xenergy cache gc DIR            sweep orphaned *.tmp / foreign files *)
+   estimation flow (`xenergy --help' lists the commands).  The
+   model-driven commands run the [Serve.Service] ops the daemon answers
+   requests with.  Every command honours XENERGY_LOG=FILE,
+   XENERGY_LOG_LEVEL and XENERGY_BACKEND (the --backend flag wins). *)
 
 open Cmdliner
 
@@ -52,15 +10,10 @@ let fmt = Format.std_formatter
 
 let print_json j = print_endline (Obs.Json.print j)
 
-(* Diagnostics go to stderr and exit with Cmdliner's conventional
-   some_error code, keeping stdout clean for pipeline consumers. *)
-let die f =
-  Format.kfprintf
-    (fun ppf ->
-      Format.fprintf ppf "@.";
-      exit (Cmd.Exit.some_error))
-    Format.err_formatter
-    ("xenergy: " ^^ f)
+(* A failure ends the command: its message goes to stderr after
+   "xenergy: " with Cmdliner's some_error exit code (see the end of this
+   file), keeping stdout clean for pipeline consumers. *)
+let die fmt = Printf.ksprintf failwith fmt
 
 (* Write one output file with [save], dying with "cannot write [what]"
    on an I/O error, then say "[said] written to PATH[note]" on [ppf]. *)
@@ -73,25 +26,33 @@ let write_file ppf ~what ?(said = what) ?(note = "") save = function
 let save_text path text =
   Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text)
 
+(* Options are built by a few constructors taking the doc text, so an
+   option several commands share is defined once. *)
+let opt_arg kind default names docv doc =
+  Arg.(value & opt kind default & info names ~docv ~doc)
+
+let flag_arg names doc = Arg.(value & flag & info names ~doc)
+let file_opt names = opt_arg Arg.(some string) None names "FILE"
+let out_arg = file_opt [ "o"; "output" ]
+let trace_arg = file_opt [ "trace" ]
+let metrics_arg = file_opt [ "metrics" ]
+let json_arg = flag_arg [ "json" ]
+let cache_dir_arg = opt_arg Arg.(some string) None [ "cache-dir" ] "DIR"
+
 let jobs_arg =
-  let doc =
+  opt_arg Arg.(some int) None [ "j"; "jobs" ] "N"
     "Number of worker processes for characterization (also the
      $(b,XENERGY_JOBS) environment variable; defaults to the available
      cores)."
-  in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let backend_arg =
-  let doc =
+  opt_arg Arg.(some string) None [ "backend" ] "NAME"
     "Simulation backend: $(b,threaded) (the default: pre-decoded
      threaded code), $(b,interp) (the reference interpreter, decode per
      retirement; bit-identical results, several times slower) or
      $(b,check) (run both and fail on any divergence from the
      reference).  Also the $(b,XENERGY_BACKEND) environment variable;
      the flag wins."
-  in
-  Arg.(value & opt (some string) None
-       & info [ "backend" ] ~docv:"NAME" ~doc)
 
 let set_backend = function
   | None -> ()
@@ -121,20 +82,18 @@ let report_checks () =
   end
 
 let log_file_arg =
-  Arg.(value & opt (some string) None
-       & info [ "log-file" ] ~docv:"FILE"
-           ~doc:"Append JSON-lines structured log records (one object per
-                 line: ts_us on the trace clock, level, tid, pid, event,
-                 fields) to $(docv).  The $(b,XENERGY_LOG) environment
-                 variable opens the same sink for any command; \
-                 $(b,XENERGY_LOG_LEVEL) sets the severity floor.")
+  file_opt [ "log-file" ]
+    "Append JSON-lines structured log records (one object per
+     line: ts_us on the trace clock, level, tid, pid, event,
+     fields) to $(docv).  The $(b,XENERGY_LOG) environment
+     variable opens the same sink for any command; \
+     $(b,XENERGY_LOG_LEVEL) sets the severity floor."
 
 let openmetrics_arg =
-  Arg.(value & opt (some string) None
-       & info [ "openmetrics" ] ~docv:"FILE"
-           ~doc:"Save the metrics registry in OpenMetrics (Prometheus
-                 text exposition) format to $(docv); implies metrics
-                 recording.")
+  file_opt [ "openmetrics" ]
+    "Save the metrics registry in OpenMetrics (Prometheus
+     text exposition) format to $(docv); implies metrics
+     recording."
 
 (* The flags profile, characterize, explore, audit and serve share, as
    one term whose value wraps the command: select the backend and open
@@ -169,49 +128,38 @@ let recording ppf ~trace ~metrics f =
   write_file ppf ~what:"metrics" Obs.Metrics.save metrics;
   r
 
-let characterize_model ?jobs () =
-  Core.Characterize.run ?jobs (Workloads.Suite.characterization ())
-
-let load_or_fit ?jobs = function
-  | Some path -> (
-    try Core.Template.load path
-    with Sys_error msg | Failure msg -> die "cannot load model: %s" msg)
-  | None ->
-    Format.eprintf "characterizing (no model file given)...@.";
-    (characterize_model ?jobs ()).Core.Characterize.model
+(* The service behind the model-driven commands: the -m file preloaded,
+   or a characterization on the first model lookup. *)
+let service ?jobs ?cache_dir model =
+  Serve.Service.create ?jobs ?cache_dir ?model
+    ~on_characterize:(fun () ->
+      Format.eprintf "characterizing (no model file given)...@.")
+    ()
 
 let model_arg =
-  let doc = "Read macro-model coefficients from $(docv) instead of
-             re-characterizing." in
-  Arg.(value & opt (some string) None & info [ "m"; "model" ] ~docv:"FILE" ~doc)
+  file_opt [ "m"; "model" ]
+    "Read macro-model coefficients from $(docv) instead of
+     re-characterizing."
 
 let name_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME")
-
-let find_case name =
-  try Workloads.Suite.find name
-  with Not_found -> die "unknown workload %S; try `xenergy list'" name
 
 (* --- list --------------------------------------------------------------- *)
 
 let list_cmd =
   let run () =
-    Format.fprintf fmt "@[<v>characterization suite:@,";
+    Format.fprintf fmt "@[<v>";
     List.iter
-      (fun c -> Format.fprintf fmt "  %s@," c.Core.Extract.case_name)
-      (Workloads.Suite.characterization ());
-    Format.fprintf fmt "applications:@,";
-    List.iter
-      (fun c -> Format.fprintf fmt "  %s@," c.Core.Extract.case_name)
-      (Workloads.Suite.applications ());
-    Format.fprintf fmt "reed-solomon choices:@,";
-    List.iter
-      (fun c -> Format.fprintf fmt "  %s@," c.Core.Extract.case_name)
-      (Workloads.Suite.reed_solomon_choices ());
-    Format.fprintf fmt "compiled Tiny-C applications:@,";
-    List.iter
-      (fun c -> Format.fprintf fmt "  %s@," c.Core.Extract.case_name)
-      (Workloads.Suite.c_applications ());
+      (fun (title, suite) ->
+        Format.fprintf fmt "%s:@," title;
+        List.iter
+          (fun c -> Format.fprintf fmt "  %s@," c.Core.Extract.case_name)
+          (suite ()))
+      Workloads.Suite.
+        [ ("characterization suite", characterization);
+          ("applications", applications);
+          ("reed-solomon choices", reed_solomon_choices);
+          ("compiled Tiny-C applications", c_applications) ];
     Format.fprintf fmt "@]@."
   in
   Cmd.v (Cmd.info "list" ~doc:"List all workloads")
@@ -221,50 +169,41 @@ let list_cmd =
 
 let profile_cmd =
   let top_arg =
-    Arg.(value & opt int 10
-         & info [ "top" ] ~docv:"N"
-             ~doc:"Rows in the hottest-blocks table.")
+    opt_arg Arg.int 10 [ "top" ] "N"
+      "Rows in the hottest-blocks table."
   in
   let json_arg =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit the full profile as JSON (every executed block, so
-                   the conservation sums can be checked downstream;
-                   energies in pJ).")
+    json_arg
+      "Emit the full profile as JSON (every executed block, so
+       the conservation sums can be checked downstream;
+       energies in pJ)."
   in
   let folded_arg =
-    Arg.(value & opt (some string) None
-         & info [ "folded" ] ~docv:"FILE"
-             ~doc:"Write flame-graph collapsed stacks (one
-                   $(i,stack count) line per call path x block, counts in
-                   cycles) to $(docv) — feed to flamegraph.pl or
-                   speedscope.")
+    file_opt [ "folded" ]
+      "Write flame-graph collapsed stacks (one
+       $(i,stack count) line per call path x block, counts in
+       cycles) to $(docv) — feed to flamegraph.pl or
+       speedscope."
   in
   let folded_energy_arg =
-    Arg.(value & opt (some string) None
-         & info [ "folded-energy" ] ~docv:"FILE"
-             ~doc:"Like $(b,--folded) but with counts in rounded
-                   picojoules: an energy flame graph.")
+    file_opt [ "folded-energy" ]
+      "Like $(b,--folded) but with counts in rounded
+       picojoules: an energy flame graph."
   in
   let annotate_arg =
-    Arg.(value & flag
-         & info [ "annotate" ]
-             ~doc:"Print the annotated disassembly: every instruction with
-                   its retirement count and cycle/energy shares.")
+    flag_arg [ "annotate" ]
+      "Print the annotated disassembly: every instruction with
+       its retirement count and cycle/energy shares."
   in
   let per_opcode_arg =
-    Arg.(value & flag
-         & info [ "per-opcode" ]
-             ~doc:"Print the per-opcode histogram (counts, cycles, energy
-                   by mnemonic).")
+    flag_arg [ "per-opcode" ]
+      "Print the per-opcode histogram (counts, cycles, energy
+       by mnemonic)."
   in
   let run model_path name top json folded folded_energy annotate per_opcode
       with_common =
     with_common @@ fun jobs ->
-    let c = find_case name in
-    if top <= 0 then die "--top must be positive";
-    let model = load_or_fit ?jobs model_path in
-    let r = Core.Profiler.run model c in
+    let r, _ = Serve.Service.profile (service ?jobs model_path) ~top name in
     if json then print_json (Core.Profiler.to_json r)
     else begin
       Format.fprintf fmt "%a@." (Core.Profiler.pp_table ~top) r;
@@ -291,16 +230,27 @@ let profile_cmd =
 
 (* --- reference ----------------------------------------------------------- *)
 
+(* Run a workload under the reference estimator, print its counts and
+   hand the estimator back (shared by [reference] and [breakdown]). *)
+let reference_run name =
+  let c = Serve.Service.find_case name in
+  let est =
+    Power.Estimator.create ?extension:c.Core.Extract.extension
+      Sim.Config.default
+  in
+  let cpu, _ =
+    Sim.Backend.run_program ?extension:c.Core.Extract.extension
+      ~hook:(Power.Estimator.hook est c.Core.Extract.asm)
+      c.Core.Extract.asm
+  in
+  Format.fprintf fmt "%s: %d instructions, %d cycles@." name
+    (Sim.Cpu.instructions cpu) (Sim.Cpu.cycles cpu);
+  est
+
 let reference_cmd =
   let run name =
-    let c = find_case name in
-    let energy, cpu =
-      Power.Estimator.estimate_program ?extension:c.Core.Extract.extension
-        c.Core.Extract.asm
-    in
-    Format.fprintf fmt "%s: %d instructions, %d cycles@." name
-      (Sim.Cpu.instructions cpu) (Sim.Cpu.cycles cpu);
-    Format.fprintf fmt "reference energy: %a@." Power.Report.pp_energy energy
+    Format.fprintf fmt "reference energy: %a@." Power.Report.pp_energy
+      (Power.Estimator.total_energy (reference_run name))
   in
   Cmd.v
     (Cmd.info "reference"
@@ -310,32 +260,25 @@ let reference_cmd =
 (* --- characterize -------------------------------------------------------- *)
 
 let characterize_cmd =
-  let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FILE"
-             ~doc:"Save fitted coefficients to $(docv).")
-  in
+  let out_arg = out_arg "Save fitted coefficients to $(docv)." in
   let report_arg =
-    Arg.(value & opt (some string) None
-         & info [ "report" ] ~docv:"FILE"
-             ~doc:"Print the per-workload run report (wall time, cycles,
-                   cache misses, energy, simulation count) and save it as
-                   JSON to $(docv).")
+    file_opt [ "report" ]
+      "Print the per-workload run report (wall time, cycles,
+       cache misses, energy, simulation count) and save it as
+       JSON to $(docv)."
   in
   let trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Record spans for the whole pipeline (simulate, extract,
-                   fit, cross-validate, per-worker lanes) and save them as
-                   Chrome trace-event JSON to $(docv) — loadable in
-                   chrome://tracing or Perfetto.")
+    trace_arg
+      "Record spans for the whole pipeline (simulate, extract,
+       fit, cross-validate, per-worker lanes) and save them as
+       Chrome trace-event JSON to $(docv) — loadable in
+       chrome://tracing or Perfetto."
   in
   let metrics_arg =
-    Arg.(value & opt (some string) None
-         & info [ "metrics" ] ~docv:"FILE"
-             ~doc:"Record the metrics registry (simulator retirement
-                   counters, NNLS iterations, worker-pool degradations)
-                   and save it as JSON to $(docv).")
+    metrics_arg
+      "Record the metrics registry (simulator retirement
+       counters, NNLS iterations, worker-pool degradations)
+       and save it as JSON to $(docv)."
   in
   let run out report trace metrics with_common =
     with_common @@ fun jobs ->
@@ -378,9 +321,8 @@ let characterize_cmd =
 let estimate_cmd =
   let run model_path name backend =
     set_backend backend;
-    let model = load_or_fit model_path in
-    let c = find_case name in
-    let r = Core.Estimate.run model c in
+    let rows, _ = Serve.Service.estimate (service model_path) [ name ] in
+    let r, _ = List.hd rows in
     Format.fprintf fmt
       "%s: %.3f uJ (%d instructions, %d cycles)@." name
       r.Core.Estimate.energy_uj r.Core.Estimate.instructions r.Core.Estimate.cycles;
@@ -394,33 +336,32 @@ let estimate_cmd =
 
 let attribute_cmd =
   let json_arg =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit the breakdown as JSON (energies in pJ, units
-                   stated in the document) instead of the table.")
+    json_arg
+      "Emit the breakdown as JSON (energies in pJ, units
+       stated in the document) instead of the table."
   in
   let bucket_arg =
-    Arg.(value & opt int 64
-         & info [ "bucket" ] ~docv:"CYCLES"
-             ~doc:"Waveform bucket width in cycles.")
+    opt_arg Arg.int 64 [ "bucket" ] "CYCLES"
+      "Waveform bucket width in cycles."
   in
   let run model_path name json bucket jobs =
-    if bucket <= 0 then die "bucket width must be positive";
-    let c = find_case name in
-    let model = load_or_fit ?jobs model_path in
     (* One simulation feeds both decompositions: the attribution engine
        and the reference estimator share its retire hook. *)
-    let est =
-      Power.Estimator.create ?extension:c.Core.Extract.extension
-        Sim.Config.default
+    let reference = ref None in
+    let hook (c : Core.Extract.case) =
+      let est =
+        Power.Estimator.create ?extension:c.Core.Extract.extension
+          Sim.Config.default
+      in
+      let wf = Obs.Waveform.create ~bucket_cycles:bucket () in
+      reference := Some (est, wf);
+      Power.Estimator.hook ~waveform:wf est c.Core.Extract.asm
     in
-    let ref_wf = Obs.Waveform.create ~bucket_cycles:bucket () in
-    let b =
-      Core.Attribution.run ~bucket_cycles:bucket
-        ~hook:
-          (Power.Estimator.hook ~waveform:ref_wf est c.Core.Extract.asm)
-        model c
+    let b, _ =
+      Serve.Service.attribute (service ?jobs model_path) ~bucket_cycles:bucket
+        ~hook name
     in
+    let est, ref_wf = Option.get !reference in
     let ref_pj = Power.Estimator.total_energy est in
     if json then
       print_json
@@ -448,8 +389,8 @@ let attribute_cmd =
 (* Shared by [compare] and [rs]: an audit of a suite, one simulation
    per program, printed as a Table II listing. *)
 let print_comparison suite model_path =
-  let model = load_or_fit model_path in
-  let report = Core.Audit.run model (suite ()) in
+  let workloads = List.map (fun c -> c.Core.Extract.case_name) (suite ()) in
+  let report, _ = Serve.Service.audit (service model_path) ~workloads () in
   Format.fprintf fmt "%a@." Core.Evaluate.pp_table report;
   report_checks ();
   report
@@ -467,7 +408,7 @@ let compare_cmd =
 
 let disasm_cmd =
   let run name =
-    let c = find_case name in
+    let c = Serve.Service.find_case name in
     Format.fprintf fmt "%a@." Isa.Program.pp_listing c.Core.Extract.asm
   in
   Cmd.v
@@ -478,20 +419,8 @@ let disasm_cmd =
 
 let breakdown_cmd =
   let run name =
-    let c = find_case name in
-    let est =
-      Power.Estimator.create ?extension:c.Core.Extract.extension
-        Sim.Config.default
-    in
-    let cpu, _ =
-      Sim.Backend.run_program ?extension:c.Core.Extract.extension
-        ~hook:(Power.Estimator.hook est c.Core.Extract.asm)
-        c.Core.Extract.asm
-    in
-    Format.fprintf fmt "%s: %d instructions, %d cycles@." name
-      (Sim.Cpu.instructions cpu) (Sim.Cpu.cycles cpu);
     Format.fprintf fmt "%a@." Power.Report.pp_breakdown
-      (Power.Estimator.breakdown est)
+      (Power.Estimator.breakdown (reference_run name))
   in
   Cmd.v
     (Cmd.info "breakdown"
@@ -502,12 +431,11 @@ let breakdown_cmd =
 
 let trace_cmd =
   let count_arg =
-    Arg.(value & opt int 40
-         & info [ "n"; "count" ] ~docv:"N"
-             ~doc:"Number of instructions to trace.")
+    opt_arg Arg.int 40 [ "n"; "count" ] "N"
+      "Number of instructions to trace."
   in
   let run name count =
-    let c = find_case name in
+    let c = Serve.Service.find_case name in
     let est =
       Power.Estimator.create ?extension:c.Core.Extract.extension
         Sim.Config.default
@@ -572,8 +500,9 @@ let estimate_external ~model_path ?extension ~name ~header asm =
   let ref_pj, cpu = Power.Estimator.estimate_program ?extension asm in
   header profile cpu;
   Format.fprintf fmt "reference energy: %a@." Power.Report.pp_energy ref_pj;
-  let model = load_or_fit model_path in
-  let est = Core.Estimate.of_profile model profile in
+  let est =
+    Core.Estimate.of_profile (Serve.Service.model (service model_path)) profile
+  in
   Format.fprintf fmt "macro-model estimate: %a (error %+.2f%%)@."
     Power.Report.pp_energy est.Core.Estimate.energy_pj
     (100.0 *. (est.Core.Estimate.energy_pj -. ref_pj) /. ref_pj)
@@ -583,10 +512,9 @@ let run_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.s")
   in
   let ext_arg =
-    Arg.(value & opt (some string) None
-         & info [ "e"; "extension" ] ~docv:"NAME"
-             ~doc:"Install a named custom-instruction extension (one of:
-                   mac, add4, blend, des, gf, gfmac, gf4, cover_*).")
+    opt_arg Arg.(some string) None [ "e"; "extension" ] "NAME"
+      "Install a named custom-instruction extension (one of:
+       mac, add4, blend, des, gf, gfmac, gf4, cover_*)."
   in
   let run model_path file ext_name =
     let source = In_channel.with_open_text file In_channel.input_all in
@@ -616,13 +544,11 @@ let cc_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.c")
   in
   let ext_arg =
-    Arg.(value & opt (some string) None
-         & info [ "e"; "extension" ] ~docv:"NAME"
-             ~doc:"Install a named custom-instruction extension.")
+    opt_arg Arg.(some string) None [ "e"; "extension" ] "NAME"
+      "Install a named custom-instruction extension."
   in
   let listing_arg =
-    Arg.(value & flag
-         & info [ "S"; "listing" ] ~doc:"Print the generated assembly.")
+    flag_arg [ "S"; "listing" ] "Print the generated assembly."
   in
   let run model_path file ext_name listing =
     let source = In_channel.with_open_text file In_channel.input_all in
@@ -650,84 +576,66 @@ let cc_cmd =
 
 let explore_cmd =
   let space_arg =
-    Arg.(value & opt string "rs-cache"
-         & info [ "space" ] ~docv:"NAME"
-             ~doc:(Printf.sprintf
-                     "Candidate space to sweep (one of: %s)."
-                     (String.concat ", " Workloads.Spaces.names)))
+    opt_arg Arg.string "rs-cache" [ "space" ] "NAME"
+      (Printf.sprintf "Candidate space to sweep (one of: %s)."
+         (String.concat ", " Workloads.Spaces.names))
   in
   let cache_dir_arg =
-    Arg.(value & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Memoize simulation results as one JSON file per entry
-                   under $(docv); a later sweep over overlapping
-                   candidates (or the same sweep re-run) reuses them
-                   instead of re-simulating.  Corrupted or unwritable
-                   entries fall back to recompute.")
+    cache_dir_arg
+      "Memoize simulation results as one JSON file per entry
+       under $(docv); a later sweep over overlapping
+       candidates (or the same sweep re-run) reuses them
+       instead of re-simulating.  Corrupted or unwritable
+       entries fall back to recompute."
   in
   let cache_max_bytes_arg =
-    Arg.(value & opt (some int) None
-         & info [ "cache-max-bytes" ] ~docv:"BYTES"
-             ~doc:"Cap the on-disk cache at $(docv) bytes of entry
-                   payload: a store that crosses the bound runs LRU
-                   eviction inline (no manual $(b,cache prune) needed).
-                   Requires $(b,--cache-dir).")
+    opt_arg Arg.(some int) None [ "cache-max-bytes" ] "BYTES"
+      "Cap the on-disk cache at $(docv) bytes of entry
+       payload: a store that crosses the bound runs LRU
+       eviction inline (no manual $(b,cache prune) needed).
+       Requires $(b,--cache-dir)."
   in
   let progress_arg =
-    Arg.(value & flag
-         & info [ "progress" ]
-             ~doc:"Print a heartbeat to stderr between evaluation chunks:
-                   done/total, cache hits/misses, current frontier size,
-                   elapsed time and ETA.")
+    flag_arg [ "progress" ]
+      "Print a heartbeat to stderr between evaluation chunks:
+       done/total, cache hits/misses, current frontier size,
+       elapsed time and ETA."
   in
   let explain_arg =
-    Arg.(value & flag
-         & info [ "explain" ]
-             ~doc:"Decompose each Pareto-frontier candidate's energy
-                   across the macro-model variables (exact — the model is
-                   linear — and free: computed from the cached variable
-                   vectors, no extra simulation).")
+    flag_arg [ "explain" ]
+      "Decompose each Pareto-frontier candidate's energy
+       across the macro-model variables (exact — the model is
+       linear — and free: computed from the cached variable
+       vectors, no extra simulation)."
   in
   let pareto_arg =
-    Arg.(value & flag
-         & info [ "pareto" ]
-             ~doc:"Restrict the table/CSV rows to the Pareto frontier.")
+    flag_arg [ "pareto" ] "Restrict the table/CSV rows to the Pareto frontier."
   in
   let profile_top_arg =
-    Arg.(value & opt (some int) None
-         & info [ "profile-top" ] ~docv:"N"
-             ~doc:"Profile each Pareto-frontier candidate (one extra
-                   observed simulation per point) and dump its $(docv)
-                   hottest basic blocks — per-block cycles, stalls and
-                   exact macro-model energy.")
+    opt_arg Arg.(some int) None [ "profile-top" ] "N"
+      "Profile each Pareto-frontier candidate (one extra
+       observed simulation per point) and dump its $(docv)
+       hottest basic blocks — per-block cycles, stalls and
+       exact macro-model energy."
   in
   let json_arg =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit the sweep as JSON (energies in pJ/uJ, units
-                   stated in the document) instead of the table.")
+    json_arg
+      "Emit the sweep as JSON (energies in pJ/uJ, units
+       stated in the document) instead of the table."
   in
-  let csv_arg =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Emit the sweep as CSV.")
-  in
-  let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FILE"
-             ~doc:"Also write the rendered output to $(docv).")
-  in
+  let csv_arg = flag_arg [ "csv" ] "Emit the sweep as CSV." in
+  let out_arg = out_arg "Also write the rendered output to $(docv)." in
   let trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Record Chrome trace-event spans for the sweep
-                   (per-config characterization, per-candidate
-                   simulations, cache hit instants) to $(docv).")
+    trace_arg
+      "Record Chrome trace-event spans for the sweep
+       (per-config characterization, per-candidate
+       simulations, cache hit instants) to $(docv)."
   in
   let metrics_arg =
-    Arg.(value & opt (some string) None
-         & info [ "metrics" ] ~docv:"FILE"
-             ~doc:"Save the metrics registry (cache hit/miss/error
-                   counters, simulator and worker-pool counters) as JSON
-                   to $(docv).")
+    metrics_arg
+      "Save the metrics registry (cache hit/miss/error
+       counters, simulator and worker-pool counters) as JSON
+       to $(docv)."
   in
   let run space cache_dir cache_max_bytes progress explain pareto profile_top
       json csv out trace metrics with_common =
@@ -741,13 +649,7 @@ let explore_cmd =
     (match cache_max_bytes with
      | Some n when n < 0 -> die "--cache-max-bytes must be >= 0"
      | _ -> ());
-    let build_space =
-      match Workloads.Spaces.find space with
-      | Some f -> f
-      | None ->
-        die "unknown space %S; available: %s" space
-          (String.concat ", " Workloads.Spaces.names)
-    in
+    let build_space = Serve.Service.space space in
     recording Format.err_formatter ~trace ~metrics @@ fun () ->
     let cache =
       Core.Eval_cache.create ?dir:cache_dir ?max_bytes:cache_max_bytes ()
@@ -817,10 +719,7 @@ let cache_cmd =
     | Some t -> Printf.sprintf "%.0f s ago" (Float.max 0.0 (now -. t))
   in
   let stats_cmd =
-    let json_arg =
-      Arg.(value & flag
-           & info [ "json" ] ~doc:"Emit the inventory as JSON.")
-    in
+    let json_arg = json_arg "Emit the inventory as JSON." in
     let run dir json =
       require_dir dir;
       let s = Core.Eval_cache.disk_stats dir in
@@ -883,36 +782,31 @@ let cache_cmd =
   in
   let prune_cmd =
     let max_entries_arg =
-      Arg.(value & opt (some int) None
-           & info [ "max-entries" ] ~docv:"N"
-               ~doc:"Keep at most $(docv) entries (LRU by the recorded
-                     last-use time).")
+      opt_arg Arg.(some int) None [ "max-entries" ] "N"
+        "Keep at most $(docv) entries (LRU by the recorded
+         last-use time)."
     in
     let max_bytes_arg =
-      Arg.(value & opt (some int) None
-           & info [ "max-bytes" ] ~docv:"BYTES"
-               ~doc:"Keep at most $(docv) bytes of entry payload.")
+      opt_arg Arg.(some int) None [ "max-bytes" ] "BYTES"
+        "Keep at most $(docv) bytes of entry payload."
     in
     let max_age_arg =
-      Arg.(value & opt (some float) None
-           & info [ "max-age" ] ~docv:"DAYS"
-               ~doc:"Evict entries unused for more than $(docv) days
-                     (fractional values allowed).")
+      opt_arg Arg.(some float) None [ "max-age" ] "DAYS"
+        "Evict entries unused for more than $(docv) days
+         (fractional values allowed)."
     in
     let run dir max_entries max_bytes max_age =
       require_dir dir;
       if max_entries = None && max_bytes = None && max_age = None then
         die "prune: give at least one of --max-entries, --max-bytes, \
              --max-age";
-      (match max_entries with
-       | Some n when n < 0 -> die "prune: --max-entries must be >= 0"
-       | _ -> ());
-      (match max_bytes with
-       | Some n when n < 0 -> die "prune: --max-bytes must be >= 0"
-       | _ -> ());
-      (match max_age with
-       | Some d when d < 0.0 -> die "prune: --max-age must be >= 0"
-       | _ -> ());
+      let nonneg flag = function
+        | Some x when x < 0.0 -> die "prune: --%s must be >= 0" flag
+        | _ -> ()
+      in
+      nonneg "max-entries" (Option.map float_of_int max_entries);
+      nonneg "max-bytes" (Option.map float_of_int max_bytes);
+      nonneg "max-age" max_age;
       let policy =
         { Core.Eval_cache.max_entries; max_bytes;
           max_age_s = Option.map (fun d -> d *. 86400.0) max_age }
@@ -965,45 +859,38 @@ let cache_cmd =
 
 let audit_cmd =
   let json_arg =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit the accuracy report as JSON (the same document
-                   $(b,-o) writes) instead of the table.")
+    json_arg
+      "Emit the accuracy report as JSON (the same document
+       $(b,-o) writes) instead of the table."
   in
   let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FILE"
-             ~doc:"Write the accuracy report as JSON to $(docv) — the
-                   format committed as a baseline (BENCH_accuracy.json).")
+    out_arg
+      "Write the accuracy report as JSON to $(docv) — the
+       format committed as a baseline (BENCH_accuracy.json)."
   in
   let baseline_arg =
-    Arg.(value & opt (some string) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Gate against a committed accuracy baseline: fail
-                   (non-zero exit) when this audit's mean absolute error
-                   exceeds the baseline's by more than the tolerance
-                   factor.")
+    file_opt [ "baseline" ]
+      "Gate against a committed accuracy baseline: fail
+       (non-zero exit) when this audit's mean absolute error
+       exceeds the baseline's by more than the tolerance
+       factor."
   in
   let tolerance_arg =
-    Arg.(value & opt float 2.0
-         & info [ "tolerance" ] ~docv:"FACTOR"
-             ~doc:"Allowed regression factor for the baseline gate: pass
-                   while mean |error| <= baseline mean |error| x $(docv).")
+    opt_arg Arg.float 2.0 [ "tolerance" ] "FACTOR"
+      "Allowed regression factor for the baseline gate: pass
+       while mean |error| <= baseline mean |error| x $(docv)."
   in
   let cache_dir_arg =
-    Arg.(value & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Memoize the reference-observed simulations under
-                   $(docv); a warm audit costs zero simulations.")
+    cache_dir_arg
+      "Memoize the reference-observed simulations under
+       $(docv); a warm audit costs zero simulations."
   in
   let run model_path json out baseline tolerance cache_dir with_common =
     let report =
       with_common @@ fun jobs ->
       if tolerance <= 0.0 then die "--tolerance must be > 0";
-      let model = load_or_fit ?jobs model_path in
-      let cache = Core.Eval_cache.create ?dir:cache_dir () in
-      let report =
-        Core.Audit.run ?jobs ~cache model (Workloads.Suite.applications ())
+      let report, _ =
+        Serve.Service.audit (service ?jobs ?cache_dir model_path) ()
       in
       if json then print_json (Core.Audit.to_json report)
       else Format.fprintf fmt "%a@." Core.Audit.pp report;
@@ -1019,9 +906,8 @@ let audit_cmd =
         try
           Core.Audit.of_json
             (In_channel.with_open_text path In_channel.input_all)
-        with
-        | Sys_error msg | Failure msg -> die "cannot load baseline: %s" msg
-        | Obs.Json.Parse_error msg -> die "cannot load baseline: %s" msg
+        with Sys_error msg | Failure msg | Obs.Json.Parse_error msg ->
+          die "cannot load baseline: %s" msg
       in
       let g = Core.Audit.gate ~tolerance ~baseline:b report in
       Format.fprintf fmt "%a@." Core.Audit.pp_gate g;
@@ -1061,68 +947,62 @@ let request ?lost ~socket ~refused send =
     resp
   | _ -> die "%s" refused
 
+let socket_arg doc =
+  Arg.(required & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
+
 let serve_cmd =
   let socket_arg =
-    Arg.(required & opt (some string) None
-         & info [ "socket" ] ~docv:"PATH"
-             ~doc:"Unix-domain socket the daemon listens on (or, in
-                   client mode, connects to).")
+    socket_arg
+      "Unix-domain socket the daemon listens on (or, in
+       client mode, connects to)."
   in
   let max_models_arg =
-    Arg.(value & opt int 4
-         & info [ "max-models" ] ~docv:"N"
-             ~doc:"Bound on resident characterized models; the least
-                   recently used are evicted past it.")
+    opt_arg Arg.int 4 [ "max-models" ] "N"
+      "Bound on resident characterized models; the least
+       recently used are evicted past it."
   in
   let cache_dir_arg =
-    Arg.(value & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Back the evaluation cache on disk under $(docv), so
-                   per-workload profiles survive daemon restarts.")
+    cache_dir_arg
+      "Back the evaluation cache on disk under $(docv), so
+       per-workload profiles survive daemon restarts."
   in
   let model_file_arg =
-    Arg.(value & opt (some string) None
-         & info [ "model" ] ~docv:"FILE"
-             ~doc:"Preload a fitted coefficients file as the model for
-                   the default processor configuration, skipping the
-                   first characterization.")
+    file_opt [ "model" ]
+      "Preload a fitted coefficients file as the model for
+       the default processor configuration, skipping the
+       first characterization."
   in
   let io_timeout_arg =
-    Arg.(value & opt float 10.0
-         & info [ "io-timeout" ] ~docv:"SECONDS"
-             ~doc:"Per-connection I/O deadline: a client that wedges
-                   mid-frame, stops reading its response, or idles
-                   longer is dropped.")
+    opt_arg Arg.float 10.0 [ "io-timeout" ] "SECONDS"
+      "Per-connection I/O deadline: a client that wedges
+       mid-frame, stops reading its response, or idles
+       longer is dropped."
   in
   let max_conns_arg =
-    Arg.(value & opt int 8
-         & info [ "max-conns" ] ~docv:"N"
-             ~doc:"Bound on concurrently served connections; clients
-                   past it queue in the listen backlog.")
+    opt_arg Arg.int 8 [ "max-conns" ] "N"
+      "Bound on concurrently served connections; clients
+       past it queue in the listen backlog."
   in
   let read_timeout_arg =
-    Arg.(value & opt float 30.0
-         & info [ "read-timeout" ] ~docv:"SECONDS"
-             ~doc:"Worker-pool read deadline: a simulation worker that
-                   wedges past it is killed and its slice recomputed.
-                   0 disables the deadline.")
+    opt_arg Arg.float 30.0 [ "read-timeout" ] "SECONDS"
+      "Worker-pool read deadline: a simulation worker that
+       wedges past it is killed and its slice recomputed.
+       0 disables the deadline."
   in
   let slow_ms_arg =
-    Arg.(value & opt (some float) None
-         & info [ "slow-ms" ] ~docv:"MS"
-             ~doc:"Warn-log any request slower than $(docv) milliseconds
-                   (event serve:slow-request, carrying the trace id and
-                   the per-phase time breakdown) and count it in
-                   serve_slow_requests_total.")
+    opt_arg Arg.(some float) None [ "slow-ms" ] "MS"
+      "Warn-log any request slower than $(docv) milliseconds
+       (event serve:slow-request, carrying the trace id and
+       the per-phase time breakdown) and count it in
+       serve_slow_requests_total."
   in
   let trace_file_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace-file" ] ~docv:"FILE"
-             ~doc:"Record request spans for the daemon's lifetime
-                   (serve:<op> with phase:* children, client calls,
-                   pool-worker lanes — one trace id per request end to
-                   end) and save them as Chrome trace-event JSON to
-                   $(docv) on shutdown.")
+    file_opt [ "trace-file" ]
+      "Record request spans for the daemon's lifetime
+       (serve:<op> with phase:* children, client calls,
+       pool-worker lanes — one trace id per request end to
+       end) and save them as Chrome trace-event JSON to
+       $(docv) on shutdown."
   in
   let call_arg =
     Arg.(value & opt_all string []
@@ -1133,42 +1013,31 @@ let serve_cmd =
                    (one response line each, in order).")
   in
   let scrape_arg =
-    Arg.(value & flag
-         & info [ "scrape" ]
-             ~doc:"Client mode: print the daemon's OpenMetrics
-                   exposition (the /metrics endpoint) to stdout.")
+    flag_arg [ "scrape" ]
+      "Client mode: print the daemon's OpenMetrics
+       exposition (the /metrics endpoint) to stdout."
   in
-  let ping_arg =
-    Arg.(value & flag
-         & info [ "ping" ] ~doc:"Client mode: liveness check.")
-  in
+  let ping_arg = flag_arg [ "ping" ] "Client mode: liveness check." in
   let status_arg =
-    Arg.(value & flag
-         & info [ "status" ]
-             ~doc:"Client mode: print the daemon's live status (the
-                   status op — rolling-window request/error rates and
-                   latency quantiles per op, inflight gauges, registry
-                   residency, cache and pool health) as JSON to
-                   stdout.")
+    flag_arg [ "status" ]
+      "Client mode: print the daemon's live status (the
+       status op — rolling-window request/error rates and
+       latency quantiles per op, inflight gauges, registry
+       residency, cache and pool health) as JSON to
+       stdout."
   in
-  let stop_arg =
-    Arg.(value & flag
-         & info [ "stop" ]
-             ~doc:"Client mode: ask the daemon to shut down.")
-  in
+  let stop_arg = flag_arg [ "stop" ] "Client mode: ask the daemon to shut down." in
   let wait_arg =
-    Arg.(value & opt float 10.0
-         & info [ "wait" ] ~docv:"SECONDS"
-             ~doc:"Client mode: how long to wait for the daemon to
-                   answer pings before giving up (covers a daemon still
-                   starting up).")
+    opt_arg Arg.float 10.0 [ "wait" ] "SECONDS"
+      "Client mode: how long to wait for the daemon to
+       answer pings before giving up (covers a daemon still
+       starting up)."
   in
   let timeout_arg =
-    Arg.(value & opt float 600.0
-         & info [ "timeout" ] ~docv:"SECONDS"
-             ~doc:"Client mode: response deadline for the request
-                   itself (a cold estimate characterizes first — size
-                   generously).")
+    opt_arg Arg.float 600.0 [ "timeout" ] "SECONDS"
+      "Client mode: response deadline for the request
+       itself (a cold estimate characterizes first — size
+       generously)."
   in
   (* A one-op request on its own connection; a refusal names the op. *)
   let call_op ~socket ~timeout ~refused op =
@@ -1241,18 +1110,9 @@ let serve_cmd =
       Obs.Metrics.set_enabled true;
       let router =
         Serve.Router.create ~max_models ?jobs ?read_timeout_s ?cache_dir
-          ?slow_ms ()
+          ?model:model_file ?slow_ms ()
       in
-      (match model_file with
-       | None -> ()
-       | Some path ->
-         let model =
-           try Core.Template.load path
-           with Sys_error msg | Failure msg -> die "cannot load model: %s" msg
-         in
-         Serve.Registry.preload (Serve.Router.registry router)
-           Sim.Config.default model;
-         Format.eprintf "model preloaded from %s@." path);
+      Option.iter (Format.eprintf "model preloaded from %s@.") model_file;
       Format.eprintf "serving on %s (stop with `xenergy serve --socket %s \
                       --stop')@." socket socket;
       (try
@@ -1282,30 +1142,23 @@ let serve_cmd =
 
 let top_cmd =
   let module J = Obs.Json in
-  let socket_arg =
-    Arg.(required & opt (some string) None
-         & info [ "socket" ] ~docv:"PATH"
-             ~doc:"Unix-domain socket of the daemon to watch.")
-  in
+  let socket_arg = socket_arg "Unix-domain socket of the daemon to watch." in
   let interval_arg =
-    Arg.(value & opt float 2.0
-         & info [ "interval" ] ~docv:"SECONDS"
-             ~doc:"Refresh period between status polls.  The daemon's
-                   rolling window sharpens to this cadence after the
-                   first couple of refreshes.")
+    opt_arg Arg.float 2.0 [ "interval" ] "SECONDS"
+      "Refresh period between status polls.  The daemon's
+       rolling window sharpens to this cadence after the
+       first couple of refreshes."
   in
   let iterations_arg =
-    Arg.(value & opt int 0
-         & info [ "iterations" ] ~docv:"N"
-             ~doc:"Stop after $(docv) refreshes (0: run until
-                   interrupted).  $(b,--iterations 1) prints one
-                   snapshot and exits, for scripts and smoke tests.")
+    opt_arg Arg.int 0 [ "iterations" ] "N"
+      "Stop after $(docv) refreshes (0: run until
+       interrupted).  $(b,--iterations 1) prints one
+       snapshot and exits, for scripts and smoke tests."
   in
   let wait_arg =
-    Arg.(value & opt float 10.0
-         & info [ "wait" ] ~docv:"SECONDS"
-             ~doc:"How long to wait for the daemon to answer pings
-                   before giving up.")
+    opt_arg Arg.float 10.0 [ "wait" ] "SECONDS"
+      "How long to wait for the daemon to answer pings
+       before giving up."
   in
   let field name = function J.Obj f -> List.assoc_opt name f | _ -> None in
   let numf ?(default = 0.0) name j =
@@ -1429,4 +1282,21 @@ let () =
      (the per-command --backend flag wins). *)
   Obs.Log.init_from_env ();
   Sim.Backend.init_from_env ();
-  exit (Cmd.eval main_cmd)
+  (* A failure (a bad argument, an unknown name, a backend mismatch)
+     ends the command with its one-line message. *)
+  exit
+    (try Cmd.eval ~catch:false main_cmd
+     with e -> (
+       let bt = Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ()) in
+       match Serve.Service.message e with
+       | Some msg ->
+         Format.eprintf "xenergy: %s@." msg;
+         Cmd.Exit.some_error
+       | None ->
+         (* Any other exception is a fault: report it as Cmdliner does. *)
+         let bt = if bt = "" then bt else String.sub bt 0 (String.length bt - 1) in
+         Format.eprintf "xenergy: @[internal error, uncaught exception:@\n%a@]@."
+           (Format.pp_print_list ~pp_sep:Format.pp_force_newline
+              Format.pp_print_string)
+           (String.split_on_char '\n' (Printexc.to_string e ^ "\n" ^ bt));
+         Cmd.Exit.internal_error))

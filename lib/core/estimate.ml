@@ -3,15 +3,18 @@ type result = {
   energy_uj : float;
   cycles : int;
   instructions : int;
-  profile : Extract.profile;
 }
 
+let make model variables ~cycles ~instructions =
+  let energy_pj = Template.energy model variables in
+  { energy_pj; energy_uj = Power.Report.to_uj energy_pj; cycles; instructions }
+
 let of_profile model (p : Extract.profile) =
-  let energy_pj = Template.energy model p.Extract.variables in
-  { energy_pj;
-    energy_uj = Power.Report.to_uj energy_pj;
-    cycles = p.Extract.cycles;
-    instructions = p.Extract.instructions;
-    profile = p }
+  make model p.Extract.variables ~cycles:p.Extract.cycles
+    ~instructions:p.Extract.instructions
+
+let of_entry model (e : Eval_cache.entry) =
+  make model e.Eval_cache.e_variables ~cycles:e.Eval_cache.e_cycles
+    ~instructions:e.Eval_cache.e_instructions
 
 let run ?config model c = of_profile model (Extract.profile ?config c)

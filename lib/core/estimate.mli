@@ -9,7 +9,6 @@ type result = {
   energy_uj : float;
   cycles : int;
   instructions : int;
-  profile : Extract.profile;
 }
 
 val run :
@@ -22,3 +21,8 @@ val run :
 
 val of_profile : Template.model -> Extract.profile -> result
 (** Apply the model to an already-extracted profile (no simulation). *)
+
+val of_entry : Template.model -> Eval_cache.entry -> result
+(** Apply the model to a memoized profile (no simulation): the same
+    energies, bit for bit, as {!of_profile} on the profile the entry
+    was built from. *)

@@ -56,7 +56,7 @@ val create :
   unit ->
   t
 (** [max_models] (default 4) bounds the resident set.  [characterize]
-    fits a configuration's model on a miss: the {!Router} reads its
+    fits a configuration's model on a miss: the {!Service} reads its
     samples through the shared evaluation cache, so a refit after a
     restart or an eviction only reruns the fit; tests inject a stub to
     count characterizations.

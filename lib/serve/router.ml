@@ -1,15 +1,15 @@
 module J = Obs.Json
 
+(* One op's instruments, resolved once: a registry lookup sorts and
+   joins the labels into a key and takes the registry lock. *)
 module M = struct
-  let requests op =
-    Obs.Metrics.counter
-      ~labels:[ ("op", op) ]
-      ~help:"requests handled by the serve router" "serve_requests_total"
-
-  let errors op =
-    Obs.Metrics.counter
-      ~labels:[ ("op", op) ]
-      ~help:"requests answered with an error" "serve_errors_total"
+  type op = {
+    o_requests : Obs.Metrics.counter;
+    o_errors : Obs.Metrics.counter;
+    o_seconds : Obs.Metrics.histogram;
+    o_inflight : Obs.Metrics.gauge;
+    o_slow : Obs.Metrics.counter;
+  }
 
   (* Router requests span four orders of magnitude: a ping answers in
      tens of microseconds, a cache-hit estimate in about a millisecond,
@@ -19,51 +19,30 @@ module M = struct
   let request_seconds_buckets =
     [| 1e-4; 2.5e-4; 1e-3; 2.5e-3; 1e-2; 2.5e-2; 0.1; 0.25; 1.0; 2.5; 10.0 |]
 
-  let request_seconds op =
-    Obs.Metrics.histogram
-      ~labels:[ ("op", op) ]
-      ~help:"request handling wall time" ~buckets:request_seconds_buckets
-      "serve_request_seconds"
-
-  let inflight op =
-    Obs.Metrics.gauge
-      ~labels:[ ("op", op) ]
-      ~help:"requests currently being handled" "serve_inflight_requests"
-
-  let slow op =
-    Obs.Metrics.counter
-      ~labels:[ ("op", op) ]
-      ~help:"requests slower than the slow-request threshold"
-      "serve_slow_requests_total"
-
-  (* One op's instruments, resolved once: a registry lookup sorts and
-     joins the labels into a key and takes the registry lock. *)
-  type op = {
-    o_requests : Obs.Metrics.counter;
-    o_errors : Obs.Metrics.counter;
-    o_seconds : Obs.Metrics.histogram;
-    o_inflight : Obs.Metrics.gauge;
-    o_slow : Obs.Metrics.counter;
-  }
-
   let op name =
-    { o_requests = requests name;
-      o_errors = errors name;
-      o_seconds = request_seconds name;
-      o_inflight = inflight name;
-      o_slow = slow name }
+    let labels = [ ("op", name) ] in
+    let counter = Obs.Metrics.counter ~labels in
+    { o_requests =
+        counter ~help:"requests handled by the serve router"
+          "serve_requests_total";
+      o_errors =
+        counter ~help:"requests answered with an error" "serve_errors_total";
+      o_seconds =
+        Obs.Metrics.histogram ~labels ~help:"request handling wall time"
+          ~buckets:request_seconds_buckets "serve_request_seconds";
+      o_inflight =
+        Obs.Metrics.gauge ~labels ~help:"requests currently being handled"
+          "serve_inflight_requests";
+      o_slow =
+        counter ~help:"requests slower than the slow-request threshold"
+          "serve_slow_requests_total" }
 end
 
 type t = {
-  r_registry : Registry.t;
-  r_cache : Core.Eval_cache.t;  (* locks itself *)
+  r_service : Service.t;
   r_pool :
     (string * Sim.Config.t * bool, Core.Eval_cache.entry) Core.Parallel.pool;
-  r_pool_lock : Mutex.t;
-  (* One batch at a time on the persistent pool: its request/response
-     pipes are shared state, and the workers are the same processes
-     either way — interleaving batches would corrupt framing without
-     adding parallelism. *)
+  r_pool_lock : Mutex.t;         (* one batch at a time on [r_pool] *)
   r_state_lock : Mutex.t;        (* r_requests/r_shut/r_snaps/r_inflight *)
   r_jobs : int option;
   r_started : float;
@@ -85,49 +64,6 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* --- Per-request phase clock ---------------------------------------------- *)
-
-(* Each request carries a phase accumulator: handlers charge wall time
-   to named phases (queue, parse, registry, cache, simulate, serialize)
-   as they pass through them; [handle] folds the remainder into an
-   explicit "other" phase, so the breakdown always sums to the request
-   total.  Phases are (name, seconds) in reverse recording order;
-   repeated names merge.  A phase opened inside another (the pool wait
-   and batch inside the cache lookup) is charged to itself only: each
-   phase records its self time, the outer one minus its nested ones. *)
-type phases = {
-  mutable px_phases : (string * float) list;
-  mutable px_nested : float;  (* time recorded by phases inside the open one *)
-}
-
-let phase px name f =
-  let outer = px.px_nested in
-  px.px_nested <- 0.0;
-  Obs.Trace.with_span_timed ~cat:"serve"
-    ~elapsed:(fun s ->
-      px.px_phases <- (name, s -. px.px_nested) :: px.px_phases;
-      px.px_nested <- outer +. s)
-    ("phase:" ^ name) f
-
-let phase_order = [ "queue"; "parse"; "registry"; "cache"; "simulate"; "serialize" ]
-
-let merged_phases px =
-  let seen = ref [] in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (n, s) ->
-      match Hashtbl.find_opt tbl n with
-      | Some cell -> cell := !cell +. s
-      | None ->
-        Hashtbl.add tbl n (ref s);
-        seen := n :: !seen)
-    (List.rev px.px_phases);
-  let names =
-    List.filter (Hashtbl.mem tbl) phase_order
-    @ List.filter (fun n -> not (List.mem n phase_order)) (List.rev !seen)
-  in
-  List.map (fun n -> (n, !(Hashtbl.find tbl n))) names
-
 (* The pool function is fixed at fork time, so it takes everything a
    batch item needs — workload name, configuration, reference flag — as
    marshal-safe data and resolves the case inside the worker, from the
@@ -135,14 +71,14 @@ let merged_phases px =
    The request's backend rides with the batch itself (see
    [Core.Parallel.pool_map]). *)
 let compute_entry (name, config, with_ref) =
-  Core.Eval_cache.compute ~config ~with_ref (Workloads.Suite.find name)
+  Core.Eval_cache.compute ~config ~with_ref (Service.find_case name)
 
 let known_ops =
   [ "ping"; "estimate"; "attribute"; "profile"; "audit"; "explore"; "metrics";
     "stats"; "status"; "shutdown"; "invalid" ]
 
-let create ?max_models ?jobs ?read_timeout_s ?cache_dir ?characterize ?slow_ms
-    ?(window_s = 60.0) () =
+let create ?max_models ?jobs ?read_timeout_s ?cache_dir ?characterize ?model
+    ?slow_ms ?(window_s = 60.0) () =
   (* Register every metric family this router will ever touch now,
      while the process is still single-threaded: the metrics registry's
      own table is then only read (never resized) by concurrent
@@ -156,18 +92,34 @@ let create ?max_models ?jobs ?read_timeout_s ?cache_dir ?characterize ?slow_ms
   (* Build the workload index before the pool forks, so every lane
      inherits it and no request pays for the build. *)
   ignore (Workloads.Suite.names ());
-  let cache = Core.Eval_cache.create ?dir:cache_dir () in
-  (* Registry misses read their samples through the shared cache. *)
-  let characterize =
-    Option.value characterize ~default:(fun config ->
-        (Core.Characterize.run ?jobs ~cache ~config
-           (Workloads.Suite.characterization ()))
-          .Core.Characterize.model)
+  let pool = Core.Parallel.create_pool ?jobs ?read_timeout_s compute_entry in
+  (* Estimate misses simulate on the persistent pool, one batch at a
+     time: its request/response pipes are shared state, and the workers
+     are the same processes either way.  The wait for the pool is
+     queueing, not simulation: charge the lock and the batch
+     separately (both nest inside the estimate's cache phase). *)
+  let pool_lock = Mutex.create () in
+  let simulate ~config ~with_ref cs =
+    Service.phase "queue" (fun () -> Mutex.lock pool_lock);
+    Fun.protect ~finally:(fun () -> Mutex.unlock pool_lock) @@ fun () ->
+    Service.phase "simulate" @@ fun () ->
+    Core.Parallel.pool_map pool
+      (List.map
+         (fun (c : Core.Extract.case) ->
+           (c.Core.Extract.case_name, config, with_ref))
+         cs)
   in
-  { r_registry = Registry.create ?max_models ~characterize ();
-    r_cache = cache;
-    r_pool = Core.Parallel.create_pool ?jobs ?read_timeout_s compute_entry;
-    r_pool_lock = Mutex.create ();
+  let service =
+    try
+      Service.create ?max_models ?jobs ?cache_dir ?characterize ~simulate
+        ?model ()
+    with e ->
+      Core.Parallel.shutdown_pool pool;
+      raise e
+  in
+  { r_service = service;
+    r_pool = pool;
+    r_pool_lock = pool_lock;
     r_state_lock = Mutex.create ();
     r_jobs = jobs;
     r_started = Unix.gettimeofday ();
@@ -180,7 +132,6 @@ let create ?max_models ?jobs ?read_timeout_s ?cache_dir ?characterize ?slow_ms
     r_stop = false;
     r_shut = false }
 
-let registry t = t.r_registry
 let stopped t = t.r_stop
 
 let shutdown t =
@@ -191,11 +142,11 @@ let shutdown t =
         first)
   in
   if first then begin
-    Core.Eval_cache.flush t.r_cache;
+    Core.Eval_cache.flush (Service.cache t.r_service);
     locked t.r_pool_lock (fun () -> Core.Parallel.shutdown_pool t.r_pool)
   end
 
-(* --- Request plumbing ----------------------------------------------------- *)
+(* --- Request decoding ----------------------------------------------------- *)
 
 let member_opt k = function J.Obj fields -> List.assoc_opt k fields | _ -> None
 
@@ -213,10 +164,6 @@ let int_value ~op k v =
     failwith (Printf.sprintf "%s: %S must be an integer" op k)
 
 let int_field ~op k req = Option.map (int_value ~op k) (member_opt k req)
-
-let find_case name =
-  try Workloads.Suite.find name
-  with Not_found -> failwith (Printf.sprintf "unknown workload %S" name)
 
 let workload_list ~op req =
   match member_opt "workloads" req with
@@ -295,150 +242,72 @@ let request_backend ~op req =
    request's override, if any, on this thread. *)
 let backend_name () = Sim.Backend.name (Sim.Backend.current ())
 
-let error_resp msg = J.Obj [ ("ok", J.Bool false); ("error", J.Str msg) ]
+(* --- Ops: decode, run the service op, encode ------------------------------- *)
 
 (* The answer of an op served under one registry model. *)
 let model_resp op (lookup : Registry.lookup) fields =
+  Service.phase "serialize" @@ fun () ->
   J.Obj
     ([ ("ok", J.Bool true);
        ("op", J.Str op);
        ("model_key", J.Str lookup.Registry.l_key);
        ("registry_hit", J.Bool lookup.Registry.l_hit);
        ("backend", J.Str (backend_name ())) ]
-    @ fields)
+    @ fields ())
 
-(* --- Ops ------------------------------------------------------------------ *)
-
-let handle_estimate t px req =
+let handle_estimate t req =
+  let op = "estimate" in
   let names =
-    match workload_list ~op:"estimate" req with
-    | Some [] -> failwith "estimate: empty workload list"
+    match workload_list ~op req with
     | Some names -> names
     | None -> failwith "estimate needs a \"workloads\" array"
   in
-  let config = request_config ~op:"estimate" req in
-  (* Resolve every name once, before simulating anything, so one typo
-     fails the request instead of wasting a batch. *)
-  let cases = List.map find_case names in
-  let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
-  let model = lookup.Registry.l_model in
-  (* Misses simulate on the persistent pool.  The wait for it is
-     queueing, not simulation: charge the lock and the batch
-     separately (both nest inside the cache phase). *)
-  let simulate ~config ~with_ref cs =
-    phase px "queue" (fun () -> Mutex.lock t.r_pool_lock);
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.r_pool_lock) @@ fun () ->
-    phase px "simulate" @@ fun () ->
-    Core.Parallel.pool_map t.r_pool
-      (List.map
-         (fun (c : Core.Extract.case) ->
-           (c.Core.Extract.case_name, config, with_ref))
-         cs)
-  in
-  let rows, _ =
-    phase px "cache" @@ fun () ->
-    Core.Eval_cache.collect ~simulate t.r_cache ~with_ref:false ~config cases
-  in
-  phase px "serialize" @@ fun () ->
-  let row n ((e : Core.Eval_cache.entry), cached) =
-    let pj = Core.Template.energy model e.Core.Eval_cache.e_variables in
+  let config = request_config ~op req in
+  let rows, lookup = Service.estimate t.r_service ~config names in
+  model_resp op lookup @@ fun () ->
+  let row n ((r : Core.Estimate.result), cached) =
     J.Obj
       [ ("name", J.Str n);
-        ("energy_pj", J.Num pj);
-        ("energy_uj", J.Num (pj *. 1e-6));
-        ("cycles", J.int e.Core.Eval_cache.e_cycles);
-        ("instructions", J.int e.Core.Eval_cache.e_instructions);
+        ("energy_pj", J.Num r.Core.Estimate.energy_pj);
+        ("energy_uj", J.Num r.Core.Estimate.energy_uj);
+        ("cycles", J.int r.Core.Estimate.cycles);
+        ("instructions", J.int r.Core.Estimate.instructions);
         ("cached", J.Bool cached) ]
   in
-  model_resp "estimate" lookup
-    [ ("results", J.Arr (List.map2 row names rows)) ]
+  [ ("results", J.Arr (List.map2 row names rows)) ]
 
-let handle_attribute t px req =
-  let name = str_field ~op:"attribute" "workload" req in
-  let bucket =
-    Option.value ~default:64 (int_field ~op:"attribute" "bucket_cycles" req)
-  in
-  if bucket <= 0 then failwith "attribute: bucket_cycles must be positive";
-  let config = request_config ~op:"attribute" req in
-  let case = find_case name in
-  let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
-  let b =
-    phase px "simulate" @@ fun () ->
-    Core.Attribution.run ~config ~bucket_cycles:bucket
-      lookup.Registry.l_model case
-  in
-  phase px "serialize" @@ fun () ->
-  model_resp "attribute" lookup
-    [ ("attribution", Core.Attribution.to_json b) ]
+let handle_attribute t req =
+  let op = "attribute" in
+  let name = str_field ~op "workload" req in
+  let bucket_cycles = int_field ~op "bucket_cycles" req in
+  let config = request_config ~op req in
+  let b, lookup = Service.attribute t.r_service ~config ?bucket_cycles name in
+  model_resp op lookup @@ fun () ->
+  [ ("attribution", Core.Attribution.to_json b) ]
 
-let handle_profile t px req =
-  let name = str_field ~op:"profile" "workload" req in
-  let top = int_field ~op:"profile" "top" req in
-  (match top with
-  | Some n when n <= 0 -> failwith "profile: top must be positive"
-  | _ -> ());
-  let config = request_config ~op:"profile" req in
-  let case = find_case name in
-  let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
-  let r =
-    phase px "simulate" @@ fun () ->
-    Core.Profiler.run ~config lookup.Registry.l_model case
-  in
-  phase px "serialize" @@ fun () ->
-  model_resp "profile" lookup [ ("profile", Core.Profiler.to_json ?top r) ]
+let handle_profile t req =
+  let op = "profile" in
+  let name = str_field ~op "workload" req in
+  let top = int_field ~op "top" req in
+  let config = request_config ~op req in
+  let r, lookup = Service.profile t.r_service ~config ?top name in
+  model_resp op lookup @@ fun () ->
+  [ ("profile", Core.Profiler.to_json ?top r) ]
 
-let handle_audit t px req =
-  let cases =
-    match workload_list ~op:"audit" req with
-    | Some [] -> failwith "audit: empty workload list"
-    | Some names -> List.map find_case names
-    | None -> Workloads.Suite.applications ()
-  in
-  let config = request_config ~op:"audit" req in
-  let lookup = phase px "registry" (fun () -> Registry.get t.r_registry config) in
-  let report =
-    phase px "simulate" @@ fun () ->
-    Core.Audit.run ?jobs:t.r_jobs ~cache:t.r_cache ~config
-      lookup.Registry.l_model cases
-  in
-  phase px "serialize" @@ fun () ->
-  model_resp "audit" lookup [ ("audit", Core.Audit.to_json report) ]
+let handle_audit t req =
+  let op = "audit" in
+  let workloads = workload_list ~op req in
+  let config = request_config ~op req in
+  let report, lookup = Service.audit t.r_service ~config ?workloads () in
+  model_resp op lookup @@ fun () -> [ ("audit", Core.Audit.to_json report) ]
 
-(* Sweep a named candidate space against the live registry: each
-   distinct base-core configuration's model comes from {!Registry.get}
-   (characterized at most once, single-flight, LRU-touched like any
-   other request), then one {!Core.Explore.evaluate} call runs the sweep
-   [xenergy explore] runs — points in space order, one frontier across
-   every configuration, each vector from the shared eval cache, so a
-   warm sweep runs zero simulations. *)
-let handle_explore t px req =
+(* Sweep a named candidate space against the live registry: points in
+   space order, one frontier across every configuration, so a warm sweep
+   runs zero simulations. *)
+let handle_explore t req =
   let space = str_field ~op:"explore" "space" req in
-  let gen =
-    match Workloads.Spaces.find space with
-    | Some g -> g
-    | None ->
-      failwith
-        (Printf.sprintf "explore: unknown space %S (one of: %s)" space
-           (String.concat ", " Workloads.Spaces.names))
-  in
-  let candidates = gen () in
-  let lookups =
-    phase px "registry" @@ fun () ->
-    List.fold_left
-      (fun acc (c : Core.Explore.candidate) ->
-        let key = Registry.key_of_config c.Core.Explore.config in
-        if List.mem_assoc key acc then acc
-        else acc @ [ (key, Registry.get t.r_registry c.Core.Explore.config) ])
-      [] candidates
-  in
-  let model_for config =
-    (List.assoc (Registry.key_of_config config) lookups).Registry.l_model
-  in
-  let o =
-    phase px "simulate" @@ fun () ->
-    Core.Explore.evaluate ?jobs:t.r_jobs ~cache:t.r_cache model_for candidates
-  in
-  phase px "serialize" @@ fun () ->
+  let o, lookups = Service.explore t.r_service space in
+  Service.phase "serialize" @@ fun () ->
   let row (p : Core.Explore.point) =
     J.Obj
       [ ("name", J.Str p.Core.Explore.pt_name);
@@ -454,11 +323,10 @@ let handle_explore t px req =
       ("op", J.Str "explore");
       ("space", J.Str space);
       ("backend", J.Str (backend_name ()));
-      ("candidates", J.int (List.length candidates));
+      ("candidates", J.int (List.length o.Core.Explore.points));
       ("configs", J.int (List.length lookups));
       ( "registry_hits",
-        J.int
-          (List.length (List.filter (fun (_, l) -> l.Registry.l_hit) lookups))
+        J.int (List.length (List.filter (fun l -> l.Registry.l_hit) lookups))
       );
       ("simulations", J.int o.Core.Explore.simulations);
       ("wall_seconds", J.Num o.Core.Explore.wall_seconds);
@@ -470,8 +338,8 @@ let handle_explore t px req =
              o.Core.Explore.frontier) ) ]
 
 let handle_stats t =
-  let rs = Registry.stats t.r_registry in
-  let cs = Core.Eval_cache.stats t.r_cache in
+  let rs = Registry.stats (Service.registry t.r_service) in
+  let cs = Core.Eval_cache.stats (Service.cache t.r_service) in
   J.Obj
     [ ("ok", J.Bool true);
       ("op", J.Str "stats");
@@ -540,10 +408,7 @@ let handle_status t =
     if cum_req = 0 then None
     else
       let inflight =
-        locked t.r_state_lock (fun () ->
-            match Hashtbl.find_opt t.r_inflight op with
-            | Some c -> !c
-            | None -> 0)
+        locked t.r_state_lock (fun () -> !(Hashtbl.find t.r_inflight op))
       in
       let w_req = snap_counter delta "serve_requests_total" l in
       let w_err = snap_counter delta "serve_errors_total" l in
@@ -570,8 +435,8 @@ let handle_status t =
                    ("p90_ms", ms (quant snap ~labels:l 0.9));
                    ("p99_ms", ms (quant snap ~labels:l 0.99)) ] ) ])
   in
-  let rs = Registry.stats t.r_registry in
-  let cs = Core.Eval_cache.stats t.r_cache in
+  let rs = Registry.stats (Service.registry t.r_service) in
+  let cs = Core.Eval_cache.stats (Service.cache t.r_service) in
   let requests, inflight_total =
     locked t.r_state_lock (fun () ->
         ( t.r_requests,
@@ -614,20 +479,20 @@ let handle_status t =
             ("total", J.int (snap_counter snap "serve_connections_total" []))
           ] ) ]
 
-let dispatch t px op req =
+let dispatch t op req =
   match op with
   | "ping" ->
     J.Obj
       [ ("ok", J.Bool true);
         ("op", J.Str "ping");
         ("pid", J.int (Unix.getpid ())) ]
-  | "estimate" -> handle_estimate t px req
-  | "attribute" -> handle_attribute t px req
-  | "profile" -> handle_profile t px req
-  | "audit" -> handle_audit t px req
-  | "explore" -> handle_explore t px req
+  | "estimate" -> handle_estimate t req
+  | "attribute" -> handle_attribute t req
+  | "profile" -> handle_profile t req
+  | "audit" -> handle_audit t req
+  | "explore" -> handle_explore t req
   | "metrics" ->
-    phase px "serialize" (fun () ->
+    Service.phase "serialize" (fun () ->
         J.Obj
           [ ("ok", J.Bool true);
             ("op", J.Str "metrics");
@@ -660,14 +525,7 @@ let request_context req =
 
 let inflight_adjust t op gauge d =
   locked t.r_state_lock (fun () ->
-      let cell =
-        match Hashtbl.find_opt t.r_inflight op with
-        | Some c -> c
-        | None ->
-          let c = ref 0 in
-          Hashtbl.add t.r_inflight op c;
-          c
-      in
+      let cell = Hashtbl.find t.r_inflight op in
       cell := !cell + d;
       Obs.Metrics.set gauge (float_of_int !cell))
 
@@ -688,13 +546,13 @@ let handle ?received ?parse_s t req =
   let m = Hashtbl.find t.r_metrics opl in
   Obs.Metrics.inc m.M.o_requests;
   inflight_adjust t opl m.M.o_inflight 1;
-  let px = { px_phases = []; px_nested = 0.0 } in
-  (match received with
-  | Some r -> px.px_phases <- [ ("queue", Float.max 0.0 (t0 -. r -. Option.value parse_s ~default:0.0)) ]
-  | None -> ());
-  (match parse_s with
-  | Some s -> px.px_phases <- ("parse", s) :: px.px_phases
-  | None -> ());
+  let preset =
+    (match received with
+     | Some r ->
+       [ ("queue", Float.max 0.0 (t0 -. r -. Option.value parse_s ~default:0.0)) ]
+     | None -> [])
+    @ match parse_s with Some s -> [ ("parse", s) ] | None -> []
+  in
   let want_timings =
     match member_opt "timings" req with Some (J.Bool b) -> b | _ -> false
   in
@@ -711,32 +569,31 @@ let handle ?received ?parse_s t req =
   in
   Obs.Trace.with_context ctx @@ fun () ->
   with_backend @@ fun () ->
-  let resp =
+  let resp, named =
+    Service.timed ~preset @@ fun () ->
     Fun.protect ~finally:(fun () -> inflight_adjust t opl m.M.o_inflight (-1))
     @@ fun () ->
     Obs.Trace.with_span ~cat:"serve"
       ~args:[ ("op", Obs.Trace.S opl) ]
       ("serve:" ^ opl)
     @@ fun () ->
-    let run () =
+    match
       Result.iter_error failwith backend;
-      dispatch t px op req
-    in
-    match run () with
+      dispatch t op req
+    with
     | resp -> resp
     | exception e ->
       (* A bad request — or a genuinely failing pipeline stage — must
          answer this client, not take the daemon down. *)
       let msg =
-        match e with
-        | Failure msg | Invalid_argument msg -> msg
-        | J.Parse_error msg -> "invalid JSON: " ^ msg
-        | e -> Printexc.to_string e
+        match Service.message e with
+        | Some msg -> msg
+        | None -> Printexc.to_string e
       in
       Obs.Metrics.inc m.M.o_errors;
       Obs.Log.event ~level:Obs.Log.Warn "serve:error"
         [ ("op", Obs.Trace.S op); ("error", Obs.Trace.S msg) ];
-      error_resp msg
+      J.Obj [ ("ok", J.Bool false); ("error", J.Str msg) ]
   in
   let t_end = Unix.gettimeofday () in
   let dt = t_end -. t0 in
@@ -745,7 +602,6 @@ let handle ?received ?parse_s t req =
   (* The breakdown's phases sum to [total] exactly: whatever the named
      phases did not account for is reported honestly as "other". *)
   let phases =
-    let named = merged_phases px in
     let accounted = List.fold_left (fun a (_, s) -> a +. s) 0.0 named in
     named @ [ ("other", Float.max 0.0 (total -. accounted)) ]
   in

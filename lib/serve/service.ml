@@ -1,0 +1,179 @@
+(* --- Phase clock ------------------------------------------------------------ *)
+
+(* Phases are (name, self seconds) in reverse recording order: a phase
+   opened inside another is charged to itself only. *)
+type clock = {
+  mutable c_phases : (string * float) list;
+  mutable c_nested : float;  (* time recorded by phases inside the open one *)
+}
+
+let clock_var : clock Obs.Scope.var = Obs.Scope.create ()
+
+let phase name f =
+  match Obs.Scope.get clock_var with
+  | None -> Obs.Trace.with_span ~cat:"serve" ("phase:" ^ name) f
+  | Some c ->
+    let outer = c.c_nested in
+    c.c_nested <- 0.0;
+    Obs.Trace.with_span_timed ~cat:"serve"
+      ~elapsed:(fun s ->
+        c.c_phases <- (name, s -. c.c_nested) :: c.c_phases;
+        c.c_nested <- outer +. s)
+      ("phase:" ^ name) f
+
+let phase_order = [ "queue"; "parse"; "registry"; "cache"; "simulate"; "serialize" ]
+
+let merged c =
+  let recorded = List.rev c.c_phases in
+  let seen =
+    List.fold_left
+      (fun acc (n, _) -> if List.mem n acc then acc else acc @ [ n ])
+      [] recorded
+  in
+  let total n =
+    List.fold_left (fun a (m, s) -> if m = n then a +. s else a) 0.0 recorded
+  in
+  List.map
+    (fun n -> (n, total n))
+    (List.filter (fun n -> List.mem n seen) phase_order
+    @ List.filter (fun n -> not (List.mem n phase_order)) seen)
+
+let timed ?(preset = []) f =
+  let c = { c_phases = List.rev preset; c_nested = 0.0 } in
+  let r = Obs.Scope.with_value clock_var c f in
+  (r, merged c)
+
+(* --- Failures and argument checks ----------------------------------------- *)
+
+let fail fmt = Printf.ksprintf failwith fmt
+
+let message = function
+  | Failure msg | Invalid_argument msg -> Some msg
+  | Obs.Json.Parse_error msg -> Some ("invalid JSON: " ^ msg)
+  | Sim.Backend.Mismatch msg ->
+    Obs.Log.event ~level:Obs.Log.Error "backend:mismatch"
+      [ ("error", Obs.Trace.S msg) ];
+    Some msg
+  | _ -> None
+
+let find_case name =
+  try Workloads.Suite.find name
+  with Not_found -> fail "unknown workload %S; try `xenergy list'" name
+
+let space name =
+  match Workloads.Spaces.find name with
+  | Some g -> g
+  | None ->
+    fail "unknown space %S; available: %s" name
+      (String.concat ", " Workloads.Spaces.names)
+
+let cases ~op = function
+  | [] -> fail "%s: empty workload list" op
+  | names -> List.map find_case names
+
+let positive ~op what = function
+  | Some n when n <= 0 -> fail "%s: %s must be positive" op what
+  | _ -> ()
+
+(* --- The service ---------------------------------------------------------- *)
+
+type t = {
+  registry : Registry.t;
+  cache : Core.Eval_cache.t;  (* locks itself *)
+  jobs : int option;
+  simulate : Core.Eval_cache.simulate option;
+}
+
+let create ?max_models ?jobs ?cache_dir ?characterize ?on_characterize
+    ?simulate ?model () =
+  let cache = Core.Eval_cache.create ?dir:cache_dir () in
+  let fit =
+    match characterize with
+    | Some f -> f
+    | None ->
+      fun config ->
+        (Core.Characterize.run ?jobs ~cache ~config
+           (Workloads.Suite.characterization ()))
+          .Core.Characterize.model
+  in
+  let characterize config =
+    Option.iter (fun f -> f ()) on_characterize;
+    fit config
+  in
+  let registry = Registry.create ?max_models ~characterize () in
+  Option.iter
+    (fun path ->
+      let m =
+        try Core.Template.load path
+        with Sys_error msg | Failure msg -> fail "cannot load model: %s" msg
+      in
+      Registry.preload registry Sim.Config.default m)
+    model;
+  { registry; cache; jobs; simulate }
+
+let registry t = t.registry
+let cache t = t.cache
+
+let lookup t config = phase "registry" (fun () -> Registry.get t.registry config)
+
+let model t = (lookup t Sim.Config.default).Registry.l_model
+
+(* --- Ops ------------------------------------------------------------------ *)
+
+let estimate t ?(config = Sim.Config.default) names =
+  let cases = cases ~op:"estimate" names in
+  let l = lookup t config in
+  let rows, _ =
+    phase "cache" @@ fun () ->
+    Core.Eval_cache.collect ?jobs:t.jobs ?simulate:t.simulate t.cache
+      ~with_ref:false ~config cases
+  in
+  ( List.map
+      (fun (e, cached) -> (Core.Estimate.of_entry l.Registry.l_model e, cached))
+      rows,
+    l )
+
+let profile t ?(config = Sim.Config.default) ?top name =
+  positive ~op:"profile" "top" top;
+  let case = find_case name in
+  let l = lookup t config in
+  (phase "simulate" (fun () -> Core.Profiler.run ~config l.Registry.l_model case), l)
+
+let attribute t ?(config = Sim.Config.default) ?bucket_cycles ?hook name =
+  positive ~op:"attribute" "bucket width" bucket_cycles;
+  let case = find_case name in
+  let l = lookup t config in
+  let hook = Option.map (fun h -> h case) hook in
+  ( phase "simulate" (fun () ->
+        Core.Attribution.run ~config ?bucket_cycles ?hook l.Registry.l_model case),
+    l )
+
+let audit t ?(config = Sim.Config.default) ?workloads () =
+  let cases =
+    match workloads with
+    | Some names -> cases ~op:"audit" names
+    | None -> Workloads.Suite.applications ()
+  in
+  let l = lookup t config in
+  ( phase "simulate" (fun () ->
+        Core.Audit.run ?jobs:t.jobs ~cache:t.cache ~config l.Registry.l_model
+          cases),
+    l )
+
+let explore t name =
+  let candidates = space name () in
+  let lookups =
+    phase "registry" @@ fun () ->
+    List.fold_left
+      (fun acc (c : Core.Explore.candidate) ->
+        let key = Registry.key_of_config c.Core.Explore.config in
+        if List.mem_assoc key acc then acc
+        else acc @ [ (key, Registry.get t.registry c.Core.Explore.config) ])
+      [] candidates
+  in
+  let model_for config =
+    (List.assoc (Registry.key_of_config config) lookups).Registry.l_model
+  in
+  ( phase "simulate" (fun () ->
+        Core.Explore.evaluate ?jobs:t.jobs ~cache:t.cache model_for candidates),
+    List.map snd lookups )

@@ -403,10 +403,3 @@ let suite () =
         coverage_case cat ~companion ~iters ~seed)
       categories_with_iters
   @ [ custom_mix_gf (); custom_mix_mac () ]
-
-let find name =
-  match List.find_opt (fun c -> c.Core.Extract.case_name = name) (suite ()) with
-  | Some c -> c
-  | None -> raise Not_found
-
-let names () = List.map (fun c -> c.Core.Extract.case_name) (suite ())

@@ -9,8 +9,3 @@
 
 val suite : unit -> Core.Extract.case list
 (** All 25 test programs, assembled. *)
-
-val find : string -> Core.Extract.case
-(** @raise Not_found for unknown names. *)
-
-val names : unit -> string list

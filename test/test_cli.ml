@@ -61,6 +61,24 @@ let test_backend_bad_name () =
   check Alcotest.string "stdout stays clean" "" out;
   check Alcotest.bool "stderr names the backend" true (contains err "bogus")
 
+(* Refusals the daemon shares: the CLI prints the daemon's "error"
+   text (test_serve checks that surface) after "xenergy: ", exits 123
+   and never characterizes first (no -m is given). *)
+let test_shared_messages () =
+  List.iter
+    (fun (args, want) ->
+      let code, out, err = run_xenergy args in
+      check Alcotest.int (want ^ ": exit code") 123 code;
+      check Alcotest.string (want ^ ": stdout stays clean") "" out;
+      check Alcotest.string want ("xenergy: " ^ want ^ "\n") err)
+    [ ([ "profile"; "nosuch" ], "unknown workload \"nosuch\"; try `xenergy list'");
+      ([ "estimate"; "nosuch" ], "unknown workload \"nosuch\"; try `xenergy list'");
+      ( [ "explore"; "--space"; "nosuch" ],
+        "unknown space \"nosuch\"; available: rs, rs-cache, mac-widths" );
+      ([ "profile"; "gcd"; "--top"; "0" ], "profile: top must be positive");
+      ( [ "attribute"; "gcd"; "--bucket"; "0" ],
+        "attribute: bucket width must be positive" ) ]
+
 (* Check mode end to end: the estimate must succeed on stdout and the
    dual-run summary must land on stderr (either the in-process count or
    the worker-pool phrasing, depending on parallelism). *)
@@ -562,7 +580,9 @@ let () =
             Alcotest.test_case "attribute unknown workload" `Quick
               test_attribute_unknown_workload;
             Alcotest.test_case "unknown backend" `Quick
-              test_backend_bad_name ] );
+              test_backend_bad_name;
+            Alcotest.test_case "messages shared with the daemon" `Quick
+              test_shared_messages ] );
         ( "backend",
           [ Alcotest.test_case "check-mode estimate" `Slow
               test_backend_check_smoke;

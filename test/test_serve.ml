@@ -1438,6 +1438,125 @@ let test_server_shutdown_cleanup () =
     check Alcotest.int "daemon exited cleanly" 0 code;
     check Alcotest.bool "socket file removed" false (Sys.file_exists socket)
 
+(* The daemon's estimate rows are {!Core.Estimate.result}s: under the
+   committed coefficients every field is bit-equal to an offline
+   [Core.Estimate.run], energy_uj included ([energy_pj / 1e6], the
+   conversion every other document uses). *)
+let test_router_estimate_rows_offline () =
+  let model = Core.Template.load "../coeffs.txt" in
+  let router =
+    Serve.Router.create ~jobs:1 ~characterize:(fun _ -> model) ()
+  in
+  Fun.protect ~finally:(fun () -> Serve.Router.shutdown router) @@ fun () ->
+  let cases =
+    Workloads.Suite.applications () @ [ Workloads.Suite.find "rs_gfmac" ]
+  in
+  let names = List.map (fun c -> c.Core.Extract.case_name) cases in
+  let resp =
+    Serve.Router.handle router
+      (J.Obj
+         [ ("op", J.Str "estimate");
+           ("workloads", J.Arr (List.map (fun n -> J.Str n) names)) ])
+  in
+  check Alcotest.bool "estimate ok" true (as_bool (member "ok" resp));
+  let rows =
+    match member "results" resp with
+    | J.Arr l -> l
+    | _ -> Alcotest.fail "results is not an array"
+  in
+  check Alcotest.int "one row per workload" (List.length cases)
+    (List.length rows);
+  let bits row k = Int64.bits_of_float (as_float (member k row)) in
+  List.iter2
+    (fun (c : Core.Extract.case) row ->
+      let r = Core.Estimate.run model c in
+      let n = c.Core.Extract.case_name in
+      check Alcotest.int64 (n ^ " energy_pj")
+        (Int64.bits_of_float r.Core.Estimate.energy_pj) (bits row "energy_pj");
+      check Alcotest.int64 (n ^ " energy_uj")
+        (Int64.bits_of_float r.Core.Estimate.energy_uj) (bits row "energy_uj");
+      check Alcotest.int (n ^ " cycles") r.Core.Estimate.cycles
+        (as_int (member "cycles" row));
+      check Alcotest.int (n ^ " instructions") r.Core.Estimate.instructions
+        (as_int (member "instructions" row)))
+    cases rows
+
+(* Refusals the CLI shares: the daemon's "error" is the text [xenergy]
+   prints after "xenergy: " (test_cli checks the other surface). *)
+let test_router_shared_messages () =
+  with_router @@ fun router ->
+  List.iter
+    (fun (req, want) ->
+      let resp = Serve.Router.handle router (J.Obj req) in
+      check Alcotest.bool (want ^ ": refused") false (as_bool (member "ok" resp));
+      check Alcotest.string want want
+        (match member "error" resp with
+         | J.Str s -> s
+         | _ -> Alcotest.fail "error is not a string"))
+    [ ( [ ("op", J.Str "profile"); ("workload", J.Str "nosuch") ],
+        "unknown workload \"nosuch\"; try `xenergy list'" );
+      ( [ ("op", J.Str "estimate"); ("workloads", J.Arr [ J.Str "nosuch" ]) ],
+        "unknown workload \"nosuch\"; try `xenergy list'" );
+      ( [ ("op", J.Str "explore"); ("space", J.Str "nosuch") ],
+        "unknown space \"nosuch\"; available: rs, rs-cache, mac-widths" );
+      ( [ ("op", J.Str "profile"); ("workload", J.Str "gcd");
+          ("top", J.Num 0.0) ],
+        "profile: top must be positive" );
+      ( [ ("op", J.Str "attribute"); ("workload", J.Str "gcd");
+          ("bucket_cycles", J.Num (-1.0)) ],
+        "attribute: bucket width must be positive" );
+      ( [ ("op", J.Str "audit"); ("workloads", J.Arr []) ],
+        "audit: empty workload list" ) ];
+  check Alcotest.int "no refusal characterized" 0
+    (as_int
+       (member "registry_misses"
+          (Serve.Router.handle router (J.Obj [ ("op", J.Str "stats") ]))))
+
+(* A backend divergence is a request error, not a crash: the reply
+   carries the mismatch text, an error-level backend:mismatch log record
+   is written, and the next request is served. *)
+let test_router_backend_mismatch () =
+  let path = Filename.temp_file "xenergy-mismatch" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Log.close ();
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let failed = ref false in
+  let characterize _ =
+    if !failed then stub_model
+    else begin
+      failed := true;
+      raise (Sim.Backend.Mismatch "backend check: cycles diverged (interp 1, threaded 2)")
+    end
+  in
+  let router = Serve.Router.create ~jobs:1 ~characterize () in
+  Fun.protect ~finally:(fun () -> Serve.Router.shutdown router) @@ fun () ->
+  Obs.Log.open_file path;
+  let req =
+    J.Obj [ ("op", J.Str "estimate"); ("workloads", J.Arr [ J.Str "gcd" ]) ]
+  in
+  let bad = Serve.Router.handle router req in
+  check Alcotest.bool "mismatch refused" false (as_bool (member "ok" bad));
+  check Alcotest.string "mismatch text answered"
+    "backend check: cycles diverged (interp 1, threaded 2)"
+    (match member "error" bad with J.Str s -> s | _ -> "");
+  let good = Serve.Router.handle router req in
+  check Alcotest.bool "next request served" true (as_bool (member "ok" good));
+  Obs.Log.close ();
+  let records =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map J.parse
+  in
+  match
+    List.find_opt (fun r -> member "event" r = J.Str "backend:mismatch") records
+  with
+  | Some r ->
+    check Alcotest.bool "error level" true (member "level" r = J.Str "error")
+  | None -> Alcotest.fail "no backend:mismatch log record"
+
 let () =
   Alcotest.run "serve"
     [ ( "protocol",
@@ -1470,7 +1589,13 @@ let () =
             test_router_timings_and_trace;
           Alcotest.test_case "status op" `Quick test_router_status_op;
           Alcotest.test_case "slow-request log" `Quick
-            test_router_slow_request_log ] );
+            test_router_slow_request_log;
+          Alcotest.test_case "estimate rows = offline estimate" `Quick
+            test_router_estimate_rows_offline;
+          Alcotest.test_case "messages shared with the CLI" `Quick
+            test_router_shared_messages;
+          Alcotest.test_case "backend mismatch answered" `Quick
+            test_router_backend_mismatch ] );
       ( "daemon",
         [ Alcotest.test_case "cold/warm + metrics" `Slow
             test_server_cold_warm_and_metrics;
