@@ -491,14 +491,18 @@ let extension_of_name = function
       die "unknown extension %S; available: %s" n
         (String.concat ", " Workloads.Tie_lib.extension_names))
 
-(* Profile the program, run it under the reference estimator, let
-   [header] print from the profile and the reference run's final CPU,
-   then print the reference energy and the macro-model estimate with its
-   error. *)
+(* Profile the program with the reference estimator on its retire hook
+   (one simulation), let [header] print from the profile (and its final
+   CPU), then print the reference energy and the macro-model estimate
+   with its error. *)
 let estimate_external ~model_path ?extension ~name ~header asm =
-  let profile = Core.Extract.profile (Core.Extract.case ?extension name asm) in
-  let ref_pj, cpu = Power.Estimator.estimate_program ?extension asm in
-  header profile cpu;
+  let est = Power.Estimator.create ?extension Sim.Config.default in
+  let profile =
+    Core.Extract.profile ~hook:(Power.Estimator.hook est asm)
+      (Core.Extract.case ?extension name asm)
+  in
+  let ref_pj = Power.Estimator.total_energy est in
+  header profile;
   Format.fprintf fmt "reference energy: %a@." Power.Report.pp_energy ref_pj;
   let est =
     Core.Estimate.of_profile (Serve.Service.model (service model_path)) profile
@@ -529,8 +533,7 @@ let run_cmd =
       with Isa.Program.Assembly_error msg -> die "%s: %s" file msg
     in
     estimate_external ~model_path ?extension ~name:"user" asm
-      ~header:(fun profile _ ->
-        Format.fprintf fmt "%a@." Core.Extract.pp_profile profile)
+      ~header:(Format.fprintf fmt "%a@." Core.Extract.pp_profile)
   in
   Cmd.v
     (Cmd.info "run"
@@ -562,9 +565,9 @@ let cc_cmd =
         compiled.Cc.Codegen.c_asm;
     let extension = extension_of_name ext_name in
     estimate_external ~model_path ?extension ~name:"c-program"
-      compiled.Cc.Codegen.c_asm ~header:(fun profile cpu ->
+      compiled.Cc.Codegen.c_asm ~header:(fun profile ->
         Format.fprintf fmt "main returned %d (%d instructions, %d cycles)@."
-          (Sim.Cpu.reg cpu (Isa.Reg.a 10))
+          (Sim.Cpu.reg profile.Core.Extract.cpu (Isa.Reg.a 10))
           profile.Core.Extract.instructions profile.Core.Extract.cycles)
   in
   Cmd.v

@@ -63,50 +63,12 @@ let diff a b =
     stores = a.stores - b.stores }
 
 (* The key covers exactly what the cached computation reads: the
-   assembled program (code words, entry point, initialised image — not
-   the unassembled source, whose labels and symbol table carry no
-   semantics), the extension specification, the processor configuration,
-   the C(W) tag, whether the reference estimator observes the run, and
-   the simulation backend that would produce the entry.  The backends
-   are bit-identical by contract, but keying them apart means a cached
-   vector never masks a divergence: an entry always records what the
-   named backend actually computed.  Marshal gives a canonical byte
-   string for these pure immutable values; MD5 of that is the content
-   address. *)
-let compute_key ~backend ~complexity_tag ~with_reference ~config
-    (c : Extract.case) =
-  let asm = c.Extract.asm in
-  let code =
-    Array.map
-      (fun (s : Isa.Program.slot) -> (s.Isa.Program.addr, s.Isa.Program.word))
-      asm.Isa.Program.code
-  in
-  let spec = Option.map Tie.Compile.spec c.Extract.extension in
-  let payload =
-    ( "xenergy-eval-cache", 2, backend, complexity_tag, with_reference, code,
-      asm.Isa.Program.entry, asm.Isa.Program.image, spec,
-      (config : Sim.Config.t) )
-  in
-  Digest.to_hex (Digest.string (Marshal.to_string payload []))
-
-(* Computing a key marshals and digests the whole program image, most of
-   a warm daemon estimate, while the daemon keys the same few shared
-   cases ({!Workloads.Suite.find}) on every request.  The last keys are
-   memoized, matched by the case's physical identity and the other
-   inputs' values; the list is swapped whole, so threads need no lock
-   (a lost update only costs a recomputation). *)
-type memo = {
-  m_case : Extract.case;
-  m_backend : string;
-  m_tag : string;
-  m_ref : bool;
-  m_config : Sim.Config.t;
-  m_key : string;
-}
-
-let memo : memo list Atomic.t = Atomic.make []
-let memo_size = 64
-
+   program ({!Extract.digest}, computed once per case), the processor
+   configuration, the C(W) tag, whether the reference estimator observes
+   the run, and the simulation backend that would produce the entry.
+   The backends are bit-identical by contract, but keying them apart
+   means a cached vector never masks a divergence: an entry always
+   records what the named backend actually computed. *)
 let key ?backend ?(complexity_tag = "default") ?(with_reference = false)
     ~(config : Sim.Config.t) (c : Extract.case) =
   let backend =
@@ -114,22 +76,11 @@ let key ?backend ?(complexity_tag = "default") ?(with_reference = false)
     | Some b -> b
     | None -> Sim.Backend.name (Sim.Backend.current ())
   in
-  let same m =
-    m.m_case == c && m.m_ref = with_reference
-    && String.equal m.m_backend backend
-    && String.equal m.m_tag complexity_tag
-    && m.m_config = config
+  let payload =
+    ( "xenergy-eval-cache", 3, backend, complexity_tag, with_reference,
+      Extract.digest c, config )
   in
-  let recent = Atomic.get memo in
-  match List.find_opt same recent with
-  | Some m -> m.m_key
-  | None ->
-    let k = compute_key ~backend ~complexity_tag ~with_reference ~config c in
-    Atomic.set memo
-      ({ m_case = c; m_backend = backend; m_tag = complexity_tag;
-         m_ref = with_reference; m_config = config; m_key = k }
-      :: List.filteri (fun i _ -> i < memo_size - 1) recent);
-    k
+  Digest.to_hex (Digest.string (Marshal.to_string payload []))
 
 (* --- On-disk format ------------------------------------------------------ *)
 

@@ -93,16 +93,17 @@ val key :
   Extract.case ->
   string
 (** Content hash (hex digest) of everything the cached computation
-    depends on: the assembled code words, entry point and initialised
-    memory image of the program, the full extension specification, the
-    processor configuration, whether the reference estimator rides the
-    simulation ([with_reference], default [false]), the simulation
-    [backend] name (default: {!Sim.Backend.name} of
-    {!Sim.Backend.current} — backends are bit-identical by contract,
+    depends on: the program's {!Extract.digest} (code words, entry
+    point, initialised memory image, full extension specification;
+    computed once per case), the processor configuration, whether the
+    reference estimator rides the simulation ([with_reference], default
+    [false]), the simulation [backend] name (default: {!Sim.Backend.name}
+    of {!Sim.Backend.current} — backends are bit-identical by contract,
     but keying them apart means a cached vector can never mask a
     divergence), and a [complexity_tag] naming the C(W) weighting in
     effect (default ["default"]; {!collect} passes the tag of its
-    {!type-complexity} pair). *)
+    {!type-complexity} pair).  Payload version 3: keys made by earlier
+    versions name no entry this one finds. *)
 
 val find : t -> string -> entry option
 (** Look a key up (memory first, then disk); counts a hit or miss.

@@ -2,9 +2,27 @@ type case = {
   case_name : string;
   asm : Isa.Program.asm;
   extension : Tie.Compile.compiled option;
+  digest_slot : Digest.t option Atomic.t;
 }
 
-let case ?extension case_name asm = { case_name; asm; extension }
+let case ?extension case_name asm =
+  { case_name; asm; extension; digest_slot = Atomic.make None }
+
+(* Marshal gives a canonical byte string for these pure immutable values
+   (the code words, not the unassembled source, whose labels and symbol
+   table carry no semantics).  Threads sharing a case may race to fill
+   the slot: every racer computes the same string and all read back the
+   one that won. *)
+let digest c =
+  match Atomic.get c.digest_slot with
+  | Some d -> d
+  | None ->
+    let { Isa.Program.code; entry; image; _ } = c.asm in
+    let code = Array.map (fun (s : Isa.Program.slot) -> (s.addr, s.word)) code in
+    let spec = Option.map Tie.Compile.spec c.extension in
+    let d = Digest.string (Marshal.to_string (code, entry, image, spec) []) in
+    ignore (Atomic.compare_and_set c.digest_slot None (Some d));
+    Option.get (Atomic.get c.digest_slot)
 
 type profile = {
   variables : float array;
@@ -12,6 +30,7 @@ type profile = {
   instructions : int;
   stall_cycles : int;
   outcome : Sim.Cpu.outcome;
+  cpu : Sim.Cpu.t;
 }
 
 let vi_arith = Variables.index Variables.Arith
@@ -73,7 +92,8 @@ let profile ?(config = Sim.Config.default) ?complexity ?hook c =
         cycles = Sim.Cpu.cycles cpu;
         instructions = Sim.Cpu.instructions cpu;
         stall_cycles = (Sim.Tally.stats tally).Sim.Stats.stall_cycles;
-        outcome })
+        outcome;
+        cpu })
 
 let variable p id = p.variables.(Variables.index id)
 

@@ -9,10 +9,11 @@
 
 (** A workload: a program plus the custom-instruction extension it
     needs (if any). *)
-type case = {
+type case = private {
   case_name : string;
   asm : Isa.Program.asm;
   extension : Tie.Compile.compiled option;
+  digest_slot : Digest.t option Atomic.t;  (** {!digest}, once computed *)
 }
 
 val case :
@@ -20,12 +21,20 @@ val case :
 (** [case name asm] — bundle a program (and the extension it needs, if
     any) under a workload name. *)
 
+val digest : case -> Digest.t
+(** Content hash (MD5) of what a simulation of the case reads: the
+    assembled code words, entry point, initialised memory image and the
+    full extension specification.  Computed at the first call and kept
+    in the case, so later calls (from any thread) return the same
+    physical string. *)
+
 type profile = {
   variables : float array;   (** indexed per [Variables.all] *)
   cycles : int;
   instructions : int;
   stall_cycles : int;        (** operand-dependency stall cycles *)
   outcome : Sim.Cpu.outcome;
+  cpu : Sim.Cpu.t;           (** the finished simulator *)
 }
 
 val variables_of_tally : Sim.Tally.t -> float array

@@ -2,11 +2,12 @@
    {!Oracle}, bit for bit, but splits the work the oracle redoes on every
    event into what is static and what is data:
 
-   - A plan per static instruction, keyed by fetch pc and validated by
-     the fetched word and the instruction, holds everything the oracle
+   - A plan per static instruction holds everything the oracle
      re-derives per event: the opcode-decoder wordline, the PC
      incrementer's carry vector, the register-port wordlines and read
-     count, the execution unit and the custom components.
+     count, the execution unit and the custom components.  {!hook}
+     indexes plans by code slot; {!observe} keys them by fetch pc and
+     validates them by the fetched word and the instruction.
    - Nets whose inputs repeat are not re-evaluated.  A hold cycle only
      shifts the pipeline registers, so their toggles over a whole event
      follow in closed form from the distances between adjacent stages,
@@ -387,7 +388,7 @@ type t = {
   cfg : Sim.Config.t;
   insn_units : (string, bank) Hashtbl.t;
   bus_units : bank;
-  plans : plan array;            (* direct-mapped by pc *)
+  plans : plan array;            (* [observe]'s, direct-mapped by pc *)
   energy : float array;          (* per block *)
   mutable seen : int;            (* blocks charged so far, one bit each *)
   order : (string, int) Hashtbl.t;
@@ -689,11 +690,14 @@ let total_energy t =
 
 let hook ?waveform t (asm : Isa.Program.asm) : Sim.Cpu.hook =
   let code = asm.Isa.Program.code in
+  (* One plan per static slot, built at its first retirement. *)
+  let plans = Array.make (Array.length code) no_plan in
   let retire i cycles stall flags ch =
-    let s = code.(i) in
-    core t
-      (plan t s.Isa.Program.addr s.Isa.Program.word s.Isa.Program.instr)
-      cycles stall flags ch
+    if plans.(i) == no_plan then begin
+      let s : Isa.Program.slot = code.(i) in
+      plans.(i) <- plan_of t s.addr s.word s.instr
+    end;
+    core t plans.(i) cycles stall flags ch
   in
   match waveform with
   | None -> fun i _ cycles stall flags ch -> retire i cycles stall flags ch

@@ -6,32 +6,28 @@ let residuals x c e =
   let p = predict x c in
   Array.mapi (fun i pi -> pi -. e.(i)) p
 
-(* Householder QR: reduce [x | e] and back-substitute. *)
-let solve_qr x e =
-  let m = Matrix.rows x and n = Matrix.cols x in
-  if Array.length e <> m then invalid_arg "Lsq.solve_qr: mismatched rhs";
+(* Householder QR on flat arrays: [a] holds an m x n design row-major
+   and [b] the right-hand side; both are reduced in place, then the
+   triangle is back-substituted. *)
+let qr a ~m ~n b =
   if m < n then invalid_arg "Lsq.solve_qr: underdetermined system";
-  let a = Matrix.copy x in
-  let b = Array.copy e in
   for k = 0 to n - 1 do
     (* Householder vector for column k. *)
     let norm = ref 0.0 in
     for i = k to m - 1 do
-      let v = Matrix.get a i k in
+      let v = a.((i * n) + k) in
       norm := !norm +. (v *. v)
     done;
     let norm = sqrt !norm in
     if norm < 1e-12 then raise Singular;
-    let akk = Matrix.get a k k in
+    let akk = a.((k * n) + k) in
     let alpha = if akk >= 0.0 then -.norm else norm in
     (* v = x_k - alpha e_k, stored in place of column k below the
        diagonal; v_k separately. *)
     let vk = akk -. alpha in
-    let vnorm2 =
-      ref (vk *. vk)
-    in
+    let vnorm2 = ref (vk *. vk) in
     for i = k + 1 to m - 1 do
-      let v = Matrix.get a i k in
+      let v = a.((i * n) + k) in
       vnorm2 := !vnorm2 +. (v *. v)
     done;
     if !vnorm2 > 1e-300 then begin
@@ -40,35 +36,29 @@ let solve_qr x e =
          alpha on the diagonal, zeros below, set explicitly afterwards) so
          the reflector stored in it stays intact. *)
       for j = k + 1 to n - 1 do
-        let dot =
-          let acc = ref (vk *. Matrix.get a k j) in
-          for i = k + 1 to m - 1 do
-            acc := !acc +. (Matrix.get a i k *. Matrix.get a i j)
-          done;
-          !acc
-        in
-        let scale = 2.0 *. dot /. !vnorm2 in
-        Matrix.set a k j (Matrix.get a k j -. (scale *. vk));
+        let dot = ref (vk *. a.((k * n) + j)) in
         for i = k + 1 to m - 1 do
-          Matrix.set a i j (Matrix.get a i j -. (scale *. Matrix.get a i k))
+          dot := !dot +. (a.((i * n) + k) *. a.((i * n) + j))
+        done;
+        let scale = 2.0 *. !dot /. !vnorm2 in
+        a.((k * n) + j) <- a.((k * n) + j) -. (scale *. vk);
+        for i = k + 1 to m - 1 do
+          a.((i * n) + j) <- a.((i * n) + j) -. (scale *. a.((i * n) + k))
         done
       done;
-      let dotb =
-        let acc = ref (vk *. b.(k)) in
-        for i = k + 1 to m - 1 do
-          acc := !acc +. (Matrix.get a i k *. b.(i))
-        done;
-        !acc
-      in
-      let scale = 2.0 *. dotb /. !vnorm2 in
+      let dotb = ref (vk *. b.(k)) in
+      for i = k + 1 to m - 1 do
+        dotb := !dotb +. (a.((i * n) + k) *. b.(i))
+      done;
+      let scale = 2.0 *. !dotb /. !vnorm2 in
       b.(k) <- b.(k) -. (scale *. vk);
       for i = k + 1 to m - 1 do
-        b.(i) <- b.(i) -. (scale *. Matrix.get a i k)
+        b.(i) <- b.(i) -. (scale *. a.((i * n) + k))
       done
     end;
-    Matrix.set a k k alpha;
+    a.((k * n) + k) <- alpha;
     for i = k + 1 to m - 1 do
-      Matrix.set a i k 0.0
+      a.((i * n) + k) <- 0.0
     done
   done;
   (* Back substitution on the n x n upper triangle. *)
@@ -76,13 +66,18 @@ let solve_qr x e =
   for i = n - 1 downto 0 do
     let acc = ref b.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (Matrix.get a i j *. c.(j))
+      acc := !acc -. (a.((i * n) + j) *. c.(j))
     done;
-    let d = Matrix.get a i i in
+    let d = a.((i * n) + i) in
     if Float.abs d < 1e-12 then raise Singular;
     c.(i) <- !acc /. d
   done;
   c
+
+let solve_qr x e =
+  let m = Matrix.rows x in
+  if Array.length e <> m then invalid_arg "Lsq.solve_qr: mismatched rhs";
+  qr (Matrix.to_array x) ~m ~n:(Matrix.cols x) (Array.copy e)
 
 (* Gaussian elimination with partial pivoting on a square system. *)
 let gauss_solve a b =
@@ -139,21 +134,26 @@ let solve_normal ?(ridge = 0.0) x e =
 let solve_once x e =
   try solve_qr x e with Singular -> solve_normal ~ridge:1e-6 x e
 
-(* Subset least squares: fit only the columns in [idx] and return the
-   full-length coefficient vector with zeros elsewhere. *)
-let solve_subset x e idx =
-  match idx with
-  | [] -> Array.make (Matrix.cols x) 0.0
-  | _ ->
-    let sub =
-      Matrix.of_rows
-        (Array.init (Matrix.rows x) (fun i ->
-             Array.of_list (List.map (fun j -> Matrix.get x i j) idx)))
+(* Subset least squares: fit only the columns [cols] of the m x n
+   row-major design [xa] and return the full-length coefficient vector
+   with zeros elsewhere. *)
+let solve_subset xa ~m ~n e cols =
+  let k = Array.length cols in
+  let full = Array.make n 0.0 in
+  if k > 0 then begin
+    let sub = Array.make (m * k) 0.0 in
+    for p = 0 to (m * k) - 1 do
+      sub.(p) <- xa.((p / k * n) + cols.(p mod k))
+    done;
+    let c =
+      try qr (Array.copy sub) ~m ~n:k (Array.copy e)
+      with Singular ->
+        let row i = Array.sub sub (i * k) k in
+        solve_normal ~ridge:1e-6 (Matrix.of_rows (Array.init m row)) e
     in
-    let c = solve_once sub e in
-    let full = Array.make (Matrix.cols x) 0.0 in
-    List.iteri (fun k j -> full.(j) <- c.(k)) idx;
-    full
+    Array.iteri (fun q j -> full.(j) <- c.(q)) cols
+  end;
+  full
 
 (* Lawson-Hanson non-negative least squares.  Columns enter the passive
    set one at a time by steepest descent of the residual; inner loop
@@ -164,29 +164,38 @@ let nnls_iterations = lazy (Obs.Metrics.counter "nnls_iterations_total")
 
 let solve_nnls x e =
   Obs.Metrics.inc (Lazy.force nnls_solves);
-  let n = Matrix.cols x in
+  let m = Matrix.rows x and n = Matrix.cols x in
+  if Array.length e <> m then invalid_arg "Lsq.solve_nnls: mismatched rhs";
+  let xa = Matrix.to_array x in
   let passive = Array.make n false in
   let xcur = Array.make n 0.0 in
+  let r = Array.make m 0.0 and w = Array.make n 0.0 in
+  (* w = X^T (e - X xcur), into [w]. *)
   let gradient () =
-    let r =
-      let p = predict x xcur in
-      Array.mapi (fun i pi -> e.(i) -. pi) p
-    in
-    Array.init n (fun j ->
-        let acc = ref 0.0 in
-        for i = 0 to Matrix.rows x - 1 do
-          acc := !acc +. (Matrix.get x i j *. r.(i))
-        done;
-        !acc)
+    for i = 0 to m - 1 do
+      let p = ref 0.0 in
+      for j = 0 to n - 1 do
+        p := !p +. (xa.((i * n) + j) *. xcur.(j))
+      done;
+      r.(i) <- e.(i) -. !p
+    done;
+    for j = 0 to n - 1 do
+      let acc = ref 0.0 in
+      for i = 0 to m - 1 do
+        acc := !acc +. (xa.((i * n) + j) *. r.(i))
+      done;
+      w.(j) <- !acc
+    done
   in
-  let passive_list () =
-    List.filter (fun j -> passive.(j)) (List.init n (fun j -> j))
+  let indices = List.init n Fun.id in
+  let passive_cols () =
+    Array.of_list (List.filter (fun j -> passive.(j)) indices)
   in
   let tol = 1e-7 in
   let rec outer iter =
     if iter > 3 * n then ()
     else begin
-      let w = gradient () in
+      gradient ();
       let best = ref (-1) in
       Array.iteri
         (fun j wj ->
@@ -197,10 +206,9 @@ let solve_nnls x e =
       else begin
         passive.(!best) <- true;
         let rec inner () =
-          let z = solve_subset x e (passive_list ()) in
+          let z = solve_subset xa ~m ~n e (passive_cols ()) in
           let negs =
-            List.filter (fun j -> passive.(j) && z.(j) <= tol)
-              (List.init n (fun j -> j))
+            List.filter (fun j -> passive.(j) && z.(j) <= tol) indices
           in
           if negs = [] then Array.blit z 0 xcur 0 n
           else begin
@@ -221,7 +229,7 @@ let solve_nnls x e =
                 end
               end
             done;
-            if passive_list () <> [] then inner ()
+            if Array.exists Fun.id passive then inner ()
           end
         in
         inner ();

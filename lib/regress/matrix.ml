@@ -31,6 +31,8 @@ let of_rows arr =
 
 let copy m = { m with data = Array.copy m.data }
 
+let to_array m = Array.copy m.data
+
 let identity n =
   let m = make n n in
   for i = 0 to n - 1 do
@@ -69,18 +71,3 @@ let mul_vec m v =
         acc := !acc +. (get m i j *. v.(j))
       done;
       !acc)
-
-let row m i = Array.init m.ncols (fun j -> get m i j)
-
-let map f m = { m with data = Array.map f m.data }
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.nrows - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to m.ncols - 1 do
-      Format.fprintf ppf "%s%10.4g" (if j > 0 then " " else "") (get m i j)
-    done;
-    Format.fprintf ppf "]@,"
-  done;
-  Format.fprintf ppf "@]"

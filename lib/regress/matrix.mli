@@ -18,6 +18,9 @@ val set : t -> int -> int -> float -> unit
 
 val copy : t -> t
 
+val to_array : t -> float array
+(** A fresh row-major copy: [(to_array m).(i * cols m + j) = get m i j]. *)
+
 val identity : int -> t
 
 val transpose : t -> t
@@ -26,9 +29,3 @@ val mul : t -> t -> t
 (** @raise Invalid_argument on dimension mismatch. *)
 
 val mul_vec : t -> float array -> float array
-
-val row : t -> int -> float array
-
-val map : (float -> float) -> t -> t
-
-val pp : Format.formatter -> t -> unit

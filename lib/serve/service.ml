@@ -50,6 +50,7 @@ let fail fmt = Printf.ksprintf failwith fmt
 let message = function
   | Failure msg | Invalid_argument msg -> Some msg
   | Obs.Json.Parse_error msg -> Some ("invalid JSON: " ^ msg)
+  | Sim.Cpu.Sim_error msg -> Some ("simulation failed: " ^ msg)
   | Sim.Backend.Mismatch msg ->
     Obs.Log.event ~level:Obs.Log.Error "backend:mismatch"
       [ ("error", Obs.Trace.S msg) ];

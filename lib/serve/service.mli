@@ -10,7 +10,8 @@
 
     Ops fail with [Failure] (an unknown workload or space, a
     non-positive [top] or bucket width, an empty workload list, an
-    unloadable model file) or, under the [check] backend, with
+    unloadable model file), with [Sim.Cpu.Sim_error] when the program
+    faults in the simulator, or, under the [check] backend, with
     [Sim.Backend.Mismatch].  {!message} gives the text both surfaces
     report: the CLI prints it after ["xenergy: "] and exits 123, the
     router answers [{"ok": false, "error": ...}].
@@ -111,7 +112,9 @@ val space : string -> unit -> Core.Explore.candidate list
 
 val message : exn -> string option
 (** The message of a failed op: [Failure] and [Invalid_argument] carry
-    theirs, a JSON parse error reads ["invalid JSON: ..."], and a
+    theirs, a JSON parse error reads ["invalid JSON: ..."], a simulator
+    fault ([Sim.Cpu.Sim_error], such as a custom instruction run without
+    its extension) ["simulation failed: ..."], and a
     [Sim.Backend.Mismatch] names its divergence (and is also written as
     an error-level [backend:mismatch] log record).  [None] for any other
     exception: a fault in the program, not in the request. *)

@@ -79,6 +79,29 @@ let test_shared_messages () =
       ( [ "attribute"; "gcd"; "--bucket"; "0" ],
         "attribute: bucket width must be positive" ) ]
 
+(* A program whose custom instructions have no extension installed
+   faults in the simulator: [run] and [cc] print one diagnostic line and
+   exit 123, like any refused request, instead of an uncaught
+   exception. *)
+let test_simulator_fault () =
+  let want =
+    "xenergy: simulation failed: custom instruction \"clracc\" but no \
+     extension installed\n"
+  in
+  List.iter
+    (fun (cmd, suffix, source) ->
+      let file = Filename.temp_file "xenergy_fault" suffix in
+      Out_channel.with_open_text file (fun oc -> output_string oc source);
+      let code, out, err =
+        run_xenergy [ cmd; "-m"; Filename.concat ".." "coeffs.txt"; file ]
+      in
+      Sys.remove file;
+      check Alcotest.int (cmd ^ ": exit code") 123 code;
+      check Alcotest.string (cmd ^ ": stdout stays clean") "" out;
+      check Alcotest.string (cmd ^ ": one diagnostic line") want err)
+    [ ("run", ".s", "main:\n  tie.clracc\n  break\n");
+      ("cc", ".c", "int main() { __tie_clracc(); return 0; }\n") ]
+
 (* Check mode end to end: the estimate must succeed on stdout and the
    dual-run summary must land on stderr (either the in-process count or
    the worker-pool phrasing, depending on parallelism). *)
@@ -581,6 +604,8 @@ let () =
               test_attribute_unknown_workload;
             Alcotest.test_case "unknown backend" `Quick
               test_backend_bad_name;
+            Alcotest.test_case "simulator fault is one diagnostic" `Quick
+              test_simulator_fault;
             Alcotest.test_case "messages shared with the daemon" `Quick
               test_shared_messages ] );
         ( "backend",

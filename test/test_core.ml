@@ -1322,17 +1322,41 @@ let test_cache_key_sensitivity () =
         (Core.Eval_cache.key ~config:small_config case);
       check Alcotest.string "explicit backend overrides the default" k
         (Core.Eval_cache.key ~backend:"threaded" ~config:small_config case));
-  (* Keys are memoized per physical case: a rebuilt copy of the same
-     program keys the same, and the memo never answers for other
-     inputs. *)
+  (* A case digests its program once and keeps the digest: a second
+     read returns the very same string. *)
+  check Alcotest.bool "program digest computed once" true
+    (Core.Extract.digest case == Core.Extract.digest case);
+  (* The key is a function of the program's content, not of the case
+     value: a rebuilt copy of the same program keys the same, and a kept
+     digest never answers for other inputs. *)
   let copy = List.hd (small_suite ()) in
   check Alcotest.bool "a distinct copy" true (copy != case);
   check Alcotest.string "a copy keys the same" k
     (Core.Eval_cache.key ~config:small_config copy);
-  distinct "configuration, after memoizing"
+  distinct "configuration, once the digest is kept"
     (Core.Eval_cache.key ~config:smaller_icache copy);
-  check Alcotest.string "the memo keeps both" k
-    (Core.Eval_cache.key ~config:small_config copy)
+  check Alcotest.string "the kept digest serves both" k
+    (Core.Eval_cache.key ~config:small_config copy);
+  (* One case over the rs-cache space's icache configurations, with and
+     without the reference estimator: every key distinct. *)
+  let cands = Workloads.Spaces.rs_cache () in
+  let rs_case = (List.hd cands).Core.Explore.case in
+  let configs =
+    List.sort_uniq compare
+      (List.map (fun (c : Core.Explore.candidate) -> c.Core.Explore.config) cands)
+  in
+  check Alcotest.int "rs-cache icache configs" 4 (List.length configs);
+  let rs_keys =
+    List.concat_map
+      (fun config ->
+        List.map
+          (fun with_reference ->
+            Core.Eval_cache.key ~with_reference ~config rs_case)
+          [ false; true ])
+      configs
+  in
+  check Alcotest.int "rs-cache: 4 configs x 2 reference flags" 8
+    (List.length (List.sort_uniq compare rs_keys))
 
 let gnarly_entry =
   { Core.Eval_cache.e_name = "gnarly \"name\"\twith\nescapes";

@@ -190,6 +190,207 @@ let qcheck_nnls_backtracking_terminates =
       let c = Regress.Lsq.solve_nnls x e in
       Array.for_all (fun v -> Float.is_finite v && v >= 0.0) c)
 
+(* The solvers as they were written over [Matrix.get], before they moved
+   to flat arrays: the reference the flat versions must match bit for
+   bit, operation order included. *)
+module Boxed = struct
+  module M = Regress.Matrix
+
+  let solve_qr x e =
+    let m = M.rows x and n = M.cols x in
+    if Array.length e <> m then invalid_arg "Lsq.solve_qr: mismatched rhs";
+    if m < n then invalid_arg "Lsq.solve_qr: underdetermined system";
+    let a = M.copy x in
+    let b = Array.copy e in
+    for k = 0 to n - 1 do
+      let norm = ref 0.0 in
+      for i = k to m - 1 do
+        let v = M.get a i k in
+        norm := !norm +. (v *. v)
+      done;
+      let norm = sqrt !norm in
+      if norm < 1e-12 then raise Regress.Lsq.Singular;
+      let akk = M.get a k k in
+      let alpha = if akk >= 0.0 then -.norm else norm in
+      let vk = akk -. alpha in
+      let vnorm2 = ref (vk *. vk) in
+      for i = k + 1 to m - 1 do
+        let v = M.get a i k in
+        vnorm2 := !vnorm2 +. (v *. v)
+      done;
+      if !vnorm2 > 1e-300 then begin
+        for j = k + 1 to n - 1 do
+          let dot =
+            let acc = ref (vk *. M.get a k j) in
+            for i = k + 1 to m - 1 do
+              acc := !acc +. (M.get a i k *. M.get a i j)
+            done;
+            !acc
+          in
+          let scale = 2.0 *. dot /. !vnorm2 in
+          M.set a k j (M.get a k j -. (scale *. vk));
+          for i = k + 1 to m - 1 do
+            M.set a i j (M.get a i j -. (scale *. M.get a i k))
+          done
+        done;
+        let dotb =
+          let acc = ref (vk *. b.(k)) in
+          for i = k + 1 to m - 1 do
+            acc := !acc +. (M.get a i k *. b.(i))
+          done;
+          !acc
+        in
+        let scale = 2.0 *. dotb /. !vnorm2 in
+        b.(k) <- b.(k) -. (scale *. vk);
+        for i = k + 1 to m - 1 do
+          b.(i) <- b.(i) -. (scale *. M.get a i k)
+        done
+      end;
+      M.set a k k alpha;
+      for i = k + 1 to m - 1 do
+        M.set a i k 0.0
+      done
+    done;
+    let c = Array.make n 0.0 in
+    for i = n - 1 downto 0 do
+      let acc = ref b.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (M.get a i j *. c.(j))
+      done;
+      let d = M.get a i i in
+      if Float.abs d < 1e-12 then raise Regress.Lsq.Singular;
+      c.(i) <- !acc /. d
+    done;
+    c
+
+  let solve_once x e =
+    try solve_qr x e
+    with Regress.Lsq.Singular -> Regress.Lsq.solve_normal ~ridge:1e-6 x e
+
+  let solve_subset x e idx =
+    match idx with
+    | [] -> Array.make (M.cols x) 0.0
+    | _ ->
+      let sub =
+        M.of_rows
+          (Array.init (M.rows x) (fun i ->
+               Array.of_list (List.map (fun j -> M.get x i j) idx)))
+      in
+      let c = solve_once sub e in
+      let full = Array.make (M.cols x) 0.0 in
+      List.iteri (fun k j -> full.(j) <- c.(k)) idx;
+      full
+
+  let solve_nnls x e =
+    let n = M.cols x in
+    let passive = Array.make n false in
+    let xcur = Array.make n 0.0 in
+    let gradient () =
+      let r =
+        let p = M.mul_vec x xcur in
+        Array.mapi (fun i pi -> e.(i) -. pi) p
+      in
+      Array.init n (fun j ->
+          let acc = ref 0.0 in
+          for i = 0 to M.rows x - 1 do
+            acc := !acc +. (M.get x i j *. r.(i))
+          done;
+          !acc)
+    in
+    let passive_list () =
+      List.filter (fun j -> passive.(j)) (List.init n (fun j -> j))
+    in
+    let tol = 1e-7 in
+    let rec outer iter =
+      if iter > 3 * n then ()
+      else begin
+        let w = gradient () in
+        let best = ref (-1) in
+        Array.iteri
+          (fun j wj ->
+            if (not passive.(j)) && wj > tol
+               && (!best < 0 || wj > w.(!best)) then best := j)
+          w;
+        if !best < 0 then ()
+        else begin
+          passive.(!best) <- true;
+          let rec inner () =
+            let z = solve_subset x e (passive_list ()) in
+            let negs =
+              List.filter (fun j -> passive.(j) && z.(j) <= tol)
+                (List.init n (fun j -> j))
+            in
+            if negs = [] then Array.blit z 0 xcur 0 n
+            else begin
+              let alpha =
+                List.fold_left
+                  (fun a j ->
+                    let d = xcur.(j) -. z.(j) in
+                    if d > 1e-300 then Float.min a (xcur.(j) /. d) else a)
+                  1.0 negs
+              in
+              for j = 0 to n - 1 do
+                if passive.(j) then begin
+                  xcur.(j) <- xcur.(j) +. (alpha *. (z.(j) -. xcur.(j)));
+                  if xcur.(j) <= tol then begin
+                    xcur.(j) <- 0.0;
+                    passive.(j) <- false
+                  end
+                end
+              done;
+              if passive_list () <> [] then inner ()
+            end
+          in
+          inner ();
+          outer (iter + 1)
+        end
+      end
+    in
+    outer 0;
+    xcur
+end
+
+(* A random design of one of five shapes: tall, square, tall with a
+   zeroed column, tall and rank deficient (a column repeating another,
+   scaled), which takes [solve_once]'s [Singular] -> ridge path, or tall
+   with a vanishing column against a huge right-hand side, which NNLS
+   lets into its passive set, so its subset solve takes that path. *)
+let random_design (shape, seed) =
+  let g = Workloads.Prng.create seed in
+  let cols = 1 + Workloads.Prng.int g 8 in
+  let rows = if shape = 1 then cols else cols + 1 + Workloads.Prng.int g 8 in
+  let entry () = float_of_int (Workloads.Prng.int g 2000 - 1000) /. 100.0 in
+  let x = Array.init rows (fun _ -> Array.init cols (fun _ -> entry ())) in
+  (match shape with
+   | 2 ->
+     let z = Workloads.Prng.int g cols in
+     Array.iter (fun r -> r.(z) <- 0.0) x
+   | 3 when cols > 1 ->
+     let src = Workloads.Prng.int g cols in
+     let dst = (src + 1 + Workloads.Prng.int g (cols - 1)) mod cols in
+     Array.iter (fun r -> r.(dst) <- 2.0 *. r.(src)) x
+   | 4 ->
+     let z = Workloads.Prng.int g cols in
+     Array.iter (fun r -> r.(z) <- r.(z) *. 1e-14) x
+   | _ -> ());
+  let scale = if shape = 4 then 1e14 else 10.0 in
+  (m_of x, Array.init rows (fun _ -> entry () *. scale))
+
+let bits_of f x e =
+  match f x e with
+  | c -> Ok (Array.to_list (Array.map Int64.bits_of_float c))
+  | exception Regress.Lsq.Singular -> Error "singular"
+
+let qcheck_flat_solvers_match_boxed =
+  QCheck.Test.make ~name:"flat solvers = Matrix.get reference, bit for bit"
+    ~count:300
+    QCheck.(pair (int_bound 4) (int_bound 100_000))
+    (fun input ->
+      let x, e = random_design input in
+      bits_of Regress.Lsq.solve_qr x e = bits_of Boxed.solve_qr x e
+      && bits_of Regress.Lsq.solve_once x e = bits_of Boxed.solve_once x e
+      && bits_of Regress.Lsq.solve_nnls x e = bits_of Boxed.solve_nnls x e)
+
 let test_nnls_lawson_hanson_example () =
   (* The classic 4x2 example from Lawson & Hanson: the unconstrained
      solution has a negative first component, NNLS clamps it. *)
@@ -258,6 +459,7 @@ let () =
             qcheck_nnls_matches_unconstrained_when_positive;
           QCheck_alcotest.to_alcotest qcheck_nnls_agrees_with_solve_once;
           QCheck_alcotest.to_alcotest qcheck_nnls_backtracking_terminates;
+          QCheck_alcotest.to_alcotest qcheck_flat_solvers_match_boxed;
           Alcotest.test_case "Lawson-Hanson example" `Quick
             test_nnls_lawson_hanson_example;
           Alcotest.test_case "residuals" `Quick test_residuals ] );

@@ -1512,6 +1512,30 @@ let test_router_shared_messages () =
        (member "registry_misses"
           (Serve.Router.handle router (J.Obj [ ("op", J.Str "stats") ]))))
 
+(* A router whose characterization raises [exn] once: the request that
+   hits it is refused with [want] as its error text, and the next
+   request is served. *)
+let refused_once ~what exn want =
+  let failed = ref false in
+  let characterize _ =
+    if !failed then stub_model
+    else begin
+      failed := true;
+      raise exn
+    end
+  in
+  let router = Serve.Router.create ~jobs:1 ~characterize () in
+  Fun.protect ~finally:(fun () -> Serve.Router.shutdown router) @@ fun () ->
+  let req =
+    J.Obj [ ("op", J.Str "estimate"); ("workloads", J.Arr [ J.Str "gcd" ]) ]
+  in
+  let bad = Serve.Router.handle router req in
+  check Alcotest.bool (what ^ " refused") false (as_bool (member "ok" bad));
+  check Alcotest.string (what ^ " text answered") want
+    (match member "error" bad with J.Str s -> s | _ -> "");
+  let good = Serve.Router.handle router req in
+  check Alcotest.bool "next request served" true (as_bool (member "ok" good))
+
 (* A backend divergence is a request error, not a crash: the reply
    carries the mismatch text, an error-level backend:mismatch log record
    is written, and the next request is served. *)
@@ -1522,27 +1546,9 @@ let test_router_backend_mismatch () =
       Obs.Log.close ();
       try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let failed = ref false in
-  let characterize _ =
-    if !failed then stub_model
-    else begin
-      failed := true;
-      raise (Sim.Backend.Mismatch "backend check: cycles diverged (interp 1, threaded 2)")
-    end
-  in
-  let router = Serve.Router.create ~jobs:1 ~characterize () in
-  Fun.protect ~finally:(fun () -> Serve.Router.shutdown router) @@ fun () ->
   Obs.Log.open_file path;
-  let req =
-    J.Obj [ ("op", J.Str "estimate"); ("workloads", J.Arr [ J.Str "gcd" ]) ]
-  in
-  let bad = Serve.Router.handle router req in
-  check Alcotest.bool "mismatch refused" false (as_bool (member "ok" bad));
-  check Alcotest.string "mismatch text answered"
-    "backend check: cycles diverged (interp 1, threaded 2)"
-    (match member "error" bad with J.Str s -> s | _ -> "");
-  let good = Serve.Router.handle router req in
-  check Alcotest.bool "next request served" true (as_bool (member "ok" good));
+  let text = "backend check: cycles diverged (interp 1, threaded 2)" in
+  refused_once ~what:"mismatch" (Sim.Backend.Mismatch text) text;
   Obs.Log.close ();
   let records =
     In_channel.with_open_text path In_channel.input_all
@@ -1556,6 +1562,13 @@ let test_router_backend_mismatch () =
   | Some r ->
     check Alcotest.bool "error level" true (member "level" r = J.Str "error")
   | None -> Alcotest.fail "no backend:mismatch log record"
+
+(* A simulator fault answers with the CLI's one-line text, not the
+   printed exception. *)
+let test_router_simulator_fault () =
+  let text = "custom instruction \"clracc\" but no extension installed" in
+  refused_once ~what:"simulator fault" (Sim.Cpu.Sim_error text)
+    ("simulation failed: " ^ text)
 
 let () =
   Alcotest.run "serve"
@@ -1595,7 +1608,9 @@ let () =
           Alcotest.test_case "messages shared with the CLI" `Quick
             test_router_shared_messages;
           Alcotest.test_case "backend mismatch answered" `Quick
-            test_router_backend_mismatch ] );
+            test_router_backend_mismatch;
+          Alcotest.test_case "simulator fault answered" `Quick
+            test_router_simulator_fault ] );
       ( "daemon",
         [ Alcotest.test_case "cold/warm + metrics" `Slow
             test_server_cold_warm_and_metrics;
