@@ -76,8 +76,15 @@ let collect_with_report ?(config = Sim.Config.default) ?complexity ?jobs
 let collect ?config ?complexity ?jobs ?cache cases =
   fst (collect_with_report ?config ?complexity ?jobs ?cache cases)
 
+(* Registered at start-up, not at the first fit: a run that fits nothing
+   (a warm sweep, a daemon reading stored models) reports 0. *)
+let fits =
+  Obs.Metrics.counter ~help:"macro-model fits (fit_samples calls)"
+    "characterize_fits_total"
+
 let fit_samples ?(nonnegative = true) samples =
   Obs.Trace.with_span ~cat:"characterize" "fit" @@ fun () ->
+  Obs.Metrics.inc fits;
   let n = List.length samples in
   if n = 0 then invalid_arg "Characterize.fit_samples: no samples";
   let nvars = Variables.count in
@@ -155,6 +162,27 @@ let cross_validate ?nonnegative ?jobs samples =
 
 let run ?config ?complexity ?nonnegative ?jobs ?cache cases =
   fit_samples ?nonnegative (collect ?config ?complexity ?jobs ?cache cases)
+
+(* A fitted model is a cache entry like any other: a hit reads one entry
+   instead of every sample, and runs no fit. *)
+let model ?jobs ?(nonnegative = true) ~cache ~config cases =
+  let k =
+    Eval_cache.model_key ~nonnegative
+      (List.map (Eval_cache.key ~with_reference:true ~config) cases)
+  in
+  match Eval_cache.find cache k with
+  | Some e -> (Template.make e.Eval_cache.e_variables, 0)
+  | None ->
+    let samples, report = collect_with_report ?jobs ~cache ~config cases in
+    let m = (fit_samples ~nonnegative samples).model in
+    Eval_cache.store cache k
+      { Eval_cache.e_name = "model";
+        e_variables = m.Template.coefficients;
+        e_cycles = 0;
+        e_instructions = 0;
+        e_stall_cycles = 0;
+        e_measured_pj = None };
+    (m, Run_report.total_simulations report)
 
 let pp_fit ppf f =
   Format.fprintf ppf "@[<v>%-24s %14s %14s %8s@," "test program"

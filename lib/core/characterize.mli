@@ -48,7 +48,8 @@ val collect_with_report :
     served from [cache] reports [simulations = 0] and zero wall time. *)
 
 val fit_samples : ?nonnegative:bool -> sample list -> fit
-(** Regression over collected samples.
+(** Regression over collected samples; every call counts into the
+    [characterize_fits_total] metric.
     @raise Invalid_argument with fewer samples than variables that are
     actually exercised. *)
 
@@ -61,6 +62,22 @@ val run :
   Extract.case list ->
   fit
 (** [collect] followed by [fit_samples]. *)
+
+val model :
+  ?jobs:int ->
+  ?nonnegative:bool ->
+  cache:Eval_cache.t ->
+  config:Sim.Config.t ->
+  Extract.case list ->
+  Template.model * int
+(** Read-through fitted model: the model {!fit_samples} fits over
+    [cases] under [config], and the number of simulations spent on it.
+    The model is itself a [cache] entry, keyed by
+    {!Eval_cache.model_key} over the cases' sample keys: a hit reads
+    that one entry and runs neither a simulation nor a fit; a miss
+    runs {!collect_with_report} and {!fit_samples} and stores the
+    model.  Its coefficients round-trip through the entry bit for
+    bit. *)
 
 val cross_validate :
   ?nonnegative:bool -> ?jobs:int -> sample list -> float option array

@@ -62,6 +62,16 @@ let diff a b =
     errors = a.errors - b.errors;
     stores = a.stores - b.stores }
 
+let payload_version = 3
+
+(* A fitted model's entry is a pure function of its samples' entries and
+   of the fitting code.  Any change to [Regress.Lsq] or to
+   [Characterize.fit_samples] that can change a coefficient's bits must
+   bump this version, or a warm cache keeps serving the old fit. *)
+let model_version = 1
+
+let digest payload = Digest.to_hex (Digest.string (Marshal.to_string payload []))
+
 (* The key covers exactly what the cached computation reads: the
    program ({!Extract.digest}, computed once per case), the processor
    configuration, the C(W) tag, whether the reference estimator observes
@@ -76,11 +86,12 @@ let key ?backend ?(complexity_tag = "default") ?(with_reference = false)
     | Some b -> b
     | None -> Sim.Backend.name (Sim.Backend.current ())
   in
-  let payload =
-    ( "xenergy-eval-cache", 3, backend, complexity_tag, with_reference,
-      Extract.digest c, config )
-  in
-  Digest.to_hex (Digest.string (Marshal.to_string payload []))
+  digest
+    ( "xenergy-eval-cache", payload_version, backend, complexity_tag,
+      with_reference, Extract.digest c, config )
+
+let model_key ~nonnegative sample_keys =
+  digest ("xenergy-model", model_version, nonnegative, sample_keys)
 
 (* --- On-disk format ------------------------------------------------------ *)
 
@@ -154,21 +165,29 @@ let load_disk t k =
   match path_of t k with
   | None -> None
   | Some path ->
-    if not (Sys.file_exists path) then None
-    else begin
-      match
-        let s = In_channel.with_open_text path In_channel.input_all in
-        (entry_of_json ~expect_key:k s, String.length s)
-      with
-      | e, size ->
-        touch t k e ~size;
-        Some e
-      | exception _ ->
-        (* Corrupted, truncated or foreign file: recompute rather than
-           fail, and leave a trail in the error counter. *)
-        count_error t;
-        None
-    end
+    (* Open directly: a file that is not there (never stored, or pruned
+       by another process since the caller asked) is a plain miss. *)
+    match
+      let ic =
+        Unix.in_channel_of_descr
+          (Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
+      in
+      let s =
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> In_channel.input_all ic)
+      in
+      (entry_of_json ~expect_key:k s, String.length s)
+    with
+    | e, size ->
+      touch t k e ~size;
+      Some e
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> None
+    | exception _ ->
+      (* Corrupted, truncated or foreign file: recompute rather than
+         fail, and leave a trail in the error counter. *)
+      count_error t;
+      None
 
 let find t k =
   locked t @@ fun () ->

@@ -105,6 +105,17 @@ val key :
     {!type-complexity} pair).  Payload version 3: keys made by earlier
     versions name no entry this one finds. *)
 
+val model_key : nonnegative:bool -> string list -> string
+(** [model_key ~nonnegative sample_keys] keys the macro-model fitted
+    over the samples stored under [sample_keys] (reference-carrying
+    {!key}s, in fitting order): it inherits everything they cover and
+    adds the [nonnegative] fitting flag and a model version.  The
+    version must be bumped whenever a change to [Regress.Lsq] or
+    [Characterize.fit_samples] can change a coefficient's bits.  The
+    model is stored as an ordinary entry: name ["model"], the
+    coefficients as [e_variables], zero counts and no reference
+    energy. *)
+
 val find : t -> string -> entry option
 (** Look a key up (memory first, then disk); counts a hit or miss.
     A disk entry that fails to load counts an error and reads as a

@@ -254,9 +254,9 @@ let evaluate ?jobs ?cache ?progress ?explain ?profile_top model_for
   sweep ?jobs ?cache ?progress ?explain ?profile_top candidates
     ~models:(fun ~cache:_ ~heartbeat:_ _ -> (model_for, 0, 0))
 
-(* Fit each distinct configuration over the characterization suite
-   (through the cache), then evaluate. *)
-let run ?jobs ?cache ?(nonnegative = true) ?progress ?explain ?profile_top
+(* Read each distinct configuration's model through the cache (fitting
+   it over the characterization suite on a miss), then evaluate. *)
+let run ?jobs ?cache ?nonnegative ?progress ?explain ?profile_top
     ~characterization candidates =
   let models ~cache ~heartbeat configs =
     let sims = ref 0 in
@@ -266,15 +266,14 @@ let run ?jobs ?cache ?(nonnegative = true) ?progress ?explain ?profile_top
           Obs.Trace.with_span ~cat:"explore"
             (Printf.sprintf "characterize:config%d" i)
           @@ fun () ->
-          let samples, report =
-            Characterize.collect_with_report ?jobs ~cache ~config:cfg
+          let model, n =
+            Characterize.model ?jobs ?nonnegative ~cache ~config:cfg
               characterization
           in
-          sims := !sims + Run_report.total_simulations report;
-          let fit = Characterize.fit_samples ~nonnegative samples in
+          sims := !sims + n;
           heartbeat ~phase:"characterize" ~n_done:(i + 1)
             ~total:(List.length configs) ~frontier:0;
-          (cfg, fit.Characterize.model))
+          (cfg, model))
         configs
     in
     ( (fun cfg -> snd (List.find (fun (c, _) -> same_config c cfg) fitted)),

@@ -9,14 +9,14 @@
     and extracts the energy/performance Pareto frontier.
 
     Cost model: each distinct processor configuration is characterized
-    once ({!Characterize.collect_with_report} over the sweep's cache:
-    the 25-program suite, simulated with the reference estimator
-    attached), then each candidate needs only one instruction-set
-    simulation.  Both kinds of simulation are memoized through
-    {!Eval_cache.collect}, so candidates sharing a base-core simulation
-    reuse its extracted variable vector, and a warm sweep over N
-    candidates costs far fewer than N simulations — typically zero.
-    A directory a sweep filled also serves the daemon's
+    once ({!Characterize.model} over the sweep's cache: the 25-program
+    suite, simulated with the reference estimator attached, then
+    fitted), then each candidate needs only one instruction-set
+    simulation.  Samples, fitted models and candidate vectors are all
+    memoized in the cache, so candidates sharing a base-core simulation
+    reuse its extracted variable vector, and a warm sweep reads one
+    model per configuration and one vector per candidate: no simulation
+    and no fit.  A directory a sweep filled also serves the daemon's
     characterizations.  Simulations for cache misses are fanned out
     over the {!Parallel} worker pool. *)
 
@@ -73,7 +73,8 @@ type outcome = {
   profile_top : int;
   (** hottest blocks rendered per profiled point; 0 when profiling was
       not requested *)
-  configs_characterized : int; (** distinct base configs this sweep fitted *)
+  configs_characterized : int;
+  (** distinct base configs this sweep modelled (fitted or read back) *)
   simulations : int;           (** simulator runs actually performed *)
   cache_stats : Eval_cache.stats;  (** cache counter delta for this sweep *)
   wall_seconds : float;
@@ -95,9 +96,9 @@ val run :
   characterization:Extract.case list ->
   candidate list ->
   outcome
-(** Full sweep: characterize each distinct [config] over the
-    [characterization] suite ({!Characterize.collect_with_report}
-    through the cache, then {!Characterize.fit_samples}), then evaluate every
+(** Full sweep: read each distinct [config]'s model through the cache
+    ({!Characterize.model} over the [characterization] suite, which
+    fits and stores it on a miss), then evaluate every
     candidate with its configuration's model.  [jobs] bounds the worker
     pool (default {!Parallel.default_jobs}); [cache] defaults to a
     fresh memory-only cache; [nonnegative] is passed to the NNLS fit

@@ -388,7 +388,9 @@ type t = {
   cfg : Sim.Config.t;
   insn_units : (string, bank) Hashtbl.t;
   bus_units : bank;
-  plans : plan array;            (* [observe]'s, direct-mapped by pc *)
+  mutable plans : plan array;
+  (* [observe]'s, direct-mapped by pc; allocated at the first [observe],
+     since hook-fed runs never read it *)
   energy : float array;          (* per block *)
   mutable seen : int;            (* blocks charged so far, one bit each *)
   order : (string, int) Hashtbl.t;
@@ -439,7 +441,7 @@ let create ?(params = Blocks.default) ?extension cfg =
     cfg;
     insn_units;
     bus_units;
-    plans = Array.make plan_slots no_plan;
+    plans = [||];
     energy = Array.make (Array.length names) 0.0;
     seen = 0;
     order = Hashtbl.create 24;
@@ -677,6 +679,7 @@ let core t pl cycles stall flags (ch : Sim.Cpu.channel) =
   end
 
 let observe t (e : Sim.Event.t) =
+  if Array.length t.plans = 0 then t.plans <- Array.make plan_slots no_plan;
   let f = e.Sim.Event.fetch in
   let flags = Sim.Cpu.load_channel t.scratch e in
   core t

@@ -8,7 +8,9 @@ module M = struct
   let misses =
     lazy
       (Obs.Metrics.counter
-         ~help:"model-registry lookups that ran a characterization"
+         ~help:
+           "model-registry lookups that characterized (or read a stored \
+            model)"
          "serve_registry_misses_total")
 
   let evictions =

@@ -93,9 +93,9 @@ let create ?max_models ?jobs ?cache_dir ?characterize ?on_characterize
     | Some f -> f
     | None ->
       fun config ->
-        (Core.Characterize.run ?jobs ~cache ~config
-           (Workloads.Suite.characterization ()))
-          .Core.Characterize.model
+        fst
+          (Core.Characterize.model ?jobs ~cache ~config
+             (Workloads.Suite.characterization ()))
   in
   let characterize config =
     Option.iter (fun f -> f ()) on_characterize;

@@ -37,11 +37,12 @@ val create :
 (** [model] is a coefficients file ({!Core.Template.load}) preloaded as
     the default configuration's model.  A registry miss calls
     [on_characterize], then [characterize] (default:
-    {!Core.Characterize.run} over the characterization suite, reading
-    its samples through the service's cache, so a refit on a warm
-    [cache_dir] simulates nothing).  [max_models] bounds the registry.
-    [jobs] sizes characterization, audit and explore fan-out and, when
-    [simulate] is absent, the estimate op's misses.
+    {!Core.Characterize.model} over the characterization suite through
+    the service's cache, so a daemon restarted on a populated
+    [cache_dir] reads the stored model: no simulation, no fit).
+    [max_models] bounds the registry.  [jobs] sizes characterization,
+    audit and explore fan-out and, when [simulate] is absent, the
+    estimate op's misses.
     @raise Failure ["cannot load model: ..."] when [model] cannot be
     read or parsed. *)
 

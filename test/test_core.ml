@@ -1267,6 +1267,11 @@ let fresh_cache_dir () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "xenergy-test-cache.%d.%d" (Unix.getpid ()) !dir_counter)
 
+let with_metrics f =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) f
+
 let small_config = Sim.Config.default
 
 let smaller_icache =
@@ -1838,6 +1843,8 @@ let test_explore_validates_candidates () =
   | _ -> fail "duplicate candidate names accepted"
 
 let test_explore_warm_matches_cold () =
+  with_metrics @@ fun () ->
+  let fits = Obs.Metrics.counter "characterize_fits_total" in
   let dir = fresh_cache_dir () in
   let characterization = small_suite () in
   let candidates =
@@ -1846,46 +1853,110 @@ let test_explore_warm_matches_cold () =
       Core.Explore.candidate ~name:"base_small" ~config:smaller_icache
         (List.hd (Workloads.Suite.applications ())) ]
   in
-  let sweep () =
-    Core.Explore.run ~jobs:2
-      ~cache:(Core.Eval_cache.create ~dir ())
-      ~characterization candidates
+  (* One sweep on a fresh instance over [dir], with the fits it ran. *)
+  let sweep ?nonnegative () =
+    let before = Obs.Metrics.counter_value fits in
+    let o =
+      Core.Explore.run ~jobs:2 ?nonnegative
+        ~cache:(Core.Eval_cache.create ~dir ())
+        ~characterization candidates
+    in
+    (o, Obs.Metrics.counter_value fits - before)
   in
-  let cold = sweep () in
+  let same_points what (c : Core.Explore.outcome) (w : Core.Explore.outcome) =
+    List.iter2
+      (fun (c : Core.Explore.point) (w : Core.Explore.point) ->
+        check Alcotest.string "point order" c.Core.Explore.pt_name
+          w.Core.Explore.pt_name;
+        check Alcotest.int64
+          (what ^ ": " ^ c.Core.Explore.pt_name ^ " energy bit-identical")
+          (Int64.bits_of_float c.Core.Explore.pt_energy_pj)
+          (Int64.bits_of_float w.Core.Explore.pt_energy_pj);
+        check Alcotest.int
+          (c.Core.Explore.pt_name ^ " cycles")
+          c.Core.Explore.pt_cycles w.Core.Explore.pt_cycles)
+      c.Core.Explore.points w.Core.Explore.points;
+    check Alcotest.(list string) (what ^ ": frontier stable")
+      (point_names c.Core.Explore.frontier)
+      (point_names w.Core.Explore.frontier)
+  in
+  let cold, cold_fits = sweep () in
   let n_char = List.length characterization in
   check Alcotest.int "two configs characterized" 2
     cold.Core.Explore.configs_characterized;
   check Alcotest.int "cold simulation count"
     ((2 * n_char) + 2)
     cold.Core.Explore.simulations;
-  check Alcotest.int "cold misses equal simulations"
-    cold.Core.Explore.simulations
+  check Alcotest.int "cold fits one model per config" 2 cold_fits;
+  (* Each configuration's model is looked up (and missed) before its
+     samples, and stored after its fit. *)
+  check Alcotest.int "cold misses = simulations + models"
+    (cold.Core.Explore.simulations + 2)
     cold.Core.Explore.cache_stats.Core.Eval_cache.misses;
-  let warm = sweep () in
+  check Alcotest.int "cold stores = simulations + models"
+    (cold.Core.Explore.simulations + 2)
+    cold.Core.Explore.cache_stats.Core.Eval_cache.stores;
+  let warm, warm_fits = sweep () in
   check Alcotest.int "warm sweep simulates nothing" 0
     warm.Core.Explore.simulations;
-  check Alcotest.int "warm hits"
-    ((2 * n_char) + 2)
+  check Alcotest.int "warm sweep fits nothing" 0 warm_fits;
+  check Alcotest.int "warm hits = configs + candidates" (2 + 2)
     warm.Core.Explore.cache_stats.Core.Eval_cache.hits;
+  check Alcotest.int "warm misses" 0
+    warm.Core.Explore.cache_stats.Core.Eval_cache.misses;
   check Alcotest.bool "every warm point flagged cached" true
     (List.for_all
        (fun (p : Core.Explore.point) -> p.Core.Explore.pt_cached)
        warm.Core.Explore.points);
-  List.iter2
-    (fun (c : Core.Explore.point) (w : Core.Explore.point) ->
-      check Alcotest.string "point order" c.Core.Explore.pt_name
-        w.Core.Explore.pt_name;
-      check Alcotest.bool
-        (c.Core.Explore.pt_name ^ " energy bit-identical")
-        true
-        (c.Core.Explore.pt_energy_pj = w.Core.Explore.pt_energy_pj);
-      check Alcotest.int
-        (c.Core.Explore.pt_name ^ " cycles")
-        c.Core.Explore.pt_cycles w.Core.Explore.pt_cycles)
-    cold.Core.Explore.points warm.Core.Explore.points;
-  check Alcotest.(list string) "frontier stable"
-    (point_names cold.Core.Explore.frontier)
-    (point_names warm.Core.Explore.frontier)
+  same_points "warm" cold warm;
+  (* A stored model is the fit of the stored samples, bit for bit. *)
+  List.iter
+    (fun config ->
+      let samples =
+        Core.Characterize.collect ~jobs:1 ~config characterization
+      in
+      let fitted = (Core.Characterize.fit_samples samples).Core.Characterize.model in
+      let read, sims =
+        Core.Characterize.model ~jobs:1
+          ~cache:(Core.Eval_cache.create ~dir ())
+          ~config characterization
+      in
+      check Alcotest.int "model read back without simulating" 0 sims;
+      let bits = Array.map Int64.bits_of_float in
+      check (Alcotest.array Alcotest.int64) "model read back = fit_samples"
+        (bits fitted.Core.Template.coefficients)
+        (bits read.Core.Template.coefficients))
+    [ Sim.Config.default; smaller_icache ];
+  (* The fitting flag is part of the model's key: an unconstrained sweep
+     over the same samples refits instead of reusing the NNLS models. *)
+  let free, free_fits = sweep ~nonnegative:false () in
+  check Alcotest.int "unconstrained sweep simulates nothing" 0
+    free.Core.Explore.simulations;
+  check Alcotest.int "unconstrained sweep refits every config" 2 free_fits;
+  check Alcotest.int "unconstrained sweep misses its models" 2
+    free.Core.Explore.cache_stats.Core.Eval_cache.misses;
+  (* A truncated model entry is an error-counted miss: the model is
+     refitted from the stored samples and the points do not move. *)
+  let model_file =
+    Filename.concat dir
+      (Core.Eval_cache.model_key ~nonnegative:true
+         (List.map
+            (Core.Eval_cache.key ~with_reference:true
+               ~config:Sim.Config.default)
+            characterization)
+      ^ ".json")
+  in
+  let doc = In_channel.with_open_bin model_file In_channel.input_all in
+  Out_channel.with_open_bin model_file (fun oc ->
+      Out_channel.output_string oc
+        (String.sub doc 0 (String.length doc / 2)));
+  let healed, healed_fits = sweep () in
+  check Alcotest.int "truncated model counts one error" 1
+    healed.Core.Explore.cache_stats.Core.Eval_cache.errors;
+  check Alcotest.int "truncated model is refitted" 1 healed_fits;
+  check Alcotest.int "refit reads the stored samples" 0
+    healed.Core.Explore.simulations;
+  same_points "refitted" cold healed
 
 let test_explore_prune_retains_working_set () =
   (* The acceptance cycle: populate a cache from a two-config sweep,
@@ -1909,15 +1980,16 @@ let test_explore_prune_retains_working_set () =
   in
   let cold = sweep [ base; small ] in
   let n_char = List.length characterization in
-  let total = (2 * n_char) + 2 in
+  (* Per configuration: its samples, its model and its candidate. *)
+  let total = 2 * (n_char + 2) in
   check Alcotest.int "populated cache"
     total (Core.Eval_cache.disk_stats dir).Core.Eval_cache.d_entries;
-  (* Touch base's working set (its characterization + its candidate),
-     making it the most recently used. *)
+  (* Touch base's working set (its model + its candidate; a warm sweep
+     reads no sample), making it the most recently used. *)
   let touched = sweep [ base ] in
   check Alcotest.int "sub-sweep is already warm" 0
     touched.Core.Explore.simulations;
-  let keep = n_char + 1 in
+  let keep = 2 in
   let r =
     Core.Eval_cache.prune
       ~policy:{ Core.Eval_cache.unlimited with
@@ -1974,11 +2046,6 @@ let test_explore_shares_config_characterization () =
   | _ -> fail "expected two points"
 
 (* --- Observability riders --------------------------------------------------- *)
-
-let with_metrics f =
-  let was = Obs.Metrics.enabled () in
-  Obs.Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) f
 
 (* Store-time size cap: the cache prunes itself back under --max-bytes
    as entries land, without an explicit prune call. *)

@@ -398,6 +398,23 @@ let qcheck_compiled_matches_oracle =
          = entries (Power.Oracle.breakdown oracle)
       && Power.Estimator.evaluations est = Power.Oracle.evaluations oracle)
 
+(* The hook keeps its plans per code slot, so an estimator that is never
+   fed an event must not pay for [observe]'s 4096-entry pc table (4097
+   words on the major heap): a hook-fed reference simulation creates one
+   estimator per program. *)
+let test_create_allocates_no_pc_table () =
+  let create () =
+    Sys.opaque_identity (Power.Estimator.create Sim.Config.default)
+  in
+  ignore (create ());
+  Gc.minor ();
+  let before = (Gc.stat ()).Gc.major_words in
+  ignore (create ());
+  Gc.minor ();
+  let words = (Gc.stat ()).Gc.major_words -. before in
+  if words >= 4096.0 then
+    Alcotest.failf "create allocated %.0f major words" words
+
 let test_paper_table1_reference () =
   check Alcotest.int "ten structural reference coefficients" 10
     (List.length Power.Blocks.paper_table1_custom);
@@ -456,4 +473,6 @@ let () =
             test_long_stall_with_write;
           Alcotest.test_case "reset mid-stream" `Quick test_reset_mid_stream;
           Alcotest.test_case "suite agrees" `Quick test_suite_agrees;
+          Alcotest.test_case "create allocates no pc table" `Quick
+            test_create_allocates_no_pc_table;
           QCheck_alcotest.to_alcotest qcheck_compiled_matches_oracle ] ) ]

@@ -757,14 +757,16 @@ let test_router_explore_oracle () =
   check Alcotest.(list string) "warm frontier unchanged" (names resp)
     (names warm)
 
-(* A daemon pointed at a directory an offline sweep filled fits every
-   configuration from the stored characterization samples: its registry
-   misses, yet no cache lookup does, and its points equal the offline
-   sweep's bit for bit. *)
-let test_router_refits_from_explore_dir () =
+let with_metrics f =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) f
+
+(* A scratch cache directory for [f], removed afterwards. *)
+let with_cache_dir name f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "xenergy-serve-explore.%d" (Unix.getpid ()))
+      (Printf.sprintf "xenergy-serve-%s.%d" name (Unix.getpid ()))
   in
   let rm_rf () =
     if Sys.file_exists dir then begin
@@ -775,7 +777,22 @@ let test_router_refits_from_explore_dir () =
     end
   in
   rm_rf ();
-  Fun.protect ~finally:rm_rf @@ fun () ->
+  Fun.protect ~finally:rm_rf (fun () -> f dir)
+
+(* A metrics counter's growth over [f]. *)
+let counter_delta name f =
+  let c = Obs.Metrics.counter name in
+  let before = Obs.Metrics.counter_value c in
+  let r = f () in
+  (r, Obs.Metrics.counter_value c - before)
+
+(* A daemon pointed at a directory an offline sweep filled reads every
+   configuration's stored model: its registry misses, yet no cache
+   lookup does, no fit runs, and its points equal the offline sweep's
+   bit for bit. *)
+let test_router_refits_from_explore_dir () =
+  with_metrics @@ fun () ->
+  with_cache_dir "explore" @@ fun dir ->
   let candidates = (Option.get (Workloads.Spaces.find "rs-cache")) () in
   let offline =
     Core.Explore.run
@@ -790,17 +807,18 @@ let test_router_refits_from_explore_dir () =
     as_int (member name (call (J.Obj [ ("op", J.Str "stats") ])))
   in
   let hits0 = counter "cache_hits" and misses0 = counter "cache_misses" in
-  let resp =
-    call (J.Obj [ ("op", J.Str "explore"); ("space", J.Str "rs-cache") ])
+  let resp, fits =
+    counter_delta "characterize_fits_total" (fun () ->
+        call (J.Obj [ ("op", J.Str "explore"); ("space", J.Str "rs-cache") ]))
   in
   check Alcotest.bool "explore ok" true (as_bool (member "ok" resp));
   check Alcotest.int "four configurations" 4 (as_int (member "configs" resp));
-  check Alcotest.int "every configuration fitted here" 0
+  check Alcotest.int "every configuration resolved here" 0
     (as_int (member "registry_hits" resp));
   check Alcotest.int "no cache lookup missed" misses0 (counter "cache_misses");
-  let gained = counter "cache_hits" - hits0 in
-  if gained < 116 then
-    Alcotest.failf "%d cache hits, expected 4 x 25 samples + 16 points" gained;
+  check Alcotest.int "no model refitted" 0 fits;
+  check Alcotest.int "cache hits: 4 models + 16 points" 20
+    (counter "cache_hits" - hits0);
   let points =
     match member "points" resp with
     | J.Arr l -> l
@@ -814,10 +832,55 @@ let test_router_refits_from_explore_dir () =
         (Int64.bits_of_float (as_float (member "energy_pj" p))))
     offline.Core.Explore.points points
 
+(* A daemon restarted on the directory an earlier one characterized into
+   answers its first estimate from the stored model and vectors: no
+   simulation, no fit, and the first daemon's energies bit for bit. *)
+let test_router_restart_reads_model () =
+  with_metrics @@ fun () ->
+  with_cache_dir "restart" @@ fun dir ->
+  let estimate =
+    J.Obj
+      [ ("op", J.Str "estimate");
+        ("workloads", J.Arr [ J.Str "des"; J.Str "gcd" ]);
+        ("config", J.Obj [ ("icache_size_bytes", J.Num 4096.0) ]) ]
+  in
+  let answer () =
+    let router = Serve.Router.create ~cache_dir:dir () in
+    Fun.protect ~finally:(fun () -> Serve.Router.shutdown router) @@ fun () ->
+    let resp = Serve.Router.handle router estimate in
+    check Alcotest.bool "estimate ok" true (as_bool (member "ok" resp));
+    check Alcotest.bool "registry misses" false
+      (as_bool (member "registry_hit" resp));
+    let stats = Serve.Router.handle router (J.Obj [ ("op", J.Str "stats") ]) in
+    (resp, as_int (member "cache_misses" stats))
+  in
+  let rows resp =
+    match member "results" resp with
+    | J.Arr l ->
+      List.map
+        (fun r ->
+          ( as_int (member "cycles" r),
+            Int64.bits_of_float (as_float (member "energy_pj" r)) ))
+        l
+    | _ -> Alcotest.fail "results is not an array"
+  in
+  let (first, _), first_fits =
+    counter_delta "characterize_fits_total" answer
+  in
+  check Alcotest.int "first daemon fits the model" 1 first_fits;
+  let ((again, misses), sims), fits =
+    counter_delta "characterize_fits_total" (fun () ->
+        counter_delta "sim_instructions_total" answer)
+  in
+  check Alcotest.int "restarted daemon fits nothing" 0 fits;
+  check Alcotest.int "restarted daemon simulates nothing" 0 sims;
+  check Alcotest.int "restarted daemon misses no lookup" 0 misses;
+  check
+    Alcotest.(list (pair int int64))
+    "restarted daemon answers the same rows" (rows first) (rows again)
+
 let test_router_status_op () =
-  let was = Obs.Metrics.enabled () in
-  Obs.Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) @@ fun () ->
+  with_metrics @@ fun () ->
   with_router @@ fun router ->
   let call req = Serve.Router.handle router req in
   for _ = 1 to 5 do
@@ -1592,6 +1655,8 @@ let () =
             test_router_explore_oracle;
           Alcotest.test_case "refits from an explore-filled directory" `Slow
             test_router_refits_from_explore_dir;
+          Alcotest.test_case "restart reads the stored model" `Slow
+            test_router_restart_reads_model;
           Alcotest.test_case "integer fields decoded exactly" `Quick
             test_router_integer_fields;
           Alcotest.test_case "duplicate names simulate once" `Quick
