@@ -102,8 +102,10 @@ val key :
     but keying them apart means a cached vector can never mask a
     divergence), and a [complexity_tag] naming the C(W) weighting in
     effect (default ["default"]; {!collect} passes the tag of its
-    {!type-complexity} pair).  Payload version 3: keys made by earlier
-    versions name no entry this one finds. *)
+    {!type-complexity} pair).  The case keeps its last key
+    ({!Extract.key_memo}) and returns it while all four settings are
+    unchanged.  Payload version 3: keys made by earlier versions name no
+    entry this one finds. *)
 
 val model_key : nonnegative:bool -> string list -> string
 (** [model_key ~nonnegative sample_keys] keys the macro-model fitted

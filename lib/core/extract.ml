@@ -1,12 +1,22 @@
+type key_memo = {
+  km_backend : string;
+  km_tag : string;
+  km_with_reference : bool;
+  km_config : Sim.Config.t;
+  km_key : string;
+}
+
 type case = {
   case_name : string;
   asm : Isa.Program.asm;
   extension : Tie.Compile.compiled option;
   digest_slot : Digest.t option Atomic.t;
+  key_slot : key_memo option Atomic.t;
 }
 
 let case ?extension case_name asm =
-  { case_name; asm; extension; digest_slot = Atomic.make None }
+  { case_name; asm; extension; digest_slot = Atomic.make None;
+    key_slot = Atomic.make None }
 
 (* Marshal gives a canonical byte string for these pure immutable values
    (the code words, not the unassembled source, whose labels and symbol

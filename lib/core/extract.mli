@@ -7,6 +7,17 @@
     the threaded backend no per-instruction event is built unless an
     extra observer asks for one. *)
 
+(** The last [Eval_cache.key] made for a case and what it was made
+    of: a warm daemon keys the same case under the same settings on
+    every request. *)
+type key_memo = {
+  km_backend : string;
+  km_tag : string;          (** complexity tag *)
+  km_with_reference : bool;
+  km_config : Sim.Config.t;
+  km_key : string;
+}
+
 (** A workload: a program plus the custom-instruction extension it
     needs (if any). *)
 type case = private {
@@ -14,6 +25,8 @@ type case = private {
   asm : Isa.Program.asm;
   extension : Tie.Compile.compiled option;
   digest_slot : Digest.t option Atomic.t;  (** {!digest}, once computed *)
+  key_slot : key_memo option Atomic.t;
+  (** the last [Eval_cache.key], replaced whenever its inputs change *)
 }
 
 val case :

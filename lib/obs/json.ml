@@ -228,12 +228,22 @@ let escape s =
     Buffer.contents b
   end
 
+(* What [Printf]'s ["%.17g"] reaches once it has interpreted the format. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Integral values below 1e15 print as integers and every other finite
+   value as ["%.17g"], byte for byte what [Printf]'s ["%.0f"] and
+   ["%.17g"] print, without interpreting a format per number.  -0 is
+   integral but [string_of_int] would drop its sign: it takes the
+   ["%.17g"] path, which prints ["-0"] as ["%.0f"] does. *)
 let add_num b f =
   if Float.is_nan f || Float.abs f = Float.infinity then
     Buffer.add_string b "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.bprintf b "%.0f" f
-  else Printf.bprintf b "%.17g" f
+  else if
+    Float.is_integer f && Float.abs f < 1e15
+    && not (f = 0.0 && Float.sign_bit f)
+  then Buffer.add_string b (string_of_int (int_of_float f))
+  else Buffer.add_string b (format_float "%.17g" f)
 
 let add_str b s =
   Buffer.add_char b '"';

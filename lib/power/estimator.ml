@@ -52,12 +52,21 @@ let b_custom_idle = 16
 
 (* --- Net primitives ------------------------------------------------------------ *)
 
-let pop = Activity.popcount
+(* {!Activity.popcount} and {!Activity.toggles}, defined here so the
+   hot path inlines them instead of calling through a closure: the same
+   SWAR count, of [v land max_int] (the 62-bit mask they apply). *)
+let[@inline] pop v =
+  let x = v land max_int in
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
-let m24 = Activity.mask 24
-let m32 = Activity.mask 32
-let m62 = Activity.mask 62
-let toggles = Activity.toggles
+let[@inline] toggles a b = pop (a lxor b)
+
+let m24 = 0xff_ffff
+let m32 = 0xffff_ffff
+let m62 = 0x3fff_ffff_ffff_ffff
 
 (* A one-hot decoder moving from wordline [prev] to [idx]; -1 drives
    none (every index here is in range otherwise). *)
@@ -124,7 +133,7 @@ let line_pattern line =
    the array latches holds [pattern lxor (62 k * 0x5bd1e995)], so once
    every chunk has been written a new pattern toggles each chunk by the
    bits the two patterns differ in. *)
-let cache_access n addr data =
+let[@inline] cache_access n addr data =
   let c = n.cache in
   let line = addr lsr c.Sim.Cache.line_shift in
   if line = c.Sim.Cache.last_line && n.last_hit then begin
@@ -186,7 +195,7 @@ type adder = {
 let adder_create width =
   { a_mask = Activity.mask width; a_in1 = 0; a_in2 = 0; a_carry = 0; a_sum = 0 }
 
-let adder_eval u a b =
+let[@inline] adder_eval u a b =
   let a = a land u.a_mask and b = b land u.a_mask in
   let s = a + b in
   let carry = (s lxor a lxor b) lsr 1 and sum = s land u.a_mask in
@@ -227,7 +236,7 @@ let mult_create width =
     m_b = 0;
     m_out = 0 }
 
-let mult_eval u a b =
+let[@inline] mult_eval u a b =
   let m = u.m_mask in
   let a = a land m and b = b land m in
   let ap = u.m_a and bp = u.m_b in
@@ -277,7 +286,7 @@ let model_for (c : Tie.Component.t) =
     Mult (mult_create w)
   | _ -> Gate (Gates.component_create c)
 
-let model_eval u a b =
+let[@inline] model_eval u a b =
   match u with
   | Adder x -> adder_eval x a b
   | Mult x -> mult_eval x a b
@@ -527,7 +536,7 @@ let[@inline] plan t pc word instr =
    registers again with the same inputs.  Edge k toggles the stage-0
    distance [h] plus the first [4 - k] stage distances, so from edge 5
    on the registers are full of one value and nothing toggles. *)
-let pipeline_toggles t ~word ~pc ~op1 ~op2 ~result cycles =
+let[@inline] pipeline_toggles t ~word ~pc ~op1 ~op2 ~result cycles =
   let wp = (word land m24) lor ((pc land m32) lsl 24) in
   let o1 = op1 land m32 and o2 = op2 land m32 and r = result land m32 in
   let h =
@@ -539,9 +548,12 @@ let pipeline_toggles t ~word ~pc ~op1 ~op2 ~result cycles =
   t.s_o2 <- o2;
   t.s_r <- r;
   let d0 = t.d0 and d1 = t.d1 and d2 = t.d2 and d3 = t.d3 in
-  let upto k = if cycles < k then cycles else k in
   let toggles =
-    (upto 5 * h) + (upto 4 * d0) + (upto 3 * d1) + (upto 2 * d2) + d3
+    ((if cycles < 5 then cycles else 5) * h)
+    + ((if cycles < 4 then cycles else 4) * d0)
+    + ((if cycles < 3 then cycles else 3) * d1)
+    + ((if cycles < 2 then cycles else 2) * d2)
+    + d3
   in
   (match cycles with
    | 1 -> t.d0 <- h; t.d1 <- d0; t.d2 <- d1; t.d3 <- d2
@@ -551,7 +563,7 @@ let pipeline_toggles t ~word ~pc ~op1 ~op2 ~result cycles =
    | _ -> t.d0 <- 0; t.d1 <- 0; t.d2 <- 0; t.d3 <- 0);
   toggles
 
-let cache_energy p n =
+let[@inline] cache_energy p n =
   (p.Blocks.cache_decode_per_toggle *. float_of_int n.dec)
   +. (p.Blocks.cache_tag_per_toggle *. float_of_int n.tag)
   +. (p.Blocks.cache_array_per_toggle *. float_of_int n.arr)

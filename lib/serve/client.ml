@@ -10,6 +10,9 @@ let connect ~socket =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
+  (* Non-blocking, as the server's connections are: a stall anywhere in
+     a response frame then ends at the call's deadline. *)
+  Unix.set_nonblock fd;
   { s_fd = fd; s_closed = false }
 
 let close s =

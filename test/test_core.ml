@@ -1363,6 +1363,52 @@ let test_cache_key_sensitivity () =
   check Alcotest.int "rs-cache: 4 configs x 2 reference flags" 8
     (List.length (List.sort_uniq compare rs_keys))
 
+(* A case keeps its last key; whatever the sequence of settings it is
+   keyed under, the answer equals a fresh key made on a new copy of the
+   same program.  The kept key is returned while backend, tag, flag and
+   configuration stay equal (the configuration physically or
+   structurally), and replaced as soon as one of them changes. *)
+let test_cache_key_slot () =
+  let case = List.hd (small_suite ()) in
+  let fresh ?backend ?complexity_tag ?with_reference config =
+    Core.Eval_cache.key ?backend ?complexity_tag ?with_reference ~config
+      (List.hd (small_suite ()))
+  in
+  let same what ?backend ?complexity_tag ?with_reference config =
+    check Alcotest.string what
+      (fresh ?backend ?complexity_tag ?with_reference config)
+      (Core.Eval_cache.key ?backend ?complexity_tag ?with_reference ~config
+         case)
+  in
+  let k = Core.Eval_cache.key ~config:small_config case in
+  check Alcotest.bool "an unchanged second call returns the kept key" true
+    (Core.Eval_cache.key ~config:small_config case == k);
+  let rebuilt = { small_config with Sim.Config.freq_mhz = small_config.Sim.Config.freq_mhz } in
+  check Alcotest.bool "a rebuilt configuration is another value" true
+    (rebuilt != small_config);
+  check Alcotest.bool "a structurally equal configuration keeps the key" true
+    (Core.Eval_cache.key ~config:rebuilt case == k);
+  same "first key" small_config;
+  same "backend changed" ~backend:"interp" small_config;
+  same "backend changed back" small_config;
+  same "tag changed" ~complexity_tag:"quadratic" small_config;
+  same "tag unchanged" ~complexity_tag:"quadratic" small_config;
+  same "tag changed back" small_config;
+  same "reference flag changed" ~with_reference:true small_config;
+  same "reference flag unchanged" ~with_reference:true small_config;
+  same "configuration changed" ~with_reference:true smaller_icache;
+  same "configuration unchanged" ~with_reference:true smaller_icache;
+  same "configuration changed back" small_config;
+  (* 0.0 and -0.0 are equal under [=] but marshal (and so key) apart. *)
+  let zero f = { small_config with Sim.Config.freq_mhz = f } in
+  same "zero frequency" (zero 0.0);
+  same "negative-zero frequency" (zero (-0.0));
+  check Alcotest.bool "signed zeros key apart" true
+    (fresh (zero 0.0) <> fresh (zero (-0.0)));
+  Sim.Backend.with_current Sim.Backend.Interp (fun () ->
+      same "process-default backend changed" small_config);
+  same "process-default backend changed back" small_config
+
 let gnarly_entry =
   { Core.Eval_cache.e_name = "gnarly \"name\"\twith\nescapes";
     e_variables =
@@ -3003,6 +3049,8 @@ let () =
       ( "eval cache",
         [ Alcotest.test_case "key sensitivity" `Quick
             test_cache_key_sensitivity;
+          Alcotest.test_case "kept key = fresh key" `Quick
+            test_cache_key_slot;
           Alcotest.test_case "check mode checks the reference" `Quick
             test_compute_checks_reference;
           Alcotest.test_case "disk round trip" `Quick

@@ -207,6 +207,42 @@ let qcheck_json_print_roundtrip =
       String.for_all (fun c -> Char.code c >= 0x20) text
       && bit_equal (J.parse text) (printed_as v))
 
+(* The number printer renders without [Printf], byte for byte as the
+   [Printf] formats it replaced: ["%.0f"] for integral values below 1e15
+   in magnitude, ["%.17g"] for every other finite value.  Random bit
+   patterns cover every exponent; the fixed cases sit on the edges of
+   the integer path (-0, +-(1e15 - 1), 1e15, +-2^53) and in the
+   subnormals. *)
+let printf_rendering f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.17g" f
+
+let gen_finite_bits =
+  let open QCheck.Gen in
+  let finite =
+    map Int64.float_of_bits ui64 |> map (fun f -> if Float.is_finite f then f else 0.5)
+  in
+  frequency
+    [ (6, finite);
+      (2, map float_of_int int);
+      ( 2,
+        oneofl
+          [ -0.0; 0.0; 1e15 -. 1.0; -.(1e15 -. 1.0); 1e15; -1e15;
+            9007199254740992.0; -9007199254740992.0; 4.9e-324; -4.9e-324;
+            2.2250738585072009e-308; -2.2250738585072009e-308;
+            1e-310; 0.5; -0.5; 1.5; 123456.0; -1.0 ] ) ]
+
+let qcheck_json_number_rendering =
+  QCheck.Test.make ~name:"numbers print as the Printf formats did" ~count:2000
+    (QCheck.make gen_finite_bits ~print:(Printf.sprintf "%h"))
+    (fun f ->
+      let text = J.print (J.Num f) in
+      text = printf_rendering f
+      &&
+      match J.parse text with
+      | J.Num g -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+      | _ -> false)
+
 (* --- Metrics ---------------------------------------------------------------- *)
 
 let test_metrics_disabled_is_noop () =
@@ -1093,7 +1129,8 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_json_edge_cases;
           Alcotest.test_case "print round-trip" `Quick
             test_json_print_roundtrip;
-          QCheck_alcotest.to_alcotest qcheck_json_print_roundtrip ] );
+          QCheck_alcotest.to_alcotest qcheck_json_print_roundtrip;
+          QCheck_alcotest.to_alcotest qcheck_json_number_rendering ] );
       ( "metrics",
         [ Alcotest.test_case "disabled no-op" `Quick
             test_metrics_disabled_is_noop;

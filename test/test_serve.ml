@@ -91,6 +91,57 @@ let test_frame_write_deadline () =
   Unix.close a;
   Unix.close b
 
+(* The reader selects once for a frame to start, then reads header and
+   payload straight away; on a non-blocking fd a payload that is not
+   there yet comes back EAGAIN and is waited for against the same
+   deadline.  Here the payload follows the header 50 ms later. *)
+let test_frame_nonblocking_split () =
+  let a, b = socketpair () in
+  Unix.set_nonblock b;
+  let payload = "split across a pause" in
+  let frame = "\x00\x00\x00\x14" ^ payload in
+  let writer =
+    Thread.create
+      (fun () ->
+        ignore (Unix.write_substring a frame 0 4);
+        Unix.sleepf 0.05;
+        ignore (Unix.write_substring a frame 4 (String.length payload)))
+      ()
+  in
+  check Alcotest.(option string) "frame read whole through EAGAIN"
+    (Some payload)
+    (Serve.Protocol.read_frame ~deadline:(Unix.gettimeofday () +. 5.0) b);
+  Thread.join writer;
+  (* Back to back on the non-blocking fd: each read stops at its frame. *)
+  Serve.Protocol.write_frame a "first";
+  Serve.Protocol.write_frame a "second";
+  check Alcotest.(option string) "first frame" (Some "first")
+    (Serve.Protocol.read_frame ~deadline:(Unix.gettimeofday () +. 5.0) b);
+  check Alcotest.(option string) "second frame" (Some "second")
+    (Serve.Protocol.read_frame ~deadline:(Unix.gettimeofday () +. 5.0) b);
+  Unix.close a;
+  check Alcotest.(option string) "clean EOF between frames is None" None
+    (Serve.Protocol.read_frame ~deadline:(Unix.gettimeofday () +. 5.0) b);
+  Unix.close b
+
+let test_frame_mid_payload_stall () =
+  (* A peer that ships the header and 3 of 10 payload bytes, then stalls
+     with the connection open, cannot hold a non-blocking reader past
+     its deadline. *)
+  let a, b = socketpair () in
+  Unix.set_nonblock b;
+  let partial = "\x00\x00\x00\x0aabc" in
+  ignore (Unix.write_substring a partial 0 (String.length partial));
+  let t0 = Unix.gettimeofday () in
+  (match Serve.Protocol.read_frame ~deadline:(t0 +. 0.3) b with
+   | exception Serve.Protocol.Frame_error msg ->
+     check Alcotest.bool "timeout named" true (contains msg "timed out")
+   | _ -> Alcotest.fail "stalled payload did not hit the deadline");
+  let dt = Unix.gettimeofday () -. t0 in
+  check Alcotest.bool "fired promptly" true (dt >= 0.25 && dt < 2.0);
+  Unix.close a;
+  Unix.close b
+
 (* Fault injection at the frame reader: random well-formed, truncated
    and garbage byte streams, written to a socketpair whose writing end
    is then closed.  Every read ends under its deadline with what the
@@ -1395,6 +1446,35 @@ let test_server_request_backend () =
       (contains msg "estimate" && contains msg "nope")
   | _ -> Alcotest.fail "error is not a string"
 
+let test_client_session_timeout () =
+  (* A daemon that accepts the connection and never answers: the
+     session's call ends at its deadline with the protocol's typed
+     timeout, not a hang. *)
+  let socket = scratch_socket "serve_silent" in
+  (try Sys.remove socket with Sys_error _ -> ());
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX socket);
+  Unix.listen listener 1;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      try Sys.remove socket with Sys_error _ -> ())
+  @@ fun () ->
+  Serve.Client.with_session ~socket @@ fun s ->
+  let conn, _ = Unix.accept listener in
+  Fun.protect ~finally:(fun () -> Unix.close conn) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  (match Serve.Client.session_call ~timeout_s:0.3 s ping_req with
+   | exception Serve.Protocol.Frame_error msg ->
+     check Alcotest.bool "timeout named" true (contains msg "timed out")
+   | _ -> Alcotest.fail "a silent daemon answered");
+  let dt = Unix.gettimeofday () -. t0 in
+  check Alcotest.bool "fired promptly" true (dt >= 0.25 && dt < 2.0);
+  (* The request itself went out whole. *)
+  check Alcotest.(option string) "request delivered"
+    (Some (Obs.Json.print ping_req))
+    (Serve.Protocol.read_frame ~deadline:(Unix.gettimeofday () +. 2.0) conn)
+
 let test_server_socket_steal_refused () =
   (* A second daemon pointed at a live daemon's socket must refuse to
      start — and must not unlink the live socket on its way out. *)
@@ -1641,6 +1721,10 @@ let () =
             test_frame_truncation_and_oversize;
           Alcotest.test_case "read deadline" `Quick test_frame_read_deadline;
           Alcotest.test_case "write deadline" `Quick test_frame_write_deadline;
+          Alcotest.test_case "non-blocking split frame" `Quick
+            test_frame_nonblocking_split;
+          Alcotest.test_case "mid-payload stall" `Quick
+            test_frame_mid_payload_stall;
           Alcotest.test_case "fuzzed byte streams" `Quick test_frame_fuzz ] );
       ( "registry",
         [ Alcotest.test_case "hit + LRU eviction" `Quick
@@ -1698,6 +1782,8 @@ let () =
             test_server_request_backend;
           Alcotest.test_case "socket steal refused" `Slow
             test_server_socket_steal_refused;
+          Alcotest.test_case "silent daemon times the session out" `Quick
+            test_client_session_timeout;
           Alcotest.test_case "stale socket replaced" `Quick
             test_server_stale_socket_replaced;
           Alcotest.test_case "shutdown cleanup" `Quick
