@@ -88,6 +88,8 @@ let load dir =
     | t -> Some t
     | exception _ -> None)
 
+(* An mtime is a last use, but never a future one: a file copied from a
+   clock-skewed host must not outrank every real use for good. *)
 let stat_meta dir fname key =
   match Unix.stat (Filename.concat dir fname) with
   | st ->
@@ -95,7 +97,7 @@ let stat_meta dir fname key =
       { m_key = key;
         m_name = "";
         m_size = st.Unix.st_size;
-        m_last_used = st.Unix.st_mtime }
+        m_last_used = Float.min st.Unix.st_mtime (Unix.gettimeofday ()) }
   | exception Unix.Unix_error _ -> None
 
 let rebuild dir =
@@ -133,18 +135,20 @@ let reconcile dir t =
       t []
   in
   List.iter (fun k -> remove t k; incr dropped) stale;
-  (* Adopt unindexed files, and correct recorded sizes against reality
-     (the last-used time is the index's own knowledge and survives). *)
+  (* Adopt unindexed files and correct recorded sizes; a last use is the
+     later of the index's (a store) and the file's mtime (a warm hit). *)
   Hashtbl.iter
     (fun key fname ->
       match find t key with
       | None ->
         Option.iter (fun m -> record t m; incr added) (stat_meta dir fname key)
-      | Some m -> (
-        match stat_meta dir fname key with
-        | Some fresh when fresh.m_size <> m.m_size ->
-          record t { m with m_size = fresh.m_size }
-        | Some _ | None -> ()))
+      | Some m ->
+        Option.iter
+          (fun f ->
+            record t
+              { m with m_size = f.m_size;
+                       m_last_used = Float.max m.m_last_used f.m_last_used })
+          (stat_meta dir fname key))
     on_disk;
   (!added, !dropped)
 

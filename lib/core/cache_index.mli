@@ -11,8 +11,10 @@
     rebuilt from the directory ({!rebuild}), and {!reconcile} re-syncs a
     loaded index against the files before any destructive decision —
     entries whose file vanished are dropped, unindexed files are
-    adopted with their mtime as the last-use estimate.  [index.json] is
-    only ever replaced atomically (temp file + rename, world-readable),
+    adopted with their mtime as the last-use estimate, and a file's
+    mtime later than its recorded use (a warm hit) wins.  An mtime in
+    the future counts as now.  [index.json]
+    is only ever replaced atomically (temp file + rename, world-readable),
     so concurrent writers leave either the old or the new document,
     never a torn one. *)
 
@@ -75,8 +77,8 @@ val reconcile : string -> t -> int * int
 (** Re-sync a loaded index against the directory: adopt unindexed entry
     files (returns how many were added), drop entries whose file is
     gone (returns how many were dropped), and correct recorded sizes.
-    Recorded last-used times survive — they are the index's value-add
-    over mtimes. *)
+    An entry's last use becomes the later of the recorded one and its
+    file's mtime, which a hit-only {!Eval_cache.flush} sets. *)
 
 val save : string -> t -> unit
 (** Atomically rewrite [dir/index.json] (temp file + rename, mode

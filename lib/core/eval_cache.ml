@@ -20,8 +20,10 @@ type t = {
   mutable c_stats : stats;
   (* Index updates (stores and disk hits) accumulated since the last
      {!flush}; merged into the directory's index.json in one atomic
-     rewrite instead of one per lookup. *)
+     rewrite instead of one per lookup; without a store ([c_stored]),
+     as the entry files' mtimes. *)
   c_touched : (string, Cache_index.meta) Hashtbl.t;
+  mutable c_stored : bool;
   (* Inline size cap: when a store pushes the directory's estimated
      payload past [c_max_bytes], LRU eviction runs immediately instead
      of waiting for a manual prune.  [c_approx_bytes] is the running
@@ -47,6 +49,7 @@ let create ?dir ?max_bytes () =
     c_dir = dir; c_mem = Hashtbl.create 64;
     c_stats = { hits = 0; misses = 0; errors = 0; stores = 0 };
     c_touched = Hashtbl.create 16;
+    c_stored = false;
     c_max_bytes = max_bytes;
     c_approx_bytes = -1 }
 
@@ -280,6 +283,7 @@ let store_disk t k e =
          (try Sys.remove tmp with Sys_error _ | Unix.Unix_error _ -> ());
          raise exn);
       touch t k e ~size:(String.length doc);
+      t.c_stored <- true;
       Some (String.length doc)
     with Sys_error _ | Unix.Unix_error _ | Invalid_argument _ | Failure _ ->
       count_error t;
@@ -296,13 +300,25 @@ let flush_index t =
   | None -> ()
   | Some d ->
     if Hashtbl.length t.c_touched > 0 && Sys.file_exists d then begin
-      try
-        let idx, rebuilt = Cache_index.load_or_rebuild d in
-        if rebuilt then count_index_rebuild ();
-        Hashtbl.iter (fun _ m -> Cache_index.record idx m) t.c_touched;
-        Cache_index.save d idx;
-        Hashtbl.reset t.c_touched
-      with Sys_error _ | Unix.Unix_error _ -> count_error t
+      (* Hits only: entry mtimes, not the index.  A file pruned meanwhile
+         needs nothing; one we may not touch (another user's) goes below. *)
+      if not t.c_stored then
+        Hashtbl.filter_map_inplace
+          (fun k (m : Cache_index.meta) ->
+            let path = Filename.concat d (Cache_index.file_of_key k) in
+            match Unix.utimes path m.m_last_used m.m_last_used with
+            | () | (exception Unix.Unix_error (Unix.ENOENT, _, _)) -> None
+            | exception Unix.Unix_error _ -> Some m)
+          t.c_touched;
+      if Hashtbl.length t.c_touched > 0 then
+        try
+          let idx, rebuilt = Cache_index.load_or_rebuild d in
+          if rebuilt then count_index_rebuild ();
+          Hashtbl.iter (fun _ m -> Cache_index.record idx m) t.c_touched;
+          Cache_index.save d idx;
+          Hashtbl.reset t.c_touched;
+          t.c_stored <- false
+        with Sys_error _ | Unix.Unix_error _ -> count_error t
     end
 
 (* --- Lifecycle management over a directory -------------------------------- *)

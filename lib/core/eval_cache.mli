@@ -132,12 +132,15 @@ val store : t -> string -> entry -> unit
     entry in place. *)
 
 val flush : t -> unit
-(** Merge the index updates accumulated by this instance (stores and
-    disk hits, with their last-used times) into the directory's
-    [index.json] in one atomic rewrite.  Cheap when there is nothing to
-    write; a no-op for memory-only caches.  {!Explore.run} flushes at
-    the end of every sweep.  Failures are error-counted, never
-    raised. *)
+(** Publish the last-used times of this instance's stores and disk
+    hits: with a store among them, in one atomic rewrite of the
+    directory's [index.json]; with hits only, as the hit entry files'
+    mtimes ({!Cache_index.reconcile} reads them), so a warm sweep pays
+    per entry read, not per entry in the directory.  A file pruned
+    meanwhile is skipped; one whose mtime cannot be set (another
+    user's) goes through the index.  A no-op for memory-only caches.
+    {!Explore.run} flushes at the end of every sweep.  Failures are
+    error-counted, never raised. *)
 
 val stats : t -> stats
 (** Counters accumulated over this instance's lifetime. *)

@@ -1685,17 +1685,21 @@ let test_cache_prune_lru () =
   let kes = three_keyed_entries () in
   List.iter (fun (k, e) -> Core.Eval_cache.store c k e) kes;
   Core.Eval_cache.flush c;
-  (* Pin deterministic last-used times: keys[0] oldest, keys[2] newest. *)
+  (* Pin deterministic last-used times: keys[0] oldest, keys[2] newest.
+     A last use is the later of the index time and the file's mtime, so
+     both are pinned. *)
   let keys = List.map fst kes in
   let idx, rebuilt = Core.Cache_index.load_or_rebuild dir in
   check Alcotest.bool "index loads" false rebuilt;
   List.iteri
     (fun i k ->
+      let t = 1000.0 +. float_of_int i in
+      Unix.utimes (Filename.concat dir (k ^ ".json")) t t;
       match Core.Cache_index.find idx k with
       | None -> fail "key missing from the index"
       | Some m ->
         Core.Cache_index.record idx
-          { m with Core.Cache_index.m_last_used = 1000.0 +. float_of_int i })
+          { m with Core.Cache_index.m_last_used = t })
     keys;
   Core.Cache_index.save dir idx;
   let policy =
@@ -1733,6 +1737,161 @@ let test_cache_prune_lru () =
     r.Core.Eval_cache.p_evicted;
   check Alcotest.int "age bound keeps the fresh entry" 1
     r.Core.Eval_cache.p_kept
+
+let mtime dir k = (Unix.stat (Filename.concat dir (k ^ ".json"))).Unix.st_mtime
+
+let set_mtime dir k t = Unix.utimes (Filename.concat dir (k ^ ".json")) t t
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A flush with hits only publishes them as the hit entries' mtimes: the
+   index is left byte for byte as it was, and the entries not read keep
+   theirs. *)
+let test_cache_hit_flush_touches_mtimes () =
+  let dir = fresh_cache_dir () in
+  let c = Core.Eval_cache.create ~dir () in
+  let kes = three_keyed_entries () in
+  List.iter (fun (k, e) -> Core.Eval_cache.store c k e) kes;
+  Core.Eval_cache.flush c;
+  let index_path = Filename.concat dir "index.json" in
+  let index_before = read_file index_path in
+  List.iter (fun (k, _) -> set_mtime dir k 1000.0) kes;
+  let hit = List.map fst (List.filteri (fun i _ -> i < 2) kes) in
+  let c2 = Core.Eval_cache.create ~dir () in
+  List.iter
+    (fun k ->
+      if Core.Eval_cache.find c2 k = None then fail "stored entry missed")
+    hit;
+  let before_flush = Unix.gettimeofday () in
+  Core.Eval_cache.flush c2;
+  check Alcotest.string "a hit-only flush leaves index.json as it was"
+    index_before (read_file index_path);
+  List.iter
+    (fun (k, _) ->
+      if List.mem k hit then
+        check Alcotest.bool "a hit entry's mtime advances to its use" true
+          (mtime dir k > 1000.0 && mtime dir k <= before_flush +. 1e-3)
+      else
+        check (Alcotest.float 0.0) "an entry not read keeps its mtime" 1000.0
+          (mtime dir k))
+    kes;
+  check Alcotest.int "no errors" 0
+    (Core.Eval_cache.stats c2).Core.Eval_cache.errors;
+  (* A store among the pending updates takes the index path. *)
+  Core.Eval_cache.store c2 (String.make 32 'f') gnarly_entry;
+  Core.Eval_cache.flush c2;
+  match Core.Cache_index.load dir with
+  | None -> fail "index unreadable after a store"
+  | Some idx ->
+    check Alcotest.int "a store's flush rewrites the index" 4
+      (Core.Cache_index.count idx)
+
+(* LRU order through an mtime-only hit: the entry read last survives a
+   prune to one entry, although the index still records it as stored
+   with the others. *)
+let test_cache_lru_through_mtime_hit () =
+  let dir = fresh_cache_dir () in
+  let c = Core.Eval_cache.create ~dir () in
+  let kes = three_keyed_entries () in
+  List.iter (fun (k, e) -> Core.Eval_cache.store c k e) kes;
+  Core.Eval_cache.flush c;
+  List.iter (fun (k, _) -> set_mtime dir k 1000.0) kes;
+  let survivor = fst (List.nth kes 1) in
+  let c2 = Core.Eval_cache.create ~dir () in
+  if Core.Eval_cache.find c2 survivor = None then fail "stored entry missed";
+  Core.Eval_cache.flush c2;
+  let s = Core.Eval_cache.disk_stats dir in
+  check (Alcotest.option (Alcotest.float 1e-3))
+    "cache stats: newest use is the hit"
+    (Some (mtime dir survivor)) s.Core.Eval_cache.d_newest;
+  let r =
+    Core.Eval_cache.prune
+      ~policy:{ Core.Eval_cache.unlimited with
+                Core.Eval_cache.max_entries = Some 1 }
+      dir
+  in
+  check Alcotest.int "prune keeps one" 1 r.Core.Eval_cache.p_kept;
+  check Alcotest.(list string) "the hit entry survives" [ survivor ^ ".json" ]
+    (List.filter (fun f -> f <> "index.json") (dir_files dir))
+
+(* An entry pruned by another process between the hit and the flush is
+   nothing to publish, not an error. *)
+let test_cache_hit_flush_vanished_entry () =
+  let dir = fresh_cache_dir () in
+  let c = Core.Eval_cache.create ~dir () in
+  let kes = three_keyed_entries () in
+  List.iter (fun (k, e) -> Core.Eval_cache.store c k e) kes;
+  Core.Eval_cache.flush c;
+  let index_before = read_file (Filename.concat dir "index.json") in
+  let c2 = Core.Eval_cache.create ~dir () in
+  List.iter
+    (fun (k, _) ->
+      if Core.Eval_cache.find c2 k = None then fail "stored entry missed")
+    kes;
+  let gone = fst (List.hd kes) in
+  Sys.remove (Filename.concat dir (gone ^ ".json"));
+  Core.Eval_cache.flush c2;
+  check Alcotest.int "a vanished entry adds no error" 0
+    (Core.Eval_cache.stats c2).Core.Eval_cache.errors;
+  check Alcotest.string "nor an index rewrite" index_before
+    (read_file (Filename.concat dir "index.json"));
+  check Alcotest.int "the index drops it on the next reconcile" 2
+    (Core.Eval_cache.disk_stats dir).Core.Eval_cache.d_entries
+
+(* An entry whose mtime cannot be set (here a symlink loop, ELOOP even
+   for root) still publishes its hit, through the index, with no
+   error. *)
+let test_cache_hit_flush_utimes_failure () =
+  let dir = fresh_cache_dir () in
+  let c = Core.Eval_cache.create ~dir () in
+  let kes = three_keyed_entries () in
+  List.iter (fun (k, e) -> Core.Eval_cache.store c k e) kes;
+  Core.Eval_cache.flush c;
+  let looped = fst (List.hd kes) in
+  let stored_use idx =
+    match Core.Cache_index.find idx looped with
+    | None -> fail "key missing from the index"
+    | Some m -> m.Core.Cache_index.m_last_used
+  in
+  let before =
+    match Core.Cache_index.load dir with
+    | None -> fail "index unreadable"
+    | Some idx -> stored_use idx
+  in
+  let c2 = Core.Eval_cache.create ~dir () in
+  List.iter
+    (fun (k, _) ->
+      if Core.Eval_cache.find c2 k = None then fail "stored entry missed")
+    kes;
+  let path = Filename.concat dir (looped ^ ".json") in
+  Sys.remove path;
+  Unix.symlink (looped ^ ".json") path;
+  Core.Eval_cache.flush c2;
+  check Alcotest.int "an unsettable mtime adds no error" 0
+    (Core.Eval_cache.stats c2).Core.Eval_cache.errors;
+  match Core.Cache_index.load dir with
+  | None -> fail "index unreadable after the fallback"
+  | Some idx ->
+    check Alcotest.bool "the hit reaches index.json" true
+      (stored_use idx > before)
+
+(* An mtime in the future counts as now: it cannot shield an entry from
+   eviction for good. *)
+let test_cache_future_mtime_capped () =
+  let dir = fresh_cache_dir () in
+  let c = Core.Eval_cache.create ~dir () in
+  let kes = three_keyed_entries () in
+  List.iter (fun (k, e) -> Core.Eval_cache.store c k e) kes;
+  Core.Eval_cache.flush c;
+  let future = fst (List.hd kes) in
+  set_mtime dir future (Unix.gettimeofday () +. 1e6);
+  let s = Core.Eval_cache.disk_stats dir in
+  let now = Unix.gettimeofday () in
+  match s.Core.Eval_cache.d_newest with
+  | None -> fail "no newest entry"
+  | Some t ->
+    check Alcotest.bool "a future mtime reads as no later than now" true
+      (t <= now)
 
 let test_cache_verify_and_gc () =
   let dir = fresh_cache_dir () in
@@ -3068,6 +3227,16 @@ let () =
           Alcotest.test_case "index write + rebuild" `Quick
             test_cache_index_written_and_rebuilt;
           Alcotest.test_case "LRU prune" `Quick test_cache_prune_lru;
+          Alcotest.test_case "hit-only flush touches mtimes" `Quick
+            test_cache_hit_flush_touches_mtimes;
+          Alcotest.test_case "LRU through an mtime-only hit" `Quick
+            test_cache_lru_through_mtime_hit;
+          Alcotest.test_case "hit-only flush skips a vanished entry" `Quick
+            test_cache_hit_flush_vanished_entry;
+          Alcotest.test_case "hit-only flush falls back on utimes failure"
+            `Quick test_cache_hit_flush_utimes_failure;
+          Alcotest.test_case "future mtime counts as now" `Quick
+            test_cache_future_mtime_capped;
           Alcotest.test_case "verify + gc" `Quick test_cache_verify_and_gc;
           Alcotest.test_case "concurrent stores" `Quick
             test_cache_concurrent_stores;
