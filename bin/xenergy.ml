@@ -737,25 +737,20 @@ let cache_cmd =
              [ ("entries", Obs.Json.int s.Core.Eval_cache.d_entries);
                ("bytes", Obs.Json.int s.Core.Eval_cache.d_bytes);
                ("oldest_age_seconds", age_s s.Core.Eval_cache.d_oldest);
-               ("newest_age_seconds", age_s s.Core.Eval_cache.d_newest);
-               ( "index_rebuilt",
-                 Obs.Json.Bool s.Core.Eval_cache.d_index_rebuilt ) ])
+               ("newest_age_seconds", age_s s.Core.Eval_cache.d_newest) ])
       else
         Format.fprintf fmt
           "%s: %d entr%s, %s@.least recently used: %s@.most recently \
-           used: %s@.index: %s@."
+           used: %s@."
           dir s.Core.Eval_cache.d_entries
           (if s.Core.Eval_cache.d_entries = 1 then "y" else "ies")
           (human_bytes s.Core.Eval_cache.d_bytes)
           (age now s.Core.Eval_cache.d_oldest)
           (age now s.Core.Eval_cache.d_newest)
-          (if s.Core.Eval_cache.d_index_rebuilt then
-             "rebuilt from the entry files"
-           else "loaded")
     in
     Cmd.v
-      (Cmd.info "stats" ~doc:"Inventory of a cache directory (from its
-                              self-healing index)")
+      (Cmd.info "stats" ~doc:"Inventory of a cache directory (entries,
+                              bytes, least and most recent use)")
       Term.(const run $ dir_arg $ json_arg)
   in
   let verify_cmd =
@@ -786,8 +781,8 @@ let cache_cmd =
   let prune_cmd =
     let max_entries_arg =
       opt_arg Arg.(some int) None [ "max-entries" ] "N"
-        "Keep at most $(docv) entries (LRU by the recorded
-         last-use time)."
+        "Keep at most $(docv) entries (LRU by each entry file's
+         last-use time, its mtime)."
     in
     let max_bytes_arg =
       opt_arg Arg.(some int) None [ "max-bytes" ] "BYTES"
@@ -816,15 +811,12 @@ let cache_cmd =
       in
       let r = Core.Eval_cache.prune ~policy dir in
       Format.fprintf fmt
-        "%s: evicted %d entr%s (%s), kept %d (%s)%s@."
+        "%s: evicted %d entr%s (%s), kept %d (%s)@."
         dir r.Core.Eval_cache.p_evicted
         (if r.Core.Eval_cache.p_evicted = 1 then "y" else "ies")
         (human_bytes r.Core.Eval_cache.p_evicted_bytes)
         r.Core.Eval_cache.p_kept
         (human_bytes r.Core.Eval_cache.p_kept_bytes)
-        (if r.Core.Eval_cache.p_index_rebuilt then
-           " (index rebuilt from the entry files)"
-         else "")
     in
     Cmd.v
       (Cmd.info "prune"
@@ -838,18 +830,16 @@ let cache_cmd =
       require_dir dir;
       let r = Core.Eval_cache.gc dir in
       Format.fprintf fmt
-        "%s: removed %d orphaned tmp file%s and %d foreign file%s; \
-         index +%d/-%d@."
+        "%s: removed %d orphaned tmp file%s and %d foreign file%s@."
         dir r.Core.Eval_cache.g_tmp_removed
         (if r.Core.Eval_cache.g_tmp_removed = 1 then "" else "s")
         r.Core.Eval_cache.g_foreign_removed
         (if r.Core.Eval_cache.g_foreign_removed = 1 then "" else "s")
-        r.Core.Eval_cache.g_index_added r.Core.Eval_cache.g_index_dropped
     in
     Cmd.v
       (Cmd.info "gc"
-         ~doc:"Remove orphaned *.tmp and unindexable files, then re-sync
-               the index")
+         ~doc:"Remove orphaned *.tmp files and files that are not cache
+               entries")
       Term.(const run $ dir_arg)
   in
   Cmd.group

@@ -48,7 +48,7 @@ val run :
     reference-observed simulation per distinct cache miss (fanned out
     over {!Parallel}), zero for hits; a program listed twice simulates
     once and its second row reads [a_cached].  [cache] defaults to a
-    fresh memory-only cache; its index updates are flushed before
+    fresh memory-only cache; its hits are flushed before
     returning.
     @raise Invalid_argument on an empty case list. *)
 

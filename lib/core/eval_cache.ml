@@ -18,16 +18,14 @@ type t = {
   c_dir : string option;
   c_mem : (string, entry) Hashtbl.t;
   mutable c_stats : stats;
-  (* Index updates (stores and disk hits) accumulated since the last
-     {!flush}; merged into the directory's index.json in one atomic
-     rewrite instead of one per lookup; without a store ([c_stored]),
-     as the entry files' mtimes. *)
-  c_touched : (string, Cache_index.meta) Hashtbl.t;
-  mutable c_stored : bool;
+  (* Disk hits since the last {!flush}, with the time of each: flushed
+     as the hit entries' mtimes.  A store needs no record, its own
+     write sets the mtime. *)
+  c_touched : (string, float) Hashtbl.t;
   (* Inline size cap: when a store pushes the directory's estimated
      payload past [c_max_bytes], LRU eviction runs immediately instead
      of waiting for a manual prune.  [c_approx_bytes] is the running
-     estimate (seeded from the index at the first capped store, then
+     estimate (seeded from a directory scan at the first capped store, then
      advanced per store); -1 = not yet seeded. *)
   c_max_bytes : int option;
   mutable c_approx_bytes : int;
@@ -40,8 +38,6 @@ module M = struct
   let stores = lazy (Obs.Metrics.counter "eval_cache_stores_total")
   let evictions = lazy (Obs.Metrics.counter "eval_cache_evictions_total")
   let orphans = lazy (Obs.Metrics.counter "eval_cache_orphans_total")
-  let index_rebuilds =
-    lazy (Obs.Metrics.counter "eval_cache_index_rebuilds_total")
 end
 
 let create ?dir ?max_bytes () =
@@ -49,7 +45,6 @@ let create ?dir ?max_bytes () =
     c_dir = dir; c_mem = Hashtbl.create 64;
     c_stats = { hits = 0; misses = 0; errors = 0; stores = 0 };
     c_touched = Hashtbl.create 16;
-    c_stored = false;
     c_max_bytes = max_bytes;
     c_approx_bytes = -1 }
 
@@ -176,23 +171,80 @@ let entry_of_json ~expect_key s =
     e_stall_cycles = int "stall_cycles";
     e_measured_pj = measured_pj }
 
+(* --- Directory layout ------------------------------------------------------ *)
+
+(* The directory is the cache's only record: an entry is a regular file
+   named [<32-hex>.json], its size is [st_size] and its last use
+   [st_mtime] (a store's write or a flushed hit sets it). *)
+
+let file_of_key k = k ^ ".json"
+
+let key_of_entry_file fname =
+  if Filename.check_suffix fname ".json" then
+    let stem = Filename.chop_suffix fname ".json" in
+    if
+      String.length stem = 32
+      && String.for_all
+           (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+           stem
+    then Some stem
+    else None
+  else None
+
+type kind = Entry of string * Unix.stats | Tmp | Foreign
+
+(* How every directory operation reads a name: only a regular file named
+   like an entry is one (a directory so named is foreign); an orphaned
+   temp file is [*.tmp]; anything else, a name that vanished under the
+   scan included, is foreign. *)
+let classify dirname fname =
+  let path = Filename.concat dirname fname in
+  match key_of_entry_file fname with
+  | Some k -> (
+    match Unix.stat path with
+    | st when st.Unix.st_kind = Unix.S_REG -> Entry (k, st)
+    | _ | (exception Unix.Unix_error _) -> Foreign)
+  | None ->
+    if
+      Filename.check_suffix fname ".tmp"
+      && not (try Sys.is_directory path with Sys_error _ -> false)
+    then Tmp
+    else Foreign
+
+let list_dir dirname =
+  match Sys.readdir dirname with
+  | files -> Array.to_list files
+  | exception Sys_error _ -> []
+
+type file = { f_key : string; f_size : int; f_last_used : float }
+
+(* Every entry with its size and last use.  An mtime is a last use, but
+   never a future one: a file copied from a clock-skewed host must not
+   outrank every real use for good. *)
+let scan dirname =
+  let now = Unix.gettimeofday () in
+  List.filter_map
+    (fun fname ->
+      match classify dirname fname with
+      | Entry (k, st) ->
+        Some
+          { f_key = k;
+            f_size = st.Unix.st_size;
+            f_last_used = Float.min st.Unix.st_mtime now }
+      | Tmp | Foreign -> None)
+    (list_dir dirname)
+
+let total_bytes files = List.fold_left (fun n f -> n + f.f_size) 0 files
+
 (* --- Lookup / store ------------------------------------------------------ *)
 
 let path_of t k =
-  Option.map (fun d -> Filename.concat d (Cache_index.file_of_key k)) t.c_dir
+  Option.map (fun d -> Filename.concat d (file_of_key k)) t.c_dir
 
 let count_error t =
   t.c_stats <- { t.c_stats with errors = t.c_stats.errors + 1 };
   Obs.Metrics.inc (Lazy.force M.errors);
   Obs.Trace.instant ~cat:"cache" "cache:error"
-
-let touch t k (e : entry) ~size =
-  if t.c_dir <> None then
-    Hashtbl.replace t.c_touched k
-      { Cache_index.m_key = k;
-        m_name = e.e_name;
-        m_size = size;
-        m_last_used = Unix.gettimeofday () }
 
 let load_disk t k =
   match path_of t k with
@@ -210,10 +262,10 @@ let load_disk t k =
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> In_channel.input_all ic)
       in
-      (entry_of_json ~expect_key:k s, String.length s)
+      entry_of_json ~expect_key:k s
     with
-    | e, size ->
-      touch t k e ~size;
+    | e ->
+      Hashtbl.replace t.c_touched k (Unix.gettimeofday ());
       Some e
     | exception Unix.Unix_error (Unix.ENOENT, _, _) -> None
     | exception _ ->
@@ -282,44 +334,29 @@ let store_disk t k e =
          (* Never leak the temp file on a failed write. *)
          (try Sys.remove tmp with Sys_error _ | Unix.Unix_error _ -> ());
          raise exn);
-      touch t k e ~size:(String.length doc);
-      t.c_stored <- true;
       Some (String.length doc)
     with Sys_error _ | Unix.Unix_error _ | Invalid_argument _ | Failure _ ->
       count_error t;
       None)
 
-(* --- Index maintenance ---------------------------------------------------- *)
-
-let count_index_rebuild () =
-  Obs.Metrics.inc (Lazy.force M.index_rebuilds);
-  Obs.Trace.instant ~cat:"cache" "cache:index-rebuild"
-
-let flush_index t =
+(* Publish each pending hit as its entry's mtime.  A file pruned
+   meanwhile needs nothing; one whose mtime we may not set (another
+   user's, in a shared directory) is written anew from memory, and that
+   write's mtime records the use. *)
+let flush_hits t =
   match t.c_dir with
   | None -> ()
   | Some d ->
-    if Hashtbl.length t.c_touched > 0 && Sys.file_exists d then begin
-      (* Hits only: entry mtimes, not the index.  A file pruned meanwhile
-         needs nothing; one we may not touch (another user's) goes below. *)
-      if not t.c_stored then
-        Hashtbl.filter_map_inplace
-          (fun k (m : Cache_index.meta) ->
-            let path = Filename.concat d (Cache_index.file_of_key k) in
-            match Unix.utimes path m.m_last_used m.m_last_used with
-            | () | (exception Unix.Unix_error (Unix.ENOENT, _, _)) -> None
-            | exception Unix.Unix_error _ -> Some m)
-          t.c_touched;
-      if Hashtbl.length t.c_touched > 0 then
-        try
-          let idx, rebuilt = Cache_index.load_or_rebuild d in
-          if rebuilt then count_index_rebuild ();
-          Hashtbl.iter (fun _ m -> Cache_index.record idx m) t.c_touched;
-          Cache_index.save d idx;
-          Hashtbl.reset t.c_touched;
-          t.c_stored <- false
-        with Sys_error _ | Unix.Unix_error _ -> count_error t
-    end
+    Hashtbl.iter
+      (fun k used ->
+        match Unix.utimes (Filename.concat d (file_of_key k)) used used with
+        | () | (exception Unix.Unix_error (Unix.ENOENT, _, _)) -> ()
+        | exception Unix.Unix_error _ ->
+          Option.iter
+            (fun e -> ignore (store_disk t k e))
+            (Hashtbl.find_opt t.c_mem k))
+      t.c_touched;
+    Hashtbl.reset t.c_touched
 
 (* --- Lifecycle management over a directory -------------------------------- *)
 
@@ -336,88 +373,112 @@ type disk_stats = {
   d_bytes : int;
   d_oldest : float option;
   d_newest : float option;
-  d_index_rebuilt : bool;
 }
 
-(* Load-or-rebuild plus reconcile: the index is advisory, the files are
-   the truth, so every lifecycle operation re-syncs before acting. *)
-let synced_index dir =
-  let idx, rebuilt = Cache_index.load_or_rebuild dir in
-  if rebuilt then count_index_rebuild ()
-  else ignore (Cache_index.reconcile dir idx);
-  (idx, rebuilt)
-
 let disk_stats dirname =
-  let idx, rebuilt = synced_index dirname in
-  let ms = Cache_index.entries idx in
-  { d_entries = Cache_index.count idx;
-    d_bytes = Cache_index.total_bytes idx;
-    d_oldest =
-      (match ms with [] -> None | m :: _ -> Some m.Cache_index.m_last_used);
-    d_newest =
-      (match List.rev ms with
-      | [] -> None
-      | m :: _ -> Some m.Cache_index.m_last_used);
-    d_index_rebuilt = rebuilt }
+  let files = scan dirname in
+  let bound pick = function
+    | [] -> None
+    | f :: fs ->
+      Some
+        (List.fold_left
+           (fun acc f -> pick acc f.f_last_used)
+           f.f_last_used fs)
+  in
+  { d_entries = List.length files;
+    d_bytes = total_bytes files;
+    d_oldest = bound Float.min files;
+    d_newest = bound Float.max files }
+
+(* LRU eviction plan: walking the entries newest first, keep each one
+   while every bound of [policy] still holds and evict the rest.  Ties
+   on last use break by key, so plans are deterministic. *)
+let plan_eviction ~now policy files =
+  let newest_first =
+    List.sort
+      (fun a b ->
+        match Float.compare b.f_last_used a.f_last_used with
+        | 0 -> String.compare b.f_key a.f_key
+        | c -> c)
+      files
+  in
+  let too_old f =
+    match policy.max_age_s with
+    | None -> false
+    | Some age -> now -. f.f_last_used > age
+  in
+  let _, _, evicted =
+    List.fold_left
+      (fun (kept, kept_bytes, evicted) f ->
+        let over_count =
+          match policy.max_entries with Some n -> kept >= n | None -> false
+        in
+        let over_bytes =
+          match policy.max_bytes with
+          | Some b -> kept_bytes + f.f_size > b
+          | None -> false
+        in
+        if over_count || over_bytes || too_old f then
+          (kept, kept_bytes, f :: evicted)
+        else (kept + 1, kept_bytes + f.f_size, evicted))
+      (0, 0, []) newest_first
+  in
+  (* Oldest first. *)
+  evicted
 
 type prune_report = {
   p_kept : int;
   p_kept_bytes : int;
   p_evicted : int;
   p_evicted_bytes : int;
-  p_index_rebuilt : bool;
 }
 
 let prune ?now ~policy dirname =
   let now =
     match now with Some n -> n | None -> Unix.gettimeofday ()
   in
-  let idx, rebuilt = synced_index dirname in
-  let victims =
-    Cache_index.plan_eviction ~now ?max_entries:policy.max_entries
-      ?max_bytes:policy.max_bytes ?max_age_s:policy.max_age_s idx
+  let files = scan dirname in
+  (* Entries are immutable and recomputable, so deletion is always safe.
+     Only a file this pass removed, or one already gone, is evicted. *)
+  let evicted =
+    List.filter
+      (fun f ->
+        let path = Filename.concat dirname (file_of_key f.f_key) in
+        match Sys.remove path with
+        | () -> true
+        | exception Sys_error _ -> not (Sys.file_exists path))
+      (plan_eviction ~now policy files)
   in
-  let evicted_bytes = ref 0 in
   List.iter
-    (fun (m : Cache_index.meta) ->
-      (* Entries are immutable and recomputable, so deletion is always
-         safe; a file already gone is not an error. *)
-      (try
-         Sys.remove
-           (Filename.concat dirname (Cache_index.file_of_key m.Cache_index.m_key))
-       with Sys_error _ -> ());
-      Cache_index.remove idx m.Cache_index.m_key;
-      evicted_bytes := !evicted_bytes + m.Cache_index.m_size;
+    (fun f ->
       Obs.Metrics.inc (Lazy.force M.evictions);
       Obs.Trace.instant ~cat:"cache" "cache:evict"
-        ~args:[ ("key", Obs.Trace.S m.Cache_index.m_key) ];
+        ~args:[ ("key", Obs.Trace.S f.f_key) ];
       Obs.Log.event "cache:evict"
-        [ ("key", Obs.Trace.S m.Cache_index.m_key);
-          ("name", Obs.Trace.S m.Cache_index.m_name);
-          ("bytes", Obs.Trace.I m.Cache_index.m_size) ])
-    victims;
-  (try Cache_index.save dirname idx with Sys_error _ | Unix.Unix_error _ -> ());
-  { p_kept = Cache_index.count idx;
-    p_kept_bytes = Cache_index.total_bytes idx;
-    p_evicted = List.length victims;
-    p_evicted_bytes = !evicted_bytes;
-    p_index_rebuilt = rebuilt }
+        [ ("key", Obs.Trace.S f.f_key); ("bytes", Obs.Trace.I f.f_size) ])
+    evicted;
+  let evicted_bytes = total_bytes evicted in
+  let n_evicted = List.length evicted in
+  { p_kept = List.length files - n_evicted;
+    p_kept_bytes = total_bytes files - evicted_bytes;
+    p_evicted = n_evicted;
+    p_evicted_bytes = evicted_bytes }
 
 (* --- Store (with the inline size cap) ------------------------------------- *)
 
 (* When the cache was created with [max_bytes], a store that pushes the
    directory's estimated payload past the bound triggers LRU eviction on
-   the spot.  The estimate is seeded from the index once (first capped
-   store) and advanced per store, so the steady-state cost is one
-   comparison; an actual enforcement pass re-syncs the index, evicts and
-   re-seeds the estimate from the authoritative result. *)
+   the spot.  The estimate is seeded from one directory scan (first
+   capped store) and advanced per store, so the steady-state cost is one
+   comparison; an actual enforcement pass rescans, evicts and re-seeds
+   the estimate from what it kept. *)
 let enforce_cap t =
   match (t.c_dir, t.c_max_bytes) with
-  | Some d, Some mb when t.c_approx_bytes > mb && Sys.file_exists d ->
-    (* Publish this instance's pending last-used times first, so the
-       LRU order sees the current sweep's entries as fresh and evicts
-       genuinely cold ones. *)
-    flush_index t;
+  | Some d, Some mb when t.c_approx_bytes > mb ->
+    (* Publish this instance's pending hits first, so the LRU order sees
+       the current sweep's entries as fresh and evicts genuinely cold
+       ones. *)
+    flush_hits t;
     let r = prune ~policy:{ unlimited with max_bytes = Some mb } d in
     t.c_approx_bytes <- r.p_kept_bytes;
     Obs.Log.event "cache:cap-enforced"
@@ -427,28 +488,22 @@ let enforce_cap t =
         ("kept_bytes", Obs.Trace.I r.p_kept_bytes) ]
   | _ -> ()
 
-let flush t = locked t (fun () -> flush_index t)
+let flush t = locked t (fun () -> flush_hits t)
 
 let store t k e =
   locked t @@ fun () ->
   Hashtbl.replace t.c_mem k e;
+  (* The write below sets the entry's mtime, later than a pending hit. *)
+  Hashtbl.remove t.c_touched k;
   (match store_disk t k e with
   | None -> ()
   | Some size ->
     if t.c_max_bytes <> None then begin
-      if t.c_approx_bytes < 0 then
-        (* First capped store: seed the estimate from the index (the
-           entry just stored is already on disk and indexed-or-adopted
-           by the re-sync below on enforcement). *)
-        t.c_approx_bytes <-
-          (match t.c_dir with
-          | Some d ->
-            let idx, rebuilt = Cache_index.load_or_rebuild d in
-            if rebuilt then count_index_rebuild ();
-            ignore (Cache_index.reconcile d idx);
-            Cache_index.total_bytes idx
-          | None -> size)
-      else t.c_approx_bytes <- t.c_approx_bytes + size;
+      t.c_approx_bytes <-
+        (if t.c_approx_bytes < 0 then
+           (* First capped store: the scan already sees this entry. *)
+           total_bytes (scan (Option.get t.c_dir))
+         else t.c_approx_bytes + size);
       enforce_cap t
     end);
   t.c_stats <- { t.c_stats with stores = t.c_stats.stores + 1 };
@@ -558,77 +613,55 @@ type verify_report = {
   v_tmp : string list;
 }
 
-let list_dir dirname =
-  match Sys.readdir dirname with
-  | files -> Array.to_list files |> List.sort compare
-  | exception Sys_error _ -> []
-
 let verify dirname =
   let ok = ref 0 and corrupt = ref [] and foreign = ref [] and tmp = ref [] in
   List.iter
     (fun fname ->
-      let path = Filename.concat dirname fname in
-      if fname = Cache_index.index_basename then ()
-      else if try Sys.is_directory path with Sys_error _ -> false then
-        foreign := fname :: !foreign
-      else if Filename.check_suffix fname ".tmp" then tmp := fname :: !tmp
-      else
-        match Cache_index.key_of_entry_file fname with
-        | None -> foreign := fname :: !foreign
-        | Some k -> (
-          match
-            entry_of_json ~expect_key:k
-              (In_channel.with_open_text path In_channel.input_all)
-          with
-          | _ -> incr ok
-          | exception Failure msg -> corrupt := (fname, msg) :: !corrupt
-          | exception Obs.Json.Parse_error msg ->
-            corrupt := (fname, msg) :: !corrupt
-          | exception Sys_error msg -> corrupt := (fname, msg) :: !corrupt))
-    (list_dir dirname);
+      match classify dirname fname with
+      | Foreign -> foreign := fname :: !foreign
+      | Tmp -> tmp := fname :: !tmp
+      | Entry (k, _) -> (
+        match
+          entry_of_json ~expect_key:k
+            (In_channel.with_open_text
+               (Filename.concat dirname fname)
+               In_channel.input_all)
+        with
+        | _ -> incr ok
+        | exception Failure msg -> corrupt := (fname, msg) :: !corrupt
+        | exception Obs.Json.Parse_error msg ->
+          corrupt := (fname, msg) :: !corrupt
+        | exception Sys_error msg -> corrupt := (fname, msg) :: !corrupt))
+    (List.sort compare (list_dir dirname));
   { v_ok = !ok;
     v_corrupt = List.rev !corrupt;
     v_foreign = List.rev !foreign;
     v_tmp = List.rev !tmp }
 
-type gc_report = {
-  g_tmp_removed : int;
-  g_foreign_removed : int;
-  g_index_added : int;
-  g_index_dropped : int;
-}
+type gc_report = { g_tmp_removed : int; g_foreign_removed : int }
 
 let gc dirname =
   let tmp = ref 0 and foreign = ref 0 in
   List.iter
     (fun fname ->
-      let path = Filename.concat dirname fname in
-      if fname = Cache_index.index_basename then ()
-      else if try Sys.is_directory path with Sys_error _ -> false then ()
-      else if Cache_index.key_of_entry_file fname <> None then ()
-      else begin
-        (* An orphaned temp file (from a writer that died between
-           temp_file and rename) or a file that can never be indexed:
-           sweep it. *)
-        let counter =
-          if Filename.check_suffix fname ".tmp" then tmp else foreign
-        in
-        try
-          Sys.remove path;
-          incr counter;
-          Obs.Metrics.inc (Lazy.force M.orphans);
-          Obs.Trace.instant ~cat:"cache" "cache:gc"
-            ~args:[ ("file", Obs.Trace.S fname) ]
-        with Sys_error _ -> ()
-      end)
+      let counter =
+        match classify dirname fname with
+        | Entry _ -> None
+        | Tmp -> Some tmp
+        | Foreign -> Some foreign
+      in
+      (* An orphaned temp file (from a writer that died between
+         temp_file and rename) or a file that can never be an entry:
+         sweep it.  A directory stays (its removal fails). *)
+      Option.iter
+        (fun counter ->
+          try
+            Sys.remove (Filename.concat dirname fname);
+            incr counter;
+            Obs.Metrics.inc (Lazy.force M.orphans);
+            Obs.Trace.instant ~cat:"cache" "cache:gc"
+              ~args:[ ("file", Obs.Trace.S fname) ]
+          with Sys_error _ -> ())
+        counter)
     (list_dir dirname);
-  let idx, rebuilt = Cache_index.load_or_rebuild dirname in
-  if rebuilt then count_index_rebuild ();
-  let added, dropped =
-    if rebuilt then (0, 0) else Cache_index.reconcile dirname idx
-  in
-  (try Cache_index.save dirname idx with Sys_error _ | Unix.Unix_error _ -> ());
-  { g_tmp_removed = !tmp;
-    g_foreign_removed = !foreign;
-    g_index_added = added;
-    g_index_dropped = dropped }
+  { g_tmp_removed = !tmp; g_foreign_removed = !foreign }

@@ -22,17 +22,16 @@
     [eval_cache_stores_total]) and, with tracing enabled, recorded as
     instants on the ["cache"] category.
 
-    The directory is a {e managed} store: it carries a
-    {!Cache_index}-maintained [index.json] (advisory, atomically
-    rewritten, self-healing — rebuilt from the entry files whenever it
-    is missing or stale, never trusted over them), and the lifecycle
-    operations {!disk_stats}, {!prune} (LRU eviction under
+    The directory is a {e managed} store and its own only record: an
+    entry is a regular file named [<32-hex>.json], its size is the
+    file's size and its last use the file's mtime (set by the store's
+    write or by a {!flush}ed hit; a future mtime counts as now).  The
+    lifecycle operations {!disk_stats}, {!prune} (LRU eviction under
     {!type-policy} bounds; entries are immutable and recomputable, so
-    eviction is always safe), {!verify} and {!gc} operate on a
-    directory without a live cache instance — they back the
-    [xenergy cache] CLI.  Evictions, swept orphans and index rebuilds
-    are counted as [eval_cache_evictions_total],
-    [eval_cache_orphans_total] and [eval_cache_index_rebuilds_total].
+    eviction is always safe), {!verify} and {!gc} read one directory
+    scan without a live cache instance — they back the [xenergy cache]
+    CLI.  Evictions and swept orphans are counted as
+    [eval_cache_evictions_total] and [eval_cache_orphans_total].
 
     With an {!Obs.Log} sink open, lookups and evictions additionally
     emit structured records: [cache:hit] (key, name, memory/disk
@@ -78,8 +77,8 @@ val create : ?dir:string -> ?max_bytes:int -> unit -> t
     {!prune}[ ~policy:{unlimited with max_bytes}], counted in
     [eval_cache_evictions_total]), with this instance's pending
     last-used times flushed first so the current sweep's entries read
-    as fresh.  The estimate is seeded from the index at the first
-    capped store and advanced per store — steady-state cost is one
+    as fresh.  The estimate is seeded from a directory scan at the
+    first capped store and advanced per store — steady-state cost is one
     integer comparison.  Ignored for memory-only caches. *)
 
 val dir : t -> string option
@@ -132,15 +131,14 @@ val store : t -> string -> entry -> unit
     entry in place. *)
 
 val flush : t -> unit
-(** Publish the last-used times of this instance's stores and disk
-    hits: with a store among them, in one atomic rewrite of the
-    directory's [index.json]; with hits only, as the hit entry files'
-    mtimes ({!Cache_index.reconcile} reads them), so a warm sweep pays
-    per entry read, not per entry in the directory.  A file pruned
-    meanwhile is skipped; one whose mtime cannot be set (another
-    user's) goes through the index.  A no-op for memory-only caches.
-    {!Explore.run} flushes at the end of every sweep.  Failures are
-    error-counted, never raised. *)
+(** Publish the last-used times of this instance's disk hits as the hit
+    entry files' mtimes (a store's own write already set its entry's),
+    so a sweep pays per entry read, not per entry in the directory.  A
+    file pruned meanwhile is skipped; one whose mtime cannot be set
+    (another user's) is rewritten from memory through {!store}'s atomic
+    publication, whose write records the use.  A no-op for memory-only
+    caches.  {!Explore.run} flushes at the end of every sweep.  Failures
+    are error-counted, never raised. *)
 
 val stats : t -> stats
 (** Counters accumulated over this instance's lifetime. *)
@@ -207,14 +205,15 @@ val collect :
     [cached] is [false] only for the first row of a freshly simulated
     key, so a case named twice simulates once.  [simulate] defaults to
     {!compute} fanned out over {!Parallel.map} with [jobs]; it is not
-    called when every case hits.  The index is not flushed. *)
+    called when every case hits.  Hits are not {!flush}ed. *)
 
 (** {1 Lifecycle management}
 
-    These operate on a cache {e directory} (no live instance needed)
-    and re-sync the index against the entry files before acting: a
-    missing or corrupt [index.json] is rebuilt, a stale one reconciled.
-    They back [xenergy cache stats|prune|verify|gc]. *)
+    These operate on a cache {e directory} (no live instance needed),
+    each from one scan of it: only regular files named [<32-hex>.json]
+    are entries (a directory so named, an [index.json] left by an older
+    release and every other name are foreign files, which {!gc}
+    sweeps).  They back [xenergy cache stats|prune|verify|gc]. *)
 
 type policy = {
   max_entries : int option;  (** keep at most this many entries *)
@@ -223,39 +222,38 @@ type policy = {
 }
 
 val unlimited : policy
-(** No bounds: {!prune} under it only re-syncs the index. *)
+(** No bounds: {!prune} under it evicts nothing. *)
 
 type disk_stats = {
   d_entries : int;
   d_bytes : int;
   d_oldest : float option;  (** least recent last-use (Unix time) *)
   d_newest : float option;  (** most recent last-use (Unix time) *)
-  d_index_rebuilt : bool;   (** the index was missing/corrupt and got
-                                rebuilt from the entry files *)
 }
 
 val disk_stats : string -> disk_stats
-(** Inventory of a cache directory, from the (re-synced) index. *)
+(** Inventory of a cache directory: its entries, their bytes and the
+    range of their last uses. *)
 
 type prune_report = {
   p_kept : int;
   p_kept_bytes : int;
   p_evicted : int;
   p_evicted_bytes : int;
-  p_index_rebuilt : bool;
 }
 
 val prune : ?now:float -> policy:policy -> string -> prune_report
 (** Apply the eviction policy to a cache directory: delete the least
-    recently used entries until every given bound holds, and rewrite
-    the index.  [now] (default: the current time) anchors the
+    recently used entries until every given bound holds (ties on last
+    use break by key).  Only entries actually removed, or already gone,
+    count as evicted.  [now] (default: the current time) anchors the
     [max_age_s] bound and is injectable for tests. *)
 
 type verify_report = {
   v_ok : int;                         (** entries that re-parse cleanly *)
   v_corrupt : (string * string) list; (** entry file, failure reason *)
-  v_foreign : string list; (** files that are not cache entries, the
-                               index or temp files *)
+  v_foreign : string list; (** names that are neither entries nor temp
+                               files *)
   v_tmp : string list;     (** orphaned [*.tmp] files ({!gc} sweeps
                                them) *)
 }
@@ -267,15 +265,13 @@ val verify : string -> verify_report
 
 type gc_report = {
   g_tmp_removed : int;     (** orphaned [*.tmp] files deleted *)
-  g_foreign_removed : int; (** unindexable files deleted *)
-  g_index_added : int;     (** entry files adopted into the index *)
-  g_index_dropped : int;   (** index entries whose file was gone *)
+  g_foreign_removed : int; (** foreign files deleted *)
 }
 
 val gc : string -> gc_report
 (** Sweep a cache directory: delete orphaned [*.tmp] files (left by
     writers that died mid-publication) and files that can never be
-    indexed as cache entries, then re-sync and rewrite the index.
+    cache entries, an old [index.json] among them; directories stay.
     Correctly-named entries are never deleted here, even when corrupt —
     they self-heal (an error-counted miss recomputes and overwrites
     them); use {!verify} to find them. *)

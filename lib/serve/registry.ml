@@ -43,12 +43,13 @@ type stats = {
   r_evictions : int;
 }
 
+type slot = { model : Core.Template.model; mutable last_used : float }
+
 type t = {
   max_models : int;
   characterize : Sim.Config.t -> Core.Template.model;
-  table : (string, Core.Template.model) Hashtbl.t;
-  index : Core.Cache_index.t;   (* LRU bookkeeping: m_size = 1 per model *)
-  lock : Mutex.t;               (* guards table/index/counters/inflight *)
+  table : (string, slot) Hashtbl.t;
+  lock : Mutex.t;               (* guards table/counters/inflight *)
   cond : Condition.t;           (* broadcast when a characterization lands *)
   inflight : (string, unit) Hashtbl.t;
   (* config hashes being characterized right now: a second thread
@@ -67,7 +68,6 @@ let create ?(max_models = 4) ~characterize () =
   { max_models;
     characterize;
     table = Hashtbl.create 8;
-    index = Core.Cache_index.create ();
     lock = Mutex.create ();
     cond = Condition.create ();
     inflight = Hashtbl.create 4;
@@ -75,30 +75,30 @@ let create ?(max_models = 4) ~characterize () =
     misses = 0;
     evictions = 0 }
 
-let touch t key =
-  Core.Cache_index.record t.index
-    { Core.Cache_index.m_key = key;
-      m_name = "model";
-      m_size = 1;
-      m_last_used = Unix.gettimeofday () }
+let install t key model =
+  Hashtbl.replace t.table key { model; last_used = Unix.gettimeofday () }
 
 let publish_residency t =
   Obs.Metrics.set (Lazy.force M.models) (float_of_int (Hashtbl.length t.table))
 
+(* Evict least recently used models past the bound; ties on last use
+   break by key. *)
 let evict_over_bound t =
-  let plan =
-    Core.Cache_index.plan_eviction ~now:(Unix.gettimeofday ())
-      ~max_entries:t.max_models t.index
-  in
-  List.iter
-    (fun m ->
-      let key = m.Core.Cache_index.m_key in
-      Hashtbl.remove t.table key;
-      Core.Cache_index.remove t.index key;
-      t.evictions <- t.evictions + 1;
-      Obs.Metrics.inc (Lazy.force M.evictions);
-      Obs.Log.event "serve:evict-model" [ ("key", Obs.Trace.S key) ])
-    plan;
+  while Hashtbl.length t.table > t.max_models do
+    let key, _ =
+      Hashtbl.fold
+        (fun k s ((k', u') as oldest) ->
+          match Float.compare s.last_used u' with
+          | c when c < 0 || (c = 0 && String.compare k k' < 0) ->
+            (k, s.last_used)
+          | _ -> oldest)
+        t.table ("", Float.infinity)
+    in
+    Hashtbl.remove t.table key;
+    t.evictions <- t.evictions + 1;
+    Obs.Metrics.inc (Lazy.force M.evictions);
+    Obs.Log.event "serve:evict-model" [ ("key", Obs.Trace.S key) ]
+  done;
   publish_residency t
 
 (* Characterization runs with the lock released (it is the multi-second
@@ -113,12 +113,12 @@ let get t config =
   Mutex.lock t.lock;
   let rec obtain () =
     match Hashtbl.find_opt t.table key with
-    | Some model ->
+    | Some slot ->
       t.hits <- t.hits + 1;
-      touch t key;
+      slot.last_used <- Unix.gettimeofday ();
       Mutex.unlock t.lock;
       Obs.Metrics.inc (Lazy.force M.hits);
-      { l_key = key; l_model = model; l_hit = true }
+      { l_key = key; l_model = slot.model; l_hit = true }
     | None ->
       if Hashtbl.mem t.inflight key then begin
         (* Another connection is characterizing this very config; wait
@@ -150,9 +150,8 @@ let get t config =
           (Lazy.force M.characterize_seconds)
           (Unix.gettimeofday () -. t0);
         Mutex.lock t.lock;
-        Hashtbl.replace t.table key model;
+        install t key model;
         Hashtbl.remove t.inflight key;
-        touch t key;
         evict_over_bound t;
         Condition.broadcast t.cond;
         Mutex.unlock t.lock;
@@ -164,8 +163,7 @@ let get t config =
 let preload t config model =
   let key = key_of_config config in
   Mutex.lock t.lock;
-  Hashtbl.replace t.table key model;
-  touch t key;
+  install t key model;
   evict_over_bound t;
   Mutex.unlock t.lock
 

@@ -6,12 +6,12 @@
     same configuration — however they spell it — share one model.  A
     lookup that misses runs a full characterization (the expensive step
     the daemon exists to amortize) and caches the fitted model; the
-    resident set is bounded by [max_models] with LRU eviction planned by
-    the same {!Core.Cache_index.plan_eviction} machinery that bounds the
-    on-disk evaluation cache.
+    resident set is bounded by [max_models]: each model keeps its last
+    use, and the least recently used model past the bound is evicted
+    (ties on last use break by key).
 
     The registry is safe under the concurrent server: an internal lock
-    guards the resident table, LRU index and counters, and
+    guards the resident table, last-use times and counters, and
     characterization is single-flight {e per config hash} — a lookup
     racing a characterization of the same configuration waits for that
     flight's model (and counts as a hit, since it ran no flight of its

@@ -134,5 +134,5 @@ val stopped : t -> bool
 (** Has a [shutdown] request been handled? *)
 
 val shutdown : t -> unit
-(** Flush the evaluation cache's index and shut the worker pool down
+(** Flush the evaluation cache's hits and shut the worker pool down
     (reaping every lane).  Idempotent. *)

@@ -172,7 +172,7 @@ let run ?(io_timeout_s = 10.0) ?(backlog = 16) ?(max_conns = 8) ~socket router
       (try Unix.close listener with Unix.Unix_error _ -> ());
       (try Unix.unlink socket with Unix.Unix_error _ -> ());
       (* Give in-flight connection threads a bounded grace to finish
-         answering before the router (pool, cache index) is torn down
+         answering before the router (pool, pending cache hits) is torn down
          under them; a thread still wedged on a dead client past this
          hits its own I/O deadline and exits harmlessly. *)
       let give_up = Unix.gettimeofday () +. 2.0 in

@@ -46,7 +46,7 @@
     The loop runs until the router handles a [shutdown] request, then
     tears down: listener closed, socket file unlinked, in-flight
     handlers given a short grace to finish answering, router shut down
-    (pool reaped, cache index flushed). *)
+    (pool reaped, cache hits flushed). *)
 
 val run :
   ?io_timeout_s:float ->

@@ -1455,10 +1455,16 @@ let test_cache_disk_round_trip () =
   check Alcotest.int "one miss" 1
     (Core.Eval_cache.stats c2).Core.Eval_cache.misses
 
+let dir_files dir =
+  match Sys.readdir dir with
+  | fs -> Array.to_list fs |> List.sort compare
+  | exception Sys_error _ -> []
+
 (* Caches written before documents were built as [Obs.Json] values:
-   one entry file and its index in that pretty-printed layout, the name
-   carrying the "\t" escape the old cache writer used for tabs.  Both
-   must still load, and a warm [find] must serve the entry. *)
+   one entry file in that pretty-printed layout, the name carrying the
+   "\t" escape the old cache writer used for tabs, beside the index that
+   older caches kept.  The entry must still load and a warm [find] must
+   serve it; the old index is an ordinary foreign file. *)
 let legacy_key = "82d1397fd3f35d307a60e999f0847d07"
 
 let legacy_entry =
@@ -1509,16 +1515,6 @@ let test_cache_reads_legacy_layout () =
   in
   write (legacy_key ^ ".json") legacy_entry;
   write "index.json" legacy_index;
-  (match Core.Cache_index.load dir with
-  | None -> fail "legacy index rejected"
-  | Some idx -> (
-    match Core.Cache_index.find idx legacy_key with
-    | None -> fail "legacy index lost its entry"
-    | Some m ->
-      check Alcotest.string "index name" "rs\tgfmac" m.Core.Cache_index.m_name;
-      check Alcotest.int "index size" 352 m.Core.Cache_index.m_size;
-      check (Alcotest.float 0.0) "index last use" 1792248880.810534
-        m.Core.Cache_index.m_last_used));
   let c = Core.Eval_cache.create ~dir () in
   (match Core.Eval_cache.find c legacy_key with
   | Some warm ->
@@ -1526,7 +1522,32 @@ let test_cache_reads_legacy_layout () =
   | None -> fail "legacy entry missed");
   let s = Core.Eval_cache.stats c in
   check Alcotest.int "one hit" 1 s.Core.Eval_cache.hits;
-  check Alcotest.int "no errors" 0 s.Core.Eval_cache.errors
+  check Alcotest.int "no errors" 0 s.Core.Eval_cache.errors;
+  let entry_bytes = String.length legacy_entry in
+  let s = Core.Eval_cache.disk_stats dir in
+  check Alcotest.int "stats: the old index is no entry" 1
+    s.Core.Eval_cache.d_entries;
+  check Alcotest.int "stats: nor are its bytes" entry_bytes
+    s.Core.Eval_cache.d_bytes;
+  let r =
+    Core.Eval_cache.prune
+      ~policy:{ Core.Eval_cache.unlimited with
+                Core.Eval_cache.max_bytes = Some entry_bytes }
+      dir
+  in
+  check Alcotest.int "prune: the old index costs no room" 0
+    r.Core.Eval_cache.p_evicted;
+  let v = Core.Eval_cache.verify dir in
+  check Alcotest.int "verify: the entry is ok" 1 v.Core.Eval_cache.v_ok;
+  check Alcotest.(list string) "verify: the old index is foreign"
+    [ "index.json" ] v.Core.Eval_cache.v_foreign;
+  check Alcotest.int "verify: nothing corrupt" 0
+    (List.length v.Core.Eval_cache.v_corrupt);
+  let g = Core.Eval_cache.gc dir in
+  check Alcotest.int "gc removes the old index" 1
+    g.Core.Eval_cache.g_foreign_removed;
+  check Alcotest.(list string) "gc keeps the entry"
+    [ legacy_key ^ ".json" ] (dir_files dir)
 
 let test_cache_corruption_fallback () =
   let dir = fresh_cache_dir () in
@@ -1582,11 +1603,6 @@ let test_cache_store_world_readable () =
   check Alcotest.int "entry published world-readable" 0o644
     (st.Unix.st_perm land 0o777)
 
-let dir_files dir =
-  match Sys.readdir dir with
-  | fs -> Array.to_list fs |> List.sort compare
-  | exception Sys_error _ -> []
-
 let test_cache_nonfinite_fails_fast_at_store () =
   (* nan/inf have no JSON encoding; a stored entry holding one used to
      become a permanent parse error on every warm read.  The store must
@@ -1640,44 +1656,80 @@ let three_keyed_entries () =
          let k = Core.Eval_cache.key ~config:small_config case in
          (k, { gnarly_entry with Core.Eval_cache.e_name = "wl-" ^ k }))
 
-let test_cache_index_written_and_rebuilt () =
+(* The directory is the cache's only record: no index file is ever
+   written, and stats read whatever entry files are there, whichever of
+   them is deleted behind the cache's back. *)
+let test_cache_directory_is_the_record () =
   let dir = fresh_cache_dir () in
   let c = Core.Eval_cache.create ~dir () in
   let kes = three_keyed_entries () in
   List.iter (fun (k, e) -> Core.Eval_cache.store c k e) kes;
   Core.Eval_cache.flush c;
-  let index_path = Filename.concat dir "index.json" in
-  check Alcotest.bool "flush writes index.json" true
-    (Sys.file_exists index_path);
+  let c2 = Core.Eval_cache.create ~dir () in
+  List.iter
+    (fun (k, _) ->
+      if Core.Eval_cache.find c2 k = None then fail "stored entry missed")
+    kes;
+  Core.Eval_cache.flush c2;
+  ignore
+    (Core.Eval_cache.prune ~policy:Core.Eval_cache.unlimited dir
+      : Core.Eval_cache.prune_report);
+  ignore (Core.Eval_cache.gc dir : Core.Eval_cache.gc_report);
+  check Alcotest.(list string) "only entry files are written"
+    (List.sort compare (List.map (fun (k, _) -> k ^ ".json") kes))
+    (dir_files dir);
+  let size k = (Unix.stat (Filename.concat dir (k ^ ".json"))).Unix.st_size in
+  List.iteri
+    (fun i (victim, _) ->
+      let dir = fresh_cache_dir () in
+      let c = Core.Eval_cache.create ~dir () in
+      List.iter (fun (k, e) -> Core.Eval_cache.store c k e) kes;
+      Sys.remove (Filename.concat dir (victim ^ ".json"));
+      let s = Core.Eval_cache.disk_stats dir in
+      let name = Printf.sprintf "entry %d deleted: " i in
+      check Alcotest.int (name ^ "stats count the rest") 2
+        s.Core.Eval_cache.d_entries;
+      check Alcotest.int (name ^ "and their bytes")
+        (List.fold_left
+           (fun n (k, _) -> if k = victim then n else n + size k)
+           0 kes)
+        s.Core.Eval_cache.d_bytes)
+    kes
+
+(* A directory named like an entry is foreign, as [verify] says: stats
+   do not count it, and a prune neither claims to evict it nor keeps
+   counting it afterwards. *)
+let test_cache_entry_named_directory () =
+  let dir = fresh_cache_dir () in
+  let c = Core.Eval_cache.create ~dir () in
+  let k, e = List.hd (three_keyed_entries ()) in
+  Core.Eval_cache.store c k e;
+  let impostor = String.make 32 'd' ^ ".json" in
+  Unix.mkdir (Filename.concat dir impostor) 0o755;
   let s = Core.Eval_cache.disk_stats dir in
-  check Alcotest.int "index counts the entries" 3
-    s.Core.Eval_cache.d_entries;
-  check Alcotest.bool "index not rebuilt when present" false
-    s.Core.Eval_cache.d_index_rebuilt;
-  check Alcotest.bool "bytes accounted" true (s.Core.Eval_cache.d_bytes > 0);
-  (* Manual deletion of index.json: rebuilt from the files, never
-     trusted over them. *)
-  Sys.remove index_path;
-  let s = Core.Eval_cache.disk_stats dir in
-  check Alcotest.bool "missing index rebuilt" true
-    s.Core.Eval_cache.d_index_rebuilt;
-  check Alcotest.int "rebuilt index counts the entries" 3
-    s.Core.Eval_cache.d_entries;
-  (* A corrupt index is also rebuilt, not trusted. *)
-  Out_channel.with_open_text index_path (fun oc ->
-      Out_channel.output_string oc "{ not an index");
-  let s = Core.Eval_cache.disk_stats dir in
-  check Alcotest.bool "corrupt index rebuilt" true
-    s.Core.Eval_cache.d_index_rebuilt;
-  check Alcotest.int "entries survive index corruption" 3
-    s.Core.Eval_cache.d_entries;
-  (* A stale index (manual entry-file deletion behind its back) is
-     reconciled against the files before any decision. *)
-  let victim = fst (List.hd kes) in
-  Sys.remove (Filename.concat dir (victim ^ ".json"));
-  let s = Core.Eval_cache.disk_stats dir in
-  check Alcotest.int "stale index reconciled to the files" 2
-    s.Core.Eval_cache.d_entries
+  check Alcotest.int "stats: one entry" 1 s.Core.Eval_cache.d_entries;
+  check Alcotest.int "stats: the entry's bytes"
+    (Unix.stat (Filename.concat dir (k ^ ".json"))).Unix.st_size
+    s.Core.Eval_cache.d_bytes;
+  check Alcotest.(list string) "verify: the directory is foreign"
+    [ impostor ] (Core.Eval_cache.verify dir).Core.Eval_cache.v_foreign;
+  let r =
+    Core.Eval_cache.prune
+      ~policy:{ Core.Eval_cache.unlimited with
+                Core.Eval_cache.max_entries = Some 0 }
+      dir
+  in
+  check Alcotest.int "prune evicts the entry only" 1
+    r.Core.Eval_cache.p_evicted;
+  check Alcotest.int "and keeps nothing" 0 r.Core.Eval_cache.p_kept;
+  check Alcotest.(list string) "the directory stays" [ impostor ]
+    (dir_files dir);
+  check Alcotest.int "stats: no entry left" 0
+    (Core.Eval_cache.disk_stats dir).Core.Eval_cache.d_entries
+
+let mtime dir k = (Unix.stat (Filename.concat dir (k ^ ".json"))).Unix.st_mtime
+
+let set_mtime dir k t = Unix.utimes (Filename.concat dir (k ^ ".json")) t t
 
 let test_cache_prune_lru () =
   let dir = fresh_cache_dir () in
@@ -1685,23 +1737,9 @@ let test_cache_prune_lru () =
   let kes = three_keyed_entries () in
   List.iter (fun (k, e) -> Core.Eval_cache.store c k e) kes;
   Core.Eval_cache.flush c;
-  (* Pin deterministic last-used times: keys[0] oldest, keys[2] newest.
-     A last use is the later of the index time and the file's mtime, so
-     both are pinned. *)
+  (* Pin deterministic last-used times: keys[0] oldest, keys[2] newest. *)
   let keys = List.map fst kes in
-  let idx, rebuilt = Core.Cache_index.load_or_rebuild dir in
-  check Alcotest.bool "index loads" false rebuilt;
-  List.iteri
-    (fun i k ->
-      let t = 1000.0 +. float_of_int i in
-      Unix.utimes (Filename.concat dir (k ^ ".json")) t t;
-      match Core.Cache_index.find idx k with
-      | None -> fail "key missing from the index"
-      | Some m ->
-        Core.Cache_index.record idx
-          { m with Core.Cache_index.m_last_used = t })
-    keys;
-  Core.Cache_index.save dir idx;
+  List.iteri (fun i k -> set_mtime dir k (1000.0 +. float_of_int i)) keys;
   let policy =
     { Core.Eval_cache.unlimited with Core.Eval_cache.max_entries = Some 2 }
   in
@@ -1738,23 +1776,14 @@ let test_cache_prune_lru () =
   check Alcotest.int "age bound keeps the fresh entry" 1
     r.Core.Eval_cache.p_kept
 
-let mtime dir k = (Unix.stat (Filename.concat dir (k ^ ".json"))).Unix.st_mtime
-
-let set_mtime dir k t = Unix.utimes (Filename.concat dir (k ^ ".json")) t t
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-(* A flush with hits only publishes them as the hit entries' mtimes: the
-   index is left byte for byte as it was, and the entries not read keep
-   theirs. *)
+(* A flush publishes hits as the hit entries' mtimes, and the entries
+   not read keep theirs; a store's own write sets its entry's mtime. *)
 let test_cache_hit_flush_touches_mtimes () =
   let dir = fresh_cache_dir () in
   let c = Core.Eval_cache.create ~dir () in
   let kes = three_keyed_entries () in
   List.iter (fun (k, e) -> Core.Eval_cache.store c k e) kes;
   Core.Eval_cache.flush c;
-  let index_path = Filename.concat dir "index.json" in
-  let index_before = read_file index_path in
   List.iter (fun (k, _) -> set_mtime dir k 1000.0) kes;
   let hit = List.map fst (List.filteri (fun i _ -> i < 2) kes) in
   let c2 = Core.Eval_cache.create ~dir () in
@@ -1764,8 +1793,6 @@ let test_cache_hit_flush_touches_mtimes () =
     hit;
   let before_flush = Unix.gettimeofday () in
   Core.Eval_cache.flush c2;
-  check Alcotest.string "a hit-only flush leaves index.json as it was"
-    index_before (read_file index_path);
   List.iter
     (fun (k, _) ->
       if List.mem k hit then
@@ -1777,18 +1804,17 @@ let test_cache_hit_flush_touches_mtimes () =
     kes;
   check Alcotest.int "no errors" 0
     (Core.Eval_cache.stats c2).Core.Eval_cache.errors;
-  (* A store among the pending updates takes the index path. *)
-  Core.Eval_cache.store c2 (String.make 32 'f') gnarly_entry;
+  let stored = String.make 32 'f' in
+  let before_store = Unix.gettimeofday () in
+  Core.Eval_cache.store c2 stored gnarly_entry;
   Core.Eval_cache.flush c2;
-  match Core.Cache_index.load dir with
-  | None -> fail "index unreadable after a store"
-  | Some idx ->
-    check Alcotest.int "a store's flush rewrites the index" 4
-      (Core.Cache_index.count idx)
+  check Alcotest.bool "a store's write is its last use" true
+    (mtime dir stored >= before_store -. 1.0);
+  check Alcotest.int "the directory counts the store" 4
+    (Core.Eval_cache.disk_stats dir).Core.Eval_cache.d_entries
 
 (* LRU order through an mtime-only hit: the entry read last survives a
-   prune to one entry, although the index still records it as stored
-   with the others. *)
+   prune to one entry, although it was stored with the others. *)
 let test_cache_lru_through_mtime_hit () =
   let dir = fresh_cache_dir () in
   let c = Core.Eval_cache.create ~dir () in
@@ -1812,17 +1838,16 @@ let test_cache_lru_through_mtime_hit () =
   in
   check Alcotest.int "prune keeps one" 1 r.Core.Eval_cache.p_kept;
   check Alcotest.(list string) "the hit entry survives" [ survivor ^ ".json" ]
-    (List.filter (fun f -> f <> "index.json") (dir_files dir))
+    (dir_files dir)
 
 (* An entry pruned by another process between the hit and the flush is
-   nothing to publish, not an error. *)
+   nothing to publish, not an error, and it is not brought back. *)
 let test_cache_hit_flush_vanished_entry () =
   let dir = fresh_cache_dir () in
   let c = Core.Eval_cache.create ~dir () in
   let kes = three_keyed_entries () in
   List.iter (fun (k, e) -> Core.Eval_cache.store c k e) kes;
   Core.Eval_cache.flush c;
-  let index_before = read_file (Filename.concat dir "index.json") in
   let c2 = Core.Eval_cache.create ~dir () in
   List.iter
     (fun (k, _) ->
@@ -1833,14 +1858,14 @@ let test_cache_hit_flush_vanished_entry () =
   Core.Eval_cache.flush c2;
   check Alcotest.int "a vanished entry adds no error" 0
     (Core.Eval_cache.stats c2).Core.Eval_cache.errors;
-  check Alcotest.string "nor an index rewrite" index_before
-    (read_file (Filename.concat dir "index.json"));
-  check Alcotest.int "the index drops it on the next reconcile" 2
+  check Alcotest.bool "nor is it rewritten" false
+    (Sys.file_exists (Filename.concat dir (gone ^ ".json")));
+  check Alcotest.int "the directory holds the rest" 2
     (Core.Eval_cache.disk_stats dir).Core.Eval_cache.d_entries
 
 (* An entry whose mtime cannot be set (here a symlink loop, ELOOP even
-   for root) still publishes its hit, through the index, with no
-   error. *)
+   for root) still publishes its hit: the entry is written anew from
+   memory, a regular file again with a fresh mtime, with no error. *)
 let test_cache_hit_flush_utimes_failure () =
   let dir = fresh_cache_dir () in
   let c = Core.Eval_cache.create ~dir () in
@@ -1848,16 +1873,6 @@ let test_cache_hit_flush_utimes_failure () =
   List.iter (fun (k, e) -> Core.Eval_cache.store c k e) kes;
   Core.Eval_cache.flush c;
   let looped = fst (List.hd kes) in
-  let stored_use idx =
-    match Core.Cache_index.find idx looped with
-    | None -> fail "key missing from the index"
-    | Some m -> m.Core.Cache_index.m_last_used
-  in
-  let before =
-    match Core.Cache_index.load dir with
-    | None -> fail "index unreadable"
-    | Some idx -> stored_use idx
-  in
   let c2 = Core.Eval_cache.create ~dir () in
   List.iter
     (fun (k, _) ->
@@ -1866,14 +1881,20 @@ let test_cache_hit_flush_utimes_failure () =
   let path = Filename.concat dir (looped ^ ".json") in
   Sys.remove path;
   Unix.symlink (looped ^ ".json") path;
+  let before_flush = Unix.gettimeofday () in
   Core.Eval_cache.flush c2;
   check Alcotest.int "an unsettable mtime adds no error" 0
     (Core.Eval_cache.stats c2).Core.Eval_cache.errors;
-  match Core.Cache_index.load dir with
-  | None -> fail "index unreadable after the fallback"
-  | Some idx ->
-    check Alcotest.bool "the hit reaches index.json" true
-      (stored_use idx > before)
+  let st = Unix.lstat path in
+  check Alcotest.bool "the hit is republished as a regular file" true
+    (st.Unix.st_kind = Unix.S_REG);
+  check Alcotest.bool "with a fresh mtime" true
+    (st.Unix.st_mtime >= before_flush -. 1.0);
+  match Core.Eval_cache.find (Core.Eval_cache.create ~dir ()) looped with
+  | Some got ->
+    check Alcotest.bool "the republished entry reads back" true
+      (got = List.assoc looped kes)
+  | None -> fail "republished entry missed"
 
 (* An mtime in the future counts as now: it cannot shield an entry from
    eviction for good. *)
@@ -1929,8 +1950,7 @@ let test_cache_verify_and_gc () =
     (List.mem (corrupted ^ ".json") files);
   check Alcotest.bool "no tmp or foreign files survive gc" true
     (List.for_all
-       (fun f ->
-         f = "index.json" || Filename.check_suffix f ".json")
+       (fun f -> Filename.check_suffix f ".json")
        files);
   (* The corrupted entry self-heals: error-counted miss, recompute
      (store), clean on the next read. *)
@@ -2276,9 +2296,7 @@ let test_cache_auto_cap_at_store () =
       List.iter (fun (k, e) -> Core.Eval_cache.store c k e) kes;
       Core.Eval_cache.flush c;
       let entries () =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f ->
-               Filename.check_suffix f ".json" && f <> "index.json")
+        List.filter (fun f -> Filename.check_suffix f ".json") (dir_files dir)
       in
       check Alcotest.int "cap enforced at store time" 2
         (List.length (entries ()));
@@ -3224,8 +3242,10 @@ let () =
             test_cache_store_world_readable;
           Alcotest.test_case "non-finite floats fail fast" `Quick
             test_cache_nonfinite_fails_fast_at_store;
-          Alcotest.test_case "index write + rebuild" `Quick
-            test_cache_index_written_and_rebuilt;
+          Alcotest.test_case "directory is the only record" `Quick
+            test_cache_directory_is_the_record;
+          Alcotest.test_case "entry-named directory is foreign" `Quick
+            test_cache_entry_named_directory;
           Alcotest.test_case "LRU prune" `Quick test_cache_prune_lru;
           Alcotest.test_case "hit-only flush touches mtimes" `Quick
             test_cache_hit_flush_touches_mtimes;
