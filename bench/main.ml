@@ -693,10 +693,12 @@ let sim_bench () =
 (* Serve observability overhead: two stub-characterized daemons side by
    side — one plain, one with request tracing recording and an
    aggressive slow-request threshold — driven through warm estimate
-   round trips on reused sessions.  Batches of the two modes interleave
-   within every rep so load drift hits both equally; best-of-reps
-   medians gate the ratio at <= 1.05 (tracing must cost at most 5% of a
-   round trip).  Results land in BENCH_serve.json. *)
+   round trips on reused sessions.  The two modes alternate request by
+   request, each going first in turn, so load drift hits both equally;
+   each round trip is timed on the monotonic clock in nanoseconds
+   (wall-clock microsecond steps are a few percent of a round trip).
+   Best-of-reps medians gate the ratio at <= 1.05 (tracing must cost at
+   most 5% of a round trip).  Results land in BENCH_serve.json. *)
 let serve_overhead () =
   banner "E11: serve observability overhead (traced vs untraced round trips)";
   let stub = Core.Template.make (Array.make Core.Variables.count 1.0) in
@@ -768,23 +770,32 @@ let serve_overhead () =
       one s_plain false;
       one s_traced true
     done;
-    let batch_median s trace n =
-      let lat = Array.make n 0.0 in
-      for i = 0 to n - 1 do
-        let t0 = Unix.gettimeofday () in
-        one s trace;
-        lat.(i) <- Unix.gettimeofday () -. t0
-      done;
+    (* One round trip, in microseconds. *)
+    let time s trace =
+      let t0 = Monotonic_clock.now () in
+      one s trace;
+      Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e3
+    in
+    let median lat =
       Array.sort compare lat;
-      lat.(n / 2) *. 1e6
+      lat.(Array.length lat / 2)
     in
     let reps = 7 and n = 200 in
     let best_plain = ref infinity and best_traced = ref infinity in
     for _ = 1 to reps do
-      let p = batch_median s_plain false n in
-      let t = batch_median s_traced true n in
-      if p < !best_plain then best_plain := p;
-      if t < !best_traced then best_traced := t
+      let p = Array.make n 0.0 and t = Array.make n 0.0 in
+      for i = 0 to n - 1 do
+        if i land 1 = 0 then begin
+          p.(i) <- time s_plain false;
+          t.(i) <- time s_traced true
+        end
+        else begin
+          t.(i) <- time s_traced true;
+          p.(i) <- time s_plain false
+        end
+      done;
+      best_plain := Float.min !best_plain (median p);
+      best_traced := Float.min !best_traced (median t)
     done;
     Obs.Trace.set_enabled false;
     let ratio = !best_traced /. !best_plain in

@@ -595,7 +595,8 @@ let explore_cmd =
     opt_arg Arg.(some int) None [ "cache-max-bytes" ] "BYTES"
       "Cap the on-disk cache at $(docv) bytes of entry
        payload: a store that crosses the bound runs LRU
-       eviction inline (no manual $(b,cache prune) needed).
+       eviction inline, down to three quarters of the bound
+       (no manual $(b,cache prune) needed).
        Requires $(b,--cache-dir)."
   in
   let progress_arg =

@@ -82,7 +82,7 @@ let fits =
   Obs.Metrics.counter ~help:"macro-model fits (fit_samples calls)"
     "characterize_fits_total"
 
-let fit_samples ?(nonnegative = true) samples =
+let fit_samples samples =
   Obs.Trace.with_span ~cat:"characterize" "fit" @@ fun () ->
   Obs.Metrics.inc fits;
   let n = List.length samples in
@@ -111,7 +111,7 @@ let fit_samples ?(nonnegative = true) samples =
             samples))
   in
   let e = Array.of_list (List.map (fun s -> s.measured_pj) samples) in
-  let c_reduced = Regress.Lsq.solve ~nonnegative x e in
+  let c_reduced = Regress.Lsq.solve ~nonnegative:true x e in
   let coefficients = Array.make nvars 0.0 in
   List.iteri (fun i j -> coefficients.(j) <- c_reduced.(i)) active_idx;
   let model = Template.make coefficients in
@@ -132,7 +132,7 @@ let fit_samples ?(nonnegative = true) samples =
 let skipped_folds =
   lazy (Obs.Metrics.counter "characterize_folds_skipped_total")
 
-let cross_validate ?nonnegative ?jobs samples =
+let cross_validate ?jobs samples =
   Obs.Trace.with_span ~cat:"characterize" "cross-validate" @@ fun () ->
   let arr = Array.of_list samples in
   let fold i =
@@ -144,7 +144,7 @@ let cross_validate ?nonnegative ?jobs samples =
     (* Dropping a sample can leave fewer training samples than exercised
        variables (e.g. the only program touching a variable); such folds
        are unidentifiable, not fatal — report them as [None]. *)
-    match fit_samples ?nonnegative training with
+    match fit_samples training with
     | exception Invalid_argument _ ->
       Obs.Metrics.inc (Lazy.force skipped_folds);
       None
@@ -160,21 +160,21 @@ let cross_validate ?nonnegative ?jobs samples =
   Array.of_list
     (Parallel.map ?jobs fold (List.init (Array.length arr) Fun.id))
 
-let run ?config ?complexity ?nonnegative ?jobs ?cache cases =
-  fit_samples ?nonnegative (collect ?config ?complexity ?jobs ?cache cases)
+let run ?config ?complexity ?jobs ?cache cases =
+  fit_samples (collect ?config ?complexity ?jobs ?cache cases)
 
 (* A fitted model is a cache entry like any other: a hit reads one entry
    instead of every sample, and runs no fit. *)
-let model ?jobs ?(nonnegative = true) ~cache ~config cases =
+let model ?jobs ~cache ~config cases =
   let k =
-    Eval_cache.model_key ~nonnegative
+    Eval_cache.model_key
       (List.map (Eval_cache.key ~with_reference:true ~config) cases)
   in
   match Eval_cache.find cache k with
   | Some e -> (Template.make e.Eval_cache.e_variables, 0)
   | None ->
     let samples, report = collect_with_report ?jobs ~cache ~config cases in
-    let m = (fit_samples ~nonnegative samples).model in
+    let m = (fit_samples samples).model in
     Eval_cache.store cache k
       { Eval_cache.e_name = "model";
         e_variables = m.Template.coefficients;

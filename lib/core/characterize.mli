@@ -47,16 +47,15 @@ val collect_with_report :
     time, cycles, cache misses, energy, simulation count).  A program
     served from [cache] reports [simulations = 0] and zero wall time. *)
 
-val fit_samples : ?nonnegative:bool -> sample list -> fit
-(** Regression over collected samples; every call counts into the
-    [characterize_fits_total] metric.
+val fit_samples : sample list -> fit
+(** Non-negative least-squares regression over collected samples; every
+    call counts into the [characterize_fits_total] metric.
     @raise Invalid_argument with fewer samples than variables that are
     actually exercised. *)
 
 val run :
   ?config:Sim.Config.t ->
   ?complexity:Eval_cache.complexity ->
-  ?nonnegative:bool ->
   ?jobs:int ->
   ?cache:Eval_cache.t ->
   Extract.case list ->
@@ -65,7 +64,6 @@ val run :
 
 val model :
   ?jobs:int ->
-  ?nonnegative:bool ->
   cache:Eval_cache.t ->
   config:Sim.Config.t ->
   Extract.case list ->
@@ -80,7 +78,7 @@ val model :
     bit. *)
 
 val cross_validate :
-  ?nonnegative:bool -> ?jobs:int -> sample list -> float option array
+  ?jobs:int -> sample list -> float option array
 (** Leave-one-out cross-validation: for every sample, the signed percent
     error of predicting it with a model fitted on the other samples.
     Unlike the fitting residuals (which flatter a near-interpolating

@@ -118,8 +118,11 @@ let key ?backend ?(complexity_tag = "default") ?(with_reference = false)
            km_key = k });
     k
 
-let model_key ~nonnegative sample_keys =
-  digest ("xenergy-model", model_version, nonnegative, sample_keys)
+(* [true] is the non-negative fitting flag models were once keyed by:
+   keeping it finds every model stored before the flag became a
+   constant. *)
+let model_key sample_keys =
+  digest ("xenergy-model", model_version, true, sample_keys)
 
 (* --- On-disk format ------------------------------------------------------ *)
 
@@ -468,7 +471,9 @@ let prune ?now ~policy dirname =
 
 (* When the cache was created with [max_bytes], a store that pushes the
    directory's estimated payload past the bound triggers LRU eviction on
-   the spot.  The estimate is seeded from one directory scan (first
+   the spot, down to three quarters of the bound: pruning only to just
+   under it would make nearly every later store cross it again and pay
+   another scan.  The estimate is seeded from one directory scan (first
    capped store) and advanced per store, so the steady-state cost is one
    comparison; an actual enforcement pass rescans, evicts and re-seeds
    the estimate from what it kept. *)
@@ -479,7 +484,7 @@ let enforce_cap t =
        the current sweep's entries as fresh and evicts genuinely cold
        ones. *)
     flush_hits t;
-    let r = prune ~policy:{ unlimited with max_bytes = Some mb } d in
+    let r = prune ~policy:{ unlimited with max_bytes = Some (mb * 3 / 4) } d in
     t.c_approx_bytes <- r.p_kept_bytes;
     Obs.Log.event "cache:cap-enforced"
       [ ("max_bytes", Obs.Trace.I mb);

@@ -73,13 +73,15 @@ val create : ?dir:string -> ?max_bytes:int -> unit -> t
 
     [max_bytes] puts the directory under an {e inline} size cap: a
     {!store} that pushes the estimated on-disk payload past the bound
-    immediately runs LRU eviction (the same pass as
-    {!prune}[ ~policy:{unlimited with max_bytes}], counted in
+    immediately runs LRU eviction down to three quarters of the bound
+    (the same pass as {!prune}[ ~policy:{unlimited with max_bytes =
+    Some (max_bytes * 3 / 4)}], counted in
     [eval_cache_evictions_total]), with this instance's pending
     last-used times flushed first so the current sweep's entries read
     as fresh.  The estimate is seeded from a directory scan at the
-    first capped store and advanced per store — steady-state cost is one
-    integer comparison.  Ignored for memory-only caches. *)
+    first capped store and advanced per store, so a store that stays
+    under the bound costs one integer comparison and scans nothing.
+    Ignored for memory-only caches. *)
 
 val dir : t -> string option
 (** The disk directory, if the cache has one. *)
@@ -106,11 +108,11 @@ val key :
     unchanged.  Payload version 3: keys made by earlier versions name no
     entry this one finds. *)
 
-val model_key : nonnegative:bool -> string list -> string
-(** [model_key ~nonnegative sample_keys] keys the macro-model fitted
+val model_key : string list -> string
+(** [model_key sample_keys] keys the macro-model fitted
     over the samples stored under [sample_keys] (reference-carrying
     {!key}s, in fitting order): it inherits everything they cover and
-    adds the [nonnegative] fitting flag and a model version.  The
+    adds a model version.  The
     version must be bumped whenever a change to [Regress.Lsq] or
     [Characterize.fit_samples] can change a coefficient's bits.  The
     model is stored as an ordinary entry: name ["model"], the

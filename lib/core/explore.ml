@@ -256,7 +256,7 @@ let evaluate ?jobs ?cache ?progress ?explain ?profile_top model_for
 
 (* Read each distinct configuration's model through the cache (fitting
    it over the characterization suite on a miss), then evaluate. *)
-let run ?jobs ?cache ?nonnegative ?progress ?explain ?profile_top
+let run ?jobs ?cache ?progress ?explain ?profile_top
     ~characterization candidates =
   let models ~cache ~heartbeat configs =
     let sims = ref 0 in
@@ -267,7 +267,7 @@ let run ?jobs ?cache ?nonnegative ?progress ?explain ?profile_top
             (Printf.sprintf "characterize:config%d" i)
           @@ fun () ->
           let model, n =
-            Characterize.model ?jobs ?nonnegative ~cache ~config:cfg
+            Characterize.model ?jobs ~cache ~config:cfg
               characterization
           in
           sims := !sims + n;

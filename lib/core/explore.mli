@@ -89,7 +89,6 @@ val pareto : point list -> point list
 val run :
   ?jobs:int ->
   ?cache:Eval_cache.t ->
-  ?nonnegative:bool ->
   ?progress:(progress -> unit) ->
   ?explain:bool ->
   ?profile_top:int ->
@@ -101,8 +100,7 @@ val run :
     fits and stores it on a miss), then evaluate every
     candidate with its configuration's model.  [jobs] bounds the worker
     pool (default {!Parallel.default_jobs}); [cache] defaults to a
-    fresh memory-only cache; [nonnegative] is passed to the NNLS fit
-    (default [true]).  [progress] receives a {!type-progress} heartbeat
+    fresh memory-only cache.  [progress] receives a {!type-progress} heartbeat
     between evaluation chunks; [explain] (default [false]) fills
     {!type-outcome}[.explained] for the frontier; [profile_top] fills
     {!type-outcome}[.profiled] with each frontier point's hotspot

@@ -73,8 +73,7 @@ type t = {
   mutable leaf_energy : float array;
 }
 
-let create ?bucket_cycles ?complexity ?max_depth ~config model
-    (c : Extract.case) =
+let create ?bucket_cycles ?complexity ~config model (c : Extract.case) =
   let code = c.Extract.asm.Isa.Program.code in
   let n = Array.length code in
   let d = Sim.Decoder.analyze c.Extract.asm in
@@ -115,7 +114,7 @@ let create ?bucket_cycles ?complexity ?max_depth ~config model
           | _ -> 0)
         code;
     stacks =
-      Obs.Profile.Stacks.create ?max_depth ~root:c.Extract.case_name ();
+      Obs.Profile.Stacks.create ~root:c.Extract.case_name ();
     pending = 0;
     position = 0;
     leaf_at = Array.make (Array.length d.Sim.Decoder.blocks) min_int;
@@ -307,12 +306,12 @@ module P_metrics = struct
             "profile_seconds")
 end
 
-let run ?(config = Sim.Config.default) ?bucket_cycles ?complexity ?max_depth
+let run ?(config = Sim.Config.default) ?bucket_cycles ?complexity
     ?hook model (c : Extract.case) =
   Obs.Trace.with_span ~cat:"profile" ("profile:" ^ c.Extract.case_name)
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let t = create ?bucket_cycles ?complexity ?max_depth ~config model c in
+  let t = create ?bucket_cycles ?complexity ~config model c in
   let cpu, _outcome =
     Sim.Backend.run_program ~config ?extension:c.Extract.extension
       ~tally:(Attribution.tally t.attr)

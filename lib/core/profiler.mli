@@ -25,7 +25,7 @@
     moved only after call and return slots), a per-line profile for
     annotated disassembly, and a per-opcode histogram. *)
 
-(** One discovered basic block with its accumulated profile.  Blocks
+(** One basic block of the partition, with its accumulated profile.  Blocks
     partition the code section in program order. *)
 type block = {
   b_index : int;
@@ -72,7 +72,6 @@ val run :
   ?config:Sim.Config.t ->
   ?bucket_cycles:int ->
   ?complexity:(Tie.Component.t -> float) ->
-  ?max_depth:int ->
   ?hook:Sim.Cpu.hook ->
   Template.model ->
   Extract.case ->
@@ -81,7 +80,7 @@ val run :
     installed and the profiler as the retire hook (followed by [hook] if
     given), under a [profile:] trace span;
     bumps the [profile_*] metrics family when metrics are enabled.
-    [max_depth] caps the tracked call stack (default 128);
+    The tracked call stack is capped at 128 frames;
     [bucket_cycles] and [complexity] are {!Attribution.create}'s. *)
 
 val check : report -> float * float

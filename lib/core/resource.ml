@@ -5,8 +5,7 @@ type t = {
 
 let default_idle_weight = 0.17
 
-let weights ?(idle_weight = default_idle_weight)
-    ?(complexity = Tie.Component.complexity) ext =
+let weights ?(complexity = Tie.Component.complexity) ext =
   match ext with
   | None -> Sim.Tally.no_weights
   | Some e ->
@@ -21,12 +20,12 @@ let weights ?(idle_weight = default_idle_weight)
       ~reads:
         (Sim.Tally.contribution
            (List.map
-              (fun c -> (cat c, idle_weight *. complexity c))
+              (fun c -> (cat c, default_idle_weight *. complexity c))
               (Tie.Compile.bus_facing_components e)))
 
-let create ?idle_weight ?complexity ext =
+let create ?complexity ext =
   { acc = Array.make (List.length Tie.Component.all_categories) 0.0;
-    weights = weights ?idle_weight ?complexity ext }
+    weights = weights ?complexity ext }
 
 let observe t e = Sim.Tally.add t.acc (Sim.Tally.of_event t.weights e)
 

@@ -3,13 +3,13 @@
     Walks the execution trace and derives the structural macro-model
     variables: for every custom-hardware component category, the
     complexity-weighted number of cycles in which instances of that
-    category are active.  Both activation paths are covered:
+    category are active.  Both activation paths are counted:
 
     - a custom instruction activates all of its own component instances
       for its full latency;
     - a base instruction that drives the shared operand buses activates
       the bus-facing custom components at a reduced, architecturally
-      fixed duty factor ([idle_weight]).
+      fixed duty factor ({!default_idle_weight}).
 
     The weighting is expressed once, as {!type:Sim.Tally.weights}: the
     simulator folds it per retirement into the tally of an estimate run
@@ -23,18 +23,17 @@ val default_idle_weight : float
     matches the bus-sharing activity of the reference architecture. *)
 
 val weights :
-  ?idle_weight:float ->
   ?complexity:(Tie.Component.t -> float) ->
   Tie.Compile.compiled option ->
   Sim.Tally.weights
 (** The structural weights of an extension: a custom instruction adds
     [complexity c *. float busy] to each of its components' categories,
-    a register-reading base instruction [idle_weight *. complexity c] to
+    a register-reading base instruction
+    [default_idle_weight *. complexity c] to
     each bus-facing component's.  {!Sim.Tally.no_weights} without an
     extension. *)
 
 val create :
-  ?idle_weight:float ->
   ?complexity:(Tie.Component.t -> float) ->
   Tie.Compile.compiled option ->
   t

@@ -301,11 +301,11 @@ type comp_unit = {
   denom : float;                 (* expected toggles, at least 1 *)
 }
 
-let unit_for params comp =
+let unit_for comp =
   { comp;
     model = model_for comp;
     scale =
-      params.Blocks.custom_active comp.Tie.Component.category
+      Blocks.default.Blocks.custom_active comp.Tie.Component.category
       *. Tie.Component.complexity comp;
     denom = Float.max 1.0 (Blocks.expected_toggles comp) }
 
@@ -330,7 +330,7 @@ type bank = {
   energy : float array;          (* this event's energy per distinct one *)
 }
 
-let bank_create params comps =
+let bank_create comps =
   let distinct = ref [] in
   let seq =
     List.map
@@ -343,7 +343,7 @@ let bank_create params comps =
           i)
       comps
   in
-  let models = Array.of_list (List.rev_map (fun (c, _) -> unit_for params c) !distinct) in
+  let models = Array.of_list (List.rev_map (fun (c, _) -> unit_for c) !distinct) in
   { models; seq = Array.of_list seq; energy = Array.make (Array.length models) 0.0 }
 
 let empty_bank = { models = [||]; seq = [||]; energy = [||] }
@@ -393,7 +393,6 @@ let exec_of (i : Isa.Instr.t) =
 (* --- Estimator ----------------------------------------------------------------- *)
 
 type t = {
-  params : Blocks.params;
   cfg : Sim.Config.t;
   insn_units : (string, bank) Hashtbl.t;
   bus_units : bank;
@@ -433,7 +432,7 @@ type t = {
   scratch : Sim.Cpu.channel;     (* an event unpacked for [observe] *)
 }
 
-let create ?(params = Blocks.default) ?extension cfg =
+let create ?extension cfg =
   let insn_units = Hashtbl.create 16 in
   let bus_units =
     match extension with
@@ -442,12 +441,11 @@ let create ?(params = Blocks.default) ?extension cfg =
       List.iter
         (fun ci ->
           Hashtbl.replace insn_units ci.Tie.Compile.def.Tie.Spec.iname
-            (bank_create params ci.Tie.Compile.components))
+            (bank_create ci.Tie.Compile.components))
         (Tie.Compile.instructions ext);
-      bank_create params (Tie.Compile.bus_facing_components ext)
+      bank_create (Tie.Compile.bus_facing_components ext)
   in
-  { params;
-    cfg;
+  { cfg;
     insn_units;
     bus_units;
     plans = [||];
@@ -571,7 +569,7 @@ let[@inline] cache_energy p n =
 (* One retirement of [pl]'s instruction: the hook's integers and
    channel, whichever backend or event they came from. *)
 let core t pl cycles stall flags (ch : Sim.Cpu.channel) =
-  let p = t.params in
+  let p = Blocks.default in
   let fcycles = float_of_int cycles in
   charge t b_clock (p.Blocks.clock_tree *. fcycles);
   let word = pl.word in
@@ -781,9 +779,9 @@ let check t oracle =
     mismatch "reference estimator: %d net evaluations, oracle %d"
       (evaluations t) (Oracle.evaluations oracle)
 
-let estimate_program ?params ?config ?extension asm =
+let estimate_program ?config ?extension asm =
   let cfg = Option.value config ~default:Sim.Config.default in
-  let est = create ?params ?extension cfg in
+  let est = create ?extension cfg in
   let cpu, _outcome =
     Sim.Backend.run_program ~config:cfg ?extension
       ~hook:(hook est asm) asm

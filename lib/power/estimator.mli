@@ -25,7 +25,6 @@
 type t
 
 val create :
-  ?params:Blocks.params ->
   ?extension:Tie.Compile.compiled ->
   Sim.Config.t ->
   t
@@ -60,7 +59,6 @@ val check : t -> Oracle.t -> unit
     and energy bits) and evaluation counts agree. *)
 
 val estimate_program :
-  ?params:Blocks.params ->
   ?config:Sim.Config.t ->
   ?extension:Tie.Compile.compiled ->
   Isa.Program.asm ->

@@ -11,7 +11,6 @@ type comp_unit = {
 let unit_for comp = { comp; model = Gates.component_create comp }
 
 type t = {
-  params : Blocks.params;
   cfg : Sim.Config.t;
   mutable rtl : Rtl.t;
   insn_units : (string, comp_unit array) Hashtbl.t;
@@ -31,7 +30,7 @@ let charge t key e =
    | Some r -> r := !r +. e
    | None -> Hashtbl.replace t.totals key (ref e))
 
-let create ?(params = Blocks.default) ?extension cfg =
+let create ?extension cfg =
   let insn_units = Hashtbl.create 16 in
   let bus_units =
     match extension with
@@ -45,8 +44,7 @@ let create ?(params = Blocks.default) ?extension cfg =
       Array.of_list
         (List.map unit_for (Tie.Compile.bus_facing_components ext))
   in
-  { params;
-    cfg;
+  { cfg;
     rtl = Rtl.create cfg;
     insn_units;
     bus_units;
@@ -69,8 +67,8 @@ let activity_factor params comp toggles =
   let swing = params.Blocks.custom_data_swing in
   clamp (1.0 -. swing) (1.0 +. swing) raw
 
-let custom_unit_energy t ~cycles ~inputs u =
-  let p = t.params in
+let custom_unit_energy ~cycles ~inputs u =
+  let p = Blocks.default in
   let a, b =
     match inputs with
     | [] -> (0, 0)
@@ -95,7 +93,7 @@ let is_shift (i : Isa.Instr.t) =
   | _ -> false
 
 let observe t (e : Sim.Event.t) =
-  let p = t.params in
+  let p = Blocks.default in
   let cycles = e.Sim.Event.cycles in
   let fcycles = float_of_int cycles in
   (* Clock tree runs every cycle. *)
@@ -238,7 +236,7 @@ let observe t (e : Sim.Event.t) =
      Array.iter
        (fun u ->
          charge t "custom_active"
-           (custom_unit_energy t ~cycles:e.Sim.Event.busy_cycles ~inputs u))
+           (custom_unit_energy ~cycles:e.Sim.Event.busy_cycles ~inputs u))
        units
    | None ->
      (* Side effect: base instructions driving the operand buses toggle
@@ -247,7 +245,7 @@ let observe t (e : Sim.Event.t) =
        Array.iter
          (fun u ->
            let active =
-             custom_unit_energy t ~cycles:1 ~inputs:[ bus1; bus2 ] u
+             custom_unit_energy ~cycles:1 ~inputs:[ bus1; bus2 ] u
            in
            charge t "custom_idle" (p.Blocks.custom_idle_fraction *. active))
          t.bus_units)
@@ -281,9 +279,9 @@ let reset t =
     t.insn_units;
   Array.iteri (fun i u -> t.bus_units.(i) <- unit_for u.comp) t.bus_units
 
-let estimate_program ?params ?config ?extension asm =
+let estimate_program ?config ?extension asm =
   let cfg = Option.value config ~default:Sim.Config.default in
-  let est = create ?params ?extension cfg in
+  let est = create ?extension cfg in
   let cpu, _outcome =
     Sim.Backend.run_program ~config:cfg ?extension
       ~observers:[ observer est ] asm

@@ -11,7 +11,6 @@
 type t
 
 val create :
-  ?params:Blocks.params ->
   ?extension:Tie.Compile.compiled ->
   Sim.Config.t ->
   t
@@ -34,7 +33,6 @@ val reset : t -> unit
     shadow caches), so the estimator can observe a fresh simulation. *)
 
 val estimate_program :
-  ?params:Blocks.params ->
   ?config:Sim.Config.t ->
   ?extension:Tie.Compile.compiled ->
   Isa.Program.asm ->

@@ -47,12 +47,11 @@ type t = {
   r_jobs : int option;
   r_started : float;
   r_slow_s : float option;       (* slow-request log threshold, seconds *)
-  r_window_s : float;            (* status rolling-window width *)
   r_inflight : (string, int ref) Hashtbl.t;
   r_metrics : (string, M.op) Hashtbl.t;  (* every known op; read-only *)
   mutable r_snaps : (float * Obs.Metrics.snapshot) list;
   (* Rolling window of metric snapshots, newest first, pruned to
-     [r_window_s] on each [status] request: the window is poller-driven
+     [window_s] on each [status] request: the window is poller-driven
      (Prometheus-style), so its resolution is the status polling
      cadence, and an idle daemon keeps no background thread. *)
   mutable r_requests : int;
@@ -73,12 +72,15 @@ let locked m f =
 let compute_entry (name, config, with_ref) =
   Core.Eval_cache.compute ~config ~with_ref (Service.find_case name)
 
+(* The [status] op's rolling-window width, seconds. *)
+let window_s = 60.0
+
 let known_ops =
   [ "ping"; "estimate"; "attribute"; "profile"; "audit"; "explore"; "metrics";
     "stats"; "status"; "shutdown"; "invalid" ]
 
 let create ?max_models ?jobs ?read_timeout_s ?cache_dir ?characterize ?model
-    ?slow_ms ?(window_s = 60.0) () =
+    ?slow_ms () =
   (* Register every metric family this router will ever touch now,
      while the process is still single-threaded: the metrics registry's
      own table is then only read (never resized) by concurrent
@@ -124,7 +126,6 @@ let create ?max_models ?jobs ?read_timeout_s ?cache_dir ?characterize ?model
     r_jobs = jobs;
     r_started = Unix.gettimeofday ();
     r_slow_s = Option.map (fun ms -> ms /. 1e3) slow_ms;
-    r_window_s = window_s;
     r_inflight = inflight;
     r_metrics = metrics;
     r_snaps = [];
@@ -384,7 +385,7 @@ let handle_status t =
   let base =
     locked t.r_state_lock (fun () ->
         let keep =
-          List.filter (fun (ts, _) -> now -. ts <= t.r_window_s) t.r_snaps
+          List.filter (fun (ts, _) -> now -. ts <= window_s) t.r_snaps
         in
         let base =
           match List.rev keep with [] -> None | oldest :: _ -> Some oldest
@@ -450,7 +451,7 @@ let handle_status t =
       ("backend", J.Str (backend_name ()));
       ("requests", J.int requests);
       ("inflight", J.int inflight_total);
-      ("window_s", J.Num t.r_window_s);
+      ("window_s", J.Num window_s);
       ("window_dt_s", J.Num window_dt);
       ("ops", J.Arr (List.filter_map op_row known_ops));
       ( "registry",

@@ -43,7 +43,7 @@
       the [serve_request_seconds{op}] histogram buckets
       ({!Obs.Export.quantile}) over the window and cumulatively, inflight
       counts, registry, eval-cache, pool and connection gauges.  The
-      window (default 60s, [create]'s [window_s]) is poller-driven: each
+      window (the last 60s) is poller-driven: each
       call pushes a metrics snapshot into a ring pruned to the window and
       diffs against the oldest survivor, so the first call reports
       whole-uptime values.
@@ -101,7 +101,6 @@ val create :
   ?characterize:(Sim.Config.t -> Core.Template.model) ->
   ?model:string ->
   ?slow_ms:float ->
-  ?window_s:float ->
   unit ->
   t
 (** The router's {!Service}: [max_models], [jobs], [cache_dir],
@@ -112,8 +111,7 @@ val create :
     coefficients file for the default configuration).  Estimate misses
     simulate on a persistent {!Core.Parallel} pool of [jobs] lanes
     with [read_timeout_s] as its hung-worker deadline.  [slow_ms]
-    (default: off) is the slow-request log threshold in milliseconds;
-    [window_s] (default 60) the [status] op's rolling-window width.
+    (default: off) is the slow-request log threshold in milliseconds.
     @raise Failure ["cannot load model: ..."] when [model] cannot be
     loaded (the pool is shut down first). *)
 

@@ -64,8 +64,7 @@ let handle_conn router ~io_timeout_s conn =
     Obs.Log.event ~level:Obs.Log.Warn "serve:io-error"
       [ ("error", Obs.Trace.S (Unix.error_message e)) ]
 
-let run ?(io_timeout_s = 10.0) ?(backlog = 16) ?(max_conns = 8) ~socket router
-    =
+let run ?(io_timeout_s = 10.0) ?(max_conns = 8) ~socket router =
   if max_conns < 1 then invalid_arg "Server.run: max_conns must be >= 1";
   Obs.Metrics.set_enabled true;
   (* A client can disappear between our read and our write; without
@@ -88,7 +87,7 @@ let run ?(io_timeout_s = 10.0) ?(backlog = 16) ?(max_conns = 8) ~socket router
    with e ->
      (try Unix.close listener with Unix.Unix_error _ -> ());
      raise e);
-  Unix.listen listener backlog;
+  Unix.listen listener 16;
   Obs.Log.event "serve:start"
     [ ("socket", Obs.Trace.S socket);
       ("io_timeout_s", Obs.Trace.F io_timeout_s);

@@ -50,7 +50,6 @@
 
 val run :
   ?io_timeout_s:float ->
-  ?backlog:int ->
   ?max_conns:int ->
   socket:string ->
   Router.t ->
@@ -58,8 +57,8 @@ val run :
 (** Bind [socket] (replacing only a dead daemon's stale socket file),
     serve until shutdown.  [io_timeout_s] (default 10.0) bounds each
     frame read and write and the whole of a connection's idle time;
-    [backlog] (default 16) is the listen queue; [max_conns] (default
-    8) bounds concurrently served connections.  Enables {!Obs.Metrics}
+    the listen queue holds 16 pending clients; [max_conns] (default 8)
+    bounds concurrently served connections.  Enables {!Obs.Metrics}
     recording — a serving process always wants its [/metrics] live.
     @raise Unix.Unix_error [EADDRINUSE] when a live daemon already
     answers on [socket] (and for any other bind failure).

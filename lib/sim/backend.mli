@@ -23,8 +23,8 @@
 
 type t =
   | Interp    (** the reference interpreter, one decode per retirement *)
-  | Threaded  (** pre-decoded threaded code, interpreter adapter for
-                  uncovered instructions; the default *)
+  | Threaded  (** pre-decoded threaded code, one compiled closure per
+                  slot; the default *)
   | Check     (** run both; raise {!Mismatch} on any divergence from
                   the interpreter *)
 

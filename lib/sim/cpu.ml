@@ -250,10 +250,14 @@ let reg t r = Regfile.read t.rf r
 
 let set_reg t r v = Regfile.write t.rf r v
 
+let unresolved_target slot =
+  Sim_error
+    (Printf.sprintf "unresolved branch target at 0x%x" slot.Isa.Program.addr)
+
 let target_of slot =
   match slot.Isa.Program.target with
   | Some a -> a
-  | None -> fail "unresolved branch target at 0x%x" slot.Isa.Program.addr
+  | None -> raise (unresolved_target slot)
 
 let data_access t ~write ~size ~addr ~value =
   let uncached = addr >= t.cfg.Config.uncached_base in
@@ -302,9 +306,9 @@ let do_store t op value base off =
 (* Static half of custom-instruction execution: everything that depends
    only on the extension and the call site, not on register values.
    Raising here mirrors the interpreter's execution-time errors, so the
-   threaded compiler must catch and defer to the fallback (a program
-   carrying an unresolvable custom instruction that never executes must
-   still run). *)
+   threaded compiler catches them and defers them to the retirement (a
+   program carrying an unresolvable custom instruction that never
+   executes must still run). *)
 let resolve_custom ext call =
   let ext =
     match ext with
@@ -337,7 +341,8 @@ let exec_custom t call =
   let store = Option.get t.ext_state in
   let srcs = List.map (reg t) src_regs in
   let result =
-    Tie.Compile.execute ext store insn ~srcs ~imm:call.Isa.Instr.cimm
+    try Tie.Compile.execute ext store insn ~srcs ~imm:call.Isa.Instr.cimm
+    with Tie.Compile.Tie_error msg -> raise (Sim_error msg)
   in
   (match (dst, result) with
    | Some d, Some v -> set_reg t d v
@@ -617,10 +622,8 @@ let run t =
 (* [Decoder.analyze]'s basic-block partition (shared with the hotspot  *)
 (* profiler) delimits the straight-line runs the dispatcher exploits:  *)
 (* inside a run the successor is slot [i+1] by construction, so only   *)
-(* control instructions pay the pc-to-slot mapping.  Instructions the  *)
-(* compiler does not cover run the interpreter's [execute] through one *)
-(* adapter, so coverage is a performance property, never a semantic    *)
-(* one.                                                                *)
+(* control instructions pay the pc-to-slot mapping.  Every slot        *)
+(* compiles, including one that can only fault when it executes.      *)
 (* ------------------------------------------------------------------ *)
 
 (* An op's closure performs the instruction's architectural effects —
@@ -647,7 +650,6 @@ let word_flags =
 let fetch_flags = flag_icache_miss lor flag_uncached_fetch
 
 type op = {
-  o_slot : Isa.Program.slot;
   o_uses : int array;            (* scoreboard sources, as window-relative
                                     register indices (decode-resolved) *)
   o_defs : int array;
@@ -671,7 +673,6 @@ type op = {
   o_busy : int;                  (* execute-stage cycles *)
   o_regfile : bool;              (* custom instruction touching the
                                     generic register file *)
-  o_compiled : bool;             (* false = interpreter adapter *)
 }
 
 (* Register access with the [Regfile] representation inlined: the
@@ -706,30 +707,41 @@ let dpen ubase udp dmiss t addr =
     else dmiss
   end
 
-let make_branch target fall btp cond =
-  match target with
-  | None -> None
+(* A branch without a target still falls through when not taken. *)
+let make_branch (slot : Isa.Program.slot) fall btp cond =
+  match slot.Isa.Program.target with
+  | None ->
+    let e = unresolved_target slot in
+    fun t ->
+      if cond t then raise e
+      else begin
+        t.pc <- fall;
+        0
+      end
   | Some tgt ->
     let taken = btp lor flag_taken in
-    Some
-      (fun t ->
-        if cond t then begin
-          t.pc <- tgt;
-          taken
-        end
-        else begin
-          t.pc <- fall;
-          0
-        end)
+    fun t ->
+      if cond t then begin
+        t.pc <- tgt;
+        taken
+      end
+      else begin
+        t.pc <- fall;
+        0
+      end
 
-(* Compile one slot to its closure, with the static work hoisted.
-   [None] defers to the interpreter adapter — either the compiler does
-   not cover the instruction, or static resolution failed in a way the
-   interpreter only reports at execution time (unresolved targets,
-   unknown custom instructions), which must stay an execution-time
-   error.  Each arm mirrors the corresponding [execute] arm: the same
-   effects in the same order, with no allocation. *)
-let compile_op t (slot : Isa.Program.slot) : (t -> int) option =
+(* A slot whose static resolution fails (a missing branch or [l32r]
+   target, a custom instruction with no extension, an unknown one, a
+   malformed call site) compiles to this closure: it raises the
+   interpreter's error, with the same message, at the retirement where
+   [execute] raises it.  A program carrying such a slot that never
+   executes still runs. *)
+let faulting e : t -> int = fun _ -> raise e
+
+(* Compile one slot to its closure, with the static work hoisted.  Each
+   arm mirrors the corresponding [execute] arm: the same effects in the
+   same order, with no allocation. *)
+let compile_op t (slot : Isa.Program.slot) : t -> int =
   let open Isa.Instr in
   let ri = Isa.Reg.index in
   let fall = slot.Isa.Program.addr + Isa.Encoding.bytes_per_instr in
@@ -739,7 +751,12 @@ let compile_op t (slot : Isa.Program.slot) : (t -> int) option =
   let wp = t.cfg.Config.window_penalty in
   let ubase = t.cfg.Config.uncached_base in
   let dmiss = Cache.miss_penalty t.dcache lor flag_dcache_miss in
-  let branch cond = make_branch target fall btp cond in
+  let branch cond = make_branch slot fall btp cond in
+  let with_target f =
+    match target with
+    | Some tgt -> f tgt
+    | None -> faulting (unresolved_target slot)
+  in
   let jump = btp lor flag_taken in
   let r = flag_result in
   (* A windowed call or return's words: without and with a spilled or
@@ -749,166 +766,144 @@ let compile_op t (slot : Isa.Program.slot) : (t -> int) option =
   in
   let add_imm d s n =
     let di = ri d and si = ri s in
-    Some
-      (fun t ->
-        rset t di (rget t si + n);
-        r)
+    fun t ->
+      rset t di (rget t si + n);
+      r
   in
   let jump_reg si =
-    Some
-      (fun t ->
-        t.pc <- u32 (rget t si);
-        jump)
+    fun t ->
+      t.pc <- u32 (rget t si);
+      jump
   in
   match slot.Isa.Program.instr with
   | Binop (op, d, s, tt) ->
     let di = ri d and si = ri s and ti = ri tt in
     let packed = ((match op with Mull -> 1 | _ -> 0) lsl extra_shift) lor r in
-    Some
-      (fun t ->
-        rset t di (eval_binop op (rget t si) (rget t ti));
-        packed)
+    fun t ->
+      rset t di (eval_binop op (rget t si) (rget t ti));
+      packed
   | Unop (op, d, s) ->
     let di = ri d and si = ri s in
-    Some
-      (fun t ->
-        rset t di (eval_unop op (rget t si));
-        r)
+    fun t ->
+      rset t di (eval_unop op (rget t si));
+      r
   | Sext (d, s, b) ->
     let di = ri d and si = ri s in
     let m = (1 lsl (b + 1)) - 1 in
     let sign = 1 lsl b in
-    Some
-      (fun t ->
-        let v = rget t si land m in
-        rset t di (if v land sign <> 0 then v lor lnot m else v);
-        r)
+    fun t ->
+      let v = rget t si land m in
+      rset t di (if v land sign <> 0 then v lor lnot m else v);
+      r
   | Cmov (op, d, s, tt) ->
     let di = ri d and si = ri s and ti = ri tt in
-    Some
-      (fun t ->
-        if cmov_cond op (rget t ti) then begin
-          rset t di (rget t si);
-          r
-        end
-        else 0)
+    fun t ->
+      if cmov_cond op (rget t ti) then begin
+        rset t di (rget t si);
+        r
+      end
+      else 0
   | Addi (d, s, n) -> add_imm d s n
   | Addmi (d, s, n) -> add_imm d s (n * 256)
   | Movi (d, n) ->
     let di = ri d in
-    Some
-      (fun t ->
-        rset t di n;
-        r)
+    fun t ->
+      rset t di n;
+      r
   | Mov (d, s) -> add_imm d s 0
   | Extui (d, s, sh, w) ->
     let di = ri d and si = ri s in
     let m = (1 lsl w) - 1 in
-    Some
-      (fun t ->
-        rset t di ((u32 (rget t si) lsr sh) land m);
-        r)
+    fun t ->
+      rset t di ((u32 (rget t si) lsr sh) land m);
+      r
   | Slli (d, s, n) ->
     let di = ri d and si = ri s in
     let sh = n land 31 in
-    Some
-      (fun t ->
-        rset t di (rget t si lsl sh);
-        r)
+    fun t ->
+      rset t di (rget t si lsl sh);
+      r
   | Srli (d, s, n) ->
     let di = ri d and si = ri s in
     let sh = n land 31 in
-    Some
-      (fun t ->
-        rset t di (u32 (rget t si) lsr sh);
-        r)
+    fun t ->
+      rset t di (u32 (rget t si) lsr sh);
+      r
   | Srai (d, s, n) ->
     let di = ri d and si = ri s in
     let sh = n land 31 in
-    Some
-      (fun t ->
-        rset t di (s32 (rget t si) asr sh);
-        r)
+    fun t ->
+      rset t di (s32 (rget t si) asr sh);
+      r
   | Sll (d, s) ->
     let di = ri d and si = ri s in
-    Some
-      (fun t ->
-        rset t di (rget t si lsl t.sar_reg);
-        r)
+    fun t ->
+      rset t di (rget t si lsl t.sar_reg);
+      r
   | Srl (d, s) ->
     let di = ri d and si = ri s in
-    Some
-      (fun t ->
-        rset t di (u32 (rget t si) lsr t.sar_reg);
-        r)
+    fun t ->
+      rset t di (u32 (rget t si) lsr t.sar_reg);
+      r
   | Sra (d, s) ->
     let di = ri d and si = ri s in
-    Some
-      (fun t ->
-        rset t di (s32 (rget t si) asr t.sar_reg);
-        r)
+    fun t ->
+      rset t di (s32 (rget t si) asr t.sar_reg);
+      r
   | Src (d, s, tt) ->
     let di = ri d and si = ri s and ti = ri tt in
-    Some
-      (fun t ->
-        let wide = (u32 (rget t si) lsl 32) lor u32 (rget t ti) in
-        rset t di (wide lsr t.sar_reg);
-        r)
+    fun t ->
+      let wide = (u32 (rget t si) lsl 32) lor u32 (rget t ti) in
+      rset t di (wide lsr t.sar_reg);
+      r
   | Ssai n ->
     let sar = n land 31 in
-    Some
-      (fun t ->
-        t.sar_reg <- sar;
-        0)
+    fun t ->
+      t.sar_reg <- sar;
+      0
   | Ssl s | Ssr s ->
     let si = ri s in
-    Some
-      (fun t ->
-        t.sar_reg <- rget t si land 31;
-        0)
+    fun t ->
+      t.sar_reg <- rget t si land 31;
+      0
   | Load (op, d, base, off) ->
     let di = ri d and bi = ri base in
     let packed = (1 lsl extra_shift) lor r in
-    Some
-      (fun t ->
-        let addr = u32 (rget t bi + off) in
-        let v =
-          try
-            match op with
-            | L8ui -> Memory.load8 t.mem addr
-            | L16si -> sext16 (Memory.load16 t.mem addr)
-            | L16ui -> Memory.load16 t.mem addr
-            | L32i -> Memory.load32 t.mem addr
-          with Invalid_argument msg -> fail "load: %s" msg
-        in
-        rset t di v;
-        dpen ubase udp dmiss t addr lor packed)
+    fun t ->
+      let addr = u32 (rget t bi + off) in
+      let v =
+        try
+          match op with
+          | L8ui -> Memory.load8 t.mem addr
+          | L16si -> sext16 (Memory.load16 t.mem addr)
+          | L16ui -> Memory.load16 t.mem addr
+          | L32i -> Memory.load32 t.mem addr
+        with Invalid_argument msg -> fail "load: %s" msg
+      in
+      rset t di v;
+      dpen ubase udp dmiss t addr lor packed
   | L32r (d, _) ->
-    (match target with
-     | None -> None
-     | Some addr ->
-       let di = ri d in
-       let packed = (1 lsl extra_shift) lor r in
-       Some
-         (fun t ->
-           let v =
-             try Memory.load32 t.mem addr
-             with Invalid_argument msg -> fail "l32r: %s" msg
-           in
-           rset t di v;
-           dpen ubase udp dmiss t addr lor packed))
+    with_target @@ fun addr ->
+    let di = ri d in
+    let packed = (1 lsl extra_shift) lor r in
+    fun t ->
+      let v =
+        try Memory.load32 t.mem addr
+        with Invalid_argument msg -> fail "l32r: %s" msg
+      in
+      rset t di v;
+      dpen ubase udp dmiss t addr lor packed
   | Store (op, v, base, off) ->
     let vi = ri v and bi = ri base in
-    Some
-      (fun t ->
-        let addr = u32 (rget t bi + off) in
-        (try
-           match op with
-           | S8i -> Memory.store8 t.mem addr (rget t vi)
-           | S16i -> Memory.store16 t.mem addr (rget t vi)
-           | S32i -> Memory.store32 t.mem addr (rget t vi)
-         with Invalid_argument msg -> fail "store: %s" msg);
-        dpen ubase udp dmiss t addr)
+    fun t ->
+      let addr = u32 (rget t bi + off) in
+      (try
+         match op with
+         | S8i -> Memory.store8 t.mem addr (rget t vi)
+         | S16i -> Memory.store16 t.mem addr (rget t vi)
+         | S32i -> Memory.store32 t.mem addr (rget t vi)
+       with Invalid_argument msg -> fail "store: %s" msg);
+      dpen ubase udp dmiss t addr
   | Branch2 (c, s, tt, _) ->
     let si = ri s and ti = ri tt in
     branch (fun t -> bcond2_holds c (rget t si) (rget t ti))
@@ -927,74 +922,60 @@ let compile_op t (slot : Isa.Program.slot) : (t -> int) option =
     let sh = n land 31 in
     branch (fun t -> ((u32 (rget t si) lsr sh) land 1 = 1) = want_set)
   | J _ ->
-    (match target with
-     | None -> None
-     | Some tgt ->
-       Some
-         (fun t ->
-           t.pc <- tgt;
-           jump))
+    with_target @@ fun tgt t ->
+    t.pc <- tgt;
+    jump
   | Jx s -> jump_reg (ri s)
   | Call0 _ ->
-    (match target with
-     | None -> None
-     | Some tgt ->
-       let packed = jump lor r in
-       Some
-         (fun t ->
-           rset t 0 fall;
-           t.pc <- tgt;
-           packed))
+    with_target @@ fun tgt ->
+    let packed = jump lor r in
+    fun t ->
+      rset t 0 fall;
+      t.pc <- tgt;
+      packed
   | Callx0 s ->
     let si = ri s in
     let packed = jump lor r in
-    Some
-      (fun t ->
-        let dest = u32 (rget t si) in
-        rset t 0 fall;
-        t.pc <- dest;
-        packed)
+    fun t ->
+      let dest = u32 (rget t si) in
+      rset t 0 fall;
+      t.pc <- dest;
+      packed
   | Call8 _ ->
-    (match target with
-     | None -> None
-     | Some tgt ->
-       let plain, spill = windowed r in
-       Some
-         (fun t ->
-           rset t 8 fall;
-           let spilled = Regfile.push_window t.rf in
-           t.pc <- tgt;
-           if spilled then spill else plain))
+    with_target @@ fun tgt ->
+    let plain, spill = windowed r in
+    fun t ->
+      rset t 8 fall;
+      let spilled = Regfile.push_window t.rf in
+      t.pc <- tgt;
+      if spilled then spill else plain
   | Callx8 s ->
     let si = ri s in
     let plain, spill = windowed r in
-    Some
-      (fun t ->
-        let dest = u32 (rget t si) in
-        rset t 8 fall;
-        let spilled = Regfile.push_window t.rf in
-        t.pc <- dest;
-        if spilled then spill else plain)
+    fun t ->
+      let dest = u32 (rget t si) in
+      rset t 8 fall;
+      let spilled = Regfile.push_window t.rf in
+      t.pc <- dest;
+      if spilled then spill else plain
   | Ret -> jump_reg 0
   | Retw ->
     let plain, reload = windowed 0 in
-    Some
-      (fun t ->
-        let dest = u32 (rget t 0) in
-        let reloaded = Regfile.pop_window t.rf in
-        t.pc <- dest;
-        if reloaded then reload else plain)
+    fun t ->
+      let dest = u32 (rget t 0) in
+      let reloaded = Regfile.pop_window t.rf in
+      t.pc <- dest;
+      if reloaded then reload else plain
   | Entry (sp, n) ->
     let spi = ri sp in
-    Some
-      (fun t ->
-        rset t spi (rget t spi - n);
-        r)
-  | Nop | Memw | Extw | Isync -> Some (fun _ -> 0)
-  | Break -> Some (fun _ -> halt_bit)
+    fun t ->
+      rset t spi (rget t spi - n);
+      r
+  | Nop | Memw | Extw | Isync -> fun _ -> 0
+  | Break -> fun _ -> halt_bit
   | Custom call ->
     (match resolve_custom t.ext call with
-     | exception Sim_error _ -> None
+     | exception (Sim_error _ as e) -> faulting e
      | (ext, insn, dst, src_regs) ->
        let imm = call.Isa.Instr.cimm in
        let packed = (insn.Tie.Compile.latency - 1) lsl extra_shift in
@@ -1004,60 +985,24 @@ let compile_op t (slot : Isa.Program.slot) : (t -> int) option =
        let di = match dst with Some d -> Isa.Reg.index d | None -> -1 in
        (* Bind the call site now: operand routing and the immediate are
           pre-resolved.  A malformed site (too few sources, missing
-          immediate) falls back to the interpreter, which reports the
-          identical error at retirement time. *)
+          immediate) raises the error [Tie.Compile.execute] reports when
+          the interpreter retires it. *)
        (match
           Tie.Compile.bind ext (Option.get t.ext_state) insn ~nsrcs ~imm
         with
-        | exception Tie.Compile.Tie_error _ -> None
+        | exception Tie.Compile.Tie_error msg -> faulting (Sim_error msg)
         | exec ->
-          Some
-            (fun t ->
-              for k = 0 to nsrcs - 1 do
-                Array.unsafe_set srcs k (rget t (Array.unsafe_get src_idx k))
-              done;
-              let result = exec srcs in
-              if result = Tie.Compile.no_result then packed
-              else begin
-                if di >= 0 then rset t di result;
-                t.custom_result <- result;
-                packed lor r
-              end)))
-
-(* The one adapter from an uncovered slot to the interpreter: run
-   [execute] and pack its record into the same word. *)
-let interpret t (slot : Isa.Program.slot) =
-  let cfg = t.cfg in
-  let dmiss = Cache.miss_penalty t.dcache in
-  fun t ->
-    let ex = execute t slot in
-    t.pc <- ex.next_pc;
-    let w = ex.extra_latency lsl extra_shift in
-    let w =
-      match ex.mem_info with
-      | None -> w
-      | Some mi when mi.Event.muncached ->
-        (w + cfg.Config.uncached_data_penalty) lor flag_uncached_data
-      | Some mi when mi.Event.mhit -> w lor flag_dcache_hit
-      | Some _ -> (w + dmiss) lor flag_dcache_miss
-    in
-    let w =
-      match ex.taken with
-      | Some true -> (w + cfg.Config.branch_taken_penalty) lor flag_taken
-      | Some false | None -> w
-    in
-    let w =
-      if ex.window_event then (w + cfg.Config.window_penalty) lor flag_window
-      else w
-    in
-    let w =
-      match ex.result with
-      | Some v ->
-        t.custom_result <- v;
-        w lor flag_result
-      | None -> w
-    in
-    if ex.halt then w lor halt_bit else w
+          fun t ->
+            for k = 0 to nsrcs - 1 do
+              Array.unsafe_set srcs k (rget t (Array.unsafe_get src_idx k))
+            done;
+            let result = exec srcs in
+            if result = Tie.Compile.no_result then packed
+            else begin
+              if di >= 0 then rset t di result;
+              t.custom_result <- result;
+              packed lor r
+            end))
 
 (* The channel's operand half, read before the op's closure runs (which
    may overwrite a load's base register or rotate the window).  A field
@@ -1100,12 +1045,6 @@ let[@inline] fill_results t (ch : channel) (op : op) packed =
       ch.cin2 <- custom_tail t packed 1
     | 1 -> ch.cin2 <- custom_tail t packed 0
     | _ -> ()
-
-type decode_stats = {
-  d_blocks : int;
-  d_ops : int;
-  d_compiled : int;
-}
 
 (* Shared empty operand set: most instructions have no defs or no uses,
    and decode cost is dominated by how many words per slot survive into
@@ -1160,7 +1099,7 @@ let slot_facts ?extension weights (asm : Isa.Program.asm) =
   Array.map (fun slot -> snd (resolve_slot extension weights slot))
     asm.Isa.Program.code
 
-let decode ?(covered = fun _ -> true) t =
+let decode t =
   let code = t.asm.Isa.Program.code in
   let weights = Tally.weights t.tally in
   let line_shift = t.icache.Cache.line_shift in
@@ -1169,7 +1108,6 @@ let decode ?(covered = fun _ -> true) t =
     (fun i (slot : Isa.Program.slot) ->
       let instr = slot.Isa.Program.instr in
       let uses = Isa.Instr.uses instr in
-      let compiled = if covered instr then compile_op t slot else None in
       let addr = slot.Isa.Program.addr in
       let funcached = addr >= uncached_base in
       let line_run =
@@ -1188,8 +1126,7 @@ let decode ?(covered = fun _ -> true) t =
           (-1, Option.value slot.Isa.Program.target ~default:0, ri d)
         | _ -> (-1, 0, -1)
       in
-      { o_slot = slot;
-        o_uses = reg_indices uses;
+      { o_uses = reg_indices uses;
         o_defs = reg_indices (Isa.Instr.defs instr);
         o_clazz = f.f_clazz;
         o_control = Isa.Instr.is_control instr;
@@ -1211,21 +1148,12 @@ let decode ?(covered = fun _ -> true) t =
         o_busy = f.f_busy;
         o_regfile = f.f_regfile;
         o_weights = f.f_weights;
-        o_run = (match compiled with Some f -> f | None -> interpret t slot);
-        o_compiled = compiled <> None })
+        o_run = compile_op t slot })
     code
-
-let decode_stats ?covered t =
-  let dec = Decoder.analyze t.asm in
-  let ops = decode ?covered t in
-  { d_blocks = Array.length dec.Decoder.blocks;
-    d_ops = Array.length ops;
-    d_compiled =
-      Array.fold_left (fun n o -> if o.o_compiled then n + 1 else n) 0 ops }
 
 let no_hook : hook = fun _ _ _ _ _ _ -> ()
 
-let run_threaded ?covered t =
+let run_threaded t =
   if not (Queue.is_empty t.observers) then
     fail
       "run_threaded: observers are interpreter-only; run an observed \
@@ -1233,7 +1161,7 @@ let run_threaded ?covered t =
   match t.done_ with
   | Some o -> o
   | None ->
-    let ops = decode ?covered t in
+    let ops = decode t in
     let n = Array.length ops in
     let base = t.asm.Isa.Program.code_base in
     let bpi = Isa.Encoding.bytes_per_instr in

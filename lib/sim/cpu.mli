@@ -144,43 +144,31 @@ val step : t -> [ `Step of Event.t | `Done of outcome ]
 val run : t -> outcome
 (** Step until completion: the reference interpreter. *)
 
-val run_threaded : ?covered:(Isa.Instr.t -> bool) -> t -> outcome
+val run_threaded : t -> outcome
 (** Run to completion on the threaded-code backend, the default one
-    (see {!Backend}): the program is pre-decoded once into one closure
-    per slot (operands, branch targets, immediates, latencies and
+    (see {!Backend}): the program is pre-decoded once into one compiled
+    closure per slot (operands, branch targets, immediates, latencies and
     custom-instruction lookups resolved at load time, straight-line runs
     delimited by {!Decoder.analyze}'s basic-block partition) and
-    dispatched block-at-a-time.  Semantics are those of repeated
-    {!step}, which stays the reference [Backend.Check] compares against:
-    same cycles, same architectural state, the same tally, and the same
-    hook calls with the same channel contents.  The tally and the hook
-    are fed from the decoded slot, its packed penalty word and register
-    reads around its closure (see {!Tally}); nothing is allocated per
-    retirement.  The [sim_*] retirement metrics are bumped once when the
-    run ends (also on {!Sim_error}), from the tally's movement, with the
-    same totals the interpreter's per-event recording gives.  (After a
-    {!Sim_error}, the tally and so the metrics also count the faulting
-    instruction's fetch miss: the loop counts fetches as they happen.)
-
-    [covered] restricts which instructions are compiled; anything it
-    rejects (and anything whose static resolution fails) executes via
-    the interpreter adapter, so coverage is a performance property,
-    never a semantic one.  Intended for tests.
+    dispatched block-at-a-time.  A slot whose static resolution fails (a
+    missing branch or [l32r] target, a custom instruction with no
+    extension installed, an unknown one, a malformed call site) compiles
+    to a closure that raises the interpreter's {!Sim_error}, with the
+    same message, at the retirement where {!step} raises it; a branch
+    without a target still falls through when not taken.  Semantics are
+    those of repeated {!step}, which stays the reference
+    [Backend.Check] compares against: same cycles, same architectural
+    state, the same tally, and the same hook calls with the same channel
+    contents.  The tally and the hook are fed from the decoded slot, its
+    packed penalty word and register reads around its closure (see
+    {!Tally}); nothing is allocated per retirement.  The [sim_*]
+    retirement metrics are bumped once when the run ends (also on
+    {!Sim_error}), from the tally's movement, with the same totals the
+    interpreter's per-event recording gives.  (After a {!Sim_error}, the
+    tally and so the metrics also count the faulting instruction's fetch
+    miss: the loop counts fetches as they happen.)
     @raise Sim_error if an observer is installed: observed machines run
     on the interpreter ({!Backend.run_program} routes them there). *)
-
-(** Static compilation counters for the threaded backend (see
-    {!decode_stats}). *)
-type decode_stats = {
-  d_blocks : int;    (** basic blocks in the {!Decoder} partition *)
-  d_ops : int;       (** instruction slots decoded *)
-  d_compiled : int;  (** slots compiled to specialised closures; the
-                         remainder run on the interpreter adapter *)
-}
-
-val decode_stats : ?covered:(Isa.Instr.t -> bool) -> t -> decode_stats
-(** Compile the program as {!run_threaded} would and report coverage
-    without executing anything. *)
 
 val clone : t -> t
 (** Independent deep copy of the machine state (memory, caches,

@@ -42,8 +42,8 @@ let axes s = List.map fst s.sp_axes
 
 let enumerate s = List.map snd s.sp_elems
 
-let enumerate_labelled ?(sep = "/") s =
-  List.map (fun (l, v) -> (String.concat sep l, v)) s.sp_elems
+let enumerate_labelled s =
+  List.map (fun (l, v) -> (String.concat "/" l, v)) s.sp_elems
 
 let widths ?(prefix = "w") ws =
   if ws = [] then invalid_arg "Space.widths: empty width list";

@@ -39,9 +39,9 @@ val axes : 'a t -> string list
 val enumerate : 'a t -> 'a list
 (** All candidates, in deterministic row-major order. *)
 
-val enumerate_labelled : ?sep:string -> 'a t -> (string * 'a) list
+val enumerate_labelled : 'a t -> (string * 'a) list
 (** Like {!enumerate}, pairing each candidate with its label: the
-    per-axis labels joined with [sep] (default ["/"]). *)
+    per-axis labels joined with ["/"]. *)
 
 val widths : ?prefix:string -> int list -> int t
 (** A bit-width axis: [widths [16; 32]] labels its points ["w16"],

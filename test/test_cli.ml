@@ -79,28 +79,32 @@ let test_shared_messages () =
       ( [ "attribute"; "gcd"; "--bucket"; "0" ],
         "attribute: bucket width must be positive" ) ]
 
-(* A program whose custom instructions have no extension installed
-   faults in the simulator: [run] and [cc] print one diagnostic line and
-   exit 123, like any refused request, instead of an uncaught
-   exception. *)
+(* A program whose custom instructions have no extension installed, or
+   whose call site is malformed, faults in the simulator: [run] and [cc]
+   print one diagnostic line and exit 123, like any refused request,
+   instead of an uncaught exception. *)
 let test_simulator_fault () =
-  let want =
+  let no_ext =
     "xenergy: simulation failed: custom instruction \"clracc\" but no \
      extension installed\n"
   in
   List.iter
-    (fun (cmd, suffix, source) ->
+    (fun (cmd, ext, suffix, source, want) ->
       let file = Filename.temp_file "xenergy_fault" suffix in
       Out_channel.with_open_text file (fun oc -> output_string oc source);
       let code, out, err =
-        run_xenergy [ cmd; "-m"; Filename.concat ".." "coeffs.txt"; file ]
+        run_xenergy
+          ([ cmd; "-m"; Filename.concat ".." "coeffs.txt" ] @ ext @ [ file ])
       in
       Sys.remove file;
       check Alcotest.int (cmd ^ ": exit code") 123 code;
       check Alcotest.string (cmd ^ ": stdout stays clean") "" out;
       check Alcotest.string (cmd ^ ": one diagnostic line") want err)
-    [ ("run", ".s", "main:\n  tie.clracc\n  break\n");
-      ("cc", ".c", "int main() { __tie_clracc(); return 0; }\n") ]
+    [ ("run", [], ".s", "main:\n  tie.clracc\n  break\n", no_ext);
+      ("cc", [], ".c", "int main() { __tie_clracc(); return 0; }\n", no_ext);
+      ( "run", [ "-e"; "mac" ], ".s",
+        "main:\n  tie.clracc\n  tie.mac a6\n  break\n",
+        "xenergy: simulation failed: mac: not enough register operands\n" ) ]
 
 (* Check mode end to end: the estimate must succeed on stdout and the
    dual-run summary must land on stderr (either the in-process count or

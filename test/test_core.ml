@@ -74,21 +74,31 @@ let test_resource_idle_weight () =
     add b a4 a2 a3;
     add b a5 a4 a2
   in
-  let run_with w =
-    let c = mk_case ~extension:ext build in
-    let res = Core.Resource.create ~idle_weight:w c.Core.Extract.extension in
-    let _ =
-      Sim.Backend.run_program ?extension:c.Core.Extract.extension
-        ~observers:[ Core.Resource.observer res ]
-        c.Core.Extract.asm
-    in
-    Core.Resource.total_for res Tie.Component.Adder
+  let c = mk_case ~extension:ext build in
+  let res = Core.Resource.create c.Core.Extract.extension in
+  let _ =
+    Sim.Backend.run_program ?extension:c.Core.Extract.extension
+      ~observers:[ Core.Resource.observer res ]
+      c.Core.Extract.asm
   in
-  check (Alcotest.float 1e-9) "zero weight, zero idle usage" 0.0
-    (run_with 0.0);
-  let x1 = run_with 0.1 and x2 = run_with 0.2 in
-  check (Alcotest.float 1e-9) "idle usage scales with the weight" (2.0 *. x1)
-    x2
+  (* The two adds read registers; each charges every bus-facing adder
+     the constant duty factor times its complexity. *)
+  let adders =
+    List.filter
+      (fun comp -> comp.Tie.Component.category = Tie.Component.Adder)
+      (Tie.Compile.bus_facing_components ext)
+  in
+  check Alcotest.bool "extension has a bus-facing adder" true (adders <> []);
+  let per_read =
+    List.fold_left
+      (fun acc comp ->
+        acc
+        +. (Core.Resource.default_idle_weight *. Tie.Component.complexity comp))
+      0.0 adders
+  in
+  check (Alcotest.float 1e-9) "idle usage at the constant weight"
+    (2.0 *. per_read)
+    (Core.Resource.total_for res Tie.Component.Adder)
 
 (* --- Extract -------------------------------------------------------------- *)
 
@@ -2079,10 +2089,10 @@ let test_explore_warm_matches_cold () =
         (List.hd (Workloads.Suite.applications ())) ]
   in
   (* One sweep on a fresh instance over [dir], with the fits it ran. *)
-  let sweep ?nonnegative () =
+  let sweep () =
     let before = Obs.Metrics.counter_value fits in
     let o =
-      Core.Explore.run ~jobs:2 ?nonnegative
+      Core.Explore.run ~jobs:2
         ~cache:(Core.Eval_cache.create ~dir ())
         ~characterization candidates
     in
@@ -2152,19 +2162,11 @@ let test_explore_warm_matches_cold () =
         (bits fitted.Core.Template.coefficients)
         (bits read.Core.Template.coefficients))
     [ Sim.Config.default; smaller_icache ];
-  (* The fitting flag is part of the model's key: an unconstrained sweep
-     over the same samples refits instead of reusing the NNLS models. *)
-  let free, free_fits = sweep ~nonnegative:false () in
-  check Alcotest.int "unconstrained sweep simulates nothing" 0
-    free.Core.Explore.simulations;
-  check Alcotest.int "unconstrained sweep refits every config" 2 free_fits;
-  check Alcotest.int "unconstrained sweep misses its models" 2
-    free.Core.Explore.cache_stats.Core.Eval_cache.misses;
   (* A truncated model entry is an error-counted miss: the model is
      refitted from the stored samples and the points do not move. *)
   let model_file =
     Filename.concat dir
-      (Core.Eval_cache.model_key ~nonnegative:true
+      (Core.Eval_cache.model_key
          (List.map
             (Core.Eval_cache.key ~with_reference:true
                ~config:Sim.Config.default)
@@ -2272,12 +2274,20 @@ let test_explore_shares_config_characterization () =
 
 (* --- Observability riders --------------------------------------------------- *)
 
-(* Store-time size cap: the cache prunes itself back under --max-bytes
-   as entries land, without an explicit prune call. *)
+(* Store-time size cap: a store that crosses --max-bytes prunes the
+   directory, without an explicit prune call, down to a low-water mark
+   at three quarters of the bound.  A shadow directory receives the same
+   stores and mtimes but no cap; at each enforcement pass an offline
+   prune to the mark must keep exactly what the capped cache kept. *)
 let test_cache_auto_cap_at_store () =
   with_metrics (fun () ->
-      (* Measure one entry's on-disk footprint, then cap at two. *)
-      let kes = three_keyed_entries () in
+      let kes =
+        List.init 12 (fun i ->
+            let k = Digest.to_hex (Digest.string (string_of_int i)) in
+            (k, { gnarly_entry with Core.Eval_cache.e_name = "wl-" ^ k }))
+      in
+      (* Measure one entry's on-disk footprint, then cap at four and a
+         half entries. *)
       let k0, e0 = List.hd kes in
       let probe_dir = fresh_cache_dir () in
       let probe = Core.Eval_cache.create ~dir:probe_dir () in
@@ -2286,30 +2296,59 @@ let test_cache_auto_cap_at_store () =
       let entry_bytes =
         (Unix.stat (Filename.concat probe_dir (k0 ^ ".json"))).Unix.st_size
       in
-      let evictions =
-        Obs.Metrics.counter "eval_cache_evictions_total"
-      in
-      let evicted_before = Obs.Metrics.counter_value evictions in
-      let dir = fresh_cache_dir () in
-      let cap = (2 * entry_bytes) + (entry_bytes / 2) in
+      let evictions = Obs.Metrics.counter "eval_cache_evictions_total" in
+      let dir = fresh_cache_dir () and shadow_dir = fresh_cache_dir () in
+      let cap = (4 * entry_bytes) + (entry_bytes / 2) in
+      let mark = cap * 3 / 4 in
       let c = Core.Eval_cache.create ~dir ~max_bytes:cap () in
-      List.iter (fun (k, e) -> Core.Eval_cache.store c k e) kes;
-      Core.Eval_cache.flush c;
-      let entries () =
-        List.filter (fun f -> Filename.check_suffix f ".json") (dir_files dir)
+      let shadow = Core.Eval_cache.create ~dir:shadow_dir () in
+      let entries d =
+        List.filter (fun f -> Filename.check_suffix f ".json") (dir_files d)
       in
-      check Alcotest.int "cap enforced at store time" 2
-        (List.length (entries ()));
-      check Alcotest.bool "eviction counted" true
-        (Obs.Metrics.counter_value evictions > evicted_before);
+      let bytes d =
+        List.fold_left
+          (fun n f -> n + (Unix.stat (Filename.concat d f)).Unix.st_size)
+          0 (entries d)
+      in
+      let passes = ref 0 in
+      List.iteri
+        (fun i (k, e) ->
+          let evicted_before = Obs.Metrics.counter_value evictions in
+          Core.Eval_cache.store c k e;
+          Core.Eval_cache.store shadow k e;
+          if Obs.Metrics.counter_value evictions > evicted_before then begin
+            incr passes;
+            check Alcotest.bool "kept bytes at most the mark" true
+              (bytes dir <= mark);
+            let r =
+              Core.Eval_cache.prune
+                ~policy:
+                  { Core.Eval_cache.unlimited with
+                    Core.Eval_cache.max_bytes = Some mark }
+                shadow_dir
+            in
+            check Alcotest.int "kept bytes reported" (bytes dir)
+              r.Core.Eval_cache.p_kept_bytes;
+            check Alcotest.(list string) "kept = offline prune to the mark"
+              (entries shadow_dir) (entries dir)
+          end;
+          (* Older stores get distinct past mtimes, in store order, on
+             both sides. *)
+          let t = Unix.gettimeofday () -. 1000.0 +. float_of_int i in
+          set_mtime dir k t;
+          set_mtime shadow_dir k t)
+        kes;
+      Core.Eval_cache.flush c;
+      check Alcotest.bool "several enforcement passes" true (!passes >= 2);
+      check Alcotest.(list string) "capped = shadow after the last store"
+        (entries shadow_dir) (entries dir);
       (* The survivors stay readable through a fresh handle. *)
       let c2 = Core.Eval_cache.create ~dir () in
       let live =
-        List.filter
-          (fun (k, _) -> Core.Eval_cache.find c2 k <> None)
-          kes
+        List.filter (fun (k, _) -> Core.Eval_cache.find c2 k <> None) kes
       in
-      check Alcotest.int "survivors load" 2 (List.length live);
+      check Alcotest.int "survivors load" (List.length (entries dir))
+        (List.length live);
       check Alcotest.int "no read errors" 0
         (Core.Eval_cache.stats c2).Core.Eval_cache.errors)
 

@@ -894,33 +894,116 @@ let test_backend_unobserved_fast_path () =
          | None, None, None -> ()
          | _ -> fail (name ^ ": TIE state present on one machine only"))
 
-let test_backend_forced_fallback () =
-  (* covered = (fun _ -> false) sends every slot through the
-     interpreter fallback; coverage is a performance property, never a
-     semantic one. *)
-  let c = Workloads.Suite.find "gcd" in
-  let stats =
-    Sim.Cpu.decode_stats
-      ~covered:(fun _ -> false)
-      (Sim.Cpu.create ?extension:c.Core.Extract.extension c.Core.Extract.asm)
-  in
-  check Alcotest.int "nothing compiled" 0 stats.Sim.Cpu.d_compiled;
-  check Alcotest.bool "slots still decoded" true (stats.Sim.Cpu.d_ops > 0);
-  List.iter
-    (same_as_interpreter (Sim.Cpu.run_threaded ~covered:(fun _ -> false)))
-    (c :: stream_cases ())
+(* A program assembled from [build] (then [break]), optionally with one
+   slot's resolved target taken away, as a program built without the
+   assembler can carry. *)
+let backend_program ?(strip_target = -1) build =
+  let b = Isa.Builder.create "t" in
+  Isa.Builder.label b "main";
+  build b;
+  Isa.Builder.halt b;
+  let asm = Isa.Program.assemble (Isa.Builder.seal b) in
+  { asm with
+    Isa.Program.code =
+      Array.mapi
+        (fun i s ->
+          if i = strip_target then { s with Isa.Program.target = None } else s)
+        asm.Isa.Program.code }
 
-let test_backend_decode_coverage () =
-  let c = Workloads.Suite.find "des" in
-  let mk () =
-    Sim.Cpu.create ?extension:c.Core.Extract.extension c.Core.Extract.asm
+(* A slot that fails static resolution raises, on every backend, the
+   interpreter's error with the interpreter's message when it retires:
+   the threaded backend compiles it to a closure that raises. *)
+let test_backend_deferred_errors () =
+  let open Isa.Builder in
+  let mac = Workloads.Tie_lib.mac_ext in
+  let cases =
+    [ ( "no extension installed", None,
+        backend_program (fun b -> custom b "clracc" []),
+        "custom instruction \"clracc\" but no extension installed" );
+      ( "unknown custom instruction", Some mac,
+        backend_program (fun b -> custom b "nosuch" [ a6 ]),
+        "unknown custom instruction \"nosuch\"" );
+      ( "malformed call site", Some mac,
+        backend_program (fun b ->
+            custom b "clracc" [];
+            custom b "mac" [ a6 ]),
+        "mac: not enough register operands" );
+      ( "taken branch without a target", None,
+        backend_program ~strip_target:1 (fun b ->
+            movi b a2 0;
+            beqz b a2 "main"),
+        "unresolved branch target at 0x" );
+      ( "l32r without a target", None,
+        backend_program ~strip_target:0 (fun b ->
+            lit b "k" 0x1234;
+            l32r b a2 "k"),
+        "unresolved branch target at 0x" ) ]
   in
-  let stats = Sim.Cpu.decode_stats (mk ()) in
-  check Alcotest.bool "has blocks" true (stats.Sim.Cpu.d_blocks > 0);
-  check Alcotest.bool "compiles most slots" true
-    (stats.Sim.Cpu.d_compiled > stats.Sim.Cpu.d_ops / 2);
-  check Alcotest.bool "never more compiled than decoded" true
-    (stats.Sim.Cpu.d_compiled <= stats.Sim.Cpu.d_ops)
+  List.iter
+    (fun (name, extension, asm, want) ->
+      let message backend =
+        match Sim.Backend.run_program ~backend ?extension asm with
+        | _ ->
+          fail (name ^ ": ran to completion on " ^ Sim.Backend.name backend)
+        | exception Sim.Cpu.Sim_error msg -> msg
+      in
+      let interp = message Sim.Backend.Interp in
+      check Alcotest.bool
+        (name ^ ": interpreter message " ^ interp)
+        true
+        (String.starts_with ~prefix:want interp);
+      List.iter
+        (fun backend ->
+          check Alcotest.string
+            (name ^ ": " ^ Sim.Backend.name backend ^ " = interp")
+            interp (message backend))
+        [ Sim.Backend.Threaded; Sim.Backend.Check ])
+    cases
+
+(* A slot that would fault but never retires costs nothing: jumping over
+   an unknown custom instruction, or a not-taken branch without a
+   target, halts with identical clocks, registers and tally on every
+   backend. *)
+let test_backend_skipped_fault () =
+  let open Isa.Builder in
+  let mac = Workloads.Tie_lib.mac_ext in
+  List.iter
+    (fun (name, extension, asm) ->
+      let run backend =
+        let tally =
+          Sim.Tally.create ~weights:(Core.Resource.weights extension)
+            Sim.Config.default
+        in
+        let cpu, outcome =
+          Sim.Backend.run_program ~backend ?extension ~tally asm
+        in
+        check Alcotest.bool
+          (name ^ ": halts on " ^ Sim.Backend.name backend)
+          true (outcome = Sim.Cpu.Halted);
+        (cpu, tally)
+      in
+      let ref_cpu, ref_tally = run Sim.Backend.Interp in
+      List.iter
+        (fun backend ->
+          let cpu, tally = run backend in
+          let what = name ^ ": " ^ Sim.Backend.name backend in
+          check Alcotest.int (what ^ " cycles") (Sim.Cpu.cycles ref_cpu)
+            (Sim.Cpu.cycles cpu);
+          check Alcotest.bool (what ^ " registers") true
+            (Sim.Cpu.regfile ref_cpu = Sim.Cpu.regfile cpu);
+          check Alcotest.(option string) (what ^ " tally") None
+            (Sim.Tally.diff ref_tally tally))
+        [ Sim.Backend.Threaded; Sim.Backend.Check ])
+    [ ( "jump over an unknown custom instruction", Some mac,
+        backend_program (fun b ->
+            j b "done";
+            custom b "nosuch" [ a6 ];
+            label b "done") );
+      ( "not-taken branch without a target", None,
+        backend_program ~strip_target:1 (fun b ->
+            movi b a2 1;
+            beqz b a2 "main";
+            movi b a3 2) ) ]
 
 let test_backend_check_oracle () =
   (* A checked run of the custom-instruction workloads with an
@@ -1407,10 +1490,9 @@ let () =
             test_backend_threaded_equivalence;
           Alcotest.test_case "unobserved fast path" `Quick
             test_backend_unobserved_fast_path;
-          Alcotest.test_case "forced fallback" `Quick
-            test_backend_forced_fallback;
-          Alcotest.test_case "decode coverage" `Quick
-            test_backend_decode_coverage;
+          Alcotest.test_case "deferred errors" `Quick
+            test_backend_deferred_errors;
+          Alcotest.test_case "skipped fault" `Quick test_backend_skipped_fault;
           Alcotest.test_case "check counts metrics once" `Quick
             test_backend_check_metrics;
           Alcotest.test_case "check oracle" `Quick test_backend_check_oracle;
