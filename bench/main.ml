@@ -718,10 +718,10 @@ let serve_overhead () =
          if traced then Obs.Trace.set_enabled true;
          let router =
            if traced then
-             Serve.Router.create ~max_models:4 ~jobs:2 ~slow_ms:0.05
+             Serve.Router.create ~jobs:2 ~slow_ms:0.05
                ~characterize:(fun _ -> stub) ()
            else
-             Serve.Router.create ~max_models:4 ~jobs:2
+             Serve.Router.create ~jobs:2
                ~characterize:(fun _ -> stub) ()
          in
          Serve.Server.run ~io_timeout_s:60.0 ~socket router

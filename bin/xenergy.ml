@@ -950,11 +950,6 @@ let serve_cmd =
       "Unix-domain socket the daemon listens on (or, in
        client mode, connects to)."
   in
-  let max_models_arg =
-    opt_arg Arg.int 4 [ "max-models" ] "N"
-      "Bound on resident characterized models; the least
-       recently used are evicted past it."
-  in
   let cache_dir_arg =
     cache_dir_arg
       "Back the evaluation cache on disk under $(docv), so
@@ -1039,9 +1034,9 @@ let serve_cmd =
         Serve.Client.call ~timeout_s:timeout ~socket
           (Obs.Json.Obj [ ("op", Obs.Json.Str op) ]))
   in
-  let run socket max_models cache_dir model_file io_timeout max_conns
-      read_timeout slow_ms trace_file call scrape ping status stop wait
-      timeout with_common =
+  let run socket cache_dir model_file io_timeout max_conns read_timeout
+      slow_ms trace_file call scrape ping status stop wait timeout
+      with_common =
     (* Daemon mode: the process-wide default backend, overridable per
        request by the "backend" field.  Irrelevant in client mode. *)
     with_common @@ fun jobs ->
@@ -1088,7 +1083,6 @@ let serve_cmd =
         ignore (call_op ~socket ~timeout ~refused:"shutdown" "shutdown")
     end
     else begin
-      if max_models < 1 then die "--max-models must be >= 1";
       if io_timeout <= 0.0 then die "--io-timeout must be > 0";
       if max_conns < 1 then die "--max-conns must be >= 1";
       if read_timeout < 0.0 then die "--read-timeout must be >= 0";
@@ -1103,7 +1097,7 @@ let serve_cmd =
          touch the registry, or the pre-listen residency gauge is lost. *)
       Obs.Metrics.set_enabled true;
       let router =
-        Serve.Router.create ~max_models ?jobs ?read_timeout_s ?cache_dir
+        Serve.Router.create ?jobs ?read_timeout_s ?cache_dir
           ?model:model_file ?slow_ms ()
       in
       Option.iter (Format.eprintf "model preloaded from %s@.") model_file;
@@ -1126,11 +1120,10 @@ let serve_cmd =
              (characterize once per configuration, estimate from
              memory), or a client against one (--call/--scrape/--ping/
              --status/--stop)")
-    Term.(const run $ socket_arg $ max_models_arg $ cache_dir_arg
-          $ model_file_arg $ io_timeout_arg $ max_conns_arg
-          $ read_timeout_arg $ slow_ms_arg $ trace_file_arg $ call_arg
-          $ scrape_arg $ ping_arg $ status_arg $ stop_arg
-          $ wait_arg $ timeout_arg $ common_term ())
+    Term.(const run $ socket_arg $ cache_dir_arg $ model_file_arg
+          $ io_timeout_arg $ max_conns_arg $ read_timeout_arg $ slow_ms_arg
+          $ trace_file_arg $ call_arg $ scrape_arg $ ping_arg $ status_arg
+          $ stop_arg $ wait_arg $ timeout_arg $ common_term ())
 
 (* --- top ----------------------------------------------------------------- *)
 
@@ -1181,9 +1174,8 @@ let top_cmd =
       (numf "requests" status) (numf "inflight" status)
       (numf "active" conn) (numf "total" conn)
       (numf "live" pool) (numf "lanes" pool);
-    line "registry %.0f models (hit %.0f miss %.0f evict %.0f)  cache hit %.0f miss %.0f store %.0f err %.0f"
+    line "registry %.0f models (hit %.0f miss %.0f)  cache hit %.0f miss %.0f store %.0f err %.0f"
       (numf "models" reg) (numf "hits" reg) (numf "misses" reg)
-      (numf "evictions" reg)
       (numf "hits" cache) (numf "misses" cache) (numf "stores" cache)
       (numf "errors" cache);
     line "";

@@ -87,8 +87,8 @@ let static_terms config (f : Sim.Cpu.slot_facts) ~taken =
   done;
   !terms
 
-let create ?bucket_cycles ?complexity ~config model (c : Extract.case) =
-  let weights = Resource.weights ?complexity c.Extract.extension in
+let create ?bucket_cycles ~config model (c : Extract.case) =
+  let weights = Resource.weights c.Extract.extension in
   let tally = Sim.Tally.create ~weights config in
   let waveform = Obs.Waveform.create ?bucket_cycles () in
   let coeffs = model.Template.coefficients in
@@ -240,11 +240,11 @@ let finish t ~name ~cycles ~instructions =
     cycles;
     instructions }
 
-let run ?(config = Sim.Config.default) ?bucket_cycles ?complexity
-    ?hook model (c : Extract.case) =
+let run ?(config = Sim.Config.default) ?bucket_cycles ?hook model
+    (c : Extract.case) =
   Obs.Trace.with_span ~cat:"attribute" ("attribute:" ^ c.Extract.case_name)
   @@ fun () ->
-  let t = create ?bucket_cycles ?complexity ~config model c in
+  let t = create ?bucket_cycles ~config model c in
   let cpu, _outcome =
     Sim.Backend.run_program ~config ?extension:c.Extract.extension
       ~tally:t.tally

@@ -40,16 +40,16 @@ type t
 
 val create :
   ?bucket_cycles:int ->
-  ?complexity:(Tie.Component.t -> float) ->
   config:Sim.Config.t ->
   Template.model ->
   Extract.case ->
   t
 (** An engine for one workload, with its per-slot marginal plan
     resolved from {!Sim.Cpu.slot_facts}.  [bucket_cycles] sets the
-    waveform bin width (default 64); [complexity] must match the one
-    the model's variables are extracted with, or the decomposition will
-    not match the estimate. *)
+    waveform bin width (default 64).  Components are weighted by
+    {!Tie.Component.complexity}, the weighting {!Extract.val-profile}
+    extracts the model's variables with by default, so the
+    decomposition matches the estimate. *)
 
 val tally : t -> Sim.Tally.t
 (** The engine's tally.  Install it on the run being attributed
@@ -78,7 +78,6 @@ val finish : t -> name:string -> cycles:int -> instructions:int -> breakdown
 val run :
   ?config:Sim.Config.t ->
   ?bucket_cycles:int ->
-  ?complexity:(Tie.Component.t -> float) ->
   ?hook:Sim.Cpu.hook ->
   Template.model ->
   Extract.case ->

@@ -120,11 +120,12 @@ val evaluate :
 (** Like {!run} with pre-fitted models: [evaluate model_for candidates]
     applies [model_for c.config] to each candidate (no
     re-characterization; the caller asserts each model matches its
-    configuration, and [model_for] is called once per distinct
-    configuration).  The sweep is the one {!run} performs after
-    fitting: points in input order, one frontier across every
-    configuration, memoized through [cache].  [configs_characterized]
-    is 0. *)
+    configuration).  [model_for] is called once per distinct
+    configuration, in first-use order, as the sweep reaches it, and
+    once more per frontier point when [profile_top] is set.  The sweep
+    is the one {!run} performs after fitting: points in input order,
+    one frontier across every configuration, memoized through [cache].
+    [configs_characterized] is 0. *)
 
 val to_json : outcome -> Obs.Json.t
 (** Machine-readable sweep record: per-point rows, frontier membership,

@@ -13,6 +13,12 @@ type block = {
   mutable b_energy_pj : float;
 }
 
+type slot_row = {
+  s_hits : int;
+  s_cycles : int;
+  s_energy_pj : float;
+}
+
 type opcode_row = {
   op_name : string;
   op_hits : int;
@@ -25,7 +31,7 @@ type report = {
   r_asm : Isa.Program.asm;
   r_blocks : block array;
   r_hot : block array;
-  r_slots : Obs.Profile.t;
+  r_slots : slot_row array;
   r_opcodes : opcode_row list;
   r_folded : (string * int * float) list;
   r_breakdown : Attribution.breakdown;
@@ -73,7 +79,7 @@ type t = {
   mutable leaf_energy : float array;
 }
 
-let create ?bucket_cycles ?complexity ~config model (c : Extract.case) =
+let create ~config model (c : Extract.case) =
   let code = c.Extract.asm.Isa.Program.code in
   let n = Array.length code in
   let d = Sim.Decoder.analyze c.Extract.asm in
@@ -92,7 +98,7 @@ let create ?bucket_cycles ?complexity ~config model (c : Extract.case) =
           k)
       code
   in
-  let attr = Attribution.create ?bucket_cycles ?complexity ~config model c in
+  let attr = Attribution.create ~config model c in
   { case = c;
     attr;
     marginal = Attribution.marginal attr;
@@ -225,22 +231,20 @@ let finish t ~cycles ~instructions =
           b_energy_pj = t.block_energy.(b.Sim.Decoder.blk_index) })
       t.dec.Sim.Decoder.blocks
   in
-  let per_slot = Obs.Profile.create () in
+  let slots =
+    Array.mapi
+      (fun i energy ->
+        { s_hits = count i f_retired;
+          s_cycles = count i f_cycles;
+          s_energy_pj = energy })
+      t.slot_energy
+  in
   let op_hits = Array.make (Array.length t.op_names) 0 in
   let op_cycles = Array.make (Array.length t.op_names) 0 in
   Array.iteri
     (fun i k ->
-      if count i f_retired > 0 then begin
-        let s = Obs.Profile.slot_for per_slot i in
-        s.Obs.Profile.hits <- count i f_retired;
-        s.Obs.Profile.cycles <- count i f_cycles;
-        s.Obs.Profile.stall_cycles <- count i f_stalls;
-        s.Obs.Profile.icache_misses <- count i f_imiss;
-        s.Obs.Profile.dcache_misses <- count i f_dmiss;
-        s.Obs.Profile.energy_pj <- t.slot_energy.(i);
-        op_hits.(k) <- op_hits.(k) + count i f_retired;
-        op_cycles.(k) <- op_cycles.(k) + count i f_cycles
-      end)
+      op_hits.(k) <- op_hits.(k) + slots.(i).s_hits;
+      op_cycles.(k) <- op_cycles.(k) + slots.(i).s_cycles)
     t.op_of_slot;
   Array.iteri
     (fun id cycles ->
@@ -278,7 +282,7 @@ let finish t ~cycles ~instructions =
     r_asm = t.case.Extract.asm;
     r_blocks = blocks;
     r_hot = hot;
-    r_slots = per_slot;
+    r_slots = slots;
     r_opcodes = opcodes;
     r_folded = Obs.Profile.Stacks.folded t.stacks;
     r_breakdown = breakdown;
@@ -306,16 +310,15 @@ module P_metrics = struct
             "profile_seconds")
 end
 
-let run ?(config = Sim.Config.default) ?bucket_cycles ?complexity
-    ?hook model (c : Extract.case) =
+let run ?(config = Sim.Config.default) model (c : Extract.case) =
   Obs.Trace.with_span ~cat:"profile" ("profile:" ^ c.Extract.case_name)
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let t = create ?bucket_cycles ?complexity ~config model c in
+  let t = create ~config model c in
   let cpu, _outcome =
     Sim.Backend.run_program ~config ?extension:c.Extract.extension
       ~tally:(Attribution.tally t.attr)
-      ~hook:(Sim.Cpu.chain (profile_hook t) hook)
+      ~hook:(profile_hook t)
       c.Extract.asm
   in
   let r =
@@ -390,14 +393,14 @@ let pp_annotate ppf r =
       (match Hashtbl.find_opt sym_at addr with
        | Some s -> Format.fprintf ppf "%s:@," s
        | None -> ());
-      match Obs.Profile.find r.r_slots i with
-      | Some s ->
-        Format.fprintf ppf "%8d %9d %5.1f%% %5.1f%%  %06x:  %a@," s.Obs.Profile.hits
-          s.Obs.Profile.cycles
-          (share (float_of_int s.Obs.Profile.cycles) (float_of_int r.r_cycles))
-          (share s.Obs.Profile.energy_pj r.r_total_pj)
+      let s = r.r_slots.(i) in
+      if s.s_hits > 0 then
+        Format.fprintf ppf "%8d %9d %5.1f%% %5.1f%%  %06x:  %a@," s.s_hits
+          s.s_cycles
+          (share (float_of_int s.s_cycles) (float_of_int r.r_cycles))
+          (share s.s_energy_pj r.r_total_pj)
           addr Isa.Instr.pp slot.Isa.Program.instr
-      | None ->
+      else
         Format.fprintf ppf "%8s %9s %6s %6s  %06x:  %a@," "." "." "." "." addr
           Isa.Instr.pp slot.Isa.Program.instr)
     code;

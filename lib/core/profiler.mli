@@ -42,6 +42,14 @@ type block = {
   mutable b_energy_pj : float;
 }
 
+(** One instruction slot's profile, for annotation.  A slot that never
+    retired has [s_hits = 0]. *)
+type slot_row = {
+  s_hits : int;               (** retirements *)
+  s_cycles : int;
+  s_energy_pj : float;
+}
+
 type opcode_row = {
   op_name : string;           (** mnemonic *)
   op_hits : int;
@@ -54,8 +62,7 @@ type report = {
   r_asm : Isa.Program.asm;
   r_blocks : block array;     (** every block, program order *)
   r_hot : block array;        (** executed blocks, descending cycles *)
-  r_slots : Obs.Profile.t;    (** per-instruction-slot profile (key =
-                                  slot index) for annotation *)
+  r_slots : slot_row array;   (** one row per code slot, program order *)
   r_opcodes : opcode_row list;          (** descending cycles *)
   r_folded : (string * int * float) list;
       (** flame-graph rows: stack, cycles, energy_pj *)
@@ -68,20 +75,12 @@ type report = {
   r_energy_gap : float;       (** relative gap of block energy sum *)
 }
 
-val run :
-  ?config:Sim.Config.t ->
-  ?bucket_cycles:int ->
-  ?complexity:(Tie.Component.t -> float) ->
-  ?hook:Sim.Cpu.hook ->
-  Template.model ->
-  Extract.case ->
-  report
+val run : ?config:Sim.Config.t -> Template.model -> Extract.case -> report
 (** Simulate the case once with an {!Attribution} engine's tally
-    installed and the profiler as the retire hook (followed by [hook] if
-    given), under a [profile:] trace span;
-    bumps the [profile_*] metrics family when metrics are enabled.
-    The tracked call stack is capped at 128 frames;
-    [bucket_cycles] and [complexity] are {!Attribution.create}'s. *)
+    installed (default 64-cycle waveform buckets) and the profiler as
+    the retire hook, under a [profile:] trace span; bumps the
+    [profile_*] metrics family when metrics are enabled.  The tracked
+    call stack is capped at 128 frames. *)
 
 val check : report -> float * float
 (** [(cycle gap, energy gap)], both relative to the run totals: the

@@ -1,59 +1,3 @@
-type slot = {
-  mutable hits : int;
-  mutable cycles : int;
-  mutable stall_cycles : int;
-  mutable icache_misses : int;
-  mutable dcache_misses : int;
-  mutable energy_pj : float;
-}
-
-type t = { slots : (int, slot) Hashtbl.t }
-
-let fresh_slot () =
-  { hits = 0; cycles = 0; stall_cycles = 0; icache_misses = 0;
-    dcache_misses = 0; energy_pj = 0.0 }
-
-let create () = { slots = Hashtbl.create 256 }
-
-let slot_for t key =
-  match Hashtbl.find_opt t.slots key with
-  | Some s -> s
-  | None ->
-    let s = fresh_slot () in
-    Hashtbl.add t.slots key s;
-    s
-
-let record t ?(stall_cycles = 0) ?(icache_miss = false) ?(dcache_miss = false)
-    ?(energy_pj = 0.0) ~cycles key =
-  let s = slot_for t key in
-  s.hits <- s.hits + 1;
-  s.cycles <- s.cycles + cycles;
-  s.stall_cycles <- s.stall_cycles + stall_cycles;
-  if icache_miss then s.icache_misses <- s.icache_misses + 1;
-  if dcache_miss then s.dcache_misses <- s.dcache_misses + 1;
-  s.energy_pj <- s.energy_pj +. energy_pj
-
-let find t key = Hashtbl.find_opt t.slots key
-
-let cardinal t = Hashtbl.length t.slots
-
-let fold f t init = Hashtbl.fold f t.slots init
-
-let totals t =
-  let acc = fresh_slot () in
-  Hashtbl.iter
-    (fun _ s ->
-      acc.hits <- acc.hits + s.hits;
-      acc.cycles <- acc.cycles + s.cycles;
-      acc.stall_cycles <- acc.stall_cycles + s.stall_cycles;
-      acc.icache_misses <- acc.icache_misses + s.icache_misses;
-      acc.dcache_misses <- acc.dcache_misses + s.dcache_misses;
-      acc.energy_pj <- acc.energy_pj +. s.energy_pj)
-    t.slots;
-  acc
-
-let reset t = Hashtbl.reset t.slots
-
 module Stacks = struct
   type node = {
     id : int;

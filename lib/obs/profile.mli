@@ -1,57 +1,11 @@
-(** Location profiles: integer-keyed hotspot accumulators and interned
-    call-stack aggregation.
+(** Location profiles: interned call-stack aggregation.
 
-    The module is deliberately ISA-agnostic — keys are plain integers
-    (the simulator layer maps program counters to instruction slots or
-    basic blocks) and stack frames are strings.  [Core.Profiler] builds
-    the per-block/per-line profiles of a simulated program on top of
-    these accumulators.  A hot caller keeps its own counters and folds
-    them in once: it memoizes {!Stacks.leaf} per frame and
-    {!Stacks.position} and adds totals with {!Stacks.record_at}. *)
-
-type slot = {
-  mutable hits : int;            (** events recorded against the key *)
-  mutable cycles : int;
-  mutable stall_cycles : int;
-  mutable icache_misses : int;
-  mutable dcache_misses : int;
-  mutable energy_pj : float;
-}
-
-type t
-
-val create : unit -> t
-
-val record :
-  t ->
-  ?stall_cycles:int ->
-  ?icache_miss:bool ->
-  ?dcache_miss:bool ->
-  ?energy_pj:float ->
-  cycles:int ->
-  int ->
-  unit
-(** [record t ~cycles key] folds one event into [key]'s slot, creating
-    the slot on first sight. *)
-
-val slot_for : t -> int -> slot
-(** The slot for a key, created zeroed on first sight.  Hot-path callers
-    may hold on to the returned slot and bump its fields directly,
-    skipping the per-event hash lookup (and optional-argument boxing)
-    that {!record} pays. *)
-
-val find : t -> int -> slot option
-
-val cardinal : t -> int
-(** Number of distinct keys recorded. *)
-
-val fold : (int -> slot -> 'a -> 'a) -> t -> 'a -> 'a
-
-val totals : t -> slot
-(** Fresh slot holding the column sums over every key — the conservation
-    side of the profile (block rows must sum to the run totals). *)
-
-val reset : t -> unit
+    The module is deliberately ISA-agnostic — stack frames are strings.
+    [Core.Profiler] keeps its per-slot counters in flat arrays of its
+    own and builds a simulated program's flame-graph stacks on top of
+    {!Stacks}.  A hot caller keeps its own counters and folds them in
+    once: it memoizes {!Stacks.leaf} per frame and {!Stacks.position}
+    and adds totals with {!Stacks.record_at}. *)
 
 (** Interned call-stack aggregation for flame-graph ("folded") output.
 

@@ -13,11 +13,6 @@ module M = struct
             model)"
          "serve_registry_misses_total")
 
-  let evictions =
-    lazy
-      (Obs.Metrics.counter ~help:"models LRU-evicted from the registry"
-         "serve_registry_evictions_total")
-
   let models =
     lazy
       (Obs.Metrics.gauge ~help:"models currently resident in the registry"
@@ -40,15 +35,11 @@ type stats = {
   r_models : int;
   r_hits : int;
   r_misses : int;
-  r_evictions : int;
 }
 
-type slot = { model : Core.Template.model; mutable last_used : float }
-
 type t = {
-  max_models : int;
   characterize : Sim.Config.t -> Core.Template.model;
-  table : (string, slot) Hashtbl.t;
+  table : (string, Core.Template.model) Hashtbl.t;
   lock : Mutex.t;               (* guards table/counters/inflight *)
   cond : Condition.t;           (* broadcast when a characterization lands *)
   inflight : (string, unit) Hashtbl.t;
@@ -56,50 +47,25 @@ type t = {
      asking for one of these waits instead of double-characterizing *)
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
 }
 
 let key_of_config config =
   Digest.to_hex
     (Digest.string (Marshal.to_string ("xenergy-serve-model", 1, config) []))
 
-let create ?(max_models = 4) ~characterize () =
-  if max_models < 1 then invalid_arg "Registry.create: max_models must be >= 1";
-  { max_models;
-    characterize;
+let create ~characterize () =
+  { characterize;
     table = Hashtbl.create 8;
     lock = Mutex.create ();
     cond = Condition.create ();
     inflight = Hashtbl.create 4;
     hits = 0;
-    misses = 0;
-    evictions = 0 }
+    misses = 0 }
 
+(* Called with the lock held. *)
 let install t key model =
-  Hashtbl.replace t.table key { model; last_used = Unix.gettimeofday () }
-
-let publish_residency t =
+  Hashtbl.replace t.table key model;
   Obs.Metrics.set (Lazy.force M.models) (float_of_int (Hashtbl.length t.table))
-
-(* Evict least recently used models past the bound; ties on last use
-   break by key. *)
-let evict_over_bound t =
-  while Hashtbl.length t.table > t.max_models do
-    let key, _ =
-      Hashtbl.fold
-        (fun k s ((k', u') as oldest) ->
-          match Float.compare s.last_used u' with
-          | c when c < 0 || (c = 0 && String.compare k k' < 0) ->
-            (k, s.last_used)
-          | _ -> oldest)
-        t.table ("", Float.infinity)
-    in
-    Hashtbl.remove t.table key;
-    t.evictions <- t.evictions + 1;
-    Obs.Metrics.inc (Lazy.force M.evictions);
-    Obs.Log.event "serve:evict-model" [ ("key", Obs.Trace.S key) ]
-  done;
-  publish_residency t
 
 (* Characterization runs with the lock released (it is the multi-second
    step the daemon exists to amortize — holding the lock across it
@@ -113,12 +79,11 @@ let get t config =
   Mutex.lock t.lock;
   let rec obtain () =
     match Hashtbl.find_opt t.table key with
-    | Some slot ->
+    | Some model ->
       t.hits <- t.hits + 1;
-      slot.last_used <- Unix.gettimeofday ();
       Mutex.unlock t.lock;
       Obs.Metrics.inc (Lazy.force M.hits);
-      { l_key = key; l_model = slot.model; l_hit = true }
+      { l_key = key; l_model = model; l_hit = true }
     | None ->
       if Hashtbl.mem t.inflight key then begin
         (* Another connection is characterizing this very config; wait
@@ -152,7 +117,6 @@ let get t config =
         Mutex.lock t.lock;
         install t key model;
         Hashtbl.remove t.inflight key;
-        evict_over_bound t;
         Condition.broadcast t.cond;
         Mutex.unlock t.lock;
         { l_key = key; l_model = model; l_hit = false }
@@ -164,16 +128,12 @@ let preload t config model =
   let key = key_of_config config in
   Mutex.lock t.lock;
   install t key model;
-  evict_over_bound t;
   Mutex.unlock t.lock
 
 let stats t =
   Mutex.lock t.lock;
   let s =
-    { r_models = Hashtbl.length t.table;
-      r_hits = t.hits;
-      r_misses = t.misses;
-      r_evictions = t.evictions }
+    { r_models = Hashtbl.length t.table; r_hits = t.hits; r_misses = t.misses }
   in
   Mutex.unlock t.lock;
   s

@@ -79,8 +79,8 @@ let known_ops =
   [ "ping"; "estimate"; "attribute"; "profile"; "audit"; "explore"; "metrics";
     "stats"; "status"; "shutdown"; "invalid" ]
 
-let create ?max_models ?jobs ?read_timeout_s ?cache_dir ?characterize ?model
-    ?slow_ms () =
+let create ?jobs ?read_timeout_s ?cache_dir ?characterize ?model ?slow_ms
+    () =
   (* Register every metric family this router will ever touch now,
      while the process is still single-threaded: the metrics registry's
      own table is then only read (never resized) by concurrent
@@ -113,8 +113,7 @@ let create ?max_models ?jobs ?read_timeout_s ?cache_dir ?characterize ?model
   in
   let service =
     try
-      Service.create ?max_models ?jobs ?cache_dir ?characterize ~simulate
-        ?model ()
+      Service.create ?jobs ?cache_dir ?characterize ~simulate ?model ()
     with e ->
       Core.Parallel.shutdown_pool pool;
       raise e
@@ -351,7 +350,6 @@ let handle_stats t =
       ("registry_models", J.int rs.Registry.r_models);
       ("registry_hits", J.int rs.Registry.r_hits);
       ("registry_misses", J.int rs.Registry.r_misses);
-      ("registry_evictions", J.int rs.Registry.r_evictions);
       ("cache_hits", J.int cs.Core.Eval_cache.hits);
       ("cache_misses", J.int cs.Core.Eval_cache.misses);
       ("cache_errors", J.int cs.Core.Eval_cache.errors);
@@ -458,8 +456,7 @@ let handle_status t =
         J.Obj
           [ ("models", J.int rs.Registry.r_models);
             ("hits", J.int rs.Registry.r_hits);
-            ("misses", J.int rs.Registry.r_misses);
-            ("evictions", J.int rs.Registry.r_evictions) ] );
+            ("misses", J.int rs.Registry.r_misses) ] );
       ( "cache",
         J.Obj
           [ ("hits", J.int cs.Core.Eval_cache.hits);

@@ -94,7 +94,6 @@
 type t
 
 val create :
-  ?max_models:int ->
   ?jobs:int ->
   ?read_timeout_s:float ->
   ?cache_dir:string ->
@@ -103,12 +102,12 @@ val create :
   ?slow_ms:float ->
   unit ->
   t
-(** The router's {!Service}: [max_models], [jobs], [cache_dir],
-    [characterize] and [model] are {!Service.create}'s (a miss
-    characterizes over the router's evaluation cache, so a refit after
-    a restart, an eviction, or on a directory [xenergy explore
-    --cache-dir] filled simulates nothing; [model] preloads a
-    coefficients file for the default configuration).  Estimate misses
+(** The router's {!Service}: [jobs], [cache_dir], [characterize] and
+    [model] are {!Service.create}'s (a miss characterizes over the
+    router's evaluation cache, so a refit after a restart, or on a
+    directory [xenergy explore --cache-dir] filled, simulates nothing;
+    [model] preloads a coefficients file for the default
+    configuration).  Estimate misses
     simulate on a persistent {!Core.Parallel} pool of [jobs] lanes
     with [read_timeout_s] as its hung-worker deadline.  [slow_ms]
     (default: off) is the slow-request log threshold in milliseconds.

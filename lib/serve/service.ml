@@ -85,8 +85,8 @@ type t = {
   simulate : Core.Eval_cache.simulate option;
 }
 
-let create ?max_models ?jobs ?cache_dir ?characterize ?on_characterize
-    ?simulate ?model () =
+let create ?jobs ?cache_dir ?characterize ?on_characterize ?simulate ?model
+    () =
   let cache = Core.Eval_cache.create ?dir:cache_dir () in
   let fit =
     match characterize with
@@ -101,7 +101,7 @@ let create ?max_models ?jobs ?cache_dir ?characterize ?on_characterize
     Option.iter (fun f -> f ()) on_characterize;
     fit config
   in
-  let registry = Registry.create ?max_models ~characterize () in
+  let registry = Registry.create ~characterize () in
   Option.iter
     (fun path ->
       let m =
@@ -161,20 +161,20 @@ let audit t ?(config = Sim.Config.default) ?workloads () =
           cases),
     l )
 
+(* [evaluate] asks for each configuration's model as it reaches it, in
+   first-use order; the registry phase nests inside the simulate phase
+   and is charged its own time. *)
 let explore t name =
   let candidates = space name () in
-  let lookups =
-    phase "registry" @@ fun () ->
-    List.fold_left
-      (fun acc (c : Core.Explore.candidate) ->
-        let key = Registry.key_of_config c.Core.Explore.config in
-        if List.mem_assoc key acc then acc
-        else acc @ [ (key, Registry.get t.registry c.Core.Explore.config) ])
-      [] candidates
-  in
+  let lookups = ref [] in
   let model_for config =
-    (List.assoc (Registry.key_of_config config) lookups).Registry.l_model
+    let l = lookup t config in
+    if not (List.mem_assoc l.Registry.l_key !lookups) then
+      lookups := (l.Registry.l_key, l) :: !lookups;
+    l.Registry.l_model
   in
-  ( phase "simulate" (fun () ->
-        Core.Explore.evaluate ?jobs:t.jobs ~cache:t.cache model_for candidates),
-    List.map snd lookups )
+  let o =
+    phase "simulate" @@ fun () ->
+    Core.Explore.evaluate ?jobs:t.jobs ~cache:t.cache model_for candidates
+  in
+  (o, List.rev_map snd !lookups)

@@ -25,7 +25,6 @@
 type t
 
 val create :
-  ?max_models:int ->
   ?jobs:int ->
   ?cache_dir:string ->
   ?characterize:(Sim.Config.t -> Core.Template.model) ->
@@ -40,9 +39,10 @@ val create :
     {!Core.Characterize.model} over the characterization suite through
     the service's cache, so a daemon restarted on a populated
     [cache_dir] reads the stored model: no simulation, no fit).
-    [max_models] bounds the registry.  [jobs] sizes characterization,
-    audit and explore fan-out and, when [simulate] is absent, the
-    estimate op's misses.
+    The registry keeps every model it resolves, so the preloaded one
+    answers for the default configuration for the service's lifetime.
+    [jobs] sizes characterization, audit and explore fan-out and, when
+    [simulate] is absent, the estimate op's misses.
     @raise Failure ["cannot load model: ..."] when [model] cannot be
     read or parsed. *)
 
@@ -95,9 +95,10 @@ val audit :
     applications). *)
 
 val explore : t -> string -> Core.Explore.outcome * Registry.lookup list
-(** The daemon's sweep of a named space: one registry lookup per
-    distinct configuration (in first-use order), then one
-    {!Core.Explore.evaluate} through the service's cache.  [xenergy
+(** The daemon's sweep of a named space: one {!Core.Explore.evaluate}
+    through the service's cache, resolving each distinct configuration's
+    model in the registry as the sweep reaches it.  The lookups come
+    back once per configuration, in first-use order.  [xenergy
     explore] fits every configuration afresh with {!Core.Explore.run}
     instead; the two share only {!space}. *)
 

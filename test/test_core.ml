@@ -725,7 +725,10 @@ module Oracle = struct
             b_energy_pj = 0.0 })
         d.Sim.Decoder.blocks
     in
-    let per_slot = Obs.Profile.create () in
+    let n = Array.length asm.Isa.Program.code in
+    let slot_hits = Array.make n 0 in
+    let slot_cycles = Array.make n 0 in
+    let slot_energy = Array.make n 0.0 in
     let opcodes = Hashtbl.create 64 in
     let stacks = Obs.Profile.Stacks.create ~root:c.Core.Extract.case_name () in
     let prev_kind = ref 0 in
@@ -762,8 +765,9 @@ module Oracle = struct
        else if !prev_kind = 2 then Obs.Profile.Stacks.pop stacks);
       Obs.Profile.Stacks.record_leaf stacks ~frame:b.b_label ~cycles
         ~energy_pj;
-      Obs.Profile.record per_slot ~stall_cycles ~icache_miss ~dcache_miss
-        ~energy_pj ~cycles si;
+      slot_hits.(si) <- slot_hits.(si) + 1;
+      slot_cycles.(si) <- slot_cycles.(si) + cycles;
+      slot_energy.(si) <- slot_energy.(si) +. energy_pj;
       let m = Isa.Instr.mnemonic e.Sim.Event.instr in
       let h, cy, en =
         Option.value (Hashtbl.find_opt opcodes m) ~default:(0, 0, 0.0)
@@ -793,7 +797,11 @@ module Oracle = struct
              (fun a b ->
                compare (b.b_cycles, b.b_index) (a.b_cycles, a.b_index))
              (List.filter (fun b -> b.b_retired > 0) (Array.to_list blocks)));
-      r_slots = per_slot;
+      r_slots =
+        Array.init n (fun i ->
+            { s_hits = slot_hits.(i);
+              s_cycles = slot_cycles.(i);
+              s_energy_pj = slot_energy.(i) });
       r_opcodes =
         Hashtbl.fold
           (fun op_name (op_hits, op_cycles, op_energy_pj) acc ->
@@ -1017,15 +1025,17 @@ let test_profiler_conservation () =
       check Alcotest.int (name "opcode hits") r.Core.Profiler.r_instructions
         oh;
       (* Per-slot (annotation) profile closes. *)
-      let st = Obs.Profile.totals r.Core.Profiler.r_slots in
+      let slots = r.Core.Profiler.r_slots in
+      let sum f = Array.fold_left (fun a s -> a + f s) 0 slots in
       check Alcotest.int (name "slot cycles") r.Core.Profiler.r_cycles
-        st.Obs.Profile.cycles;
+        (sum (fun s -> s.Core.Profiler.s_cycles));
       check Alcotest.int (name "slot hits") r.Core.Profiler.r_instructions
-        st.Obs.Profile.hits;
+        (sum (fun s -> s.Core.Profiler.s_hits));
+      let energy =
+        Array.fold_left (fun a s -> a +. s.Core.Profiler.s_energy_pj) 0.0 slots
+      in
       check Alcotest.bool (name "slot energy") true
-        (Float.abs (st.Obs.Profile.energy_pj -. r.Core.Profiler.r_total_pj)
-         /. scale
-         < 1e-6))
+        (Float.abs (energy -. r.Core.Profiler.r_total_pj) /. scale < 1e-6))
     apps
 
 (* Blocks partition the code section in program order, and the per-block

@@ -924,34 +924,6 @@ let test_waveform_zero_cycles () =
 
 (* --- Profile ----------------------------------------------------------------- *)
 
-let test_profile_slots () =
-  let p = Obs.Profile.create () in
-  check Alcotest.int "starts empty" 0 (Obs.Profile.cardinal p);
-  Obs.Profile.record p ~energy_pj:1.5 ~cycles:2 7;
-  Obs.Profile.record p ~stall_cycles:1 ~icache_miss:true ~cycles:3 7;
-  Obs.Profile.record p ~dcache_miss:true ~energy_pj:0.5 ~cycles:5 9;
-  check Alcotest.int "two slots" 2 (Obs.Profile.cardinal p);
-  (match Obs.Profile.find p 7 with
-   | Some s ->
-     check Alcotest.int "hits accumulate" 2 s.Obs.Profile.hits;
-     check Alcotest.int "cycles accumulate" 5 s.Obs.Profile.cycles;
-     check Alcotest.int "stalls accumulate" 1 s.Obs.Profile.stall_cycles;
-     check Alcotest.int "icache miss counted" 1 s.Obs.Profile.icache_misses;
-     check Alcotest.int "no dcache miss here" 0 s.Obs.Profile.dcache_misses;
-     check (Alcotest.float 1e-9) "energy accumulates" 1.5
-       s.Obs.Profile.energy_pj
-   | None -> fail "slot 7 missing");
-  check Alcotest.bool "absent slot is None" true (Obs.Profile.find p 8 = None);
-  let t = Obs.Profile.totals p in
-  check Alcotest.int "total hits" 3 t.Obs.Profile.hits;
-  check Alcotest.int "total cycles" 10 t.Obs.Profile.cycles;
-  check Alcotest.int "total dcache misses" 1 t.Obs.Profile.dcache_misses;
-  check (Alcotest.float 1e-9) "total energy" 2.0 t.Obs.Profile.energy_pj;
-  check Alcotest.int "fold covers every slot" 10
-    (Obs.Profile.fold (fun _ s acc -> acc + s.Obs.Profile.cycles) p 0);
-  Obs.Profile.reset p;
-  check Alcotest.int "reset empties" 0 (Obs.Profile.cardinal p)
-
 let test_profile_stacks () =
   let s = Obs.Profile.Stacks.create ~max_depth:1 ~root:"main" () in
   check Alcotest.int "depth at root" 0 (Obs.Profile.Stacks.depth s);
@@ -1175,8 +1147,7 @@ let () =
           Alcotest.test_case "zero-cycle program" `Quick
             test_waveform_zero_cycles ] );
       ( "profile",
-        [ Alcotest.test_case "per-slot accumulator" `Quick test_profile_slots;
-          Alcotest.test_case "call stacks + folded" `Quick
+        [ Alcotest.test_case "call stacks + folded" `Quick
             test_profile_stacks ] );
       (* Last: the property registers instruments with random labels
          that would show in the other tests' expositions. *)

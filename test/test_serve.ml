@@ -1,7 +1,7 @@
 (* The serving stack, bottom-up: the length-prefixed frame codec (and
    its deadline/oversize/truncation refusals in both directions), the
    JSON printer round-trip, the model registry's
-   hit/characterize/evict lifecycle, the router's ops in process, and
+   hit/characterize lifecycle and preload residency, the router's ops in process, and
    a forked end-to-end daemon exercised through the real client —
    including the concurrency contract: overlapping connections,
    per-config single-flight characterization, wedged/half-closed/
@@ -214,10 +214,15 @@ let config_ways n =
     Sim.Config.icache =
       { Sim.Config.default.Sim.Config.icache with Sim.Config.ways = n } }
 
-let test_registry_hit_and_eviction () =
+let config_dcache_ways n =
+  { Sim.Config.default with
+    Sim.Config.dcache =
+      { Sim.Config.default.Sim.Config.dcache with Sim.Config.ways = n } }
+
+let test_registry_hit_and_resident () =
   let calls = ref 0 in
   let reg =
-    Serve.Registry.create ~max_models:2
+    Serve.Registry.create
       ~characterize:(fun _ -> incr calls; stub_model)
       ()
   in
@@ -230,22 +235,51 @@ let test_registry_hit_and_eviction () =
   check Alcotest.int "still one characterization" 1 !calls;
   check Alcotest.string "same key" l1.Serve.Registry.l_key
     l2.Serve.Registry.l_key;
-  (* Distinct configurations get distinct models; the bound evicts the
-     least recently used. *)
-  Unix.sleepf 0.01;
+  (* Distinct configurations get distinct models, and every one stays
+     resident. *)
   ignore (Serve.Registry.get reg (config_ways 2));
-  Unix.sleepf 0.01;
   ignore (Serve.Registry.get reg (config_ways 1));
   check Alcotest.int "three characterizations" 3 !calls;
   let s = Serve.Registry.stats reg in
-  check Alcotest.int "resident set bounded" 2 s.Serve.Registry.r_models;
-  check Alcotest.int "one eviction" 1 s.Serve.Registry.r_evictions;
-  (* The default config was the LRU model: looking it up again must
-     re-characterize. *)
+  check Alcotest.int "every configuration resident" 3
+    s.Serve.Registry.r_models;
   let l3 = Serve.Registry.get reg Sim.Config.default in
-  check Alcotest.bool "evicted model re-characterizes" false
+  check Alcotest.bool "first configuration still hits" true
     l3.Serve.Registry.l_hit;
-  check Alcotest.int "fourth characterization" 4 !calls
+  check Alcotest.int "no new characterization" 3 !calls
+
+(* A model preloaded from a coefficients file answers for the default
+   configuration however many other configurations are resolved after
+   it: it is never replaced by a fit. *)
+let test_service_preload_survives () =
+  let path = Filename.temp_file "xenergy-preload" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let sevens = Array.make Core.Variables.count 7.0 in
+  Core.Template.save path (Core.Template.make sevens);
+  let calls = ref 0 in
+  let service =
+    Serve.Service.create ~model:path
+      ~characterize:(fun _ -> incr calls; stub_model)
+      ()
+  in
+  let others =
+    List.map config_dcache_ways [ 1; 2; 8; 16 ] @ [ config_ways 2 ]
+  in
+  List.iter
+    (fun c -> ignore (Serve.Registry.get (Serve.Service.registry service) c))
+    others;
+  check Alcotest.int "one characterization per other configuration"
+    (List.length others) !calls;
+  let bits m =
+    Array.to_list (Array.map Int64.bits_of_float m.Core.Template.coefficients)
+  in
+  check
+    Alcotest.(list int64)
+    "preloaded coefficients, bit for bit"
+    (bits (Core.Template.make sevens))
+    (bits (Serve.Service.model service));
+  check Alcotest.int "the preloaded model is a hit" (List.length others)
+    !calls
 
 (* --- Router (in-process) -------------------------------------------------- *)
 
@@ -271,7 +305,7 @@ let as_float = function
 
 let with_router f =
   let router =
-    Serve.Router.create ~max_models:2 ~jobs:2
+    Serve.Router.create ~jobs:2
       ~characterize:(fun _ -> stub_model)
       ()
   in
@@ -1011,7 +1045,7 @@ let test_router_slow_request_log () =
   @@ fun () ->
   let router =
     (* A threshold of 100 ns marks every request slow. *)
-    Serve.Router.create ~max_models:2 ~jobs:2
+    Serve.Router.create ~jobs:2
       ~characterize:(fun _ -> stub_model)
       ~slow_ms:0.0001 ()
   in
@@ -1063,7 +1097,7 @@ let wait_exit pid =
 (* Fork a daemon around a stub-characterized router (the stub sleeps so
    concurrent cold requests genuinely overlap) and drive it through the
    real client. *)
-let with_server ?(char_sleep = 0.3) ~max_models f =
+let with_server ?(char_sleep = 0.3) f =
   let socket = scratch_socket "serve_test" in
   (try Sys.remove socket with Sys_error _ -> ());
   flush stdout;
@@ -1075,7 +1109,7 @@ let with_server ?(char_sleep = 0.3) ~max_models f =
     Obs.Trace.after_fork ();
     (try
        let router =
-         Serve.Router.create ~max_models ~jobs:2 ~read_timeout_s:30.0
+         Serve.Router.create ~jobs:2 ~read_timeout_s:30.0
            ~characterize:(fun _ -> Unix.sleepf char_sleep; stub_model)
            ()
        in
@@ -1120,7 +1154,7 @@ let fork_client ~socket req =
   | pid -> pid
 
 let test_server_cold_warm_and_metrics () =
-  with_server ~max_models:1 @@ fun socket ->
+  with_server @@ fun socket ->
   let call req = Serve.Client.call ~timeout_s:30.0 ~socket req in
   (* Cold: characterizes and simulates. *)
   let cold = call estimate_req in
@@ -1146,8 +1180,8 @@ let test_server_cold_warm_and_metrics () =
   in
   check Alcotest.bool "warm equals cold numerically" true
     (energies warm = energies cold);
-  (* A second configuration exceeds --max-models 1: the first model is
-     evicted, and the scrape shows it. *)
+  (* A second configuration joins the first: both stay resident, so
+     the default configuration still hits, and the scrape shows both. *)
   let other =
     call
       (J.Obj
@@ -1157,6 +1191,8 @@ let test_server_cold_warm_and_metrics () =
   in
   check Alcotest.bool "other-config request ok" true
     (as_bool (member "ok" other));
+  check Alcotest.bool "default config still hits after another" true
+    (as_bool (member "registry_hit" (call estimate_req)));
   let scrape =
     match member "exposition" (call (J.Obj [ ("op", J.Str "metrics") ])) with
     | J.Str s -> s
@@ -1166,8 +1202,7 @@ let test_server_cold_warm_and_metrics () =
     (fun needle ->
       check Alcotest.bool ("scrape carries " ^ needle) true
         (contains scrape needle))
-    [ "serve_registry_models 1"; "serve_registry_evictions_total 1";
-      "serve_registry_hits_total"; "serve_requests_total";
+    [ "serve_registry_models 2"; "serve_registry_hits_total"; "serve_requests_total";
       "eval_cache_hits_total"; "serve_connections_total";
       "serve_active_connections";
       "serve_accept_errors_total{reason=\"aborted\"} 0";
@@ -1184,7 +1219,7 @@ let test_server_cold_warm_and_metrics () =
     (as_bool (member "ok" (call (J.Obj [ ("op", J.Str "ping") ]))))
 
 let test_server_single_flight () =
-  with_server ~max_models:2 @@ fun socket ->
+  with_server @@ fun socket ->
   (* Two clients race to the same uncharacterized configuration (the
      stub characterization sleeps 0.3 s, so both are served
      concurrently before the first model exists).  The registry's
@@ -1207,7 +1242,7 @@ let test_server_concurrent_overlap () =
   (* The tentpole guarantee: a slow cold characterization on one
      connection must not block a ping on another.  The cold client is
      provably still in flight when the ping comes back. *)
-  with_server ~char_sleep:0.8 ~max_models:2 @@ fun socket ->
+  with_server ~char_sleep:0.8 @@ fun socket ->
   let cold = fork_client ~socket estimate_req in
   Unix.sleepf 0.15 (* let the cold request reach the registry *);
   let t0 = Unix.gettimeofday () in
@@ -1225,7 +1260,7 @@ let test_server_parallel_configs () =
      different configurations characterize in parallel.  Two 0.8 s
      characterizations complete in well under the 1.6 s a serialized
      registry would need. *)
-  with_server ~char_sleep:0.8 ~max_models:2 @@ fun socket ->
+  with_server ~char_sleep:0.8 @@ fun socket ->
   let gcd_req config =
     J.Obj
       (( [ ("op", J.Str "estimate"); ("workloads", J.Arr [ J.Str "gcd" ]) ]
@@ -1251,7 +1286,7 @@ let test_server_wedged_client_liveness () =
   (* The acceptance criterion: with a client wedged mid-frame on one
      connection, other clients' pings and warm estimates still answer
      within their deadlines. *)
-  with_server ~max_models:1 @@ fun socket ->
+  with_server @@ fun socket ->
   let call req = Serve.Client.call ~timeout_s:30.0 ~socket req in
   check Alcotest.bool "warm-up ok" true (as_bool (member "ok" (call estimate_req)));
   let wedged = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1278,7 +1313,7 @@ let test_server_hangup_mid_response () =
   (* Clients that send a request and hang up without reading: the
      daemon's answer lands on a closed socket (EPIPE).  With SIGPIPE
      ignored that is a per-connection warning, not daemon death. *)
-  with_server ~max_models:1 @@ fun socket ->
+  with_server @@ fun socket ->
   let call req = Serve.Client.call ~timeout_s:30.0 ~socket req in
   check Alcotest.bool "warm-up ok" true (as_bool (member "ok" (call estimate_req)));
   for _ = 1 to 3 do
@@ -1295,7 +1330,7 @@ let test_server_half_close () =
   (* A client that shuts down its write side after the request must
      still get its answer — half-close is how one-shot scripted
      clients signal "that was everything". *)
-  with_server ~max_models:1 @@ fun socket ->
+  with_server @@ fun socket ->
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
   Serve.Protocol.write_frame fd (Obs.Json.print ping_req);
@@ -1318,7 +1353,7 @@ let test_server_half_close () =
 let test_client_session_reuse () =
   (* One connected session carries many calls; the daemon counts them
      all, so a batch observably amortizes the connect. *)
-  with_server ~max_models:1 @@ fun socket ->
+  with_server @@ fun socket ->
   Serve.Client.with_session ~socket @@ fun s ->
   let stats_req = J.Obj [ ("op", J.Str "stats") ] in
   let scall req = Serve.Client.session_call ~timeout_s:5.0 s req in
@@ -1330,7 +1365,7 @@ let test_client_session_reuse () =
   check Alcotest.int "every call counted on one connection" 2 (n2 - n1)
 
 let test_server_trace_ids_per_session () =
-  with_server ~max_models:1 @@ fun socket ->
+  with_server @@ fun socket ->
   (* Two concurrent connections, calls interleaved: the daemon mints a
      fresh trace id per request, and the per-thread context scoping
      means neither session ever sees the other's ids. *)
@@ -1385,7 +1420,7 @@ let test_server_trace_ids_per_session () =
    first interp rows fresh simulations, and an unknown backend is a
    refused request that names the op. *)
 let test_server_request_backend () =
-  with_server ~max_models:1 @@ fun socket ->
+  with_server @@ fun socket ->
   let on backend =
     J.Obj
       [ ("op", J.Str "estimate");
@@ -1478,7 +1513,7 @@ let test_client_session_timeout () =
 let test_server_socket_steal_refused () =
   (* A second daemon pointed at a live daemon's socket must refuse to
      start — and must not unlink the live socket on its way out. *)
-  with_server ~max_models:1 @@ fun socket ->
+  with_server @@ fun socket ->
   flush stdout;
   flush stderr;
   (match Unix.fork () with
@@ -1486,7 +1521,7 @@ let test_server_socket_steal_refused () =
      let code =
        try
          let router =
-           Serve.Router.create ~max_models:1 ~jobs:2
+           Serve.Router.create ~jobs:2
              ~characterize:(fun _ -> stub_model)
              ()
          in
@@ -1526,7 +1561,7 @@ let test_server_stale_socket_replaced () =
   | 0 ->
     (try
        let router =
-         Serve.Router.create ~max_models:1 ~jobs:2
+         Serve.Router.create ~jobs:2
            ~characterize:(fun _ -> stub_model)
            ()
        in
@@ -1556,7 +1591,7 @@ let test_server_shutdown_cleanup () =
   | 0 ->
     (try
        let router =
-         Serve.Router.create ~max_models:1 ~jobs:2
+         Serve.Router.create ~jobs:2
            ~characterize:(fun _ -> stub_model)
            ()
        in
@@ -1727,8 +1762,10 @@ let () =
             test_frame_mid_payload_stall;
           Alcotest.test_case "fuzzed byte streams" `Quick test_frame_fuzz ] );
       ( "registry",
-        [ Alcotest.test_case "hit + LRU eviction" `Quick
-            test_registry_hit_and_eviction ] );
+        [ Alcotest.test_case "hit + every configuration stays resident"
+            `Quick test_registry_hit_and_resident;
+          Alcotest.test_case "preloaded model survives other configurations"
+            `Quick test_service_preload_survives ] );
       ( "router",
         [ Alcotest.test_case "profile op" `Quick test_router_profile_op;
           Alcotest.test_case "fuzzed payloads" `Quick test_router_fuzz;
