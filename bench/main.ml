@@ -179,6 +179,30 @@ let fig4 () =
   Format.fprintf fmt
     "(paper: the two profiles track one another across the four choices)@."
 
+(* Two or more sides timed as [sim_bench] times the backends: a batch of
+   [k] runs per timed region, [k] chosen so the fastest side's region
+   lasts at least 10 ms (well above timer resolution), the sides
+   interleaved within every round so load drift hits them alike, best
+   of [reps] rounds.  Returns [k] and each side's best seconds per run. *)
+let interleaved_best ?(reps = 7) sides =
+  let time_batch f k =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to k do
+      ignore (f ())
+    done;
+    Unix.gettimeofday () -. t0
+  in
+  (* One warm-up run per side, which also sizes the batch. *)
+  let fastest =
+    Array.fold_left (fun m f -> Float.min m (time_batch f 1)) infinity sides
+  in
+  let k = max 1 (int_of_float (Float.ceil (0.01 /. Float.max fastest 1e-6))) in
+  let best = Array.make (Array.length sides) infinity in
+  for _ = 1 to reps do
+    Array.iteri (fun i f -> best.(i) <- Float.min best.(i) (time_batch f k)) sides
+  done;
+  (k, Array.map (fun b -> b /. float_of_int k) best)
+
 (* --- E5: speedup ------------------------------------------------------------ *)
 
 let rec speedup () =
@@ -235,13 +259,68 @@ let rec speedup () =
   in
   characterize_bench ~e5 ()
 
+(* What the reference estimator adds to a simulation, in process: the
+   characterization programs run with no hook, with a hook that does
+   nothing and with the reference estimator's hook (a fresh estimator
+   per program, as characterization creates), timed by
+   {!interleaved_best}, in ns per retired instruction. *)
+and hook_costs cases =
+  let run hook_for () =
+    List.iter
+      (fun (c : Core.Extract.case) ->
+        ignore
+          (Sim.Backend.run_program ?extension:c.Core.Extract.extension
+             ?hook:(hook_for c) c.Core.Extract.asm))
+      cases
+  in
+  let instructions =
+    List.fold_left
+      (fun acc (c : Core.Extract.case) ->
+        let cpu, _ =
+          Sim.Backend.run_program ?extension:c.Core.Extract.extension
+            c.Core.Extract.asm
+        in
+        acc + Sim.Cpu.instructions cpu)
+      0 cases
+  in
+  let reference (c : Core.Extract.case) =
+    let est =
+      Power.Estimator.create ?extension:c.Core.Extract.extension
+        Sim.Config.default
+    in
+    Some (Power.Estimator.hook est c.Core.Extract.asm)
+  in
+  let rounds = 15 in
+  (* Start from a compacted heap: the experiments before this one leave
+     garbage whose major-heap work would otherwise land in the rounds. *)
+  Gc.compact ();
+  let _, best =
+    interleaved_best ~reps:rounds
+      [| run (fun _ -> None);
+         run (fun _ -> Some (fun _ _ _ _ _ _ -> ()));
+         run reference |]
+  in
+  let ns s = s /. float_of_int instructions *. 1e9 in
+  (rounds, instructions, ns best.(0), ns best.(1), ns best.(2))
+
 (* Characterization engine: the single-pass collection serially and
    with the default worker count.  Also cross-checks that both fit
-   identical coefficients, and records everything, with E5's timings,
-   in BENCH_characterize.json. *)
+   identical coefficients, and records everything, with E5's timings
+   and the reference hook's cost, in BENCH_characterize.json. *)
 and characterize_bench ~e5 () =
   banner "E5b: characterization engine (serial vs default jobs)";
   let cases = Workloads.Suite.characterization () in
+  let rounds, instructions, no_hook_ns, noop_hook_ns, reference_ns =
+    hook_costs cases
+  in
+  let hook_ratio = reference_ns /. no_hook_ns in
+  Format.fprintf fmt
+    "%d programs, %d instructions, best of %d rounds:@.\
+     no hook %8.1f ns/instr@.\
+     no-op hook %5.1f ns/instr@.\
+     reference %6.1f ns/instr  (%.2fx the run with no hook)@."
+    (List.length cases) instructions rounds no_hook_ns noop_hook_ns
+    reference_ns hook_ratio;
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -287,6 +366,12 @@ and characterize_bench ~e5 () =
           ("parallel_jobs", int jobs);
           ("speedup_vs_serial", Num (serial_s /. par_s));
           ("max_rel_coeff_delta", Num max_rel_delta);
+          ("hook_rounds", int rounds);
+          ("hook_instructions", int instructions);
+          ("no_hook_ns_per_instr", Num no_hook_ns);
+          ("noop_hook_ns_per_instr", Num noop_hook_ns);
+          ("reference_hook_ns_per_instr", Num reference_ns);
+          ("reference_hook_ratio", Num hook_ratio);
           ( "total_simulations",
             int (Core.Run_report.total_simulations serial_report) );
           ("estimation_time", e5);
@@ -295,40 +380,48 @@ and characterize_bench ~e5 () =
 (* Design-space exploration: sweep the flagship rs-cache space twice over
    the same on-disk memo cache — cold (every simulation runs) and warm
    (every evaluation served from disk) — check the two sweeps agree
-   bit-for-bit, then time the warm sweep as the best of [reps] runs,
-   before and after padding the directory with [padding] unrelated
-   entries: a warm sweep pays for the entries it reads, not for the
-   directory's size.  Results land in BENCH_explore.json. *)
+   bit-for-bit, then time warm sweeps of that directory and of a copy
+   padded with [padding] unrelated entries, interleaved
+   ({!interleaved_best}): a warm sweep pays for the entries it reads,
+   not for the directory's size.  Results land in BENCH_explore.json. *)
 let explore_bench () =
   banner "E6: design-space exploration (memoized sweep, cold vs warm)";
-  let dir =
+  let scratch_dir suffix =
     let d =
       Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "xenergy-bench-cache.%d" (Unix.getpid ()))
+        (Printf.sprintf "xenergy-bench-cache%s.%d" suffix (Unix.getpid ()))
     in
     (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     d
   in
+  let dir = scratch_dir "" and padded_dir = scratch_dir "-padded" in
   let candidates = Workloads.Spaces.rs_cache () in
   let characterization = Workloads.Suite.characterization () in
-  let sweep () =
-    let cache = Core.Eval_cache.create ~dir () in
+  let sweep_on d () =
+    let cache = Core.Eval_cache.create ~dir:d () in
+    Core.Explore.run ~cache ~characterization candidates
+  in
+  let timed f =
     let t0 = Unix.gettimeofday () in
-    let outcome = Core.Explore.run ~cache ~characterization candidates in
+    let outcome = f () in
     (outcome, Unix.gettimeofday () -. t0)
   in
-  let reps = 5 and padding = 10_000 in
-  let best_warm () =
-    let runs = List.init reps (fun _ -> sweep ()) in
-    (fst (List.hd runs),
-     List.fold_left (fun best (_, s) -> Float.min best s) infinity runs)
-  in
-  let cold, cold_s = sweep () in
-  let warm, warm_s = sweep () in
-  let _, warm_best_s = best_warm () in
-  let entries () = (Core.Eval_cache.disk_stats dir).Core.Eval_cache.d_entries in
-  let warm_entries = entries () in
-  let pad = Core.Eval_cache.create ~dir () in
+  let reps = 7 and padding = 10_000 in
+  let cold, cold_s = timed (sweep_on dir) in
+  let warm, warm_s = timed (sweep_on dir) in
+  let entries d = (Core.Eval_cache.disk_stats d).Core.Eval_cache.d_entries in
+  let warm_entries = entries dir in
+  (* The padded twin: a copy of every warm entry, plus [padding]
+     unrelated ones. *)
+  Array.iter
+    (fun f ->
+      let doc =
+        In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all
+      in
+      Out_channel.with_open_bin (Filename.concat padded_dir f) (fun oc ->
+          Out_channel.output_string oc doc))
+    (Sys.readdir dir);
+  let pad = Core.Eval_cache.create ~dir:padded_dir () in
   let dummy =
     { Core.Eval_cache.e_name = "padding";
       e_variables = Array.make Core.Variables.count 0.0;
@@ -341,8 +434,15 @@ let explore_bench () =
       dummy
   done;
   Core.Eval_cache.flush pad;
-  let padded_entries = entries () in
-  let padded, padded_s = best_warm () in
+  let padded_entries = entries padded_dir in
+  let last_warm = ref warm and padded = ref warm in
+  let batch, best =
+    interleaved_best ~reps
+      [| (fun () -> last_warm := sweep_on dir ());
+         (fun () -> padded := sweep_on padded_dir ()) |]
+  in
+  let warm_best_s = best.(0) and padded_s = best.(1) in
+  let padded = !padded in
   let point_key (p : Core.Explore.point) =
     (p.Core.Explore.pt_name, p.Core.Explore.pt_energy_pj,
      p.Core.Explore.pt_cycles)
@@ -352,7 +452,7 @@ let explore_bench () =
       (fun (o : Core.Explore.outcome) ->
         List.map point_key cold.Core.Explore.points
         = List.map point_key o.Core.Explore.points)
-      [ warm; padded ]
+      [ warm; !last_warm; padded ]
   in
   if not agree then
     Format.fprintf fmt "WARNING: warm sweep diverged from cold sweep!@.";
@@ -364,8 +464,8 @@ let explore_bench () =
     "%d candidates over %d configurations@.\
      cold sweep   %8.3f s  (%d simulations)@.\
      warm sweep   %8.3f s  (%d simulations, %d cache hits)@.\
-     best of %d   %8.3f ms (%d entries)@.\
-     padded warm  %8.3f ms (best of %d, %d simulations, %d cache hits, \
+     best of %d   %8.3f ms (batches of %d, %d entries)@.\
+     padded warm  %8.3f ms (interleaved, %d simulations, %d cache hits, \
      %d entries)@.\
      warm speedup %8.1fx   (results bit-identical: %b)@.\
      Pareto frontier: %s@."
@@ -373,8 +473,8 @@ let explore_bench () =
     cold_s cold.Core.Explore.simulations
     warm_s warm.Core.Explore.simulations
     warm.Core.Explore.cache_stats.Core.Eval_cache.hits
-    reps (warm_best_s *. 1e3) warm_entries
-    (padded_s *. 1e3) reps padded.Core.Explore.simulations
+    reps (warm_best_s *. 1e3) batch warm_entries
+    (padded_s *. 1e3) padded.Core.Explore.simulations
     padded.Core.Explore.cache_stats.Core.Eval_cache.hits padded_entries
     speedup agree
     (String.concat " -> " (names cold.Core.Explore.frontier));
@@ -389,6 +489,7 @@ let explore_bench () =
           ("cold_seconds", Num cold_s);
           ("warm_seconds", Num warm_s);
           ("warm_repetitions", int reps);
+          ("warm_batch", int batch);
           ("warm_best_seconds", Num warm_best_s);
           ("warm_entries", int warm_entries);
           ("warm_seconds_padded", Num padded_s);
@@ -408,13 +509,16 @@ let explore_bench () =
             Arr
               (List.map (fun n -> Str n) (names cold.Core.Explore.frontier)) )
         ]);
-  (* Best-effort cleanup of the scratch cache. *)
-  (try
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-       (Sys.readdir dir);
-     Unix.rmdir dir
-   with Sys_error _ | Unix.Unix_error _ -> ())
+  (* Best-effort cleanup of the scratch caches. *)
+  List.iter
+    (fun d ->
+      try
+        Array.iter
+          (fun f -> try Sys.remove (Filename.concat d f) with Sys_error _ -> ())
+          (Sys.readdir d);
+        Unix.rmdir d
+      with Sys_error _ | Unix.Unix_error _ -> ())
+    [ dir; padded_dir ]
 
 (* Cache lifecycle: populate an on-disk cache with the flagship sweep,
    re-run it warm, plant orphans and sweep them with gc, verify every
@@ -553,21 +657,19 @@ let profile_bench () =
      energy gap %.3g@."
     (List.length apps) !worst_cycle_gap !worst_energy_gap;
   let case = Workloads.Suite.find "gcd" in
-  let repeats = 5 in
-  let time f =
-    ignore (f ());  (* warm up *)
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to repeats do ignore (f ()) done;
-    (Unix.gettimeofday () -. t0) /. float_of_int repeats
+  let repeats = 7 in
+  let batch, best =
+    interleaved_best ~reps:repeats
+      [| (fun () -> ignore (Core.Extract.profile case));
+         (fun () -> ignore (Core.Profiler.run m case)) |]
   in
-  let detached_s = time (fun () -> Core.Extract.profile case) in
-  let attached_s = time (fun () -> Core.Profiler.run m case) in
+  let detached_s = best.(0) and attached_s = best.(1) in
   let overhead = attached_s /. detached_s in
   let budget = 2.0 in
   Format.fprintf fmt
-    "gcd x%d:  detached %8.4f s   attached %8.4f s   overhead %.2fx \
-     (budget %.1fx: %s)@."
-    repeats detached_s attached_s overhead budget
+    "gcd, best of %d interleaved batches of %d:  detached %8.6f s   \
+     attached %8.6f s   overhead %.2fx (budget %.1fx: %s)@."
+    repeats batch detached_s attached_s overhead budget
     (if overhead <= budget then "ok" else "EXCEEDED");
   write_bench "BENCH_profile.json"
     Obs.Json.(
@@ -575,6 +677,7 @@ let profile_bench () =
         [ ("benchmark", Str "profiler-overhead");
           ("workload", Str "gcd");
           ("repeats", int repeats);
+          ("batch", int batch);
           ("detached_seconds", Num detached_s);
           ("attached_seconds", Num attached_s);
           ("overhead_ratio", Num overhead);

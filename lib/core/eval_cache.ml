@@ -309,33 +309,63 @@ let rec mkdir_p d =
     try Unix.mkdir d 0o755 with Unix.Unix_error _ -> ()
   end
 
+(* Temp names are [cache<key>-<n>.tmp], so [classify] and [gc] know
+   them; [n] counts this process's attempts.  A name taken by another
+   writer (another process, or a forked child that inherited the count)
+   or by an orphan fails the exclusive open, and the next [n] is tried. *)
+let tmp_seq = Atomic.make 0
+
+(* Create a fresh temp file for [k] in [dir], exclusively and without
+   following a planted link.  The directory is made only when it is
+   missing (the open fails with ENOENT), then the open is retried. *)
+let open_tmp dir k =
+  let flags = Unix.[ O_WRONLY; O_CREAT; O_EXCL; O_CLOEXEC ] in
+  let rec attempt ~made_dir tries =
+    let tmp =
+      Filename.concat dir
+        (Printf.sprintf "cache%s-%d.tmp" k (Atomic.fetch_and_add tmp_seq 1))
+    in
+    match Unix.openfile tmp flags 0o644 with
+    | fd -> (tmp, fd)
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) when not made_dir ->
+      mkdir_p dir;
+      attempt ~made_dir:true tries
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) when tries > 0 ->
+      attempt ~made_dir (tries - 1)
+  in
+  attempt ~made_dir:false 16
+
 (* Returns the published entry's size in bytes, [None] when the cache
-   has no directory or the write failed (error-counted). *)
+   has no directory or the write failed (error-counted).  Five system
+   calls: open, write, fchmod, close, rename. *)
 let store_disk t k e =
-  match path_of t k with
+  match t.c_dir with
   | None -> None
-  | Some path -> (
+  | Some dir -> (
+    let path = Filename.concat dir (file_of_key k) in
     (* Atomic publication: never leave a torn file for a concurrent or
        later reader to trip over. *)
     try
       (* Serialize before creating the temp file: a non-finite value
          aborts the store without touching the directory. *)
       let doc = Obs.Json.print (entry_to_json ~key:k e) ^ "\n" in
-      Option.iter mkdir_p t.c_dir;
-      let tmp =
-        Filename.temp_file ~temp_dir:(Option.get t.c_dir) "cache" ".tmp"
-      in
+      let tmp, fd = open_tmp dir k in
+      let closed = ref false in
       (try
-         Out_channel.with_open_text tmp (fun oc ->
-             Out_channel.output_string oc doc);
-         (* temp_file creates 0o600 and rename preserves it, which
-            would make a shared cache directory unreadable to other
-            users; publish world-readable. *)
-         Unix.chmod tmp 0o644;
-         Sys.rename tmp path
+         (* [Unix.write_substring] repeats until every byte is written. *)
+         ignore (Unix.write_substring fd doc 0 (String.length doc));
+         (* The umask may have narrowed the open's mode, and a shared
+            cache directory must stay readable to other users: publish
+            world-readable. *)
+         Unix.fchmod fd 0o644;
+         closed := true;
+         Unix.close fd;
+         Unix.rename tmp path
        with exn ->
-         (* Never leak the temp file on a failed write. *)
-         (try Sys.remove tmp with Sys_error _ | Unix.Unix_error _ -> ());
+         (* Never leak the descriptor or the temp file on a failed
+            write. *)
+         if not !closed then (try Unix.close fd with Unix.Unix_error _ -> ());
+         (try Unix.unlink tmp with Unix.Unix_error _ -> ());
          raise exn);
       Some (String.length doc)
     with Sys_error _ | Unix.Unix_error _ | Invalid_argument _ | Failure _ ->

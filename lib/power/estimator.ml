@@ -8,22 +8,31 @@
      count, the execution unit and the custom components.  {!hook}
      indexes plans by code slot; {!observe} keys them by fetch pc and
      validates them by the fetched word and the instruction.
+   - Every net the previous retirement's instruction alone drove (the
+     PC, its incrementer's carry, the opcode and register-port
+     wordlines, the fetched word, the word|pc pipeline latch) toggles by
+     an amount the control-flow edge fixes.  Each plan memoizes those
+     toggles, and the fetch and register-port charges they fix, against
+     the last plan that retired before it (compared physically), so a
+     retirement along the same edge as last time reads them back.
    - Nets whose inputs repeat are not re-evaluated.  A hold cycle only
      shifts the pipeline registers, so their toggles over a whole event
      follow in closed form from the distances between adjacent stages,
      which are all the model needs to keep of stages 1..4.  A cache
      access to the line the previous access hit drives the same set
      decoder and tag comparators as before (and, for a fetch, the same
-     array latches).  Either way [evals] still advances by every net
-     {!Rtl} would evaluate.
+     array latches, so it charges the access alone).  Either way [evals]
+     still advances by every net {!Rtl} would evaluate.
    - Data nets are evaluated in closed form on unboxed state: packed
      pipeline fields, per-way tag comparators read straight from the
-     shadow cache, and the array latches' toggles from the change of
-     the line pattern alone.
+     shadow cache, the array latches' toggles from the change of the
+     line pattern alone, and the adders, multipliers, shifters and logic
+     planes of the datapath and of custom hardware.
    - Energy is added into a float array, one slot per block, in the
      oracle's per-event order; a block's name is registered at its first
      charge in a table built like the oracle's, so folding it visits the
-     blocks in the oracle's order and [total_energy] rounds the same. *)
+     blocks in the oracle's order and [total_energy] rounds the same.
+     Only integers and exact products are computed ahead of time. *)
 
 (* --- Energy blocks ----------------------------------------------------------- *)
 
@@ -63,6 +72,23 @@ let[@inline] pop v =
   (x * 0x0101_0101_0101_0101) lsr 56
 
 let[@inline] toggles a b = pop (a lxor b)
+
+(* The same count summed over two or three values: per-nibble counts
+   (at most 4 each) add without carrying into the next nibble, and the
+   bytes sum as in [pop] while the total stays below 128, the 7 bits
+   left above bit 56.  So [pop2] takes any two values and [pop3] three
+   of at most 32 bits. *)
+let[@inline] nibbles v =
+  let x = v land max_int in
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333)
+
+let[@inline] sum_nibbles x =
+  let x = (x land 0x0f0f_0f0f_0f0f_0f0f) + ((x lsr 4) land 0x0f0f_0f0f_0f0f_0f0f) in
+  (x * 0x0101_0101_0101_0101) lsr 56
+
+let[@inline] pop2 a b = sum_nibbles (nibbles a + nibbles b)
+let[@inline] pop3 a b c = sum_nibbles (nibbles a + nibbles b + nibbles c)
 
 let m24 = 0xff_ffff
 let m32 = 0xffff_ffff
@@ -200,8 +226,8 @@ let[@inline] adder_eval u a b =
   let s = a + b in
   let carry = (s lxor a lxor b) lsr 1 and sum = s land u.a_mask in
   let t =
-    pop (u.a_in1 lxor a) + pop (u.a_in2 lxor b) + pop (u.a_carry lxor carry)
-    + pop (u.a_sum lxor sum)
+    pop2 (u.a_in1 lxor a) (u.a_in2 lxor b)
+    + pop2 (u.a_carry lxor carry) (u.a_sum lxor sum)
   in
   u.a_in1 <- a;
   u.a_in2 <- b;
@@ -222,6 +248,9 @@ type mult = {
   mutable m_a : int;
   mutable m_b : int;
   mutable m_out : int;
+  (* popcounts of [m_a] and of [(m_a lsl 1) land m_mask] *)
+  mutable m_pa : int;
+  mutable m_pa2 : int;
 }
 
 let mult_create width =
@@ -234,16 +263,20 @@ let mult_create width =
     m_out_mask = Activity.mask (min 62 (2 * width));
     m_a = 0;
     m_b = 0;
-    m_out = 0 }
+    m_out = 0;
+    m_pa = 0;
+    m_pa2 = 0 }
 
 let[@inline] mult_eval u a b =
   let m = u.m_mask in
   let a = a land m and b = b land m in
   let ap = u.m_a and bp = u.m_b in
+  let a2 = (a lsl 1) land m and ap2 = (ap lsl 1) land m in
+  let pa = pop a and pap = u.m_pa and pa2 = pop a2 and pap2 = u.m_pa2 in
+  let pd = pop (ap lxor a) in
   let rows =
-    (pop (bp land lnot b) * pop ap)
-    + (pop (b land lnot bp) * pop a)
-    + (pop (bp land b) * pop (ap lxor a))
+    (pop (bp land lnot b) * pap) + (pop (b land lnot bp) * pa)
+    + (pop (bp land b) * pd)
   in
   let pairs = u.m_pairs in
   let lo = bp land pairs and hi = (bp lsr 1) land pairs in
@@ -252,14 +285,13 @@ let[@inline] mult_eval u a b =
   let lo = b land pairs and hi = (b lsr 1) land pairs in
   let n1 = lo lxor hi and n2 = lo land hi in
   let n0 = pairs land lnot (lo lor hi) in
-  let a2 = (a lsl 1) land m and ap2 = (ap lsl 1) land m in
   let levels =
-    (pop (p0 land n1) * pop a)
-    + (pop (p0 land n2) * pop a2)
-    + (pop (p1 land n0) * pop ap)
-    + (pop (p1 land n1) * pop (ap lxor a))
+    (pop (p0 land n1) * pa)
+    + (pop (p0 land n2) * pa2)
+    + (pop (p1 land n0) * pap)
+    + (pop (p1 land n1) * pd)
     + (pop (p1 land n2) * pop (ap lxor a2))
-    + (pop (p2 land n0) * pop ap2)
+    + (pop (p2 land n0) * pap2)
     + (pop (p2 land n1) * pop (ap2 lxor a))
     + (pop (p2 land n2) * pop (ap2 lxor a2))
   in
@@ -268,12 +300,53 @@ let[@inline] mult_eval u a b =
   u.m_a <- a;
   u.m_b <- b;
   u.m_out <- out;
+  u.m_pa <- pa;
+  u.m_pa2 <- pa2;
   t
 
-(* Adders up to 60 bits and multipliers of 2 to 60 bits run in closed
-   form (wider values could reach the sign bit); every other unit is
-   evaluated by its {!Gates} model. *)
-type model = Adder of adder | Mult of mult | Gate of Gates.component
+(* {!Gates}' log-stage barrel shifter: stage i shifts by 2^i when bit i
+   of the amount is set. *)
+type shifter = {
+  s_mask : int;
+  s_stages : int array;          (* one net vector per stage *)
+}
+
+let shifter_create width =
+  let rec stages k v = if v <= 1 then k else stages (k + 1) ((v + 1) / 2) in
+  { s_mask = Activity.mask width; s_stages = Array.make (max 1 (stages 0 width)) 0 }
+
+let[@inline] shifter_eval u value amount =
+  let m = u.s_mask and st = u.s_stages in
+  let v = ref (value land m) and t = ref 0 in
+  for i = 0 to Array.length st - 1 do
+    if (amount lsr i) land 1 = 1 then v := (!v lsl (1 lsl i)) land m;
+    t := !t + pop (Array.unsafe_get st i lxor !v);
+    Array.unsafe_set st i !v
+  done;
+  !t
+
+(* {!Gates}' single-level logic plane. *)
+type logic = {
+  l_mask : int;
+  mutable l_out : int;
+}
+
+let[@inline] logic_eval u v =
+  let v = v land u.l_mask in
+  let t = pop (u.l_out lxor v) in
+  u.l_out <- v;
+  t
+
+(* Adders up to 60 bits, multipliers of 2 to 60 bits, and shifters and
+   logic planes up to 62 bits run in closed form (wider values could
+   reach the sign bit); every other unit is evaluated by its {!Gates}
+   model. *)
+type model =
+  | Adder of adder
+  | Mult of mult
+  | Shift of shifter
+  | Logic of logic
+  | Gate of Gates.component
 
 let model_for (c : Tie.Component.t) =
   let w = c.Tie.Component.width in
@@ -284,40 +357,60 @@ let model_for (c : Tie.Component.t) =
   | Tie.Component.Multiplier | Tie.Component.Tie_mult | Tie.Component.Tie_mac
     when w >= 2 && w <= 60 ->
     Mult (mult_create w)
+  | Tie.Component.Shifter when w <= 62 -> Shift (shifter_create w)
+  | Tie.Component.Logic | Tie.Component.Custom_register when w <= 62 ->
+    Logic { l_mask = Activity.mask w; l_out = 0 }
   | _ -> Gate (Gates.component_create c)
 
 let[@inline] model_eval u a b =
   match u with
   | Adder x -> adder_eval x a b
   | Mult x -> mult_eval x a b
+  | Shift x -> shifter_eval x a (b land 63)
+  | Logic x -> logic_eval x (a lxor b)
   | Gate g -> Gates.component_eval g a b
 
+let component_toggles c =
+  let u = model_for c in
+  fun a b -> model_eval u a b
+
 (* --- Custom hardware ---------------------------------------------------------- *)
+
+(* {!Oracle}'s clamp of the data-dependent activity factor. *)
+let af_lo = 1.0 -. Blocks.default.Blocks.custom_data_swing
+let af_hi = 1.0 +. Blocks.default.Blocks.custom_data_swing
 
 type comp_unit = {
   comp : Tie.Component.t;
   mutable model : model;
-  scale : float;                 (* per-cycle active energy x complexity *)
-  denom : float;                 (* expected toggles, at least 1 *)
+  rate : float array;
+  (* entry k: the per-cycle active energy x complexity, times the
+     clamped activity factor of k toggles; the last entry holds for
+     every larger count *)
 }
 
+(* The activity factor of k toggles is [k / denom] clamped to
+   [af_lo, af_hi], so it is nondecreasing in k and constant from the
+   first k it reaches [af_hi] at: a table up to that k gives every
+   count's [scale *. af], the product the oracle forms first. *)
 let unit_for comp =
+  let scale =
+    Blocks.default.Blocks.custom_active comp.Tie.Component.category
+    *. Tie.Component.complexity comp
+  and denom = Float.max 1.0 (Blocks.expected_toggles comp) in
+  let af k = Float.min af_hi (Float.max af_lo (float_of_int k /. denom)) in
+  let n = ref 0 in
+  while af !n < af_hi do incr n done;
   { comp;
     model = model_for comp;
-    scale =
-      Blocks.default.Blocks.custom_active comp.Tie.Component.category
-      *. Tie.Component.complexity comp;
-    denom = Float.max 1.0 (Blocks.expected_toggles comp) }
+    rate = Array.init (!n + 1) (fun k -> scale *. af k) }
 
 (* {!Oracle}'s custom-unit energy: active energy scaled by the clamped
-   data-dependent activity factor, over [cycles]. *)
-let[@inline] unit_energy ~swing u a b cycles =
-  let togs = model_eval u.model a b in
-  let af =
-    Float.min (1.0 +. swing)
-      (Float.max (1.0 -. swing) (float_of_int togs /. u.denom))
-  in
-  u.scale *. af *. float_of_int cycles
+   activity factor, over [cycles]. *)
+let[@inline] unit_energy u a b cycles =
+  let k = model_eval u.model a b and rate = u.rate in
+  let last = Array.length rate - 1 in
+  Array.unsafe_get rate (if k < last then k else last) *. float_of_int cycles
 
 (* The components one custom instruction drives, or the bus-facing ones
    every base instruction with operands drives: all from the same two
@@ -348,9 +441,11 @@ let bank_create comps =
 
 let empty_bank = { models = [||]; seq = [||]; energy = [||] }
 
-let bank_eval ~swing bank a b cycles =
+(* Each distinct component's energy times [scale]: 1.0 for an active
+   bank, the idle fraction for the bus-facing one. *)
+let bank_eval bank ~scale a b cycles =
   for i = 0 to Array.length bank.models - 1 do
-    bank.energy.(i) <- unit_energy ~swing bank.models.(i) a b cycles
+    bank.energy.(i) <- scale *. unit_energy bank.models.(i) a b cycles
   done
 
 (* --- Plans --------------------------------------------------------------------- *)
@@ -361,6 +456,7 @@ type plan = {
   pc : int;
   word : int;
   instr : Isa.Instr.t;
+  wp : int;                      (* stage-0 word|pc latch value, packed *)
   opcode : int;                  (* opcode-decoder wordline *)
   carry : int;                   (* PC-incrementer carry vector *)
   rd0 : int;                     (* read-port wordlines, -1 = none *)
@@ -370,12 +466,27 @@ type plan = {
   exec : exec;
   control : bool;                (* drives the branch unit *)
   units : bank;                  (* a custom instruction's components *)
+  (* The edge memo: what [pred], the plan that retired just before this
+     one did last time, fixes.  Only static values, so it outlives a
+     [reset] and the replacement of either plan. *)
+  mutable pred : plan;
+  mutable edge_wp : int;         (* stage-0 word|pc toggles *)
+  mutable edge_latch : int;      (* PC value, carry and opcode toggles *)
+  mutable edge_fetch : float;    (* the fetch charge *)
+  mutable edge_regfile : float;  (* register reads + port decoders *)
 }
 
-let no_plan =
-  { pc = -1; word = -1; instr = Isa.Instr.Nop; opcode = -1; carry = 0;
-    rd0 = -1; rd1 = -1; wr = -1; nreads = 0; exec = No_unit; control = false;
-    units = empty_bank }
+(* A placeholder no retirement matches (pc and word -1), and the reset
+   state as the predecessor of the first retirement: pc 0, carry 0, no
+   wordline driven, word 0.  Neither is ever charged, so neither memo
+   is ever written. *)
+let rec no_plan =
+  { pc = -1; word = -1; instr = Isa.Instr.Nop; wp = 0; opcode = -1;
+    carry = 0; rd0 = -1; rd1 = -1; wr = -1; nreads = 0; exec = No_unit;
+    control = false; units = empty_bank; pred = no_plan; edge_wp = 0;
+    edge_latch = 0; edge_fetch = 0.0; edge_regfile = 0.0 }
+
+let start = { no_plan with pc = 0; word = 0 }
 
 let plan_slots = 4096
 
@@ -403,9 +514,9 @@ type t = {
   mutable seen : int;            (* blocks charged so far, one bit each *)
   order : (string, int) Hashtbl.t;
   mutable evals : int;
-  (* stage 0 of the pipeline registers, masked and packed: word and pc,
-     the two operands, the result *)
-  mutable s_wp : int;
+  mutable last : plan;           (* the last retirement's, or [start] *)
+  (* stage 0 of the pipeline registers' data fields, masked: the two
+     operands, the result *)
   mutable s_o1 : int;
   mutable s_o2 : int;
   mutable s_r : int;
@@ -414,18 +525,11 @@ type t = {
   mutable d1 : int;
   mutable d2 : int;
   mutable d3 : int;
-  mutable pc_value : int;
-  mutable pc_carry : int;
-  mutable opcode : int;
-  mutable rd0 : int;
-  mutable rd1 : int;
-  mutable wr : int;
   mutable inets : cache_nets;
   mutable dnets : cache_nets;
   mutable alu : adder;
-  mutable base_shifter : Gates.shifter_state;
+  mutable base_shifter : shifter;
   mutable base_mult : mult;
-  mutable prev_word : int;
   mutable prev_bus1 : int;
   mutable prev_bus2 : int;
   mutable prev_result : int;
@@ -453,7 +557,7 @@ let create ?extension cfg =
     seen = 0;
     order = Hashtbl.create 24;
     evals = 0;
-    s_wp = 0;
+    last = start;
     s_o1 = 0;
     s_o2 = 0;
     s_r = 0;
@@ -461,18 +565,11 @@ let create ?extension cfg =
     d1 = 0;
     d2 = 0;
     d3 = 0;
-    pc_value = 0;
-    pc_carry = 0;
-    opcode = -1;
-    rd0 = -1;
-    rd1 = -1;
-    wr = -1;
     inets = cache_nets_create cfg.Sim.Config.icache;
     dnets = cache_nets_create cfg.Sim.Config.dcache;
     alu = adder_create 32;
-    base_shifter = Gates.shifter_create 32;
+    base_shifter = shifter_create 32;
     base_mult = mult_create 32;
-    prev_word = 0;
     prev_bus1 = 0;
     prev_bus2 = 0;
     prev_result = 0;
@@ -503,6 +600,7 @@ let plan_of t pc word instr =
   { pc;
     word;
     instr;
+    wp = (word land m24) lor (pc32 lsl 24);
     opcode = (word lsr 17) land 0x7f;
     carry = (lnot pc32 land (pc32 + 1)) - 1;
     rd0;
@@ -517,7 +615,12 @@ let plan_of t pc word instr =
          match Hashtbl.find_opt t.insn_units call.Isa.Instr.cname with
          | Some u -> u
          | None -> empty_bank)
-       | _ -> empty_bank) }
+       | _ -> empty_bank);
+    pred = no_plan;
+    edge_wp = 0;
+    edge_latch = 0;
+    edge_fetch = 0.0;
+    edge_regfile = 0.0 }
 
 let[@inline] plan t pc word instr =
   let i = pc land (plan_slots - 1) in
@@ -529,19 +632,37 @@ let[@inline] plan t pc word instr =
     pl
   end
 
+(* Fill [pl]'s edge memo for predecessor [prev]: the toggles of every
+   net that only the two instructions' static facts drive, and the two
+   charges those fix, computed as the oracle computes them. *)
+let learn_edge p pl prev =
+  pl.pred <- prev;
+  pl.edge_wp <- pop (prev.wp lxor pl.wp);
+  pl.edge_latch <-
+    pop ((prev.pc lxor pl.pc) land m32)
+    + pop ((prev.carry lxor pl.carry) land m32)
+    + onehot prev.opcode pl.opcode;
+  pl.edge_fetch <-
+    p.Blocks.fetch_decode
+    +. (p.Blocks.fetch_bus_per_toggle *. float_of_int (toggles prev.word pl.word));
+  pl.edge_regfile <-
+    (p.Blocks.regfile_read *. float_of_int pl.nreads)
+    +. p.Blocks.regfile_decoder_per_toggle
+       *. float_of_int
+            (onehot prev.rd0 pl.rd0 + onehot prev.rd1 pl.rd1
+             + onehot prev.wr pl.wr)
+
 (* The pipeline registers over an event's [cycles] clock edges: the
    issue edge latches the new stage-0 values, each hold edge shifts the
    registers again with the same inputs.  Edge k toggles the stage-0
    distance [h] plus the first [4 - k] stage distances, so from edge 5
-   on the registers are full of one value and nothing toggles. *)
-let[@inline] pipeline_toggles t ~word ~pc ~op1 ~op2 ~result cycles =
-  let wp = (word land m24) lor ((pc land m32) lsl 24) in
+   on the registers are full of one value and nothing toggles.  [h]'s
+   word|pc part, [wp_toggles], is the edge's. *)
+let[@inline] pipeline_toggles t ~wp_toggles ~op1 ~op2 ~result cycles =
   let o1 = op1 land m32 and o2 = op2 land m32 and r = result land m32 in
   let h =
-    pop (t.s_wp lxor wp) + pop (t.s_o1 lxor o1) + pop (t.s_o2 lxor o2)
-    + pop (t.s_r lxor r)
+    wp_toggles + pop3 (t.s_o1 lxor o1) (t.s_o2 lxor o2) (t.s_r lxor r)
   in
-  t.s_wp <- wp;
   t.s_o1 <- o1;
   t.s_o2 <- o2;
   t.s_r <- r;
@@ -570,9 +691,10 @@ let[@inline] cache_energy p n =
    channel, whichever backend or event they came from. *)
 let core t pl cycles stall flags (ch : Sim.Cpu.channel) =
   let p = Blocks.default in
+  if pl.pred != t.last then learn_edge p pl t.last;
+  t.last <- pl;
   let fcycles = float_of_int cycles in
   charge t b_clock (p.Blocks.clock_tree *. fcycles);
-  let word = pl.word in
   let bus1 = if pl.nreads > 0 then ch.Sim.Cpu.bus1 else t.prev_bus1 in
   let bus2 = if pl.nreads > 1 then ch.Sim.Cpu.bus2 else t.prev_bus2 in
   let has_result = flags land Sim.Cpu.flag_result <> 0 in
@@ -580,15 +702,10 @@ let core t pl cycles stall flags (ch : Sim.Cpu.channel) =
   (* Pipeline registers, PC incrementer and opcode decoder, which only
      the issue edge can move. *)
   let latch_toggles =
-    pipeline_toggles t ~word ~pc:pl.pc ~op1:bus1 ~op2:bus2 ~result:result_value
-      cycles
-    + pop ((t.pc_value lxor pl.pc) land m32)
-    + pop ((t.pc_carry lxor pl.carry) land m32)
-    + onehot t.opcode pl.opcode
+    pipeline_toggles t ~wp_toggles:pl.edge_wp ~op1:bus1 ~op2:bus2
+      ~result:result_value cycles
+    + pl.edge_latch
   in
-  t.pc_value <- pl.pc;
-  t.pc_carry <- pl.carry;
-  t.opcode <- pl.opcode;
   t.evals <- t.evals + (cycles * cycle_evals) + port_evals;
   charge t b_pipeline
     ((p.Blocks.pipeline_base *. fcycles)
@@ -596,34 +713,33 @@ let core t pl cycles stall flags (ch : Sim.Cpu.channel) =
   if cycles > 1 then
     charge t b_stall (p.Blocks.stall_cycle *. float_of_int (cycles - 1));
   (* Fetch path. *)
-  charge t b_fetch
-    (p.Blocks.fetch_decode
-     +. (p.Blocks.fetch_bus_per_toggle *. float_of_int (toggles t.prev_word word)));
-  t.prev_word <- word;
+  charge t b_fetch pl.edge_fetch;
   if flags land Sim.Cpu.flag_uncached_fetch <> 0 then
     charge t b_uncached p.Blocks.uncached_access
   else begin
     let n = t.inets in
     t.evals <- t.evals + n.access_evals;
-    cache_access n pl.pc 0;
-    charge t b_icache (p.Blocks.icache_access +. cache_energy p n);
+    let c = n.cache in
+    if pl.pc lsr c.Sim.Cache.line_shift = c.Sim.Cache.last_line && n.last_hit
+    then begin
+      (* The line the previous fetch hit: no decoder, tag or array net
+         moves, and the access energy plus zero is the access energy. *)
+      Sim.Cache.repeat_hit c;
+      charge t b_icache p.Blocks.icache_access
+    end
+    else begin
+      cache_access n pl.pc 0;
+      charge t b_icache (p.Blocks.icache_access +. cache_energy p n)
+    end;
     if flags land Sim.Cpu.flag_icache_miss <> 0 then
       charge t b_icache p.Blocks.icache_miss
   end;
   (* Register file ports and port decoders. *)
-  let dec_toggles =
-    onehot t.rd0 pl.rd0 + onehot t.rd1 pl.rd1 + onehot t.wr pl.wr
-  in
-  t.rd0 <- pl.rd0;
-  t.rd1 <- pl.rd1;
-  t.wr <- pl.wr;
-  charge t b_regfile
-    ((p.Blocks.regfile_read *. float_of_int pl.nreads)
-     +. (p.Blocks.regfile_decoder_per_toggle *. float_of_int dec_toggles));
+  charge t b_regfile pl.edge_regfile;
   if has_result then charge t b_regfile p.Blocks.regfile_write;
   charge t b_buses
     (p.Blocks.operand_bus_per_toggle
-     *. float_of_int (toggles t.prev_bus1 bus1 + toggles t.prev_bus2 bus2));
+     *. float_of_int (pop2 (t.prev_bus1 lxor bus1) (t.prev_bus2 lxor bus2)));
   t.prev_bus1 <- bus1;
   t.prev_bus2 <- bus2;
   if has_result then begin
@@ -638,7 +754,7 @@ let core t pl cycles stall flags (ch : Sim.Cpu.channel) =
      let togs = mult_eval t.base_mult bus1 bus2 in
      charge t b_mult (p.Blocks.mult_per_toggle *. float_of_int togs)
    | Shifter ->
-     let togs = Gates.shifter_eval t.base_shifter bus1 (bus2 land 31) in
+     let togs = shifter_eval t.base_shifter bus1 (bus2 land 31) in
      charge t b_shifter (p.Blocks.shifter_per_toggle *. float_of_int togs)
    | No_unit -> ()
    | Alu ->
@@ -670,8 +786,8 @@ let core t pl cycles stall flags (ch : Sim.Cpu.channel) =
   if pl.exec = No_unit then begin
     let bank = pl.units in
     if Array.length bank.seq > 0 then begin
-      bank_eval ~swing:p.Blocks.custom_data_swing bank ch.Sim.Cpu.cin1
-        ch.Sim.Cpu.cin2 ch.Sim.Cpu.busy;
+      bank_eval bank ~scale:1.0 ch.Sim.Cpu.cin1 ch.Sim.Cpu.cin2
+        ch.Sim.Cpu.busy;
       for i = 0 to Array.length bank.seq - 1 do
         charge t b_custom_active bank.energy.(bank.seq.(i))
       done
@@ -681,10 +797,9 @@ let core t pl cycles stall flags (ch : Sim.Cpu.channel) =
     (* Side effect: base instructions driving the operand buses toggle
        the bus-facing custom hardware. *)
     let bank = t.bus_units in
-    bank_eval ~swing:p.Blocks.custom_data_swing bank bus1 bus2 1;
+    bank_eval bank ~scale:p.Blocks.custom_idle_fraction bus1 bus2 1;
     for i = 0 to Array.length bank.seq - 1 do
-      charge t b_custom_idle
-        (p.Blocks.custom_idle_fraction *. bank.energy.(bank.seq.(i)))
+      charge t b_custom_idle bank.energy.(bank.seq.(i))
     done
   end
 
@@ -734,7 +849,7 @@ let reset t =
   t.seen <- 0;
   Hashtbl.reset t.order;
   t.evals <- 0;
-  t.s_wp <- 0;
+  t.last <- start;
   t.s_o1 <- 0;
   t.s_o2 <- 0;
   t.s_r <- 0;
@@ -742,23 +857,16 @@ let reset t =
   t.d1 <- 0;
   t.d2 <- 0;
   t.d3 <- 0;
-  t.pc_value <- 0;
-  t.pc_carry <- 0;
-  t.opcode <- -1;
-  t.rd0 <- -1;
-  t.rd1 <- -1;
-  t.wr <- -1;
   (* Fresh shadow caches: a reset estimator must stay in lockstep with a
      freshly created simulator. *)
   t.inets <- cache_nets_create t.cfg.Sim.Config.icache;
   t.dnets <- cache_nets_create t.cfg.Sim.Config.dcache;
   t.alu <- adder_create 32;
-  t.base_shifter <- Gates.shifter_create 32;
+  t.base_shifter <- shifter_create 32;
   t.base_mult <- mult_create 32;
   let fresh u = u.model <- model_for u.comp in
   Hashtbl.iter (fun _ bank -> Array.iter fresh bank.models) t.insn_units;
   Array.iter fresh t.bus_units.models;
-  t.prev_word <- 0;
   t.prev_bus1 <- 0;
   t.prev_bus2 <- 0;
   t.prev_result <- 0

@@ -10,17 +10,29 @@
     instructions, as in the paper's Example 1.
 
     Its totals are the "measured" energies against which the macro-model
-    is characterized and evaluated.  It is compiled: the static facts of
-    each instruction are resolved once into a plan, nets whose inputs
-    repeat are skipped, and the data nets are evaluated in closed form,
-    while every energy, breakdown entry and {!evaluations} count stays
-    bit-identical to the event-by-event {!Oracle}.
+    is characterized and evaluated.  It is compiled, while every energy,
+    breakdown entry and {!evaluations} count stays bit-identical to the
+    event-by-event {!Oracle}:
+    - the static facts of each instruction are resolved once into a
+      plan;
+    - each plan memoizes, against the plan that retired before it, the
+      toggles of every net the two instructions' static facts alone
+      drive (PC, incrementer carry, opcode and register-port wordlines,
+      fetched word, word|pc pipeline latch) and the fetch and
+      register-port charges they fix, so a retirement along the same
+      control-flow edge as last time reads them back;
+    - nets whose inputs repeat are skipped (a fetch from the line the
+      previous fetch hit charges the access alone);
+    - the data nets, the datapath units and the custom adders,
+      multipliers, shifters and logic planes are evaluated in closed
+      form.
 
     One core charges one retirement from the simulator's retire-hook
     integers and {!Sim.Cpu.channel}.  It has two callers: {!hook}, which
     the simulator calls directly on either backend without building an
-    event, and {!observe}, which unpacks a recorded {!Sim.Event.t} with
-    {!Sim.Cpu.load_channel}. *)
+    event and which keeps one plan per code slot, and {!observe}, which
+    unpacks a recorded {!Sim.Event.t} with {!Sim.Cpu.load_channel} and
+    keeps plans in a table keyed by fetch pc. *)
 
 type t
 
@@ -57,6 +69,13 @@ val reset : t -> unit
 val check : t -> Oracle.t -> unit
 (** @raise Sim.Backend.Mismatch unless the two breakdowns (names, order
     and energy bits) and evaluation counts agree. *)
+
+val component_toggles : Tie.Component.t -> int -> int -> int
+(** [component_toggles c] is a fresh instance of the unit the estimator
+    evaluates for a custom component [c] (in closed form where it has
+    one): each call [f a b] returns the net toggles of one evaluation,
+    as {!Gates.component_eval} on a fresh {!Gates.component_create}
+    [c] does. *)
 
 val estimate_program :
   ?config:Sim.Config.t ->

@@ -95,7 +95,7 @@ let create ?jobs ?cache_dir ?characterize ?on_characterize ?simulate ?model
       fun config ->
         fst
           (Core.Characterize.model ?jobs ~cache ~config
-             (Workloads.Suite.characterization ()))
+             (Workloads.Suite.shared_characterization ()))
   in
   let characterize config =
     Option.iter (fun f -> f ()) on_characterize;

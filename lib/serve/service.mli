@@ -36,8 +36,9 @@ val create :
 (** [model] is a coefficients file ({!Core.Template.load}) preloaded as
     the default configuration's model.  A registry miss calls
     [on_characterize], then [characterize] (default:
-    {!Core.Characterize.model} over the characterization suite through
-    the service's cache, so a daemon restarted on a populated
+    {!Core.Characterize.model} over the name index's characterization
+    cases ({!Workloads.Suite.shared_characterization}, built once per
+    process) through the service's cache, so a daemon restarted on a populated
     [cache_dir] reads the stored model: no simulation, no fit).
     The registry keeps every model it resolves, so the preloaded one
     answers for the default configuration for the service's lifetime.

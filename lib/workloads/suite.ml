@@ -17,9 +17,11 @@ let reed_solomon_choices () = Reed_solomon.choices ()
 let c_applications () =
   List.map (fun (a : C_apps.capp) -> a.C_apps.case) (C_apps.all ())
 
-let all () =
-  characterization () @ applications () @ reed_solomon_choices ()
-  @ c_applications ()
+(* Every workload past the characterization programs, in suite order. *)
+let others () =
+  applications () @ reed_solomon_choices () @ c_applications ()
+
+let all () = characterization () @ others ()
 
 (* The name index: every case of [all ()], built once per process and
    never mutated afterwards, so lookups from any thread share the same
@@ -30,13 +32,15 @@ let all () =
 type index = {
   by_name : (string, Core.Extract.case) Hashtbl.t;
   order : string list;
+  shared_characterization : Core.Extract.case list;
 }
 
 let index_cell : index option Atomic.t = Atomic.make None
 let index_lock = Mutex.create ()
 
 let build_index () =
-  let cases = all () in
+  let chars = characterization () in
+  let cases = chars @ others () in
   let by_name = Hashtbl.create 64 in
   (* First match wins, as a front-to-back search of [all ()] would. *)
   List.iter
@@ -44,7 +48,10 @@ let build_index () =
       let n = c.Core.Extract.case_name in
       if not (Hashtbl.mem by_name n) then Hashtbl.add by_name n c)
     cases;
-  { by_name; order = List.map (fun c -> c.Core.Extract.case_name) cases }
+  { by_name;
+    order = List.map (fun c -> c.Core.Extract.case_name) cases;
+    shared_characterization =
+      List.map (fun c -> Hashtbl.find by_name c.Core.Extract.case_name) chars }
 
 let index () =
   match Atomic.get index_cell with
@@ -61,3 +68,5 @@ let index () =
 let find name = Hashtbl.find (index ()).by_name name
 
 let names () = (index ()).order
+
+let shared_characterization () = (index ()).shared_characterization

@@ -1,7 +1,7 @@
 (** Workload registry. *)
 
 val characterization : unit -> Core.Extract.case list
-(** The 25 characterization test programs. *)
+(** The 25 characterization test programs, built fresh on every call. *)
 
 val applications : unit -> Core.Extract.case list
 (** The ten Table II application benchmarks, in the paper's order:
@@ -30,4 +30,11 @@ val find : string -> Core.Extract.case
 
 val names : unit -> string list
 (** Every workload name, in {!all} order, read from the same index as
+    {!find}. *)
+
+val shared_characterization : unit -> Core.Extract.case list
+(** The 25 characterization programs as the name index's cases: every
+    call returns the same list, and each case is physically the one
+    {!find} returns for its name, so its digest and key slots are shared
+    with every other caller in the process.  Same thread safety as
     {!find}. *)

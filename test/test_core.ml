@@ -1623,6 +1623,63 @@ let test_cache_store_world_readable () =
   check Alcotest.int "entry published world-readable" 0o644
     (st.Unix.st_perm land 0o777)
 
+let remove_tree dir =
+  List.iter
+    (fun f ->
+      let p = Filename.concat dir f in
+      if Sys.is_directory p then Unix.rmdir p else Sys.remove p)
+    (dir_files dir);
+  try Unix.rmdir dir with Unix.Unix_error _ -> ()
+
+(* A store makes its directory only when the temp file's open finds it
+   missing: one removed after [create] is made again, and the entry is
+   published. *)
+let test_cache_store_recreates_dir () =
+  let dir = fresh_cache_dir () in
+  Unix.mkdir dir 0o755;
+  let c = Core.Eval_cache.create ~dir () in
+  Unix.rmdir dir;
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  let key = Core.Eval_cache.key ~config:small_config (List.hd (small_suite ())) in
+  Core.Eval_cache.store c key gnarly_entry;
+  check Alcotest.int "no error" 0 (Core.Eval_cache.stats c).Core.Eval_cache.errors;
+  check Alcotest.(list string) "the entry alone is published" [ key ^ ".json" ]
+    (dir_files dir);
+  match Core.Eval_cache.find (Core.Eval_cache.create ~dir ()) key with
+  | Some _ -> ()
+  | None -> fail "published entry not found"
+
+(* The temp file is opened with a mode the umask can narrow; the entry
+   is still published world-readable. *)
+let test_cache_store_mode_under_umask () =
+  let dir = fresh_cache_dir () in
+  let key = Core.Eval_cache.key ~config:small_config (List.hd (small_suite ())) in
+  let old = Unix.umask 0o077 in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.umask old);
+      remove_tree dir)
+  @@ fun () ->
+  Core.Eval_cache.store (Core.Eval_cache.create ~dir ()) key gnarly_entry;
+  let st = Unix.stat (Filename.concat dir (key ^ ".json")) in
+  check Alcotest.int "mode 0644 under umask 077" 0o644
+    (st.Unix.st_perm land 0o777)
+
+(* A store whose publication fails (the entry's name is taken by a
+   directory, so the rename fails) is counted and leaves no temp file. *)
+let test_cache_failed_store_leaves_no_tmp () =
+  let dir = fresh_cache_dir () in
+  let key = Core.Eval_cache.key ~config:small_config (List.hd (small_suite ())) in
+  Unix.mkdir dir 0o755;
+  Unix.mkdir (Filename.concat dir (key ^ ".json")) 0o755;
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  let c = Core.Eval_cache.create ~dir () in
+  Core.Eval_cache.store c key gnarly_entry;
+  check Alcotest.int "failed store counted" 1
+    (Core.Eval_cache.stats c).Core.Eval_cache.errors;
+  check Alcotest.(list string) "no temp file left" [ key ^ ".json" ]
+    (dir_files dir)
+
 let test_cache_nonfinite_fails_fast_at_store () =
   (* nan/inf have no JSON encoding; a stored entry holding one used to
      become a permanent parse error on every warm read.  The store must
@@ -3289,6 +3346,12 @@ let () =
             test_cache_unwritable_dir;
           Alcotest.test_case "world-readable publication" `Quick
             test_cache_store_world_readable;
+          Alcotest.test_case "store recreates a removed directory" `Quick
+            test_cache_store_recreates_dir;
+          Alcotest.test_case "store mode under umask 077" `Quick
+            test_cache_store_mode_under_umask;
+          Alcotest.test_case "failed store leaves no temp file" `Quick
+            test_cache_failed_store_leaves_no_tmp;
           Alcotest.test_case "non-finite floats fail fast" `Quick
             test_cache_nonfinite_fails_fast_at_store;
           Alcotest.test_case "directory is the only record" `Quick

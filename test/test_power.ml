@@ -398,6 +398,157 @@ let qcheck_compiled_matches_oracle =
          = entries (Power.Oracle.breakdown oracle)
       && Power.Estimator.evaluations est = Power.Oracle.evaluations oracle)
 
+(* The edge memo: each plan keeps the toggles its last predecessor fixed.
+   A loop head alternately entered by a taken jump and by a fall-through
+   sees its predecessor change on every visit. *)
+let test_alternating_predecessors () =
+  let asm =
+    program (fun b ->
+        let open Isa.Builder in
+        movi b a2 0;
+        movi b a3 21;
+        label b "top";
+        addi b a3 a3 (-1);
+        beqz b a3 "done";
+        bbsi b a2 0 "odd";
+        addi b a2 a2 1;
+        j b "head";
+        label b "odd";
+        addi b a2 a2 3;
+        label b "head";
+        add b a4 a4 a2;
+        j b "top";
+        label b "done")
+  in
+  let est, oracle = both asm in
+  same_estimates "alternating loop head" est oracle
+
+(* One function called from three sites: its entry slot follows three
+   different calls, and its return lands on three different slots. *)
+let test_function_three_callers () =
+  let asm =
+    program (fun b ->
+        let open Isa.Builder in
+        movi b a2 7;
+        movi b a6 0;
+        loop_n b ~cnt:a3 6 (fun () ->
+            call0 b "f";
+            addi b a2 a2 5;
+            call0 b "f";
+            xor b a2 a2 a6;
+            call0 b "f");
+        j b "out";
+        label b "f";
+        add b a6 a6 a2;
+        slli b a5 a6 3;
+        ret b;
+        label b "out")
+  in
+  let est, oracle = both asm in
+  same_estimates "three call sites" est oracle
+
+(* Jumps into the middle of a cache line: back into the line the
+   previous fetch hit (the repeated-line fetch) and onto a line not
+   fetched just before, on several line sizes. *)
+let test_jump_mid_line () =
+  let asm =
+    program (fun b ->
+        let open Isa.Builder in
+        movi b a3 9;
+        nop b;
+        label b "head";
+        addi b a3 a3 (-1);
+        bnez b a3 "head";
+        movi b a3 4;
+        label b "again";
+        j b "far";
+        for _ = 1 to 13 do
+          nop b
+        done;
+        label b "far";
+        addi b a3 a3 (-1);
+        bnez b a3 "again")
+  in
+  List.iter
+    (fun line ->
+      let config =
+        { Sim.Config.default with
+          Sim.Config.icache =
+            { Sim.Config.default.Sim.Config.icache with
+              Sim.Config.line_bytes = line } }
+      in
+      let est, oracle = both ~config asm in
+      same_estimates (Printf.sprintf "%d-byte lines" line) est oracle)
+    [ 8; 16; 64 ]
+
+(* [reset], then a second run through the same hook closure: the plans
+   it built (and their edge memos) survive, and must charge what a
+   fresh oracle charges. *)
+let test_reset_same_hook () =
+  let c = Workloads.Suite.find "rs_gfmul4" in
+  let extension = c.Core.Extract.extension and asm = c.Core.Extract.asm in
+  let cfg = Sim.Config.default in
+  let est = Power.Estimator.create ?extension cfg in
+  let hook = Power.Estimator.hook est asm in
+  let run () =
+    let oracle = Power.Oracle.create ?extension cfg in
+    ignore
+      (Sim.Backend.run_program ~backend:Sim.Backend.Threaded ~config:cfg
+         ?extension ~hook asm);
+    ignore
+      (Sim.Backend.run_program ~backend:Sim.Backend.Interp ~config:cfg
+         ?extension ~observers:[ Power.Oracle.observer oracle ] asm);
+    oracle
+  in
+  same_estimates "first run" est (run ());
+  Power.Estimator.reset est;
+  same_estimates "after reset, same hook" est (run ())
+
+(* [observe] keys plans by pc in a 4096-entry table, so straight-line
+   code longer than 4 KB replaces plans on every pass. *)
+let test_observe_replaces_plans () =
+  let asm =
+    program (fun b ->
+        let open Isa.Builder in
+        movi b a2 1;
+        loop_n b ~cnt:a3 3 (fun () ->
+            for i = 1 to 1400 do
+              if i mod 3 = 0 then slli b a4 a2 (i mod 7)
+              else addi b a2 a2 (i mod 5)
+            done))
+  in
+  check Alcotest.bool "code spans more than 4 KB" true
+    (Array.length asm.Isa.Program.code * 3 > 4096);
+  let est, replay, oracle = estimates asm in
+  same_estimates "hook" est oracle;
+  same_estimates "observe" replay oracle
+
+(* The estimator's closed-form logic planes and shifters count the
+   toggles of {!Power.Gates}' models, whatever the width and operands. *)
+let qcheck_closed_form_units =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneofl
+           [ Tie.Component.Logic; Tie.Component.Custom_register;
+             Tie.Component.Shifter ])
+        (int_range 1 62)
+        (list_size (int_range 1 40) (pair int int)))
+  in
+  let print (cat, w, ops) =
+    Printf.sprintf "%s, width %d, %d operand pairs"
+      (Tie.Component.category_name cat) w (List.length ops)
+  in
+  QCheck.Test.make ~name:"closed-form units = Gates" ~count:300
+    (QCheck.make ~print gen)
+    (fun (cat, w, ops) ->
+      let c = Tie.Component.make cat w in
+      let mine = Power.Estimator.component_toggles c
+      and gates = Power.Gates.component_create c in
+      List.for_all
+        (fun (a, b) -> mine a b = Power.Gates.component_eval gates a b)
+        ops)
+
 (* The hook keeps its plans per code slot, so an estimator that is never
    fed an event must not pay for [observe]'s 4096-entry pc table (4097
    words on the major heap): a hook-fed reference simulation creates one
@@ -473,6 +624,17 @@ let () =
             test_long_stall_with_write;
           Alcotest.test_case "reset mid-stream" `Quick test_reset_mid_stream;
           Alcotest.test_case "suite agrees" `Quick test_suite_agrees;
+          Alcotest.test_case "alternating loop-head predecessors" `Quick
+            test_alternating_predecessors;
+          Alcotest.test_case "function called from three sites" `Quick
+            test_function_three_callers;
+          Alcotest.test_case "jumps into the middle of a line" `Quick
+            test_jump_mid_line;
+          Alcotest.test_case "reset, then the same hook again" `Quick
+            test_reset_same_hook;
+          Alcotest.test_case "observe past 4 KB of code" `Quick
+            test_observe_replaces_plans;
+          QCheck_alcotest.to_alcotest qcheck_closed_form_units;
           Alcotest.test_case "create allocates no pc table" `Quick
             test_create_allocates_no_pc_table;
           QCheck_alcotest.to_alcotest qcheck_compiled_matches_oracle ] ) ]

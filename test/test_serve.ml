@@ -281,6 +281,38 @@ let test_service_preload_survives () =
   check Alcotest.int "the preloaded model is a hit" (List.length others)
     !calls
 
+(* A registry miss characterizes over the name index's cases instead of
+   building the 25 programs again: every miss passes the same physical
+   list, so each case's key slot records the configuration the latest
+   miss keyed it under. *)
+let test_service_miss_shares_cases () =
+  let shared = Workloads.Suite.shared_characterization () in
+  check Alcotest.bool "one list on every call" true
+    (shared == Workloads.Suite.shared_characterization ());
+  check Alcotest.int "the 25 characterization programs" 25 (List.length shared);
+  List.iter
+    (fun (c : Core.Extract.case) ->
+      check Alcotest.bool
+        (c.Core.Extract.case_name ^ " is the index's case") true
+        (c == Workloads.Suite.find c.Core.Extract.case_name))
+    shared;
+  let service = Serve.Service.create () in
+  let keyed_under config =
+    List.for_all
+      (fun (c : Core.Extract.case) ->
+        match Atomic.get c.Core.Extract.key_slot with
+        | Some m -> m.Core.Extract.km_config = config
+        | None -> false)
+      shared
+  in
+  List.iter
+    (fun config ->
+      let l = Serve.Registry.get (Serve.Service.registry service) config in
+      check Alcotest.bool "a miss" false l.Serve.Registry.l_hit;
+      check Alcotest.bool "the miss keyed the shared cases" true
+        (keyed_under config))
+    [ config_dcache_ways 2; config_dcache_ways 8 ]
+
 (* --- Router (in-process) -------------------------------------------------- *)
 
 let member name resp =
@@ -1765,7 +1797,9 @@ let () =
         [ Alcotest.test_case "hit + every configuration stays resident"
             `Quick test_registry_hit_and_resident;
           Alcotest.test_case "preloaded model survives other configurations"
-            `Quick test_service_preload_survives ] );
+            `Quick test_service_preload_survives;
+          Alcotest.test_case "misses characterize the shared cases" `Quick
+            test_service_miss_shares_cases ] );
       ( "router",
         [ Alcotest.test_case "profile op" `Quick test_router_profile_op;
           Alcotest.test_case "fuzzed payloads" `Quick test_router_fuzz;
