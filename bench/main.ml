@@ -549,12 +549,18 @@ let cache_bench () =
   let cold, cold_s = sweep () in
   let warm, warm_s = sweep () in
   let populated = Core.Eval_cache.disk_stats dir in
-  (* Orphans: a writer that died between temp_file and rename, plus a
-     foreign file that can never be an entry. *)
+  (* Orphans: a writer that died between temp_file and rename (back-dated
+     an hour, past gc's grace for live writers), plus a foreign file that
+     can never be an entry. *)
   List.iter
     (fun f ->
-      Out_channel.with_open_text (Filename.concat dir f) (fun oc ->
-          Out_channel.output_string oc "orphan\n"))
+      let path = Filename.concat dir f in
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc "orphan\n");
+      if Filename.check_suffix f ".tmp" then begin
+        let t = Unix.gettimeofday () -. 3600.0 in
+        Unix.utimes path t t
+      end)
     [ "cachedead1.tmp"; "cachedead2.tmp"; "stray.dat" ];
   let gc_r = Core.Eval_cache.gc dir in
   let verify_r = Core.Eval_cache.verify dir in
@@ -1017,8 +1023,22 @@ let ablation () =
       Tie.Component.complexity c
   in
   let fit_lin =
-    Core.Characterize.run ~complexity:("linear", linear_complexity)
-      (Workloads.Suite.characterization ())
+    Core.Characterize.fit_samples
+      (List.map
+         (fun (c : Core.Extract.case) ->
+           let est =
+             Power.Estimator.create ?extension:c.Core.Extract.extension
+               Sim.Config.default
+           in
+           let p =
+             Core.Extract.profile ~complexity:linear_complexity
+               ~hook:(Power.Estimator.hook est c.Core.Extract.asm) c
+           in
+           { Core.Characterize.sname = c.Core.Extract.case_name;
+             variables = p.Core.Extract.variables;
+             measured_pj = Power.Estimator.total_energy est;
+             cycles = p.Core.Extract.cycles })
+         (Workloads.Suite.characterization ()))
   in
   let apps =
     Workloads.Suite.applications () @ Workloads.Suite.reed_solomon_choices ()

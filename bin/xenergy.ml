@@ -131,7 +131,8 @@ let recording ppf ~trace ~metrics f =
 (* The service behind the model-driven commands: the -m file preloaded,
    or a characterization on the first model lookup. *)
 let service ?jobs ?cache_dir model =
-  Serve.Service.create ?jobs ?cache_dir ?model
+  Serve.Service.create ?jobs ~cache:(Core.Eval_cache.create ?dir:cache_dir ())
+    ?model
     ~on_characterize:(fun () ->
       Format.eprintf "characterizing (no model file given)...@.")
     ()
@@ -283,12 +284,9 @@ let characterize_cmd =
   let run out report trace metrics with_common =
     with_common @@ fun jobs ->
     recording fmt ~trace ~metrics @@ fun () ->
-    let samples, run_report =
-      Core.Characterize.collect_with_report ?jobs
-        (Workloads.Suite.characterization ())
+    let fit, loo, run_report =
+      Serve.Service.characterize (Serve.Service.create ?jobs ())
     in
-    let fit = Core.Characterize.fit_samples samples in
-    let loo = Core.Characterize.cross_validate ?jobs samples in
     Format.fprintf fmt "%a@." Core.Characterize.pp_fit fit;
     let loo_values = Array.to_list loo |> List.filter_map Fun.id in
     let skipped = Array.length loo - List.length loo_values in
@@ -444,8 +442,9 @@ let trace_cmd =
     let prev_energy = ref 0.0 in
     Format.fprintf fmt "%8s %8s %6s %-25s %3s %10s@." "cycle" "pc" "cyc"
       "instruction" "flg" "energy pJ";
+    (* On the interpreter the hook charges a retirement before the
+       observers see its event, so each event reads its own delta. *)
     let obs e =
-      Power.Estimator.observe est e;
       if !shown < count then begin
         incr shown;
         let now = Power.Estimator.total_energy est in
@@ -467,7 +466,9 @@ let trace_cmd =
       end
     in
     let cpu, _ =
-      Sim.Backend.run_program ?extension:c.Core.Extract.extension
+      Sim.Backend.run_program ~backend:Sim.Backend.Interp
+        ?extension:c.Core.Extract.extension
+        ~hook:(Power.Estimator.hook est c.Core.Extract.asm)
         ~observers:[ obs ] c.Core.Extract.asm
     in
     Format.fprintf fmt "... %d instructions total, %d cycles, %a@."
@@ -653,7 +654,6 @@ let explore_cmd =
     (match cache_max_bytes with
      | Some n when n < 0 -> die "--cache-max-bytes must be >= 0"
      | _ -> ());
-    let build_space = Serve.Service.space space in
     recording Format.err_formatter ~trace ~metrics @@ fun () ->
     let cache =
       Core.Eval_cache.create ?dir:cache_dir ?max_bytes:cache_max_bytes ()
@@ -673,10 +673,9 @@ let explore_cmd =
            | None -> ""
            | Some eta -> Printf.sprintf ", ~%.1f s left" eta)
     in
-    let outcome =
-      Core.Explore.run ?jobs ~cache ~progress:heartbeat ~explain ?profile_top
-        ~characterization:(Workloads.Suite.characterization ())
-        (build_space ())
+    let outcome, _ =
+      Serve.Service.explore (Serve.Service.create ?jobs ~cache ())
+        ~progress:heartbeat ~explain ?profile_top space
     in
     let rendered =
       if json then Obs.Json.print (Core.Explore.to_json outcome) ^ "\n"

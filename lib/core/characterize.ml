@@ -19,7 +19,7 @@ type fit = {
    simulated on [Parallel.map_with_stats], each timed, so the run report
    keeps per-program wall time and the pool's degradation counters; a
    program served from the cache reports zero simulations. *)
-let collect_with_report ?(config = Sim.Config.default) ?complexity ?jobs
+let collect_with_report ?(config = Sim.Config.default) ?jobs
     ?(cache = Eval_cache.create ()) cases =
   Obs.Trace.with_span ~cat:"characterize" "collect" (fun () ->
       let t0 = Unix.gettimeofday () in
@@ -29,7 +29,7 @@ let collect_with_report ?(config = Sim.Config.default) ?complexity ?jobs
           Parallel.map_with_stats ?jobs
             (fun c ->
               let t0 = Unix.gettimeofday () in
-              let e = Eval_cache.compute ?complexity ~config ~with_ref c in
+              let e = Eval_cache.compute ~config ~with_ref c in
               (e, Unix.gettimeofday () -. t0))
             cs
         in
@@ -38,8 +38,7 @@ let collect_with_report ?(config = Sim.Config.default) ?complexity ?jobs
         List.map fst timed
       in
       let rows, _ =
-        Eval_cache.collect ~simulate ?complexity cache ~with_ref:true ~config
-          cases
+        Eval_cache.collect ~simulate cache ~with_ref:true ~config cases
       in
       let total_seconds = Unix.gettimeofday () -. t0 in
       let row (c : Extract.case) ((e : Eval_cache.entry), cached) =
@@ -73,8 +72,8 @@ let collect_with_report ?(config = Sim.Config.default) ?complexity ?jobs
               failed_forks = pstats.Parallel.failed_forks;
               recomputed_slices = pstats.Parallel.recomputed_slices } } ))
 
-let collect ?config ?complexity ?jobs ?cache cases =
-  fst (collect_with_report ?config ?complexity ?jobs ?cache cases)
+let collect ?config ?jobs ?cache cases =
+  fst (collect_with_report ?config ?jobs ?cache cases)
 
 (* Registered at start-up, not at the first fit: a run that fits nothing
    (a warm sweep, a daemon reading stored models) reports 0. *)
@@ -160,8 +159,8 @@ let cross_validate ?jobs samples =
   Array.of_list
     (Parallel.map ?jobs fold (List.init (Array.length arr) Fun.id))
 
-let run ?config ?complexity ?jobs ?cache cases =
-  fit_samples (collect ?config ?complexity ?jobs ?cache cases)
+let run ?config ?jobs ?cache cases =
+  fit_samples (collect ?config ?jobs ?cache cases)
 
 (* A fitted model is a cache entry like any other: a hit reads one entry
    instead of every sample, and runs no fit. *)

@@ -24,7 +24,6 @@ type fit = {
 
 val collect :
   ?config:Sim.Config.t ->
-  ?complexity:Eval_cache.complexity ->
   ?jobs:int ->
   ?cache:Eval_cache.t ->
   Extract.case list ->
@@ -38,7 +37,6 @@ val collect :
 
 val collect_with_report :
   ?config:Sim.Config.t ->
-  ?complexity:Eval_cache.complexity ->
   ?jobs:int ->
   ?cache:Eval_cache.t ->
   Extract.case list ->
@@ -55,7 +53,6 @@ val fit_samples : sample list -> fit
 
 val run :
   ?config:Sim.Config.t ->
-  ?complexity:Eval_cache.complexity ->
   ?jobs:int ->
   ?cache:Eval_cache.t ->
   Extract.case list ->

@@ -48,8 +48,6 @@ let create ?dir ?max_bytes () =
     c_max_bytes = max_bytes;
     c_approx_bytes = -1 }
 
-let dir t = t.c_dir
-
 let locked t f = Mutex.protect t.c_lock f
 
 let stats t = locked t (fun () -> t.c_stats)
@@ -81,13 +79,13 @@ let same_config (a : Sim.Config.t) b =
 
 (* The key covers exactly what the cached computation reads: the
    program ({!Extract.digest}, computed once per case), the processor
-   configuration, the C(W) tag, whether the reference estimator observes
-   the run, and the simulation backend that would produce the entry.
+   configuration, whether the reference estimator observes the run, and
+   the simulation backend that would produce the entry.
    The backends are bit-identical by contract, but keying them apart
    means a cached vector never masks a divergence: an entry always
    records what the named backend actually computed. *)
-let key ?backend ?(complexity_tag = "default") ?(with_reference = false)
-    ~(config : Sim.Config.t) (c : Extract.case) =
+let key ?backend ?(with_reference = false) ~(config : Sim.Config.t)
+    (c : Extract.case) =
   let backend =
     match backend with
     | Some b -> b
@@ -99,20 +97,21 @@ let key ?backend ?(complexity_tag = "default") ?(with_reference = false)
   match Atomic.get c.Extract.key_slot with
   | Some m
     when String.equal m.Extract.km_backend backend
-         && String.equal m.Extract.km_tag complexity_tag
          && Bool.equal m.Extract.km_with_reference with_reference
          && same_config m.Extract.km_config config ->
     m.Extract.km_key
   | _ ->
+    (* ["default"] names the C(W) weighting keys once carried:
+       keeping it finds every entry stored before it became a
+       constant. *)
     let k =
       digest
-        ( "xenergy-eval-cache", payload_version, backend, complexity_tag,
+        ( "xenergy-eval-cache", payload_version, backend, "default",
           with_reference, Extract.digest c, config )
     in
     Atomic.set c.Extract.key_slot
       (Some
          { Extract.km_backend = backend;
-           km_tag = complexity_tag;
            km_with_reference = with_reference;
            km_config = config;
            km_key = k });
@@ -546,23 +545,20 @@ let store t k e =
 
 (* --- Read-through collection ---------------------------------------------- *)
 
-type complexity = string * (Tie.Component.t -> float)
-
 (* One simulation yields everything an entry holds; with the reference
    estimator attached to the retire hook (characterization, audit,
    Table II) it stays single-pass.  Under [Check] the event-by-event
    oracle folds an interpreter run's events and must agree with the
    compiled estimator, fed by the checked run's threaded half, to the
    bit. *)
-let compute ?complexity ~config ~with_ref (c : Extract.case) =
-  let complexity = Option.map snd complexity in
+let compute ~config ~with_ref (c : Extract.case) =
   let prof, measured =
     if with_ref then begin
       let extension = c.Extract.extension in
       let est = Power.Estimator.create ?extension config in
       let p =
-        Extract.profile ~config ?complexity
-          ~hook:(Power.Estimator.hook est c.Extract.asm) c
+        Extract.profile ~config ~hook:(Power.Estimator.hook est c.Extract.asm)
+          c
       in
       if Sim.Backend.current () = Sim.Backend.Check then begin
         let oracle = Power.Oracle.create ?extension config in
@@ -574,7 +570,7 @@ let compute ?complexity ~config ~with_ref (c : Extract.case) =
       end;
       (p, Some (Power.Estimator.total_energy est))
     end
-    else (Extract.profile ~config ?complexity c, None)
+    else (Extract.profile ~config c, None)
   in
   { e_name = c.Extract.case_name;
     e_variables = prof.Extract.variables;
@@ -592,12 +588,11 @@ type simulate =
    vector was reused (cache or an earlier identical case in this very
    call) or freshly simulated.  Returns rows in input order plus the
    number of simulations actually run. *)
-let collect ?jobs ?simulate ?complexity t ~with_ref ~config cases =
-  let complexity_tag = Option.map fst complexity in
+let collect ?jobs ?simulate t ~with_ref ~config cases =
   let probed =
     List.map
       (fun (c : Extract.case) ->
-        let k = key ?complexity_tag ~with_reference:with_ref ~config c in
+        let k = key ~with_reference:with_ref ~config c in
         match find t k with
         | Some e when (not with_ref) || Option.is_some e.e_measured_pj ->
           (k, c, Some e)
@@ -618,7 +613,7 @@ let collect ?jobs ?simulate ?complexity t ~with_ref ~config cases =
     match (List.map snd misses, simulate) with
     | [], _ -> []
     | cs, Some f -> f ~config ~with_ref cs
-    | cs, None -> Parallel.map ?jobs (compute ?complexity ~config ~with_ref) cs
+    | cs, None -> Parallel.map ?jobs (compute ~config ~with_ref) cs
   in
   (* The first row of a fresh key owns its simulation; later copies of
      the key read as reused. *)
@@ -675,14 +670,24 @@ let verify dirname =
 
 type gc_report = { g_tmp_removed : int; g_foreign_removed : int }
 
+(* A writer's temp file lives between its open and its rename, a few
+   milliseconds; one younger than this may still be in flight. *)
+let tmp_grace_s = 600.0
+
 let gc dirname =
   let tmp = ref 0 and foreign = ref 0 in
+  let now = Unix.gettimeofday () in
+  let in_flight fname =
+    match Unix.stat (Filename.concat dirname fname) with
+    | st -> now -. st.Unix.st_mtime < tmp_grace_s
+    | exception Unix.Unix_error _ -> false
+  in
   List.iter
     (fun fname ->
       let counter =
         match classify dirname fname with
         | Entry _ -> None
-        | Tmp -> Some tmp
+        | Tmp -> if in_flight fname then None else Some tmp
         | Foreign -> Some foreign
       in
       (* An orphaned temp file (from a writer that died between

@@ -83,12 +83,8 @@ val create : ?dir:string -> ?max_bytes:int -> unit -> t
     under the bound costs one integer comparison and scans nothing.
     Ignored for memory-only caches. *)
 
-val dir : t -> string option
-(** The disk directory, if the cache has one. *)
-
 val key :
   ?backend:string ->
-  ?complexity_tag:string ->
   ?with_reference:bool ->
   config:Sim.Config.t ->
   Extract.case ->
@@ -98,15 +94,12 @@ val key :
     point, initialised memory image, full extension specification;
     computed once per case), the processor configuration, whether the
     reference estimator rides the simulation ([with_reference], default
-    [false]), the simulation [backend] name (default: {!Sim.Backend.name}
+    [false]) and the simulation [backend] name (default: {!Sim.Backend.name}
     of {!Sim.Backend.current} — backends are bit-identical by contract,
     but keying them apart means a cached vector can never mask a
-    divergence), and a [complexity_tag] naming the C(W) weighting in
-    effect (default ["default"]; {!collect} passes the tag of its
-    {!type-complexity} pair).  The case keeps its last key
-    ({!Extract.key_memo}) and returns it while all four settings are
-    unchanged.  Payload version 3: keys made by earlier versions name no
-    entry this one finds. *)
+    divergence).  The case keeps its last key ({!Extract.key_memo}) and
+    returns it while all three settings are unchanged.  Payload version
+    3: keys made by earlier versions name no entry this one finds. *)
 
 val model_key : string list -> string
 (** [model_key sample_keys] keys the macro-model fitted
@@ -139,7 +132,7 @@ val flush : t -> unit
     file pruned meanwhile is skipped; one whose mtime cannot be set
     (another user's) is rewritten from memory through {!store}'s atomic
     publication, whose write records the use.  A no-op for memory-only
-    caches.  {!Explore.run} flushes at the end of every sweep.  Failures
+    caches.  {!Explore.evaluate} flushes at the end of every sweep.  Failures
     are error-counted, never raised. *)
 
 val stats : t -> stats
@@ -168,14 +161,7 @@ val entry_of_json : expect_key:string -> string -> entry
     The one probe/simulate/store loop: characterization, audits, sweeps
     and the daemon's [estimate] all collect through it. *)
 
-type complexity = string * (Tie.Component.t -> float)
-(** A C(W) weighting override and the {!key} tag that names it; they
-    travel together, so no lookup is served a vector computed under
-    another weighting. *)
-
-val compute :
-  ?complexity:complexity ->
-  config:Sim.Config.t -> with_ref:bool -> Extract.case -> entry
+val compute : config:Sim.Config.t -> with_ref:bool -> Extract.case -> entry
 (** Simulate a case once and build its entry; with [with_ref] the
     reference estimator rides the same simulation as its retire hook and
     fills [e_measured_pj].  Under [Sim.Backend.Check] the event-by-event
@@ -187,20 +173,19 @@ val compute :
 type simulate =
   config:Sim.Config.t -> with_ref:bool -> Extract.case list -> entry list
 (** How a collection simulates its misses: one {!compute} per case, in
-    order, under the collection's weighting. *)
+    order. *)
 
 val collect :
   ?jobs:int ->
   ?simulate:simulate ->
-  ?complexity:complexity ->
   t ->
   with_ref:bool ->
   config:Sim.Config.t ->
   Extract.case list ->
   (entry * bool) list * int
 (** [collect cache ~with_ref ~config cases] resolves each case to an
-    entry: probe [cache] (keyed with [with_ref], the current backend
-    and [complexity]'s tag; with [with_ref] an entry lacking the
+    entry: probe [cache] (keyed with [with_ref] and the current
+    backend; with [with_ref] an entry lacking the
     reference energy counts as a miss), simulate each distinct missing
     key once, store the results, and return one [(entry, cached)] row
     per case in input order plus the number of simulations run.
@@ -256,8 +241,8 @@ type verify_report = {
   v_corrupt : (string * string) list; (** entry file, failure reason *)
   v_foreign : string list; (** names that are neither entries nor temp
                                files *)
-  v_tmp : string list;     (** orphaned [*.tmp] files ({!gc} sweeps
-                               them) *)
+  v_tmp : string list;     (** [*.tmp] files ({!gc} sweeps those ten
+                               minutes old or older) *)
 }
 
 val verify : string -> verify_report
@@ -274,6 +259,9 @@ val gc : string -> gc_report
 (** Sweep a cache directory: delete orphaned [*.tmp] files (left by
     writers that died mid-publication) and files that can never be
     cache entries, an old [index.json] among them; directories stay.
+    A temp file modified in the last ten minutes may belong to a live
+    writer between its write and its rename, so it stays for a later
+    sweep.
     Correctly-named entries are never deleted here, even when corrupt —
     they self-heal (an error-counted miss recomputes and overwrites
     them); use {!verify} to find them. *)

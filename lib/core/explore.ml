@@ -91,15 +91,13 @@ let distinct_configs candidates =
       if List.exists (same_config c.config) acc then acc else acc @ [ c.config ])
     [] candidates
 
-(* [run] and [evaluate] share everything but where each configuration's
-   model comes from: [models] receives the sweep's cache, its distinct
-   configurations and a heartbeat, and returns the model lookup plus the
-   simulations and characterizations it spent.  Candidates are then fed
-   to the pool in chunks, so a heartbeat (progress callback +
-   [explore:heartbeat] log record) lands between chunks with live
-   hit/frontier/ETA figures, instead of one mute span per sweep. *)
-let sweep ?jobs ?(cache = Eval_cache.create ()) ?(progress = fun _ -> ())
-    ?(explain = false) ?profile_top ~models candidates =
+(* Each distinct configuration's model is resolved once, up front, in
+   first-use order.  Candidates are then fed to the pool in chunks, so a
+   heartbeat (progress callback + [explore:heartbeat] log record) lands
+   between chunks with live hit/frontier/ETA figures, instead of one
+   mute span per sweep. *)
+let evaluate ?jobs ?(cache = Eval_cache.create ()) ?(progress = fun _ -> ())
+    ?(explain = false) ?profile_top model_for candidates =
   validate candidates;
   (match profile_top with
    | Some n when n <= 0 -> invalid_arg "Explore: profile_top must be positive"
@@ -141,24 +139,33 @@ let sweep ?jobs ?(cache = Eval_cache.create ()) ?(progress = fun _ -> ())
   Obs.Log.event "explore:start"
     [ ("candidates", Obs.Trace.I (List.length candidates));
       ("configs", Obs.Trace.I (List.length configs)) ];
-  let model_for, char_sims, n_characterized =
-    models ~cache ~heartbeat configs
+  let simulations = ref 0 in
+  let models =
+    List.mapi
+      (fun i cfg ->
+        Obs.Trace.with_span ~cat:"explore"
+          (Printf.sprintf "characterize:config%d" i)
+        @@ fun () ->
+        let model, sims = model_for cfg in
+        simulations := !simulations + sims;
+        heartbeat ~phase:"characterize" ~n_done:(i + 1)
+          ~total:(List.length configs) ~frontier:0;
+        (cfg, model))
+      configs
   in
-  let simulations = ref char_sims in
   let total = List.length candidates in
   let n_done = ref 0 in
   let acc = ref [] in
-  let vars_of = Hashtbl.create 16 in
+  let evaluated = Hashtbl.create 16 in
   let chunk_size =
     2 * max 1 (match jobs with Some j -> j | None -> Parallel.default_jobs ())
   in
   let indexed = List.mapi (fun i c -> (i, c)) candidates in
   List.iter
-    (fun cfg ->
+    (fun (cfg, model) ->
       let group =
         List.filter (fun (_, c) -> same_config c.config cfg) indexed
       in
-      let model = model_for cfg in
       List.iter
         (fun chunk ->
           let rows, sims =
@@ -175,9 +182,8 @@ let sweep ?jobs ?(cache = Eval_cache.create ()) ?(progress = fun _ -> ())
                     ("cycles", Obs.Trace.I e.Eval_cache.e_cycles);
                     ("energy_pj", Obs.Trace.F pj);
                     ("cached", Obs.Trace.B cached) ];
-                if explain then
-                  Hashtbl.replace vars_of c.cand_name
-                    (model, e.Eval_cache.e_variables);
+                Hashtbl.replace evaluated c.cand_name
+                  (c, model, e.Eval_cache.e_variables);
                 ( i,
                   { pt_name = c.cand_name;
                     pt_energy_pj = pj;
@@ -192,42 +198,32 @@ let sweep ?jobs ?(cache = Eval_cache.create ()) ?(progress = fun _ -> ())
           heartbeat ~phase:"evaluate" ~n_done:!n_done ~total
             ~frontier:(List.length (pareto (List.map snd !acc))))
         (chunk_list chunk_size group))
-    configs;
+    models;
   let points =
     List.sort (fun (i, _) (j, _) -> compare i j) !acc |> List.map snd
   in
   let frontier = pareto points in
+  let per_frontier f =
+    List.map (fun p -> (p.pt_name, f (Hashtbl.find evaluated p.pt_name)))
+      frontier
+  in
   (* The model is linear, so each frontier point decomposes exactly from
      its (cached) variable vector — no further simulation. *)
   let explained =
     if not explain then []
-    else
-      List.filter_map
-        (fun p ->
-          Option.map
-            (fun (m, v) -> (p.pt_name, Attribution.decompose m v))
-            (Hashtbl.find_opt vars_of p.pt_name))
-        frontier
+    else per_frontier (fun (_, m, v) -> Attribution.decompose m v)
   in
   (* Hotspot profiles for the frontier: unlike [explained], a profile
-     needs the observer attached, so each one is a fresh simulation (the
+     folds the run's retire hook, so each one is a fresh simulation (the
      cache cannot serve it). *)
   let profiled =
     if profile_top = None then []
     else
-      List.filter_map
-        (fun p ->
-          List.find_opt (fun c -> c.cand_name = p.pt_name) candidates
-          |> Option.map (fun c ->
-                 let r =
-                   Profiler.run ~config:c.config (model_for c.config) c.case
-                 in
-                 incr simulations;
-                 (p.pt_name, r)))
-        frontier
+      per_frontier (fun (c, m, _) ->
+          incr simulations;
+          Profiler.run ~config:c.config m c.case)
   in
-  (* Publish the sweep's index updates (stores and warm hits with their
-     last-used times) in one atomic rewrite. *)
+  (* Publish the sweep's warm hits as their entries' last uses. *)
   Eval_cache.flush cache;
   let o =
     { points;
@@ -235,7 +231,7 @@ let sweep ?jobs ?(cache = Eval_cache.create ()) ?(progress = fun _ -> ())
       explained;
       profiled;
       profile_top = Option.value profile_top ~default:0;
-      configs_characterized = n_characterized;
+      configs_characterized = List.length configs;
       simulations = !simulations;
       cache_stats = Eval_cache.diff (Eval_cache.stats cache) before;
       wall_seconds = Unix.gettimeofday () -. t0 }
@@ -249,38 +245,13 @@ let sweep ?jobs ?(cache = Eval_cache.create ()) ?(progress = fun _ -> ())
       ("wall_s", Obs.Trace.F o.wall_seconds) ];
   o
 
-let evaluate ?jobs ?cache ?progress ?explain ?profile_top model_for
-    candidates =
-  sweep ?jobs ?cache ?progress ?explain ?profile_top candidates
-    ~models:(fun ~cache:_ ~heartbeat:_ _ -> (model_for, 0, 0))
-
-(* Read each distinct configuration's model through the cache (fitting
-   it over the characterization suite on a miss), then evaluate. *)
-let run ?jobs ?cache ?progress ?explain ?profile_top
+(* Read each distinct configuration's model through the sweep's cache
+   (fitting it over the characterization suite on a miss). *)
+let run ?jobs ?(cache = Eval_cache.create ()) ?progress ?explain ?profile_top
     ~characterization candidates =
-  let models ~cache ~heartbeat configs =
-    let sims = ref 0 in
-    let fitted =
-      List.mapi
-        (fun i cfg ->
-          Obs.Trace.with_span ~cat:"explore"
-            (Printf.sprintf "characterize:config%d" i)
-          @@ fun () ->
-          let model, n =
-            Characterize.model ?jobs ~cache ~config:cfg
-              characterization
-          in
-          sims := !sims + n;
-          heartbeat ~phase:"characterize" ~n_done:(i + 1)
-            ~total:(List.length configs) ~frontier:0;
-          (cfg, model))
-        configs
-    in
-    ( (fun cfg -> snd (List.find (fun (c, _) -> same_config c cfg) fitted)),
-      !sims,
-      List.length configs )
-  in
-  sweep ?jobs ?cache ?progress ?explain ?profile_top ~models candidates
+  evaluate ?jobs ~cache ?progress ?explain ?profile_top
+    (fun config -> Characterize.model ?jobs ~cache ~config characterization)
+    candidates
 
 (* --- Rendering ------------------------------------------------------------ *)
 

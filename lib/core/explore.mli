@@ -8,6 +8,11 @@
     every candidate's energy and cycle count through the macro-model,
     and extracts the energy/performance Pareto frontier.
 
+    One sweep, {!evaluate}, is handed each configuration's model source
+    and counts what it spends: {!run} reads models through
+    {!Characterize.model}, the [Serve.Service] explore op (behind both
+    [xenergy explore] and the daemon) through its model registry.
+
     Cost model: each distinct processor configuration is characterized
     once ({!Characterize.model} over the sweep's cache: the 25-program
     suite, simulated with the reference estimator attached, then
@@ -74,8 +79,10 @@ type outcome = {
   (** hottest blocks rendered per profiled point; 0 when profiling was
       not requested *)
   configs_characterized : int;
-  (** distinct base configs this sweep modelled (fitted or read back) *)
-  simulations : int;           (** simulator runs actually performed *)
+  (** distinct base configs this sweep modelled (fitted, read back or
+      found resident) *)
+  simulations : int;
+  (** simulator runs performed, characterization runs included *)
   cache_stats : Eval_cache.stats;  (** cache counter delta for this sweep *)
   wall_seconds : float;
 }
@@ -86,6 +93,34 @@ val pareto : point list -> point list
     better.  Result is sorted by (cycles, energy, name), so it is
     deterministic regardless of input order. *)
 
+val evaluate :
+  ?jobs:int ->
+  ?cache:Eval_cache.t ->
+  ?progress:(progress -> unit) ->
+  ?explain:bool ->
+  ?profile_top:int ->
+  (Sim.Config.t -> Template.model * int) ->
+  candidate list ->
+  outcome
+(** The sweep: [evaluate model_for candidates] resolves each distinct
+    [config] once, up front, in first-use order, as [model_for config]
+    (the model and the simulations spent to get it; each inside a
+    [characterize:config<i>] span, followed by a ["characterize"]
+    heartbeat), then evaluates every candidate with its configuration's
+    model through [cache]: points in input order, one frontier across
+    every configuration.  [configs_characterized] is the number of
+    distinct configurations and [simulations] includes those [model_for]
+    reported.  [jobs] bounds the worker pool (default
+    {!Parallel.default_jobs}); [cache] defaults to a fresh memory-only
+    cache.  [progress] receives a {!type-progress} heartbeat between
+    evaluation chunks; [explain] (default [false]) fills
+    {!type-outcome}[.explained] for the frontier; [profile_top] fills
+    {!type-outcome}[.profiled] with each frontier point's hotspot
+    profile under its resolved model (its [profile_top] hottest blocks
+    are rendered).
+    @raise Invalid_argument on an empty candidate list, duplicate
+    candidate names, or a non-positive [profile_top]. *)
+
 val run :
   ?jobs:int ->
   ?cache:Eval_cache.t ->
@@ -95,37 +130,9 @@ val run :
   characterization:Extract.case list ->
   candidate list ->
   outcome
-(** Full sweep: read each distinct [config]'s model through the cache
-    ({!Characterize.model} over the [characterization] suite, which
-    fits and stores it on a miss), then evaluate every
-    candidate with its configuration's model.  [jobs] bounds the worker
-    pool (default {!Parallel.default_jobs}); [cache] defaults to a
-    fresh memory-only cache.  [progress] receives a {!type-progress} heartbeat
-    between evaluation chunks; [explain] (default [false]) fills
-    {!type-outcome}[.explained] for the frontier; [profile_top] fills
-    {!type-outcome}[.profiled] with each frontier point's hotspot
-    profile (its [profile_top] hottest blocks are rendered).
-    @raise Invalid_argument on an empty candidate list, duplicate
-    candidate names, or a non-positive [profile_top]. *)
-
-val evaluate :
-  ?jobs:int ->
-  ?cache:Eval_cache.t ->
-  ?progress:(progress -> unit) ->
-  ?explain:bool ->
-  ?profile_top:int ->
-  (Sim.Config.t -> Template.model) ->
-  candidate list ->
-  outcome
-(** Like {!run} with pre-fitted models: [evaluate model_for candidates]
-    applies [model_for c.config] to each candidate (no
-    re-characterization; the caller asserts each model matches its
-    configuration).  [model_for] is called once per distinct
-    configuration, in first-use order, as the sweep reaches it, and
-    once more per frontier point when [profile_top] is set.  The sweep
-    is the one {!run} performs after fitting: points in input order,
-    one frontier across every configuration, memoized through [cache].
-    [configs_characterized] is 0. *)
+(** {!evaluate} over {!Characterize.model} on the [characterization]
+    suite through [cache]: each configuration's model is read back, or
+    fitted and stored on a miss. *)
 
 val to_json : outcome -> Obs.Json.t
 (** Machine-readable sweep record: per-point rows, frontier membership,

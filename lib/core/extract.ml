@@ -1,6 +1,5 @@
 type key_memo = {
   km_backend : string;
-  km_tag : string;
   km_with_reference : bool;
   km_config : Sim.Config.t;
   km_key : string;

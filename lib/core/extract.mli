@@ -12,7 +12,6 @@
     every request. *)
 type key_memo = {
   km_backend : string;
-  km_tag : string;          (** complexity tag *)
   km_with_reference : bool;
   km_config : Sim.Config.t;
   km_key : string;

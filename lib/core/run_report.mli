@@ -32,9 +32,6 @@ type degraded = {
   recomputed_slices : int;   (** worker slices recomputed in the parent *)
 }
 
-val no_degraded : degraded
-(** All-zero degradation counters (a fully healthy run). *)
-
 type t = {
   entries : entry list;
   total_seconds : float;     (** wall clock of the whole collection *)

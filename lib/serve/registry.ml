@@ -29,6 +29,7 @@ type lookup = {
   l_key : string;
   l_model : Core.Template.model;
   l_hit : bool;
+  l_simulations : int;
 }
 
 type stats = {
@@ -38,7 +39,7 @@ type stats = {
 }
 
 type t = {
-  characterize : Sim.Config.t -> Core.Template.model;
+  characterize : Sim.Config.t -> Core.Template.model * int;
   table : (string, Core.Template.model) Hashtbl.t;
   lock : Mutex.t;               (* guards table/counters/inflight *)
   cond : Condition.t;           (* broadcast when a characterization lands *)
@@ -83,7 +84,7 @@ let get t config =
       t.hits <- t.hits + 1;
       Mutex.unlock t.lock;
       Obs.Metrics.inc (Lazy.force M.hits);
-      { l_key = key; l_model = model; l_hit = true }
+      { l_key = key; l_model = model; l_hit = true; l_simulations = 0 }
     | None ->
       if Hashtbl.mem t.inflight key then begin
         (* Another connection is characterizing this very config; wait
@@ -100,7 +101,7 @@ let get t config =
         Obs.Metrics.inc (Lazy.force M.misses);
         Obs.Log.event "serve:characterize" [ ("key", Obs.Trace.S key) ];
         let t0 = Unix.gettimeofday () in
-        let model =
+        let model, sims =
           try t.characterize config
           with e ->
             (* Waiters must not sleep forever on a failed flight: clear
@@ -119,7 +120,7 @@ let get t config =
         Hashtbl.remove t.inflight key;
         Condition.broadcast t.cond;
         Mutex.unlock t.lock;
-        { l_key = key; l_model = model; l_hit = false }
+        { l_key = key; l_model = model; l_hit = false; l_simulations = sims }
       end
   in
   obtain ()

@@ -40,6 +40,9 @@ type lookup = {
   l_model : Core.Template.model;
   l_hit : bool;                   (** served from memory, no
                                       characterization ran *)
+  l_simulations : int;
+  (** simulations this lookup's characterization ran: 0 on a hit, on a
+      waited-for flight and on a model read back from the cache *)
 }
 
 type stats = {
@@ -52,13 +55,14 @@ val key_of_config : Sim.Config.t -> string
 (** Content hash (hex digest) of the full processor configuration. *)
 
 val create :
-  characterize:(Sim.Config.t -> Core.Template.model) ->
+  characterize:(Sim.Config.t -> Core.Template.model * int) ->
   unit ->
   t
-(** [characterize] fits a configuration's model on a miss: the
-    {!Service} reads its samples through the shared evaluation cache,
-    so a refit after a restart only reruns the fit; tests inject a stub
-    to count characterizations. *)
+(** [characterize] fits a configuration's model on a miss and says how
+    many simulations it ran: the {!Service} reads the model through the
+    shared evaluation cache, so a daemon restarted on its directory
+    neither simulates nor fits; tests inject a stub to count
+    characterizations. *)
 
 val get : t -> Sim.Config.t -> lookup
 (** The model for a configuration: from memory when resident, otherwise

@@ -113,7 +113,8 @@ let create ?jobs ?read_timeout_s ?cache_dir ?characterize ?model ?slow_ms
   in
   let service =
     try
-      Service.create ?jobs ?cache_dir ?characterize ~simulate ?model ()
+      Service.create ?jobs ~cache:(Core.Eval_cache.create ?dir:cache_dir ())
+        ?characterize ~simulate ?model ()
     with e ->
       Core.Parallel.shutdown_pool pool;
       raise e

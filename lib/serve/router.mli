@@ -102,9 +102,9 @@ val create :
   ?slow_ms:float ->
   unit ->
   t
-(** The router's {!Service}: [jobs], [cache_dir], [characterize] and
-    [model] are {!Service.create}'s (a miss characterizes over the
-    router's evaluation cache, so a refit after a restart, or on a
+(** The router's {!Service}: [jobs], [characterize] and [model] are
+    {!Service.create}'s, its cache an {!Core.Eval_cache} over
+    [cache_dir] (a miss characterizes over it, so a refit after a restart, or on a
     directory [xenergy explore --cache-dir] filled, simulates nothing;
     [model] preloads a coefficients file for the default
     configuration).  Estimate misses

@@ -61,13 +61,6 @@ let find_case name =
   try Workloads.Suite.find name
   with Not_found -> fail "unknown workload %S; try `xenergy list'" name
 
-let space name =
-  match Workloads.Spaces.find name with
-  | Some g -> g
-  | None ->
-    fail "unknown space %S; available: %s" name
-      (String.concat ", " Workloads.Spaces.names)
-
 let cases ~op = function
   | [] -> fail "%s: empty workload list" op
   | names -> List.map find_case names
@@ -85,17 +78,15 @@ type t = {
   simulate : Core.Eval_cache.simulate option;
 }
 
-let create ?jobs ?cache_dir ?characterize ?on_characterize ?simulate ?model
-    () =
-  let cache = Core.Eval_cache.create ?dir:cache_dir () in
+let create ?jobs ?(cache = Core.Eval_cache.create ()) ?characterize
+    ?on_characterize ?simulate ?model () =
   let fit =
     match characterize with
-    | Some f -> f
+    | Some f -> fun config -> (f config, 0)
     | None ->
       fun config ->
-        fst
-          (Core.Characterize.model ?jobs ~cache ~config
-             (Workloads.Suite.shared_characterization ()))
+        Core.Characterize.model ?jobs ~cache ~config
+          (Workloads.Suite.shared_characterization ())
   in
   let characterize config =
     Option.iter (fun f -> f ()) on_characterize;
@@ -161,20 +152,37 @@ let audit t ?(config = Sim.Config.default) ?workloads () =
           cases),
     l )
 
-(* [evaluate] asks for each configuration's model as it reaches it, in
-   first-use order; the registry phase nests inside the simulate phase
-   and is charged its own time. *)
-let explore t name =
-  let candidates = space name () in
+(* [evaluate] resolves each configuration's model before it simulates a
+   candidate; the registry phase nests inside the simulate phase and is
+   charged its own time. *)
+let explore t ?progress ?explain ?profile_top name =
+  let candidates =
+    match Workloads.Spaces.find name with
+    | Some space -> space ()
+    | None ->
+      fail "unknown space %S; available: %s" name
+        (String.concat ", " Workloads.Spaces.names)
+  in
   let lookups = ref [] in
   let model_for config =
     let l = lookup t config in
-    if not (List.mem_assoc l.Registry.l_key !lookups) then
-      lookups := (l.Registry.l_key, l) :: !lookups;
-    l.Registry.l_model
+    lookups := l :: !lookups;
+    (l.Registry.l_model, l.Registry.l_simulations)
   in
   let o =
     phase "simulate" @@ fun () ->
-    Core.Explore.evaluate ?jobs:t.jobs ~cache:t.cache model_for candidates
+    Core.Explore.evaluate ?jobs:t.jobs ~cache:t.cache ?progress ?explain
+      ?profile_top model_for candidates
   in
-  (o, List.rev_map snd !lookups)
+  (o, List.rev !lookups)
+
+let characterize t =
+  let samples, report =
+    phase "simulate" @@ fun () ->
+    Core.Characterize.collect_with_report ?jobs:t.jobs ~cache:t.cache
+      (Workloads.Suite.shared_characterization ())
+  in
+  phase "fit" @@ fun () ->
+  ( Core.Characterize.fit_samples samples,
+    Core.Characterize.cross_validate ?jobs:t.jobs samples,
+    report )

@@ -1,5 +1,6 @@
 (** The estimation service: the typed ops behind both [xenergy]'s
-    model-driven commands and the daemon's {!Router}.
+    model-driven commands ([characterize] and [explore] among them) and
+    the daemon's {!Router}.
 
     A {!t} owns the model {!Registry}, the {!Core.Eval_cache}, the
     worker count and, in the daemon, the pool that simulates cache
@@ -17,7 +18,7 @@
     router answers [{"ok": false, "error": ...}].
 
     Ops charge their wall time to named phases ([registry], [cache],
-    [simulate]; the router adds [queue], [parse] and [serialize])
+    [simulate], [fit]; the router adds [queue], [parse] and [serialize])
     through {!phase}: a [phase:<name>] trace span, also charged to the
     calling thread's clock under {!timed}, which is how the daemon
     answers ["timings": true]. *)
@@ -26,20 +27,23 @@ type t
 
 val create :
   ?jobs:int ->
-  ?cache_dir:string ->
+  ?cache:Core.Eval_cache.t ->
   ?characterize:(Sim.Config.t -> Core.Template.model) ->
   ?on_characterize:(unit -> unit) ->
   ?simulate:Core.Eval_cache.simulate ->
   ?model:string ->
   unit ->
   t
-(** [model] is a coefficients file ({!Core.Template.load}) preloaded as
-    the default configuration's model.  A registry miss calls
-    [on_characterize], then [characterize] (default:
-    {!Core.Characterize.model} over the name index's characterization
-    cases ({!Workloads.Suite.shared_characterization}, built once per
-    process) through the service's cache, so a daemon restarted on a populated
-    [cache_dir] reads the stored model: no simulation, no fit).
+(** [cache] (default: a fresh memory-only one) memoizes every op's
+    simulations and fitted models.  [model] is a coefficients file
+    ({!Core.Template.load}) preloaded as the default configuration's
+    model.  A registry miss calls [on_characterize], then
+    [characterize] (default: {!Core.Characterize.model} over the name
+    index's characterization cases
+    ({!Workloads.Suite.shared_characterization}, built once per process)
+    through [cache], so a daemon restarted on a populated directory
+    reads the stored model: no simulation, no fit; a given
+    [characterize] counts no simulations).
     The registry keeps every model it resolves, so the preloaded one
     answers for the default configuration for the service's lifetime.
     [jobs] sizes characterization, audit and explore fan-out and, when
@@ -95,23 +99,33 @@ val audit :
 (** {!Core.Audit.run} over the named workloads (default: the Table II
     applications). *)
 
-val explore : t -> string -> Core.Explore.outcome * Registry.lookup list
-(** The daemon's sweep of a named space: one {!Core.Explore.evaluate}
-    through the service's cache, resolving each distinct configuration's
-    model in the registry as the sweep reaches it.  The lookups come
-    back once per configuration, in first-use order.  [xenergy
-    explore] fits every configuration afresh with {!Core.Explore.run}
-    instead; the two share only {!space}. *)
+val explore :
+  t ->
+  ?progress:(Core.Explore.progress -> unit) ->
+  ?explain:bool ->
+  ?profile_top:int ->
+  string ->
+  Core.Explore.outcome * Registry.lookup list
+(** A sweep of a named space: one {!Core.Explore.evaluate} through the
+    service's cache, each distinct configuration's model resolved in
+    the registry before the candidates are simulated.  The outcome's
+    [simulations] include those of the registry's characterizations.
+    The lookups come back once per configuration, in first-use order.
+    [progress], [explain] and [profile_top] are {!Core.Explore.evaluate}'s:
+    [xenergy explore] sets them, the daemon does not. *)
+
+val characterize :
+  t -> Core.Characterize.fit * float option array * Core.Run_report.t
+(** Fit the macro-model for the default configuration over the
+    characterization cases, collected through the service's cache:
+    the fit, its leave-one-out values ({!Core.Characterize.cross_validate})
+    and the collection's run report.  The registry is left as it was. *)
 
 (** {1 Lookups, failures and phases} *)
 
 val find_case : string -> Core.Extract.case
 (** {!Workloads.Suite.find}.
     @raise Failure naming the workload when it is unknown. *)
-
-val space : string -> unit -> Core.Explore.candidate list
-(** {!Workloads.Spaces.find}.
-    @raise Failure listing the valid spaces when it is unknown. *)
 
 val message : exn -> string option
 (** The message of a failed op: [Failure] and [Invalid_argument] carry

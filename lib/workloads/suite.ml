@@ -25,22 +25,38 @@ let all () = characterization () @ others ()
 
 (* The name index: every case of [all ()], built once per process and
    never mutated afterwards, so lookups from any thread share the same
-   cases.  The build runs under a mutex rather than inside a [lazy]: on
-   OCaml 5 a second thread forcing a lazy value mid-build raises
-   [Lazy.Undefined] instead of waiting for it.  Once published, readers
-   take the atomic fast path and never touch the lock. *)
+   cases.  The characterization cases are published on their own first
+   (a characterization need not pay for the other workloads), and the
+   index then reuses them.  Builds run under one mutex rather than
+   inside a [lazy]: on OCaml 5 a second thread forcing a lazy value
+   mid-build raises [Lazy.Undefined] instead of waiting for it.  Once
+   published, readers take the atomic fast path and never touch the
+   lock. *)
 type index = {
   by_name : (string, Core.Extract.case) Hashtbl.t;
   order : string list;
-  shared_characterization : Core.Extract.case list;
 }
 
+let lock = Mutex.create ()
+let chars_cell : Core.Extract.case list option Atomic.t = Atomic.make None
 let index_cell : index option Atomic.t = Atomic.make None
-let index_lock = Mutex.create ()
+
+(* With [lock] held. *)
+let publish cell build =
+  match Atomic.get cell with
+  | Some x -> x
+  | None ->
+    let x = build () in
+    Atomic.set cell (Some x);
+    x
+
+let published cell build =
+  match Atomic.get cell with
+  | Some x -> x
+  | None -> Mutex.protect lock (fun () -> publish cell build)
 
 let build_index () =
-  let chars = characterization () in
-  let cases = chars @ others () in
+  let cases = publish chars_cell characterization @ others () in
   let by_name = Hashtbl.create 64 in
   (* First match wins, as a front-to-back search of [all ()] would. *)
   List.iter
@@ -48,25 +64,12 @@ let build_index () =
       let n = c.Core.Extract.case_name in
       if not (Hashtbl.mem by_name n) then Hashtbl.add by_name n c)
     cases;
-  { by_name;
-    order = List.map (fun c -> c.Core.Extract.case_name) cases;
-    shared_characterization =
-      List.map (fun c -> Hashtbl.find by_name c.Core.Extract.case_name) chars }
+  { by_name; order = List.map (fun c -> c.Core.Extract.case_name) cases }
 
-let index () =
-  match Atomic.get index_cell with
-  | Some i -> i
-  | None ->
-    Mutex.protect index_lock (fun () ->
-        match Atomic.get index_cell with
-        | Some i -> i
-        | None ->
-          let i = build_index () in
-          Atomic.set index_cell (Some i);
-          i)
+let index () = published index_cell build_index
 
 let find name = Hashtbl.find (index ()).by_name name
 
 let names () = (index ()).order
 
-let shared_characterization () = (index ()).shared_characterization
+let shared_characterization () = published chars_cell characterization

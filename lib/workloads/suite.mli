@@ -36,5 +36,5 @@ val shared_characterization : unit -> Core.Extract.case list
 (** The 25 characterization programs as the name index's cases: every
     call returns the same list, and each case is physically the one
     {!find} returns for its name, so its digest and key slots are shared
-    with every other caller in the process.  Same thread safety as
-    {!find}. *)
+    with every other caller in the process.  The first call builds these
+    25 alone; the index reuses them.  Same thread safety as {!find}. *)

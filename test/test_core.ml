@@ -1332,9 +1332,6 @@ let test_cache_key_sensitivity () =
     (Core.Eval_cache.key ~config:smaller_icache case);
   distinct "reference flag"
     (Core.Eval_cache.key ~with_reference:true ~config:small_config case);
-  distinct "complexity tag"
-    (Core.Eval_cache.key ~complexity_tag:"quadratic" ~config:small_config
-       case);
   (* A cached vector computed on one backend must never answer for
      another: backends are bit-identical by contract, but keying them
      apart means a cache hit can never mask a divergence. *)
@@ -1381,24 +1378,33 @@ let test_cache_key_sensitivity () =
       configs
   in
   check Alcotest.int "rs-cache: 4 configs x 2 reference flags" 8
-    (List.length (List.sort_uniq compare rs_keys))
+    (List.length (List.sort_uniq compare rs_keys));
+  (* Pinned digests: a change to what a key covers, or to how it is
+     built, orphans every entry stored before it. *)
+  check Alcotest.string "gcd's reference key is the stored one"
+    "cd08ddc1307962f575c9ebc0fda34ed0"
+    (Core.Eval_cache.key ~backend:"threaded" ~with_reference:true
+       ~config:Sim.Config.default (Workloads.Suite.find "gcd"));
+  check Alcotest.string "des's interpreter key is the stored one"
+    "564771999bcdbeb9190c1d8246f42328"
+    (Core.Eval_cache.key ~backend:"interp" ~config:Sim.Config.default
+       (Workloads.Suite.find "des"))
 
 (* A case keeps its last key; whatever the sequence of settings it is
    keyed under, the answer equals a fresh key made on a new copy of the
-   same program.  The kept key is returned while backend, tag, flag and
+   same program.  The kept key is returned while backend, flag and
    configuration stay equal (the configuration physically or
    structurally), and replaced as soon as one of them changes. *)
 let test_cache_key_slot () =
   let case = List.hd (small_suite ()) in
-  let fresh ?backend ?complexity_tag ?with_reference config =
-    Core.Eval_cache.key ?backend ?complexity_tag ?with_reference ~config
+  let fresh ?backend ?with_reference config =
+    Core.Eval_cache.key ?backend ?with_reference ~config
       (List.hd (small_suite ()))
   in
-  let same what ?backend ?complexity_tag ?with_reference config =
+  let same what ?backend ?with_reference config =
     check Alcotest.string what
-      (fresh ?backend ?complexity_tag ?with_reference config)
-      (Core.Eval_cache.key ?backend ?complexity_tag ?with_reference ~config
-         case)
+      (fresh ?backend ?with_reference config)
+      (Core.Eval_cache.key ?backend ?with_reference ~config case)
   in
   let k = Core.Eval_cache.key ~config:small_config case in
   check Alcotest.bool "an unchanged second call returns the kept key" true
@@ -1411,9 +1417,6 @@ let test_cache_key_slot () =
   same "first key" small_config;
   same "backend changed" ~backend:"interp" small_config;
   same "backend changed back" small_config;
-  same "tag changed" ~complexity_tag:"quadratic" small_config;
-  same "tag unchanged" ~complexity_tag:"quadratic" small_config;
-  same "tag changed back" small_config;
   same "reference flag changed" ~with_reference:true small_config;
   same "reference flag unchanged" ~with_reference:true small_config;
   same "configuration changed" ~with_reference:true smaller_icache;
@@ -1991,6 +1994,32 @@ let test_cache_future_mtime_capped () =
     check Alcotest.bool "a future mtime reads as no later than now" true
       (t <= now)
 
+(* An hour ago: older than any grace period gc gives a temp file. *)
+let back_date path =
+  let t = Unix.gettimeofday () -. 3600.0 in
+  Unix.utimes path t t
+
+(* A writer's temp file exists between its open and its rename; gc must
+   not pull it from under a live writer, only sweep an old orphan. *)
+let test_cache_gc_spares_live_writers () =
+  let dir = fresh_cache_dir () in
+  Sys.mkdir dir 0o755;
+  let plant f =
+    let path = Filename.concat dir f in
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc "half-written");
+    path
+  in
+  let live = plant "cachelive-0.tmp" and dead = plant "cachedead-0.tmp" in
+  back_date dead;
+  let g = Core.Eval_cache.gc dir in
+  check Alcotest.int "one orphan swept" 1 g.Core.Eval_cache.g_tmp_removed;
+  check Alcotest.bool "the fresh temp file survives" true
+    (Sys.file_exists live);
+  check Alcotest.bool "the back-dated one is gone" false (Sys.file_exists dead);
+  Sys.remove live;
+  Unix.rmdir dir
+
 let test_cache_verify_and_gc () =
   let dir = fresh_cache_dir () in
   let c = Core.Eval_cache.create ~dir () in
@@ -2006,6 +2035,9 @@ let test_cache_verify_and_gc () =
   in
   plant "cachedead1.tmp" "torn";
   plant "cachedead2.tmp" "torn";
+  (* Back-dated past gc's grace for in-flight writers. *)
+  List.iter (fun f -> back_date (Filename.concat dir f))
+    [ "cachedead1.tmp"; "cachedead2.tmp" ];
   plant "stray.dat" "not ours";
   let corrupted = fst (List.hd kes) in
   plant (corrupted ^ ".json") "{ not an entry";
@@ -2566,7 +2598,7 @@ let test_explore_json_escapes_names () =
   in
   let o =
     Core.Explore.evaluate ~jobs:1 ~explain:true ~profile_top:1
-      (fun _ -> model)
+      (fun _ -> (model, 0))
       candidates
   in
   let doc = Obs.Json.parse (Obs.Json.print (Core.Explore.to_json o)) in
@@ -3370,6 +3402,8 @@ let () =
           Alcotest.test_case "future mtime counts as now" `Quick
             test_cache_future_mtime_capped;
           Alcotest.test_case "verify + gc" `Quick test_cache_verify_and_gc;
+          Alcotest.test_case "gc spares live writers" `Quick
+            test_cache_gc_spares_live_writers;
           Alcotest.test_case "concurrent stores" `Quick
             test_cache_concurrent_stores;
           Alcotest.test_case "auto cap at store" `Quick

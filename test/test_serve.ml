@@ -223,15 +223,19 @@ let test_registry_hit_and_resident () =
   let calls = ref 0 in
   let reg =
     Serve.Registry.create
-      ~characterize:(fun _ -> incr calls; stub_model)
+      ~characterize:(fun _ -> incr calls; (stub_model, 25))
       ()
   in
   let l1 = Serve.Registry.get reg Sim.Config.default in
   check Alcotest.bool "first lookup characterizes" false
     l1.Serve.Registry.l_hit;
   check Alcotest.int "one characterization" 1 !calls;
+  check Alcotest.int "the miss reports its simulations" 25
+    l1.Serve.Registry.l_simulations;
   let l2 = Serve.Registry.get reg Sim.Config.default in
   check Alcotest.bool "second lookup hits" true l2.Serve.Registry.l_hit;
+  check Alcotest.int "a hit simulates nothing" 0
+    l2.Serve.Registry.l_simulations;
   check Alcotest.int "still one characterization" 1 !calls;
   check Alcotest.string "same key" l1.Serve.Registry.l_key
     l2.Serve.Registry.l_key;
@@ -948,6 +952,81 @@ let test_router_refits_from_explore_dir () =
         (Int64.bits_of_float o.Core.Explore.pt_energy_pj)
         (Int64.bits_of_float (as_float (member "energy_pj" p))))
     offline.Core.Explore.points points
+
+(* The offline sweep of rs-cache on a fresh memory cache: the oracle of
+   the service's and the daemon's sweeps, counts included. *)
+let offline_rs_cache =
+  lazy
+    (Core.Explore.run
+       ~cache:(Core.Eval_cache.create ())
+       ~characterization:(Workloads.Suite.characterization ())
+       ((Option.get (Workloads.Spaces.find "rs-cache")) ()))
+
+(* One sweep behind both: the service's explore on a fresh service is
+   the offline sweep on a fresh cache, bit for bit and count for count,
+   characterization simulations included. *)
+let test_service_explore_is_offline () =
+  let offline = Lazy.force offline_rs_cache in
+  let o, lookups = Serve.Service.explore (Serve.Service.create ()) "rs-cache" in
+  let module E = Core.Explore in
+  let points o =
+    List.map
+      (fun (p : E.point) ->
+        Printf.sprintf "%s %Lx %d %d %b" p.E.pt_name
+          (Int64.bits_of_float p.E.pt_energy_pj)
+          p.E.pt_cycles p.E.pt_instructions p.E.pt_cached)
+      o.E.points
+  in
+  let names ps = List.map (fun (p : E.point) -> p.E.pt_name) ps in
+  check Alcotest.(list string) "points" (points offline) (points o);
+  check Alcotest.(list string) "frontier" (names offline.E.frontier)
+    (names o.E.frontier);
+  check Alcotest.int "configs characterized" offline.E.configs_characterized
+    o.E.configs_characterized;
+  check Alcotest.int "simulations" offline.E.simulations o.E.simulations;
+  let stats (s : Core.Eval_cache.stats) =
+    Core.Eval_cache.[ s.hits; s.misses; s.errors; s.stores ]
+  in
+  check Alcotest.(list int) "cache hits, misses, errors, stores"
+    (stats offline.E.cache_stats) (stats o.E.cache_stats);
+  check Alcotest.int "one lookup per configuration" 4 (List.length lookups);
+  check Alcotest.int "the lookups ran the characterization simulations"
+    (4 * 25)
+    (List.fold_left (fun n l -> n + l.Serve.Registry.l_simulations) 0 lookups)
+
+(* The characterize op fits what the offline characterization fits, and
+   validates it the same way, bit for bit. *)
+let test_service_characterize () =
+  let fit, loocv, report =
+    Serve.Service.characterize (Serve.Service.create ())
+  in
+  let offline = Core.Characterize.run (Workloads.Suite.characterization ()) in
+  let bits a = Array.to_list (Array.map Int64.bits_of_float a) in
+  check Alcotest.(list int64) "coefficients"
+    (bits offline.Core.Characterize.model.Core.Template.coefficients)
+    (bits fit.Core.Characterize.model.Core.Template.coefficients);
+  check Alcotest.(list (option int64)) "leave-one-out values"
+    (Array.to_list
+       (Array.map (Option.map Int64.bits_of_float)
+          (Core.Characterize.cross_validate offline.Core.Characterize.samples)))
+    (Array.to_list (Array.map (Option.map Int64.bits_of_float) loocv));
+  check Alcotest.int "one simulation per program" 25
+    (Core.Run_report.total_simulations report)
+
+(* A cold daemon's sweep counts the simulations its registry's
+   characterizations ran, as the offline sweep does. *)
+let test_router_cold_explore_counts () =
+  let offline = Lazy.force offline_rs_cache in
+  let router = Serve.Router.create () in
+  Fun.protect ~finally:(fun () -> Serve.Router.shutdown router) @@ fun () ->
+  let resp =
+    Serve.Router.handle router
+      (J.Obj [ ("op", J.Str "explore"); ("space", J.Str "rs-cache") ])
+  in
+  check Alcotest.bool "explore ok" true (as_bool (member "ok" resp));
+  check Alcotest.int "simulations = the offline sweep's"
+    offline.Core.Explore.simulations
+    (as_int (member "simulations" resp))
 
 (* A daemon restarted on the directory an earlier one characterized into
    answers its first estimate from the stored model and vectors: no
@@ -1800,6 +1879,11 @@ let () =
             `Quick test_service_preload_survives;
           Alcotest.test_case "misses characterize the shared cases" `Quick
             test_service_miss_shares_cases ] );
+      ( "service",
+        [ Alcotest.test_case "explore = offline sweep" `Slow
+            test_service_explore_is_offline;
+          Alcotest.test_case "characterize = offline fit" `Slow
+            test_service_characterize ] );
       ( "router",
         [ Alcotest.test_case "profile op" `Quick test_router_profile_op;
           Alcotest.test_case "fuzzed payloads" `Quick test_router_fuzz;
@@ -1812,6 +1896,8 @@ let () =
             test_router_refits_from_explore_dir;
           Alcotest.test_case "restart reads the stored model" `Slow
             test_router_restart_reads_model;
+          Alcotest.test_case "cold explore counts characterization" `Slow
+            test_router_cold_explore_counts;
           Alcotest.test_case "integer fields decoded exactly" `Quick
             test_router_integer_fields;
           Alcotest.test_case "duplicate names simulate once" `Quick
