@@ -193,25 +193,30 @@ let key_of_entry_file fname =
     else None
   else None
 
-type kind = Entry of string * Unix.stats | Tmp | Foreign
+type kind = Entry of string * Unix.stats | Tmp | Live_tmp | Foreign
+
+(* A writer's temp file lives between its open and its rename, a few
+   milliseconds; one younger than this may still be in flight. *)
+let tmp_grace_s = 600.0
 
 (* How every directory operation reads a name: only a regular file named
-   like an entry is one (a directory so named is foreign); an orphaned
-   temp file is [*.tmp]; anything else, a name that vanished under the
-   scan included, is foreign. *)
-let classify dirname fname =
+   like an entry is one (a directory so named is foreign); a [*.tmp]
+   file modified in the last [tmp_grace_s] (as of [now]) may belong to a
+   live writer, an older one is an orphan; anything else, an entry name
+   that vanished under the scan included, is foreign. *)
+let classify ~now dirname fname =
   let path = Filename.concat dirname fname in
   match key_of_entry_file fname with
   | Some k -> (
     match Unix.stat path with
     | st when st.Unix.st_kind = Unix.S_REG -> Entry (k, st)
     | _ | (exception Unix.Unix_error _) -> Foreign)
-  | None ->
-    if
-      Filename.check_suffix fname ".tmp"
-      && not (try Sys.is_directory path with Sys_error _ -> false)
-    then Tmp
-    else Foreign
+  | None when Filename.check_suffix fname ".tmp" -> (
+    match Unix.stat path with
+    | st when st.Unix.st_kind = Unix.S_DIR -> Foreign
+    | st when now -. st.Unix.st_mtime < tmp_grace_s -> Live_tmp
+    | _ | (exception Unix.Unix_error _) -> Tmp)
+  | None -> Foreign
 
 let list_dir dirname =
   match Sys.readdir dirname with
@@ -227,13 +232,13 @@ let scan dirname =
   let now = Unix.gettimeofday () in
   List.filter_map
     (fun fname ->
-      match classify dirname fname with
+      match classify ~now dirname fname with
       | Entry (k, st) ->
         Some
           { f_key = k;
             f_size = st.Unix.st_size;
             f_last_used = Float.min st.Unix.st_mtime now }
-      | Tmp | Foreign -> None)
+      | Tmp | Live_tmp | Foreign -> None)
     (list_dir dirname)
 
 let total_bytes files = List.fold_left (fun n f -> n + f.f_size) 0 files
@@ -645,11 +650,13 @@ type verify_report = {
 
 let verify dirname =
   let ok = ref 0 and corrupt = ref [] and foreign = ref [] and tmp = ref [] in
+  let now = Unix.gettimeofday () in
   List.iter
     (fun fname ->
-      match classify dirname fname with
+      match classify ~now dirname fname with
       | Foreign -> foreign := fname :: !foreign
       | Tmp -> tmp := fname :: !tmp
+      | Live_tmp -> ()
       | Entry (k, _) -> (
         match
           entry_of_json ~expect_key:k
@@ -670,24 +677,15 @@ let verify dirname =
 
 type gc_report = { g_tmp_removed : int; g_foreign_removed : int }
 
-(* A writer's temp file lives between its open and its rename, a few
-   milliseconds; one younger than this may still be in flight. *)
-let tmp_grace_s = 600.0
-
 let gc dirname =
   let tmp = ref 0 and foreign = ref 0 in
   let now = Unix.gettimeofday () in
-  let in_flight fname =
-    match Unix.stat (Filename.concat dirname fname) with
-    | st -> now -. st.Unix.st_mtime < tmp_grace_s
-    | exception Unix.Unix_error _ -> false
-  in
   List.iter
     (fun fname ->
       let counter =
-        match classify dirname fname with
-        | Entry _ -> None
-        | Tmp -> if in_flight fname then None else Some tmp
+        match classify ~now dirname fname with
+        | Entry _ | Live_tmp -> None
+        | Tmp -> Some tmp
         | Foreign -> Some foreign
       in
       (* An orphaned temp file (from a writer that died between

@@ -241,8 +241,10 @@ type verify_report = {
   v_corrupt : (string * string) list; (** entry file, failure reason *)
   v_foreign : string list; (** names that are neither entries nor temp
                                files *)
-  v_tmp : string list;     (** [*.tmp] files ({!gc} sweeps those ten
-                               minutes old or older) *)
+  v_tmp : string list;     (** orphaned [*.tmp] files: those ten
+                               minutes old or older, the ones {!gc}
+                               sweeps.  A younger one may belong to a
+                               live writer and is not listed. *)
 }
 
 val verify : string -> verify_report

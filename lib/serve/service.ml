@@ -86,7 +86,7 @@ let create ?jobs ?(cache = Core.Eval_cache.create ()) ?characterize
     | None ->
       fun config ->
         Core.Characterize.model ?jobs ~cache ~config
-          (Workloads.Suite.shared_characterization ())
+          (Workloads.Suite.characterization ())
   in
   let characterize config =
     Option.iter (fun f -> f ()) on_characterize;
@@ -180,7 +180,7 @@ let characterize t =
   let samples, report =
     phase "simulate" @@ fun () ->
     Core.Characterize.collect_with_report ?jobs:t.jobs ~cache:t.cache
-      (Workloads.Suite.shared_characterization ())
+      (Workloads.Suite.characterization ())
   in
   phase "fit" @@ fun () ->
   ( Core.Characterize.fit_samples samples,

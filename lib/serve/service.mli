@@ -4,10 +4,13 @@
 
     A {!t} owns the model {!Registry}, the {!Core.Eval_cache}, the
     worker count and, in the daemon, the pool that simulates cache
-    misses.  Each op looks its workloads up, checks its arguments (before
-    resolving the model, so a bad request never characterizes), resolves
-    the model and runs one Core step; the caller renders the result as a
-    table or through the Core [to_json] both surfaces share.
+    misses.  Each op looks its workloads (or its space's candidates) up,
+    checks its arguments (before resolving the model, so a bad request
+    never characterizes), resolves the model and runs one Core step; the
+    caller renders the result as a table or through the Core [to_json]
+    both surfaces share.  Workloads and candidates are
+    {!Workloads.Suite}'s and {!Workloads.Spaces}' cases, built once per
+    process: no request rebuilds a program or its digest.
 
     Ops fail with [Failure] (an unknown workload or space, a
     non-positive [top] or bucket width, an empty workload list, an
@@ -38,9 +41,8 @@ val create :
     simulations and fitted models.  [model] is a coefficients file
     ({!Core.Template.load}) preloaded as the default configuration's
     model.  A registry miss calls [on_characterize], then
-    [characterize] (default: {!Core.Characterize.model} over the name
-    index's characterization cases
-    ({!Workloads.Suite.shared_characterization}, built once per process)
+    [characterize] (default: {!Core.Characterize.model} over
+    {!Workloads.Suite.characterization}'s cases, built once per process)
     through [cache], so a daemon restarted on a populated directory
     reads the stored model: no simulation, no fit; a given
     [characterize] counts no simulations).

@@ -1,34 +1,32 @@
-(* Concrete candidate spaces, shared by the CLI, the bench harness and
-   the tests.  Everything is enumerated through Tie.Space so candidate
-   names and evaluation order are deterministic. *)
+(* Concrete candidate spaces, shared by the CLI, the daemon, the bench
+   harness and the tests.  Each is built once per process from the
+   lists below, which fix candidate names and evaluation order. *)
 
-let choice_axis () =
-  Tie.Space.axis "choice"
-    (List.map
-       (fun (c : Core.Extract.case) -> (c.Core.Extract.case_name, c))
-       (Reed_solomon.choices ()))
+let rs =
+  Wutil.once (fun () ->
+      List.map Core.Explore.candidate (Suite.reed_solomon_choices ()))
 
 let icache_config kb =
   { Sim.Config.default with
     Sim.Config.icache =
       { Sim.Config.default_cache with Sim.Config.size_bytes = kb * 1024 } }
 
-let icache_axis () =
-  Tie.Space.axis "icache"
-    (List.map
-       (fun kb -> (Printf.sprintf "ic%dk" kb, icache_config kb))
-       [ 4; 8; 16; 32 ])
-
-let rs () =
-  Tie.Space.enumerate_labelled (choice_axis ())
-  |> List.map (fun (label, case) -> Core.Explore.candidate ~name:label case)
-
-let rs_cache () =
-  Tie.Space.map2 (fun case config -> (case, config))
-    (choice_axis ()) (icache_axis ())
-  |> Tie.Space.enumerate_labelled
-  |> List.map (fun (label, (case, config)) ->
-         Core.Explore.candidate ~name:label ~config case)
+(* Choice-major: the I-cache size varies fastest. *)
+let rs_cache =
+  Wutil.once (fun () ->
+      let configs =
+        List.map (fun kb -> (Printf.sprintf "ic%dk" kb, icache_config kb))
+          [ 4; 8; 16; 32 ]
+      in
+      List.concat_map
+        (fun (case : Core.Extract.case) ->
+          List.map
+            (fun (label, config) ->
+              Core.Explore.candidate
+                ~name:(case.Core.Extract.case_name ^ "/" ^ label)
+                ~config case)
+            configs)
+        (Suite.reed_solomon_choices ()))
 
 (* The tradeoff kernel: a 256-element dot product, either in base-ISA
    software (mul16u + add) or through the MAC custom instruction. *)
@@ -83,18 +81,15 @@ let dot_mac ext =
   halt b;
   Core.Extract.case ~extension:ext "dot_mac" (Wutil.assemble b)
 
-let mac_widths () =
-  let hw =
-    Tie.Space.map
-      (fun w -> dot_mac (Tie_lib.mac_ext_width w))
-      (Tie.Space.widths ~prefix:"mac_w" [ 16; 24; 32; 40; 48 ])
-  in
-  let labelled =
-    ("soft", dot_soft ()) :: Tie.Space.enumerate_labelled hw
-  in
-  List.map
-    (fun (label, case) -> Core.Explore.candidate ~name:label case)
-    labelled
+let mac_widths =
+  Wutil.once (fun () ->
+      Core.Explore.candidate ~name:"soft" (dot_soft ())
+      :: List.map
+           (fun w ->
+             Core.Explore.candidate
+               ~name:(Printf.sprintf "mac_w%d" w)
+               (dot_mac (Tie_lib.mac_ext_width w)))
+           [ 16; 24; 32; 40; 48 ])
 
 let table = [ ("rs", rs); ("rs-cache", rs_cache); ("mac-widths", mac_widths) ]
 

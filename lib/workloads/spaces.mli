@@ -1,11 +1,13 @@
 (** Named candidate spaces for [xenergy explore].
 
-    Each space is a deterministic list of {!Core.Explore.type-candidate}s
-    assembled with the {!Tie.Space} combinators: the Reed-Solomon
-    component-mix axis of the paper's Fig. 4, crossed with
-    instruction-cache geometry, plus a MAC accumulator bit-width sweep.
-    The same spaces drive the CLI, the benchmark harness and the
-    exploration tests. *)
+    Each space is a fixed list of {!Core.Explore.type-candidate}s: the
+    Reed-Solomon component-mix choices of the paper's Fig. 4
+    ({!Suite.reed_solomon_choices}), crossed with instruction-cache
+    geometry, plus a MAC accumulator bit-width sweep.  A space is built
+    once per process, on its first call: every later call, from any
+    thread, returns the same list, and its Reed-Solomon candidates carry
+    the suite's cases, physically.  The same spaces drive the CLI, the
+    daemon, the benchmark harness and the exploration tests. *)
 
 val rs : unit -> Core.Explore.candidate list
 (** The four Reed-Solomon custom-instruction choices (component mixes:

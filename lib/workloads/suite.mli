@@ -1,7 +1,19 @@
-(** Workload registry. *)
+(** Workload registry.
+
+    Each group below is built once per process, on its first call, and
+    every later call returns the same list of the same cases,
+    physically.  {!all}, {!find} and {!names} read one name index built
+    from those lists, so for every workload name the case in its group
+    is the one {!find} returns.  A case is safe to simulate on several
+    threads at once (its compiled extension holds no mutable state), and
+    every function here is safe to call from any thread, including
+    concurrently with a first build.  The builders
+    ({!Characterization.suite}, {!Reed_solomon.choices}, {!C_apps.all},
+    ...) still make fresh cases on every call. *)
 
 val characterization : unit -> Core.Extract.case list
-(** The 25 characterization test programs, built fresh on every call. *)
+(** The 25 characterization test programs.  The first call builds these
+    25 alone. *)
 
 val applications : unit -> Core.Extract.case list
 (** The ten Table II application benchmarks, in the paper's order:
@@ -16,25 +28,12 @@ val c_applications : unit -> Core.Extract.case list
 
 val all : unit -> Core.Extract.case list
 (** Every workload, in suite order: characterization, applications,
-    Reed-Solomon choices, Tiny-C applications.  Like the lists above it
-    builds fresh cases on every call. *)
+    Reed-Solomon choices, Tiny-C applications.  The same list on every
+    call. *)
 
 val find : string -> Core.Extract.case
-(** Look up any workload by name (the first in {!all} order).  Lookups
-    read one name index, built from {!all} on the first call in the
-    process and shared from then on: every call for a name returns the
-    same case, physically, and a case is safe to simulate on several
-    threads at once (its compiled extension holds no mutable state).
-    Safe to call from any thread, including concurrently with the
-    first build.  @raise Not_found. *)
+(** Look up any workload by name (the first in {!all} order): every call
+    for a name returns the same case, physically.  @raise Not_found. *)
 
 val names : unit -> string list
-(** Every workload name, in {!all} order, read from the same index as
-    {!find}. *)
-
-val shared_characterization : unit -> Core.Extract.case list
-(** The 25 characterization programs as the name index's cases: every
-    call returns the same list, and each case is physically the one
-    {!find} returns for its name, so its digest and key slots are shared
-    with every other caller in the process.  The first call builds these
-    25 alone; the index reuses them.  Same thread safety as {!find}. *)
+(** Every workload name, in {!all} order. *)

@@ -1255,27 +1255,78 @@ let test_timing_measures_both_paths () =
 
 (* --- Candidate spaces ------------------------------------------------------ *)
 
-let test_space_combinators () =
-  let choice = Tie.Space.axis "x" [ ("a", 1); ("b", 2) ] in
-  let w = Tie.Space.widths ~prefix:"w" [ 8; 16 ] in
-  let p = Tie.Space.map2 (fun x w -> x * w) choice w in
-  check Alcotest.int "product size" 4 (Tie.Space.size p);
-  check
-    Alcotest.(list (pair string int))
-    "row-major labelled enumeration"
-    [ ("a/w8", 8); ("a/w16", 16); ("b/w8", 16); ("b/w16", 32) ]
-    (Tie.Space.enumerate_labelled p);
-  check
-    Alcotest.(list string)
-    "axes" [ "x"; "width" ] (Tie.Space.axes p);
-  check Alcotest.string "describe" "x(2) x width(2) = 4 candidates"
-    (Tie.Space.describe p);
-  (match Tie.Space.axis "dup" [ ("k", 1); ("k", 2) ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> fail "duplicate labels accepted");
-  match Tie.Space.axis "empty" [] with
-  | exception Invalid_argument _ -> ()
-  | _ -> fail "empty axis accepted"
+(* The three named spaces, pinned: candidate names in sweep order, the
+   workload each one runs, its I-cache size (the rest of its
+   configuration is the default core's), and one list per process. *)
+let test_spaces_pinned () =
+  let default_kb = 16 in
+  let pinned =
+    [ ( "rs",
+        Workloads.Spaces.rs,
+        [ ("rs_soft", "rs_soft", default_kb);
+          ("rs_gfmul", "rs_gfmul", default_kb);
+          ("rs_gfmac", "rs_gfmac", default_kb);
+          ("rs_gfmul4", "rs_gfmul4", default_kb) ] );
+      ( "rs-cache",
+        Workloads.Spaces.rs_cache,
+        [ ("rs_soft/ic4k", "rs_soft", 4);
+          ("rs_soft/ic8k", "rs_soft", 8);
+          ("rs_soft/ic16k", "rs_soft", 16);
+          ("rs_soft/ic32k", "rs_soft", 32);
+          ("rs_gfmul/ic4k", "rs_gfmul", 4);
+          ("rs_gfmul/ic8k", "rs_gfmul", 8);
+          ("rs_gfmul/ic16k", "rs_gfmul", 16);
+          ("rs_gfmul/ic32k", "rs_gfmul", 32);
+          ("rs_gfmac/ic4k", "rs_gfmac", 4);
+          ("rs_gfmac/ic8k", "rs_gfmac", 8);
+          ("rs_gfmac/ic16k", "rs_gfmac", 16);
+          ("rs_gfmac/ic32k", "rs_gfmac", 32);
+          ("rs_gfmul4/ic4k", "rs_gfmul4", 4);
+          ("rs_gfmul4/ic8k", "rs_gfmul4", 8);
+          ("rs_gfmul4/ic16k", "rs_gfmul4", 16);
+          ("rs_gfmul4/ic32k", "rs_gfmul4", 32) ] );
+      ( "mac-widths",
+        Workloads.Spaces.mac_widths,
+        [ ("soft", "dot_soft", default_kb);
+          ("mac_w16", "dot_mac", default_kb);
+          ("mac_w24", "dot_mac", default_kb);
+          ("mac_w32", "dot_mac", default_kb);
+          ("mac_w40", "dot_mac", default_kb);
+          ("mac_w48", "dot_mac", default_kb) ] ) ]
+  in
+  check Alcotest.(list string) "space names"
+    (List.map (fun (n, _, _) -> n) pinned) Workloads.Spaces.names;
+  List.iter
+    (fun (name, space, expected) ->
+      let cands = space () in
+      check
+        Alcotest.(list (triple string string int))
+        (name ^ ": candidates, workloads, I-cache KB") expected
+        (List.map
+           (fun (c : Core.Explore.candidate) ->
+             ( c.Core.Explore.cand_name,
+               c.Core.Explore.case.Core.Extract.case_name,
+               c.Core.Explore.config.Sim.Config.icache.Sim.Config.size_bytes
+               / 1024 ))
+           cands);
+      List.iter
+        (fun (c : Core.Explore.candidate) ->
+          let ic = c.Core.Explore.config.Sim.Config.icache in
+          check Alcotest.bool
+            (c.Core.Explore.cand_name ^ ": default core but the I-cache size")
+            true
+            ({ c.Core.Explore.config with
+               Sim.Config.icache =
+                 { ic with
+                   Sim.Config.size_bytes =
+                     Sim.Config.default_cache.Sim.Config.size_bytes } }
+            = Sim.Config.default))
+        cands;
+      check Alcotest.bool (name ^ ": a second call returns the same list")
+        true (space () == cands);
+      check Alcotest.bool (name ^ ": found by name") true
+        ((Option.get (Workloads.Spaces.find name)) () == cands))
+    pinned
 
 (* --- Evaluation cache ------------------------------------------------------ *)
 
@@ -2000,7 +2051,8 @@ let back_date path =
   Unix.utimes path t t
 
 (* A writer's temp file exists between its open and its rename; gc must
-   not pull it from under a live writer, only sweep an old orphan. *)
+   not pull it from under a live writer, only sweep an old orphan, and
+   verify must not count it as one. *)
 let test_cache_gc_spares_live_writers () =
   let dir = fresh_cache_dir () in
   Sys.mkdir dir 0o755;
@@ -2012,6 +2064,9 @@ let test_cache_gc_spares_live_writers () =
   in
   let live = plant "cachelive-0.tmp" and dead = plant "cachedead-0.tmp" in
   back_date dead;
+  (* verify reads the same rule: it lists only what gc would remove. *)
+  check Alcotest.(list string) "verify lists only the orphan"
+    [ "cachedead-0.tmp" ] (Core.Eval_cache.verify dir).Core.Eval_cache.v_tmp;
   let g = Core.Eval_cache.gc dir in
   check Alcotest.int "one orphan swept" 1 g.Core.Eval_cache.g_tmp_removed;
   check Alcotest.bool "the fresh temp file survives" true
@@ -3360,7 +3415,7 @@ let () =
             test_map_keeps_sigpipe_default ]
       );
       ( "space",
-        [ Alcotest.test_case "combinators" `Quick test_space_combinators ] );
+        [ Alcotest.test_case "combinators" `Quick test_spaces_pinned ] );
       ( "eval cache",
         [ Alcotest.test_case "key sensitivity" `Quick
             test_cache_key_sensitivity;

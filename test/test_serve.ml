@@ -285,14 +285,14 @@ let test_service_preload_survives () =
   check Alcotest.int "the preloaded model is a hit" (List.length others)
     !calls
 
-(* A registry miss characterizes over the name index's cases instead of
+(* A registry miss characterizes over the suite's cases instead of
    building the 25 programs again: every miss passes the same physical
    list, so each case's key slot records the configuration the latest
    miss keyed it under. *)
 let test_service_miss_shares_cases () =
-  let shared = Workloads.Suite.shared_characterization () in
+  let shared = Workloads.Suite.characterization () in
   check Alcotest.bool "one list on every call" true
-    (shared == Workloads.Suite.shared_characterization ());
+    (shared == Workloads.Suite.characterization ());
   check Alcotest.int "the 25 characterization programs" 25 (List.length shared);
   List.iter
     (fun (c : Core.Extract.case) ->

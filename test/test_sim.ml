@@ -1410,7 +1410,9 @@ let test_shared_case_concurrency () =
             let fresh =
               List.find
                 (fun c -> c.Core.Extract.case_name = n)
-                (Workloads.Suite.all ())
+                (Workloads.Characterization.suite ()
+                @ Workloads.Reed_solomon.choices ()
+                @ [ Workloads.Math_apps.accumulate () ])
             in
             (n, shared_run backend fresh))
           shared_names

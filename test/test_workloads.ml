@@ -248,27 +248,37 @@ let test_find () =
 
 (* --- Name index ---------------------------------------------------------------- *)
 
-(* Must run before anything in this executable resolves a name: two
-   domains released together race on the first [find], which builds the
-   process-wide index.  The loser waits for the build and gets the same
+(* Must run before anything in this executable builds a suite list or
+   a space: two domains released together race on the first [find],
+   [characterization ()], [all ()] and [Spaces.rs_cache ()], each built
+   once per process.  The loser waits for the build and gets the same
    cases. *)
 let test_index_first_find_race () =
   let names = [ "rs_gfmul4"; "gcd"; "c_crc32" ] in
   let go = Atomic.make false in
   let worker () =
     while not (Atomic.get go) do Domain.cpu_relax () done;
-    List.map Workloads.Suite.find names
+    let chars = Workloads.Suite.characterization () in
+    let found = List.map Workloads.Suite.find names in
+    let space = Workloads.Spaces.rs_cache () in
+    (chars, found, Workloads.Suite.all (), space)
   in
   let ds = List.init 2 (fun _ -> Domain.spawn worker) in
   Atomic.set go true;
   let results = List.map Domain.join ds in
   List.iter
-    (fun cases ->
+    (fun (chars, found, all, space) ->
       List.iter2
         (fun n c ->
           check Alcotest.bool (n ^ ": racing lookups share the case") true
             (c == Workloads.Suite.find n))
-        names cases)
+        names found;
+      check Alcotest.bool "racing characterization () share the list" true
+        (chars == Workloads.Suite.characterization ());
+      check Alcotest.bool "racing all () share the list" true
+        (all == Workloads.Suite.all ());
+      check Alcotest.bool "racing rs_cache () share the list" true
+        (space == Workloads.Spaces.rs_cache ()))
     results
 
 let test_index_shares_cases () =
@@ -287,8 +297,29 @@ let test_index_shares_cases () =
       check Alcotest.string (n ^ ": found by its name") n
         c.Core.Extract.case_name)
     (Workloads.Suite.names ());
-  check Alcotest.bool "list functions still build fresh cases" true
-    (List.hd all != List.hd (Workloads.Suite.all ()))
+  (* Every list holds the index's cases, the same list on every call. *)
+  let is_indexed what (c : Core.Extract.case) =
+    check Alcotest.bool
+      (what ^ ": " ^ c.Core.Extract.case_name ^ " is the index's case") true
+      (c == Workloads.Suite.find c.Core.Extract.case_name)
+  in
+  List.iter
+    (fun (what, list) ->
+      let cases = list () in
+      check Alcotest.bool (what ^ ": the same list on every call") true
+        (cases == list ());
+      List.iter (is_indexed what) cases)
+    [ ("characterization", Workloads.Suite.characterization);
+      ("applications", Workloads.Suite.applications);
+      ("reed_solomon_choices", Workloads.Suite.reed_solomon_choices);
+      ("c_applications", Workloads.Suite.c_applications);
+      ("all", Workloads.Suite.all) ];
+  check Alcotest.bool "lists share the index's cases" true
+    (List.hd all == List.hd (Workloads.Suite.all ()));
+  (* The Reed-Solomon spaces carry the suite's cases. *)
+  List.iter
+    (fun (c : Core.Explore.candidate) -> is_indexed "space" c.Core.Explore.case)
+    (Workloads.Spaces.rs () @ Workloads.Spaces.rs_cache ())
 
 (* --- Tiny-C applications ------------------------------------------------------ *)
 
